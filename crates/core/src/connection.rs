@@ -62,6 +62,11 @@ pub struct Connection {
     pub pex_sent: std::collections::HashSet<IpAddr>,
     /// When `ut_pex` was last sent on this connection.
     pub last_pex: Instant,
+    /// The remote has delivered its bitfield, so it is recorded as a
+    /// peer-set member and counted in the engine's availability.
+    pub in_peer_set: bool,
+    /// Super seeding: pieces revealed to this peer so far.
+    pub revealed: std::collections::HashSet<u32>,
 }
 
 impl Connection {
@@ -98,6 +103,8 @@ impl Connection {
             remote_pex_id: None,
             pex_sent: std::collections::HashSet::new(),
             last_pex: Instant::ZERO,
+            in_peer_set: false,
+            revealed: std::collections::HashSet::new(),
         }
     }
 
@@ -136,6 +143,69 @@ impl Connection {
     /// The remote holds every piece (it is a seed).
     pub fn is_seed(&self) -> bool {
         self.bitfield.is_complete()
+    }
+}
+
+/// The engine's open connections, indexed by [`ConnId`].
+///
+/// Ids are handed out in order and never reused, so the table is a
+/// vector of slots: a lookup is one bounds check, iteration is ascending
+/// `ConnId` — the order every run must reproduce — with nothing to sort,
+/// and a closed connection leaves one empty pointer behind.
+#[derive(Debug, Default)]
+pub(crate) struct ConnTable {
+    slots: Vec<Option<Box<Connection>>>,
+    open: usize,
+}
+
+impl ConnTable {
+    /// Number of open connections.
+    pub(crate) fn len(&self) -> usize {
+        self.open
+    }
+
+    /// The id the next [`insert`](Self::insert) must carry; every id
+    /// ever issued is below it.
+    pub(crate) fn next_id(&self) -> ConnId {
+        self.slots.len() as ConnId
+    }
+
+    /// Add a connection built with id [`next_id`](Self::next_id).
+    pub(crate) fn insert(&mut self, conn: Connection) {
+        assert_eq!(
+            conn.id,
+            self.next_id(),
+            "connection ids are issued in order"
+        );
+        self.slots.push(Some(Box::new(conn)));
+        self.open += 1;
+    }
+
+    /// The open connection `id`; `None` if closed or never issued.
+    pub(crate) fn get(&self, id: ConnId) -> Option<&Connection> {
+        self.slots.get(id as usize)?.as_deref()
+    }
+
+    /// Mutable [`get`](Self::get).
+    pub(crate) fn get_mut(&mut self, id: ConnId) -> Option<&mut Connection> {
+        self.slots.get_mut(id as usize)?.as_deref_mut()
+    }
+
+    /// Close connection `id`, handing back its state.
+    pub(crate) fn remove(&mut self, id: ConnId) -> Option<Box<Connection>> {
+        let conn = self.slots.get_mut(id as usize)?.take()?;
+        self.open -= 1;
+        Some(conn)
+    }
+
+    /// Open connections in ascending `ConnId`.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Connection> {
+        self.slots.iter().filter_map(|s| s.as_deref())
+    }
+
+    /// Mutable [`iter`](Self::iter).
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut Connection> {
+        self.slots.iter_mut().filter_map(|s| s.as_deref_mut())
     }
 }
 
@@ -190,6 +260,34 @@ mod tests {
         // A block resets the clock.
         c.last_block_received = Some(t0 + bt_wire::time::Duration::from_secs(100));
         assert!(!c.is_snubbing(t0 + bt_wire::time::Duration::from_secs(120)));
+    }
+
+    #[test]
+    fn table_slots_are_never_reused_or_grown_by_lookups() {
+        let conn_with = |id| {
+            let mut c = conn();
+            c.id = id;
+            c
+        };
+        let mut table = ConnTable::default();
+        for id in 0..3 {
+            assert_eq!(table.next_id(), id);
+            table.insert(conn_with(id));
+        }
+        assert_eq!(table.remove(1).map(|c| c.id), Some(1));
+        assert!(table.remove(1).is_none(), "already closed");
+        for id in [1, 3, 1_000_000, ConnId::MAX] {
+            assert!(table.get(id).is_none());
+            assert!(table.get_mut(id).is_none());
+            assert!(table.remove(id).is_none());
+        }
+        assert_eq!((table.len(), table.next_id()), (2, 3));
+        assert_eq!(table.iter().map(|c| c.id).collect::<Vec<_>>(), vec![0, 2]);
+        table.insert(conn_with(3));
+        assert_eq!(
+            table.iter_mut().map(|c| c.id).collect::<Vec<_>>(),
+            vec![0, 2, 3]
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::builder::EngineBuilder;
 use crate::config::Config;
-use crate::connection::{ConnId, Connection};
+use crate::connection::{ConnId, ConnTable, Connection};
 use crate::content::{DataMode, PieceBuffer};
 use crate::driver::{Actions, Input};
 use crate::error::EngineError;
@@ -120,12 +120,8 @@ pub struct Engine {
     leecher_choker: Box<dyn Choker>,
     seed_choker: Box<dyn Choker>,
 
-    conns: HashMap<ConnId, Connection>,
-    /// Connections that have delivered their bitfield (and are therefore
-    /// recorded as peer-set members).
-    joined: HashSet<ConnId>,
+    conns: ConnTable,
     connected_ips: HashSet<IpAddr>,
-    next_conn: ConnId,
     initiated_open: usize,
     pending_dials: usize,
     candidate_pool: VecDeque<PeerEntry>,
@@ -140,10 +136,12 @@ pub struct Engine {
     /// re-armed after every round, overridable via
     /// [`Engine::schedule_rechoke`].
     next_rechoke: Option<Instant>,
-    /// Super-seed state: pieces revealed per connection, and global
-    /// reveal counts used to pick the least-revealed piece next.
-    revealed_to: HashMap<ConnId, HashSet<u32>>,
+    /// Super-seed state: how many peers each piece has been revealed
+    /// to, used to pick the least-revealed piece next (what was revealed
+    /// to whom is on the [`Connection`]).
     reveal_counts: Vec<u32>,
+    /// Reused by [`Engine::fill_requests`] so a top-up allocates nothing.
+    request_buf: Vec<BlockRef>,
 
     rng: SmallRng,
     actions: Actions,
@@ -343,10 +341,8 @@ impl Engine {
             picker,
             leecher_choker,
             seed_choker,
-            conns: HashMap::new(),
-            joined: HashSet::new(),
+            conns: ConnTable::default(),
             connected_ips: HashSet::new(),
-            next_conn: 0,
             initiated_open: 0,
             pending_dials: 0,
             candidate_pool: VecDeque::new(),
@@ -356,8 +352,8 @@ impl Engine {
             endgame_recorded: false,
             last_announce: Instant::ZERO,
             next_rechoke: None,
-            revealed_to: HashMap::new(),
             reveal_counts: vec![0; num_pieces as usize],
+            request_buf: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
             actions: Actions::default(),
             trace: recorder.map(Trace::new),
@@ -463,14 +459,15 @@ impl Engine {
         self.scheduler.in_endgame()
     }
 
-    /// Iterate over connections (read-only view for the harness).
+    /// Iterate over connections in ascending [`ConnId`] (read-only view
+    /// for the harness).
     pub fn connections(&self) -> impl Iterator<Item = &Connection> {
-        self.conns.values()
+        self.conns.iter()
     }
 
     /// Connection by id.
     pub fn connection(&self, conn: ConnId) -> Option<&Connection> {
-        self.conns.get(&conn)
+        self.conns.get(conn)
     }
 
     /// Take ownership of the recorded trace (ends recording).
@@ -658,8 +655,7 @@ impl Engine {
         if self.conns.len() >= self.config.max_peer_set {
             return None;
         }
-        let id = self.next_conn;
-        self.next_conn += 1;
+        let id = self.conns.next_id();
         let mut conn = Connection::new(
             id,
             ip,
@@ -672,7 +668,7 @@ impl Engine {
         conn.extended = self.config.pex_enabled && caps.extended;
         let is_fast = conn.fast;
         let is_extended = conn.extended;
-        self.conns.insert(id, conn);
+        self.conns.insert(conn);
         self.connected_ips.insert(ip);
         if initiated_by_us {
             self.initiated_open += 1;
@@ -708,7 +704,7 @@ impl Engine {
                 self.send(now, id, Message::AllowedFast(piece));
             }
             self.conns
-                .get_mut(&id)
+                .get_mut(id)
                 .expect("just inserted")
                 .allowed_fast_sent = grants;
         }
@@ -732,30 +728,26 @@ impl Engine {
         Some(id)
     }
 
-    /// Super-seeding: offer `conn` the least-revealed piece it has not
-    /// been offered yet. Minimising reveal counts is what keeps the
-    /// initial seed's duplicate-piece ratio low (§IV-A.4).
     /// Send `ut_pex` deltas (current peer set vs. last gossip) to every
     /// pex-capable connection whose interval elapsed.
     fn send_pex_rounds(&mut self, now: Instant) {
         let current: Vec<IpAddr> = {
-            let mut v: Vec<IpAddr> = self.conns.values().map(|c| c.ip).collect();
+            let mut v: Vec<IpAddr> = self.conns.iter().map(|c| c.ip).collect();
             v.sort_unstable();
             v
         };
-        let mut ids: Vec<ConnId> = self
-            .conns
-            .values()
-            .filter(|c| {
-                c.remote_pex_id.is_some()
-                    && now.saturating_since(c.last_pex) >= self.config.pex_interval
-            })
-            .map(|c| c.id)
-            .collect();
-        ids.sort_unstable();
-        for id in ids {
+        let pex_interval = self.config.pex_interval;
+        for id in 0..self.conns.next_id() {
             let (ext_id, added, dropped) = {
-                let c = self.conns.get_mut(&id).expect("present");
+                let Some(c) = self.conns.get_mut(id) else {
+                    continue;
+                };
+                let Some(ext_id) = c.remote_pex_id else {
+                    continue;
+                };
+                if now.saturating_since(c.last_pex) < pex_interval {
+                    continue;
+                }
                 c.last_pex = now;
                 let own_ip = c.ip;
                 let added: Vec<PeerEntry> = current
@@ -770,7 +762,7 @@ impl Engine {
                     .map(|&ip| PeerEntry { ip, port: 6881 })
                     .collect();
                 c.pex_sent = current.iter().copied().filter(|ip| *ip != own_ip).collect();
-                (c.remote_pex_id.expect("filtered"), added, dropped)
+                (ext_id, added, dropped)
             };
             if added.is_empty() && dropped.is_empty() {
                 continue;
@@ -780,11 +772,16 @@ impl Engine {
         }
     }
 
+    /// Super-seeding: offer `conn` the least-revealed piece it has not
+    /// been offered yet. Minimising reveal counts is what keeps the
+    /// initial seed's duplicate-piece ratio low (§IV-A.4).
     fn reveal_next_piece(&mut self, now: Instant, conn: ConnId) {
-        let already = self.revealed_to.entry(conn).or_default().clone();
+        let Some(c) = self.conns.get_mut(conn) else {
+            return;
+        };
         let mut best: Option<(u32, u32)> = None; // (count, piece)
         for piece in self.own.iter_ones() {
-            if already.contains(&piece) {
+            if c.revealed.contains(&piece) {
                 continue;
             }
             let count = self.reveal_counts[piece as usize];
@@ -794,7 +791,7 @@ impl Engine {
         }
         if let Some((_, piece)) = best {
             self.reveal_counts[piece as usize] += 1;
-            self.revealed_to.entry(conn).or_default().insert(piece);
+            c.revealed.insert(piece);
             self.send(now, conn, Message::Have(piece));
         }
     }
@@ -810,18 +807,17 @@ impl Engine {
     }
 
     fn cleanup_conn(&mut self, now: Instant, conn: ConnId) {
-        let Some(c) = self.conns.remove(&conn) else {
+        let Some(c) = self.conns.remove(conn) else {
             return;
         };
         self.connected_ips.remove(&c.ip);
         if c.initiated_by_us {
             self.initiated_open = self.initiated_open.saturating_sub(1);
         }
-        if self.joined.remove(&conn) {
+        if c.in_peer_set {
             self.availability.remove_peer(&c.bitfield);
             self.record(now, TraceEvent::PeerLeft { peer: conn });
         }
-        self.revealed_to.remove(&conn);
         let _dropped = self.scheduler.on_peer_gone(conn);
     }
 
@@ -830,8 +826,8 @@ impl Engine {
     // ------------------------------------------------------------------
 
     fn do_message(&mut self, now: Instant, conn: ConnId, msg: Message) -> Result<(), EngineError> {
-        if !self.conns.contains_key(&conn) {
-            return Ok(()); // raced a disconnect
+        if self.conns.get(conn).is_none() {
+            return Ok(()); // raced a disconnect, or an id never issued
         }
         if self.trace.is_some() {
             // §III-C: a log of each message received. Piece payloads and
@@ -900,7 +896,7 @@ impl Engine {
     }
 
     fn on_extended(&mut self, now: Instant, conn: ConnId, ext_id: u8, payload: &[u8]) {
-        let Some(c) = self.conns.get_mut(&conn) else {
+        let Some(c) = self.conns.get_mut(conn) else {
             return;
         };
         if !c.extended {
@@ -935,24 +931,19 @@ impl Engine {
                 len: bits.len(),
             });
         };
-        let (ip, peer_id, pieces) = {
-            let c = self.conns.get_mut(&conn).expect("checked");
-            c.bitfield = bf;
-            (c.ip, c.peer_id, c.bitfield.count_ones())
-        };
-        if self.joined.insert(conn) {
-            let old = self.conns[&conn].bitfield.clone();
-            self.availability.add_peer(&old);
-            self.record(
-                now,
-                TraceEvent::PeerJoined {
-                    peer: conn,
-                    ip,
-                    peer_id,
-                    pieces_on_arrival: pieces,
-                    total_pieces: num_pieces,
-                },
-            );
+        let c = self.conns.get_mut(conn).expect("checked");
+        c.bitfield = bf;
+        if !c.in_peer_set {
+            c.in_peer_set = true;
+            self.availability.add_peer(&c.bitfield);
+            let joined = TraceEvent::PeerJoined {
+                peer: conn,
+                ip: c.ip,
+                peer_id: c.peer_id,
+                pieces_on_arrival: c.bitfield.count_ones(),
+                total_pieces: num_pieces,
+            };
+            self.record(now, joined);
         }
         self.after_remote_pieces_changed(now, conn);
         Ok(())
@@ -966,22 +957,14 @@ impl Engine {
                 num_pieces: self.geometry.num_pieces(),
             });
         }
-        let newly = {
-            let c = self.conns.get_mut(&conn).expect("checked");
-            c.bitfield.set(piece)
-        };
-        if newly && self.joined.contains(&conn) {
+        let c = self.conns.get_mut(conn).expect("checked");
+        let newly = c.bitfield.set(piece);
+        if newly && c.in_peer_set {
             self.availability.add_have(piece);
         }
         // Super seeding: a peer confirming a piece we revealed to it is
         // the trigger to offer it the next one.
-        if self.config.super_seed
-            && newly
-            && self
-                .revealed_to
-                .get(&conn)
-                .is_some_and(|set| set.contains(&piece))
-        {
+        if self.config.super_seed && newly && c.revealed.contains(&piece) {
             self.reveal_next_piece(now, conn);
         }
         self.after_remote_pieces_changed(now, conn);
@@ -991,7 +974,7 @@ impl Engine {
     /// Remote gained pieces: refresh interest, drop seed↔seed links, and
     /// top up the request pipeline.
     fn after_remote_pieces_changed(&mut self, now: Instant, conn: ConnId) {
-        if self.is_seed && self.conns.get(&conn).is_some_and(Connection::is_seed) {
+        if self.is_seed && self.conns.get(conn).is_some_and(Connection::is_seed) {
             // Seeds have nothing to exchange (§IV-A.2.b: "when a leecher
             // becomes a seed, it closes its connections to all the seeds").
             self.cleanup_conn(now, conn);
@@ -1004,7 +987,7 @@ impl Engine {
 
     fn on_remote_interest(&mut self, now: Instant, conn: ConnId, interested: bool) {
         {
-            let c = self.conns.get_mut(&conn).expect("checked");
+            let c = self.conns.get_mut(conn).expect("checked");
             if c.peer_interested == interested {
                 return;
             }
@@ -1021,7 +1004,7 @@ impl Engine {
 
     fn on_remote_choke(&mut self, now: Instant, conn: ConnId, choked: bool) {
         {
-            let c = self.conns.get_mut(&conn).expect("checked");
+            let c = self.conns.get_mut(conn).expect("checked");
             if c.peer_choking == choked {
                 return;
             }
@@ -1032,7 +1015,7 @@ impl Engine {
             // Mainline drops outstanding requests on choke.
             let _ = self.scheduler.on_choked(conn);
             // Allowed-fast pieces remain requestable while choked.
-            if self.conns.get(&conn).is_some_and(|c| c.fast) {
+            if self.conns.get(conn).is_some_and(|c| c.fast) {
                 self.fill_requests(now, conn);
             }
         } else {
@@ -1041,7 +1024,7 @@ impl Engine {
     }
 
     fn on_reject(&mut self, now: Instant, conn: ConnId, block: BlockRef) {
-        let Some(c) = self.conns.get(&conn) else {
+        let Some(c) = self.conns.get(conn) else {
             return;
         };
         if !c.fast {
@@ -1055,7 +1038,7 @@ impl Engine {
         if piece >= self.geometry.num_pieces() {
             return;
         }
-        let Some(c) = self.conns.get_mut(&conn) else {
+        let Some(c) = self.conns.get_mut(conn) else {
             return;
         };
         if !c.fast {
@@ -1079,7 +1062,7 @@ impl Engine {
         if self.config.upload_disabled {
             return Ok(()); // free rider: silently ignore
         }
-        let Some(c) = self.conns.get(&conn) else {
+        let Some(c) = self.conns.get(conn) else {
             return Ok(());
         };
         if !self.own.get(block.piece) {
@@ -1107,7 +1090,7 @@ impl Engine {
     }
 
     fn do_block_sent(&mut self, now: Instant, conn: ConnId, block: BlockRef) {
-        if let Some(c) = self.conns.get_mut(&conn) {
+        if let Some(c) = self.conns.get_mut(conn) {
             c.upload.record(now, u64::from(block.length));
             c.last_sent = now;
         }
@@ -1133,7 +1116,7 @@ impl Engine {
     ) -> Result<(), EngineError> {
         self.check_block(conn, block)?;
         {
-            let Some(c) = self.conns.get_mut(&conn) else {
+            let Some(c) = self.conns.get_mut(conn) else {
                 return Ok(());
             };
             c.download.record(now, u64::from(block.length));
@@ -1186,13 +1169,14 @@ impl Engine {
         if let Some(m) = &self.metrics {
             m.pieces_completed.inc();
         }
-        let mut conn_ids: Vec<ConnId> = self.conns.keys().copied().collect();
-        conn_ids.sort_unstable();
-        for id in &conn_ids {
-            self.send(now, *id, Message::Have(piece));
+        // Table order is ascending `ConnId`, the order runs must reproduce.
+        for id in 0..self.conns.next_id() {
+            if self.conns.get(id).is_some() {
+                self.send(now, id, Message::Have(piece));
+            }
         }
         // Our interest in peers may lapse now.
-        for id in conn_ids {
+        for id in 0..self.conns.next_id() {
             self.update_local_interest(now, id);
         }
         if self.own.is_complete() {
@@ -1216,16 +1200,11 @@ impl Engine {
             event: AnnounceEvent::Completed,
         });
         // Close connections to other seeds.
-        let mut seeds: Vec<ConnId> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.is_seed())
-            .map(|(&id, _)| id)
-            .collect();
-        seeds.sort_unstable();
-        for id in seeds {
-            self.cleanup_conn(now, id);
-            self.actions.push(Action::Disconnect { conn: id });
+        for id in 0..self.conns.next_id() {
+            if self.conns.get(id).is_some_and(Connection::is_seed) {
+                self.cleanup_conn(now, id);
+                self.actions.push(Action::Disconnect { conn: id });
+            }
         }
     }
 
@@ -1234,14 +1213,14 @@ impl Engine {
     // ------------------------------------------------------------------
 
     fn update_local_interest(&mut self, now: Instant, conn: ConnId) {
-        let Some(c) = self.conns.get(&conn) else {
+        let Some(c) = self.conns.get_mut(conn) else {
             return;
         };
         let want = !self.is_seed && self.own.is_interested_in(&c.bitfield);
         if want == c.am_interested {
             return;
         }
-        self.conns.get_mut(&conn).expect("checked").am_interested = want;
+        c.am_interested = want;
         let msg = if want {
             Message::Interested
         } else {
@@ -1258,7 +1237,7 @@ impl Engine {
     }
 
     fn fill_requests(&mut self, now: Instant, conn: ConnId) {
-        let Some(c) = self.conns.get(&conn) else {
+        let Some(c) = self.conns.get(conn) else {
             return;
         };
         if self.is_seed {
@@ -1280,32 +1259,40 @@ impl Engine {
         if room == 0 {
             return;
         }
+        let restricted;
         let remote = if choked_fast {
-            let mut restricted = Bitfield::new(self.geometry.num_pieces());
+            let mut granted = Bitfield::new(self.geometry.num_pieces());
             for &p in &c.allowed_fast_received {
                 if c.bitfield.get(p) {
-                    restricted.set(p);
+                    granted.set(p);
                 }
             }
-            restricted
+            restricted = granted;
+            &restricted
         } else {
-            c.bitfield.clone()
+            &c.bitfield
         };
-        let downloaded = self.own.count_ones();
         let never = |_p: u32| false; // the scheduler tracks in-progress itself
         let ctx = PickContext {
             own: &self.own,
-            remote: &remote,
+            remote,
             availability: &self.availability,
             in_progress: &never,
-            downloaded_pieces: downloaded,
+            downloaded_pieces: self.own.count_ones(),
         };
         let pick_started = self.metrics.as_ref().map(|m| m.registry.now_micros());
-        let reqs = {
+        let mut reqs = std::mem::take(&mut self.request_buf);
+        {
             let _span_guard = self.profiler.span("core.piece_pick");
-            self.scheduler
-                .next_requests(conn, &ctx, self.picker.as_mut(), &mut self.rng, room)
-        };
+            self.scheduler.next_requests_into(
+                conn,
+                &ctx,
+                self.picker.as_mut(),
+                &mut self.rng,
+                room,
+                &mut reqs,
+            );
+        }
         if let (Some(m), Some(t0)) = (&self.metrics, pick_started) {
             m.piece_pick_us
                 .observe(m.registry.now_micros().saturating_sub(t0));
@@ -1323,9 +1310,11 @@ impl Engine {
                 });
             }
         }
-        for block in reqs {
+        for &block in &reqs {
             self.send(now, conn, Message::Request(block));
         }
+        reqs.clear();
+        self.request_buf = reqs;
     }
 
     // ------------------------------------------------------------------
@@ -1342,23 +1331,19 @@ impl Engine {
     pub fn rechoke(&mut self, now: Instant) {
         let _span_guard = self.profiler.span("core.choke_round");
         let round_started = self.metrics.as_ref().map(|m| m.registry.now_micros());
-        let snapshots: Vec<PeerSnapshot> = {
-            let mut v: Vec<PeerSnapshot> =
-                self.conns.values_mut().map(|c| c.snapshot(now)).collect();
-            v.sort_by_key(|s| s.key);
-            v
-        };
+        let snapshots: Vec<PeerSnapshot> = self.conns.iter_mut().map(|c| c.snapshot(now)).collect();
         let decision = if self.is_seed {
             self.seed_choker.rechoke(now, &snapshots, &mut self.rng)
         } else {
             self.leecher_choker.rechoke(now, &snapshots, &mut self.rng)
         };
-        let desired: HashSet<ConnId> = decision.unchoked().into_iter().collect();
-        let mut all: Vec<ConnId> = self.conns.keys().copied().collect();
-        all.sort_unstable();
+        let desired = decision.unchoked();
         let mut flips = 0u32;
-        for id in all {
-            let currently_unchoked = !self.conns[&id].am_choking;
+        for id in 0..self.conns.next_id() {
+            let Some(c) = self.conns.get_mut(id) else {
+                continue;
+            };
+            let currently_unchoked = !c.am_choking;
             if desired.contains(&id) && !currently_unchoked {
                 let role = if decision.regular.contains(&id) {
                     if self.is_seed {
@@ -1371,11 +1356,8 @@ impl Engine {
                 } else {
                     UnchokeRole::Optimistic
                 };
-                {
-                    let c = self.conns.get_mut(&id).expect("present");
-                    c.am_choking = false;
-                    c.last_unchoked = Some(now);
-                }
+                c.am_choking = false;
+                c.last_unchoked = Some(now);
                 flips += 1;
                 self.send(now, id, Message::Unchoke);
                 self.record(
@@ -1387,7 +1369,7 @@ impl Engine {
                     },
                 );
             } else if !desired.contains(&id) && currently_unchoked {
-                self.conns.get_mut(&id).expect("present").am_choking = true;
+                c.am_choking = true;
                 flips += 1;
                 self.send(now, id, Message::Choke);
                 self.record(
@@ -1406,7 +1388,7 @@ impl Engine {
         }
         let mut unchoked = 0u32;
         let mut reciprocal = 0u32;
-        for c in self.conns.values() {
+        for c in self.conns.iter() {
             if !c.am_choking {
                 unchoked += 1;
                 if !c.peer_choking {
@@ -1508,39 +1490,24 @@ impl Engine {
 
     fn periodic_duties(&mut self, now: Instant) {
         // Rate-estimator log for active peers (§III-C).
-        let mut samples: Vec<(ConnId, f64, f64)> = self
-            .conns
-            .values_mut()
-            .filter(|c| c.in_active_set() || !c.peer_choking)
-            .map(|c| {
-                let d = c.download.rate(now);
-                let u = c.upload.rate(now);
-                (c.id, d, u)
-            })
-            .collect();
-        samples.sort_unstable_by_key(|(id, _, _)| *id);
-        if self.trace.is_some() {
-            for (peer, download_rate, upload_rate) in samples {
-                self.record(
-                    now,
-                    TraceEvent::RateSample {
-                        peer,
-                        download_rate,
-                        upload_rate,
-                    },
-                );
+        if let Some(trace) = self.trace.as_mut() {
+            for c in self.conns.iter_mut() {
+                if c.in_active_set() || !c.peer_choking {
+                    let sample = TraceEvent::RateSample {
+                        peer: c.id,
+                        download_rate: c.download.rate(now),
+                        upload_rate: c.upload.rate(now),
+                    };
+                    trace.push(now, sample);
+                }
             }
         }
         // Keep-alives after 2 minutes of silence.
-        let mut quiet: Vec<ConnId> = self
-            .conns
-            .values()
-            .filter(|c| now.saturating_since(c.last_sent) >= self.config.keepalive)
-            .map(|c| c.id)
-            .collect();
-        quiet.sort_unstable();
-        for id in quiet {
-            self.send(now, id, Message::KeepAlive);
+        for id in 0..self.conns.next_id() {
+            let quiet = |c: &Connection| now.saturating_since(c.last_sent) >= self.config.keepalive;
+            if self.conns.get(id).is_some_and(quiet) {
+                self.send(now, id, Message::KeepAlive);
+            }
         }
         // Peer exchange: gossip peer-set deltas to ut_pex-capable peers.
         if self.config.pex_enabled {
@@ -1578,7 +1545,7 @@ impl Engine {
     }
 
     fn send(&mut self, now: Instant, conn: ConnId, msg: Message) {
-        if let Some(c) = self.conns.get_mut(&conn) {
+        if let Some(c) = self.conns.get_mut(conn) {
             c.last_sent = now;
         }
         if self.trace.is_some() {

@@ -256,4 +256,32 @@ mod tests {
             assert_eq!(o.pieces, 8);
         }
     }
+
+    /// A registry outlives a run: each run on it reports its own
+    /// counts, and the registry holds the sum.
+    #[test]
+    fn back_to_back_runs_on_one_registry_report_their_own_counts() {
+        let registry = bt_obs::Registry::new_wall();
+        let spec = LoopbackSpec {
+            seeds: 1,
+            leechers: 1,
+            total_len: 8 * 32 * 1024,
+            max_wall: std::time::Duration::from_secs(30),
+            record: false,
+            metrics: Some(registry.clone()),
+            ..LoopbackSpec::default()
+        };
+        let blocks = Geometry::new(spec.total_len, spec.piece_len).total_blocks();
+        for run in 1..=2 {
+            let result = run_loopback_swarm(spec.clone()).expect("swarm runs");
+            assert_eq!(
+                result.completed_leechers, 1,
+                "run {run}: leecher must finish"
+            );
+            let sent: u64 = result.outcomes.iter().map(|o| o.stats.blocks_sent).sum();
+            assert_eq!(sent, blocks, "run {run}: one copy of the content");
+            let total = registry.snapshot().counter_sum("net.blocks_sent");
+            assert_eq!(total, run * blocks, "registry total after run {run}");
+        }
+    }
 }

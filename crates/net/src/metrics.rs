@@ -8,15 +8,21 @@
 //! sum across labels at snapshot time
 //! ([`bt_obs::Snapshot::counter_sum`]).
 //!
-//! The legacy [`NetStats`](crate::runtime::NetStats) struct is now a
-//! thin snapshot view over these counters ([`NetMetrics::stats`]).
+//! [`NetStats`](crate::runtime::NetStats) is a snapshot view over these
+//! counters ([`NetMetrics::stats`]): what *this* runtime added to them.
+//! A registry outlives a run — a second swarm given the same registry
+//! re-acquires the same `net.*{peer<i>}` series — so the view subtracts
+//! the values found at registration; the registry keeps the totals.
 
+use crate::runtime::NetStats;
 use bt_obs::{buckets, Counter, Gauge, Histogram, Registry};
 
 /// Pre-registered `bt-obs` handles for one `NetRuntime`.
 #[derive(Clone, Debug)]
 pub struct NetMetrics {
     registry: Registry,
+    /// The counters as [`register`](NetMetrics::register) found them.
+    base: NetStats,
 
     pub(crate) ticks: Counter,
     pub(crate) messages_in: Counter,
@@ -43,8 +49,9 @@ impl NetMetrics {
     /// Register (or re-acquire) the transport instruments on
     /// `registry` under `label`.
     pub fn register(registry: &Registry, label: &str) -> NetMetrics {
-        NetMetrics {
+        let mut metrics = NetMetrics {
             registry: registry.clone(),
+            base: NetStats::default(),
             ticks: registry.counter_with("net.ticks", label),
             messages_in: registry.counter_with("net.messages_in", label),
             blocks_sent: registry.counter_with("net.blocks_sent", label),
@@ -62,7 +69,9 @@ impl NetMetrics {
             write_queue_frames: registry.gauge_with("net.write_queue_frames", label),
             write_queue_bytes: registry.gauge_with("net.write_queue_bytes", label),
             read_buffer_bytes: registry.gauge_with("net.read_buffer_bytes", label),
-        }
+        };
+        metrics.base = metrics.totals();
+        metrics
     }
 
     /// The registry the handles live in.
@@ -70,9 +79,26 @@ impl NetMetrics {
         &self.registry
     }
 
-    /// The legacy counter view, read straight from the registry.
-    pub fn stats(&self) -> crate::runtime::NetStats {
-        crate::runtime::NetStats {
+    /// What this runtime has counted since it registered.
+    pub fn stats(&self) -> NetStats {
+        let (now, base) = (self.totals(), &self.base);
+        NetStats {
+            ticks: now.ticks - base.ticks,
+            messages_in: now.messages_in - base.messages_in,
+            blocks_sent: now.blocks_sent - base.blocks_sent,
+            dial_failures: now.dial_failures - base.dial_failures,
+            protocol_errors: now.protocol_errors - base.protocol_errors,
+            disconnects: now.disconnects - base.disconnects,
+            bytes_in: now.bytes_in - base.bytes_in,
+            bytes_out: now.bytes_out - base.bytes_out,
+            dial_retries: now.dial_retries - base.dial_retries,
+            handshakes_ok: now.handshakes_ok - base.handshakes_ok,
+        }
+    }
+
+    /// The registry's running totals for this label.
+    fn totals(&self) -> NetStats {
+        NetStats {
             ticks: self.ticks.get(),
             messages_in: self.messages_in.get(),
             blocks_sent: self.blocks_sent.get(),

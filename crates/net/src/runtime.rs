@@ -103,9 +103,9 @@ impl Default for NetConfig {
 
 /// Counters a runtime accumulates while driving its engine.
 ///
-/// Since the `bt-obs` integration this is a *snapshot view*: the live
-/// values are `net.*` counters in the runtime's [`Registry`], and
-/// [`NetRuntime::stats`] (or [`NetMetrics::stats`]) reads them out.
+/// A *snapshot view*: the live values are `net.*` counters in the
+/// runtime's [`Registry`], and [`NetRuntime::stats`] (or
+/// [`NetMetrics::stats`]) reports what this runtime added to them.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NetStats {
     /// `Input::Tick`s fed (choke rounds and other timer work).
@@ -253,8 +253,8 @@ impl NetRuntime {
         self.clock.now()
     }
 
-    /// Counters accumulated so far (snapshot of the `net.*` registry
-    /// series this runtime owns).
+    /// Counters accumulated by this runtime so far (the `net.*` registry
+    /// series under its label, less what they held when it registered).
     pub fn stats(&self) -> NetStats {
         self.metrics.stats()
     }

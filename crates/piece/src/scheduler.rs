@@ -15,14 +15,25 @@
 //! [`RequestScheduler`] owns the partial-piece state and the per-peer
 //! outstanding-request bookkeeping; it consults a [`PiecePicker`] only to
 //! open new pieces.
+//!
+//! This runs once per received block, so the bookkeeping is laid out for
+//! that cycle: open pieces live in a `BTreeMap` keyed by piece index
+//! (strict priority *is* an ascending walk, so it needs no per-call sort),
+//! every open piece counts its `free` blocks (a fully requested piece is
+//! skipped without looking at its blocks), and a peer's outstanding
+//! requests are a short `Vec` searched linearly (a pipeline is a handful
+//! of blocks). Once the buffers have grown to their working size, a
+//! request → receive cycle inside an open piece allocates nothing.
 
 use crate::geometry::Geometry;
 use crate::picker::{PickContext, PiecePicker};
 use bt_wire::message::BlockRef;
-use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
+use std::collections::BTreeMap;
 
 /// Download state of one partially received piece.
+///
+/// `free` is derived from the two per-block vectors, so they change only
+/// through the four mutators below.
 #[derive(Debug, Clone)]
 struct PartialPiece {
     /// Per-block: received?
@@ -30,6 +41,8 @@ struct PartialPiece {
     /// Per-block: number of outstanding requests (can exceed 1 in end game).
     requested: Vec<u16>,
     received_count: u32,
+    /// Blocks neither received nor requested.
+    free: u32,
 }
 
 impl PartialPiece {
@@ -38,11 +51,41 @@ impl PartialPiece {
             received: vec![false; blocks as usize],
             requested: vec![0; blocks as usize],
             received_count: 0,
+            free: blocks,
         }
     }
 
     fn is_complete(&self) -> bool {
         self.received_count as usize == self.received.len()
+    }
+
+    fn is_free(&self, idx: usize) -> bool {
+        !self.received[idx] && self.requested[idx] == 0
+    }
+
+    /// One more peer has been asked for block `idx`.
+    fn add_request(&mut self, idx: usize) {
+        self.free -= u32::from(self.is_free(idx));
+        self.requested[idx] += 1;
+    }
+
+    /// One request for block `idx` went away without the block arriving.
+    fn drop_request(&mut self, idx: usize) {
+        self.requested[idx] = self.requested[idx].saturating_sub(1);
+        self.free += u32::from(self.is_free(idx));
+    }
+
+    /// Block `idx` arrived (it must not have been received before).
+    fn mark_received(&mut self, idx: usize) {
+        self.free -= u32::from(self.is_free(idx));
+        self.received[idx] = true;
+        self.received_count += 1;
+    }
+
+    /// Every remaining request for the received block `idx` was cancelled.
+    fn clear_requests(&mut self, idx: usize) {
+        debug_assert!(self.received[idx]);
+        self.requested[idx] = 0;
     }
 }
 
@@ -53,30 +96,60 @@ pub struct BlockReceipt<P> {
     /// verify the hash and then call [`RequestScheduler::on_piece_verified`]
     /// or [`RequestScheduler::on_piece_failed`].
     pub completed_piece: Option<u32>,
-    /// `cancel` messages to send: end-game duplicates now satisfied.
+    /// `cancel` messages to send, in ascending peer order: end-game
+    /// duplicates now satisfied.
     pub cancels: Vec<(P, BlockRef)>,
-    /// False if the block was not an outstanding request from this peer
-    /// (stale, duplicate, or unsolicited) and was dropped.
+    /// True if the block was new data for a piece in progress. That
+    /// includes a block no longer outstanding from this peer — its choke
+    /// raced the block, and the data is as good as any. False (dropped)
+    /// only for a piece that is not in progress, an index beyond the
+    /// piece's blocks, or a block already received.
     pub accepted: bool,
+}
+
+impl<P> BlockReceipt<P> {
+    fn dropped() -> Self {
+        BlockReceipt {
+            completed_piece: None,
+            cancels: Vec::new(),
+            accepted: false,
+        }
+    }
+}
+
+/// Remove `block` from a peer's outstanding list; true if it was there.
+fn take_outstanding(list: &mut Vec<BlockRef>, block: BlockRef) -> bool {
+    match list.iter().position(|b| *b == block) {
+        Some(at) => {
+            list.swap_remove(at);
+            true
+        }
+        None => false,
+    }
 }
 
 /// Block request scheduler for one torrent, generic over the peer key `P`.
 #[derive(Debug)]
-pub struct RequestScheduler<P: Copy + Eq + Ord + Hash> {
+pub struct RequestScheduler<P: Copy + Ord> {
     geometry: Geometry,
-    partial: HashMap<u32, PartialPiece>,
-    outstanding: HashMap<P, HashSet<BlockRef>>,
+    /// Pieces in progress. Ascending piece index is the strict-priority
+    /// order and the order every run must reproduce.
+    partial: BTreeMap<u32, PartialPiece>,
+    /// Requests in flight per peer, in no particular order. Each block
+    /// appears at most once per peer; across peers, `requested[idx]`
+    /// counts its copies.
+    outstanding: BTreeMap<P, Vec<BlockRef>>,
     endgame: bool,
     endgame_enabled: bool,
 }
 
-impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
+impl<P: Copy + Ord> RequestScheduler<P> {
     /// Create a scheduler for a torrent with the given geometry.
     pub fn new(geometry: Geometry) -> Self {
         RequestScheduler {
             geometry,
-            partial: HashMap::new(),
-            outstanding: HashMap::new(),
+            partial: BTreeMap::new(),
+            outstanding: BTreeMap::new(),
             endgame: false,
             endgame_enabled: true,
         }
@@ -102,7 +175,7 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
         self.endgame
     }
 
-    /// Pieces currently being downloaded.
+    /// Pieces currently being downloaded, ascending.
     pub fn in_progress(&self) -> impl Iterator<Item = u32> + '_ {
         self.partial.keys().copied()
     }
@@ -114,12 +187,12 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
 
     /// Outstanding requests to `peer`.
     pub fn outstanding_to(&self, peer: P) -> usize {
-        self.outstanding.get(&peer).map_or(0, HashSet::len)
+        self.outstanding.get(&peer).map_or(0, Vec::len)
     }
 
     /// Total outstanding requests across all peers.
     pub fn total_outstanding(&self) -> usize {
-        self.outstanding.values().map(HashSet::len).sum()
+        self.outstanding.values().map(Vec::len).sum()
     }
 
     /// Compute up to `max_new` block requests to send to `peer`.
@@ -143,30 +216,44 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
         max_new: usize,
     ) -> Vec<BlockRef> {
         let mut out = Vec::new();
+        self.next_requests_into(peer, ctx, picker, rng, max_new, &mut out);
+        out
+    }
+
+    /// [`next_requests`](Self::next_requests) appending to a buffer the
+    /// caller reuses, so the per-block cycle does not allocate: up to
+    /// `max_new` requests are pushed onto `out`.
+    pub fn next_requests_into(
+        &mut self,
+        peer: P,
+        ctx: &PickContext<'_>,
+        picker: &mut dyn PiecePicker,
+        rng: &mut dyn rand::RngCore,
+        max_new: usize,
+        out: &mut Vec<BlockRef>,
+    ) {
         if max_new == 0 {
-            return out;
+            return;
         }
+        let cap = out.len().saturating_add(max_new);
+        let geometry = self.geometry;
+        let mine = self.outstanding.entry(peer).or_default();
+        let remote_has = |p: u32| p < ctx.remote.len() && ctx.remote.get(p);
 
         // 1. Strict priority: continue partial pieces the remote has.
-        // Deterministic order (sorted piece index) keeps runs reproducible.
-        let mut partial_pieces: Vec<u32> = self
-            .partial
-            .iter()
-            .filter(|(_, st)| !st.is_complete())
-            .map(|(&p, _)| p)
-            .filter(|&p| p < ctx.remote.len() && ctx.remote.get(p))
-            .collect();
-        partial_pieces.sort_unstable();
-        for piece in partial_pieces {
-            self.fill_from_piece(peer, piece, max_new, &mut out);
-            if out.len() >= max_new {
-                return out;
+        for (&piece, state) in self.partial.iter_mut() {
+            if state.free > 0 && remote_has(piece) {
+                fill_from_piece(geometry, piece, state, mine, cap, out);
+                if out.len() >= cap {
+                    return;
+                }
             }
         }
 
         // 2. Open new pieces via the picker.
-        while out.len() < max_new {
-            let in_progress = |p: u32| self.partial.contains_key(&p) || (ctx.in_progress)(p);
+        while out.len() < cap {
+            let partial = &self.partial;
+            let in_progress = |p: u32| partial.contains_key(&p) || (ctx.in_progress)(p);
             let sub_ctx = PickContext {
                 own: ctx.own,
                 remote: ctx.remote,
@@ -181,25 +268,43 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
                 !self.partial.contains_key(&piece),
                 "picker reopened a piece"
             );
-            self.partial.insert(
-                piece,
-                PartialPiece::new(self.geometry.blocks_in_piece(piece)),
-            );
-            self.fill_from_piece(peer, piece, max_new, &mut out);
+            let state = self
+                .partial
+                .entry(piece)
+                .or_insert_with(|| PartialPiece::new(geometry.blocks_in_piece(piece)));
+            fill_from_piece(geometry, piece, state, mine, cap, out);
         }
-        if out.len() >= max_new {
-            return out;
+        if out.len() >= cap {
+            return;
         }
 
         // 3. End game: all blocks of all wanted pieces requested or
         // received? Then duplicate-request missing blocks from this peer.
-        if self.endgame_enabled && !self.endgame && self.all_blocks_requested(ctx) {
+        if self.endgame_enabled && !self.endgame && all_blocks_requested(&self.partial, ctx) {
             self.endgame = true;
         }
         if self.endgame {
-            self.fill_endgame(peer, ctx, max_new, &mut out);
+            for (&piece, state) in self.partial.iter_mut() {
+                if state.is_complete() || !remote_has(piece) {
+                    continue;
+                }
+                for idx in 0..state.received.len() {
+                    if out.len() >= cap {
+                        return;
+                    }
+                    if state.received[idx] {
+                        continue;
+                    }
+                    let block = geometry.block_ref(piece, idx as u32);
+                    if mine.contains(&block) {
+                        continue; // already asked this peer
+                    }
+                    mine.push(block);
+                    state.add_request(idx);
+                    out.push(block);
+                }
+            }
         }
-        out
     }
 
     /// Record a received block. Returns what to do next (verify a piece,
@@ -208,53 +313,35 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
         let was_outstanding = self
             .outstanding
             .get_mut(&peer)
-            .is_some_and(|set| set.remove(&block));
+            .is_some_and(|list| take_outstanding(list, block));
         let Some(state) = self.partial.get_mut(&block.piece) else {
-            return BlockReceipt {
-                completed_piece: None,
-                cancels: Vec::new(),
-                accepted: false,
-            };
+            return BlockReceipt::dropped();
         };
         let idx = block.block_index() as usize;
         if idx >= state.received.len() {
-            return BlockReceipt {
-                completed_piece: None,
-                cancels: Vec::new(),
-                accepted: false,
-            };
+            return BlockReceipt::dropped();
         }
         if was_outstanding {
-            state.requested[idx] = state.requested[idx].saturating_sub(1);
+            state.drop_request(idx);
         }
         if state.received[idx] {
             // End-game duplicate that raced its cancel: drop it.
-            return BlockReceipt {
-                completed_piece: None,
-                cancels: Vec::new(),
-                accepted: false,
-            };
+            return BlockReceipt::dropped();
         }
-        state.received[idx] = true;
-        state.received_count += 1;
-        let completed = state.is_complete().then_some(block.piece);
+        state.mark_received(idx);
 
         // Cancel this block everywhere else (end game mode semantics).
         let mut cancels = Vec::new();
         if state.requested[idx] > 0 {
-            for (&other, set) in self.outstanding.iter_mut() {
-                if set.remove(&block) {
+            for (&other, list) in self.outstanding.iter_mut() {
+                if take_outstanding(list, block) {
                     cancels.push((other, block));
                 }
             }
-            cancels.sort_unstable_by_key(|(p, _)| *p);
-            self.partial
-                .get_mut(&block.piece)
-                .expect("still present")
-                .requested[idx] = 0;
+            state.clear_requests(idx);
         }
         BlockReceipt {
-            completed_piece: completed,
+            completed_piece: state.is_complete().then_some(block.piece),
             cancels,
             accepted: true,
         }
@@ -277,25 +364,20 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
             *state = PartialPiece::new(self.geometry.blocks_in_piece(piece));
             // Any outstanding end-game duplicates for this piece are now
             // stale; drop them from the bookkeeping.
-            for set in self.outstanding.values_mut() {
-                set.retain(|b| b.piece != piece);
+            for list in self.outstanding.values_mut() {
+                list.retain(|b| b.piece != piece);
             }
         }
     }
 
     /// The peer choked us: mainline discards its outstanding requests.
-    /// Returns the requests that were dropped (their blocks become
-    /// requestable again).
+    /// Returns the requests that were dropped, in no particular order
+    /// (their blocks become requestable again).
     pub fn on_choked(&mut self, peer: P) -> Vec<BlockRef> {
-        let dropped: Vec<BlockRef> = self
-            .outstanding
-            .remove(&peer)
-            .map(|s| s.into_iter().collect())
-            .unwrap_or_default();
+        let dropped = self.outstanding.remove(&peer).unwrap_or_default();
         for b in &dropped {
             if let Some(state) = self.partial.get_mut(&b.piece) {
-                let idx = b.block_index() as usize;
-                state.requested[idx] = state.requested[idx].saturating_sub(1);
+                state.drop_request(b.block_index() as usize);
             }
         }
         dropped
@@ -312,83 +394,81 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
         let removed = self
             .outstanding
             .get_mut(&peer)
-            .is_some_and(|set| set.remove(&block));
+            .is_some_and(|list| take_outstanding(list, block));
         if removed {
             if let Some(state) = self.partial.get_mut(&block.piece) {
-                let idx = block.block_index() as usize;
-                state.requested[idx] = state.requested[idx].saturating_sub(1);
+                state.drop_request(block.block_index() as usize);
             }
         }
         removed
     }
 
-    fn fill_from_piece(&mut self, peer: P, piece: u32, max: usize, out: &mut Vec<BlockRef>) {
-        let state = self.partial.get_mut(&piece).expect("piece in progress");
-        let blocks = state.received.len();
-        for idx in 0..blocks {
-            if out.len() >= max {
-                return;
-            }
-            if !state.received[idx] && state.requested[idx] == 0 {
+    /// Internal invariants, checked by the differential tests: every
+    /// piece's `free` equals a recount, `requested` counts exactly the
+    /// copies in the per-peer lists, and no peer holds a block twice.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        for (&piece, state) in &self.partial {
+            let free = (0..state.received.len())
+                .filter(|&i| state.is_free(i))
+                .count();
+            assert_eq!(state.free as usize, free, "piece {piece}: free drifted");
+            let received = state.received.iter().filter(|&&r| r).count();
+            assert_eq!(state.received_count as usize, received);
+            for idx in 0..state.received.len() {
                 let block = self.geometry.block_ref(piece, idx as u32);
-                state.requested[idx] += 1;
-                self.outstanding.entry(peer).or_default().insert(block);
-                out.push(block);
+                let copies = self
+                    .outstanding
+                    .values()
+                    .filter(|list| list.contains(&block))
+                    .count();
+                assert_eq!(
+                    usize::from(state.requested[idx]),
+                    copies,
+                    "piece {piece} block {idx}: request count drifted"
+                );
+            }
+        }
+        for list in self.outstanding.values() {
+            for (i, b) in list.iter().enumerate() {
+                assert!(!list[..i].contains(b), "block outstanding twice to a peer");
+                assert!(
+                    self.partial.contains_key(&b.piece),
+                    "outstanding block of a closed piece"
+                );
             }
         }
     }
+}
 
-    fn all_blocks_requested(&self, ctx: &PickContext<'_>) -> bool {
-        // Every piece we still need must be in progress...
-        let all_open = ctx.own.iter_zeros().all(|p| self.partial.contains_key(&p));
-        if !all_open {
-            return false;
+/// Request every free block of `piece` from the peer owning `mine`, until
+/// `out` holds `cap` requests.
+fn fill_from_piece(
+    geometry: Geometry,
+    piece: u32,
+    state: &mut PartialPiece,
+    mine: &mut Vec<BlockRef>,
+    cap: usize,
+    out: &mut Vec<BlockRef>,
+) {
+    for idx in 0..state.received.len() {
+        if out.len() >= cap || state.free == 0 {
+            return;
         }
-        // ...and every block of every open piece received or requested.
-        self.partial.values().all(|st| {
-            st.received
-                .iter()
-                .zip(st.requested.iter())
-                .all(|(&rcv, &req)| rcv || req > 0)
-        })
-    }
-
-    fn fill_endgame(
-        &mut self,
-        peer: P,
-        ctx: &PickContext<'_>,
-        max: usize,
-        out: &mut Vec<BlockRef>,
-    ) {
-        let mut pieces: Vec<u32> = self
-            .partial
-            .iter()
-            .filter(|(_, st)| !st.is_complete())
-            .map(|(&p, _)| p)
-            .filter(|&p| p < ctx.remote.len() && ctx.remote.get(p))
-            .collect();
-        pieces.sort_unstable();
-        for piece in pieces {
-            let blocks = self.partial[&piece].received.len();
-            for idx in 0..blocks {
-                if out.len() >= max {
-                    return;
-                }
-                let state = &self.partial[&piece];
-                if state.received[idx] {
-                    continue;
-                }
-                let block = self.geometry.block_ref(piece, idx as u32);
-                let set = self.outstanding.entry(peer).or_default();
-                if set.contains(&block) {
-                    continue; // already asked this peer
-                }
-                set.insert(block);
-                self.partial.get_mut(&piece).expect("present").requested[idx] += 1;
-                out.push(block);
-            }
+        if state.is_free(idx) {
+            let block = geometry.block_ref(piece, idx as u32);
+            state.add_request(idx);
+            mine.push(block);
+            out.push(block);
         }
     }
+}
+
+/// End game's trigger: every piece we still need is in progress, and
+/// every block of every open piece is received or requested.
+fn all_blocks_requested(partial: &BTreeMap<u32, PartialPiece>, ctx: &PickContext<'_>) -> bool {
+    partial.values().all(|st| st.free == 0)
+        && ctx.own.iter_zeros().all(|p| partial.contains_key(&p))
 }
 
 #[cfg(test)]

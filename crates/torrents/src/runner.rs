@@ -575,6 +575,10 @@ pub fn default_jobs() -> usize {
 /// `progress` is invoked once per completed scenario, in *completion*
 /// order, from whichever worker finished it (serialised by a lock).
 ///
+/// With one job (or one scenario) no thread is spawned: the scenarios
+/// run on the calling thread, so its CPU clock and thread-locals see
+/// the work.
+///
 /// A panic inside one scenario does not tear down the pool: remaining
 /// scenarios still run, and the panic is re-raised afterwards naming the
 /// torrent ID that failed.
@@ -606,29 +610,35 @@ fn run_specs_with(
         .collect();
     let panics: parking_lot::Mutex<Vec<(u32, String)>> = parking_lot::Mutex::new(Vec::new());
 
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = specs.get(i) else { break };
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(spec))) {
-                    Ok(outcome) => {
-                        (progress.lock())(&outcome);
-                        *slots[i].lock() = Some(outcome);
-                    }
-                    Err(payload) => {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
-                        panics.lock().push((spec.id, msg));
-                    }
-                }
-            });
+    // Claim scenarios until none are left.
+    let worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(spec) = specs.get(i) else { break };
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(spec))) {
+            Ok(outcome) => {
+                (progress.lock())(&outcome);
+                *slots[i].lock() = Some(outcome);
+            }
+            Err(payload) => {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                panics.lock().push((spec.id, msg));
+            }
         }
-    })
-    .expect("scenario panics are caught inside the workers");
+    };
+    if jobs == 1 {
+        worker();
+    } else {
+        crossbeam::thread::scope(|scope| {
+            for _ in 0..jobs {
+                scope.spawn(worker);
+            }
+        })
+        .expect("scenario panics are caught inside the workers");
+    }
 
     let mut failures = panics.into_inner();
     if !failures.is_empty() {
@@ -816,17 +826,28 @@ mod tests {
         assert_eq!(seen, vec![2, 3, 19], "progress fired once per scenario");
     }
 
+    /// Panic isolation holds on both paths, and the path is the one
+    /// promised: one job works on the caller's thread, more do not.
     #[test]
     fn parallel_panic_reports_torrent_id_and_finishes_rest() {
+        for jobs in [1, 2] {
+            panic_is_isolated_with(jobs);
+        }
+    }
+
+    fn panic_is_isolated_with(jobs: usize) {
         let cfg = RunConfig::quick();
         let specs = [torrent(2), torrent(19)];
         let completed = parking_lot::Mutex::new(Vec::new());
+        let caller = std::thread::current().id();
+        let ran_on = parking_lot::Mutex::new(Vec::new());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             super::run_specs_with(
                 &specs,
-                2,
+                jobs,
                 |o| completed.lock().push(o.spec.id),
                 |spec| {
+                    ran_on.lock().push(std::thread::current().id());
                     if spec.id == 19 {
                         panic!("injected failure");
                     }
@@ -834,6 +855,12 @@ mod tests {
                 },
             )
         }));
+        let ran_on = ran_on.into_inner();
+        assert_eq!(ran_on.len(), specs.len());
+        assert!(
+            ran_on.iter().all(|&id| (id == caller) == (jobs == 1)),
+            "jobs = {jobs}: scenarios ran on {ran_on:?}, caller is {caller:?}"
+        );
         let payload = result.expect_err("the injected panic must propagate");
         let msg = payload
             .downcast_ref::<String>()
