@@ -18,7 +18,8 @@ fn main() {
     let mut artefact = None;
     let mut cfg = RunConfig::default();
     let mut out_dir: Option<PathBuf> = None;
-    let mut jobs_flag: Option<usize> = None;
+    let mut jobs: Option<usize> = None;
+    let mut peers_id: Option<u32> = None;
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
         match a.as_str() {
@@ -47,7 +48,7 @@ fn main() {
                 if n == 0 {
                     die("--jobs must be at least 1");
                 }
-                jobs_flag = Some(n);
+                jobs = Some(n);
             }
             "--out" => {
                 out_dir = Some(PathBuf::from(
@@ -62,6 +63,15 @@ fn main() {
             other if artefact.is_none() && !other.starts_with('-') => {
                 artefact = Some(other.to_owned());
             }
+            other if artefact.as_deref() == Some("peers") && peers_id.is_none() => {
+                peers_id = Some(
+                    other
+                        .parse()
+                        .ok()
+                        .filter(|id| (1..=26).contains(id))
+                        .unwrap_or_else(|| die("peers needs a Table I torrent id (1-26)")),
+                );
+            }
             other => die(&format!("unknown argument `{other}` (see --help)")),
         }
     }
@@ -69,18 +79,10 @@ fn main() {
         print_help();
         return;
     };
-    let jobs = jobs_flag.unwrap_or_else(bt_torrents::default_jobs);
+    let jobs = jobs.unwrap_or_else(bt_torrents::default_jobs);
 
     match artefact.as_str() {
-        "table1" => {
-            print_table1(&cfg);
-            // An explicit --jobs turns table1 into the parallel-runner
-            // benchmark: time the sequential sweep against the pool and
-            // print the measured speedup.
-            if jobs_flag.is_some() {
-                bench_parallel_sweep(&cfg, jobs);
-            }
-        }
+        "table1" => print_table1(&cfg),
         "fig1" => {
             let outcomes = run_sweep(&cfg, jobs);
             print_fig1(&outcomes);
@@ -133,11 +135,18 @@ fn main() {
         "ablation-fastext" => print_ablation_fastext(&cfg),
         "ablation-superseed" => print_ablation_superseed(&cfg),
         "ablation-pex" => print_ablation_pex(&cfg),
-        "msgstats" => print_msgstats(&cfg),
-        "equilibrium" => print_equilibrium(&cfg),
+        "msgstats" => print_msgstats(&run_one(7, &cfg)),
+        "equilibrium" => {
+            print_equilibrium(&run_one(7, &cfg));
+            println!("(leecher state: long tenures + concentrated slots = the elected-subset equilibrium;");
+            println!(
+                " seed state: short tenures + rotation = the new algorithm's equal service time)"
+            );
+        }
         "clients" => print_clients(&cfg),
         "globalcheck" => print_globalcheck(&cfg),
         "capacity" => print_capacity(&cfg),
+        "peers" => print_peers(&run_one(peers_id.unwrap_or(7), &cfg)),
         "export" => export_csv(
             &cfg,
             jobs,
@@ -167,6 +176,7 @@ ARTEFACTS
   clients               per-client-family breakdown (§III-D's client zoo)
   globalcheck           local-view inference vs global ground truth (§IV-A.2)
   capacity              flash-crowd completion curve (Yang & de Veciana check)
+  peers [ID]            one torrent's trace peer by peer (default torrent 7)
   export                write every figure's data series as CSV (--out DIR)
   all
 
@@ -174,9 +184,7 @@ OPTIONS
   --quick   small scale (fast smoke run)
   --full    larger scale (closer to the paper's populations)
   --seed N  master PRNG seed (default 42)
-  --jobs N  worker threads for the 26-torrent sweep (default: all cores);
-            with `table1` also times sequential vs parallel and prints
-            the measured speedup
+  --jobs N  worker threads for the 26-torrent sweep (default: all cores)
   --out D   output directory for `export` (default ./figures_out)";
     println!("{text}");
 }
@@ -199,42 +207,6 @@ fn run_one(id: u32, cfg: &RunConfig) -> ScenarioOutcome {
 fn run_sweep(cfg: &RunConfig, jobs: usize) -> Vec<ScenarioOutcome> {
     eprintln!("running the 26-torrent sweep ({jobs} jobs) ...");
     exp::sweep(cfg, jobs, |id| eprintln!("  torrent {id:2} done"))
-}
-
-/// Time the sequential Table I sweep against the worker pool and print
-/// the measured wall-clock speedup (`figures table1 --jobs N`).
-fn bench_parallel_sweep(cfg: &RunConfig, jobs: usize) {
-    eprintln!("\ntiming sequential sweep ...");
-    let t0 = std::time::Instant::now();
-    let sequential = bt_torrents::run_table1(cfg, |_| {});
-    let seq_elapsed = t0.elapsed();
-    eprintln!("timing parallel sweep ({jobs} jobs) ...");
-    let t1 = std::time::Instant::now();
-    let parallel = bt_torrents::run_table1_parallel(cfg, jobs, |_| {});
-    let par_elapsed = t1.elapsed();
-    let identical = sequential.len() == parallel.len()
-        && sequential
-            .iter()
-            .zip(&parallel)
-            .all(|(s, p)| s.trace == p.trace);
-    println!("\nParallel sweep benchmark (quick={})", cfg.max_peers <= 80);
-    println!("  sequential : {:>8.2?}", seq_elapsed);
-    println!("  {:2} jobs    : {:>8.2?}", jobs, par_elapsed);
-    println!(
-        "  speedup    : {:.2}x",
-        seq_elapsed.as_secs_f64() / par_elapsed.as_secs_f64().max(1e-9)
-    );
-    println!(
-        "  traces     : {}",
-        if identical {
-            "byte-identical to sequential"
-        } else {
-            "MISMATCH — parallel runner is not deterministic!"
-        }
-    );
-    if !identical {
-        std::process::exit(1);
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -661,64 +633,6 @@ fn print_ablation_pex(cfg: &RunConfig) {
     );
 }
 
-fn print_msgstats(cfg: &RunConfig) {
-    let o = run_one(7, cfg);
-    let stats = bt_analysis::MessageStats::from_trace(&o.trace);
-    println!("Message statistics — torrent 7 (§III-C full message log)\n");
-    let rows: Vec<Vec<String>> = stats
-        .counts
-        .iter()
-        .map(|(kind, c)| vec![kind.clone(), c.sent.to_string(), c.received.to_string()])
-        .collect();
-    println!("{}", table(&["kind", "sent", "received"], &rows));
-    println!(
-        "control bytes: {}   data bytes: {}   overhead: {:.4} control B per data B",
-        stats.control_bytes,
-        stats.data_bytes,
-        stats.overhead_ratio()
-    );
-}
-
-fn print_equilibrium(cfg: &RunConfig) {
-    let o = run_one(7, cfg);
-    let (ls, ss) = bt_analysis::equilibrium(&o.trace);
-    println!("Choke equilibrium — torrent 7 (§IV-B.2's future-work analysis)\n");
-    let rows = vec![
-        vec![
-            "leecher".to_string(),
-            ls.tenures.to_string(),
-            secs(ls.mean_tenure_secs),
-            secs(ls.median_tenure_secs()),
-            format!("{:.2}", ls.top3_unchoke_share),
-            format!("{:.2}", ls.churn_per_round),
-        ],
-        vec![
-            "seed".to_string(),
-            ss.tenures.to_string(),
-            secs(ss.mean_tenure_secs),
-            secs(ss.median_tenure_secs()),
-            format!("{:.2}", ss.top3_unchoke_share),
-            format!("{:.2}", ss.churn_per_round),
-        ],
-    ];
-    println!(
-        "{}",
-        table(
-            &[
-                "state",
-                "tenures",
-                "mean tenure",
-                "median",
-                "top-3 share",
-                "churn/round"
-            ],
-            &rows
-        )
-    );
-    println!("(leecher state: long tenures + concentrated slots = the elected-subset equilibrium;");
-    println!(" seed state: short tenures + rotation = the new algorithm's equal service time)");
-}
-
 fn print_clients(cfg: &RunConfig) {
     let o = run_one(7, cfg);
     let b = bt_analysis::client_breakdown(&o.trace);
@@ -876,6 +790,58 @@ fn print_capacity(cfg: &RunConfig) {
     );
     println!("(Yang & de Veciana via §I: swarm service capacity grows with the peers, so the");
     println!(" mean download time stays flat; a fixed-capacity server degrades linearly in N)");
+}
+
+/// Per-peer entropy ratios beside arrival progress, membership and byte
+/// tallies, sorted by a/b — which peers the local peer was (not)
+/// interested in, and what it exchanged with them.
+fn print_peers(o: &ScenarioOutcome) {
+    let reg = bt_instrument::identify::PeerRegistry::from_trace(&o.trace);
+    let ent = bt_analysis::entropy(&o.trace);
+    let fair = bt_analysis::fairness(&o.trace, bt_analysis::StateWindow::Leecher);
+    println!(
+        "Peers — torrent {} (local peer seed at {})\n",
+        o.spec.id,
+        o.trace
+            .meta
+            .seed_at
+            .map_or("-".into(), |t| secs(t.as_secs_f64()))
+    );
+    let mut peers: Vec<_> = ent.peers.iter().collect();
+    peers.sort_by(|a, b| a.local_in_remote.total_cmp(&b.local_in_remote));
+    let rows: Vec<Vec<String>> = peers
+        .iter()
+        .map(|p| {
+            let m = reg.membership(p.handle).expect("entropy peers are members");
+            let bytes = fair.ranked.iter().find(|b| b.handle == p.handle);
+            vec![
+                p.handle.to_string(),
+                m.pieces_on_arrival.to_string(),
+                format!("{:.0}", m.joined.as_secs_f64()),
+                format!("{:.0}", p.membership_secs),
+                ratio(p.local_in_remote),
+                ratio(p.remote_in_local),
+                bytes.map_or(0, |b| b.downloaded / 1024).to_string(),
+                bytes.map_or(0, |b| b.uploaded / 1024).to_string(),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        table(
+            &[
+                "handle",
+                "arr.pieces",
+                "join_s",
+                "member_s",
+                "a/b",
+                "c/d",
+                "dlKiB",
+                "ulKiB"
+            ],
+            &rows
+        )
+    );
 }
 
 fn write_csv(dir: &Path, name: &str, header: &str, rows: &[String]) {
@@ -1105,15 +1071,14 @@ fn run_all(cfg: &RunConfig, jobs: usize) {
     println!();
     print_ablation_pex(cfg);
     println!();
-    print_msgstats_from(find(7));
+    print_msgstats(find(7));
     println!();
-    print_equilibrium_from(find(7));
+    print_equilibrium(find(7));
     println!();
     print_capacity(cfg);
 }
 
-/// msgstats renderer reusing an existing outcome (for `all`).
-fn print_msgstats_from(o: &ScenarioOutcome) {
+fn print_msgstats(o: &ScenarioOutcome) {
     let stats = bt_analysis::MessageStats::from_trace(&o.trace);
     println!("Message statistics — torrent 7 (§III-C full message log)\n");
     let rows: Vec<Vec<String>> = stats
@@ -1130,8 +1095,7 @@ fn print_msgstats_from(o: &ScenarioOutcome) {
     );
 }
 
-/// equilibrium renderer reusing an existing outcome (for `all`).
-fn print_equilibrium_from(o: &ScenarioOutcome) {
+fn print_equilibrium(o: &ScenarioOutcome) {
     let (ls, ss) = bt_analysis::equilibrium(&o.trace);
     println!("Choke equilibrium — torrent 7 (§IV-B.2's future-work analysis)\n");
     let rows = vec![

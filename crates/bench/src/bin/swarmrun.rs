@@ -1,8 +1,8 @@
 //! `swarmrun` — run a swarm scenario from a JSON spec file.
 //!
 //! ```text
-//! swarmrun <spec.json> [--topology NAME|file.json] [--trace out.jsonl]
-//!          [--trace-sample N] [--flight-recorder DIR]
+//! swarmrun <spec.json> [--seed N] [--topology NAME|file.json]
+//!          [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR]
 //!          [--metrics out.jsonl] [--series out.json] [--emit-dir DIR]
 //!          [--watch-addr 127.0.0.1:PORT] [--watch-linger SECS]
 //!          [--profile out.json] [--status] [--example]
@@ -74,10 +74,10 @@
 //!   duration of the run — `GET /` (dashboard), `/series`, `/health`,
 //!   `/metrics` — in both simulator and `--net` modes (a polling thread
 //!   snapshots the registry while the run proceeds; port 0 picks an
-//!   ephemeral port, printed on stderr). `--metrics-addr` is the old
-//!   name and still works. Simulated runs exit when the event queue
-//!   drains; `--watch-linger SECS` keeps the endpoint up that much
-//!   longer so a browser or CI curl can still scrape the final state;
+//!   ephemeral port, printed on stderr). Simulated runs exit when the
+//!   event queue drains; `--watch-linger SECS` keeps the endpoint up
+//!   that much longer so a browser or CI curl can still scrape the
+//!   final state;
 //! * `--status` shows live one-line progress on stderr (net mode; the
 //!   simulator replays its sampled status lines after the run). When
 //!   stderr is not a terminal each sample becomes its own line instead
@@ -92,9 +92,10 @@
 //!   analysis metrics) is printed.
 //!
 //! The spec format is `bt_sim::SwarmSpec` serialised as JSON; identical
-//! specs replay bit-for-bit. `--net` runs are *not* deterministic — the
-//! kernel schedules the threads — but every protocol invariant still
-//! holds.
+//! specs replay bit-for-bit, and `--seed N` replaces the file's seed. An
+//! unknown `--flag` is a usage error (exit 2). `--net` runs are *not*
+//! deterministic — the kernel schedules the threads — but every protocol
+//! invariant still holds.
 
 use bt_analysis::SessionSummary;
 use bt_net::LoopbackSpec;
@@ -104,8 +105,59 @@ use bt_torrents::RunConfig;
 use bt_wire::time::Duration;
 use std::io::{IsTerminal, Write};
 
+/// Every flag that takes a value. `main` checks the command line against
+/// this table and [`SWITCHES`], and skips the values when it looks for
+/// the spec path.
+const VALUE_FLAGS: &[&str] = &[
+    "--scenario",
+    "--topology",
+    "--trace",
+    "--trace-sample",
+    "--flight-recorder",
+    "--metrics",
+    "--series",
+    "--profile",
+    "--emit-dir",
+    "--watch-addr",
+    "--watch-linger",
+    "--seed",
+    "--peers",
+    "--jobs",
+    "--seeds",
+    "--leechers",
+    "--pieces",
+];
+
+/// Every flag that takes none.
+const SWITCHES: &[&str] = &["--example", "--table1", "--net", "--quick", "--status"];
+
+const USAGE: &str = "usage: swarmrun <spec.json> [--seed N] [--topology NAME|file.json] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--emit-dir DIR] [--watch-addr ADDR] [--watch-linger SECS] [--profile out.json] [--status] [--example]
+       swarmrun --scenario flash_crowd_1k|flash_crowd_10k|flash_crowd_100k [--peers N] [--seed N] [--topology NAME|file.json] [--emit-dir DIR] [...]
+       swarmrun --table1 [--quick] [--seed N] [--jobs N] [--topology NAME|file.json] [--series out.json] [--trace out.json] [--trace-sample N] [--flight-recorder DIR] [--profile out.json]
+       swarmrun --net [--seeds N] [--leechers N] [--pieces N] [--seed N] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--profile out.json] [--watch-addr ADDR] [--status]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("swarmrun: {msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut spec_path = None;
+    let mut iter = args.iter();
+    while let Some(a) = iter.next() {
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            if iter.next().is_none() {
+                usage_error(&format!("{a} needs a value"));
+            }
+        } else if a.starts_with("--") {
+            if !SWITCHES.contains(&a.as_str()) {
+                usage_error(&format!("unknown flag `{a}`"));
+            }
+        } else if spec_path.is_none() {
+            spec_path = Some(a);
+        }
+    }
     if args.iter().any(|a| a == "--example") {
         print_example();
         return;
@@ -118,50 +170,25 @@ fn main() {
         run_net_swarm(&args);
         return;
     }
-    if let Some(name) = flag_str(&args, "--scenario") {
-        let mut spec = scenario_spec(&name, &args);
-        if let Some(net) = topology_net(&args) {
-            spec.net = Some(net);
+    let mut spec = if let Some(name) = flag_str(&args, "--scenario") {
+        scenario_spec(&name, &args)
+    } else {
+        let Some(path) = spec_path else {
+            usage_error("no spec file, --scenario, --table1 or --net given");
+        };
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("swarmrun: cannot read {path}: {e}");
+            std::process::exit(2);
+        });
+        let mut spec: SwarmSpec = serde_json::from_str(&text).unwrap_or_else(|e| {
+            eprintln!("swarmrun: invalid spec: {e}");
+            std::process::exit(2);
+        });
+        if let Some(seed) = flag_u64(&args, "--seed") {
+            spec.seed = seed;
         }
-        run_sim(spec, &args);
-        return;
-    }
-    // Flag values double as positional-arg lookalikes; skip them when
-    // searching for the spec path.
-    let flag_values: Vec<usize> = [
-        "--trace",
-        "--trace-sample",
-        "--flight-recorder",
-        "--metrics",
-        "--series",
-        "--profile",
-        "--emit-dir",
-        "--watch-addr",
-        "--watch-linger",
-        "--topology",
-    ]
-    .iter()
-    .filter_map(|f| args.iter().position(|a| a == f).map(|i| i + 1))
-    .collect();
-    let Some(path) = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && !flag_values.contains(i))
-        .map(|(_, a)| a)
-    else {
-        eprintln!(
-            "usage: swarmrun <spec.json> [--topology NAME|file.json] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--emit-dir DIR] [--watch-addr ADDR] [--watch-linger SECS] [--profile out.json] [--status] [--example]\n       swarmrun --scenario flash_crowd_1k|flash_crowd_10k|flash_crowd_100k [--peers N] [--seed N] [--topology NAME|file.json] [--emit-dir DIR] [...]\n       swarmrun --table1 [--quick] [--seed N] [--jobs N] [--topology NAME|file.json] [--series out.json] [--trace out.json] [--trace-sample N] [--flight-recorder DIR] [--profile out.json]\n       swarmrun --net [--seeds N] [--leechers N] [--pieces N] [--seed N] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--profile out.json] [--watch-addr ADDR] [--status]"
-        );
-        std::process::exit(2);
+        spec
     };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("swarmrun: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let mut spec: SwarmSpec = serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("swarmrun: invalid spec: {e}");
-        std::process::exit(2);
-    });
     if let Some(net) = topology_net(&args) {
         spec.net = Some(net);
     }
@@ -194,17 +221,6 @@ fn topology_net(args: &[String]) -> Option<NetModel> {
 
 /// Build a named preset spec (`--scenario`).
 fn scenario_spec(name: &str, args: &[String]) -> SwarmSpec {
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                v.parse::<u64>().unwrap_or_else(|_| {
-                    eprintln!("swarmrun: {flag} needs an integer");
-                    std::process::exit(2);
-                })
-            })
-    };
     let default_peers = match name {
         "flash_crowd_1k" => 1_000,
         "flash_crowd_10k" => 10_000,
@@ -217,11 +233,11 @@ fn scenario_spec(name: &str, args: &[String]) -> SwarmSpec {
             std::process::exit(2);
         }
     };
-    let peers = flag_value("--peers")
+    let peers = flag_u64(args, "--peers")
         .map(|n| n as usize)
         .unwrap_or(default_peers);
     let opts = bt_torrents::PresetOptions {
-        seed: flag_value("--seed").unwrap_or(42),
+        seed: flag_u64(args, "--seed").unwrap_or(42),
         pieces: 8,
         duration: Duration::from_secs(900),
         ..bt_torrents::PresetOptions::default()
@@ -246,7 +262,7 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
     let metrics_out = flag_str(args, "--metrics").or_else(|| in_dir("metrics.jsonl"));
     let series_out = flag_str(args, "--series").or_else(|| in_dir("series.json"));
     let profile_out = flag_str(args, "--profile").or_else(|| in_dir("profile.json"));
-    let watch_addr = flag_str(args, "--watch-addr").or_else(|| flag_str(args, "--metrics-addr"));
+    let watch_addr = flag_str(args, "--watch-addr");
     let watch_linger = flag_u64(args, "--watch-linger").unwrap_or(0);
     let status = args.iter().any(|a| a == "--status");
     let peers = spec.peers.len();
@@ -523,34 +539,23 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
 
 /// `swarmrun --net` — a real-socket loopback swarm via `bt-net`.
 fn run_net_swarm(args: &[String]) {
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                v.parse::<u64>().unwrap_or_else(|_| {
-                    eprintln!("swarmrun: {name} needs an integer");
-                    std::process::exit(2);
-                })
-            })
-    };
     let trace_out = flag_str(args, "--trace");
     let metrics_out = flag_str(args, "--metrics");
     let series_out = flag_str(args, "--series");
     let profile_out = flag_str(args, "--profile");
-    let watch_addr = flag_str(args, "--watch-addr").or_else(|| flag_str(args, "--metrics-addr"));
+    let watch_addr = flag_str(args, "--watch-addr");
     let status = args.iter().any(|a| a == "--status");
     let mut spec = LoopbackSpec::default();
-    if let Some(n) = flag_value("--seeds") {
+    if let Some(n) = flag_u64(args, "--seeds") {
         spec.seeds = n.max(1) as usize;
     }
-    if let Some(n) = flag_value("--leechers") {
+    if let Some(n) = flag_u64(args, "--leechers") {
         spec.leechers = n.max(1) as usize;
     }
-    if let Some(n) = flag_value("--pieces") {
+    if let Some(n) = flag_u64(args, "--pieces") {
         spec.total_len = n.max(1) * u64::from(spec.piece_len);
     }
-    if let Some(n) = flag_value("--seed") {
+    if let Some(n) = flag_u64(args, "--seed") {
         spec.seed = n;
     }
     // Causal tracer: every runtime gets the shared tracer and samples
@@ -766,26 +771,15 @@ fn run_net_swarm(args: &[String]) {
 
 /// `swarmrun --table1` — the Table I sweep on the parallel runner.
 fn run_table1_sweep(args: &[String]) {
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                v.parse::<u64>().unwrap_or_else(|_| {
-                    eprintln!("swarmrun: {name} needs an integer");
-                    std::process::exit(2);
-                })
-            })
-    };
     let mut cfg = if args.iter().any(|a| a == "--quick") {
         RunConfig::quick()
     } else {
         RunConfig::default()
     };
-    if let Some(seed) = flag_value("--seed") {
+    if let Some(seed) = flag_u64(args, "--seed") {
         cfg.seed = seed;
     }
-    let jobs = flag_value("--jobs")
+    let jobs = flag_u64(args, "--jobs")
         .map(|n| n.max(1) as usize)
         .unwrap_or_else(bt_torrents::default_jobs);
     let profile_out = flag_str(args, "--profile");

@@ -137,3 +137,46 @@ fn superseed_ablation_direction() {
         plain.duplicate_ratio
     );
 }
+
+/// Run `swarmrun` with `args`; returns (exit code, stdout, stderr).
+fn swarmrun(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_swarmrun"))
+        .args(args)
+        .output()
+        .expect("swarmrun runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn swarmrun_flags_before_or_after_the_spec_and_unknown_flags_rejected() {
+    let (code, example, _) = swarmrun(&["--example"]);
+    assert_eq!(code, Some(0));
+    let path = std::env::temp_dir().join(format!("swarmrun-cli-{}.json", std::process::id()));
+    std::fs::write(&path, example).expect("temp spec written");
+    let spec = path.to_str().expect("utf-8 temp path");
+    let digest = |args: &[&str]| {
+        let (code, stdout, stderr) = swarmrun(args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        stdout
+            .lines()
+            .find(|l| l.starts_with("run digest"))
+            .unwrap_or_else(|| panic!("{args:?} printed no digest"))
+            .to_owned()
+    };
+    // A flag's value is never taken for the spec path, wherever it sits.
+    let before = digest(&["--seed", "7", spec]);
+    assert_eq!(before, digest(&[spec, "--seed", "7"]));
+    assert_ne!(before, digest(&[spec]), "--seed must replace the file's");
+
+    // A misspelt or removed flag is a usage error, not a silent default.
+    for flag in ["--sead", "--metrics-addr"] {
+        let (code, stdout, stderr) = swarmrun(&[flag, "7", spec]);
+        assert_eq!(code, Some(2), "{flag}: {stdout}");
+        assert!(stderr.contains(flag), "{flag} not named in: {stderr}");
+    }
+    let _ = std::fs::remove_file(&path);
+}

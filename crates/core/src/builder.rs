@@ -22,9 +22,7 @@
 use crate::config::Config;
 use crate::content::DataMode;
 use crate::engine::Engine;
-use crate::metrics::EngineMetrics;
 use bt_instrument::trace::TraceMeta;
-use bt_obs::Profiler;
 use bt_piece::{Bitfield, Geometry};
 use bt_wire::peer_id::{IpAddr, PeerId};
 use bt_wire::sha1::Digest;
@@ -41,8 +39,6 @@ pub struct EngineBuilder {
     pub(crate) initial_pieces: Option<Bitfield>,
     pub(crate) seed: u64,
     pub(crate) recorder: Option<TraceMeta>,
-    pub(crate) metrics: Option<EngineMetrics>,
-    pub(crate) profiler: Profiler,
 }
 
 impl EngineBuilder {
@@ -63,8 +59,6 @@ impl EngineBuilder {
             initial_pieces: None,
             seed: 0,
             recorder: None,
-            metrics: None,
-            profiler: Profiler::disabled(),
         }
     }
 
@@ -110,23 +104,6 @@ impl EngineBuilder {
     /// *local* (instrumented) peer.
     pub fn recorder(mut self, meta: TraceMeta) -> EngineBuilder {
         self.recorder = Some(meta);
-        self
-    }
-
-    /// Attach runtime telemetry handles (see [`EngineMetrics`]): input,
-    /// action and protocol-error counters plus choke-round and
-    /// piece-pick latency histograms on the handles' registry.
-    pub fn metrics(mut self, metrics: EngineMetrics) -> EngineBuilder {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Attach a span profiler ([`bt_obs::Profiler`]): engine `handle()`
-    /// dispatch, choke rounds and piece picks record hierarchical spans
-    /// into it. Defaults to [`Profiler::disabled`], which costs a
-    /// single branch per instrumented site.
-    pub fn profiler(mut self, profiler: Profiler) -> EngineBuilder {
-        self.profiler = profiler;
         self
     }
 

@@ -299,9 +299,7 @@ fn input_span_name(input: &Input) -> &'static str {
 }
 
 impl Engine {
-    /// Construct from an [`EngineBuilder`] (the only constructor; the
-    /// legacy 8-argument `Engine::new` and the callback shims were
-    /// removed after their one-release grace period).
+    /// Construct from an [`EngineBuilder`] (the only constructor).
     pub(crate) fn from_builder(b: EngineBuilder) -> Engine {
         let EngineBuilder {
             config,
@@ -313,8 +311,6 @@ impl Engine {
             initial_pieces,
             seed,
             recorder,
-            metrics,
-            profiler,
         } = b;
         let num_pieces = geometry.num_pieces();
         let initial_pieces = initial_pieces.unwrap_or_else(|| Bitfield::new(num_pieces));
@@ -357,8 +353,8 @@ impl Engine {
             rng: SmallRng::seed_from_u64(seed),
             actions: Actions::default(),
             trace: recorder.map(Trace::new),
-            metrics,
-            profiler,
+            metrics: None,
+            profiler: Profiler::disabled(),
             last_choke_round: None,
             audit_choke: false,
             last_choke_audit: None,
@@ -366,31 +362,23 @@ impl Engine {
         }
     }
 
-    /// Attach (or replace) runtime telemetry handles after
-    /// construction — drivers that build engines before the registry
-    /// exists (e.g. a swarm retrofitting a shared registry) use this;
-    /// prefer [`EngineBuilder::metrics`] otherwise.
+    /// Attach (or replace) runtime telemetry handles (see
+    /// [`EngineMetrics`]): input, action and protocol-error counters plus
+    /// choke-round and piece-pick latency histograms on the handles'
+    /// registry. Both drivers build their engines before the registry
+    /// exists, so this is the one way in.
     pub fn set_metrics(&mut self, metrics: EngineMetrics) {
         self.metrics = Some(metrics);
     }
 
-    /// True when runtime telemetry handles are attached.
-    pub fn has_metrics(&self) -> bool {
-        self.metrics.is_some()
-    }
-
-    /// Attach (or replace) a span profiler after construction — same
-    /// retrofit story as [`set_metrics`](Self::set_metrics); prefer
-    /// [`EngineBuilder::profiler`](crate::EngineBuilder::profiler)
-    /// otherwise. Like metrics, spans never touch the engine's RNG or
-    /// trace, so profiling cannot perturb deterministic runs.
+    /// Attach (or replace) a span profiler ([`bt_obs::Profiler`]):
+    /// `handle()` dispatch, choke rounds and piece picks record
+    /// hierarchical spans into it. A new engine carries
+    /// [`Profiler::disabled`], which costs a single branch per
+    /// instrumented site. Like metrics, spans never touch the engine's
+    /// RNG or trace, so profiling cannot perturb deterministic runs.
     pub fn set_profiler(&mut self, profiler: Profiler) {
         self.profiler = profiler;
-    }
-
-    /// True when an enabled span profiler is attached.
-    pub fn has_profiler(&self) -> bool {
-        self.profiler.is_enabled()
     }
 
     // ------------------------------------------------------------------

@@ -7,9 +7,8 @@
 //! counters (`core.choke.*`, fed by each
 //! [`rechoke`](crate::Engine::rechoke) round), plus choke-round and
 //! piece-pick latency histograms. Attach it with
-//! [`EngineBuilder::metrics`](crate::EngineBuilder::metrics) (or
-//! [`Engine::set_metrics`](crate::Engine::set_metrics) on a built
-//! engine); cloning shares the same underlying instruments, so several
+//! [`Engine::set_metrics`](crate::Engine::set_metrics);
+//! cloning shares the same underlying instruments, so several
 //! engines on one registry aggregate into a swarm-wide view, and a
 //! per-engine `label` keeps them apart when the driver wants per-peer
 //! numbers.

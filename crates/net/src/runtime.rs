@@ -200,15 +200,11 @@ impl NetRuntime {
         let metrics = NetMetrics::register(&registry, &cfg.metrics_label);
         let profiler = cfg.profiler.clone().unwrap_or_else(Profiler::disabled);
         let mut engine = engine;
-        if !engine.has_metrics() {
-            engine.set_metrics(EngineMetrics::register_labeled(
-                &registry,
-                &cfg.metrics_label,
-            ));
-        }
-        if !engine.has_profiler() {
-            engine.set_profiler(profiler.clone());
-        }
+        engine.set_metrics(EngineMetrics::register_labeled(
+            &registry,
+            &cfg.metrics_label,
+        ));
+        engine.set_profiler(profiler.clone());
         let tracer = cfg
             .tracer
             .clone()

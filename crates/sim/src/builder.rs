@@ -148,9 +148,7 @@ impl SwarmSpecBuilder {
         self
     }
 
-    /// Shorthand: a [`NetModel::Uniform`] with explicit parameters —
-    /// the typed replacement for the legacy flat
-    /// `latency`/`latency_jitter` fields.
+    /// Shorthand: a [`NetModel::Uniform`] with explicit parameters.
     #[must_use]
     pub fn uniform_net(self, latency: Duration, jitter: Duration) -> Self {
         self.net(NetModel::uniform(latency, jitter))
@@ -273,11 +271,11 @@ mod tests {
     }
 
     #[test]
-    fn explicit_uniform_net_resolves_like_legacy_defaults() {
-        let legacy = SwarmSpec::default();
+    fn explicit_uniform_net_resolves_like_the_default() {
+        let unset = SwarmSpec::default();
         let typed = SwarmSpec::builder()
             .uniform_net(Duration::from_millis(50), Duration::from_millis(100))
             .build();
-        assert_eq!(legacy.net_model(), typed.net_model());
+        assert_eq!(unset.net_model(), typed.net_model());
     }
 }

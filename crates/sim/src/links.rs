@@ -7,9 +7,9 @@
 //! redelivery-after-timeout semantics. A [`LinkModel`] decides those
 //! parameters per peer pair:
 //!
-//! * [`UniformLink`] reproduces the legacy flat `latency`/`latency_jitter`
-//!   path byte-for-byte — one jitter draw per connection, shared by
-//!   both directions, no loss, no link caps;
+//! * [`UniformLink`] is one flat latency plus one jitter draw per
+//!   connection, shared by both directions, no loss, no link caps —
+//!   the model every golden trace was recorded under;
 //! * [`FullDuplexLink`] resolves a [`TopologySpec`]: peers map to
 //!   classes, class pairs map to asymmetric per-direction parameters.
 //!
@@ -23,7 +23,7 @@
 //! event order, with the swarm's master PRNG; any jitter draws happen
 //! there and nowhere else. Loss draws happen per transmission on the
 //! same PRNG, but only on links whose `loss > 0` — so a loss-free
-//! model consumes no extra randomness and replays legacy traces
+//! model consumes no extra randomness and replays the golden traces
 //! unchanged.
 
 use crate::topology::TopologySpec;
@@ -51,7 +51,7 @@ pub struct LinkParams {
 
 impl LinkParams {
     /// A lossless, uncapped direction with the given delay — what
-    /// every legacy connection used.
+    /// [`UniformLink`] gives every connection.
     pub fn flat(delay: Duration) -> LinkParams {
         LinkParams {
             delay,
@@ -75,9 +75,8 @@ pub trait LinkModel: Send {
         -> (LinkParams, LinkParams);
 }
 
-/// The legacy network model: one flat latency plus a per-connection
-/// jitter draw shared by both directions. Byte-identical to the old
-/// `SwarmSpec::latency`/`latency_jitter` path.
+/// The uniform network model: one flat latency plus a per-connection
+/// jitter draw shared by both directions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UniformLink {
     /// Base one-way delay for every link and the control plane.
@@ -97,8 +96,8 @@ impl LinkModel for UniformLink {
         _to: PeerIdx,
         rng: &mut SmallRng,
     ) -> (LinkParams, LinkParams) {
-        // Exactly the legacy draw: one sample, only when jitter is
-        // non-zero, shared by both directions.
+        // One sample, only when jitter is non-zero, shared by both
+        // directions: the golden traces pin this draw sequence.
         let delay = self.latency
             + Duration(if self.jitter.0 > 0 {
                 rng.random_range(0..=self.jitter.0)
@@ -204,11 +203,12 @@ impl LinkModel for FullDuplexLink {
 }
 
 /// The serialisable network-model section of a
-/// [`SwarmSpec`](crate::swarm::SwarmSpec). Absent (`None`) means the
-/// legacy flat latency fields drive a [`UniformLink`].
+/// [`SwarmSpec`](crate::swarm::SwarmSpec). Absent (`None`) means a
+/// [`UniformLink`] at the default delays (see
+/// [`SwarmSpec::net_model`](crate::swarm::SwarmSpec::net_model)).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum NetModel {
-    /// Flat latency/jitter on every link — the legacy model.
+    /// Flat latency/jitter on every link.
     Uniform {
         /// Base one-way delay.
         latency: Duration,
@@ -220,7 +220,7 @@ pub enum NetModel {
 }
 
 impl NetModel {
-    /// The legacy model with explicit parameters.
+    /// The uniform model with explicit parameters.
     pub fn uniform(latency: Duration, jitter: Duration) -> NetModel {
         NetModel::Uniform { latency, jitter }
     }
@@ -259,9 +259,9 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn uniform_link_matches_legacy_draw() {
+    fn uniform_link_draws_one_sample() {
         // The model must consume exactly one sample from the shared
-        // stream, identical to the inlined legacy expression.
+        // stream: latency + U[0, jitter].
         let model = UniformLink {
             latency: Duration::from_millis(50),
             jitter: Duration::from_millis(100),
@@ -269,9 +269,9 @@ mod tests {
         let mut a = SmallRng::seed_from_u64(99);
         let mut b = SmallRng::seed_from_u64(99);
         let (ab, ba) = model.establish(0, 1, &mut a);
-        let legacy =
+        let expected =
             Duration::from_millis(50) + Duration(b.random_range(0..=Duration::from_millis(100).0));
-        assert_eq!(ab.delay, legacy);
+        assert_eq!(ab.delay, expected);
         assert_eq!(ab, ba);
         assert_eq!(a.random_range(0..1u64 << 40), b.random_range(0..1u64 << 40));
     }

@@ -75,19 +75,6 @@ pub struct SwarmSpec {
     pub available_fraction: f64,
     /// Pre-existing leechers hold `U(0, this)` of the available pieces.
     pub prepop_completion_max: f64,
-    /// Legacy flat base latency, kept for old JSON specs only.
-    ///
-    /// The typed [`net`](SwarmSpec::net) section replaced this field;
-    /// new code uses `SwarmSpec::builder().uniform_net(..)`. It
-    /// survives (hidden, optional) so that pre-link-layer JSON specs
-    /// keep replaying byte-identically:
-    /// [`net_model`](SwarmSpec::net_model) folds it into a
-    /// [`NetModel::Uniform`] when `net` is unset.
-    #[doc(hidden)]
-    pub latency: Option<Duration>,
-    /// Legacy flat latency jitter — see the `latency` field.
-    #[doc(hidden)]
-    pub latency_jitter: Option<Duration>,
     /// Transfer round length.
     pub transfer_round: Duration,
     /// Availability sampling period for the instrumented peer.
@@ -105,9 +92,10 @@ pub struct SwarmSpec {
     pub tracker_response_cap: Option<usize>,
     /// Use the tracker's O(num_want) incremental-shuffle sampling instead
     /// of the legacy full sort+shuffle per announce. Still deterministic,
-    /// but a *different* deterministic draw sequence — existing golden
-    /// traces pin the legacy path, so only mega-swarm scenarios enable
-    /// this.
+    /// but a *different* deterministic draw sequence. Both samplers stay:
+    /// the golden traces and the benchmark's Table I pins fix the
+    /// sort+shuffle draws, the mega-swarm digests fix these, and
+    /// `benchmark/` probes each (`sim.announce_ns.legacy` / `.scalable`).
     pub scalable_tracker: bool,
     /// Record *global* piece-replication snapshots alongside the local
     /// peer's availability samples. The paper repeatedly notes "we do
@@ -118,8 +106,8 @@ pub struct SwarmSpec {
     pub sample_global: bool,
     /// Typed network model (see [`NetModel`]): per-link delay, loss and
     /// per-direction bandwidth under a topology, or the flat uniform
-    /// model. `None` falls back to the legacy flat latency fields —
-    /// old JSON specs keep replaying byte-identically.
+    /// model. `None` — also what a JSON spec without a `net` section
+    /// reads as — is the uniform 50 ms + U[0, 100 ms] model.
     pub net: Option<NetModel>,
 }
 
@@ -130,22 +118,16 @@ impl SwarmSpec {
         SwarmSpecBuilder::new()
     }
 
-    /// The effective network model: the typed [`net`](SwarmSpec::net)
-    /// section when present, else the legacy flat latency fields as a
-    /// [`NetModel::Uniform`] (byte-identical to the pre-link-layer
-    /// delivery path).
+    /// The effective network model: the [`net`](SwarmSpec::net) section
+    /// when present, else [`NetModel::Uniform`] at 50 ms + U[0, 100 ms]
+    /// (the delays every golden trace was recorded with).
     pub fn net_model(&self) -> NetModel {
         self.net.clone().unwrap_or(NetModel::Uniform {
-            latency: self.latency.unwrap_or(DEFAULT_LATENCY),
-            jitter: self.latency_jitter.unwrap_or(DEFAULT_LATENCY_JITTER),
+            latency: Duration::from_millis(50),
+            jitter: Duration::from_millis(100),
         })
     }
 }
-
-/// The pre-link-layer uniform network defaults, applied when neither
-/// the typed `net` section nor the legacy JSON fields specify delays.
-const DEFAULT_LATENCY: Duration = Duration(50_000);
-const DEFAULT_LATENCY_JITTER: Duration = Duration(100_000);
 
 impl Default for SwarmSpec {
     fn default() -> Self {
@@ -160,8 +142,6 @@ impl Default for SwarmSpec {
             local: None,
             available_fraction: 1.0,
             prepop_completion_max: 0.9,
-            latency: None,
-            latency_jitter: None,
             transfer_round: Duration::from_secs(1),
             sample_every: Duration::from_secs(30),
             corrupt_block_prob: 0.0,
@@ -322,7 +302,7 @@ struct LinkSlot {
     /// times are already monotonic, so the watermark never binds.
     next_free: Instant,
     /// Per-transfer-round byte cap derived from `params.bandwidth`
-    /// (`u64::MAX` = uncapped — the legacy behaviour).
+    /// (`u64::MAX` = uncapped).
     round_cap: u64,
     /// Blocks the engine asked us to upload on this connection, FIFO.
     queue: VecDeque<BlockRef>,
@@ -381,10 +361,9 @@ impl SimPeer {
         });
     }
 
-    /// Close a link, recycling its queue; returns the far end.
-    /// Tear down a link; returns its far end plus how many upload blocks
-    /// were still queued (the caller keeps the swarm-level queued-block
-    /// counters in sync).
+    /// Tear down a link, recycling its queue; returns its far end, its
+    /// delay and how many upload blocks were still queued (the caller
+    /// keeps the swarm-level queued-block counters in sync).
     fn remove_link(&mut self, conn: ConnId) -> Option<(PeerIdx, ConnId, Duration, u32)> {
         let slot = self.links.get_mut(conn as usize)?.take()?;
         let LinkSlot {
@@ -445,7 +424,7 @@ pub struct Swarm {
     /// The resolved per-link network model (see [`crate::links`]).
     link_model: Box<dyn LinkModel>,
     /// Control-plane one-way delay from the link model: dial setup and
-    /// tracker responses (the legacy `spec.latency` role).
+    /// tracker responses.
     base_delay: Duration,
     /// Transfer-round length in seconds, for per-link byte caps.
     round_secs: f64,
@@ -1527,8 +1506,8 @@ impl Swarm {
             return;
         };
         // The link model fixes both directions' parameters now, with
-        // the master PRNG — the same point in the draw sequence where
-        // the legacy jitter sample happened.
+        // the master PRNG: this point in the draw sequence is part of
+        // the golden-trace contract.
         let (fwd, rev) = self.link_model.establish(from, to, &mut self.rng);
         self.peers[from].insert_link(from_conn, to, to_conn, fwd, self.round_secs);
         self.peers[to].insert_link(to_conn, from, from_conn, rev, self.round_secs);
@@ -1839,7 +1818,7 @@ impl Swarm {
         } else {
             // The engine's reaction to `BlockSent` tore the link down;
             // the block was already on the wire, so it still arrives,
-            // at the control-plane delay (the legacy fallback).
+            // at the control-plane delay.
             self.queue.schedule(
                 now + self.base_delay,
                 Ev::Deliver {

@@ -80,8 +80,7 @@ pub struct LinkRule {
 pub struct TopologySpec {
     /// Preset or file identity, echoed in logs and reports.
     pub name: String,
-    /// Control-plane one-way delay: dial setup and tracker responses
-    /// (the legacy `SwarmSpec::latency` role).
+    /// Control-plane one-way delay: dial setup and tracker responses.
     pub base_delay: Duration,
     /// Retransmission timeout: a lost transmission is redelivered this
     /// much later than its normal arrival.

@@ -46,7 +46,11 @@ pub struct SimTracker {
     /// the `live` list instead of the legacy sort-shuffle-truncate over
     /// every registered peer. Off by default: the legacy path's RNG draw
     /// sequence is part of the golden-trace contract, so only mega-swarm
-    /// scenarios (which have no prior goldens) opt in.
+    /// scenarios (which have no prior goldens) opt in. One sampler would
+    /// do, but merging them re-goldens the Table I traces, which the
+    /// frozen `benchmark/` pins at seed 42, and it times each on its own
+    /// (`sim.announce_ns.legacy` / `.scalable`): both stay until a
+    /// `benchmark` PR moves those.
     pub scalable_sampling: bool,
     /// Announce tallies per event kind, mirroring real tracker statistics.
     pub started: u64,
@@ -164,7 +168,8 @@ impl SimTracker {
 
     /// The original sampling: materialise every eligible peer, sort for
     /// determinism, full Fisher–Yates shuffle, truncate. O(n log n) per
-    /// announce and exactly the RNG draw sequence the golden traces pin.
+    /// announce and exactly the RNG draw sequence the golden traces and
+    /// the benchmark's Table I pins fix (see `scalable_sampling`).
     fn sample_legacy(
         &self,
         peer: PeerIdx,

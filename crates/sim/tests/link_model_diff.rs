@@ -2,9 +2,9 @@
 //!
 //! The redesign contract has two halves:
 //!
-//! 1. `UniformLink` (and the legacy flat-latency shim that maps onto
-//!    it) reproduces the pre-link-layer delivery path **event for
-//!    event** — same traces, same digests. The repo-level golden suite
+//! 1. A spec without a `net` section and an explicit `UniformLink` at
+//!    the default delays are the same run **event for event** — same
+//!    traces, same digests. The repo-level golden suite
 //!    (`tests/golden_traces.rs`) pins the Table I fingerprints and the
 //!    `flash_crowd_10k` digest on top of this.
 //! 2. Full-duplex topologies (per-direction bandwidth, loss,
@@ -26,37 +26,37 @@ fn tiny_builder(seed: u64) -> bt_sim::SwarmSpecBuilder {
         .local(1)
 }
 
-/// The tentpole guarantee: an explicit `NetModel::Uniform` with the
-/// legacy default parameters replays the legacy-field path event for
-/// event — traces, completions and digests all byte-identical.
+/// An explicit `NetModel::Uniform` with the default parameters replays
+/// the `net: None` run event for event — traces, completions and
+/// digests all byte-identical.
 #[test]
-fn explicit_uniform_matches_legacy_shim_event_for_event() {
+fn explicit_uniform_matches_unset_net_event_for_event() {
     for seed in [3, 7, 42] {
-        let legacy = Swarm::new(tiny_builder(seed).build()).run();
+        let unset = Swarm::new(tiny_builder(seed).build()).run();
         let typed = Swarm::new(
             tiny_builder(seed)
                 .uniform_net(Duration::from_millis(50), Duration::from_millis(100))
                 .build(),
         )
         .run();
-        assert_eq!(legacy.events_processed, typed.events_processed);
-        assert_eq!(legacy.completion, typed.completion);
+        assert_eq!(unset.events_processed, typed.events_processed);
+        assert_eq!(unset.completion, typed.completion);
         assert_eq!(
-            legacy.trace.as_ref().unwrap().events,
+            unset.trace.as_ref().unwrap().events,
             typed.trace.as_ref().unwrap().events
         );
-        assert_eq!(legacy.digest(), typed.digest(), "seed {seed}");
+        assert_eq!(unset.digest(), typed.digest(), "seed {seed}");
     }
 }
 
-/// Old serialized specs carry no `net` section; deserializing one must
-/// resolve to the same uniform model (and the same run) as the
-/// original spec object.
+/// Specs serialized before the link layer carry no `net` section;
+/// deserializing one must resolve to the same uniform model (and the
+/// same run) as the original spec object.
 #[test]
-fn legacy_json_spec_without_net_section_replays_identically() {
+fn json_spec_without_net_section_replays_identically() {
     let spec = tiny_builder(11).build();
     let json = serde_json::to_string(&spec).unwrap();
-    // Simulate an old fixture: strip the net section entirely.
+    // Simulate such a file: strip the net section entirely.
     let stripped = json.replace(",\"net\":null", "");
     assert_ne!(json, stripped, "test must actually strip the field");
     let revived: SwarmSpec = serde_json::from_str(&stripped).unwrap();

@@ -83,6 +83,7 @@ fn flash_crowd_ends_healthy_with_entropy_near_one() {
         ..bt_repro::torrents::PresetOptions::default()
     };
     let spec = bt_repro::torrents::scenarios::mega_flash_crowd(300, &opts);
+    let bare = Swarm::new(spec.clone()).run();
     let registry = Registry::new_manual();
     let store = SeriesStore::new(&registry);
     let swarm = Swarm::new(spec)
@@ -90,6 +91,12 @@ fn flash_crowd_ends_healthy_with_entropy_near_one() {
         .with_series(store.clone())
         .with_health(Default::default());
     let result = swarm.run();
+    // This preset has no instrumented local peer, so the bare run
+    // schedules no `Ev::Sample`: the observers add those events and must
+    // change nothing the swarm does.
+    assert_eq!(bare.completion, result.completion);
+    assert_eq!(bare.tracker_started, result.tracker_started);
+    assert_eq!(bare.tracker_completed, result.tracker_completed);
     let health = result.health.expect("health monitors attached");
     assert!(
         health.healthy(),
