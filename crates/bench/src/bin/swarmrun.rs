@@ -434,12 +434,7 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
         // Finish the directory: the sorted deterministic trace plus the
         // manifest that names the run for `btstat`.
         if let Some(t) = &tracer {
-            t.flush_local();
-            let path = format!("{dir}/trace.jsonl");
-            std::fs::write(&path, t.to_jsonl()).unwrap_or_else(|e| {
-                eprintln!("swarmrun: cannot write {path}: {e}");
-                std::process::exit(2);
-            });
+            write_stream(&format!("{dir}/trace.jsonl"), |f| t.export(Some(f), None));
         }
         let scenario = flag_str(args, "--scenario").unwrap_or_else(|| "spec".to_string());
         let manifest = bt_stat::artifacts::manifest_json(
@@ -462,10 +457,9 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
         if let Some(path) = &trace_out {
             write_causal_trace(path, t);
         } else {
-            t.flush_local();
             println!(
                 "causal trace     : {} events sampled (pass --trace FILE to export)",
-                t.to_jsonl().lines().count()
+                t.len()
             );
         }
         if let Some(fr) = &flight {
@@ -714,7 +708,7 @@ fn run_net_swarm(args: &[String]) {
         } else {
             println!(
                 "causal trace     : {} events sampled (pass --trace FILE to export)",
-                t.to_jsonl().lines().count()
+                t.len()
             );
         }
     }
@@ -921,20 +915,28 @@ fn causal_obs(
     (tracer, flight)
 }
 
+/// Create `path` and stream an export into it.
+fn write_stream(path: &str, export: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>) {
+    std::fs::File::create(path)
+        .and_then(|mut file| export(&mut file))
+        .unwrap_or_else(|e| {
+            eprintln!("swarmrun: cannot write {path}: {e}");
+            std::process::exit(2);
+        });
+}
+
 /// Write the causal trace as Chrome trace-event JSON at `path` plus the
-/// sorted deterministic JSONL at `path.jsonl`.
+/// sorted deterministic JSONL at `path.jsonl`, both from one sort.
 fn write_causal_trace(path: &str, tracer: &bt_obs::Tracer) {
-    tracer.flush_local();
-    std::fs::write(path, tracer.to_chrome_json()).unwrap_or_else(|e| {
-        eprintln!("swarmrun: cannot write {path}: {e}");
-        std::process::exit(2);
-    });
     let jsonl = format!("{path}.jsonl");
-    std::fs::write(&jsonl, tracer.to_jsonl()).unwrap_or_else(|e| {
-        eprintln!("swarmrun: cannot write {jsonl}: {e}");
-        std::process::exit(2);
+    write_stream(path, |chrome| {
+        std::fs::File::create(&jsonl)
+            .and_then(|mut lines| tracer.export(Some(&mut lines), Some(chrome)))
     });
-    println!("causal trace     : {path} (Chrome JSON) + {jsonl} (sorted JSONL)");
+    println!(
+        "causal trace     : {path} (Chrome JSON) + {jsonl} (sorted JSONL), {} events",
+        tracer.len()
+    );
 }
 
 /// The integer value following `name`, if present.

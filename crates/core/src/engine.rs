@@ -152,9 +152,12 @@ pub struct Engine {
     /// for live observers (`None` before the first round).
     last_choke_round: Option<ChokeRoundStats>,
     /// When set, every rechoke round leaves a full per-peer audit in
-    /// `last_choke_audit` and every piece pick appends to `pick_log`.
+    /// `choke_audit` and every piece pick appends to `pick_log`.
     audit_choke: bool,
-    last_choke_audit: Option<ChokeAudit>,
+    /// The last round's audit; `entries` is refilled in place.
+    choke_audit: ChokeAudit,
+    /// A round has run since [`Engine::clear_audit`].
+    choke_audit_fresh: bool,
     pick_log: Vec<PickEvent>,
 }
 
@@ -221,9 +224,9 @@ pub struct ChokeAuditEntry {
 /// Full audit of one rechoke round: every connection's inputs,
 /// ranking, and outcome — the raw material of the choke-decision
 /// audit trail. Produced only after
-/// [`Engine::enable_choke_audit`]; drained by
-/// [`Engine::take_choke_audit`].
-#[derive(Clone, Debug, PartialEq)]
+/// [`Engine::enable_choke_audit`]; read through
+/// [`Engine::choke_audit`].
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChokeAudit {
     /// When the round ran.
     pub at: Instant,
@@ -357,7 +360,8 @@ impl Engine {
             profiler: Profiler::disabled(),
             last_choke_round: None,
             audit_choke: false,
-            last_choke_audit: None,
+            choke_audit: ChokeAudit::default(),
+            choke_audit_fresh: false,
             pick_log: Vec::new(),
         }
     }
@@ -1391,54 +1395,52 @@ impl Engine {
             reciprocal,
         });
         if self.audit_choke {
-            // Rank by the leecher-state ranking signal (download rate),
-            // ties broken by key so the audit is deterministic.
-            let mut order: Vec<usize> = (0..snapshots.len()).collect();
-            order.sort_by(|&a, &b| {
-                snapshots[b]
-                    .download_rate
-                    .partial_cmp(&snapshots[a].download_rate)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(snapshots[a].key.cmp(&snapshots[b].key))
-            });
-            let entries = order
-                .iter()
-                .enumerate()
-                .map(|(rank, &i)| {
-                    let s = &snapshots[i];
-                    let outcome = if decision.optimistic == Some(s.key) {
-                        if self.is_seed {
-                            ChokeOutcome::SeedRandom
-                        } else {
-                            ChokeOutcome::Optimistic
-                        }
-                    } else if decision.regular.contains(&s.key) {
-                        if self.is_seed {
-                            ChokeOutcome::SeedKept
-                        } else {
-                            ChokeOutcome::Regular
-                        }
+            let is_seed = self.is_seed;
+            let entries = &mut self.choke_audit.entries;
+            entries.clear();
+            entries.extend(snapshots.iter().map(|s| {
+                let outcome = if decision.optimistic == Some(s.key) {
+                    if is_seed {
+                        ChokeOutcome::SeedRandom
                     } else {
-                        ChokeOutcome::Choked
-                    };
-                    ChokeAuditEntry {
-                        conn: s.key,
-                        interested: s.interested,
-                        snubbed: s.snubbed,
-                        download_rate: s.download_rate,
-                        upload_rate: s.upload_rate,
-                        rank: rank as u32,
-                        outcome,
+                        ChokeOutcome::Optimistic
                     }
-                })
-                .collect();
-            self.last_choke_audit = Some(ChokeAudit {
-                at: now,
-                is_seed: self.is_seed,
-                optimistic: decision.optimistic,
-                flips,
-                entries,
+                } else if decision.regular.contains(&s.key) {
+                    if is_seed {
+                        ChokeOutcome::SeedKept
+                    } else {
+                        ChokeOutcome::Regular
+                    }
+                } else {
+                    ChokeOutcome::Choked
+                };
+                ChokeAuditEntry {
+                    conn: s.key,
+                    interested: s.interested,
+                    snubbed: s.snubbed,
+                    download_rate: s.download_rate,
+                    upload_rate: s.upload_rate,
+                    rank: 0,
+                    outcome,
+                }
+            }));
+            // Rank by the leecher-state ranking signal (download rate),
+            // ties broken by key: a total order, so the audit is
+            // deterministic.
+            entries.sort_unstable_by(|a, b| {
+                b.download_rate
+                    .partial_cmp(&a.download_rate)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.conn.cmp(&b.conn))
             });
+            for (rank, e) in entries.iter_mut().enumerate() {
+                e.rank = rank as u32;
+            }
+            self.choke_audit.at = now;
+            self.choke_audit.is_seed = is_seed;
+            self.choke_audit.optimistic = decision.optimistic;
+            self.choke_audit.flips = flips;
+            self.choke_audit_fresh = true;
         }
         if let (Some(m), Some(t0)) = (&self.metrics, round_started) {
             m.choke_rounds.inc();
@@ -1459,21 +1461,31 @@ impl Engine {
 
     /// Turn on the choke/picker audit trail: every subsequent rechoke
     /// round leaves a [`ChokeAudit`] and every piece pick a
-    /// [`PickEvent`]. Pure observation — enabling it changes no
-    /// decision and consumes no RNG draws.
+    /// [`PickEvent`], until the driver calls
+    /// [`clear_audit`](Engine::clear_audit). Pure observation —
+    /// enabling it changes no decision and consumes no RNG draws.
     pub fn enable_choke_audit(&mut self) {
         self.audit_choke = true;
     }
 
-    /// The audit of the most recent rechoke round, consumed. Drivers
-    /// drain this after each input that may have run a round.
-    pub fn take_choke_audit(&mut self) -> Option<ChokeAudit> {
-        self.last_choke_audit.take()
+    /// The audit of the most recent rechoke round, if one has run since
+    /// [`clear_audit`](Engine::clear_audit). Drivers read this after
+    /// each input that may have run a round, then clear.
+    pub fn choke_audit(&self) -> Option<&ChokeAudit> {
+        self.choke_audit_fresh.then_some(&self.choke_audit)
     }
 
-    /// Piece picks recorded since the last drain (audit enabled only).
-    pub fn take_pick_log(&mut self) -> Vec<PickEvent> {
-        std::mem::take(&mut self.pick_log)
+    /// Piece picks recorded since the last
+    /// [`clear_audit`](Engine::clear_audit) (audit enabled only).
+    pub fn pick_log(&self) -> &[PickEvent] {
+        &self.pick_log
+    }
+
+    /// Mark the choke audit and the pick log as read; both keep their
+    /// buffers for the next round.
+    pub fn clear_audit(&mut self) {
+        self.choke_audit_fresh = false;
+        self.pick_log.clear();
     }
 
     fn periodic_duties(&mut self, now: Instant) {

@@ -330,13 +330,13 @@ impl NetRuntime {
         self.execute(now, batch);
     }
 
-    /// Drain the engine's choke audit into the causal tracer (`round`
+    /// Copy the engine's choke audit into the causal tracer (`round`
     /// plus one `audit` per ranked peer). On the socket path the chain
     /// id is the local peer's virtual-IP hash and `peer` args are local
     /// [`ConnId`]s — there is no global peer index to resolve to.
     fn trace_choke_audit(&mut self, now: Instant) {
         let Some(tracer) = &self.tracer else { return };
-        let Some(audit) = self.engine.take_choke_audit() else {
+        let Some(audit) = self.engine.choke_audit() else {
             return;
         };
         let id = u64::from(peer_ip(&self.engine.peer_id()).0);
@@ -369,6 +369,7 @@ impl NetRuntime {
                 ],
             );
         }
+        self.engine.clear_audit();
     }
 
     fn execute(&mut self, now: Instant, batch: Vec<Action>) {

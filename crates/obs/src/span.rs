@@ -1,11 +1,14 @@
 //! Hierarchical span tracing and a self-profiler.
 //!
 //! A [`Profiler`] hands out RAII [`SpanGuard`]s (usually via the
-//! [`span!`](crate::span) macro). Guards push enter/exit records onto a
-//! per-thread span stack, so nesting is recovered from runtime call
-//! structure without any global registration. When the outermost span
-//! on a thread closes, the thread's locally aggregated stats are
-//! flushed into the profiler's shared call-tree table.
+//! [`span!`](crate::span) macro). Each thread keeps the call tree it
+//! has seen as a tree of nodes: entering a span finds the child of the
+//! innermost open span by name, leaving it adds to that node's stats,
+//! so nesting is recovered from runtime call structure without any
+//! global registration, lock or allocation per span. A thread's stats
+//! reach the profiler's shared table in batches: every few thousand
+//! root-span exits, on [`Profiler::snapshot`] from that thread, and
+//! when the thread exits.
 //!
 //! The aggregate — a [`Profile`] — keys stats by the full span *path*
 //! (e.g. `sim.event / core.handle.message / core.piece_pick`) and
@@ -48,9 +51,9 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::registry::buckets;
 use crate::time::TimeSource;
@@ -139,27 +142,104 @@ type Path = Vec<&'static str>;
 
 #[derive(Debug)]
 struct ProfInner {
-    /// Distinguishes this profiler's frames in the per-thread arenas.
+    /// Distinguishes this profiler's arena among a thread's arenas;
+    /// never 0, which a disabled profiler's guards carry.
     id: u64,
     time: TimeSource,
     stats: Mutex<BTreeMap<Path, SpanStat>>,
 }
 
-/// One open span on a thread's stack (its name lives in `Arena::path`).
+impl ProfInner {
+    /// The shared table. Every update is one whole `SpanStat::merge`,
+    /// so the table is valid even if a holder of the lock panicked.
+    fn table(&self) -> MutexGuard<'_, BTreeMap<Path, SpanStat>> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// One open span on a thread's stack.
 struct Frame {
+    node: usize,
     start_us: u64,
     /// Total microseconds spent in already-closed direct children.
     child_us: u64,
 }
 
-/// Per-thread, per-profiler span state: the open-span stack and stats
-/// accumulated since the last flush (flushed whenever the stack
-/// empties, i.e. at every root-span exit).
+/// One position in a thread's call tree: a span name under one chain of
+/// ancestors. Node 0 is the nameless parent of every root span.
+#[derive(Default)]
+struct Node {
+    name: &'static str,
+    parent: usize,
+    children: Vec<usize>,
+    /// Completions since the last flush.
+    pending: SpanStat,
+}
+
+/// Root-span exits between two flushes of a thread's arena: what a
+/// snapshot taken from another thread can lag a live thread by.
+const FLUSH_ROOTS: u32 = 4096;
+
+/// Per-thread, per-profiler span state: the call tree seen so far, the
+/// open-span stack into it, and each node's stats since the last flush.
 struct Arena {
-    prof_id: u64,
+    prof: Arc<ProfInner>,
+    nodes: Vec<Node>,
     stack: Vec<Frame>,
-    path: Path,
-    pending: HashMap<Path, SpanStat>,
+    roots_closed: u32,
+}
+
+impl Arena {
+    /// The child of `parent` called `name`, made on first sight. Names
+    /// are compared by address: two literals with one spelling may get
+    /// two nodes, which `flush` folds back into one path.
+    fn child(&mut self, parent: usize, name: &'static str) -> usize {
+        let known = &self.nodes[parent].children;
+        if let Some(&at) = known
+            .iter()
+            .find(|&&c| std::ptr::eq(self.nodes[c].name, name))
+        {
+            return at;
+        }
+        let at = self.nodes.len();
+        self.nodes[parent].children.push(at);
+        self.nodes.push(Node {
+            name,
+            parent,
+            ..Node::default()
+        });
+        at
+    }
+
+    /// Move every node's pending stats into the shared table, keyed by
+    /// the node's path. Open spans stay on the stack and record into
+    /// their (now empty) nodes when they close.
+    fn flush(&mut self) {
+        self.roots_closed = 0;
+        let mut shared = self.prof.table();
+        for i in 1..self.nodes.len() {
+            if self.nodes[i].pending.count == 0 {
+                continue;
+            }
+            let mut path = Path::new();
+            let mut at = i;
+            while at != 0 {
+                path.push(self.nodes[at].name);
+                at = self.nodes[at].parent;
+            }
+            path.reverse();
+            let stat = std::mem::take(&mut self.nodes[i].pending);
+            shared.entry(path).or_default().merge(&stat);
+        }
+    }
+}
+
+/// A thread that exits hands in what it still holds, so spans closed
+/// on a worker are in the profile once the worker has been joined.
+impl Drop for Arena {
+    fn drop(&mut self) {
+        self.flush();
+    }
 }
 
 thread_local! {
@@ -210,45 +290,58 @@ impl Profiler {
     #[inline]
     pub fn span(&self, name: &'static str) -> SpanGuard {
         let Some(inner) = &self.inner else {
-            return SpanGuard { inner: None };
+            return SpanGuard { prof_id: 0 };
         };
-        let start = inner.time.now_micros();
+        let start_us = inner.time.now_micros();
         ARENAS.with(|cell| {
             let mut arenas = cell.borrow_mut();
-            let arena = match arenas.iter_mut().position(|a| a.prof_id == inner.id) {
+            let arena = match arenas.iter().position(|a| a.prof.id == inner.id) {
                 Some(i) => &mut arenas[i],
                 None => {
                     arenas.push(Arena {
-                        prof_id: inner.id,
+                        prof: inner.clone(),
+                        nodes: vec![Node::default()],
                         stack: Vec::with_capacity(8),
-                        path: Vec::with_capacity(8),
-                        pending: HashMap::new(),
+                        roots_closed: 0,
                     });
-                    arenas.last_mut().unwrap()
+                    arenas.last_mut().expect("just pushed")
                 }
             };
+            let parent = arena.stack.last().map_or(0, |f| f.node);
+            let node = arena.child(parent, name);
             arena.stack.push(Frame {
-                start_us: start,
+                node,
+                start_us,
                 child_us: 0,
             });
-            arena.path.push(name);
         });
-        SpanGuard {
-            inner: Some(inner.clone()),
-        }
+        SpanGuard { prof_id: inner.id }
     }
 
-    /// Point-in-time aggregate of every span completed so far. Stats of
-    /// spans still open (and of thread-local batches whose root span
-    /// has not yet closed) are not included, so take snapshots after
-    /// the instrumented work finishes for exact totals.
+    /// Point-in-time aggregate of completed spans: every one closed on
+    /// the calling thread or on a thread that has since exited, and,
+    /// for other live threads, those up to their arena's last flush
+    /// (every 4 096 root-span exits). Spans still open are
+    /// not included. Drivers snapshot on the thread that ran the work,
+    /// or after joining it, for exact totals.
     pub fn snapshot(&self) -> Profile {
-        match &self.inner {
-            Some(inner) => Profile {
-                spans: inner.stats.lock().unwrap().clone(),
-            },
-            None => Profile::default(),
-        }
+        let Some(inner) = &self.inner else {
+            return Profile::default();
+        };
+        ARENAS.with(|cell| {
+            let mut arenas = cell.borrow_mut();
+            if let Some(i) = arenas.iter().position(|a| a.prof.id == inner.id) {
+                if arenas[i].stack.is_empty() {
+                    // Idle: dropping it flushes, and lets go of the
+                    // profiler on threads that outlive it.
+                    arenas.swap_remove(i);
+                } else {
+                    arenas[i].flush();
+                }
+            }
+        });
+        let spans = inner.table().clone();
+        Profile { spans }
     }
 }
 
@@ -256,40 +349,35 @@ impl Profiler {
 /// elapsed time into its profiler. Created by [`Profiler::span`].
 #[must_use = "a span guard records on drop; binding it to _ closes it immediately"]
 pub struct SpanGuard {
-    inner: Option<Arc<ProfInner>>,
+    /// 0 for a disabled profiler's guard.
+    prof_id: u64,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(inner) = self.inner.take() else {
+        if self.prof_id == 0 {
             return;
-        };
-        let end = inner.time.now_micros();
+        }
         ARENAS.with(|cell| {
             let mut arenas = cell.borrow_mut();
-            let Some(arena) = arenas.iter_mut().find(|a| a.prof_id == inner.id) else {
+            let Some(arena) = arenas.iter_mut().find(|a| a.prof.id == self.prof_id) else {
                 debug_assert!(false, "span guard dropped on a thread that never opened it");
                 return;
             };
+            let end = arena.prof.time.now_micros();
             let Some(frame) = arena.stack.pop() else {
                 debug_assert!(false, "span stack underflow");
                 return;
             };
             let elapsed = end.saturating_sub(frame.start_us);
             let self_us = elapsed.saturating_sub(frame.child_us);
-            arena
-                .pending
-                .entry(arena.path.clone())
-                .or_default()
-                .record(elapsed, self_us);
-            arena.path.pop();
+            arena.nodes[frame.node].pending.record(elapsed, self_us);
             match arena.stack.last_mut() {
                 Some(parent) => parent.child_us += elapsed,
                 None => {
-                    // Root span closed: flush this thread's batch.
-                    let mut shared = inner.stats.lock().unwrap();
-                    for (path, stat) in arena.pending.drain() {
-                        shared.entry(path).or_default().merge(&stat);
+                    arena.roots_closed += 1;
+                    if arena.roots_closed >= FLUSH_ROOTS {
+                        arena.flush();
                     }
                 }
             }
@@ -521,32 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn same_leaf_under_different_parents_stays_split_in_tree() {
-        let prof = manual_prof();
-        let t = prof.time().unwrap().clone();
-        {
-            span!(prof, "p1");
-            {
-                span!(prof, "work");
-                t.advance_to(10);
-            }
-        }
-        {
-            span!(prof, "p2");
-            {
-                span!(prof, "work");
-                t.advance_to(25);
-            }
-        }
-        let p = prof.snapshot();
-        assert_eq!(p.get(&["p1", "work"]).unwrap().total_us, 10);
-        assert_eq!(p.get(&["p2", "work"]).unwrap().total_us, 15);
-        let flat: BTreeMap<_, _> = p.flat().into_iter().collect();
-        assert_eq!(flat["work"].total_us, 25);
-        assert_eq!(flat["work"].count, 2);
-    }
-
-    #[test]
     fn merge_is_commutative_and_recomputes_quantiles() {
         let mk = |n_fast: u64, n_slow: u64| {
             let prof = manual_prof();
@@ -596,7 +658,7 @@ mod tests {
     }
 
     #[test]
-    fn spans_from_multiple_threads_aggregate() {
+    fn spans_closed_on_worker_threads_are_visible_after_join() {
         let prof = manual_prof();
         let t = prof.time().unwrap().clone();
         t.advance_to(3);
@@ -604,8 +666,11 @@ mod tests {
             .map(|_| {
                 let prof = prof.clone();
                 std::thread::spawn(move || {
+                    // Far fewer roots than a batch: only the exiting
+                    // thread's hand-in can make these visible.
                     for _ in 0..10 {
                         span!(prof, "worker");
+                        span!(prof, "step");
                     }
                 })
             })
@@ -615,19 +680,174 @@ mod tests {
         }
         let p = prof.snapshot();
         assert_eq!(p.get(&["worker"]).unwrap().count, 40);
+        assert_eq!(p.get(&["worker", "step"]).unwrap().count, 40);
     }
 
     #[test]
-    fn two_profilers_on_one_thread_stay_independent() {
+    fn spans_under_an_open_root_take_no_lock() {
+        let prof = manual_prof();
+        let _root = prof.span("root");
+        // With the shared table held, anything that wanted it would
+        // deadlock here.
+        let table = prof.inner.as_ref().unwrap().table();
+        for _ in 0..10_000 {
+            span!(prof, "outer");
+            span!(prof, "inner");
+        }
+        assert!(
+            table.is_empty(),
+            "nothing is handed in before the root closes"
+        );
+    }
+
+    #[test]
+    fn a_live_thread_hands_in_a_batch_every_flush_roots_root_exits() {
+        let prof = manual_prof();
+        let (ready, wait) = std::sync::mpsc::channel();
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let worker = {
+            let prof = prof.clone();
+            std::thread::spawn(move || {
+                for _ in 0..FLUSH_ROOTS + 5 {
+                    span!(prof, "tick");
+                }
+                ready.send(()).unwrap();
+                held.recv().unwrap();
+            })
+        };
+        wait.recv().unwrap();
+        // The worker is alive and idle: one full batch has been handed
+        // in, the 5 after it are still in its arena.
+        assert_eq!(
+            prof.snapshot().get(&["tick"]).unwrap().count,
+            u64::from(FLUSH_ROOTS)
+        );
+        release.send(()).unwrap();
+        worker.join().unwrap();
+        assert_eq!(
+            prof.snapshot().get(&["tick"]).unwrap().count,
+            u64::from(FLUSH_ROOTS) + 5
+        );
+    }
+
+    #[test]
+    fn recursion_gets_a_node_per_depth() {
+        let prof = manual_prof();
+        let t = prof.time().unwrap().clone();
+        fn descend(prof: &Profiler, t: &TimeSource, depth: u64) {
+            span!(prof, "a");
+            t.advance_to(t.now_micros() + 1);
+            if depth > 1 {
+                descend(prof, t, depth - 1);
+            }
+        }
+        descend(&prof, &t, 3);
+        descend(&prof, &t, 2);
+        let p = prof.snapshot();
+        let a1 = p.get(&["a"]).unwrap();
+        assert_eq!((a1.count, a1.total_us, a1.self_us), (2, 5, 2));
+        let a2 = p.get(&["a", "a"]).unwrap();
+        assert_eq!((a2.count, a2.total_us, a2.self_us), (2, 3, 2));
+        let a3 = p.get(&["a", "a", "a"]).unwrap();
+        assert_eq!((a3.count, a3.total_us, a3.self_us), (1, 1, 1));
+        assert_eq!(p.spans.len(), 3);
+        assert_eq!(p.flat()[0].1.count, 5);
+    }
+
+    #[test]
+    fn one_leaf_name_under_two_parents_and_at_the_root_are_three_nodes() {
+        let prof = manual_prof();
+        let t = prof.time().unwrap().clone();
+        let mut now = 0;
+        let mut work = |us: u64| {
+            span!(prof, "work");
+            now += us;
+            t.advance_to(now);
+        };
+        for _ in 0..3 {
+            {
+                span!(prof, "root");
+                {
+                    span!(prof, "p1");
+                    work(1);
+                }
+                {
+                    span!(prof, "p2");
+                    work(10);
+                    work(10);
+                }
+            }
+            work(100);
+        }
+        let p = prof.snapshot();
+        let stat = |path: &[&'static str]| {
+            let s = p.get(path).unwrap();
+            (s.count, s.total_us)
+        };
+        assert_eq!(stat(&["root", "p1", "work"]), (3, 3));
+        assert_eq!(stat(&["root", "p2", "work"]), (6, 60));
+        assert_eq!(stat(&["work"]), (3, 300));
+        assert_eq!(stat(&["root"]), (3, 63));
+        assert_eq!(p.get(&["root"]).unwrap().self_us, 0);
+        // The flat view sums the three back into one name.
+        let flat: BTreeMap<_, _> = p.flat().into_iter().collect();
+        assert_eq!((flat["work"].count, flat["work"].total_us), (12, 363));
+    }
+
+    #[test]
+    fn a_guard_outliving_a_snapshot_records_into_the_flushed_arena() {
+        let prof = manual_prof();
+        let t = prof.time().unwrap().clone();
+        let outer = prof.span("outer");
+        {
+            span!(prof, "inner");
+            t.advance_to(10);
+        }
+        // Flushes this thread's arena while `outer` is still open.
+        let mid = prof.snapshot();
+        assert_eq!(mid.get(&["outer", "inner"]).unwrap().total_us, 10);
+        assert!(mid.get(&["outer"]).is_none(), "open spans are not included");
+        {
+            span!(prof, "inner");
+            t.advance_to(25);
+        }
+        t.advance_to(30);
+        drop(outer);
+        let p = prof.snapshot();
+        let outer = p.get(&["outer"]).unwrap();
+        assert_eq!((outer.count, outer.total_us, outer.self_us), (1, 30, 5));
+        let inner = p.get(&["outer", "inner"]).unwrap();
+        assert_eq!((inner.count, inner.total_us), (2, 25));
+        // Idle now: the snapshot let the arena go, and a fresh one works.
+        {
+            span!(prof, "outer");
+        }
+        assert_eq!(prof.snapshot().get(&["outer"]).unwrap().count, 2);
+    }
+
+    #[test]
+    fn two_profilers_interleaved_on_one_thread_stay_independent() {
         let pa = manual_prof();
         let pb = manual_prof();
+        let (ta, tb) = (pa.time().unwrap().clone(), pb.time().unwrap().clone());
         {
             span!(pa, "a");
             span!(pb, "b");
+            {
+                span!(pa, "a.child");
+                span!(pb, "b.child");
+                ta.advance_to(7);
+                tb.advance_to(70);
+            }
+            // Snapshotting one must not disturb the other's open spans.
+            assert!(pa.snapshot().get(&["a", "a.child"]).is_some());
         }
-        assert!(pa.snapshot().get(&["a"]).is_some());
-        assert!(pa.snapshot().get(&["b"]).is_none());
-        assert!(pb.snapshot().get(&["b"]).is_some());
+        let (a, b) = (pa.snapshot(), pb.snapshot());
+        assert_eq!(a.spans.len(), 2);
+        assert_eq!(b.spans.len(), 2);
+        assert_eq!(a.get(&["a"]).unwrap().total_us, 7);
+        assert_eq!(b.get(&["b", "b.child"]).unwrap().total_us, 70);
+        assert!(a.get(&["b"]).is_none() && b.get(&["a"]).is_none());
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// SplitMix64 finalizer — the same injective mixer `PeerId::new` and
 /// the PR 8 peer-class placement use. Sampling decisions hash through
@@ -99,42 +99,217 @@ pub struct TraceEvent {
 impl TraceEvent {
     /// Render as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96);
-        self.write_json(&mut out);
-        out
+        let (keys, vals): (Vec<_>, Vec<_>) = self.args.iter().copied().unzip();
+        let (at, id) = (self.at_micros, self.id);
+        let mut out = Vec::with_capacity(96);
+        push_event(&mut out, false, at, self.cat, self.name, id, &keys, &vals);
+        String::from_utf8(out).expect("built from strs and digits")
     }
+}
 
-    fn write_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "{{\"t\":{},\"cat\":\"{}\",\"name\":\"{}\",\"id\":{}",
-            self.at_micros,
-            self.cat.as_str(),
-            self.name,
-            self.id
-        );
-        for (k, v) in &self.args {
-            let _ = write!(out, ",\"{k}\":{v}");
+fn push_strs(out: &mut Vec<u8>, parts: &[&str]) {
+    for part in parts {
+        out.extend_from_slice(part.as_bytes());
+    }
+}
+
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
-        out.push('}');
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// The Chrome document's head: the three pid tracks, named once.
+const CHROME_HEAD: &str = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+    {\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"piece lifecycle\"}},\
+    {\"ph\":\"M\",\"pid\":2,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"choke audit\"}},\
+    {\"ph\":\"M\",\"pid\":3,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"message provenance\"}}";
+
+/// One event, hand-formatted: a JSONL object
+/// `{"t":..,"cat":"..","name":"..","id":..,<args>}`, or with `chrome`
+/// a Chrome trace event. The metadata records of [`CHROME_HEAD`]
+/// always come first, so every Chrome event, the first too, opens with
+/// a separator and an empty trace leaves no dangling comma.
+#[allow(clippy::too_many_arguments)]
+fn push_event(
+    out: &mut Vec<u8>,
+    chrome: bool,
+    at_micros: u64,
+    cat: TraceCat,
+    name: &str,
+    id: u64,
+    keys: &[&str],
+    vals: &[i64],
+) {
+    if chrome {
+        let (pid, ph) = match (cat, name) {
+            (TraceCat::Piece, "injected") => ("1", "b"),
+            (TraceCat::Piece, "k_replicated") => ("1", "e"),
+            (TraceCat::Piece, _) => ("1", "n"),
+            (TraceCat::Choke, _) => ("2", "i"),
+            (TraceCat::Msg, _) => ("3", "i"),
+        };
+        let lifecycle = ph == "b" || ph == "e";
+        let shown = if lifecycle { "lifecycle" } else { name };
+        push_strs(out, &[",{\"ph\":\"", ph, "\",\"cat\":\"", cat.as_str()]);
+        push_strs(out, &["\",\"name\":\"", shown, "\",\"ts\":"]);
+        push_u64(out, at_micros);
+        push_strs(out, &[",\"pid\":", pid, ",\"tid\":"]);
+        push_u64(out, id);
+        if ph == "i" {
+            push_strs(out, &[",\"s\":\"t\""]);
+        } else {
+            push_strs(out, &[",\"id\":"]);
+            push_u64(out, id);
+        }
+        push_strs(out, &[",\"args\":{\"event\":\"", name, "\""]);
+    } else {
+        push_strs(out, &["{\"t\":"]);
+        push_u64(out, at_micros);
+        push_strs(out, &[",\"cat\":\"", cat.as_str(), "\",\"name\":\"", name]);
+        push_strs(out, &["\",\"id\":"]);
+        push_u64(out, id);
+    }
+    for (k, v) in keys.iter().zip(vals) {
+        push_strs(out, &[",\"", k, if *v < 0 { "\":-" } else { "\":" }]);
+        push_u64(out, v.unsigned_abs());
+    }
+    push_strs(out, &[if chrome { "}}" } else { "}" }]);
+}
+
+/// One call site as a chunk sees it: category, event name and arg
+/// keys, so an event carries an index in place of them.
+#[derive(Clone)]
+struct Shape {
+    cat: TraceCat,
+    name: &'static str,
+    keys: Arc<[&'static str]>,
+}
+
+impl Shape {
+    /// Whether a `record` call has this shape. Strings are compared by
+    /// address: a call site passes the same literals every time, and
+    /// two sites that spell a shape alike at worst hold two copies.
+    fn fits(&self, cat: TraceCat, name: &'static str, args: &[(&'static str, i64)]) -> bool {
+        let mut keys = self.keys.iter().zip(args);
+        self.cat == cat
+            && std::ptr::eq(self.name, name)
+            && self.keys.len() == args.len()
+            && keys.all(|(k, a)| std::ptr::eq(*k, a.0))
     }
 }
 
-/// The sort key that makes export order independent of which thread's
-/// arena flushed first. Stable-sorting by it preserves single-thread
-/// insertion order inside equal keys — deliberately *not* keyed on the
-/// event name, so a chain's causal emission order (`injected` before
-/// `first_have` at the same instant) survives the sort.
-fn sort_key(e: &TraceEvent) -> (u64, TraceCat, u64) {
-    (e.at_micros, e.cat, e.id)
+/// One event: 24 bytes, its arg values `keys.len()` slots from `vals`
+/// on in its chunk's value column.
+#[derive(Clone, Copy)]
+struct Rec {
+    at_micros: u64,
+    id: u64,
+    shape: u32,
+    vals: u32,
 }
 
-const ARENA_FLUSH: usize = 512;
+/// Events a chunk has room for (48 KiB of [`Rec`]s): also what a live
+/// `/trace` view can lag a recording thread by.
+const CHUNK_RECS: usize = 2048;
 
+/// Arg values a chunk has room for (96 KiB): six an event, so a chunk
+/// of seven-arg choke-audit lines fills both columns about evenly.
+const CHUNK_VALS: usize = 6 * CHUNK_RECS;
+
+/// A batch of events from one thread in two columns, with the shapes
+/// they index. Filled in the thread's arena and moved into the store
+/// when the next event does not fit, so no column is ever reallocated.
+#[derive(Clone)]
+struct Chunk {
+    shapes: Vec<Shape>,
+    recs: Vec<Rec>,
+    vals: Vec<i64>,
+}
+
+impl Chunk {
+    /// An empty chunk that knows `shapes` already (its thread will use
+    /// them again; sharing the keys makes the copy one allocation).
+    fn new(shapes: Vec<Shape>) -> Chunk {
+        Chunk {
+            shapes,
+            recs: Vec::with_capacity(CHUNK_RECS),
+            vals: Vec::with_capacity(CHUNK_VALS),
+        }
+    }
+
+    /// Event `i` with its shape and arg values.
+    fn event(&self, i: u32) -> (&Rec, &Shape, &[i64]) {
+        let r = &self.recs[i as usize];
+        let s = &self.shapes[r.shape as usize];
+        (r, s, &self.vals[r.vals as usize..][..s.keys.len()])
+    }
+}
+
+/// Position of an event in the store: chunk index, then index within.
+type Pos = (u32, u32);
+
+/// The export order over `chunks`: every position, stable by (time,
+/// category, chain id), so it does not depend on which thread's chunk
+/// arrived first, and a chain's causal emission order (`injected`
+/// before `first_have` at one instant) survives — which is why the
+/// event name is not part of the key.
+fn sorted(chunks: &[Chunk]) -> Vec<Pos> {
+    let mut order = Vec::with_capacity(chunks.iter().map(|c| c.recs.len()).sum());
+    for (c, chunk) in chunks.iter().enumerate() {
+        order.extend((0..chunk.recs.len() as u32).map(|i| (c as u32, i)));
+    }
+    order.sort_by_key(|&(c, i)| {
+        let chunk = &chunks[c as usize];
+        let r = &chunk.recs[i as usize];
+        (r.at_micros, chunk.shapes[r.shape as usize].cat, r.id)
+    });
+    order
+}
+
+/// Bytes rendered between two writes to an export's sink.
+const EXPORT_CHUNK: usize = 64 << 10;
+
+/// Render the events at `order` into `out`, calling `full` whenever a
+/// chunk's worth of text has built up.
+fn render(
+    chunks: &[Chunk],
+    order: &[Pos],
+    chrome: bool,
+    out: &mut Vec<u8>,
+    mut full: impl FnMut(&mut Vec<u8>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    if chrome {
+        out.extend_from_slice(CHROME_HEAD.as_bytes());
+    }
+    for &(c, i) in order {
+        let (r, s, vals) = chunks[c as usize].event(i);
+        push_event(out, chrome, r.at_micros, s.cat, s.name, r.id, &s.keys, vals);
+        if !chrome {
+            out.push(b'\n');
+        }
+        if out.len() >= EXPORT_CHUNK {
+            full(out)?;
+        }
+    }
+    if chrome {
+        out.extend_from_slice(b"]}");
+    }
+    Ok(())
+}
+
+/// Per-thread, per-tracer state: the chunk being filled.
 struct TraceArena {
     tracer_id: u64,
-    pending: Vec<TraceEvent>,
+    chunk: Chunk,
 }
 
 thread_local! {
@@ -161,8 +336,17 @@ struct TracerInner {
     pinned_piece: AtomicU64,
     /// Same guarantee for choke audits: the minimal-hash peer id.
     pinned_peer: AtomicU64,
-    events: Mutex<Vec<TraceEvent>>,
+    /// Every chunk handed in. Append-only, so a [`Pos`] stays valid.
+    events: Mutex<Vec<Chunk>>,
     flight: Option<FlightRecorder>,
+}
+
+impl TracerInner {
+    /// The shared store. Every update appends one whole chunk, so it
+    /// is valid even if a holder of the lock panicked.
+    fn store(&self) -> MutexGuard<'_, Vec<Chunk>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Handle to the causal trace buffer. Cheap to clone (`Arc`-backed);
@@ -206,58 +390,41 @@ impl Tracer {
         Tracer { inner: None }
     }
 
+    /// This handle with `set` applied to its settings. A handle that
+    /// has clones cannot change under them: it becomes a tracer of its
+    /// own — fresh id, hence its own per-thread arenas — starting from
+    /// a copy of what this thread and every handed-in chunk recorded.
+    fn reconfigured(self, set: impl FnOnce(&mut TracerInner)) -> Tracer {
+        self.flush_local();
+        let Some(arc) = self.inner else { return self };
+        let mut inner = Arc::try_unwrap(arc).unwrap_or_else(|shared| TracerInner {
+            id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
+            seed: shared.seed,
+            rate: shared.rate,
+            k_target: shared.k_target,
+            pinned_piece: AtomicU64::new(shared.pinned_piece.load(Ordering::Relaxed)),
+            pinned_peer: AtomicU64::new(shared.pinned_peer.load(Ordering::Relaxed)),
+            events: Mutex::new(shared.store().clone()),
+            flight: shared.flight.clone(),
+        });
+        set(&mut inner);
+        Tracer {
+            inner: Some(Arc::new(inner)),
+        }
+    }
+
     /// Attach a flight recorder: every recorded event is also pushed
     /// into its bounded ring. Consumes `self` so the recorder is wired
     /// before the tracer is cloned into drivers.
     #[must_use]
     pub fn with_flight(self, recorder: FlightRecorder) -> Tracer {
-        match self.inner {
-            None => Tracer { inner: None },
-            Some(arc) => {
-                let inner = Arc::try_unwrap(arc).unwrap_or_else(|arc| TracerInner {
-                    id: arc.id,
-                    seed: arc.seed,
-                    rate: arc.rate,
-                    k_target: arc.k_target,
-                    pinned_piece: AtomicU64::new(arc.pinned_piece.load(Ordering::Relaxed)),
-                    pinned_peer: AtomicU64::new(arc.pinned_peer.load(Ordering::Relaxed)),
-                    events: Mutex::new(arc.events.lock().unwrap().clone()),
-                    flight: None,
-                });
-                Tracer {
-                    inner: Some(Arc::new(TracerInner {
-                        flight: Some(recorder),
-                        ..inner
-                    })),
-                }
-            }
-        }
+        self.reconfigured(|i| i.flight = Some(recorder))
     }
 
     /// Replication target that closes a piece lifecycle (default 4).
     #[must_use]
     pub fn with_k_target(self, k: u32) -> Tracer {
-        match self.inner {
-            None => Tracer { inner: None },
-            Some(arc) => {
-                let inner = Arc::try_unwrap(arc).unwrap_or_else(|arc| TracerInner {
-                    id: arc.id,
-                    seed: arc.seed,
-                    rate: arc.rate,
-                    k_target: arc.k_target,
-                    pinned_piece: AtomicU64::new(arc.pinned_piece.load(Ordering::Relaxed)),
-                    pinned_peer: AtomicU64::new(arc.pinned_peer.load(Ordering::Relaxed)),
-                    events: Mutex::new(arc.events.lock().unwrap().clone()),
-                    flight: arc.flight.clone(),
-                });
-                Tracer {
-                    inner: Some(Arc::new(TracerInner {
-                        k_target: k.max(1),
-                        ..inner
-                    })),
-                }
-            }
-        }
+        self.reconfigured(|i| i.k_target = k.max(1))
     }
 
     /// Whether any recording can happen at all.
@@ -335,67 +502,141 @@ impl Tracer {
         args: &[(&'static str, i64)],
     ) {
         let Some(inner) = &self.inner else { return };
-        let ev = TraceEvent {
-            at_micros,
-            cat,
-            name,
-            id,
-            args: args.to_vec(),
-        };
         if let Some(fr) = &inner.flight {
-            fr.observe(&ev);
+            fr.observe(&TraceEvent {
+                at_micros,
+                cat,
+                name,
+                id,
+                args: args.to_vec(),
+            });
         }
         ARENAS.with(|cell| {
             let mut arenas = cell.borrow_mut();
-            let arena = match arenas.iter_mut().find(|a| a.tracer_id == inner.id) {
-                Some(a) => a,
+            let chunk = match arenas.iter().position(|a| a.tracer_id == inner.id) {
+                Some(i) => &mut arenas[i].chunk,
                 None => {
                     arenas.push(TraceArena {
                         tracer_id: inner.id,
-                        pending: Vec::with_capacity(ARENA_FLUSH),
+                        chunk: Chunk::new(Vec::new()),
                     });
-                    arenas.last_mut().unwrap()
+                    &mut arenas.last_mut().expect("just pushed").chunk
                 }
             };
-            arena.pending.push(ev);
-            if arena.pending.len() >= ARENA_FLUSH {
-                inner.events.lock().unwrap().append(&mut arena.pending);
+            let full = chunk.recs.len() >= CHUNK_RECS || chunk.vals.len() + args.len() > CHUNK_VALS;
+            if full {
+                let next = Chunk::new(chunk.shapes.clone());
+                inner.store().push(std::mem::replace(chunk, next));
             }
+            let found = chunk.shapes.iter().position(|s| s.fits(cat, name, args));
+            let shape = found.unwrap_or_else(|| {
+                let keys = args.iter().map(|a| a.0).collect();
+                chunk.shapes.push(Shape { cat, name, keys });
+                chunk.shapes.len() - 1
+            });
+            chunk.recs.push(Rec {
+                at_micros,
+                id,
+                shape: shape as u32,
+                vals: u32::try_from(chunk.vals.len()).expect("a chunk holds under 2^32 values"),
+            });
+            chunk.vals.extend(args.iter().map(|a| a.1));
         });
     }
 
-    /// Flush this thread's arena into the shared buffer. Drivers call
-    /// it at end of run (the profiler flushes at root-span exit the
-    /// same way); [`snapshot_sorted`](Tracer::snapshot_sorted) calls it
-    /// for the exporting thread automatically.
+    /// Hand this thread's unfinished chunk to the shared buffer.
+    /// Drivers call it at end of run on every thread that recorded; the
+    /// exports and [`len`](Tracer::len) call it for their own thread.
     pub fn flush_local(&self) {
         let Some(inner) = &self.inner else { return };
         ARENAS.with(|cell| {
             let mut arenas = cell.borrow_mut();
-            if let Some(a) = arenas.iter_mut().find(|a| a.tracer_id == inner.id) {
-                if !a.pending.is_empty() {
-                    inner.events.lock().unwrap().append(&mut a.pending);
-                }
+            if let Some(i) = arenas.iter().position(|a| a.tracer_id == inner.id) {
+                inner.store().push(arenas.swap_remove(i).chunk);
             }
-            arenas.retain(|a| a.tracer_id != inner.id || !a.pending.is_empty());
         });
     }
 
-    /// All recorded events in the canonical export order (stable sort
-    /// by time, category, chain id). Non-destructive.
-    pub fn snapshot_sorted(&self) -> Vec<TraceEvent> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
+    /// Events recorded so far (this thread's included).
+    pub fn len(&self) -> usize {
         self.flush_local();
-        let mut events = inner.events.lock().unwrap().clone();
-        events.sort_by_key(sort_key);
-        events
+        let store = self.inner.as_ref().map(|i| i.store());
+        store.map_or(0, |s| s.iter().map(|c| c.recs.len()).sum())
+    }
+
+    /// True when nothing was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Run `f` on the store (held locked meanwhile) and its events'
+    /// positions in the canonical export order.
+    fn with_sorted<R>(&self, f: impl FnOnce(&[Chunk], &[Pos]) -> R) -> R {
+        self.flush_local();
+        let Some(inner) = &self.inner else {
+            return f(&[], &[]);
+        };
+        let store = inner.store();
+        f(&store, &sorted(&store))
+    }
+
+    /// All recorded events in the canonical export order (stable by
+    /// time, category, chain id), as owned values for consumers that
+    /// walk them. Non-destructive.
+    pub fn snapshot_sorted(&self) -> Vec<TraceEvent> {
+        self.with_sorted(|chunks, order| {
+            let event = |&(c, i): &Pos| {
+                let (r, s, vals) = chunks[c as usize].event(i);
+                TraceEvent {
+                    at_micros: r.at_micros,
+                    cat: s.cat,
+                    name: s.name,
+                    id: r.id,
+                    args: s.keys.iter().copied().zip(vals.iter().copied()).collect(),
+                }
+            };
+            order.iter().map(event).collect()
+        })
+    }
+
+    /// Stream the sorted deterministic JSONL (one event object per
+    /// line) and/or the Chrome trace-event JSON into the given sinks,
+    /// both from one sort, rendered straight from the store and handed
+    /// over a chunk of text at a time.
+    pub fn export(
+        &self,
+        jsonl: Option<&mut dyn std::io::Write>,
+        chrome: Option<&mut dyn std::io::Write>,
+    ) -> std::io::Result<()> {
+        self.with_sorted(|chunks, order| {
+            let mut buf = Vec::with_capacity(EXPORT_CHUNK + 1024);
+            let mut stream = |is_chrome, sink: Option<&mut dyn std::io::Write>| {
+                let Some(w) = sink else { return Ok(()) };
+                buf.clear();
+                render(chunks, order, is_chrome, &mut buf, |buf| {
+                    w.write_all(buf)?;
+                    buf.clear();
+                    Ok(())
+                })?;
+                w.write_all(&buf)
+            };
+            stream(false, jsonl)?;
+            stream(true, chrome)
+        })
+    }
+
+    /// One export built in memory, in a single buffer.
+    fn to_string(&self, chrome: bool) -> String {
+        self.with_sorted(|chunks, order| {
+            let mut out = Vec::with_capacity(order.len() * if chrome { 224 } else { 160 });
+            render(chunks, order, chrome, &mut out, |_| Ok(())).expect("nothing is written");
+            String::from_utf8(out).expect("built from strs and digits")
+        })
     }
 
     /// Sorted deterministic JSONL export: one event object per line.
     pub fn to_jsonl(&self) -> String {
-        events_to_jsonl(&self.snapshot_sorted())
+        self.to_string(false)
     }
 
     /// Chrome trace-event JSON export (open in Perfetto or
@@ -403,86 +644,8 @@ impl Tracer {
     /// (`b`/`n`/`e` per piece id), choke audits and message provenance
     /// as instant events on per-id tracks.
     pub fn to_chrome_json(&self) -> String {
-        events_to_chrome_json(&self.snapshot_sorted())
+        self.to_string(true)
     }
-}
-
-/// Render pre-sorted events as JSONL (one object per line, trailing
-/// newline when non-empty).
-pub fn events_to_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96);
-    for e in events {
-        e.write_json(&mut out);
-        out.push('\n');
-    }
-    out
-}
-
-/// Render pre-sorted events in the Chrome trace-event JSON format.
-pub fn events_to_chrome_json(events: &[TraceEvent]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(events.len() * 128 + 256);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    // Name the three pid tracks once up front.
-    for (i, (pid, pname)) in [
-        (1, "piece lifecycle"),
-        (2, "choke audit"),
-        (3, "message provenance"),
-    ]
-    .iter()
-    .enumerate()
-    {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{{\"name\":\"{pname}\"}}}}"
-        );
-    }
-    // The metadata records above always precede the events, so every
-    // event needs a leading separator — including the first, whose
-    // absence used to leave a dangling comma on empty snapshots.
-    for e in events {
-        out.push(',');
-        let (pid, ph) = match e.cat {
-            TraceCat::Piece => match e.name {
-                "injected" => (1, "b"),
-                "k_replicated" => (1, "e"),
-                _ => (1, "n"),
-            },
-            TraceCat::Choke => (2, "i"),
-            TraceCat::Msg => (3, "i"),
-        };
-        let _ = write!(
-            out,
-            "{{\"ph\":\"{ph}\",\"cat\":\"{}\",\"name\":\"{}\",\"ts\":{},\"pid\":{pid},\
-             \"tid\":{}",
-            e.cat.as_str(),
-            if ph == "b" || ph == "e" {
-                "lifecycle"
-            } else {
-                e.name
-            },
-            e.at_micros,
-            e.id
-        );
-        if ph == "b" || ph == "n" || ph == "e" {
-            let _ = write!(out, ",\"id\":{}", e.id);
-        }
-        if ph == "i" {
-            out.push_str(",\"s\":\"t\"");
-        }
-        out.push_str(",\"args\":{");
-        let _ = write!(out, "\"event\":\"{}\"", e.name);
-        for (k, v) in &e.args {
-            let _ = write!(out, ",\"{k}\":{v}");
-        }
-        out.push_str("}}");
-    }
-    out.push_str("]}");
-    out
 }
 
 /// Context handed to [`FlightRecorder::dump`]: everything the bundle
@@ -596,7 +759,7 @@ impl FlightRecorder {
             if i > 0 {
                 out.push(',');
             }
-            e.write_json(&mut out);
+            out.push_str(&e.to_json());
         }
         out.push_str("],\"log\":[");
         for (i, r) in self.inner.log.records().iter().enumerate() {
@@ -795,14 +958,20 @@ mod tests {
     }
 
     #[test]
-    fn arena_flushes_at_batch_size_and_on_snapshot() {
+    fn arena_hands_in_full_chunks_and_the_rest_on_snapshot() {
         let t = Tracer::new(1, 1);
-        for i in 0..(ARENA_FLUSH as u64 + 10) {
-            t.record(i, TraceCat::Choke, "audit", 0, &[]);
+        // Two chunks' worth and a bit, in events of two sizes.
+        let n = 2 * CHUNK_RECS + 10;
+        for i in 0..n as u64 {
+            let args: &[(&'static str, i64)] = if i % 2 == 0 { &[] } else { &[("i", 7)] };
+            t.record(i, TraceCat::Choke, "audit", 0, args);
         }
-        assert_eq!(t.snapshot_sorted().len(), ARENA_FLUSH + 10);
+        let handed_in = t.inner.as_ref().unwrap().store().len();
+        assert!(handed_in >= 2, "only {handed_in} chunks reached the store");
+        assert_eq!(t.snapshot_sorted().len(), n);
         // Snapshot again: nothing lost, nothing duplicated.
-        assert_eq!(t.snapshot_sorted().len(), ARENA_FLUSH + 10);
+        assert_eq!(t.snapshot_sorted().len(), n);
+        assert_eq!(t.len(), n);
     }
 
     #[test]
@@ -837,17 +1006,131 @@ mod tests {
     fn chrome_export_of_empty_snapshot_has_no_dangling_comma() {
         // The live /trace route can snapshot before any event lands;
         // the export must still be valid JSON (no `},]` tail).
-        let json = events_to_chrome_json(&[]);
+        let t = Tracer::new(1, 1);
+        let json = t.to_chrome_json();
         assert!(json.ends_with("}}]}"), "unexpected tail: {json}");
         assert!(!json.contains(",]"));
-        let one = [TraceEvent {
-            at_micros: 1,
-            cat: TraceCat::Msg,
-            name: "send",
-            id: 0,
-            args: vec![],
-        }];
-        assert!(!events_to_chrome_json(&one).contains(",]"));
+        t.record(1, TraceCat::Msg, "send", 0, &[]);
+        assert!(!t.to_chrome_json().contains(",]"));
+        assert_eq!(Tracer::disabled().to_chrome_json(), json);
+    }
+
+    #[test]
+    fn negative_and_extreme_values_render_as_fmt_would() {
+        let t = Tracer::new(1, 1);
+        let args = [("lo", i64::MIN), ("hi", i64::MAX), ("neg", -1), ("zero", 0)];
+        t.record(u64::MAX, TraceCat::Choke, "audit", u64::MAX, &args);
+        let expected = format!(
+            "{{\"t\":{0},\"cat\":\"choke\",\"name\":\"audit\",\"id\":{0},\"lo\":{1},\"hi\":{2},\"neg\":-1,\"zero\":0}}",
+            u64::MAX,
+            i64::MIN,
+            i64::MAX
+        );
+        assert_eq!(t.to_jsonl(), format!("{expected}\n"));
+        assert_eq!(t.snapshot_sorted()[0].to_json(), expected);
+        assert_eq!(t.snapshot_sorted()[0].args, args);
+    }
+
+    #[test]
+    fn one_export_call_streams_both_documents() {
+        let t = Tracer::new(1, 1);
+        // Enough events that the writer hands over several chunks.
+        for i in 0..5_000u64 {
+            t.record(
+                5_000 - i,
+                TraceCat::Piece,
+                "verified",
+                i % 7,
+                &[("peer", 3)],
+            );
+            t.record(
+                i,
+                TraceCat::Choke,
+                "round",
+                1,
+                &[("flips", -2), ("peers", 9)],
+            );
+        }
+        assert_eq!((t.len(), t.is_empty()), (10_000, false));
+        let (mut jsonl, mut chrome) = (Vec::new(), Vec::new());
+        t.export(Some(&mut jsonl), Some(&mut chrome)).unwrap();
+        assert!(jsonl.len() > 2 * EXPORT_CHUNK);
+        assert_eq!(String::from_utf8(jsonl).unwrap(), t.to_jsonl());
+        assert_eq!(String::from_utf8(chrome).unwrap(), t.to_chrome_json());
+        assert_eq!(t.to_jsonl().lines().count(), t.len());
+        let times: Vec<u64> = t.snapshot_sorted().iter().map(|e| e.at_micros).collect();
+        assert!(times.windows(2).all(|w| w[0] <= w[1]));
+        // Either sink alone, and a disabled tracer's (empty) documents.
+        let mut only = Vec::new();
+        t.export(None, Some(&mut only)).unwrap();
+        assert_eq!(String::from_utf8(only).unwrap(), t.to_chrome_json());
+        let (mut jsonl, mut chrome) = (Vec::new(), Vec::new());
+        let off = Tracer::disabled();
+        off.export(Some(&mut jsonl), Some(&mut chrome)).unwrap();
+        assert!(jsonl.is_empty() && (off.len(), off.is_empty()) == (0, true));
+        assert_eq!(String::from_utf8(chrome).unwrap(), off.to_chrome_json());
+    }
+
+    #[test]
+    fn events_from_several_threads_merge_in_export_order() {
+        let t = Tracer::new(1, 1);
+        let handles: Vec<_> = (0..4u64)
+            .map(|w| {
+                let t = t.clone();
+                std::thread::spawn(move || {
+                    // Each worker has shapes of its own and shared ones.
+                    for i in 0..700u64 {
+                        t.record(i, TraceCat::Msg, "deliver", w, &[("to", w as i64)]);
+                        if w % 2 == 0 {
+                            t.record(i, TraceCat::Piece, "verified", w, &[]);
+                        }
+                    }
+                    t.flush_local();
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let events = t.snapshot_sorted();
+        assert_eq!(events.len(), 4 * 700 + 2 * 700);
+        assert!(events
+            .windows(2)
+            .all(|w| (w[0].at_micros, w[0].cat, w[0].id) <= (w[1].at_micros, w[1].cat, w[1].id)));
+        for e in &events {
+            match e.name {
+                "deliver" => assert_eq!(e.args, [("to", e.id as i64)]),
+                _ => assert!(e.args.is_empty() && e.cat == TraceCat::Piece),
+            }
+        }
+    }
+
+    /// `with_flight` / `with_k_target` on a handle that has clones used
+    /// to build a second tracer under the first one's id: the two then
+    /// shared one per-thread arena and whichever flushed first took the
+    /// other's pending events.
+    #[test]
+    fn reconfiguring_a_cloned_handle_makes_an_independent_tracer() {
+        let a = Tracer::new(5, 1);
+        a.record(1, TraceCat::Msg, "send", 0, &[("who", 0)]);
+        let b = a.clone().with_k_target(2);
+        let dir = std::env::temp_dir().join("bt-trace-reconfigured-unused");
+        let c = b.clone().with_flight(FlightRecorder::new(dir, 4, 5));
+        assert_eq!((a.k_target(), b.k_target(), c.k_target()), (4, 2, 2));
+        a.record(2, TraceCat::Msg, "send", 0, &[("who", 0)]);
+        b.record(3, TraceCat::Msg, "send", 0, &[("who", 1)]);
+        c.record(4, TraceCat::Msg, "send", 0, &[("who", 2)]);
+        let who = |t: &Tracer| -> Vec<(u64, i64)> {
+            let events = t.snapshot_sorted();
+            events.iter().map(|e| (e.at_micros, e.args[0].1)).collect()
+        };
+        // Each starts from what was recorded before it split off and
+        // then holds only its own.
+        assert_eq!(who(&b), [(1, 0), (3, 1)]);
+        assert_eq!(who(&a), [(1, 0), (2, 0)]);
+        assert_eq!(who(&c), [(1, 0), (4, 2)]);
+        assert_eq!(c.flight().unwrap().trace_slice().len(), 1);
+        assert!(a.flight().is_none() && b.flight().is_none());
     }
 
     #[test]

@@ -40,7 +40,7 @@ use bt_wire::tracker::{AnnounceEvent, PeerEntry};
 use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -396,6 +396,23 @@ struct PieceLife {
     done: bool,
 }
 
+impl PieceLife {
+    /// Close the lifecycle with `k_replicated` once enough verified
+    /// holders exist.
+    fn check_k_replicated(&mut self, tracer: &Tracer, now: Instant, piece: u32) {
+        if !self.done && self.injected && self.holders.len() >= tracer.k_target() as usize {
+            self.done = true;
+            tracer.record(
+                now.0,
+                TraceCat::Piece,
+                "k_replicated",
+                piece.into(),
+                &[("copies", self.holders.len() as i64)],
+            );
+        }
+    }
+}
+
 /// Piece id a message concerns, if any (the provenance filter).
 fn msg_piece(msg: &Message) -> Option<u32> {
     match msg {
@@ -472,7 +489,7 @@ pub struct Swarm {
     /// branch per hook.
     tracer: Tracer,
     /// Lifecycle state per sampled piece.
-    piece_life: HashMap<u32, PieceLife>,
+    piece_life: BTreeMap<u32, PieceLife>,
     /// Flight recorder ([`Swarm::with_flight_recorder`]): dumps a
     /// bundle when a live-monitor invariant trips or the run panics.
     flight: Option<FlightRecorder>,
@@ -653,7 +670,7 @@ impl Swarm {
             download_budget,
             upload_budget,
             tracer: Tracer::disabled(),
-            piece_life: HashMap::new(),
+            piece_life: BTreeMap::new(),
             flight: None,
             was_healthy: true,
             events_shared: Arc::new(AtomicU64::new(0)),
@@ -1060,20 +1077,21 @@ impl Swarm {
     /// holds (seeds and prepopulated leechers) and count the peer as a
     /// holder toward `k_replicated`.
     fn trace_join_pieces(&mut self, now: Instant, idx: PeerIdx) {
-        let sampled: Vec<u32> = self.peers[idx]
-            .engine
-            .own_pieces()
-            .iter_ones()
-            .filter(|&p| self.tracer.sample_piece(p))
-            .collect();
-        for piece in sampled {
-            let life = self.piece_life.entry(piece).or_default();
+        let Swarm {
+            peers,
+            tracer,
+            piece_life,
+            ..
+        } = self;
+        let own = peers[idx].engine.own_pieces();
+        for piece in own.iter_ones().filter(|&p| tracer.sample_piece(p)) {
+            let life = piece_life.entry(piece).or_default();
             if life.done || !life.holders.insert(idx) {
                 continue;
             }
             if !life.injected {
                 life.injected = true;
-                self.tracer.record(
+                tracer.record(
                     now.0,
                     TraceCat::Piece,
                     "injected",
@@ -1081,26 +1099,7 @@ impl Swarm {
                     &[("by", idx as i64)],
                 );
             }
-            self.check_k_replicated(now, piece);
-        }
-    }
-
-    /// Close the lifecycle with `k_replicated` once enough verified
-    /// holders exist.
-    fn check_k_replicated(&mut self, now: Instant, piece: u32) {
-        let k = self.tracer.k_target() as usize;
-        let Some(life) = self.piece_life.get_mut(&piece) else {
-            return;
-        };
-        if !life.done && life.injected && life.holders.len() >= k {
-            life.done = true;
-            self.tracer.record(
-                now.0,
-                TraceCat::Piece,
-                "k_replicated",
-                piece.into(),
-                &[("copies", life.holders.len() as i64)],
-            );
+            life.check_k_replicated(tracer, now, piece);
         }
     }
 
@@ -1118,7 +1117,7 @@ impl Swarm {
             piece.into(),
             &[("peer", idx as i64), ("copies", copies as i64)],
         );
-        self.check_k_replicated(now, piece);
+        life.check_k_replicated(&self.tracer, now, piece);
     }
 
     /// Message provenance on delivery, plus the `first_have` lifecycle
@@ -1150,13 +1149,14 @@ impl Swarm {
         }
     }
 
-    /// Drain the engine's audit surfaces: piece-pick provenance
-    /// (`request` events carrying the availability the picker saw) and
-    /// the per-round choke audit (`round` plus one `audit` per ranked
-    /// peer, remote resolved from the link table).
+    /// Copy the engine's audit surfaces into the trace, then clear
+    /// them: piece-pick provenance (`request` events carrying the
+    /// availability the picker saw) and the per-round choke audit
+    /// (`round` plus one `audit` per ranked peer, remote resolved from
+    /// the link table).
     fn trace_engine_audit(&mut self, now: Instant, idx: PeerIdx) {
-        let picks = self.peers[idx].engine.take_pick_log();
-        for pick in picks {
+        let peer = &self.peers[idx];
+        for pick in peer.engine.pick_log() {
             if self.lifecycle_open(pick.piece) {
                 self.tracer.record(
                     now.0,
@@ -1170,41 +1170,40 @@ impl Swarm {
                 );
             }
         }
-        let Some(audit) = self.peers[idx].engine.take_choke_audit() else {
-            return;
-        };
-        let remote =
-            |conn: ConnId| -> i64 { self.peers[idx].link(conn).map_or(-1, |s| s.to as i64) };
-        let optimistic = audit.optimistic.map_or(-1, remote);
-        self.tracer.record(
-            now.0,
-            TraceCat::Choke,
-            "round",
-            idx as u64,
-            &[
-                ("is_seed", i64::from(audit.is_seed)),
-                ("flips", i64::from(audit.flips)),
-                ("peers", audit.entries.len() as i64),
-                ("optimistic", optimistic),
-            ],
-        );
-        for e in &audit.entries {
+        if let Some(audit) = peer.engine.choke_audit() {
+            let remote = |conn: ConnId| -> i64 { peer.link(conn).map_or(-1, |s| s.to as i64) };
+            let optimistic = audit.optimistic.map_or(-1, remote);
             self.tracer.record(
                 now.0,
                 TraceCat::Choke,
-                "audit",
+                "round",
                 idx as u64,
                 &[
-                    ("peer", remote(e.conn)),
-                    ("rank", i64::from(e.rank)),
-                    ("down_bps", e.download_rate as i64),
-                    ("up_bps", e.upload_rate as i64),
-                    ("interested", i64::from(e.interested)),
-                    ("snubbed", i64::from(e.snubbed)),
-                    ("outcome", e.outcome.as_code()),
+                    ("is_seed", i64::from(audit.is_seed)),
+                    ("flips", i64::from(audit.flips)),
+                    ("peers", audit.entries.len() as i64),
+                    ("optimistic", optimistic),
                 ],
             );
+            for e in &audit.entries {
+                self.tracer.record(
+                    now.0,
+                    TraceCat::Choke,
+                    "audit",
+                    idx as u64,
+                    &[
+                        ("peer", remote(e.conn)),
+                        ("rank", i64::from(e.rank)),
+                        ("down_bps", e.download_rate as i64),
+                        ("up_bps", e.upload_rate as i64),
+                        ("interested", i64::from(e.interested)),
+                        ("snubbed", i64::from(e.snubbed)),
+                        ("outcome", e.outcome.as_code()),
+                    ],
+                );
+            }
         }
+        self.peers[idx].engine.clear_audit();
     }
 
     // ------------------------------------------------------------------

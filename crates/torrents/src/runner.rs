@@ -531,6 +531,14 @@ pub fn run_scenario(spec: &ScenarioSpec, cfg: &RunConfig) -> ScenarioOutcome {
     let mut trace = result.trace.as_ref().expect("local peer recorded").clone();
     trace.meta.torrent = spec.label();
     trace.meta.torrent_id = spec.id;
+    // Both causal exports from one sort.
+    let (trace_jsonl, trace_chrome) = tracer.as_ref().map_or((None, None), |t| {
+        let (mut jsonl, mut chrome) = (Vec::new(), Vec::new());
+        t.export(Some(&mut jsonl), Some(&mut chrome))
+            .expect("writing to memory cannot fail");
+        let text = |bytes| String::from_utf8(bytes).expect("the tracer writes UTF-8");
+        (Some(text(jsonl)), Some(text(chrome)))
+    });
     ScenarioOutcome {
         spec: *spec,
         scaled,
@@ -538,8 +546,8 @@ pub fn run_scenario(spec: &ScenarioSpec, cfg: &RunConfig) -> ScenarioOutcome {
         result,
         profile,
         series: store.map(|s| s.to_json(None)),
-        trace_jsonl: tracer.as_ref().map(bt_obs::Tracer::to_jsonl),
-        trace_chrome: tracer.as_ref().map(bt_obs::Tracer::to_chrome_json),
+        trace_jsonl,
+        trace_chrome,
     }
 }
 
