@@ -3,8 +3,8 @@
 //! [`live`](crate::live) watches *one* swarm as it runs; this module
 //! re-asserts the same §III claims (entropy ≈ 1, reciprocation, no
 //! starvation) across a whole fleet of finished runs, using the merged
-//! schema documents that `btstat merge` builds from each run's on-disk
-//! artifacts. Verdicts are deterministic functions of the merged data,
+//! snapshot and per-run series that `btstat merge` reads back from each
+//! run's on-disk artifacts. Verdicts are deterministic functions of the merged data,
 //! so a fleet report is byte-identical regardless of the order runs
 //! were merged in.
 //!
@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use bt_obs::{MetricsDoc, SeriesDoc};
+use bt_obs::{SeriesView, Snapshot};
 
 use crate::live::Thresholds;
 
@@ -53,15 +53,7 @@ impl FleetVerdict {
             None => out.push_str("null"),
         }
         out.push_str(",\"detail\":\"");
-        // Details are built from run keys and numbers; escape the two
-        // characters that could still break the string literal.
-        for c in self.detail.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c => out.push(c),
-            }
-        }
+        bt_obs::export::escape_json_into(&mut out, &self.detail);
         out.push_str("\"}");
         out
     }
@@ -70,12 +62,13 @@ impl FleetVerdict {
 /// Minimum over every run's *final* sample of a float series, with the
 /// run key that attains it.
 fn min_last<'a>(
-    series_by_run: &'a BTreeMap<String, SeriesDoc>,
+    series_by_run: &'a BTreeMap<String, Vec<SeriesView>>,
     name: &str,
 ) -> Option<(&'a str, f64)> {
     let mut worst: Option<(&str, f64)> = None;
-    for (run, doc) in series_by_run {
-        if let Some(v) = doc.series.get(name).and_then(|s| s.last_value()) {
+    for (run, views) in series_by_run {
+        let series = views.iter().find(|s| s.name == name);
+        if let Some(&(_, v)) = series.and_then(|s| s.points.last()) {
             if worst.is_none_or(|(_, w)| v < w) {
                 worst = Some((run.as_str(), v));
             }
@@ -94,11 +87,10 @@ fn min_last<'a>(
 ///   across runs) must be zero.
 ///
 /// `series_by_run` maps a run key (e.g. `flash_crowd_1k-s42`) to that
-/// run's parsed series document; `metrics` is the fleet-merged
-/// snapshot.
+/// run's series; `metrics` is the fleet-merged snapshot.
 pub fn fleet_verdicts(
-    metrics: &MetricsDoc,
-    series_by_run: &BTreeMap<String, SeriesDoc>,
+    metrics: &Snapshot,
+    series_by_run: &BTreeMap<String, Vec<SeriesView>>,
     thresholds: &Thresholds,
 ) -> Vec<FleetVerdict> {
     let mut out = Vec::with_capacity(3);
@@ -129,8 +121,8 @@ pub fn fleet_verdicts(
         }
     }
 
-    match metrics.gauges.get("live.starved_peers") {
-        Some(&starved) => out.push(FleetVerdict {
+    match metrics.gauge("live.starved_peers", "") {
+        Some(starved) => out.push(FleetVerdict {
             name: "starvation",
             healthy: starved == 0,
             value: Some(starved as f64),
@@ -152,20 +144,16 @@ pub fn fleet_verdicts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bt_obs::schema::SeriesEntry;
 
-    fn series(points: &[(&str, f64)]) -> SeriesDoc {
-        let mut doc = SeriesDoc::default();
-        for &(name, v) in points {
-            doc.series.insert(
-                name.to_string(),
-                SeriesEntry {
-                    stride: 1,
-                    points: vec![(0, v / 2.0), (10, v)],
-                },
-            );
-        }
-        doc
+    fn series(points: &[(&str, f64)]) -> Vec<SeriesView> {
+        points
+            .iter()
+            .map(|&(name, v)| SeriesView {
+                name: name.to_string(),
+                stride: 1,
+                points: vec![(0, v / 2.0), (10, v)],
+            })
+            .collect()
     }
 
     #[test]
@@ -179,8 +167,10 @@ mod tests {
             "b-s43".to_string(),
             series(&[("live.entropy", 0.55), ("live.reciprocation", 0.5)]),
         );
-        let mut metrics = MetricsDoc::default();
-        metrics.gauges.insert("live.starved_peers".to_string(), 0);
+        let mut metrics = Snapshot::default();
+        metrics
+            .gauges
+            .push(("live.starved_peers".into(), String::new(), 0));
 
         let verdicts = fleet_verdicts(&metrics, &by_run, &Thresholds::default());
         assert_eq!(verdicts.len(), 3);
@@ -197,7 +187,7 @@ mod tests {
     #[test]
     fn missing_signals_are_vacuously_healthy_and_say_so() {
         let verdicts = fleet_verdicts(
-            &MetricsDoc::default(),
+            &Snapshot::default(),
             &BTreeMap::new(),
             &Thresholds::default(),
         );
@@ -220,10 +210,23 @@ mod tests {
             "{\"name\":\"entropy\",\"healthy\":true,\"value\":0.75,\"threshold\":0.7,\
              \"detail\":\"worst final live.entropy 0.750 in run a-s42\"}"
         );
-        let parsed = bt_obs::parse_json(&v.to_json()).unwrap();
+        let parsed: serde_json::Value = serde_json::from_str(&v.to_json()).unwrap();
+        assert_eq!(parsed.get("value").and_then(|v| v.as_f64()), Some(0.75));
+    }
+
+    #[test]
+    fn verdict_detail_is_escaped() {
+        let v = FleetVerdict {
+            name: "entropy",
+            healthy: false,
+            value: None,
+            threshold: None,
+            detail: "run a\"b\nc-s1".to_string(),
+        };
+        let parsed: serde_json::Value = serde_json::from_str(&v.to_json()).unwrap();
         assert_eq!(
-            parsed.get("value").and_then(bt_obs::JsonValue::as_f64),
-            Some(0.75)
+            parsed.get("detail").and_then(|d| d.as_str()),
+            Some("run a\"b\nc-s1")
         );
     }
 }

@@ -333,54 +333,24 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
     // registry while the event loop runs on this one. Gauges lag the
     // virtual clock by at most one sampling period; the dashboard,
     // `/series`, `/health` and `/metrics` are all live mid-run.
-    let server_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let server = watch_addr.as_ref().map(|addr| {
+    let observatory = watch_addr.as_ref().map(|addr| {
         let reg = registry.clone().expect("watch-addr forces a registry");
-        let mut server = bt_net::ObsServer::bind(addr, reg).unwrap_or_else(|e| {
-            eprintln!("swarmrun: cannot bind {addr}: {e}");
-            std::process::exit(2);
-        });
-        if let Some(store) = &series {
-            server = server.with_series(store.clone());
-        }
-        let monitor = swarm.health_monitor().cloned();
-        if let Some(m) = monitor {
-            server = server.with_health_json(move || m.report().to_json());
-        }
-        if let Some(t) = &tracer {
-            server = server.with_tracer(t.clone());
-        }
-        if let Some(fr) = &flight {
-            server = server.with_flight_recorder(fr.clone());
-        }
-        if let Some(p) = &profiler {
-            server = server.with_profiler(p.clone());
-        }
-        match server.local_addr() {
-            Ok(bound) => eprintln!("observatory      : http://{bound}/ (dashboard)"),
-            Err(e) => eprintln!("swarmrun: observatory bound, address unknown: {e}"),
-        }
-        let stop = std::sync::Arc::clone(&server_stop);
-        std::thread::spawn(move || {
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                if !server.poll() {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-            }
-        })
+        let health = swarm.health_monitor().cloned();
+        Observatory::spawn(addr, reg, &series, health, &tracer, &flight, &profiler)
     });
 
     let t0 = std::time::Instant::now();
     let result = swarm.run();
     let wall = t0.elapsed();
 
-    if server.is_some() && watch_linger > 0 {
-        eprintln!("observatory      : lingering {watch_linger} s after the run (Ctrl-C to stop)");
-        std::thread::sleep(std::time::Duration::from_secs(watch_linger));
-    }
-    server_stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    if let Some(handle) = server {
-        let _ = handle.join();
+    if let Some(observatory) = observatory {
+        if watch_linger > 0 {
+            eprintln!(
+                "observatory      : lingering {watch_linger} s after the run (Ctrl-C to stop)"
+            );
+            std::thread::sleep(std::time::Duration::from_secs(watch_linger));
+        }
+        observatory.stop();
     }
 
     if status {
@@ -406,10 +376,7 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
         }
     }
     if let (Some(path), Some(store)) = (&series_out, &series) {
-        std::fs::write(path, store.to_json(None)).unwrap_or_else(|e| {
-            eprintln!("swarmrun: cannot write {path}: {e}");
-            std::process::exit(2);
-        });
+        write_text(path, &store.to_json(None));
         println!("series written   : {path} ({} series)", store.len());
     }
     if let Some(health) = &result.health {
@@ -446,11 +413,7 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
             result.completed_peers as u64,
             &format!("{:016x}", result.digest()),
         );
-        let path = format!("{dir}/run.json");
-        std::fs::write(&path, manifest).unwrap_or_else(|e| {
-            eprintln!("swarmrun: cannot write {path}: {e}");
-            std::process::exit(2);
-        });
+        write_text(&format!("{dir}/run.json"), &manifest);
         println!("artifacts        : {dir}/ (run.json, metrics.jsonl, series.json, profile.json, trace.jsonl)");
     }
     if let Some(t) = &tracer {
@@ -521,10 +484,7 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
         // trace instead (written above).
         if tracer.is_none() {
             if let Some(path) = &trace_out {
-                std::fs::write(path, trace.to_jsonl()).unwrap_or_else(|e| {
-                    eprintln!("swarmrun: cannot write {path}: {e}");
-                    std::process::exit(2);
-                });
+                write_text(path, &trace.to_jsonl());
                 println!("trace written    : {path}");
             }
         }
@@ -586,37 +546,9 @@ fn run_net_swarm(args: &[String]) {
 
     // `--watch-addr`: serve the observatory for the run's duration from
     // a dedicated polling thread.
-    let server_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let server = watch_addr.as_ref().map(|addr| {
+    let observatory = watch_addr.as_ref().map(|addr| {
         let reg = registry.clone().expect("watch-addr forces a registry");
-        let mut server = bt_net::ObsServer::bind(addr, reg).unwrap_or_else(|e| {
-            eprintln!("swarmrun: cannot bind {addr}: {e}");
-            std::process::exit(2);
-        });
-        if let Some(store) = &series {
-            server = server.with_series(store.clone());
-        }
-        if let Some(t) = &tracer {
-            server = server.with_tracer(t.clone());
-        }
-        if let Some(fr) = &flight {
-            server = server.with_flight_recorder(fr.clone());
-        }
-        if let Some(p) = &profiler {
-            server = server.with_profiler(p.clone());
-        }
-        match server.local_addr() {
-            Ok(bound) => eprintln!("observatory      : http://{bound}/ (dashboard)"),
-            Err(e) => eprintln!("swarmrun: observatory bound, address unknown: {e}"),
-        }
-        let stop = std::sync::Arc::clone(&server_stop);
-        std::thread::spawn(move || {
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                if !server.poll() {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-            }
-        })
+        Observatory::spawn(addr, reg, &series, None, &tracer, &flight, &profiler)
     });
 
     // Sampler thread: every 250 ms wall, snapshot the shared registry —
@@ -660,9 +592,8 @@ fn run_net_swarm(args: &[String]) {
     if let Some(handle) = sampler {
         let _ = handle.join();
     }
-    server_stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    if let Some(handle) = server {
-        let _ = handle.join();
+    if let Some(observatory) = observatory {
+        observatory.stop();
     }
     if let Some(reg) = &registry {
         let last = reg.snapshot();
@@ -685,10 +616,7 @@ fn run_net_swarm(args: &[String]) {
     if let (Some(path), Some(store)) = (&series_out, &series) {
         // One last sample so the file reflects the final state.
         store.sample_registry();
-        std::fs::write(path, store.to_json(None)).unwrap_or_else(|e| {
-            eprintln!("swarmrun: cannot write {path}: {e}");
-            std::process::exit(2);
-        });
+        write_text(path, &store.to_json(None));
         println!("series written   : {path} ({} series)", store.len());
     }
     if let (Some(path), Some(prof)) = (&profile_out, &profiler) {
@@ -754,10 +682,7 @@ fn run_net_swarm(args: &[String]) {
     // instead (written above).
     if tracer.is_none() {
         if let Some(path) = &trace_out {
-            std::fs::write(path, trace.to_jsonl()).unwrap_or_else(|e| {
-                eprintln!("swarmrun: cannot write {path}: {e}");
-                std::process::exit(2);
-            });
+            write_text(path, &trace.to_jsonl());
             println!("trace written    : {path}");
         }
     }
@@ -831,10 +756,7 @@ fn run_table1_sweep(args: &[String]) {
             text.push_str(&format!("\"{}\":{doc}", o.spec.label()));
         }
         text.push('}');
-        std::fs::write(path, text).unwrap_or_else(|e| {
-            eprintln!("swarmrun: cannot write {path}: {e}");
-            std::process::exit(2);
-        });
+        write_text(path, &text);
         println!("series written   : {path} ({} torrents)", outcomes.len());
         let unhealthy: Vec<u32> = outcomes
             .iter()
@@ -864,10 +786,7 @@ fn run_table1_sweep(args: &[String]) {
             text.push_str(&format!("\"{}\":{doc}", o.spec.label()));
         }
         text.push('}');
-        std::fs::write(path, text).unwrap_or_else(|e| {
-            eprintln!("swarmrun: cannot write {path}: {e}");
-            std::process::exit(2);
-        });
+        write_text(path, &text);
         println!("causal traces    : {path} ({} torrents)", outcomes.len());
     }
     if let Some(path) = &profile_out {
@@ -915,6 +834,70 @@ fn causal_obs(
     (tracer, flight)
 }
 
+/// The `--watch-addr` observatory: bound, wired to whichever observers
+/// the run carries, and served from its own polling thread (the drivers
+/// are synchronous) until [`stop`](Observatory::stop).
+struct Observatory {
+    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl Observatory {
+    fn spawn(
+        addr: &str,
+        registry: Registry,
+        series: &Option<bt_obs::SeriesStore>,
+        health: Option<bt_analysis::live::HealthMonitor>,
+        tracer: &Option<bt_obs::Tracer>,
+        flight: &Option<bt_obs::FlightRecorder>,
+        profiler: &Option<Profiler>,
+    ) -> Observatory {
+        let mut server = bt_net::ObsServer::bind(addr, registry).unwrap_or_else(|e| {
+            eprintln!("swarmrun: cannot bind {addr}: {e}");
+            std::process::exit(2);
+        });
+        if let Some(store) = series {
+            server = server.with_series(store.clone());
+        }
+        if let Some(m) = health {
+            server = server.with_health_json(move || m.report().to_json());
+        }
+        if let Some(t) = tracer {
+            server = server.with_tracer(t.clone());
+        }
+        if let Some(fr) = flight {
+            server = server.with_flight_recorder(fr.clone());
+        }
+        if let Some(p) = profiler {
+            server = server.with_profiler(p.clone());
+        }
+        match server.local_addr() {
+            Ok(bound) => eprintln!("observatory      : http://{bound}/ (dashboard)"),
+            Err(e) => eprintln!("swarmrun: observatory bound, address unknown: {e}"),
+        }
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stopped = std::sync::Arc::clone(&stop);
+        let thread = std::thread::spawn(move || {
+            while !stopped.load(std::sync::atomic::Ordering::Relaxed) {
+                if !server.poll() {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+            }
+        });
+        Observatory { stop, thread }
+    }
+
+    fn stop(self) {
+        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        let _ = self.thread.join();
+    }
+}
+
+/// Create `path` and write `text` to it.
+fn write_text(path: &str, text: &str) {
+    write_stream(path, |file| file.write_all(text.as_bytes()));
+}
+
 /// Create `path` and stream an export into it.
 fn write_stream(path: &str, export: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>) {
     std::fs::File::create(path)
@@ -951,10 +934,7 @@ fn flag_u64(args: &[String], name: &str) -> Option<u64> {
 
 /// Write a span profile as JSON and print the pretty report.
 fn write_profile(path: &str, profile: &Profile) {
-    std::fs::write(path, profile.to_json()).unwrap_or_else(|e| {
-        eprintln!("swarmrun: cannot write {path}: {e}");
-        std::process::exit(2);
-    });
+    write_text(path, &profile.to_json());
     println!("profile written  : {path}");
     print!("{}", profile.render());
 }
@@ -1046,10 +1026,7 @@ fn write_snapshots(path: &str, snapshots: &[Snapshot]) {
         text.push_str(&snap.to_jsonl_line());
         text.push('\n');
     }
-    std::fs::write(path, text).unwrap_or_else(|e| {
-        eprintln!("swarmrun: cannot write {path}: {e}");
-        std::process::exit(2);
-    });
+    write_text(path, &text);
 }
 
 /// One-line progress for a simulator snapshot (virtual-time registry).

@@ -21,7 +21,7 @@ use crate::error::EngineError;
 use crate::metrics::EngineMetrics;
 use bt_choke::{Choker, PeerSnapshot};
 use bt_instrument::trace::{Trace, TraceEvent, UnchokeRole};
-use bt_obs::{obs_info, obs_warn, Profiler};
+use bt_obs::{obs_info, obs_warn, Profiler, TraceCat, Tracer};
 use bt_piece::{Availability, Bitfield, Geometry, PickContext, PiecePicker, RequestScheduler};
 use bt_wire::fast;
 use bt_wire::message::{BlockRef, Message};
@@ -238,6 +238,44 @@ pub struct ChokeAudit {
     pub flips: u32,
     /// One entry per connection, in rank order.
     pub entries: Vec<ChokeAuditEntry>,
+}
+
+impl ChokeAudit {
+    /// Copy the round into a causal tracer on chain `id`: one `round`
+    /// record, then one `audit` per ranked peer. `resolve` names a
+    /// connection in the trace — the simulator maps it to the remote's
+    /// global peer index, the socket runtime has only the local id.
+    pub fn trace(&self, tracer: &Tracer, now: Instant, id: u64, resolve: impl Fn(ConnId) -> i64) {
+        tracer.record(
+            now.0,
+            TraceCat::Choke,
+            "round",
+            id,
+            &[
+                ("is_seed", i64::from(self.is_seed)),
+                ("flips", i64::from(self.flips)),
+                ("peers", self.entries.len() as i64),
+                ("optimistic", self.optimistic.map_or(-1, &resolve)),
+            ],
+        );
+        for e in &self.entries {
+            tracer.record(
+                now.0,
+                TraceCat::Choke,
+                "audit",
+                id,
+                &[
+                    ("peer", resolve(e.conn)),
+                    ("rank", i64::from(e.rank)),
+                    ("down_bps", e.download_rate as i64),
+                    ("up_bps", e.upload_rate as i64),
+                    ("interested", i64::from(e.interested)),
+                    ("snubbed", i64::from(e.snubbed)),
+                    ("outcome", e.outcome.as_code()),
+                ],
+            );
+        }
+    }
 }
 
 /// One piece pick, recorded when the choke audit is enabled — the
@@ -1566,6 +1604,40 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn choke_audit_traces_a_round_then_one_line_per_ranked_peer() {
+        let entry = |conn, rank, outcome| ChokeAuditEntry {
+            conn,
+            interested: true,
+            snubbed: false,
+            download_rate: 2048.9,
+            upload_rate: 10.0,
+            rank,
+            outcome,
+        };
+        let audit = ChokeAudit {
+            at: Instant(7),
+            is_seed: false,
+            optimistic: Some(4),
+            flips: 2,
+            entries: vec![
+                entry(9, 0, ChokeOutcome::Regular),
+                entry(4, 1, ChokeOutcome::Optimistic),
+            ],
+        };
+        let tracer = Tracer::new(1, 1);
+        audit.trace(&tracer, Instant(7), 33, |conn| i64::from(conn) * 100);
+        assert_eq!(
+            tracer.to_jsonl(),
+            "{\"t\":7,\"cat\":\"choke\",\"name\":\"round\",\"id\":33,\
+             \"is_seed\":0,\"flips\":2,\"peers\":2,\"optimistic\":400}\n\
+             {\"t\":7,\"cat\":\"choke\",\"name\":\"audit\",\"id\":33,\"peer\":900,\"rank\":0,\
+             \"down_bps\":2048,\"up_bps\":10,\"interested\":1,\"snubbed\":0,\"outcome\":0}\n\
+             {\"t\":7,\"cat\":\"choke\",\"name\":\"audit\",\"id\":33,\"peer\":400,\"rank\":1,\
+             \"down_bps\":2048,\"up_bps\":10,\"interested\":1,\"snubbed\":0,\"outcome\":1}\n"
+        );
+    }
     use bt_wire::metainfo::BLOCK_LEN;
     use bt_wire::peer_id::ClientKind;
     use bytes::Bytes;

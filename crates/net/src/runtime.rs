@@ -21,7 +21,7 @@ use crate::metrics::NetMetrics;
 use crate::tracker::LoopbackTracker;
 use bt_core::engine::PeerCaps;
 use bt_core::{Action, ConnId, DataMode, Engine, EngineMetrics, Input};
-use bt_obs::{obs_debug, obs_warn, Profiler, Registry, TraceCat, Tracer};
+use bt_obs::{obs_debug, obs_warn, Profiler, Registry, Tracer};
 use bt_wire::handshake::{Handshake, HANDSHAKE_LEN};
 use bt_wire::message::{BlockRef, Decoder, Message, DEFAULT_MAX_FRAME};
 use bt_wire::peer_id::{IpAddr, PeerId};
@@ -340,35 +340,7 @@ impl NetRuntime {
             return;
         };
         let id = u64::from(peer_ip(&self.engine.peer_id()).0);
-        tracer.record(
-            now.0,
-            TraceCat::Choke,
-            "round",
-            id,
-            &[
-                ("is_seed", i64::from(audit.is_seed)),
-                ("flips", i64::from(audit.flips)),
-                ("peers", audit.entries.len() as i64),
-                ("optimistic", audit.optimistic.map_or(-1, i64::from)),
-            ],
-        );
-        for e in &audit.entries {
-            tracer.record(
-                now.0,
-                TraceCat::Choke,
-                "audit",
-                id,
-                &[
-                    ("peer", i64::from(e.conn)),
-                    ("rank", i64::from(e.rank)),
-                    ("down_bps", e.download_rate as i64),
-                    ("up_bps", e.upload_rate as i64),
-                    ("interested", i64::from(e.interested)),
-                    ("snubbed", i64::from(e.snubbed)),
-                    ("outcome", e.outcome.as_code()),
-                ],
-            );
-        }
+        audit.trace(tracer, now, id, i64::from);
         self.engine.clear_audit();
     }
 

@@ -325,12 +325,20 @@ mod tests {
     /// see a gap or a reordering — only an older or newer window.
     #[test]
     fn ring_sink_wraparound_order_survives_mid_write_drains() {
-        use std::sync::Arc;
+        use std::sync::{Arc, Barrier};
         let ring = Arc::new(RingSink::new(8));
         let writer_ring = Arc::clone(&ring);
         let total = 10_000u64;
+        // Two laps into the ring the writer stops until the reader has
+        // drained once, so at least one drain sees a writer that is
+        // alive and mid-stream whichever thread the scheduler favours.
+        let gate = Arc::new(Barrier::new(2));
+        let writer_gate = Arc::clone(&gate);
         let writer = std::thread::spawn(move || {
             for i in 0..total {
+                if i == 16 {
+                    writer_gate.wait();
+                }
                 writer_ring.emit(&Record {
                     at_micros: i,
                     level: Level::Debug,
@@ -340,9 +348,9 @@ mod tests {
                 });
             }
         });
-        let mut drains = 0u64;
+        let mut released = false;
         let mut last_head = 0u64;
-        while !writer.is_finished() {
+        loop {
             let got: Vec<u64> = ring.records().iter().map(|r| r.at_micros).collect();
             assert!(got.len() <= 8, "window larger than capacity: {got:?}");
             for pair in got.windows(2) {
@@ -356,10 +364,15 @@ mod tests {
                 assert!(head >= last_head, "window moved backwards: {got:?}");
                 last_head = head;
             }
-            drains += 1;
+            if !released {
+                gate.wait();
+                released = true;
+            }
+            if writer.is_finished() {
+                break;
+            }
         }
         writer.join().unwrap();
-        assert!(drains > 0, "reader never overlapped the writer");
         // After the writer stops the ring holds exactly the newest 8.
         let got: Vec<u64> = ring.records().iter().map(|r| r.at_micros).collect();
         assert_eq!(got, (total - 8..total).collect::<Vec<u64>>());

@@ -4,10 +4,12 @@
 //! All three walk the snapshot's already-sorted entries, so the output
 //! is deterministic whenever the snapshot is.
 
-use crate::registry::{HistogramSnapshot, Snapshot};
+use crate::registry::{metric_key, HistogramSnapshot, Snapshot};
 
-/// Append `s` to `out` with JSON string escaping.
-pub(crate) fn escape_json_into(out: &mut String, s: &str) {
+/// Append `s` to `out` with JSON string escaping (no surrounding
+/// quotes). The one escaper behind every JSON writer in `bt-obs` and
+/// the offline reports built on it.
+pub fn escape_json_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -179,10 +181,10 @@ pub fn summary_text(snap: &Snapshot) -> String {
     out.push_str(&format!("metrics @ {:.3}s\n", snap.at_micros as f64 / 1e6));
     let mut i = 0;
     while i < snap.counters.len() {
-        let name = snap.counters[i].0;
+        let name = &snap.counters[i].0;
         let mut total = 0u64;
         let mut labels = 0usize;
-        while i < snap.counters.len() && snap.counters[i].0 == name {
+        while i < snap.counters.len() && snap.counters[i].0 == *name {
             total += snap.counters[i].2;
             labels += 1;
             i += 1;
@@ -194,20 +196,16 @@ pub fn summary_text(snap: &Snapshot) -> String {
         }
     }
     for (name, label, v) in &snap.gauges {
-        if label.is_empty() {
-            out.push_str(&format!("  {name} = {v}\n"));
-        } else {
-            out.push_str(&format!("  {name}{{{label}}} = {v}\n"));
-        }
+        out.push_str(&format!("  {} = {v}\n", metric_key(name, label)));
     }
     let mut i = 0;
     while i < snap.histograms.len() {
-        let name = snap.histograms[i].0;
+        let name = &snap.histograms[i].0;
         let mut count = 0u64;
         let mut sum = 0u64;
         let mut labels = 0usize;
         let first = i;
-        while i < snap.histograms.len() && snap.histograms[i].0 == name {
+        while i < snap.histograms.len() && snap.histograms[i].0 == *name {
             count += snap.histograms[i].2.count;
             sum += snap.histograms[i].2.sum;
             labels += 1;
@@ -221,14 +219,13 @@ pub fn summary_text(snap: &Snapshot) -> String {
             ));
         } else {
             let (_, label, h) = &snap.histograms[first];
-            let shown = if label.is_empty() {
-                name.to_string()
-            } else {
-                format!("{name}{{{label}}}")
-            };
             out.push_str(&format!(
-                "  {shown}: count={} p50={} p95={} p99={}\n",
-                h.count, h.p50, h.p95, h.p99
+                "  {}: count={} p50={} p95={} p99={}\n",
+                metric_key(name, label),
+                h.count,
+                h.p50,
+                h.p95,
+                h.p99
             ));
         }
     }

@@ -41,7 +41,6 @@
 pub mod event;
 pub mod export;
 pub mod registry;
-pub mod schema;
 pub mod series;
 pub mod span;
 pub mod time;
@@ -51,12 +50,11 @@ pub use event::{
     EventSink, FieldValue, JsonlSink, Level, OwnedRecord, Record, RingSink, StderrSink,
 };
 pub use export::{summary_text, to_prometheus};
-pub use registry::{buckets, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};
-pub use schema::{
-    parse_json, HistogramDoc, JsonValue, MetricsDoc, ProfileDoc, SchemaError, SeriesDoc,
-    SeriesEntry, SpanDoc, TraceEventDoc,
+pub use registry::{
+    bucket_quantile, buckets, metric_key, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
+    Snapshot,
 };
-pub use series::{SeriesStore, SeriesView};
+pub use series::{views_to_json, SeriesStore, SeriesView};
 pub use span::{Profile, Profiler, SpanGuard, SpanStat};
 pub use time::TimeSource;
 pub use trace::{DumpContext, FlightGuard, FlightRecorder, TraceCat, TraceEvent, Tracer};

@@ -12,6 +12,7 @@
 //! order, which makes the serialized snapshot deterministic whenever
 //! the underlying values are (same inputs + a virtual [`TimeSource`]).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
@@ -133,46 +134,51 @@ impl Histogram {
             .map(|c| c.load(Ordering::Relaxed))
             .collect();
         let total: u64 = counts.iter().sum();
-        let quantile = |q_num: u64, q_den: u64| -> u64 {
-            if total == 0 {
-                return 0;
-            }
-            // Rank of the q-quantile sample, 1-based, rounded up.
-            let rank = (total * q_num).div_ceil(q_den).max(1);
-            let mut seen = 0u64;
-            for (i, &c) in counts.iter().enumerate() {
-                seen += c;
-                if seen >= rank {
-                    // Overflow bucket reports the largest finite bound.
-                    return core
-                        .bounds
-                        .get(i)
-                        .copied()
-                        .unwrap_or_else(|| core.bounds.last().copied().unwrap_or(u64::MAX));
-                }
-            }
-            core.bounds.last().copied().unwrap_or(0)
-        };
+        let finite = || core.bounds.iter().copied().zip(counts.iter().copied());
         HistogramSnapshot {
             count: total,
             sum: core.sum.load(Ordering::Relaxed),
-            p50: quantile(50, 100),
-            p95: quantile(95, 100),
-            p99: quantile(99, 100),
-            buckets: core
-                .bounds
-                .iter()
-                .zip(counts.iter())
-                .filter(|(_, &c)| c > 0)
-                .map(|(&b, &c)| (b, c))
-                .collect(),
+            p50: bucket_quantile(total, finite(), 50, 100),
+            p95: bucket_quantile(total, finite(), 95, 100),
+            p99: bucket_quantile(total, finite(), 99, 100),
+            buckets: finite().filter(|&(_, c)| c > 0).collect(),
             overflow: counts[core.bounds.len()],
         }
     }
 }
 
+/// The bucket-quantile walk every histogram in this crate shares:
+/// the upper bound of the finite bucket holding the rank-`q` sample
+/// among `count` observations (rank 1-based, rounded up), 0 when
+/// `count` is 0. `buckets` are the finite `(upper_bound, count)` pairs
+/// in ascending order; a rank past them — the sample sits in the
+/// overflow slot — clamps to the largest bound listed. A live
+/// instrument lists every configured bound, empty or not; a merge of
+/// parsed snapshots only knows the bounds some run recorded.
+pub fn bucket_quantile(
+    count: u64,
+    buckets: impl IntoIterator<Item = (u64, u64)>,
+    q_num: u64,
+    q_den: u64,
+) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let rank = (count * q_num).div_ceil(q_den).max(1);
+    let mut seen = 0u64;
+    let mut largest = 0u64;
+    for (bound, c) in buckets {
+        seen += c;
+        if seen >= rank {
+            return bound;
+        }
+        largest = bound;
+    }
+    largest
+}
+
 /// Point-in-time view of one [`Histogram`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Observation count.
     pub count: u64,
@@ -188,6 +194,24 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u64, u64)>,
     /// Observations above the last finite bound.
     pub overflow: u64,
+}
+
+impl HistogramSnapshot {
+    /// Fold `other` in: bucket counts merge by bound, count, sum and
+    /// overflow add, and p50/p95/p99 are recomputed from the pooled
+    /// buckets ([`bucket_quantile`]). Commutative and associative.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.overflow += other.overflow;
+        let mut pooled: BTreeMap<u64, u64> = self.buckets.iter().copied().collect();
+        for &(bound, c) in &other.buckets {
+            *pooled.entry(bound).or_default() += c;
+        }
+        self.buckets = pooled.into_iter().collect();
+        let q = |q_num| bucket_quantile(self.count, self.buckets.iter().copied(), q_num, 100);
+        (self.p50, self.p95, self.p99) = (q(50), q(95), q(99));
+    }
 }
 
 #[derive(Debug)]
@@ -390,10 +414,11 @@ impl Registry {
         let mut gauges = Vec::new();
         let mut histograms = Vec::new();
         for ((name, label), inst) in map.iter() {
+            let name = Cow::Borrowed(*name);
             match inst {
-                Instrument::Counter(c) => counters.push((*name, label.clone(), c.get())),
-                Instrument::Gauge(g) => gauges.push((*name, label.clone(), g.get())),
-                Instrument::Histogram(h) => histograms.push((*name, label.clone(), h.snapshot())),
+                Instrument::Counter(c) => counters.push((name, label.clone(), c.get())),
+                Instrument::Gauge(g) => gauges.push((name, label.clone(), g.get())),
+                Instrument::Histogram(h) => histograms.push((name, label.clone(), h.snapshot())),
             }
         }
         Snapshot {
@@ -405,24 +430,65 @@ impl Registry {
     }
 }
 
-/// A point-in-time, serialization-ready view of a [`Registry`].
+/// One snapshot entry: `(name, label, value)`. A live registry borrows
+/// its instruments' static names; a snapshot read back from a file owns
+/// them.
+pub type Entry<V> = (Cow<'static, str>, String, V);
+
+/// A point-in-time, serialization-ready view of a [`Registry`] — or of
+/// several, once [`merge`](Snapshot::merge)d.
 ///
-/// Entries are `(name, label, value)` sorted by `(name, label)`;
-/// serializers render `name` alone when the label is empty and
-/// `name{label}` otherwise.
-#[derive(Clone, Debug, PartialEq)]
+/// Entries are sorted by `(name, label)`; serializers render `name`
+/// alone when the label is empty and `name{label}` otherwise
+/// ([`metric_key`]).
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Clock reading (µs) when the snapshot was taken.
     pub at_micros: u64,
     /// All counters.
-    pub counters: Vec<(&'static str, String, u64)>,
+    pub counters: Vec<Entry<u64>>,
     /// All gauges.
-    pub gauges: Vec<(&'static str, String, i64)>,
+    pub gauges: Vec<Entry<i64>>,
     /// All histograms.
-    pub histograms: Vec<(&'static str, String, HistogramSnapshot)>,
+    pub histograms: Vec<Entry<HistogramSnapshot>>,
+}
+
+/// The exported key of an instrument: `name`, or `name{label}` when
+/// labeled.
+pub fn metric_key(name: &str, label: &str) -> String {
+    if label.is_empty() {
+        name.to_string()
+    } else {
+        format!("{name}{{{label}}}")
+    }
+}
+
+/// Fold `from` into the sorted entry list `into`: an entry only `from`
+/// has is copied as it stands, one both have is combined by `add`.
+fn merge_entries<V: Clone>(into: &mut Vec<Entry<V>>, from: &[Entry<V>], add: impl Fn(&mut V, &V)) {
+    for (name, label, v) in from {
+        let at =
+            into.binary_search_by(|(n, l, _)| (&**n, l.as_str()).cmp(&(&**name, label.as_str())));
+        match at {
+            Ok(i) => add(&mut into[i].2, v),
+            Err(i) => into.insert(i, (name.clone(), label.clone(), v.clone())),
+        }
+    }
 }
 
 impl Snapshot {
+    /// Fold `other` in: counters and gauges sum, histograms
+    /// [bucket-merge](HistogramSnapshot::merge), the timestamp keeps
+    /// the max. Commutative and associative, with the empty snapshot as
+    /// identity — an instrument only one side has keeps the quantiles it
+    /// was written with, so a fleet of one run re-emits that run's line.
+    pub fn merge(&mut self, other: &Snapshot) {
+        self.at_micros = self.at_micros.max(other.at_micros);
+        merge_entries(&mut self.counters, &other.counters, |a, b| *a += b);
+        merge_entries(&mut self.gauges, &other.gauges, |a, b| *a += b);
+        merge_entries(&mut self.histograms, &other.histograms, |a, b| a.merge(b));
+    }
+
     /// Value of the counter `name{label}`, if present.
     pub fn counter(&self, name: &str, label: &str) -> Option<u64> {
         self.counters
@@ -527,6 +593,94 @@ mod tests {
         assert_eq!(s.count, 2);
         // Overflow quantiles clamp to the largest finite bound.
         assert_eq!(s.p99, *buckets::DEPTH.last().unwrap());
+    }
+
+    #[test]
+    fn quantile_rank_in_overflow_clamps_to_the_largest_listed_bound() {
+        // Three of four samples above the last bound: every quantile's
+        // rank lands in overflow. The live instrument lists both
+        // configured bounds, so it clamps to 100 ...
+        const BOUNDS: &[u64] = &[10, 100];
+        let reg = Registry::new_manual();
+        let h = reg.histogram("lat", BOUNDS);
+        for v in [5, 1000, 1000, 1000] {
+            h.observe(v);
+        }
+        let live = reg.snapshot().histogram("lat", "").unwrap().clone();
+        assert_eq!((live.p50, live.p95, live.p99), (100, 100, 100));
+        assert_eq!((live.buckets.clone(), live.overflow), (vec![(10, 1)], 3));
+        // ... while a walk over the recorded buckets alone only knows 10.
+        assert_eq!(
+            bucket_quantile(4, live.buckets.iter().copied(), 50, 100),
+            10
+        );
+        assert_eq!(bucket_quantile(4, [], 50, 100), 0);
+        assert_eq!(bucket_quantile(0, [(10, 0)], 50, 100), 0);
+    }
+
+    #[test]
+    fn merge_sums_and_pools_histogram_quantiles() {
+        // 90 fast observations in one run, 10 slow in another: the
+        // merged p95 must land in the slow bucket, like one histogram
+        // that saw all 100 — not an average of per-run quantiles.
+        let mk = |at: u64, v: u64, n: u64| {
+            let reg = Registry::new_manual();
+            reg.counter("c").add(n);
+            reg.counter_with("c", "x").add(1);
+            reg.gauge("g").set(n as i64);
+            let h = reg.histogram("h", buckets::LATENCY_US);
+            (0..n).for_each(|_| h.observe(v));
+            reg.time().advance_to(at);
+            reg.snapshot()
+        };
+        let a = mk(7, 5, 90);
+        let mut b = mk(3, 50_000, 10);
+        b.counters.push(("only.b".into(), String::new(), 4));
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ab, ba);
+        assert_eq!(ab.to_jsonl_line(), ba.to_jsonl_line());
+        assert_eq!(ab.at_micros, 7);
+        assert_eq!(ab.counter("c", ""), Some(100));
+        assert_eq!(ab.counter("c", "x"), Some(2));
+        assert_eq!(ab.counter("only.b", ""), Some(4));
+        assert_eq!(ab.gauge("g", ""), Some(100));
+        let h = ab.histogram("h", "").unwrap();
+        assert_eq!((h.count, h.sum), (100, 90 * 5 + 10 * 50_000));
+        assert_eq!(h.buckets, vec![(10, 90), (100_000, 10)]);
+        assert_eq!((h.p50, h.p95), (10, 100_000));
+        // Entries stay sorted by (name, label) through the merge.
+        let keys: Vec<_> = ab
+            .counters
+            .iter()
+            .map(|(n, l, _)| (&**n, l.as_str()))
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+    }
+
+    #[test]
+    fn merging_into_an_empty_snapshot_is_the_identity() {
+        const BOUNDS: &[u64] = &[10, 100];
+        let reg = Registry::new_manual();
+        reg.counter("c").inc();
+        let h = reg.histogram("lat", BOUNDS);
+        for v in [5, 1000, 1000, 1000] {
+            h.observe(v);
+        }
+        let one = reg.snapshot();
+        let mut fleet = Snapshot::default();
+        fleet.merge(&one);
+        // The overflow-rank quantiles are kept as written, not
+        // recomputed from the recorded buckets.
+        assert_eq!(fleet, one);
+        assert_eq!(fleet.to_jsonl_line(), one.to_jsonl_line());
+        // A second run pools: the clamp is then the largest bound
+        // either run recorded.
+        fleet.merge(&one);
+        let pooled = fleet.histogram("lat", "").unwrap();
+        assert_eq!((pooled.count, pooled.overflow, pooled.p50), (8, 6, 10));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use crate::export::escape_json_into;
-use crate::registry::{Registry, Snapshot};
+use crate::registry::{metric_key, Registry, Snapshot};
 
 /// Default per-series ring capacity (points kept before decimation).
 pub const DEFAULT_CAPACITY: usize = 512;
@@ -156,13 +156,8 @@ impl SeriesStore {
     pub fn append_snapshot(&self, snap: &Snapshot) {
         let mut map = self.inner.series.lock().unwrap();
         let capacity = self.inner.capacity;
-        let mut push = |name: &&'static str, label: &str, v: f64| {
-            let key = if label.is_empty() {
-                (*name).to_string()
-            } else {
-                format!("{name}{{{label}}}")
-            };
-            map.entry(key)
+        let mut push = |name: &str, label: &str, v: f64| {
+            map.entry(metric_key(name, label))
                 .or_insert_with(Ring::new)
                 .push(capacity, snap.at_micros, v);
         };
@@ -227,27 +222,33 @@ impl SeriesStore {
     /// point order is append order, and floats render via Rust's
     /// shortest-roundtrip `Display` (integral values print bare).
     pub fn to_json(&self, prefix: Option<&str>) -> String {
-        let views = self.views(prefix);
-        let mut out = String::with_capacity(64 + views.len() * 128);
-        out.push_str("{\"series\":[");
-        for (i, view) in views.iter().enumerate() {
-            if i > 0 {
+        views_to_json(&self.views(prefix))
+    }
+}
+
+/// The series document for `views`, in the order given — what
+/// [`SeriesStore::to_json`] writes for a live store, and what a reader
+/// of that document writes back.
+pub fn views_to_json(views: &[SeriesView]) -> String {
+    let mut out = String::with_capacity(64 + views.len() * 128);
+    out.push_str("{\"series\":[");
+    for (i, view) in views.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"name\":\"");
+        escape_json_into(&mut out, &view.name);
+        out.push_str(&format!("\",\"stride\":{},\"points\":[", view.stride));
+        for (j, (t, v)) in view.points.iter().enumerate() {
+            if j > 0 {
                 out.push(',');
             }
-            out.push_str("{\"name\":\"");
-            escape_json_into(&mut out, &view.name);
-            out.push_str(&format!("\",\"stride\":{},\"points\":[", view.stride));
-            for (j, (t, v)) in view.points.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("[{t},{}]", json_f64(*v)));
-            }
-            out.push_str("]}");
+            out.push_str(&format!("[{t},{}]", json_f64(*v)));
         }
         out.push_str("]}");
-        out
     }
+    out.push_str("]}");
+    out
 }
 
 /// Render a finite float as valid JSON. Integral values print bare

@@ -50,12 +50,13 @@
 //! assert_eq!((outer.total_us, outer.self_us), (135, 105));
 //! ```
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::registry::buckets;
+use crate::registry::{bucket_quantile, buckets};
 use crate::time::TimeSource;
 
 /// Duration histogram bounds (µs), shared with the metrics registry so
@@ -99,26 +100,12 @@ impl SpanStat {
         }
     }
 
-    /// Deterministic integer quantile: the upper bound of the duration
-    /// bucket holding the rank-`q` sample (overflow clamps to the
-    /// largest finite bound), 0 when empty. Same convention as
-    /// [`HistogramSnapshot`](crate::HistogramSnapshot).
+    /// Deterministic integer quantile of the duration histogram, by the
+    /// registry's rule ([`bucket_quantile`] over every bound of
+    /// [`buckets::LATENCY_US`]).
     pub fn quantile(&self, q_num: u64, q_den: u64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (self.count * q_num).div_ceil(q_den).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.dur_buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return DUR_BOUNDS
-                    .get(i)
-                    .copied()
-                    .unwrap_or_else(|| *DUR_BOUNDS.last().unwrap());
-            }
-        }
-        *DUR_BOUNDS.last().unwrap()
+        let finite = DUR_BOUNDS.iter().copied().zip(self.dur_buckets);
+        bucket_quantile(self.count, finite, q_num, q_den)
     }
 
     /// Median duration (bucket upper bound), µs.
@@ -137,8 +124,10 @@ impl SpanStat {
     }
 }
 
-/// Span path: the names of every open ancestor plus the span itself.
-type Path = Vec<&'static str>;
+/// Span path: the names of every open ancestor plus the span itself. A
+/// live profiler borrows the static names its spans were opened with; a
+/// profile read back from a file owns them.
+type Path = Vec<Cow<'static, str>>;
 
 #[derive(Debug)]
 struct ProfInner {
@@ -224,7 +213,7 @@ impl Arena {
             let mut path = Path::new();
             let mut at = i;
             while at != 0 {
-                path.push(self.nodes[at].name);
+                path.push(Cow::Borrowed(self.nodes[at].name));
                 at = self.nodes[at].parent;
             }
             path.reverse();
@@ -403,8 +392,11 @@ impl Profile {
     }
 
     /// Stats for an exact path, if present.
-    pub fn get(&self, path: &[&'static str]) -> Option<&SpanStat> {
-        self.spans.get(path)
+    pub fn get(&self, path: &[&str]) -> Option<&SpanStat> {
+        self.spans
+            .iter()
+            .find(|(have, _)| have.iter().map(|name| &**name).eq(path.iter().copied()))
+            .map(|(_, stat)| stat)
     }
 
     /// Fold `other` into `self` (commutative sums, so merging
@@ -417,21 +409,24 @@ impl Profile {
 
     /// Flat per-name aggregate (summed over every path sharing a leaf
     /// name), sorted by name.
-    pub fn flat(&self) -> Vec<(&'static str, SpanStat)> {
-        let mut by_name: BTreeMap<&'static str, SpanStat> = BTreeMap::new();
+    pub fn flat(&self) -> Vec<(Cow<'static, str>, SpanStat)> {
+        let mut by_name: BTreeMap<&Cow<'static, str>, SpanStat> = BTreeMap::new();
         for (path, stat) in &self.spans {
             if let Some(leaf) = path.last() {
                 by_name.entry(leaf).or_default().merge(stat);
             }
         }
-        by_name.into_iter().collect()
+        by_name
+            .into_iter()
+            .map(|(name, stat)| (name.clone(), stat))
+            .collect()
     }
 
     /// The `n` span names with the most self time, descending (ties
     /// break by name so the order is deterministic).
-    pub fn top_self(&self, n: usize) -> Vec<(&'static str, SpanStat)> {
+    pub fn top_self(&self, n: usize) -> Vec<(Cow<'static, str>, SpanStat)> {
         let mut flat = self.flat();
-        flat.sort_by(|a, b| b.1.self_us.cmp(&a.1.self_us).then(a.0.cmp(b.0)));
+        flat.sort_by(|a, b| b.1.self_us.cmp(&a.1.self_us).then(a.0.cmp(&b.0)));
         flat.truncate(n);
         flat
     }
@@ -467,6 +462,22 @@ impl Profile {
         out
     }
 
+    /// Collapsed-stack flamegraph export (the format `inferno` and
+    /// speedscope ingest): one line per span path, frames joined by
+    /// `;`, the sample value is the span's *self* time in µs — so
+    /// stacking the lines reconstructs total time exactly, with no
+    /// double counting of child spans.
+    pub fn to_collapsed(&self) -> String {
+        let mut out = String::with_capacity(self.spans.len() * 48);
+        for (path, stat) in &self.spans {
+            out.push_str(&path.join(";"));
+            out.push(' ');
+            out.push_str(&stat.self_us.to_string());
+            out.push('\n');
+        }
+        out
+    }
+
     /// Human-readable report: the call tree (indented by depth) then
     /// the top self-time spans.
     pub fn render(&self) -> String {
@@ -490,7 +501,7 @@ impl Profile {
                 stat.p95_us(),
                 stat.p99_us(),
                 indent,
-                path.last().copied().unwrap_or("?"),
+                path.last().map_or("?", |name| name),
             ));
         }
         out.push_str("\ntop self-time:\n");
@@ -637,6 +648,42 @@ mod tests {
         assert_eq!(op.count, 100);
         assert_eq!(op.p50_us(), 10);
         assert_eq!(op.p95_us(), 100_000);
+    }
+
+    #[test]
+    fn collapsed_stacks_carry_self_time_per_path() {
+        let prof = manual_prof();
+        let t = prof.time().unwrap().clone();
+        {
+            span!(prof, "outer");
+            t.advance_to(100);
+            {
+                span!(prof, "inner");
+                t.advance_to(130);
+            }
+            t.advance_to(135);
+        }
+        assert_eq!(
+            prof.snapshot().to_collapsed(),
+            "outer 105\nouter;inner 30\n"
+        );
+        assert_eq!(Profile::default().to_collapsed(), "");
+    }
+
+    #[test]
+    fn quantile_rank_in_overflow_clamps_to_the_last_duration_bound() {
+        let prof = manual_prof();
+        let t = prof.time().unwrap().clone();
+        {
+            span!(prof, "slow");
+            t.advance_to(60_000_000);
+        }
+        let p = prof.snapshot();
+        let slow = p.get(&["slow"]).unwrap();
+        assert_eq!(*slow.dur_buckets.last().unwrap(), 1);
+        assert_eq!(slow.p50_us(), *DUR_BOUNDS.last().unwrap());
+        assert!(p.to_json().contains("\"p50_us\":10000000"));
+        assert!(p.to_json().contains("[\"inf\",1]"));
     }
 
     #[test]

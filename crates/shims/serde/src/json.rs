@@ -62,6 +62,35 @@ impl Value {
         }
     }
 
+    /// As `&str` if a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// As the member list if an array.
+    pub fn as_array(&self) -> Option<&[Value]> {
+        match self {
+            Value::Array(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    /// As the key map if an object.
+    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
+        match self {
+            Value::Object(m) => Some(m),
+            _ => None,
+        }
+    }
+
+    /// Object member lookup (`None` on non-objects too).
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.as_object().and_then(|m| m.get(key))
+    }
+
     fn kind(&self) -> &'static str {
         match self {
             Value::Null => "null",
@@ -209,11 +238,17 @@ pub fn write_value_pretty(out: &mut String, v: &Value, indent: usize) {
 // Parser
 // ---------------------------------------------------------------------
 
-/// Parse a complete JSON document (rejects trailing garbage).
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so hostile input (a file of `[`) must run into this
+/// and not into the end of the stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document (rejects trailing garbage and
+/// nesting deeper than [`MAX_DEPTH`]).
 pub fn parse(input: &str) -> Result<Value, Error> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let v = parse_value(input, bytes, &mut pos)?;
+    let v = parse_value(input, bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error::msg(format!("trailing characters at byte {pos}")));
@@ -231,10 +266,13 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+fn parse_value(input: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(Error::msg("unexpected end of input")),
+        Some(b'[' | b'{') if depth >= MAX_DEPTH => Err(Error::msg(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        ))),
         Some(b'n') => expect_lit(bytes, pos, "null").map(|()| Value::Null),
         Some(b't') => expect_lit(bytes, pos, "true").map(|()| Value::Bool(true)),
         Some(b'f') => expect_lit(bytes, pos, "false").map(|()| Value::Bool(false)),
@@ -248,7 +286,7 @@ fn parse_value(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Erro
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(input, bytes, pos)?);
+                items.push(parse_value(input, bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -276,7 +314,7 @@ fn parse_value(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Erro
                     return Err(Error::msg(format!("expected `:` at byte {pos}")));
                 }
                 *pos += 1;
-                let value = parse_value(input, bytes, pos)?;
+                let value = parse_value(input, bytes, pos, depth + 1)?;
                 map.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -421,6 +459,28 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_recursed_to_death() {
+        let at_limit = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&at_limit).is_ok());
+        let past_limit = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(parse(&past_limit).is_err());
+        let err = parse(&"[".repeat(300_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
+        let err = parse(&"{\"a\":".repeat(300_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn accessors_read_the_tree() {
+        let v = parse("{\"s\":\"x\",\"a\":[1,-2],\"o\":{}}").unwrap();
+        assert_eq!(v.get("s").and_then(Value::as_str), Some("x"));
+        let a = v.get("a").and_then(Value::as_array).unwrap();
+        assert_eq!((a[0].as_u64(), a[1].as_i64()), (Some(1), Some(-2)));
+        assert!(v.get("o").and_then(Value::as_object).unwrap().is_empty());
+        assert!(v.get("missing").is_none() && a[0].get("s").is_none());
     }
 
     #[test]

@@ -1171,37 +1171,9 @@ impl Swarm {
             }
         }
         if let Some(audit) = peer.engine.choke_audit() {
-            let remote = |conn: ConnId| -> i64 { peer.link(conn).map_or(-1, |s| s.to as i64) };
-            let optimistic = audit.optimistic.map_or(-1, remote);
-            self.tracer.record(
-                now.0,
-                TraceCat::Choke,
-                "round",
-                idx as u64,
-                &[
-                    ("is_seed", i64::from(audit.is_seed)),
-                    ("flips", i64::from(audit.flips)),
-                    ("peers", audit.entries.len() as i64),
-                    ("optimistic", optimistic),
-                ],
-            );
-            for e in &audit.entries {
-                self.tracer.record(
-                    now.0,
-                    TraceCat::Choke,
-                    "audit",
-                    idx as u64,
-                    &[
-                        ("peer", remote(e.conn)),
-                        ("rank", i64::from(e.rank)),
-                        ("down_bps", e.download_rate as i64),
-                        ("up_bps", e.upload_rate as i64),
-                        ("interested", i64::from(e.interested)),
-                        ("snubbed", i64::from(e.snubbed)),
-                        ("outcome", e.outcome.as_code()),
-                    ],
-                );
-            }
+            audit.trace(&self.tracer, now, idx as u64, |conn| {
+                peer.link(conn).map_or(-1, |s| s.to as i64)
+            });
         }
         self.peers[idx].engine.clear_audit();
     }

@@ -248,7 +248,7 @@ impl TopologySpec {
     /// §10).
     pub fn from_json(text: &str) -> Result<TopologySpec, String> {
         let spec: TopologySpec =
-            serde_json::from_str(text).map_err(|e| format!("topology JSON: {e:?}"))?;
+            serde_json::from_str(text).map_err(|e| format!("topology JSON: {e}"))?;
         spec.validate()?;
         Ok(spec)
     }
@@ -355,6 +355,16 @@ mod tests {
             let back = TopologySpec::from_json(&spec.to_json()).unwrap();
             assert_eq!(spec, back);
         }
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // What `swarmrun --topology FILE` and `swarmrun SPEC.json` read.
+        let bomb = "[".repeat(300_000);
+        assert!(TopologySpec::from_json(&bomb).is_err());
+        assert!(serde_json::from_str::<crate::SwarmSpec>(&bomb).is_err());
+        let nested_spec = format!("{{\"net\":{}", "{\"FullDuplex\":".repeat(300_000));
+        assert!(serde_json::from_str::<crate::SwarmSpec>(&nested_spec).is_err());
     }
 
     #[test]

@@ -8,11 +8,25 @@
 //! divergence — everything before it is provably identical behaviour.
 //! This module walks the two JSONLs in lockstep, compares canonical
 //! lines (no parsing on the happy path), and reports that first
-//! divergence with both parsed payloads and a ±K window of raw lines
-//! of context, turning "digest mismatch" from a dead end into a
-//! pinpointed event.
+//! divergence with both lines and a ±K window of raw lines of context,
+//! turning "digest mismatch" from a dead end into a pinpointed event.
 
-use bt_obs::schema::TraceEventDoc;
+use serde_json::Value;
+
+use crate::artifacts::push_json_str;
+
+/// What stands in for a diverging line that is not a JSON object (a
+/// truncated file, say): the divergence location is still the answer.
+const UNPARSEABLE: &str = "{\"t\":0,\"cat\":\"\",\"name\":\"<unparseable>\",\"id\":0}";
+
+/// `line` itself when it is one JSON object — trace lines are already
+/// the canonical objects — and the [`UNPARSEABLE`] stand-in otherwise.
+fn event_json(line: &str) -> &str {
+    match serde_json::from_str::<Value>(line) {
+        Ok(Value::Object(_)) => line,
+        _ => UNPARSEABLE,
+    }
+}
 
 /// The outcome of comparing two trace streams.
 #[derive(Clone, Debug, PartialEq)]
@@ -26,10 +40,10 @@ pub enum BisectReport {
     Diverged {
         /// 0-based index of the first differing line.
         index: usize,
-        /// Run A's event at that index (`None` when A ended first).
-        a: Option<Box<TraceEventDoc>>,
-        /// Run B's event at that index (`None` when B ended first).
-        b: Option<Box<TraceEventDoc>>,
+        /// Run A's raw line at that index (`None` when A ended first).
+        a: Option<String>,
+        /// Run B's raw line at that index (`None` when B ended first).
+        b: Option<String>,
         /// Up to ±K raw lines of run A around the divergence.
         window_a: Vec<String>,
         /// Up to ±K raw lines of run B around the divergence.
@@ -89,12 +103,20 @@ impl BisectReport {
                 window_b,
             } => {
                 let mut out = format!("first divergence at event #{index}\n");
-                let describe = |tag: &str, ev: &Option<Box<TraceEventDoc>>| match ev {
-                    Some(e) => format!(
+                let describe = |tag: &str, line: &Option<String>| {
+                    let Some(line) = line else {
+                        return format!("  {tag}: <end of trace>\n");
+                    };
+                    let ev: Value = serde_json::from_str(event_json(line)).expect("an object");
+                    let num = |key| ev.get(key).and_then(Value::as_u64).unwrap_or(0);
+                    let text = |key| ev.get(key).and_then(Value::as_str).unwrap_or("");
+                    format!(
                         "  {tag}: t={} cat={} name={} id={}\n",
-                        e.at_micros, e.cat, e.name, e.id
-                    ),
-                    None => format!("  {tag}: <end of trace>\n"),
+                        num("t"),
+                        text("cat"),
+                        text("name"),
+                        num("id")
+                    )
                 };
                 out.push_str(&describe("A", a));
                 out.push_str(&describe("B", b));
@@ -112,11 +134,8 @@ impl BisectReport {
     }
 }
 
-fn push_event(out: &mut String, ev: &Option<Box<TraceEventDoc>>) {
-    match ev {
-        Some(e) => out.push_str(&e.to_json()),
-        None => out.push_str("null"),
-    }
+fn push_event(out: &mut String, line: &Option<String>) {
+    out.push_str(line.as_deref().map_or("null", event_json));
 }
 
 fn push_lines(out: &mut String, lines: &[String]) {
@@ -124,15 +143,7 @@ fn push_lines(out: &mut String, lines: &[String]) {
         if i > 0 {
             out.push(',');
         }
-        out.push('"');
-        for c in line.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
+        push_json_str(out, line);
     }
 }
 
@@ -142,10 +153,10 @@ fn push_lines(out: &mut String, lines: &[String]) {
 /// Lines are compared as canonical bytes — the tracer's export is
 /// deterministic, so any byte difference is a real behavioural
 /// difference, and identical runs cost no parsing at all. The two
-/// payloads at the divergence are parsed for the report; a line that
-/// fails to parse (truncated file, say) is surfaced as a synthetic
-/// `name="<unparseable>"` event rather than an error, because the
-/// divergence location is still the answer.
+/// lines at the divergence are embedded in the report as they stand; one
+/// that is not a JSON object (truncated file, say) is surfaced as a
+/// synthetic `name="<unparseable>"` event rather than an error, because
+/// the divergence location is still the answer.
 pub fn bisect_traces(a_text: &str, b_text: &str, window: usize) -> BisectReport {
     let a_lines: Vec<&str> = a_text.lines().filter(|l| !l.trim().is_empty()).collect();
     let b_lines: Vec<&str> = b_text.lines().filter(|l| !l.trim().is_empty()).collect();
@@ -160,16 +171,6 @@ pub fn bisect_traces(a_text: &str, b_text: &str, window: usize) -> BisectReport 
         };
     }
 
-    let parse = |lines: &[&str]| -> Option<Box<TraceEventDoc>> {
-        lines.get(index).map(|l| {
-            Box::new(
-                TraceEventDoc::parse_line(l).unwrap_or_else(|_| TraceEventDoc {
-                    name: "<unparseable>".to_string(),
-                    ..TraceEventDoc::default()
-                }),
-            )
-        })
-    };
     let slice_window = |lines: &[&str]| -> Vec<String> {
         let lo = index.saturating_sub(window);
         let hi = (index + window + 1).min(lines.len());
@@ -178,8 +179,8 @@ pub fn bisect_traces(a_text: &str, b_text: &str, window: usize) -> BisectReport 
 
     BisectReport::Diverged {
         index,
-        a: parse(&a_lines),
-        b: parse(&b_lines),
+        a: a_lines.get(index).map(|l| l.to_string()),
+        b: b_lines.get(index).map(|l| l.to_string()),
         window_a: slice_window(&a_lines),
         window_b: slice_window(&b_lines),
     }
@@ -235,22 +236,28 @@ mod tests {
             panic!("expected divergence");
         };
         assert_eq!(*index, 2);
-        assert_eq!(ea.as_ref().unwrap().name, "rarest_pick");
-        assert_eq!(eb.as_ref().unwrap().name, "random_pick");
+        assert_eq!(ea.as_deref(), Some(line(3, "rarest_pick", 1).as_str()));
+        assert_eq!(eb.as_deref(), Some(line(3, "random_pick", 1).as_str()));
         // ±1 window: events 1..=3.
         assert_eq!(window_a.len(), 3);
         assert!(window_a[0].contains("first_have"));
         assert!(window_b[1].contains("random_pick"));
         let json = report.to_json();
-        let parsed = bt_obs::parse_json(&json).unwrap();
+        let parsed: Value = serde_json::from_str(&json).unwrap();
+        let div = parsed.get("first_divergence").unwrap();
+        assert_eq!(div.get("index").and_then(Value::as_u64), Some(2));
+        // The diverging lines are embedded as the objects they are.
+        assert!(json.contains(&format!("\"a\":{},\"b\":", line(3, "rarest_pick", 1))));
         assert_eq!(
-            parsed
-                .get("first_divergence")
-                .and_then(|d| d.get("index"))
-                .and_then(bt_obs::JsonValue::as_u64),
-            Some(2)
+            div.get("b")
+                .and_then(|b| b.get("name"))
+                .and_then(Value::as_str),
+            Some("random_pick")
         );
         assert!(report.render().contains("event #2"));
+        assert!(report
+            .render()
+            .contains("A: t=3 cat=piece name=rarest_pick id=1"));
     }
 
     #[test]
@@ -271,6 +278,29 @@ mod tests {
         assert!(ea.is_some());
         assert!(eb.is_none());
         assert!(report.to_json().contains("\"b\":null"));
+    }
+
+    #[test]
+    fn a_line_that_is_not_an_object_gets_the_stand_in_and_windows_are_escaped() {
+        let a = jsonl(&[line(1, "injected", 0), "{\"t\":2,\"cat\":\"pie".to_string()]);
+        let b = jsonl(&[line(1, "injected", 0), "[\"tab\\there\"]".to_string()]);
+        let report = bisect_traces(&a, &b, 1);
+        let json = report.to_json();
+        let parsed: Value = serde_json::from_str(&json).expect("report stays valid JSON");
+        let div = parsed.get("first_divergence").unwrap();
+        for side in ["a", "b"] {
+            assert_eq!(
+                div.get(side)
+                    .and_then(|e| e.get("name"))
+                    .and_then(Value::as_str),
+                Some("<unparseable>")
+            );
+        }
+        let window_b = div.get("window_b").and_then(Value::as_array).unwrap();
+        assert_eq!(window_b[1].as_str(), Some("[\"tab\\there\"]"));
+        assert!(report
+            .render()
+            .contains("B: t=0 cat= name=<unparseable> id=0"));
     }
 
     #[test]

@@ -7,10 +7,16 @@
 //! *which code paid for it* — per-span self-time deltas from the two
 //! profiles, ranked by absolute contribution to the total shift, each
 //! with its share of that shift. The collapsed-stack exports
-//! ([`ProfileDoc::to_collapsed`]) drop straight into inferno or
+//! ([`Profile::to_collapsed`]) drop straight into inferno or
 //! speedscope for the visual version of the same answer.
 
-use bt_obs::schema::{MetricsDoc, ProfileDoc};
+use std::collections::{BTreeMap, BTreeSet};
+
+use bt_obs::registry::Entry;
+use bt_obs::series::json_f64;
+use bt_obs::{metric_key, Profile, Snapshot};
+
+use crate::artifacts::push_json_str;
 
 /// One metric's before/after row.
 #[derive(Clone, Debug, PartialEq)]
@@ -45,18 +51,18 @@ impl MetricDelta {
     }
 
     fn to_json(&self) -> String {
-        use bt_obs::series::json_f64;
         let pct = self
             .pct
             .map(|p| json_f64((p * 100.0).round() / 100.0))
             .unwrap_or_else(|| "null".to_string());
-        format!(
-            "{{\"key\":\"{}\",\"baseline\":{},\"value\":{},\"pct\":{}}}",
-            self.key,
+        let mut out = String::from("{\"key\":");
+        push_json_str(&mut out, &self.key);
+        out.push_str(&format!(
+            ",\"baseline\":{},\"value\":{},\"pct\":{pct}}}",
             json_f64(self.baseline),
-            json_f64(self.value),
-            pct
-        )
+            json_f64(self.value)
+        ));
+        out
     }
 }
 
@@ -79,15 +85,16 @@ pub struct SpanDelta {
 
 impl SpanDelta {
     fn to_json(&self) -> String {
-        format!(
-            "{{\"path\":\"{}\",\"baseline_self_us\":{},\"value_self_us\":{},\
-             \"delta_us\":{},\"share_pct\":{}}}",
-            self.path,
+        let mut out = String::from("{\"path\":");
+        push_json_str(&mut out, &self.path);
+        out.push_str(&format!(
+            ",\"baseline_self_us\":{},\"value_self_us\":{},\"delta_us\":{},\"share_pct\":{}}}",
             self.baseline_self_us,
             self.value_self_us,
             self.delta_us,
-            bt_obs::series::json_f64((self.share_pct * 100.0).round() / 100.0)
-        )
+            json_f64((self.share_pct * 100.0).round() / 100.0)
+        ));
+        out
     }
 }
 
@@ -166,46 +173,42 @@ fn trim_f64(v: f64) -> String {
     }
 }
 
-/// Compare two runs' final metrics snapshots. Keys present in only one
-/// run appear with a zero on the other side.
-pub fn diff_runs(a: &MetricsDoc, b: &MetricsDoc) -> RunDiff {
-    let mut metrics = Vec::new();
+/// One row per key either side has, the absent side reading as zero.
+fn push_deltas<V>(
+    rows: &mut Vec<MetricDelta>,
+    a: &[Entry<V>],
+    b: &[Entry<V>],
+    suffix: &str,
+    value: impl Fn(&V) -> f64,
+) {
+    let keyed = |side: &[Entry<V>]| -> BTreeMap<String, f64> {
+        side.iter()
+            .map(|(name, label, v)| (metric_key(name, label) + suffix, value(v)))
+            .collect()
+    };
+    let (a, b) = (keyed(a), keyed(b));
+    for key in a.keys().chain(b.keys()).collect::<BTreeSet<_>>() {
+        let side = |m: &BTreeMap<String, f64>| m.get(key).copied().unwrap_or(0.0);
+        rows.push(MetricDelta::new(key.clone(), side(&a), side(&b)));
+    }
+}
 
-    let counter_keys: std::collections::BTreeSet<_> =
-        a.counters.keys().chain(b.counters.keys()).collect();
-    for key in counter_keys {
-        metrics.push(MetricDelta::new(
-            key.clone(),
-            a.counters.get(key).copied().unwrap_or(0) as f64,
-            b.counters.get(key).copied().unwrap_or(0) as f64,
-        ));
-    }
-    let gauge_keys: std::collections::BTreeSet<_> =
-        a.gauges.keys().chain(b.gauges.keys()).collect();
-    for key in gauge_keys {
-        metrics.push(MetricDelta::new(
-            key.clone(),
-            a.gauges.get(key).copied().unwrap_or(0) as f64,
-            b.gauges.get(key).copied().unwrap_or(0) as f64,
-        ));
-    }
-    let hist_keys: std::collections::BTreeSet<_> =
-        a.histograms.keys().chain(b.histograms.keys()).collect();
-    for key in hist_keys {
-        for (tag, q) in [("p50", 50u64), ("p95", 95), ("p99", 99)] {
-            metrics.push(MetricDelta::new(
-                format!("{key}/{tag}"),
-                a.histograms
-                    .get(key)
-                    .map(|h| h.quantile(q, 100))
-                    .unwrap_or(0) as f64,
-                b.histograms
-                    .get(key)
-                    .map(|h| h.quantile(q, 100))
-                    .unwrap_or(0) as f64,
-            ));
-        }
-    }
+/// Compare two runs' final metrics snapshots (histograms by the
+/// p50/p95/p99 each run wrote). Keys present in only one run appear
+/// with a zero on the other side.
+pub fn diff_runs(a: &Snapshot, b: &Snapshot) -> RunDiff {
+    let mut metrics = Vec::new();
+    push_deltas(&mut metrics, &a.counters, &b.counters, "", |&v| v as f64);
+    push_deltas(&mut metrics, &a.gauges, &b.gauges, "", |&v| v as f64);
+    push_deltas(&mut metrics, &a.histograms, &b.histograms, "/p50", |h| {
+        h.p50 as f64
+    });
+    push_deltas(&mut metrics, &a.histograms, &b.histograms, "/p95", |h| {
+        h.p95 as f64
+    });
+    push_deltas(&mut metrics, &a.histograms, &b.histograms, "/p99", |h| {
+        h.p99 as f64
+    });
     metrics.sort_by(|x, y| x.key.cmp(&y.key));
     RunDiff {
         metrics,
@@ -216,8 +219,8 @@ pub fn diff_runs(a: &MetricsDoc, b: &MetricsDoc) -> RunDiff {
 /// Rank every span path by its contribution to the total self-time
 /// shift between two profiles. Paths in only one profile count from
 /// zero; unchanged spans are dropped. `top` caps the table (0 = all).
-pub fn attribute(a: &ProfileDoc, b: &ProfileDoc, top: usize) -> Vec<SpanDelta> {
-    let paths: std::collections::BTreeSet<_> = a.spans.keys().chain(b.spans.keys()).collect();
+pub fn attribute(a: &Profile, b: &Profile, top: usize) -> Vec<SpanDelta> {
+    let paths: BTreeSet<_> = a.spans.keys().chain(b.spans.keys()).collect();
     let mut deltas = Vec::new();
     let mut total_shift = 0u64;
     for path in paths {
@@ -258,49 +261,55 @@ pub fn attribute(a: &ProfileDoc, b: &ProfileDoc, top: usize) -> Vec<SpanDelta> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bt_obs::schema::{HistogramDoc, SpanDoc};
+    use bt_obs::{HistogramSnapshot, SpanStat};
+    use serde_json::Value;
 
-    fn metrics(n: u64, bound: u64) -> MetricsDoc {
-        let mut doc = MetricsDoc::default();
-        doc.counters.insert("sim.events".to_string(), n);
-        doc.gauges.insert("sim.live_peers".to_string(), n as i64);
-        doc.histograms.insert(
-            "lat".to_string(),
-            HistogramDoc {
-                count: 10,
-                sum: bound * 10,
-                buckets: vec![(bound, 10)],
-                overflow: 0,
-            },
-        );
-        doc
+    fn metrics(n: u64, bound: u64) -> Snapshot {
+        Snapshot {
+            at_micros: 0,
+            counters: vec![("sim.events".into(), String::new(), n)],
+            gauges: vec![("sim.live_peers".into(), String::new(), n as i64)],
+            histograms: vec![(
+                "lat".into(),
+                String::new(),
+                HistogramSnapshot {
+                    count: 10,
+                    sum: bound * 10,
+                    p50: bound,
+                    p95: bound,
+                    p99: bound,
+                    buckets: vec![(bound, 10)],
+                    overflow: 0,
+                },
+            )],
+        }
     }
 
-    fn profile(pairs: &[(&str, u64)]) -> ProfileDoc {
-        let mut doc = ProfileDoc::default();
+    fn profile(pairs: &[(&str, u64)]) -> Profile {
+        let mut profile = Profile::default();
         for &(path, self_us) in pairs {
-            doc.spans.insert(
-                path.split('/').map(str::to_string).collect(),
-                SpanDoc {
+            profile.spans.insert(
+                path.split('/').map(|n| n.to_string().into()).collect(),
+                SpanStat {
                     count: 1,
                     total_us: self_us,
                     self_us,
-                    buckets: HistogramDoc::default(),
+                    ..SpanStat::default()
                 },
             );
         }
-        doc
+        profile
     }
 
     #[test]
     fn diff_covers_both_sides_and_quantiles() {
         let mut a = metrics(100, 10);
-        a.counters.insert("only.a".to_string(), 7);
+        a.counters.insert(0, ("only.a".into(), "x".to_string(), 7));
         let b = metrics(150, 100);
         let diff = diff_runs(&a, &b);
         let by_key = |k: &str| diff.metrics.iter().find(|m| m.key == k).unwrap().clone();
         assert_eq!(by_key("sim.events").pct, Some(50.0));
-        let only_a = by_key("only.a");
+        let only_a = by_key("only.a{x}");
         assert_eq!((only_a.baseline, only_a.value), (7.0, 0.0));
         assert_eq!(only_a.pct, Some(-100.0));
         assert_eq!(by_key("lat/p95").baseline, 10.0);
@@ -343,9 +352,9 @@ mod tests {
         diff.spans = attribute(&profile(&[("tick", 10)]), &profile(&[("tick", 30)]), 0);
         let json = diff.to_json();
         assert_eq!(json, diff.to_json());
-        let parsed = bt_obs::parse_json(&json).unwrap();
+        let parsed: Value = serde_json::from_str(&json).unwrap();
         assert_eq!(
-            parsed.get("schema").and_then(bt_obs::JsonValue::as_str),
+            parsed.get("schema").and_then(Value::as_str),
             Some("btstat-diff-v1")
         );
         assert!(!parsed.get("spans").unwrap().as_array().unwrap().is_empty());

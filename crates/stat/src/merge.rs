@@ -1,14 +1,14 @@
 //! `btstat merge`: commutative fleet-wide aggregation.
 //!
 //! A [`FleetReport`] folds N runs into one document: the run manifests
-//! sorted by `(key, digest)`, one merged [`MetricsDoc`] (counters and
+//! sorted by `(key, digest)`, one merged [`Snapshot`] (counters and
 //! gauges summed, histograms bucket-merged so fleet-wide p50/p95/p99
-//! are exact, not averages of averages), one merged [`ProfileDoc`]
+//! are exact, not averages of averages), one merged [`Profile`]
 //! call tree, the per-run series kept side by side for overlay, and
 //! the paper-claim verdicts re-asserted over the merged data.
 //!
 //! Order insensitivity is structural, not incidental: runs are sorted
-//! on ingest and every merged structure is a `BTreeMap` fed by
+//! on ingest and every merged structure is a sorted collection fed by
 //! commutative `+`, so `to_json()` / `to_html()` are byte-identical
 //! for any permutation of the same inputs (pinned by a proptest in
 //! `tests/fleet_stat.rs`).
@@ -17,9 +17,9 @@ use std::collections::BTreeMap;
 
 use bt_analysis::fleet::fleet_verdicts;
 use bt_analysis::live::Thresholds;
-use bt_obs::schema::{MetricsDoc, ProfileDoc, SeriesDoc};
+use bt_obs::{views_to_json, Profile, SeriesView, Snapshot};
 
-use crate::artifacts::{series_by_run, RunArtifacts};
+use crate::artifacts::{push_json_str, series_by_run, RunArtifacts};
 
 /// A merged fleet of runs, ready to render.
 #[derive(Clone, Debug, Default)]
@@ -27,19 +27,19 @@ pub struct FleetReport {
     /// Ingested runs, sorted by `(key, digest)`.
     pub runs: Vec<RunArtifacts>,
     /// Fleet-merged registry snapshot.
-    pub metrics: MetricsDoc,
+    pub metrics: Snapshot,
     /// Fleet-merged span profile.
-    pub profile: ProfileDoc,
+    pub profile: Profile,
     /// Per-run series, keyed by run key, for overlaying.
-    pub series: BTreeMap<String, SeriesDoc>,
+    pub series: BTreeMap<String, Vec<SeriesView>>,
 }
 
 impl FleetReport {
     /// Build a report from run artifacts, in any order.
     pub fn merge(mut runs: Vec<RunArtifacts>) -> FleetReport {
         runs.sort_by(|a, b| (a.key(), &a.digest).cmp(&(b.key(), &b.digest)));
-        let mut metrics = MetricsDoc::default();
-        let mut profile = ProfileDoc::default();
+        let mut metrics = Snapshot::default();
+        let mut profile = Profile::default();
         for run in &runs {
             if let Some(m) = &run.metrics {
                 metrics.merge(m);
@@ -79,17 +79,11 @@ impl FleetReport {
             out.push_str(&run.summary_json());
         }
         out.push_str("],\"metrics\":");
-        out.push_str(&self.metrics.to_json());
+        out.push_str(&self.metrics.to_jsonl_line());
         out.push_str(",\"profile\":");
         out.push_str(&self.profile.to_json());
         out.push_str(",\"series\":{");
-        for (i, (key, doc)) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{key}\":"));
-            out.push_str(&doc.to_json());
-        }
+        self.push_series(&mut out);
         out.push_str("},\"verdicts\":[");
         for (i, v) in self.verdicts().iter().enumerate() {
             if i > 0 {
@@ -101,6 +95,18 @@ impl FleetReport {
         out.push_str(if self.healthy() { "true" } else { "false" });
         out.push('}');
         out
+    }
+
+    /// `"run key":{series document}` members, comma-separated.
+    fn push_series(&self, out: &mut String) {
+        for (i, (key, views)) in self.series.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_json_str(out, key);
+            out.push(':');
+            out.push_str(&views_to_json(views));
+        }
     }
 
     /// The fleet report as a self-contained static HTML page: verdict
@@ -159,14 +165,13 @@ impl FleetReport {
         }
         html.push_str("</table>\n");
 
-        let mut spans: Vec<_> = self.profile.flat().into_iter().collect();
-        spans.sort_by(|a, b| b.1.self_us.cmp(&a.1.self_us).then(a.0.cmp(&b.0)));
+        let spans = self.profile.top_self(12);
         if !spans.is_empty() {
             html.push_str(
                 "<h2>top spans (fleet self time)</h2><table>\
                  <tr><th>span</th><th>count</th><th>self µs</th><th>total µs</th></tr>\n",
             );
-            for (name, stat) in spans.iter().take(12) {
+            for (name, stat) in &spans {
                 html.push_str(&format!(
                     "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
                     escape_html(name),
@@ -182,13 +187,7 @@ impl FleetReport {
         // Embed the per-run series as one JSON blob the inline script
         // renders; the blob is the deterministic part of this page.
         html.push_str("<script>const FLEET={");
-        for (i, (key, doc)) in self.series.iter().enumerate() {
-            if i > 0 {
-                html.push(',');
-            }
-            html.push_str(&format!("\"{key}\":"));
-            html.push_str(&doc.to_json());
-        }
+        self.push_series(&mut html);
         html.push_str("};\n");
         html.push_str(FLEET_HTML_SCRIPT);
         html
@@ -273,32 +272,33 @@ for(const[run,doc]of Object.entries(FLEET)){
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bt_obs::schema::{HistogramDoc, SeriesEntry};
+    use bt_obs::HistogramSnapshot;
+    use serde_json::Value;
 
     pub(crate) fn run(scenario: &str, seed: u64, bound: u64, n: u64) -> RunArtifacts {
-        let mut metrics = MetricsDoc {
+        let metrics = Snapshot {
             at_micros: seed,
-            ..MetricsDoc::default()
+            counters: vec![("sim.events".into(), String::new(), n)],
+            gauges: vec![("live.starved_peers".into(), String::new(), 0)],
+            histograms: vec![(
+                "core.choke_round_us".into(),
+                String::new(),
+                HistogramSnapshot {
+                    count: n,
+                    sum: bound * n,
+                    p50: bound,
+                    p95: bound,
+                    p99: bound,
+                    buckets: vec![(bound, n)],
+                    overflow: 0,
+                },
+            )],
         };
-        metrics.counters.insert("sim.events".to_string(), n);
-        metrics.gauges.insert("live.starved_peers".to_string(), 0);
-        metrics.histograms.insert(
-            "core.choke_round_us".to_string(),
-            HistogramDoc {
-                count: n,
-                sum: bound * n,
-                buckets: vec![(bound, n)],
-                overflow: 0,
-            },
-        );
-        let mut series = SeriesDoc::default();
-        series.series.insert(
-            "live.entropy".to_string(),
-            SeriesEntry {
-                stride: 1,
-                points: vec![(0, 0.5), (10, 0.9)],
-            },
-        );
+        let series = vec![SeriesView {
+            name: "live.entropy".to_string(),
+            stride: 1,
+            points: vec![(0, 0.5), (10, 0.9)],
+        }];
         RunArtifacts {
             scenario: scenario.to_string(),
             seed,
@@ -324,17 +324,17 @@ mod tests {
         assert_eq!(fwd.to_json(), rev.to_json());
         assert_eq!(fwd.to_html(), rev.to_html());
         // Exact fleet quantiles, not an average of per-run quantiles.
-        let h = &fwd.metrics.histograms["core.choke_round_us"];
+        let h = fwd.metrics.histogram("core.choke_round_us", "").unwrap();
         assert_eq!(h.count, 105);
-        assert_eq!(h.quantile(95, 100), 100_000);
+        assert_eq!(h.p95, 100_000);
     }
 
     #[test]
     fn report_json_parses_and_carries_verdicts() {
         let report = FleetReport::merge(vec![run("flash", 1, 10, 4), run("flash", 2, 10, 6)]);
-        let parsed = bt_obs::parse_json(&report.to_json()).unwrap();
+        let parsed: Value = serde_json::from_str(&report.to_json()).unwrap();
         assert_eq!(
-            parsed.get("schema").and_then(bt_obs::JsonValue::as_str),
+            parsed.get("schema").and_then(Value::as_str),
             Some("btstat-fleet-v1")
         );
         assert_eq!(parsed.get("runs").unwrap().as_array().unwrap().len(), 2);
@@ -346,9 +346,17 @@ mod tests {
                 .get("metrics")
                 .and_then(|m| m.get("counters"))
                 .and_then(|c| c.get("sim.events"))
-                .and_then(bt_obs::JsonValue::as_u64),
+                .and_then(Value::as_u64),
             Some(10)
         );
+    }
+
+    #[test]
+    fn a_fleet_of_one_reports_that_runs_own_documents() {
+        let one = run("flash", 1, 10, 4);
+        let report = FleetReport::merge(vec![one.clone()]);
+        assert_eq!(report.metrics, one.metrics.unwrap());
+        assert_eq!(report.series["flash-s1"], one.series.unwrap());
     }
 
     #[test]

@@ -19,7 +19,11 @@
 //!   non-blocking TCP, with an accelerated virtual clock;
 //! * [`instrument`] — trace records and peer identification;
 //! * [`obs`] — runtime telemetry: metrics registry (counters, gauges,
-//!   histograms) and leveled structured event log;
+//!   histograms), span profiler, series, causal tracer and leveled
+//!   structured event log — the types every run artifact is written
+//!   from;
+//! * [`stat`] — offline fleet analytics (`btstat`): reads those
+//!   artifacts back into the same types, then merge / diff / bisect;
 //! * [`analysis`] — entropy, replication, interarrival, fairness and
 //!   unchoke-correlation metrics;
 //! * [`torrents`] — the Table I scenarios and the scenario runner.

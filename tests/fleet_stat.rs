@@ -11,12 +11,17 @@
 //!    `frames;joined;by;semicolons <self_us>` line per span, directly
 //!    consumable by inferno / speedscope.
 //! 4. **Artifact round trip** — a run written in the `--emit-dir`
-//!    layout loads back and merges with intact identity and data.
+//!    layout loads back and merges with intact identity and data; a
+//!    fleet of one run reports that run's own bytes.
+//! 5. **Hostile manifests** — a scenario name with quotes and newlines
+//!    goes through merge, diff and bisect and the reports still parse.
 
-use bt_repro::obs::schema::ProfileDoc;
-use bt_repro::stat::{bisect_traces, FleetReport, RunArtifacts};
+use bt_repro::obs::{HistogramSnapshot, SeriesView, Snapshot};
+use bt_repro::stat::artifacts::parse_profile;
+use bt_repro::stat::{attribute, bisect_traces, diff_runs, FleetReport, RunArtifacts};
 use bt_repro::torrents::{run_scenario, torrent, RunConfig};
 use proptest::prelude::*;
+use serde_json::Value;
 
 fn traced_cfg(seed: u64) -> RunConfig {
     RunConfig {
@@ -44,11 +49,11 @@ fn bisect_reports_identical_runs_and_pinpoints_seed_divergence() {
     let diff = bisect_traces(&trace_a, &trace_b, 3);
     assert!(!diff.is_identical(), "seeds 42 vs 43 produced equal traces");
     let json = diff.to_json();
-    let parsed = bt_repro::obs::parse_json(&json).unwrap();
+    let parsed: Value = serde_json::from_str(&json).unwrap();
     let div = parsed.get("first_divergence").expect("divergence object");
     let index = div
         .get("index")
-        .and_then(bt_repro::obs::JsonValue::as_u64)
+        .and_then(Value::as_u64)
         .expect("divergence index");
     assert!(div.get("a").is_some() && div.get("b").is_some());
     let window = div.get("window_a").unwrap().as_array().unwrap();
@@ -59,36 +64,41 @@ fn bisect_reports_identical_runs_and_pinpoints_seed_divergence() {
     let i = index as usize;
     assert_eq!(la[..i], lb[..i], "lines before the divergence differ");
     assert_ne!(la.get(i), lb.get(i), "divergent line actually matches");
+    // The report carries both diverging lines as they stand in the
+    // traces.
+    assert!(
+        json.contains(&format!("\"a\":{},\"b\":{},", la[i], lb[i])),
+        "a/b are not the raw trace lines"
+    );
 }
 
 /// Build a small synthetic run for permutation tests; `seed` keys the
 /// run's identity, `bound`/`n` shape its histogram so fleet quantiles
 /// actually depend on the merge being commutative.
 fn synth_run(scenario: &str, seed: u64, bound: u64, n: u64) -> RunArtifacts {
-    use bt_repro::obs::schema::{HistogramDoc, MetricsDoc, SeriesDoc, SeriesEntry};
-    let mut metrics = MetricsDoc {
+    let metrics = Snapshot {
         at_micros: seed,
-        ..MetricsDoc::default()
+        counters: vec![("sim.events".into(), String::new(), n)],
+        gauges: vec![("live.starved_peers".into(), String::new(), 0)],
+        histograms: vec![(
+            "core.choke_round_us".into(),
+            String::new(),
+            HistogramSnapshot {
+                count: n,
+                sum: bound * n,
+                p50: bound,
+                p95: bound,
+                p99: bound,
+                buckets: vec![(bound, n)],
+                overflow: 0,
+            },
+        )],
     };
-    metrics.counters.insert("sim.events".to_string(), n);
-    metrics.gauges.insert("live.starved_peers".to_string(), 0);
-    metrics.histograms.insert(
-        "core.choke_round_us".to_string(),
-        HistogramDoc {
-            count: n,
-            sum: bound * n,
-            buckets: vec![(bound, n)],
-            overflow: 0,
-        },
-    );
-    let mut series = SeriesDoc::default();
-    series.series.insert(
-        "live.entropy".to_string(),
-        SeriesEntry {
-            stride: 1,
-            points: vec![(0, 0.4), (10, 0.7 + (seed % 3) as f64 * 0.1)],
-        },
-    );
+    let series = vec![SeriesView {
+        name: "live.entropy".to_string(),
+        stride: 1,
+        points: vec![(0, 0.4), (10, 0.7 + (seed % 3) as f64 * 0.1)],
+    }];
     RunArtifacts {
         scenario: scenario.to_string(),
         seed,
@@ -148,7 +158,10 @@ fn flamegraph_export_is_collapsed_stack_lines() {
     };
     let outcome = run_scenario(&torrent(2), &cfg);
     let profile = outcome.profile.expect("profiler requested");
-    let doc = ProfileDoc::parse(&profile.to_json()).unwrap();
+    // What `btstat diff --flame-a` exports: the profile as read back
+    // from its own `profile.json`.
+    let doc = parse_profile(&profile.to_json()).unwrap();
+    assert_eq!(doc, profile);
     let collapsed = doc.to_collapsed();
     assert!(!collapsed.is_empty(), "profiled run produced no spans");
     let mut self_total = 0u64;
@@ -167,9 +180,9 @@ fn flamegraph_export_is_collapsed_stack_lines() {
     );
     // Self times stack back up to the root total: no double counting.
     let roots: u64 = doc
-        .flat()
+        .spans
         .iter()
-        .filter(|(name, _)| !name.contains('/'))
+        .filter(|(path, _)| path.len() == 1)
         .map(|(_, s)| s.total_us)
         .sum();
     assert_eq!(
@@ -226,15 +239,66 @@ fn artifact_directory_round_trips_through_load_and_merge() {
 
     let report = FleetReport::merge(runs.clone());
     let json = report.to_json();
-    let parsed = bt_repro::obs::parse_json(&json).unwrap();
+    let parsed: Value = serde_json::from_str(&json).unwrap();
     assert_eq!(parsed.get("runs").unwrap().as_array().unwrap().len(), 2);
     assert!(!report.verdicts().is_empty());
     // The fleet counter is the sum of both runs' final snapshots.
-    let fleet_events = report.metrics.counters["sim.events"];
+    let fleet_events = report.metrics.counter_sum("sim.events");
     let per_run: u64 = runs
         .iter()
-        .map(|r| r.metrics.as_ref().unwrap().counters["sim.events"])
+        .map(|r| r.metrics.as_ref().unwrap().counter_sum("sim.events"))
         .sum();
     assert_eq!(fleet_events, per_run);
+
+    // A fleet of one is that run: its metrics and profile come back out
+    // as the bytes the run wrote.
+    let alone = FleetReport::merge(vec![runs[0].clone()]);
+    let on_disk = |name: &str| std::fs::read_to_string(dirs[0].join(name)).unwrap();
+    assert_eq!(
+        alone.metrics.to_jsonl_line(),
+        on_disk("metrics.jsonl").trim_end()
+    );
+    assert_eq!(alone.profile.to_json(), on_disk("profile.json"));
+    assert_eq!(
+        bt_repro::obs::views_to_json(&alone.series["torrent-19-s42"]),
+        on_disk("series.json")
+    );
     let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn hostile_scenario_names_survive_merge_diff_and_bisect() {
+    let mut a = synth_run("a\"b\nc", 1, 10, 4);
+    let mut b = synth_run("a\"b\nc", 2, 100, 6);
+    a.trace_jsonl = Some("{\"t\":0,\"cat\":\"piece\",\"name\":\"x\",\"id\":1}\n".to_string());
+    b.trace_jsonl = Some("{\"t\":0,\"cat\":\"piece\",\"name\":\"y\\\"\",\"id\":1}\n".to_string());
+    let parse = |text: String| serde_json::from_str::<Value>(&text).expect("valid JSON");
+
+    let report = FleetReport::merge(vec![a.clone(), b.clone()]);
+    let merged = parse(report.to_json());
+    let run0 = &merged.get("runs").unwrap().as_array().unwrap()[0];
+    assert_eq!(
+        run0.get("scenario").and_then(Value::as_str),
+        Some("a\"b\nc")
+    );
+    let series = merged.get("series").and_then(Value::as_object).unwrap();
+    assert!(series.contains_key("a\"b\nc-s1"), "{:?}", series.keys());
+    assert!(report.to_html().contains("FLEET={\"a\\\"b\\nc-s1\":"));
+
+    let (ma, mb) = (a.metrics.as_ref().unwrap(), b.metrics.as_ref().unwrap());
+    let mut diff = diff_runs(ma, mb);
+    diff.spans = attribute(&Default::default(), &Default::default(), 0);
+    parse(diff.to_json());
+
+    let bisect = bisect_traces(
+        a.trace_jsonl.as_deref().unwrap(),
+        b.trace_jsonl.as_deref().unwrap(),
+        3,
+    );
+    let div = parse(bisect.to_json());
+    let name = div
+        .get("first_divergence")
+        .and_then(|d| d.get("b"))
+        .and_then(|b| b.get("name"));
+    assert_eq!(name.and_then(Value::as_str), Some("y\""));
 }
