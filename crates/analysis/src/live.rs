@@ -14,17 +14,17 @@
 //! | `starvation` | max seconds any leecher has gone blockless | §IV-A.2: flash-crowd service rate |
 //!
 //! Each observable is published as `live.*` gauges (and float series
-//! when a [`SeriesStore`] is attached), and each healthy→unhealthy
-//! transition emits one `obs_warn!` event (with an `obs_info!` on
-//! recovery) rather than warning every round. All state is derived
-//! from the fed samples alone — no clocks, no RNG — so under a manual
-//! time source the monitor is deterministic and safe to run inside the
-//! reproducibility-pinned simulator.
+//! when a [`SeriesStore`] is attached), so a healthy→unhealthy
+//! transition and a recovery are both visible in the exported metrics
+//! and series; the driver watches [`HealthReport::healthy`] for the
+//! edge. All state is derived from the fed samples alone — no clocks,
+//! no RNG — so under a manual time source the monitor is deterministic
+//! and safe to run inside the reproducibility-pinned simulator.
 
 use std::sync::{Arc, Mutex};
 
 use bt_obs::series::json_f64;
-use bt_obs::{obs_info, obs_warn, Gauge, Registry, SeriesStore};
+use bt_obs::{Gauge, Registry, SeriesStore};
 
 /// Normalized Shannon entropy of a piece-replication vector, in
 /// `[0, 1]`: `1.0` when every piece has the same number of copies,
@@ -191,7 +191,6 @@ struct Gauges {
 }
 
 struct MonitorInner {
-    registry: Registry,
     thresholds: Thresholds,
     series: Mutex<Option<SeriesStore>>,
     gauges: Gauges,
@@ -229,7 +228,6 @@ impl HealthMonitor {
         };
         HealthMonitor {
             inner: Arc::new(MonitorInner {
-                registry: registry.clone(),
                 thresholds,
                 series: Mutex::new(None),
                 gauges,
@@ -249,8 +247,8 @@ impl HealthMonitor {
         &self.inner.thresholds
     }
 
-    /// Feed one sampling round; updates gauges and series, emits
-    /// threshold-crossing events, and refreshes [`report`](Self::report).
+    /// Feed one sampling round; updates gauges and series and
+    /// refreshes [`report`](Self::report).
     pub fn observe(&self, now_micros: u64, sample: &LiveSample<'_>) {
         let t = &self.inner.thresholds;
         let g = &self.inner.gauges;
@@ -323,35 +321,6 @@ impl HealthMonitor {
         ];
 
         let mut state = self.inner.state.lock().unwrap();
-        for v in &verdicts {
-            let was = state
-                .monitors
-                .iter()
-                .find(|m| m.name == v.name)
-                .map(|m| m.healthy);
-            if was != Some(v.healthy) && !(was.is_none() && v.healthy) {
-                let reg = &self.inner.registry;
-                if v.healthy {
-                    obs_info!(
-                        reg,
-                        "live",
-                        "health.recovered",
-                        "monitor" = v.name,
-                        "value" = v.value,
-                        "threshold" = v.threshold,
-                    );
-                } else {
-                    obs_warn!(
-                        reg,
-                        "live",
-                        "health.threshold_crossed",
-                        "monitor" = v.name,
-                        "value" = v.value,
-                        "threshold" = v.threshold,
-                    );
-                }
-            }
-        }
         state.at_micros = now_micros;
         state.samples += 1;
         state.monitors = verdicts;
@@ -366,8 +335,7 @@ impl HealthMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bt_obs::{Level, RingSink, TimeSource};
-    use std::sync::Arc;
+    use bt_obs::TimeSource;
 
     #[test]
     fn entropy_of_uniform_counts_is_one() {
@@ -439,34 +407,14 @@ mod tests {
             .find(|m| m.name == "replication")
             .unwrap();
         assert!(!rep.healthy);
-    }
+        assert_eq!(reg.snapshot().gauge("live.replication_min", ""), Some(0));
 
-    #[test]
-    fn warn_fires_once_per_transition_and_recovery_logs() {
-        let reg = Registry::new(TimeSource::manual());
-        let ring = Arc::new(RingSink::new(32));
-        reg.set_sink(ring.clone(), Level::Info);
-        let mon = HealthMonitor::new(&reg, Thresholds::default());
-
-        let starving = LiveSample {
-            starvation_secs: &[2000],
-            ..healthy_sample()
-        };
-        mon.observe(0, &starving);
-        mon.observe(1, &starving); // still unhealthy: no second warn
-        mon.observe(2, &healthy_sample()); // recovery: one info
-        let records = ring.records();
-        let warns: Vec<_> = records
-            .iter()
-            .filter(|r| r.name == "health.threshold_crossed")
-            .collect();
-        let infos: Vec<_> = records
-            .iter()
-            .filter(|r| r.name == "health.recovered")
-            .collect();
-        assert_eq!(warns.len(), 1, "{records:?}");
-        assert_eq!(warns[0].fields[0], ("monitor".into(), "starvation".into()));
-        assert_eq!(infos.len(), 1, "{records:?}");
+        // The piece reappears: the next sample reports recovery.
+        mon.observe(1, &healthy_sample());
+        let report = mon.report();
+        assert!(report.healthy(), "{}", report.summary_line());
+        assert_eq!((report.samples, report.at_micros), (2, 1));
+        assert_eq!(reg.snapshot().gauge("live.replication_min", ""), Some(4));
     }
 
     #[test]

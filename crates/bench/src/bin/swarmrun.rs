@@ -43,8 +43,8 @@
 //!   it never touches the swarm RNG, so traced runs replay the same
 //!   digest byte-for-byte. Works in every mode; `--table1` exports one
 //!   JSON object keyed by torrent label;
-//! * `--flight-recorder DIR` keeps a bounded ring of recent trace and
-//!   log events and dumps a self-contained crash bundle into DIR when a
+//! * `--flight-recorder DIR` keeps a bounded ring of recent trace
+//!   events and dumps a self-contained crash bundle into DIR when a
 //!   live-monitor invariant trips, on panic, or on `GET /flightrec`
 //!   (with `--watch-addr`);
 //! * `--emit-dir DIR` drops every artifact for the run in one

@@ -21,7 +21,7 @@ use crate::error::EngineError;
 use crate::metrics::EngineMetrics;
 use bt_choke::{Choker, PeerSnapshot};
 use bt_instrument::trace::{Trace, TraceEvent, UnchokeRole};
-use bt_obs::{obs_info, obs_warn, Profiler, TraceCat, Tracer};
+use bt_obs::{Profiler, TraceCat, Tracer};
 use bt_piece::{Availability, Bitfield, Geometry, PickContext, PiecePicker, RequestScheduler};
 use bt_wire::fast;
 use bt_wire::message::{BlockRef, Message};
@@ -148,9 +148,6 @@ pub struct Engine {
     trace: Option<Trace>,
     metrics: Option<EngineMetrics>,
     profiler: Profiler,
-    /// Outcome of the most recent [`rechoke`](Engine::rechoke) round,
-    /// for live observers (`None` before the first round).
-    last_choke_round: Option<ChokeRoundStats>,
     /// When set, every rechoke round leaves a full per-peer audit in
     /// `choke_audit` and every piece pick appends to `pick_log`.
     audit_choke: bool,
@@ -292,22 +289,6 @@ pub struct PickEvent {
     pub availability: u32,
 }
 
-/// What one [`Engine::rechoke`] round did, from the engine's local
-/// view — the per-round hook behind the `core.choke.*` counters and
-/// the live health monitors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChokeRoundStats {
-    /// When the round ran.
-    pub at: Instant,
-    /// Choke-state changes sent this round (chokes + unchokes).
-    pub flips: u32,
-    /// Connections left unchoked after the round.
-    pub unchoked: u32,
-    /// Unchoked connections whose peer also unchokes us (local
-    /// tit-for-tat view).
-    pub reciprocal: u32,
-}
-
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
@@ -396,7 +377,6 @@ impl Engine {
             trace: recorder.map(Trace::new),
             metrics: None,
             profiler: Profiler::disabled(),
-            last_choke_round: None,
             audit_choke: false,
             choke_audit: ChokeAudit::default(),
             choke_audit_fresh: false,
@@ -569,13 +549,6 @@ impl Engine {
                     self.actions.push(Action::Disconnect { conn });
                     if let Some(m) = &self.metrics {
                         m.count_error(&err);
-                        obs_warn!(
-                            m.registry,
-                            "core",
-                            "protocol_violation",
-                            "conn" = u64::from(conn),
-                            "error" = format!("{err:?}").as_str(),
-                        );
                     }
                     self.actions.error = Some(err);
                 }
@@ -1218,14 +1191,6 @@ impl Engine {
         self.is_seed = true;
         self.seed_at = Some(now);
         self.record(now, TraceEvent::BecameSeed);
-        if let Some(m) = &self.metrics {
-            obs_info!(
-                m.registry,
-                "core",
-                "became_seed",
-                "at_secs" = now.as_secs_f64(),
-            );
-        }
         self.actions.push(Action::Announce {
             event: AnnounceEvent::Completed,
         });
@@ -1416,22 +1381,6 @@ impl Engine {
             // *granted* an unchoke, so kept peers age and each new SRU
             // "tak[es] an unchoke slot off the oldest SKU peer" (§II-C.2).
         }
-        let mut unchoked = 0u32;
-        let mut reciprocal = 0u32;
-        for c in self.conns.iter() {
-            if !c.am_choking {
-                unchoked += 1;
-                if !c.peer_choking {
-                    reciprocal += 1;
-                }
-            }
-        }
-        self.last_choke_round = Some(ChokeRoundStats {
-            at: now,
-            flips,
-            unchoked,
-            reciprocal,
-        });
         if self.audit_choke {
             let is_seed = self.is_seed;
             let entries = &mut self.choke_audit.entries;
@@ -1481,6 +1430,16 @@ impl Engine {
             self.choke_audit_fresh = true;
         }
         if let (Some(m), Some(t0)) = (&self.metrics, round_started) {
+            let mut unchoked = 0u32;
+            let mut reciprocal = 0u32;
+            for c in self.conns.iter() {
+                if !c.am_choking {
+                    unchoked += 1;
+                    if !c.peer_choking {
+                        reciprocal += 1;
+                    }
+                }
+            }
             m.choke_rounds.inc();
             m.choke_flips.add(u64::from(flips));
             m.choke_unchoked_slots.add(u64::from(unchoked));
@@ -1489,12 +1448,6 @@ impl Engine {
                 .observe(m.registry.now_micros().saturating_sub(t0));
         }
         self.periodic_duties(now);
-    }
-
-    /// Stats of the most recent choke round, if one has run — the
-    /// per-round hook for live health monitors.
-    pub fn last_choke_round(&self) -> Option<&ChokeRoundStats> {
-        self.last_choke_round.as_ref()
     }
 
     /// Turn on the choke/picker audit trail: every subsequent rechoke

@@ -21,7 +21,7 @@ use crate::metrics::NetMetrics;
 use crate::tracker::LoopbackTracker;
 use bt_core::engine::PeerCaps;
 use bt_core::{Action, ConnId, DataMode, Engine, EngineMetrics, Input};
-use bt_obs::{obs_debug, obs_warn, Profiler, Registry, Tracer};
+use bt_obs::{Profiler, Registry, Tracer};
 use bt_wire::handshake::{Handshake, HANDSHAKE_LEN};
 use bt_wire::message::{BlockRef, Decoder, Message, DEFAULT_MAX_FRAME};
 use bt_wire::peer_id::{IpAddr, PeerId};
@@ -447,12 +447,6 @@ impl NetRuntime {
                 }
                 Err(_) => {
                     self.metrics.dial_failures.inc();
-                    obs_warn!(
-                        self.metrics.registry(),
-                        "net",
-                        "dial_failed",
-                        "attempts" = u64::from(self.cfg.dial_attempts),
-                    );
                     self.feed(now, Input::ConnectFailed);
                 }
             }
@@ -551,13 +545,6 @@ impl NetRuntime {
         self.metrics
             .handshake_us
             .observe(now.0.saturating_sub(started.0));
-        obs_debug!(
-            self.metrics.registry(),
-            "net",
-            "handshake_ok",
-            "initiated" = initiated,
-            "at_secs" = now.as_secs_f64(),
-        );
         let caps = PeerCaps::from_reserved(&hs.reserved);
         let actions = self.engine.handle(
             now,

@@ -14,10 +14,9 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::event::{EventSink, Field, Level, Record};
 use crate::time::TimeSource;
 
 /// Preset histogram bucket boundaries (inclusive upper bounds).
@@ -228,15 +227,10 @@ type Key = (&'static str, String);
 struct Inner {
     time: TimeSource,
     instruments: Mutex<BTreeMap<Key, Instrument>>,
-    sink: Mutex<Option<Arc<dyn EventSink>>>,
-    /// Minimum level that reaches the sink; `LEVEL_OFF` = no sink.
-    min_level: AtomicU8,
 }
 
-const LEVEL_OFF: u8 = u8::MAX;
-
 /// The shared registry; see the [module docs](self). Cloning is cheap
-/// and all clones share the same instruments, clock and sink.
+/// and all clones share the same instruments and clock.
 #[derive(Clone, Debug)]
 pub struct Registry {
     inner: Arc<Inner>,
@@ -249,8 +243,6 @@ impl Registry {
             inner: Arc::new(Inner {
                 time,
                 instruments: Mutex::new(BTreeMap::new()),
-                sink: Mutex::new(None),
-                min_level: AtomicU8::new(LEVEL_OFF),
             }),
         }
     }
@@ -358,51 +350,6 @@ impl Registry {
                 h.clone()
             }
             _ => panic!("metric {name:?} registered as a non-histogram"),
-        }
-    }
-
-    /// Install `sink` and forward records at `min_level` and above.
-    pub fn set_sink(&self, sink: Arc<dyn EventSink>, min_level: Level) {
-        *self.inner.sink.lock().unwrap() = Some(sink);
-        self.inner
-            .min_level
-            .store(min_level as u8, Ordering::Release);
-    }
-
-    /// Remove any installed sink (log calls become near-free again).
-    pub fn clear_sink(&self) {
-        self.inner.min_level.store(LEVEL_OFF, Ordering::Release);
-        *self.inner.sink.lock().unwrap() = None;
-    }
-
-    /// Would a record at `level` reach the sink? One relaxed atomic load.
-    #[inline]
-    pub fn log_enabled(&self, level: Level) -> bool {
-        level as u8 >= self.inner.min_level.load(Ordering::Relaxed)
-    }
-
-    /// Emit a structured record (prefer the [`obs_info!`](crate::obs_info)
-    /// family of macros, which check [`log_enabled`](Self::log_enabled)
-    /// before evaluating fields).
-    pub fn log(
-        &self,
-        level: Level,
-        target: &'static str,
-        name: &'static str,
-        fields: &[Field<'_>],
-    ) {
-        if !self.log_enabled(level) {
-            return;
-        }
-        let sink = self.inner.sink.lock().unwrap().clone();
-        if let Some(sink) = sink {
-            sink.emit(&Record {
-                at_micros: self.now_micros(),
-                level,
-                target,
-                name,
-                fields,
-            });
         }
     }
 

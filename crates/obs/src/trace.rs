@@ -26,13 +26,11 @@
 //!    plus Chrome trace-event JSON (open in Perfetto / `chrome://tracing`).
 //!
 //! The [`FlightRecorder`] keeps a bounded ring of the most recent
-//! trace events plus a [`RingSink`](crate::RingSink) of recent log
-//! records, and dumps a self-contained JSON bundle — trace slice,
+//! trace events and dumps a self-contained JSON bundle — trace slice,
 //! registry snapshot, health verdicts, RNG seed + event count for
 //! replay — when a live-monitor invariant trips, on panic (via
 //! [`FlightGuard`]), or on demand (`ObsServer GET /flightrec`).
 
-use crate::event::RingSink;
 use crate::registry::Registry;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -326,8 +324,6 @@ struct TracerInner {
     seed: u64,
     /// Sample 1-in-`rate` chains; 1 = everything.
     rate: u64,
-    /// Replication count that closes a piece lifecycle.
-    k_target: u32,
     /// Coverage guarantee ([`Tracer::set_universe`]): the piece id with
     /// the minimal sampling hash is always sampled, so a rate far above
     /// the piece count still exports ≥ 1 complete lifecycle.
@@ -376,7 +372,6 @@ impl Tracer {
                 id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
                 seed,
                 rate: rate.max(1),
-                k_target: 4,
                 pinned_piece: AtomicU64::new(UNPINNED),
                 pinned_peer: AtomicU64::new(UNPINNED),
                 events: Mutex::new(Vec::new()),
@@ -390,51 +385,34 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// This handle with `set` applied to its settings. A handle that
+    /// Attach a flight recorder: every recorded event is also pushed
+    /// into its bounded ring. Consumes `self` so the recorder is wired
+    /// before the tracer is cloned into drivers. A handle that already
     /// has clones cannot change under them: it becomes a tracer of its
     /// own — fresh id, hence its own per-thread arenas — starting from
     /// a copy of what this thread and every handed-in chunk recorded.
-    fn reconfigured(self, set: impl FnOnce(&mut TracerInner)) -> Tracer {
+    #[must_use]
+    pub fn with_flight(self, recorder: FlightRecorder) -> Tracer {
         self.flush_local();
         let Some(arc) = self.inner else { return self };
         let mut inner = Arc::try_unwrap(arc).unwrap_or_else(|shared| TracerInner {
             id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
             seed: shared.seed,
             rate: shared.rate,
-            k_target: shared.k_target,
             pinned_piece: AtomicU64::new(shared.pinned_piece.load(Ordering::Relaxed)),
             pinned_peer: AtomicU64::new(shared.pinned_peer.load(Ordering::Relaxed)),
             events: Mutex::new(shared.store().clone()),
-            flight: shared.flight.clone(),
+            flight: None,
         });
-        set(&mut inner);
+        inner.flight = Some(recorder);
         Tracer {
             inner: Some(Arc::new(inner)),
         }
     }
 
-    /// Attach a flight recorder: every recorded event is also pushed
-    /// into its bounded ring. Consumes `self` so the recorder is wired
-    /// before the tracer is cloned into drivers.
-    #[must_use]
-    pub fn with_flight(self, recorder: FlightRecorder) -> Tracer {
-        self.reconfigured(|i| i.flight = Some(recorder))
-    }
-
-    /// Replication target that closes a piece lifecycle (default 4).
-    #[must_use]
-    pub fn with_k_target(self, k: u32) -> Tracer {
-        self.reconfigured(|i| i.k_target = k.max(1))
-    }
-
     /// Whether any recording can happen at all.
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Replication target that closes a piece lifecycle.
-    pub fn k_target(&self) -> u32 {
-        self.inner.as_ref().map_or(4, |i| i.k_target)
     }
 
     /// The flight recorder wired via [`with_flight`](Tracer::with_flight).
@@ -666,13 +644,12 @@ struct FlightInner {
     dir: PathBuf,
     capacity: usize,
     ring: Mutex<VecDeque<TraceEvent>>,
-    log: Arc<RingSink>,
     seed: u64,
     dumps: AtomicU64,
 }
 
-/// Bounded ring of recent trace events + recent log records that can
-/// dump a self-contained crash bundle at any moment. Clone-cheap.
+/// Bounded ring of recent trace events that can dump a
+/// self-contained crash bundle at any moment. Clone-cheap.
 #[derive(Clone)]
 pub struct FlightRecorder {
     inner: Arc<FlightInner>,
@@ -691,7 +668,7 @@ impl std::fmt::Debug for FlightRecorder {
 
 impl FlightRecorder {
     /// Recorder writing bundles under `dir`, retaining the last
-    /// `capacity` trace events and `capacity` log records.
+    /// `capacity` trace events.
     pub fn new(dir: impl Into<PathBuf>, capacity: usize, seed: u64) -> FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
@@ -699,17 +676,10 @@ impl FlightRecorder {
                 dir: dir.into(),
                 capacity,
                 ring: Mutex::new(VecDeque::with_capacity(capacity)),
-                log: Arc::new(RingSink::new(capacity)),
                 seed,
                 dumps: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// The log ring; install it as the registry's event sink so recent
-    /// `obs_warn!`/`obs_info!` records land in the bundle.
-    pub fn log_sink(&self) -> Arc<RingSink> {
-        self.inner.log.clone()
     }
 
     /// Directory bundles are written to.
@@ -742,9 +712,8 @@ impl FlightRecorder {
     }
 
     /// The self-contained bundle as a JSON string: reason, seed and
-    /// event count (replay coordinates), the trace slice, recent log
-    /// records, the registry snapshot, health verdicts, and the
-    /// causal explanation.
+    /// event count (replay coordinates), the trace slice, the registry
+    /// snapshot, health verdicts, and the causal explanation.
     pub fn bundle_json(&self, reason: &str, ctx: &DumpContext<'_>) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(4096);
@@ -760,28 +729,6 @@ impl FlightRecorder {
                 out.push(',');
             }
             out.push_str(&e.to_json());
-        }
-        out.push_str("],\"log\":[");
-        for (i, r) in self.inner.log.records().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"t\":{},\"level\":\"{}\",\"target\":\"{}\",\"event\":\"{}\"",
-                r.at_micros,
-                r.level.as_str().trim_end(),
-                r.target,
-                r.name
-            );
-            for (k, v) in &r.fields {
-                out.push_str(",\"");
-                crate::export::escape_json_into(&mut out, k);
-                out.push_str("\":\"");
-                crate::export::escape_json_into(&mut out, v);
-                out.push('"');
-            }
-            out.push('}');
         }
         out.push_str("],\"registry\":");
         match ctx.registry {
@@ -1105,18 +1052,17 @@ mod tests {
         }
     }
 
-    /// `with_flight` / `with_k_target` on a handle that has clones used
-    /// to build a second tracer under the first one's id: the two then
-    /// shared one per-thread arena and whichever flushed first took the
-    /// other's pending events.
+    /// `with_flight` on a handle that has clones used to build a second
+    /// tracer under the first one's id: the two then shared one
+    /// per-thread arena and whichever flushed first took the other's
+    /// pending events.
     #[test]
     fn reconfiguring_a_cloned_handle_makes_an_independent_tracer() {
         let a = Tracer::new(5, 1);
         a.record(1, TraceCat::Msg, "send", 0, &[("who", 0)]);
-        let b = a.clone().with_k_target(2);
         let dir = std::env::temp_dir().join("bt-trace-reconfigured-unused");
-        let c = b.clone().with_flight(FlightRecorder::new(dir, 4, 5));
-        assert_eq!((a.k_target(), b.k_target(), c.k_target()), (4, 2, 2));
+        let b = a.clone().with_flight(FlightRecorder::new(&dir, 4, 5));
+        let c = b.clone().with_flight(FlightRecorder::new(&dir, 4, 5));
         a.record(2, TraceCat::Msg, "send", 0, &[("who", 0)]);
         b.record(3, TraceCat::Msg, "send", 0, &[("who", 1)]);
         c.record(4, TraceCat::Msg, "send", 0, &[("who", 2)]);
@@ -1129,8 +1075,13 @@ mod tests {
         assert_eq!(who(&b), [(1, 0), (3, 1)]);
         assert_eq!(who(&a), [(1, 0), (2, 0)]);
         assert_eq!(who(&c), [(1, 0), (4, 2)]);
-        assert_eq!(c.flight().unwrap().trace_slice().len(), 1);
-        assert!(a.flight().is_none() && b.flight().is_none());
+        // So does each recorder: the ring sees only its tracer's events.
+        let ring = |t: &Tracer| -> Vec<u64> {
+            let slice = t.flight().unwrap().trace_slice();
+            slice.iter().map(|e| e.at_micros).collect()
+        };
+        assert_eq!((ring(&b), ring(&c)), (vec![3], vec![4]));
+        assert!(a.flight().is_none());
     }
 
     #[test]
@@ -1167,6 +1118,51 @@ mod tests {
         let read_back = std::fs::read_to_string(&path).unwrap();
         assert_eq!(read_back, bundle);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bundle_members_are_exactly_the_documented_seven_in_order() {
+        let fr = FlightRecorder::new(std::env::temp_dir(), 4, 99);
+        // Order: the bare bundle, byte for byte.
+        assert_eq!(
+            fr.bundle_json("http", &DumpContext::default()),
+            "{\"reason\":\"http\",\"seed\":99,\"events_processed\":0,\"trace\":[],\
+             \"registry\":null,\"health\":null,\"explanation\":null}"
+        );
+        // Membership and well-formedness with every member populated.
+        let t = Tracer::new(99, 1).with_flight(fr.clone());
+        t.record(1, TraceCat::Msg, "send", 0, &[("to", 2)]);
+        let reg = Registry::new(TimeSource::manual());
+        reg.counter("x").inc();
+        let ctx = DumpContext {
+            registry: Some(&reg),
+            health_json: Some("{\"healthy\":true}"),
+            explanation: Some("a \"quoted\"\nline"),
+            events_processed: 7,
+        };
+        let bundle = fr.bundle_json("invariant:starvation", &ctx);
+        let parsed = serde::json::parse(&bundle).expect("bundle is valid JSON");
+        let members = parsed.as_object().expect("bundle is an object");
+        assert_eq!(
+            members.keys().collect::<Vec<_>>(),
+            [
+                "events_processed",
+                "explanation",
+                "health",
+                "reason",
+                "registry",
+                "seed",
+                "trace"
+            ],
+            "the parser sorts keys"
+        );
+        assert_eq!(
+            parsed
+                .get("trace")
+                .and_then(|t| t.as_array())
+                .map(<[_]>::len),
+            Some(1)
+        );
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! enums externally tagged (`"Unit"`, `{"Variant": payload}`), tuples and
 //! arrays as JSON arrays, maps as objects. Missing `Option` fields
 //! deserialise to `None` (via [`Deserialize::absent`]), matching serde's
-//! observable behaviour for the types this workspace declares.
+//! observable behaviour for the types this workspace declares; an
+//! object key that is not a field is rejected, as under serde's
+//! `deny_unknown_fields`.
 
 use std::collections::BTreeMap;
 
@@ -58,11 +60,21 @@ pub fn ser_str(out: &mut String, s: &str) {
     json::write_escaped(out, s);
 }
 
-/// View `v` as an object, or error mentioning `ctx`.
-pub fn as_object<'v>(v: &'v Value, ctx: &str) -> Result<&'v BTreeMap<String, Value>, Error> {
-    match v {
-        Value::Object(m) => Ok(m),
-        other => Err(Error::expected("object", ctx, other)),
+/// View `v` as the object form of the struct (or struct variant)
+/// `ctx`, whose fields are `fields`. A key that is not a field is an
+/// error naming it: a misspelt or since-removed setting must not load
+/// as its default.
+pub fn as_object<'v>(
+    v: &'v Value,
+    fields: &[&str],
+    ctx: &str,
+) -> Result<&'v BTreeMap<String, Value>, Error> {
+    let Value::Object(m) = v else {
+        return Err(Error::expected("object", ctx, v));
+    };
+    match m.keys().find(|k| !fields.contains(&k.as_str())) {
+        Some(k) => Err(Error::msg(format!("unknown field `{k}` in {ctx}"))),
+        None => Ok(m),
     }
 }
 

@@ -9,7 +9,8 @@
 //!   writing compact JSON;
 //! * `Deserialize` generates
 //!   `fn deserialize_json(&Value) -> Result<Self, Error>` reading the
-//!   parsed JSON tree.
+//!   parsed JSON tree; a struct or struct variant rejects any object
+//!   key that is not one of its fields.
 //!
 //! Supported shapes (everything this workspace declares): non-generic
 //! structs with named fields, newtype structs, and enums whose variants
@@ -325,12 +326,20 @@ fn gen_serialize(item: &Item) -> String {
     )
 }
 
+/// The field names as a `[&str; N]` literal: the keys a derived
+/// reader accepts.
+fn field_list(fields: &[String]) -> String {
+    let quoted: Vec<String> = fields.iter().map(|f| format!("\"{f}\"")).collect();
+    format!("[{}]", quoted.join(", "))
+}
+
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.shape {
         Shape::Named(fields) => {
             let mut s = format!(
-                "let __o = ::serde::as_object(__v, \"{name}\")?;\n::std::result::Result::Ok({name} {{\n"
+                "let __o = ::serde::as_object(__v, &{}, \"{name}\")?;\n::std::result::Result::Ok({name} {{\n",
+                field_list(fields)
             );
             for f in fields {
                 s.push_str(&format!("    {f}: ::serde::de_field(__o, \"{f}\")?,\n"));
@@ -384,7 +393,8 @@ fn gen_deserialize(item: &Item) -> String {
                             .map(|f| format!("{f}: ::serde::de_field(__o, \"{f}\")?"))
                             .collect();
                         s.push_str(&format!(
-                            "(\"{vn}\", ::std::option::Option::Some(__p)) => {{ let __o = ::serde::as_object(__p, \"{name}::{vn}\")?; ::std::result::Result::Ok({name}::{vn} {{ {} }}) }}\n",
+                            "(\"{vn}\", ::std::option::Option::Some(__p)) => {{ let __o = ::serde::as_object(__p, &{}, \"{name}::{vn}\")?; ::std::result::Result::Ok({name}::{vn} {{ {} }}) }}\n",
+                            field_list(fields),
                             inits.join(", ")
                         ));
                     }

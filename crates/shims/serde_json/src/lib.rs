@@ -38,6 +38,51 @@ mod tests {
         assert_eq!(v, v2);
     }
 
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Knobs {
+        rate: u32,
+        note: Option<String>,
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    enum Model {
+        Flat,
+        Shaped { knobs: Knobs, cap: u64 },
+    }
+
+    #[test]
+    fn derived_readers_reject_keys_that_are_not_fields() {
+        // What is written loads, with an absent `Option` as `None`.
+        let model = Model::Shaped {
+            knobs: Knobs {
+                rate: 3,
+                note: None,
+            },
+            cap: 9,
+        };
+        let json = to_string(&model).unwrap();
+        assert_eq!(from_str::<Model>(&json).unwrap(), model);
+        assert_eq!(from_str::<Model>("\"Flat\"").unwrap(), Model::Flat);
+        let knobs: Knobs = from_str("{\"rate\":3}").unwrap();
+        assert_eq!(knobs.note, None);
+        // A named struct, a struct variant, and a struct nested in one.
+        let err = |text: &str| from_str::<Model>(text).unwrap_err().to_string();
+        assert_eq!(
+            from_str::<Knobs>("{\"rate\":3,\"rat\":4}")
+                .unwrap_err()
+                .to_string(),
+            "unknown field `rat` in Knobs"
+        );
+        assert_eq!(
+            err("{\"Shaped\":{\"knobs\":{\"rate\":3},\"cap\":9,\"cpa\":1}}"),
+            "unknown field `cpa` in Model::Shaped"
+        );
+        assert_eq!(
+            err("{\"Shaped\":{\"knobs\":{\"rate\":3,\"nte\":0},\"cap\":9}}"),
+            "unknown field `nte` in Knobs"
+        );
+    }
+
     #[test]
     fn pretty_parses_back() {
         let v: Value = from_str("{\"a\":[1,2],\"b\":{\"c\":true}}").unwrap();

@@ -397,10 +397,13 @@ struct PieceLife {
 }
 
 impl PieceLife {
+    /// Verified holders that close a lifecycle.
+    const K_TARGET: usize = 4;
+
     /// Close the lifecycle with `k_replicated` once enough verified
     /// holders exist.
     fn check_k_replicated(&mut self, tracer: &Tracer, now: Instant, piece: u32) {
-        if !self.done && self.injected && self.holders.len() >= tracer.k_target() as usize {
+        if !self.done && self.injected && self.holders.len() >= Self::K_TARGET {
             self.done = true;
             tracer.record(
                 now.0,
@@ -799,10 +802,10 @@ impl Swarm {
     }
 
     /// Attach a [`FlightRecorder`]: a bounded ring of recent trace
-    /// events plus a log ring, dumped as a self-contained bundle when
-    /// a live-monitor invariant trips ([`with_health`](Swarm::with_health))
-    /// or the run panics. Compose with [`with_trace`](Swarm::with_trace)
-    /// via [`Tracer::with_flight`] so trace events reach the ring.
+    /// events, dumped as a self-contained bundle when a live-monitor
+    /// invariant trips ([`with_health`](Swarm::with_health)) or the run
+    /// panics. Compose with [`with_trace`](Swarm::with_trace) via
+    /// [`Tracer::with_flight`] so trace events reach the ring.
     #[must_use]
     pub fn with_flight_recorder(mut self, recorder: FlightRecorder) -> Swarm {
         self.flight = Some(recorder);
@@ -901,20 +904,10 @@ impl Swarm {
         if let Some(t) = self.profiler.time() {
             t.advance_to(end.0);
         }
-        if self.metrics.is_some() {
-            if let Some(m) = &self.metrics {
-                m.registry().time().advance_to(end.0);
-            }
-            self.update_metric_gauges(end);
-            self.observe_health(end);
-            if let Some(m) = &self.metrics {
-                let snap = m.registry().snapshot();
-                if let Some(store) = &self.series {
-                    store.append_snapshot(&snap);
-                }
-                self.metric_snapshots.push(snap);
-            }
+        if let Some(m) = &self.metrics {
+            m.registry().time().advance_to(end.0);
         }
+        self.sample_observers(end);
         let trace = self
             .spec
             .local
@@ -936,6 +929,22 @@ impl Swarm {
             profile: self.profiler.is_enabled().then(|| self.profiler.snapshot()),
             health: self.health.as_ref().map(|m| m.report()),
         }
+    }
+
+    /// One observer round: refresh the `sim.*` gauges, re-judge the
+    /// health monitors, then snapshot the registry — in that order, so
+    /// the snapshot carries this round's gauges and `live.*` verdicts —
+    /// into the series store and the run's `metrics.jsonl` lines. A
+    /// no-op without [`with_metrics`](Swarm::with_metrics).
+    fn sample_observers(&mut self, now: Instant) {
+        self.update_metric_gauges(now);
+        self.observe_health(now);
+        let Some(m) = &self.metrics else { return };
+        let snap = m.registry().snapshot();
+        if let Some(store) = &self.series {
+            store.append_snapshot(&snap);
+        }
+        self.metric_snapshots.push(snap);
     }
 
     /// Refresh the `sim.*` gauges from swarm state: virtual progress,
@@ -1263,17 +1272,7 @@ impl Swarm {
                 if self.spec.sample_global {
                     self.sample_global_truth(now);
                 }
-                if self.metrics.is_some() {
-                    self.update_metric_gauges(now);
-                    self.observe_health(now);
-                    if let Some(m) = &self.metrics {
-                        let snap = m.registry().snapshot();
-                        if let Some(store) = &self.series {
-                            store.append_snapshot(&snap);
-                        }
-                        self.metric_snapshots.push(snap);
-                    }
-                }
+                self.sample_observers(now);
                 self.queue
                     .schedule(now + self.spec.sample_every, Ev::Sample);
             }

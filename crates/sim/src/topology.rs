@@ -368,6 +368,18 @@ mod tests {
     }
 
     #[test]
+    fn unknown_keys_are_rejected_by_name() {
+        let json = TopologySpec::asymmetric_dsl().to_json();
+        // A typo at the top level, and one inside a nested link rule.
+        let top = json.replacen("\"rto\"", "\"rot\"", 1);
+        let err = TopologySpec::from_json(&top).unwrap_err();
+        assert_eq!(err, "topology JSON: unknown field `rot` in TopologySpec");
+        let nested = json.replacen("\"loss\"", "\"los\"", 1);
+        let err = TopologySpec::from_json(&nested).unwrap_err();
+        assert_eq!(err, "topology JSON: unknown field `los` in LinkSpec");
+    }
+
+    #[test]
     fn validation_rejects_broken_specs() {
         let mut spec = TopologySpec::homogeneous();
         spec.rules[0].link.loss = 1.5;

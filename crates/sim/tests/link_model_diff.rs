@@ -67,6 +67,22 @@ fn json_spec_without_net_section_replays_identically() {
     assert_eq!(a.digest(), b.digest());
 }
 
+/// A key the spec does not have — the removed `latency`, a misspelt
+/// `sample_global` — is an error naming it, not a run on defaults.
+#[test]
+fn json_spec_with_an_unknown_key_is_rejected_by_name() {
+    let json = serde_json::to_string(&tiny_builder(11).build()).unwrap();
+    let _: SwarmSpec = serde_json::from_str(&json).expect("the spec itself loads");
+    for (key, value) in [("latency", "80"), ("sample_gloabl", "true")] {
+        let with_key = json.replacen('{', &format!("{{\"{key}\":{value},"), 1);
+        let err = serde_json::from_str::<SwarmSpec>(&with_key).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("unknown field `{key}` in SwarmSpec")
+        );
+    }
+}
+
 /// Full-duplex topologies are deterministic across repeat runs, and a
 /// JSON round-trip of the topology changes nothing.
 #[test]

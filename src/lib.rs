@@ -19,9 +19,8 @@
 //!   non-blocking TCP, with an accelerated virtual clock;
 //! * [`instrument`] — trace records and peer identification;
 //! * [`obs`] — runtime telemetry: metrics registry (counters, gauges,
-//!   histograms), span profiler, series, causal tracer and leveled
-//!   structured event log — the types every run artifact is written
-//!   from;
+//!   histograms), span profiler, series, causal tracer and flight
+//!   recorder — the types every run artifact is written from;
 //! * [`stat`] — offline fleet analytics (`btstat`): reads those
 //!   artifacts back into the same types, then merge / diff / bisect;
 //! * [`analysis`] — entropy, replication, interarrival, fairness and
