@@ -39,6 +39,13 @@ impl AccelClock {
         Instant((micros as u64).saturating_mul(self.accel))
     }
 
+    /// Wall time from now until the clock reads `at` or later; zero if
+    /// it already does.
+    pub fn wall_until(&self, at: Instant) -> std::time::Duration {
+        let virtual_micros = at.0.saturating_sub(self.now().0);
+        std::time::Duration::from_micros(virtual_micros.div_ceil(self.accel))
+    }
+
     /// The acceleration factor.
     pub fn accel(&self) -> u64 {
         self.accel
@@ -64,6 +71,19 @@ mod tests {
         assert!(b > a);
         // 2 ms of wall time is at least 2 virtual seconds at 1000x.
         assert!((b - a).as_secs_f64() >= 2.0);
+    }
+
+    #[test]
+    fn wall_until_divides_by_the_acceleration() {
+        let clock = AccelClock::new(1000);
+        assert_eq!(clock.wall_until(Instant::ZERO), std::time::Duration::ZERO);
+        let wait = clock.wall_until(Instant(10_000_000));
+        // 10 virtual seconds at 1000x is 10 ms of wall time, less what
+        // has passed since the epoch.
+        assert!(wait <= std::time::Duration::from_millis(10));
+        assert!(wait > std::time::Duration::from_millis(5), "{wait:?}");
+        std::thread::sleep(wait);
+        assert!(clock.now() >= Instant(10_000_000));
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! [`bt_core::Action`]s come out, and nothing inside it touches a
 //! socket or a clock. `bt-sim` drives that API from a deterministic
 //! event queue; this crate drives the *same* API from non-blocking
-//! `std::net` TCP:
+//! `std::net` TCP. It is Unix-only: the runtime blocks in `poll(2)`,
+//! declared by hand in the private `sys` module — the workspace's one
+//! foreign call.
 //!
-//! - [`runtime::NetRuntime`] — the poll loop: accepts, dials with
+//! - [`runtime::NetRuntime`] — the driver loop: accepts, dials with
 //!   bounded retry and backoff, exchanges handshakes, frames messages
-//!   through the `bt-wire` codec, and feeds [`bt_core::Input::Tick`]
-//!   when the virtual clock passes the engine's armed deadline.
+//!   through the `bt-wire` codec over `TCP_NODELAY` sockets, feeds
+//!   [`bt_core::Input::Tick`] when the virtual clock passes the
+//!   engine's armed deadline, and between passes waits for a socket to
+//!   become ready or the nearest deadline to fall due.
 //! - [`clock::AccelClock`] — maps wall time onto the engine's virtual
 //!   microsecond axis, optionally accelerated so protocol timescales
 //!   (10 s choke rounds) compress into test-friendly wall budgets.
@@ -29,11 +33,15 @@
 
 #![warn(missing_docs)]
 
+#[cfg(not(unix))]
+compile_error!("bt-net is Unix-only: its runtime waits in poll(2)");
+
 pub mod clock;
 pub mod http;
 pub mod loopback;
 pub mod metrics;
 pub mod runtime;
+mod sys;
 pub mod tracker;
 
 pub use clock::{AccelClock, DEFAULT_ACCEL};

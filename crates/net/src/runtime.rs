@@ -1,8 +1,9 @@
 //! A non-blocking TCP driver for the sans-io [`Engine`].
 //!
 //! One [`NetRuntime`] owns one engine, one listening socket, and every
-//! connection the engine holds. Its poll loop follows the driver
-//! contract from [`bt_core::driver`]:
+//! connection the engine holds. Its loop — one pass over every socket,
+//! then a `poll(2)` wait until a socket or a deadline is ready —
+//! follows the driver contract from [`bt_core::driver`]:
 //!
 //! 1. feed [`Input::Start`] once;
 //! 2. translate socket events into [`Input`]s (accepted handshakes,
@@ -10,7 +11,7 @@
 //! 3. drain and execute the [`Action`]s after every `handle` call —
 //!    encode outbound frames, dial, announce, close;
 //! 4. feed [`Input::Tick`] whenever the virtual clock passes
-//!    [`Engine::next_wakeup`] (the runtime polls the deadline, so
+//!    [`Engine::next_wakeup`] (the deadline bounds the wait, so
 //!    [`Action::SetTimer`] needs no dedicated timer machinery).
 //!
 //! Handshaking, framing, keep-alives and timeouts all live here; the
@@ -18,6 +19,7 @@
 
 use crate::clock::AccelClock;
 use crate::metrics::NetMetrics;
+use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use crate::tracker::LoopbackTracker;
 use bt_core::engine::PeerCaps;
 use bt_core::{Action, ConnId, DataMode, Engine, EngineMetrics, Input};
@@ -50,8 +52,6 @@ pub fn peer_ip(peer_id: &PeerId) -> IpAddr {
 /// Transport-level tunables (the protocol ones live in `bt_core::Config`).
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Wall-clock sleep between poll passes when nothing progressed.
-    pub poll_wait: std::time::Duration,
     /// How many times to try one dial before reporting
     /// [`Input::ConnectFailed`].
     pub dial_attempts: u32,
@@ -72,7 +72,7 @@ pub struct NetConfig {
     /// (e.g. `"peer3"`), keeping per-peer series apart on a shared
     /// registry.
     pub metrics_label: String,
-    /// Shared span profiler: the poll loop records `net.*` spans and
+    /// Shared span profiler: the runtime records `net.*` spans and
     /// `wire.encode`/`wire.decode` spans, with the engine's
     /// `core.handle.*` spans nested inside. `None` (the default)
     /// disables span recording entirely.
@@ -87,7 +87,6 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
-            poll_wait: std::time::Duration::from_micros(200),
             dial_attempts: 3,
             dial_backoff: std::time::Duration::from_millis(2),
             handshake_timeout: std::time::Duration::from_secs(5),
@@ -129,6 +128,11 @@ pub struct NetStats {
     /// Handshakes that completed and were offered to the engine.
     pub handshakes_ok: u64,
 }
+
+/// The longest a wait lasts when no socket is ready and no deadline is
+/// due. It exists only so that `stop` and `max_wall`, which nothing
+/// signals through a descriptor, are noticed.
+const MAX_WAIT: std::time::Duration = std::time::Duration::from_millis(1);
 
 /// One length-prefixed frame queued for write, with an optional block
 /// marker so the engine learns when the upload actually left the socket.
@@ -181,6 +185,8 @@ pub struct NetRuntime {
     profiler: Profiler,
     tracer: Option<Tracer>,
     counted_complete: bool,
+    /// The wait set, rebuilt for every wait in the same allocation.
+    pollfds: Vec<PollFd>,
 }
 
 impl NetRuntime {
@@ -226,6 +232,7 @@ impl NetRuntime {
             profiler,
             tracer,
             counted_complete: false,
+            pollfds: Vec::new(),
         })
     }
 
@@ -282,9 +289,7 @@ impl NetRuntime {
         let now = self.clock.now();
         self.feed(now, Input::Start);
         while !stop.load(Ordering::Relaxed) && started.elapsed() < max_wall {
-            // The poll span covers one full pass but NOT the idle
-            // sleep, so `net.poll` self time is real work.
-            let progressed = {
+            {
                 let _span_guard = self.profiler.span("net.poll");
                 let now = self.clock.now();
                 // Keep a manual (virtual-time) registry in step with the
@@ -293,8 +298,8 @@ impl NetRuntime {
                 self.accept_pass(now);
                 self.dial_pass(now);
                 self.pending_pass(now);
-                let mut progressed = self.read_pass(now);
-                progressed |= self.write_pass(now);
+                self.read_pass(now);
+                self.write_pass(now);
                 self.timer_pass(now);
                 self.idle_pass(now);
                 if let Some(counter) = completed {
@@ -303,11 +308,11 @@ impl NetRuntime {
                         counter.fetch_add(1, Ordering::SeqCst);
                     }
                 }
-                progressed
-            };
-            if !progressed {
-                std::thread::sleep(self.cfg.poll_wait);
             }
+            // A sibling of `net.poll`, not a child: `net.poll` self time
+            // is real work, `net.wait` is time blocked on the peer.
+            let _span_guard = self.profiler.span("net.wait");
+            self.wait_ready();
         }
         // Runtimes run on their own threads: push this thread's buffered
         // trace events into the shared store before the thread exits.
@@ -317,6 +322,32 @@ impl NetRuntime {
         self.tracker
             .announce(self.engine.ip(), AnnounceEvent::Stopped, 0);
         self.stats()
+    }
+
+    /// Block until a socket can make progress or something is due: the
+    /// engine's next wake-up, a dial retry, a handshake deadline, or
+    /// [`MAX_WAIT`]. Readable is asked of every socket, writable only
+    /// of those with bytes queued — an idle socket is always writable.
+    fn wait_ready(&mut self) {
+        let wall = std::time::Instant::now();
+        let until = |at: std::time::Instant| at.saturating_duration_since(wall);
+        let wakeup = self.engine.next_wakeup();
+        let timeout = (wakeup.map(|at| self.clock.wall_until(at)).into_iter())
+            .chain(self.dials.iter().map(|d| until(d.next_try)))
+            .chain(self.pending.iter().map(|p| until(p.deadline)))
+            .fold(MAX_WAIT, std::cmp::min);
+        let fds = &mut self.pollfds;
+        fds.clear();
+        fds.push(PollFd::new(&self.listener, POLLIN));
+        fds.extend(self.pending.iter().map(|p| {
+            let unsent = p.out_written < HANDSHAKE_LEN;
+            PollFd::new(&p.stream, if unsent { POLLIN | POLLOUT } else { POLLIN })
+        }));
+        fds.extend(self.conns.values().map(|c| {
+            let queued = !c.out.is_empty();
+            PollFd::new(&c.stream, if queued { POLLIN | POLLOUT } else { POLLIN })
+        }));
+        sys::wait(fds, timeout);
     }
 
     /// Feed one input and execute everything the engine asks for.
@@ -388,8 +419,9 @@ impl NetRuntime {
                         self.feed(now, Input::ConnectFailed);
                     }
                 },
-                // Pull-style timers: every poll pass compares the clock
-                // against `next_wakeup()`, so the event needs no storage.
+                // Pull-style timers: every pass compares the clock against
+                // `next_wakeup()`, and every wait ends by it, so the event
+                // needs no storage.
                 Action::SetTimer { .. } => {}
             }
         }
@@ -454,7 +486,12 @@ impl NetRuntime {
     }
 
     fn start_handshake(&mut self, now: Instant, stream: TcpStream, initiated: bool) {
-        if stream.set_nonblocking(true).is_err() {
+        // No Nagle: a `request` is 17 bytes one way with nothing coming
+        // back to carry its ACK, so a delayed segment stalls the pipeline.
+        let configured = stream
+            .set_nonblocking(true)
+            .and_then(|()| stream.set_nodelay(true));
+        if configured.is_err() {
             if initiated {
                 self.metrics.dial_failures.inc();
                 self.feed(now, Input::ConnectFailed);
@@ -577,10 +614,9 @@ impl NetRuntime {
     }
 
     /// Read available bytes on every connection and feed decoded frames.
-    fn read_pass(&mut self, now: Instant) -> bool {
+    fn read_pass(&mut self, now: Instant) {
         let profiler = self.profiler.clone();
         let _span_guard = profiler.span("net.read_pass");
-        let mut progressed = false;
         let mut buffered: i64 = 0;
         let ids: Vec<ConnId> = self.conns.keys().copied().collect();
         for id in ids {
@@ -602,7 +638,6 @@ impl NetRuntime {
                         c.decoder.feed(&buf[..n]);
                         c.last_recv = now;
                         read_bytes += n as u64;
-                        progressed = true;
                     }
                     Err(ref e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(ref e) if e.kind() == ErrorKind::Interrupted => {}
@@ -650,13 +685,11 @@ impl NetRuntime {
             }
         }
         self.metrics.read_buffer_bytes.set(buffered);
-        progressed
     }
 
     /// Flush write queues; report fully-sent blocks to the engine.
-    fn write_pass(&mut self, now: Instant) -> bool {
+    fn write_pass(&mut self, now: Instant) {
         let _span_guard = self.profiler.span("net.write_pass");
-        let mut progressed = false;
         let mut queued_frames: i64 = 0;
         let mut queued_bytes: i64 = 0;
         let ids: Vec<ConnId> = self.conns.keys().copied().collect();
@@ -676,7 +709,6 @@ impl NetRuntime {
                     Ok(n) => {
                         front.written += n;
                         wrote_bytes += n as u64;
-                        progressed = true;
                         if front.written == front.buf.len() {
                             if let Some(block) = front.block {
                                 sent_blocks.push(block);
@@ -713,7 +745,6 @@ impl NetRuntime {
         }
         self.metrics.write_queue_frames.set(queued_frames);
         self.metrics.write_queue_bytes.set(queued_bytes);
-        progressed
     }
 
     /// Feed ticks for every elapsed engine deadline.
@@ -756,6 +787,9 @@ impl NetRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bt_core::EngineBuilder;
+    use bt_piece::Geometry;
+    use bt_wire::metainfo::SyntheticContent;
     use bt_wire::peer_id::ClientKind;
 
     #[test]
@@ -765,5 +799,109 @@ mod tests {
         assert_eq!(peer_ip(&a), peer_ip(&a));
         assert_ne!(peer_ip(&a), peer_ip(&b));
         assert_ne!(peer_ip(&a), IpAddr(0));
+    }
+
+    /// An empty-handed peer `index` of a four-piece torrent, registered
+    /// with `tracker`.
+    fn leecher(
+        index: u64,
+        tracker: &Arc<LoopbackTracker>,
+        clock: AccelClock,
+        cfg: NetConfig,
+    ) -> NetRuntime {
+        let content = Arc::new(SyntheticContent::generate(
+            "rt",
+            7,
+            4 * 32 * 1024,
+            32 * 1024,
+        ));
+        let peer_id = PeerId::new(ClientKind::Mainline402, 2 * index);
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        tracker.register(peer_ip(&peer_id), listener.local_addr().expect("addr"));
+        let geometry = Geometry::from(&content.metainfo);
+        let engine = EngineBuilder::new(geometry, content.metainfo.info_hash, peer_id)
+            .data(DataMode::Real(content.clone()))
+            .ip(peer_ip(&peer_id))
+            .rng_seed(index)
+            .build();
+        NetRuntime::new(
+            engine,
+            DataMode::Real(content),
+            listener,
+            tracker.clone(),
+            clock,
+            cfg,
+        )
+        .expect("runtime")
+    }
+
+    /// Two leechers with nothing to trade stay connected, so the
+    /// sockets can be inspected once both handshakes have completed.
+    #[test]
+    fn both_ends_of_a_connection_disable_nagle() {
+        let tracker = Arc::new(LoopbackTracker::new());
+        let clock = AccelClock::default();
+        let registry = Registry::new_wall();
+        let cfg = NetConfig {
+            metrics: Some(registry.clone()),
+            ..NetConfig::default()
+        };
+        let stop = AtomicBool::new(false);
+        let budget = std::time::Duration::from_secs(30);
+        let mut accepting = leecher(0, &tracker, clock, cfg.clone());
+        let mut dialling = leecher(1, &tracker, clock, cfg);
+        std::thread::scope(|s| {
+            s.spawn(|| accepting.run(&stop, budget, None));
+            // Announce second: the tracker then names the first peer.
+            while tracker.started() < 1 {
+                std::thread::yield_now();
+            }
+            s.spawn(|| dialling.run(&stop, budget, None));
+            let started = std::time::Instant::now();
+            while registry.snapshot().counter_sum("net.handshakes_ok") < 2
+                && started.elapsed() < budget
+            {
+                std::thread::yield_now();
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
+        for (side, rt) in [("accepting", &accepting), ("dialling", &dialling)] {
+            assert_eq!(rt.conns.len(), 1, "{side} side holds the connection");
+            for c in rt.conns.values() {
+                assert!(c.stream.nodelay().expect("nodelay"), "{side} side");
+            }
+        }
+    }
+
+    /// With no peers and a real-time clock the nearest deadline is the
+    /// engine's first choke round, 10 s away: only [`MAX_WAIT`] brings
+    /// the loop back to look at `stop`.
+    #[test]
+    fn a_runtime_with_nothing_to_do_still_notices_stop() {
+        let tracker = Arc::new(LoopbackTracker::new());
+        // Every pass copies the clock into a manual registry: once it
+        // has moved, a pass has begun, and a wait follows that pass
+        // before `stop` is read again.
+        let registry = Registry::new_manual();
+        let cfg = NetConfig {
+            metrics: Some(registry.clone()),
+            ..NetConfig::default()
+        };
+        let mut rt = leecher(0, &tracker, AccelClock::new(1), cfg);
+        let stop = AtomicBool::new(false);
+        let noticed = std::thread::scope(|s| {
+            let run = s.spawn(|| rt.run(&stop, std::time::Duration::from_secs(30), None));
+            while registry.now_micros() == 0 {
+                std::thread::yield_now();
+            }
+            let set = std::time::Instant::now();
+            stop.store(true, Ordering::SeqCst);
+            run.join().expect("runtime thread");
+            set.elapsed()
+        });
+        assert!(
+            noticed < std::time::Duration::from_millis(50),
+            "{noticed:?}"
+        );
     }
 }

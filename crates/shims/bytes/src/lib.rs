@@ -75,7 +75,11 @@ impl From<Vec<u8>> for Bytes {
 
 impl From<&[u8]> for Bytes {
     fn from(s: &[u8]) -> Bytes {
-        Bytes::from(s.to_vec())
+        Bytes {
+            data: Arc::from(s),
+            start: 0,
+            end: s.len(),
+        }
     }
 }
 
@@ -173,7 +177,7 @@ impl BytesMut {
 
     /// Freeze into an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.to_vec())
+        Bytes::from(self.as_slice())
     }
 
     fn as_slice(&self) -> &[u8] {

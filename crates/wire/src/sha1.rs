@@ -5,6 +5,11 @@
 //! this module implements the digest directly. SHA-1 is cryptographically
 //! broken for collision resistance, but the reproduction only needs it for
 //! protocol fidelity (the paper's client, mainline 4.0.2, used SHA-1).
+//!
+//! Every piece a real-data run moves is hashed twice (at generation and
+//! at receipt), so the compression function is written for speed: the
+//! 80 rounds are straight-line code over a 16-word schedule. The
+//! textbook form it replaced is the oracle in `tests/sha1_reference.rs`.
 
 /// Length of a SHA-1 digest in bytes.
 pub const DIGEST_LEN: usize = 20;
@@ -64,78 +69,111 @@ impl Sha1 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.process_block(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.process_block(&b);
-            rest = tail;
+        // Whole blocks are hashed where the caller left them.
+        let (blocks, tail) = rest.as_chunks::<64>();
+        for block in blocks {
+            compress(&mut self.state, block);
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Consume the hasher and produce the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80 then zeros until 56 mod 64, then 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-            // `update` increments `len`; the length field must reflect the
-            // original message, so we re-correct below by not using self.len.
-        }
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.process_block(&block);
+        // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit big-endian
+        // length of the message proper — one or two blocks, fed at once.
+        let zeros_end = (if self.buf_len < 56 { 56 } else { 120 }) - self.buf_len;
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        pad[zeros_end..zeros_end + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..zeros_end + 8]);
+        debug_assert_eq!(self.buf_len, 0);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn process_block(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// Round functions of FIPS 180-1 §5, in their cheapest equivalent forms.
+macro_rules! ch {
+    ($b:expr, $c:expr, $d:expr) => {
+        $d ^ ($b & ($c ^ $d))
+    };
+}
+macro_rules! parity {
+    ($b:expr, $c:expr, $d:expr) => {
+        $b ^ $c ^ $d
+    };
+}
+macro_rules! maj {
+    ($b:expr, $c:expr, $d:expr) => {
+        ($b & $c) | ($d & ($b | $c))
+    };
+}
+
+/// Round `$i` with the registers in the roles given: instead of
+/// shuffling `e = d; d = c; …` after every round, the caller rotates
+/// which variable plays which role. `$i` is a literal, so the schedule
+/// branch and the `& 15` indices are resolved at compile time.
+macro_rules! round {
+    ($w:ident, $i:literal, $f:ident, $k:literal, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident) => {
+        if $i >= 16 {
+            $w[$i & 15] =
+                ($w[($i + 13) & 15] ^ $w[($i + 8) & 15] ^ $w[($i + 2) & 15] ^ $w[$i & 15])
+                    .rotate_left(1);
         }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999),
-                20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
-                _ => (b ^ c ^ d, 0xCA62_C1D6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        $e = $e
+            .wrapping_add($a.rotate_left(5))
+            .wrapping_add($f!($b, $c, $d))
+            .wrapping_add($k)
+            .wrapping_add($w[$i & 15]);
+        $b = $b.rotate_left(30);
+    };
+}
+
+/// Twenty rounds with one function and constant: four times through
+/// the five register roles. The twenty round numbers are spelled out
+/// because `macro_rules!` cannot do arithmetic on a literal.
+macro_rules! rounds20 {
+    ($w:ident, $f:ident, $k:literal, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident;
+     $($i0:literal $i1:literal $i2:literal $i3:literal $i4:literal),+) => {
+        $(
+            round!($w, $i0, $f, $k, $a, $b, $c, $d, $e);
+            round!($w, $i1, $f, $k, $e, $a, $b, $c, $d);
+            round!($w, $i2, $f, $k, $d, $e, $a, $b, $c);
+            round!($w, $i3, $f, $k, $c, $d, $e, $a, $b);
+            round!($w, $i4, $f, $k, $b, $c, $d, $e, $a);
+        )+
+    };
+}
+
+/// The SHA-1 compression function: 80 rounds as straight-line code over
+/// a 16-word circular message schedule.
+fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*bytes);
+    }
+    let [mut a, mut b, mut c, mut d, mut e] = *state;
+    rounds20!(w, ch, 0x5A82_7999, a, b, c, d, e;
+        0 1 2 3 4, 5 6 7 8 9, 10 11 12 13 14, 15 16 17 18 19);
+    rounds20!(w, parity, 0x6ED9_EBA1, a, b, c, d, e;
+        20 21 22 23 24, 25 26 27 28 29, 30 31 32 33 34, 35 36 37 38 39);
+    rounds20!(w, maj, 0x8F1B_BCDC, a, b, c, d, e;
+        40 41 42 43 44, 45 46 47 48 49, 50 51 52 53 54, 55 56 57 58 59);
+    rounds20!(w, parity, 0xCA62_C1D6, a, b, c, d, e;
+        60 61 62 63 64, 65 66 67 68 69, 70 71 72 73 74, 75 76 77 78 79);
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+        *s = s.wrapping_add(v);
     }
 }
 

@@ -4,7 +4,7 @@
 //! one driver. This example proves it by running a small swarm — one
 //! seed, two leechers — through `bt_net`'s socket runtime: genuine
 //! handshake bytes, genuine length-prefixed frames through the
-//! `bt_wire` codec, one poll-loop thread per peer, and SHA-1
+//! `bt_wire` codec, one thread per peer waiting in `poll(2)`, and SHA-1
 //! verification of every piece on arrival.
 //!
 //! Protocol timers are accelerated (1 real millisecond = 1 virtual
