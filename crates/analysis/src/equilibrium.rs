@@ -16,7 +16,7 @@
 //! rotation).
 
 use crate::intervals::{Interval, IntervalBuilder};
-use crate::stats::{percentile_sorted, Cdf};
+use crate::stats::Cdf;
 use bt_instrument::trace::{Trace, TraceEvent};
 use bt_wire::time::Instant;
 use serde::{Deserialize, Serialize};
@@ -118,18 +118,6 @@ impl EquilibriumSummary {
     /// Median tenure in seconds.
     pub fn median_tenure_secs(&self) -> f64 {
         self.tenure_cdf.median()
-    }
-
-    /// 90th-percentile tenure — long tails mean stable elected partners.
-    pub fn p90_tenure_secs(&self) -> f64 {
-        let mut v: Vec<f64> = (0..self.tenure_cdf.len())
-            .map(|i| {
-                self.tenure_cdf
-                    .quantile(i as f64 / (self.tenure_cdf.len().max(2) - 1) as f64)
-            })
-            .collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        percentile_sorted(&v, 0.9)
     }
 }
 

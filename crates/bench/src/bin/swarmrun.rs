@@ -18,7 +18,8 @@
 //! swarmrun --net [--seeds N] [--leechers N] [--pieces N] [--seed N]
 //!          [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR]
 //!          [--metrics out.jsonl] [--series out.json]
-//!          [--profile out.json] [--watch-addr 127.0.0.1:PORT] [--status]
+//!          [--profile out.json] [--watch-addr 127.0.0.1:PORT]
+//!          [--watch-linger SECS] [--status]
 //! ```
 //!
 //! * `--scenario NAME` runs a named preset instead of a spec file:
@@ -59,8 +60,8 @@
 //!   (one per sampling period plus a final one) and prints a summary.
 //!   Simulator runs use a virtual-clock registry, so the file is
 //!   byte-identical for a given spec and seed; `--net` runs sample a
-//!   shared wall-clock registry periodically. If the run panics, a
-//!   drop guard still flushes a final snapshot to the file;
+//!   shared wall-clock registry every 250 ms. Both write the file when
+//!   the run ends; if it panics, unwinding flushes a final snapshot;
 //! * `--series FILE` writes the observatory time-series as JSON: per-key
 //!   `[t_micros, value]` rings sampled once per metrics period, plus the
 //!   `live.*` health series. Simulator and `--table1` series use the
@@ -74,10 +75,9 @@
 //!   duration of the run — `GET /` (dashboard), `/series`, `/health`,
 //!   `/metrics` — in both simulator and `--net` modes (a polling thread
 //!   snapshots the registry while the run proceeds; port 0 picks an
-//!   ephemeral port, printed on stderr). Simulated runs exit when the
-//!   event queue drains; `--watch-linger SECS` keeps the endpoint up
-//!   that much longer so a browser or CI curl can still scrape the
-//!   final state;
+//!   ephemeral port, printed on stderr). `--watch-linger SECS` keeps
+//!   the endpoint up that much longer after the run, so a browser or
+//!   CI curl can still scrape the final state;
 //! * `--status` shows live one-line progress on stderr (net mode; the
 //!   simulator replays its sampled status lines after the run). When
 //!   stderr is not a terminal each sample becomes its own line instead
@@ -93,15 +93,21 @@
 //!
 //! The spec format is `bt_sim::SwarmSpec` serialised as JSON; identical
 //! specs replay bit-for-bit, and `--seed N` replaces the file's seed. An
-//! unknown `--flag` is a usage error (exit 2). `--net` runs are *not*
-//! deterministic — the kernel schedules the threads — but every protocol
-//! invariant still holds.
+//! unknown `--flag` is a usage error (exit 2), and so is a spec with an
+//! unknown key or a value out of range (`SwarmSpec::validate` names the
+//! field). `--net` runs are *not* deterministic — the kernel schedules
+//! the threads — but every protocol invariant still holds.
 
+use bt_analysis::live::HealthMonitor;
 use bt_analysis::SessionSummary;
+use bt_instrument::trace::Trace;
 use bt_net::LoopbackSpec;
-use bt_obs::{summary_text, Profile, Profiler, Registry, Snapshot, TimeSource};
+use bt_obs::{
+    summary_text, FlightRecorder, Profile, Profiler, Registry, SeriesStore, Snapshot, TimeSource,
+    Tracer,
+};
 use bt_sim::{BehaviorProfile, NetModel, Swarm, SwarmSpec, TopologySpec};
-use bt_torrents::RunConfig;
+use bt_torrents::{RunConfig, ScenarioOutcome};
 use bt_wire::time::Duration;
 use std::io::{IsTerminal, Write};
 
@@ -134,11 +140,16 @@ const SWITCHES: &[&str] = &["--example", "--table1", "--net", "--quick", "--stat
 const USAGE: &str = "usage: swarmrun <spec.json> [--seed N] [--topology NAME|file.json] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--emit-dir DIR] [--watch-addr ADDR] [--watch-linger SECS] [--profile out.json] [--status] [--example]
        swarmrun --scenario flash_crowd_1k|flash_crowd_10k|flash_crowd_100k [--peers N] [--seed N] [--topology NAME|file.json] [--emit-dir DIR] [...]
        swarmrun --table1 [--quick] [--seed N] [--jobs N] [--topology NAME|file.json] [--series out.json] [--trace out.json] [--trace-sample N] [--flight-recorder DIR] [--profile out.json]
-       swarmrun --net [--seeds N] [--leechers N] [--pieces N] [--seed N] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--profile out.json] [--watch-addr ADDR] [--status]";
+       swarmrun --net [--seeds N] [--leechers N] [--pieces N] [--seed N] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--profile out.json] [--watch-addr ADDR] [--watch-linger SECS] [--status]";
+
+/// Print `swarmrun: {msg}` on stderr and exit 2: how every bad input ends.
+fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("swarmrun: {msg}");
+    std::process::exit(2)
+}
 
 fn usage_error(msg: &str) -> ! {
-    eprintln!("swarmrun: {msg}\n{USAGE}");
-    std::process::exit(2)
+    die(format!("{msg}\n{USAGE}"))
 }
 
 fn main() {
@@ -176,19 +187,18 @@ fn main() {
         let Some(path) = spec_path else {
             usage_error("no spec file, --scenario, --table1 or --net given");
         };
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("swarmrun: cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        let mut spec: SwarmSpec = serde_json::from_str(&text).unwrap_or_else(|e| {
-            eprintln!("swarmrun: invalid spec: {e}");
-            std::process::exit(2);
-        });
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
+        let mut spec: SwarmSpec =
+            serde_json::from_str(&text).unwrap_or_else(|e| die(format!("invalid spec: {e}")));
         if let Some(seed) = flag_u64(&args, "--seed") {
             spec.seed = seed;
         }
         spec
     };
+    if let Err(e) = spec.validate() {
+        die(format!("invalid spec: {e}"));
+    }
     if let Some(net) = topology_net(&args) {
         spec.net = Some(net);
     }
@@ -204,18 +214,14 @@ fn topology_net(args: &[String]) -> Option<NetModel> {
         return Some(model);
     }
     let text = std::fs::read_to_string(&value).unwrap_or_else(|e| {
-        eprintln!(
-            "swarmrun: --topology {value}: not one of {:?} and not a readable file: {e}",
+        die(format!(
+            "--topology {value}: not one of {:?} and not a readable file: {e}",
             bt_sim::PRESET_NAMES
-        );
-        std::process::exit(2);
+        ))
     });
     match TopologySpec::from_json(&text) {
         Ok(spec) => Some(NetModel::FullDuplex(spec)),
-        Err(e) => {
-            eprintln!("swarmrun: --topology {value}: {e}");
-            std::process::exit(2);
-        }
+        Err(e) => die(format!("--topology {value}: {e}")),
     }
 }
 
@@ -225,13 +231,10 @@ fn scenario_spec(name: &str, args: &[String]) -> SwarmSpec {
         "flash_crowd_1k" => 1_000,
         "flash_crowd_10k" => 10_000,
         "flash_crowd_100k" => 100_000,
-        other => {
-            eprintln!(
-                "swarmrun: unknown scenario {other:?} (expected flash_crowd_1k, \
-                 flash_crowd_10k or flash_crowd_100k)"
-            );
-            std::process::exit(2);
-        }
+        other => die(format!(
+            "unknown scenario {other:?} (expected flash_crowd_1k, \
+             flash_crowd_10k or flash_crowd_100k)"
+        )),
     };
     let peers = flag_u64(args, "--peers")
         .map(|n| n as usize)
@@ -248,23 +251,10 @@ fn scenario_spec(name: &str, args: &[String]) -> SwarmSpec {
 /// Run a simulator spec and print the standard summary (the spec-file
 /// and `--scenario` paths share this).
 fn run_sim(spec: SwarmSpec, args: &[String]) {
-    let trace_out = flag_str(args, "--trace");
-    // `--emit-dir` defaults every artifact path into one directory (the
-    // layout `btstat` loads); explicit per-artifact flags still win.
     let emit_dir = flag_str(args, "--emit-dir");
     if let Some(dir) = &emit_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-            eprintln!("swarmrun: cannot create {dir}: {e}");
-            std::process::exit(2);
-        });
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(format!("cannot create {dir}: {e}")));
     }
-    let in_dir = |name: &str| emit_dir.as_ref().map(|d| format!("{d}/{name}"));
-    let metrics_out = flag_str(args, "--metrics").or_else(|| in_dir("metrics.jsonl"));
-    let series_out = flag_str(args, "--series").or_else(|| in_dir("series.json"));
-    let profile_out = flag_str(args, "--profile").or_else(|| in_dir("profile.json"));
-    let watch_addr = flag_str(args, "--watch-addr");
-    let watch_linger = flag_u64(args, "--watch-linger").unwrap_or(0);
-    let status = args.iter().any(|a| a == "--status");
     let peers = spec.peers.len();
     let piece_len = spec.piece_len;
     let pieces = spec.total_len.div_ceil(u64::from(spec.piece_len));
@@ -276,115 +266,51 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
     );
     let local = spec.local;
     let seed = spec.seed;
-    // The causal tracer and flight recorder sample on the spec seed;
-    // `--emit-dir` turns the tracer on at rate 1 (every chain) so the
-    // emitted trace.jsonl is bisectable, unless `--trace-sample` says
-    // otherwise. The tracer never touches the swarm RNG, so the digest
-    // stays comparable with un-traced runs.
-    let default_rate = if emit_dir.is_some() { 1 } else { 0 };
-    let (tracer, flight) = causal_obs(args, seed, default_rate);
+    let mut obs = Observers::new(args, Mode::Sim, seed, emit_dir.as_deref());
     let mut swarm = Swarm::new(spec);
-    if let Some(t) = &tracer {
+    if let Some(t) = &obs.tracer {
         swarm = swarm.with_trace(t.clone());
     }
-    if let Some(fr) = &flight {
+    if let Some(fr) = &obs.flight {
         swarm = swarm.with_flight_recorder(fr.clone());
     }
-    // A flight recorder forces the registry + health monitors on, so the
-    // invariant-trip dump path is armed even without `--metrics`.
-    let registry = (metrics_out.is_some()
-        || series_out.is_some()
-        || watch_addr.is_some()
-        || status
-        || flight.is_some())
-    .then(Registry::new_manual);
-    if let Some(reg) = &registry {
-        // Virtual-clock registry: the snapshot file is a deterministic
-        // function of the spec and seed.
-        swarm = swarm.with_metrics(reg.clone());
-        // The observatory rides the same sampling events: time-series
-        // rings and the paper-invariant health monitors, both equally
-        // deterministic.
-        swarm = swarm.with_health(bt_analysis::live::Thresholds::default());
+    if let Some(reg) = &obs.registry {
+        // The observatory rides the registry's sampling events: the
+        // paper-invariant health monitors, as deterministic as it is.
+        swarm = swarm
+            .with_metrics(reg.clone())
+            .with_health(bt_analysis::live::Thresholds::default());
     }
-    let series = match (&registry, series_out.is_some() || watch_addr.is_some()) {
-        (Some(reg), true) => Some(bt_obs::SeriesStore::new(reg)),
-        _ => None,
-    };
-    if let Some(store) = &series {
+    if let Some(store) = &obs.series {
         swarm = swarm.with_series(store.clone());
     }
-    // If the run panics, unwinding still flushes a final snapshot.
-    let mut flush_guard = match (&registry, &metrics_out) {
-        (Some(reg), Some(path)) => Some(MetricsFlushGuard::new(reg.clone(), path.clone())),
-        _ => None,
-    };
-    // Keep a handle so `--watch-addr` can serve `/profile` mid-run; the
-    // final write still uses the snapshot the swarm returns.
-    let profiler = profile_out
-        .as_ref()
-        .map(|_| Profiler::new(TimeSource::manual()));
-    if let Some(p) = &profiler {
+    if let Some(p) = &obs.profiler {
         swarm = swarm.with_profiler(p.clone());
     }
-
-    // `--watch-addr`: the simulator itself is synchronous, so the
-    // observatory serves from a polling thread that snapshots the shared
-    // registry while the event loop runs on this one. Gauges lag the
-    // virtual clock by at most one sampling period; the dashboard,
-    // `/series`, `/health` and `/metrics` are all live mid-run.
-    let observatory = watch_addr.as_ref().map(|addr| {
-        let reg = registry.clone().expect("watch-addr forces a registry");
-        let health = swarm.health_monitor().cloned();
-        Observatory::spawn(addr, reg, &series, health, &tracer, &flight, &profiler)
-    });
+    // Gauges served mid-run lag virtual time by one sampling period.
+    let observatory = obs.serve(swarm.health_monitor().cloned());
 
     let t0 = std::time::Instant::now();
     let result = swarm.run();
     let wall = t0.elapsed();
-
-    if let Some(observatory) = observatory {
-        if watch_linger > 0 {
-            eprintln!(
-                "observatory      : lingering {watch_linger} s after the run (Ctrl-C to stop)"
-            );
-            std::thread::sleep(std::time::Duration::from_secs(watch_linger));
-        }
-        observatory.stop();
+    if let Some(stop) = observatory {
+        stop();
     }
 
-    if status {
+    if obs.status {
         // The simulator runs synchronously in virtual time; replay the
         // sampled status line per snapshot instead of live updates.
         let mut line = StatusLine::new();
         for snap in &result.metrics {
             line.update(&sim_status_line(snap));
         }
-        line.finish();
     }
-    if let Some(path) = &metrics_out {
-        write_snapshots(path, &result.metrics);
-        if let Some(guard) = flush_guard.as_mut() {
-            guard.disarm();
-        }
-        println!(
-            "metrics written  : {path} ({} snapshots)",
-            result.metrics.len()
-        );
-        if let Some(last) = result.metrics.last() {
-            print!("{}", summary_text(last));
-        }
-    }
-    if let (Some(path), Some(store)) = (&series_out, &series) {
-        write_text(path, &store.to_json(None));
-        println!("series written   : {path} ({} series)", store.len());
-    }
+    obs.write_metrics(&result.metrics);
+    obs.write_series();
     if let Some(health) = &result.health {
         println!("health           : {}", health.summary_line());
     }
-    if let Some(path) = &profile_out {
-        write_profile(path, result.profile.as_ref().unwrap_or(&Profile::default()));
-    }
+    obs.write_profile();
     println!(
         "events processed : {} in {:.2?} wall ({:.0} events/s)",
         result.events_processed,
@@ -400,7 +326,7 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
     if let Some(dir) = &emit_dir {
         // Finish the directory: the sorted deterministic trace plus the
         // manifest that names the run for `btstat`.
-        if let Some(t) = &tracer {
+        if let Some(t) = &obs.tracer {
             write_stream(&format!("{dir}/trace.jsonl"), |f| t.export(Some(f), None));
         }
         let scenario = flag_str(args, "--scenario").unwrap_or_else(|| "spec".to_string());
@@ -416,171 +342,68 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
         write_text(&format!("{dir}/run.json"), &manifest);
         println!("artifacts        : {dir}/ (run.json, metrics.jsonl, series.json, profile.json, trace.jsonl)");
     }
-    if let Some(t) = &tracer {
-        if let Some(path) = &trace_out {
-            write_causal_trace(path, t);
-        } else {
-            println!(
-                "causal trace     : {} events sampled (pass --trace FILE to export)",
-                t.len()
-            );
-        }
-        if let Some(fr) = &flight {
-            println!(
-                "flight recorder  : {} recent events in the ring",
-                fr.trace_slice().len()
-            );
-        }
-    }
+    obs.write_causal_trace();
     if let Some(idx) = local {
-        if let Some(t) = result.completion.get(idx).copied().flatten() {
-            println!(
+        match result.completion.get(idx).copied().flatten() {
+            Some(t) => println!(
                 "local peer {idx}    : completed at {:.0} s",
                 t.as_secs_f64()
-            );
-        } else {
-            println!("local peer {idx}    : did not complete");
+            ),
+            None => println!("local peer {idx}    : did not complete"),
         }
     }
-    if let Some(trace) = result.trace {
-        let summary = SessionSummary::from_trace(&trace, piece_len);
-        println!("trace events     : {}", trace.len());
-        println!(
-            "entropy a/b      : p20={:.2} p50={:.2} p80={:.2} over {} leechers",
-            summary.entropy.local_in_remote.p20,
-            summary.entropy.local_in_remote.p50,
-            summary.entropy.local_in_remote.p80,
-            summary.entropy.peers.len()
-        );
-        println!(
-            "state            : {} (missing-piece fraction {:.2})",
-            if summary.replication.is_transient() {
-                "transient"
-            } else {
-                "steady"
-            },
-            summary.replication.missing_piece_fraction()
-        );
-        println!(
-            "blocks received  : {} (first-slowdown ×{:.2})",
-            summary.blocks.count,
-            summary.blocks.first_slowdown()
-        );
-        println!(
-            "LS top-set share : {:.2}",
-            summary.fairness_ls.top_set_upload_share()
-        );
-        println!(
-            "peers observed   : {} connections, {} unique, {:.1} % multi-ID IPs",
-            summary.connections,
-            summary.unique_peers,
-            summary.multi_id_ip_fraction * 100.0
-        );
-        println!(
-            "overhead         : {:.4} control B / data B",
-            summary.messages.overhead_ratio()
-        );
-        // With `--trace-sample` the `--trace` path carries the causal
-        // trace instead (written above).
-        if tracer.is_none() {
-            if let Some(path) = &trace_out {
-                write_text(path, &trace.to_jsonl());
-                println!("trace written    : {path}");
-            }
-        }
+    if let Some(trace) = &result.trace {
+        obs.report_local_trace(trace, piece_len);
     }
 }
 
 /// `swarmrun --net` — a real-socket loopback swarm via `bt-net`.
 fn run_net_swarm(args: &[String]) {
-    let trace_out = flag_str(args, "--trace");
-    let metrics_out = flag_str(args, "--metrics");
-    let series_out = flag_str(args, "--series");
-    let profile_out = flag_str(args, "--profile");
-    let watch_addr = flag_str(args, "--watch-addr");
-    let status = args.iter().any(|a| a == "--status");
-    let mut spec = LoopbackSpec::default();
-    if let Some(n) = flag_u64(args, "--seeds") {
-        spec.seeds = n.max(1) as usize;
-    }
-    if let Some(n) = flag_u64(args, "--leechers") {
-        spec.leechers = n.max(1) as usize;
-    }
-    if let Some(n) = flag_u64(args, "--pieces") {
-        spec.total_len = n.max(1) * u64::from(spec.piece_len);
-    }
-    if let Some(n) = flag_u64(args, "--seed") {
-        spec.seed = n;
-    }
-    // Causal tracer: every runtime gets the shared tracer and samples
-    // itself by its virtual-IP hash; the flight recorder serves
-    // `GET /flightrec` and dumps a bundle if a peer thread panics.
-    let (tracer, flight) = causal_obs(args, spec.seed, 0);
-    spec.net.tracer = tracer.clone();
-    let registry =
-        (metrics_out.is_some() || series_out.is_some() || status || watch_addr.is_some())
-            .then(Registry::new_wall);
-    spec.metrics = registry.clone();
-    // Net runs have no virtual clock; the series sample on the wall
-    // clock, once per sampler tick.
-    let series = match (&registry, series_out.is_some() || watch_addr.is_some()) {
-        (Some(reg), true) => Some(bt_obs::SeriesStore::new(reg)),
-        _ => None,
+    let d = LoopbackSpec::default();
+    let count = |flag| flag_u64(args, flag).map(|n| n.max(1));
+    let mut spec = LoopbackSpec {
+        seeds: count("--seeds").map_or(d.seeds, |n| n as usize),
+        leechers: count("--leechers").map_or(d.leechers, |n| n as usize),
+        total_len: count("--pieces").map_or(d.total_len, |n| n * u64::from(d.piece_len)),
+        seed: flag_u64(args, "--seed").unwrap_or(d.seed),
+        ..d
     };
-    let profiler = profile_out
-        .as_ref()
-        .map(|_| Profiler::new(TimeSource::wall()));
-    spec.profiler = profiler.clone();
+    // Every runtime gets the shared tracer and samples itself by its
+    // virtual-IP hash, and reports into the shared registry.
+    let mut obs = Observers::new(args, Mode::Net, spec.seed, None);
+    spec.net.tracer = obs.tracer.clone();
+    spec.metrics = obs.registry.clone();
+    spec.profiler = obs.profiler.clone();
     let piece_len = spec.piece_len;
     let (seeds, leechers) = (spec.seeds, spec.leechers);
     eprintln!(
         "running {seeds} seed(s) + {leechers} leecher(s), {} pieces over loopback TCP ...",
         spec.total_len / u64::from(piece_len)
     );
-
-    // If the run panics, unwinding still flushes a final snapshot.
-    let mut flush_guard = match (&registry, &metrics_out) {
-        (Some(reg), Some(path)) => Some(MetricsFlushGuard::new(reg.clone(), path.clone())),
-        _ => None,
-    };
-
-    // `--watch-addr`: serve the observatory for the run's duration from
-    // a dedicated polling thread.
-    let observatory = watch_addr.as_ref().map(|addr| {
-        let reg = registry.clone().expect("watch-addr forces a registry");
-        Observatory::spawn(addr, reg, &series, None, &tracer, &flight, &profiler)
-    });
+    let observatory = obs.serve(None);
 
     // Sampler thread: every 250 ms wall, snapshot the shared registry —
-    // append a JSONL line, extend the time-series, update the one-line
-    // status display.
+    // keep it for `--metrics`, extend the time-series, update the
+    // one-line status display.
     let sampler_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let sampler = registry.clone().map(|reg| {
+    let sampler = obs.registry.clone().map(|reg| {
         let stop = std::sync::Arc::clone(&sampler_stop);
-        let out_path = metrics_out.clone();
-        let store = series.clone();
+        let store = obs.series.clone();
+        let status = obs.status;
         std::thread::spawn(move || {
-            let mut out = out_path.map(|p| {
-                std::fs::File::create(&p).unwrap_or_else(|e| {
-                    eprintln!("swarmrun: cannot create {p}: {e}");
-                    std::process::exit(2);
-                })
-            });
-            let mut line = StatusLine::new();
+            let (mut snapshots, mut line) = (Vec::new(), StatusLine::new());
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 std::thread::sleep(std::time::Duration::from_millis(250));
                 if let Some(s) = &store {
                     s.sample_registry();
                 }
                 let snap = reg.snapshot();
-                if let Some(f) = out.as_mut() {
-                    let _ = writeln!(f, "{}", snap.to_jsonl_line());
-                }
                 if status {
                     line.update(&net_status_line(&snap));
                 }
+                snapshots.push(snap);
             }
-            line.finish();
+            snapshots
         })
     });
 
@@ -589,39 +412,22 @@ fn run_net_swarm(args: &[String]) {
         std::process::exit(1);
     });
     sampler_stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    if let Some(handle) = sampler {
-        let _ = handle.join();
+    let mut snapshots = sampler
+        .and_then(|handle| handle.join().ok())
+        .unwrap_or_default();
+    if let Some(stop) = observatory {
+        stop();
     }
-    if let Some(observatory) = observatory {
-        observatory.stop();
+    // One last sample so the files reflect the final state.
+    if let Some(reg) = &obs.registry {
+        snapshots.push(reg.snapshot());
     }
-    if let Some(reg) = &registry {
-        let last = reg.snapshot();
-        if let Some(path) = &metrics_out {
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(path)
-                .unwrap_or_else(|e| {
-                    eprintln!("swarmrun: cannot append to {path}: {e}");
-                    std::process::exit(2);
-                });
-            let _ = writeln!(f, "{}", last.to_jsonl_line());
-            if let Some(guard) = flush_guard.as_mut() {
-                guard.disarm();
-            }
-            println!("metrics written  : {path}");
-        }
-        print!("{}", summary_text(&last));
-    }
-    if let (Some(path), Some(store)) = (&series_out, &series) {
-        // One last sample so the file reflects the final state.
+    if let Some(store) = &obs.series {
         store.sample_registry();
-        write_text(path, &store.to_json(None));
-        println!("series written   : {path} ({} series)", store.len());
     }
-    if let (Some(path), Some(prof)) = (&profile_out, &profiler) {
-        write_profile(path, &prof.snapshot());
-    }
+    obs.write_metrics(&snapshots);
+    obs.write_series();
+    obs.write_profile();
     println!(
         "peers completed  : {} / {leechers} leechers in {:.2?} wall",
         result.completed_leechers, result.wall_elapsed
@@ -630,16 +436,7 @@ fn run_net_swarm(args: &[String]) {
         "tracker          : {} started, {} completed announces",
         result.tracker_started, result.tracker_completed
     );
-    if let Some(t) = &tracer {
-        if let Some(path) = &trace_out {
-            write_causal_trace(path, t);
-        } else {
-            println!(
-                "causal trace     : {} events sampled (pass --trace FILE to export)",
-                t.len()
-            );
-        }
-    }
+    obs.write_causal_trace();
     for (i, o) in result.outcomes.iter().enumerate() {
         println!(
             "peer {i:2}          : {} {:3} pieces, {} msgs in, {} blocks out, {} ticks",
@@ -652,39 +449,13 @@ fn run_net_swarm(args: &[String]) {
     }
     // Analyse the first leecher's trace with the same pipeline the
     // simulator figures use.
-    let Some(trace) = result
+    if let Some(trace) = result
         .outcomes
         .iter()
         .skip(seeds)
         .find_map(|o| o.trace.as_ref())
-    else {
-        return;
-    };
-    let summary = SessionSummary::from_trace(trace, piece_len);
-    println!("trace events     : {}", trace.len());
-    println!(
-        "entropy a/b      : p20={:.2} p50={:.2} p80={:.2} over {} peers",
-        summary.entropy.local_in_remote.p20,
-        summary.entropy.local_in_remote.p50,
-        summary.entropy.local_in_remote.p80,
-        summary.entropy.peers.len()
-    );
-    println!(
-        "blocks received  : {} (first-slowdown ×{:.2})",
-        summary.blocks.count,
-        summary.blocks.first_slowdown()
-    );
-    println!(
-        "overhead         : {:.4} control B / data B",
-        summary.messages.overhead_ratio()
-    );
-    // With `--trace-sample` the `--trace` path carries the causal trace
-    // instead (written above).
-    if tracer.is_none() {
-        if let Some(path) = &trace_out {
-            write_text(path, &trace.to_jsonl());
-            println!("trace written    : {path}");
-        }
+    {
+        obs.report_local_trace(trace, piece_len);
     }
 }
 
@@ -744,19 +515,7 @@ fn run_table1_sweep(args: &[String]) {
         t0.elapsed()
     );
     if let Some(path) = &series_out {
-        // One JSON object keyed by torrent label, in Table I order; each
-        // per-scenario document is deterministic, so the whole file is
-        // byte-identical for any `--jobs`.
-        let mut text = String::from("{");
-        for (i, o) in outcomes.iter().enumerate() {
-            if i > 0 {
-                text.push(',');
-            }
-            let doc = o.series.as_deref().unwrap_or("{\"series\":[]}");
-            text.push_str(&format!("\"{}\":{doc}", o.spec.label()));
-        }
-        text.push('}');
-        write_text(path, &text);
+        write_by_label(path, &outcomes, |o| o.series.as_deref(), "{\"series\":[]}");
         println!("series written   : {path} ({} torrents)", outcomes.len());
         let unhealthy: Vec<u32> = outcomes
             .iter()
@@ -770,23 +529,12 @@ fn run_table1_sweep(args: &[String]) {
         }
     }
     if let (Some(path), true) = (&trace_out, cfg.trace_sample.is_some()) {
-        // One JSON object keyed by torrent label, in Table I order; each
-        // value is that scenario's Chrome trace-event document. Every
-        // per-scenario trace is deterministic, so the whole file is
-        // byte-identical for any `--jobs`.
-        let mut text = String::from("{");
-        for (i, o) in outcomes.iter().enumerate() {
-            if i > 0 {
-                text.push(',');
-            }
-            let doc = o
-                .trace_chrome
-                .as_deref()
-                .unwrap_or("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}");
-            text.push_str(&format!("\"{}\":{doc}", o.spec.label()));
-        }
-        text.push('}');
-        write_text(path, &text);
+        write_by_label(
+            path,
+            &outcomes,
+            |o| o.trace_chrome.as_deref(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}",
+        );
         println!("causal traces    : {path} ({} torrents)", outcomes.len());
     }
     if let Some(path) = &profile_out {
@@ -794,13 +542,29 @@ fn run_table1_sweep(args: &[String]) {
         // I order (the `outcomes` order) is commutative sums, so the
         // merged profile is byte-identical for any `--jobs`.
         let mut merged = Profile::default();
-        for o in &outcomes {
-            if let Some(p) = &o.profile {
-                merged.merge(p);
-            }
-        }
+        outcomes
+            .iter()
+            .filter_map(|o| o.profile.as_ref())
+            .for_each(|p| merged.merge(p));
         write_profile(path, &merged);
     }
+}
+
+/// Write one JSON object keyed by torrent label, in Table I order, whose
+/// values are each scenario's own `doc` (`empty` where it has none).
+/// Every per-scenario document is deterministic, so the whole file is
+/// byte-identical for any `--jobs`.
+fn write_by_label(
+    path: &str,
+    outcomes: &[ScenarioOutcome],
+    doc: impl Fn(&ScenarioOutcome) -> Option<&str>,
+    empty: &str,
+) {
+    let entries: Vec<String> = outcomes
+        .iter()
+        .map(|o| format!("\"{}\":{}", o.spec.label(), doc(o).unwrap_or(empty)))
+        .collect();
+    write_text(path, &format!("{{{}}}", entries.join(",")));
 }
 
 /// The string value following `name`, if present.
@@ -811,64 +575,115 @@ fn flag_str(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-/// `--trace-sample N` / `--flight-recorder DIR`: the causal tracer and
-/// flight recorder shared by every mode. Both are seeded from the run
-/// seed, so the sampled id set (and the bundles' `seed` field) is a
-/// function of the spec alone. `default_rate` applies when the flag is
-/// absent (`--emit-dir` passes 1; everything else 0 = off).
-fn causal_obs(
-    args: &[String],
-    seed: u64,
-    default_rate: u64,
-) -> (Option<bt_obs::Tracer>, Option<bt_obs::FlightRecorder>) {
-    let rate = flag_u64(args, "--trace-sample").unwrap_or(default_rate);
-    let flight = flag_str(args, "--flight-recorder")
-        .map(|dir| bt_obs::FlightRecorder::new(&dir, 4096, seed));
-    let tracer = (rate > 0).then(|| {
-        let t = bt_obs::Tracer::new(seed, rate);
-        match &flight {
-            Some(fr) => t.with_flight(fr.clone()),
-            None => t,
-        }
-    });
-    (tracer, flight)
+/// What a run's observers watch: the simulator's read virtual time, so
+/// every export is a function of the spec and seed; the socket
+/// runtime's read the wall clock.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    Sim,
+    Net,
 }
 
-/// The `--watch-addr` observatory: bound, wired to whichever observers
-/// the run carries, and served from its own polling thread (the drivers
-/// are synchronous) until [`stop`](Observatory::stop).
-struct Observatory {
-    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    thread: std::thread::JoinHandle<()>,
+/// The observers the flags ask for, built once per run, and where each
+/// one is written when the run ends. Both modes attach the same set.
+struct Observers {
+    mode: Mode,
+    registry: Option<Registry>,
+    series: Option<SeriesStore>,
+    profiler: Option<Profiler>,
+    tracer: Option<Tracer>,
+    flight: Option<FlightRecorder>,
+    /// `metrics_out` holds the run's snapshots (see the `Drop` impl).
+    metrics_written: bool,
+    metrics_out: Option<String>,
+    series_out: Option<String>,
+    profile_out: Option<String>,
+    trace_out: Option<String>,
+    watch_addr: Option<String>,
+    watch_linger: u64,
+    status: bool,
 }
 
-impl Observatory {
-    fn spawn(
-        addr: &str,
-        registry: Registry,
-        series: &Option<bt_obs::SeriesStore>,
-        health: Option<bt_analysis::live::HealthMonitor>,
-        tracer: &Option<bt_obs::Tracer>,
-        flight: &Option<bt_obs::FlightRecorder>,
-        profiler: &Option<Profiler>,
-    ) -> Observatory {
-        let mut server = bt_net::ObsServer::bind(addr, registry).unwrap_or_else(|e| {
-            eprintln!("swarmrun: cannot bind {addr}: {e}");
-            std::process::exit(2);
+impl Observers {
+    /// Read the observer flags. `emit_dir` (the layout `btstat` loads)
+    /// defaults the metrics, series and profile paths into it and turns
+    /// the causal tracer on at rate 1, so the emitted `trace.jsonl` is
+    /// bisectable; explicit flags still win. The tracer and flight
+    /// recorder sample on the run seed and never touch the swarm RNG.
+    fn new(args: &[String], mode: Mode, seed: u64, emit_dir: Option<&str>) -> Observers {
+        let clock = || match mode {
+            Mode::Sim => TimeSource::manual(),
+            Mode::Net => TimeSource::wall(),
+        };
+        let in_dir = |name: &str| emit_dir.map(|d| format!("{d}/{name}"));
+        let metrics_out = flag_str(args, "--metrics").or_else(|| in_dir("metrics.jsonl"));
+        let series_out = flag_str(args, "--series").or_else(|| in_dir("series.json"));
+        let profile_out = flag_str(args, "--profile").or_else(|| in_dir("profile.json"));
+        let watch_addr = flag_str(args, "--watch-addr");
+        let status = args.iter().any(|a| a == "--status");
+        let rate = flag_u64(args, "--trace-sample").unwrap_or(u64::from(emit_dir.is_some()));
+        let flight =
+            flag_str(args, "--flight-recorder").map(|dir| FlightRecorder::new(&dir, 4096, seed));
+        let tracer = (rate > 0).then(|| {
+            let t = Tracer::new(seed, rate);
+            match &flight {
+                Some(fr) => t.with_flight(fr.clone()),
+                None => t,
+            }
         });
-        if let Some(store) = series {
+        // In the simulator a flight recorder forces the registry (and
+        // with it the health monitors) on, so the invariant-trip dump
+        // path is armed even without `--metrics`.
+        let registry = (metrics_out.is_some()
+            || series_out.is_some()
+            || watch_addr.is_some()
+            || status
+            || (flight.is_some() && mode == Mode::Sim))
+            .then(|| Registry::new(clock()));
+        let series = match (&registry, series_out.is_some() || watch_addr.is_some()) {
+            (Some(reg), true) => Some(SeriesStore::new(reg)),
+            _ => None,
+        };
+        Observers {
+            mode,
+            registry,
+            series,
+            profiler: profile_out.as_ref().map(|_| Profiler::new(clock())),
+            tracer,
+            flight,
+            metrics_written: false,
+            metrics_out,
+            series_out,
+            profile_out,
+            trace_out: flag_str(args, "--trace"),
+            watch_addr,
+            watch_linger: flag_u64(args, "--watch-linger").unwrap_or(0),
+            status,
+        }
+    }
+
+    /// `--watch-addr`: bind the live observatory to whichever observers
+    /// the run carries (plus the simulator's health monitors) and serve
+    /// it from a polling thread, since both runs are synchronous.
+    /// Returns the call that stops it, after `--watch-linger SECS`.
+    fn serve(&self, health: Option<HealthMonitor>) -> Option<impl FnOnce()> {
+        let addr = self.watch_addr.as_ref()?;
+        let registry = self.registry.clone().expect("watch-addr forces a registry");
+        let mut server = bt_net::ObsServer::bind(addr, registry)
+            .unwrap_or_else(|e| die(format!("cannot bind {addr}: {e}")));
+        if let Some(store) = &self.series {
             server = server.with_series(store.clone());
         }
         if let Some(m) = health {
             server = server.with_health_json(move || m.report().to_json());
         }
-        if let Some(t) = tracer {
+        if let Some(t) = &self.tracer {
             server = server.with_tracer(t.clone());
         }
-        if let Some(fr) = flight {
+        if let Some(fr) = &self.flight {
             server = server.with_flight_recorder(fr.clone());
         }
-        if let Some(p) = profiler {
+        if let Some(p) = &self.profiler {
             server = server.with_profiler(p.clone());
         }
         match server.local_addr() {
@@ -884,12 +699,124 @@ impl Observatory {
                 }
             }
         });
-        Observatory { stop, thread }
+        let linger = self.watch_linger;
+        Some(move || {
+            if linger > 0 {
+                eprintln!("observatory      : lingering {linger} s after the run (Ctrl-C to stop)");
+                std::thread::sleep(std::time::Duration::from_secs(linger));
+            }
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            let _ = thread.join();
+        })
     }
 
-    fn stop(self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let _ = self.thread.join();
+    /// `--metrics FILE`: one JSON line per registry snapshot; then the
+    /// last snapshot's summary.
+    fn write_metrics(&mut self, snapshots: &[Snapshot]) {
+        let Some(path) = &self.metrics_out else {
+            return;
+        };
+        let lines: String = snapshots.iter().map(|s| s.to_jsonl_line() + "\n").collect();
+        write_text(path, &lines);
+        self.metrics_written = true;
+        println!("metrics written  : {path} ({} snapshots)", snapshots.len());
+        if let Some(last) = snapshots.last() {
+            print!("{}", summary_text(last));
+        }
+    }
+
+    /// `--series FILE`: the time-series store as JSON.
+    fn write_series(&self) {
+        if let (Some(path), Some(store)) = (&self.series_out, &self.series) {
+            write_text(path, &store.to_json(None));
+            println!("series written   : {path} ({} series)", store.len());
+        }
+    }
+
+    /// `--profile FILE`: the span profile as JSON, plus the pretty report.
+    fn write_profile(&self) {
+        if let (Some(path), Some(profiler)) = (&self.profile_out, &self.profiler) {
+            write_profile(path, &profiler.snapshot());
+        }
+    }
+
+    /// The causal trace, when given `--trace FILE`: Chrome trace-event
+    /// JSON at FILE plus the sorted deterministic JSONL at `FILE.jsonl`,
+    /// both from one sort. Otherwise just its size.
+    fn write_causal_trace(&self) {
+        let Some(t) = &self.tracer else { return };
+        if let Some(path) = &self.trace_out {
+            let jsonl = format!("{path}.jsonl");
+            write_stream(path, |chrome| {
+                std::fs::File::create(&jsonl)
+                    .and_then(|mut lines| t.export(Some(&mut lines), Some(chrome)))
+            });
+            println!(
+                "causal trace     : {path} (Chrome JSON) + {jsonl} (sorted JSONL), {} events",
+                t.len()
+            );
+        } else {
+            println!(
+                "causal trace     : {} events sampled (pass --trace FILE to export)",
+                t.len()
+            );
+        }
+        if let Some(fr) = &self.flight {
+            println!(
+                "flight recorder  : {} recent events in the ring",
+                fr.trace_slice().len()
+            );
+        }
+    }
+
+    /// The paper's headline metrics for the instrumented peer's trace,
+    /// through the same pipeline the figures use; then the trace itself
+    /// to `--trace`, unless the causal trace took that path.
+    fn report_local_trace(&self, trace: &Trace, piece_len: u32) {
+        let summary = SessionSummary::from_trace(trace, piece_len);
+        println!("trace events     : {}", trace.len());
+        println!(
+            "entropy a/b      : p20={:.2} p50={:.2} p80={:.2} over {} leechers",
+            summary.entropy.local_in_remote.p20,
+            summary.entropy.local_in_remote.p50,
+            summary.entropy.local_in_remote.p80,
+            summary.entropy.peers.len()
+        );
+        // Only the simulator samples availability into the trace.
+        if self.mode == Mode::Sim {
+            println!(
+                "state            : {} (missing-piece fraction {:.2})",
+                if summary.replication.is_transient() {
+                    "transient"
+                } else {
+                    "steady"
+                },
+                summary.replication.missing_piece_fraction()
+            );
+        }
+        println!(
+            "blocks received  : {} (first-slowdown ×{:.2})",
+            summary.blocks.count,
+            summary.blocks.first_slowdown()
+        );
+        println!(
+            "LS top-set share : {:.2}",
+            summary.fairness_ls.top_set_upload_share()
+        );
+        println!(
+            "peers observed   : {} connections, {} unique, {:.1} % multi-ID IPs",
+            summary.connections,
+            summary.unique_peers,
+            summary.multi_id_ip_fraction * 100.0
+        );
+        println!(
+            "overhead         : {:.4} control B / data B",
+            summary.messages.overhead_ratio()
+        );
+        if let (Some(path), None) = (&self.trace_out, &self.tracer) {
+            write_text(path, &trace.to_jsonl());
+            println!("trace written    : {path}");
+        }
     }
 }
 
@@ -902,33 +829,14 @@ fn write_text(path: &str, text: &str) {
 fn write_stream(path: &str, export: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>) {
     std::fs::File::create(path)
         .and_then(|mut file| export(&mut file))
-        .unwrap_or_else(|e| {
-            eprintln!("swarmrun: cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-}
-
-/// Write the causal trace as Chrome trace-event JSON at `path` plus the
-/// sorted deterministic JSONL at `path.jsonl`, both from one sort.
-fn write_causal_trace(path: &str, tracer: &bt_obs::Tracer) {
-    let jsonl = format!("{path}.jsonl");
-    write_stream(path, |chrome| {
-        std::fs::File::create(&jsonl)
-            .and_then(|mut lines| tracer.export(Some(&mut lines), Some(chrome)))
-    });
-    println!(
-        "causal trace     : {path} (Chrome JSON) + {jsonl} (sorted JSONL), {} events",
-        tracer.len()
-    );
+        .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
 }
 
 /// The integer value following `name`, if present.
 fn flag_u64(args: &[String], name: &str) -> Option<u64> {
     flag_str(args, name).map(|v| {
-        v.parse::<u64>().unwrap_or_else(|_| {
-            eprintln!("swarmrun: {name} needs an integer");
-            std::process::exit(2);
-        })
+        v.parse::<u64>()
+            .unwrap_or_else(|_| die(format!("{name} needs an integer")))
     })
 }
 
@@ -964,69 +872,34 @@ impl StatusLine {
             eprintln!("{line}");
         }
     }
-
-    fn finish(&mut self) {
-        if self.tty && self.active {
-            eprintln!();
-            self.active = false;
-        }
-    }
 }
 
 impl Drop for StatusLine {
     fn drop(&mut self) {
-        self.finish();
-    }
-}
-
-/// Flushes one final registry snapshot to the `--metrics` file when
-/// dropped, unless [`disarm`](MetricsFlushGuard::disarm)ed — so a panic
-/// mid-run still leaves the last observed state on disk.
-struct MetricsFlushGuard {
-    registry: Registry,
-    path: String,
-    armed: bool,
-}
-
-impl MetricsFlushGuard {
-    fn new(registry: Registry, path: String) -> MetricsFlushGuard {
-        MetricsFlushGuard {
-            registry,
-            path,
-            armed: true,
+        if self.tty && self.active {
+            eprintln!();
         }
     }
-
-    /// The normal write path ran; the guard has nothing left to do.
-    fn disarm(&mut self) {
-        self.armed = false;
-    }
 }
 
-impl Drop for MetricsFlushGuard {
+/// A run that panics never reaches [`Observers::write_metrics`]:
+/// unwinding flushes one final registry snapshot to the `--metrics` file
+/// instead, so the last observed state is still on disk.
+impl Drop for Observers {
     fn drop(&mut self) {
-        if !self.armed {
+        let (Some(reg), Some(path), false) =
+            (&self.registry, &self.metrics_out, self.metrics_written)
+        else {
             return;
-        }
-        let snap = self.registry.snapshot();
-        if let Ok(mut f) = std::fs::OpenOptions::new()
+        };
+        let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&self.path)
-        {
-            let _ = writeln!(f, "{}", snap.to_jsonl_line());
+            .open(path);
+        if let Ok(mut f) = file {
+            let _ = writeln!(f, "{}", reg.snapshot().to_jsonl_line());
         }
     }
-}
-
-/// Write one JSONL line per snapshot.
-fn write_snapshots(path: &str, snapshots: &[Snapshot]) {
-    let mut text = String::new();
-    for snap in snapshots {
-        text.push_str(&snap.to_jsonl_line());
-        text.push('\n');
-    }
-    write_text(path, &text);
 }
 
 /// One-line progress for a simulator snapshot (virtual-time registry).
@@ -1063,10 +936,10 @@ fn net_status_line(snap: &Snapshot) -> String {
 }
 
 fn print_example() {
-    let mut peers = vec![BehaviorProfile::seed()];
-    for i in 0..8 {
-        peers.push(BehaviorProfile::leecher(Duration::from_secs(i)));
-    }
+    let leechers = (0..8).map(|i| BehaviorProfile::leecher(Duration::from_secs(i)));
+    let peers = std::iter::once(BehaviorProfile::seed())
+        .chain(leechers)
+        .collect();
     let spec = SwarmSpec {
         seed: 42,
         total_len: 16 * 256 * 1024,

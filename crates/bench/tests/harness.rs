@@ -180,3 +180,144 @@ fn swarmrun_flags_before_or_after_the_spec_and_unknown_flags_rejected() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+/// A fresh scratch directory for one test's files.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("swarmrun-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir created");
+    dir
+}
+
+/// Parse `path` as one JSON document.
+fn parse_json(path: &std::path::Path) -> serde_json::Value {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+    serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path:?} is not JSON: {e}"))
+}
+
+/// Parse every line of `path` as JSON; returns the lines.
+fn parse_jsonl(path: &std::path::Path) -> Vec<String> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+    let lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    for line in &lines {
+        let _: serde_json::Value =
+            serde_json::from_str(line).unwrap_or_else(|e| panic!("{path:?}: {e}: {line}"));
+    }
+    assert!(!lines.is_empty(), "{path:?} is empty");
+    lines
+}
+
+#[test]
+fn swarmrun_example_is_a_valid_spec() {
+    let (code, example, _) = swarmrun(&["--example"]);
+    assert_eq!(code, Some(0));
+    let spec: bt_sim::SwarmSpec = serde_json::from_str(&example).expect("example parses");
+    assert_eq!(spec.validate(), Ok(()));
+}
+
+/// `transfer_round: 0` once re-scheduled the round at `now + 0` forever;
+/// now it is exit 2 naming the field, well inside the 10 s budget.
+#[test]
+fn swarmrun_rejects_an_out_of_range_spec_instead_of_hanging() {
+    let dir = scratch_dir("bad-spec");
+    let (_, example, _) = swarmrun(&["--example"]);
+    let mut spec: bt_sim::SwarmSpec = serde_json::from_str(&example).expect("example parses");
+    spec.transfer_round = bt_wire::time::Duration::ZERO;
+    let path = dir.join("bad.json");
+    std::fs::write(&path, serde_json::to_string(&spec).unwrap()).expect("spec written");
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_swarmrun"))
+        .arg(&path)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("swarmrun starts");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("child polled") {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("swarmrun still running 10 s after a transfer_round of 0");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("transfer_round"),
+        "field not named: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn swarmrun_emit_dir_writes_the_five_artifacts() {
+    let dir = scratch_dir("emit");
+    let (_, example, _) = swarmrun(&["--example"]);
+    let spec = dir.join("spec.json");
+    std::fs::write(&spec, example).expect("spec written");
+    let out = dir.join("out");
+    let (code, stdout, stderr) =
+        swarmrun(&[spec.to_str().unwrap(), "--emit-dir", out.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let mut files: Vec<String> = std::fs::read_dir(&out)
+        .expect("emit dir exists")
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(
+        files,
+        [
+            "metrics.jsonl",
+            "profile.json",
+            "run.json",
+            "series.json",
+            "trace.jsonl"
+        ]
+    );
+    let printed = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("run digest       : "))
+        .expect("digest printed");
+    let manifest = parse_json(&out.join("run.json"));
+    assert_eq!(
+        manifest.get("digest").and_then(|d| d.as_str()),
+        Some(printed)
+    );
+    parse_jsonl(&out.join("metrics.jsonl"));
+    parse_jsonl(&out.join("trace.jsonl"));
+    parse_json(&out.join("series.json"));
+    parse_json(&out.join("profile.json"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn swarmrun_net_writes_parseable_observer_files() {
+    let dir = scratch_dir("net");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (code, stdout, stderr) = swarmrun(&[
+        "--net",
+        "--seeds",
+        "1",
+        "--leechers",
+        "1",
+        "--pieces",
+        "8",
+        "--metrics",
+        &path("metrics.jsonl"),
+        "--series",
+        &path("series.json"),
+        "--profile",
+        &path("profile.json"),
+    ]);
+    assert_eq!(code, Some(0), "{stdout}\n{stderr}");
+    let metrics = parse_jsonl(&dir.join("metrics.jsonl"));
+    let last = metrics.last().unwrap();
+    assert!(last.contains("\"net.blocks_sent"), "{last}");
+    parse_json(&dir.join("series.json"));
+    parse_json(&dir.join("profile.json"));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -29,7 +29,10 @@
 //! paths a JSON 404 listing the routes, and connections that dawdle
 //! past the read deadline are dropped.
 
-use bt_obs::{to_prometheus, DumpContext, FlightRecorder, Profiler, Registry, SeriesStore, Tracer};
+use bt_obs::{
+    to_prometheus, DumpContext, FlightRecorder, Profiler, Registry, SeriesStore, Tracer,
+    SPARKLINE_JS,
+};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -303,7 +306,13 @@ impl ObsServer {
                 };
                 http_response("200 OK", "application/json", body.as_bytes())
             }
-            "/" => http_response("200 OK", "text/html; charset=utf-8", DASHBOARD.as_bytes()),
+            "/" => http_response(
+                "200 OK",
+                "text/html; charset=utf-8",
+                [DASHBOARD_HEAD, SPARKLINE_JS, DASHBOARD_TAIL]
+                    .concat()
+                    .as_bytes(),
+            ),
             _ => http_response(
                 "404 Not Found",
                 "application/json",
@@ -371,12 +380,13 @@ fn http_response(status: &str, content_type: &str, body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The `GET /` dashboard: a single self-contained page (no external
+/// The head of the `GET /` dashboard: a single self-contained page (no external
 /// assets, no frameworks) that polls `/series` + `/health` every two
 /// seconds and draws one sparkline per series on `<canvas>`. Curated
 /// prefixes (`live.`, `sim.`, `core.choke.`, `net.`) are shown first;
-/// if none match, every series is shown, capped at 24 charts.
-const DASHBOARD: &str = r##"<!doctype html>
+/// if none match, every series is shown, capped at 24 charts. Served
+/// as this head, [`SPARKLINE_JS`] and [`DASHBOARD_TAIL`].
+const DASHBOARD_HEAD: &str = r##"<!doctype html>
 <html><head><meta charset="utf-8"><title>swarm observatory</title>
 <style>
  body{font:13px/1.4 monospace;background:#10141a;color:#cdd6e0;margin:16px}
@@ -405,25 +415,10 @@ const DASHBOARD: &str = r##"<!doctype html>
 <script>
 const PREFIXES=["live.","sim.","core.choke.","net."];
 const MAX_CHARTS=24;
-function spark(canvas,pts){
-  const ctx=canvas.getContext("2d"),W=canvas.width,H=canvas.height;
-  ctx.clearRect(0,0,W,H);
-  if(pts.length<2)return;
-  let lo=Infinity,hi=-Infinity;
-  for(const[,v]of pts){if(v<lo)lo=v;if(v>hi)hi=v;}
-  if(hi===lo){hi+=1;lo-=1;}
-  const t0=pts[0][0],t1=pts[pts.length-1][0]||1;
-  ctx.strokeStyle="#5da9e9";ctx.lineWidth=1.5;ctx.beginPath();
-  pts.forEach(([t,v],i)=>{
-    const x=(t-t0)/(t1-t0||1)*(W-4)+2;
-    const y=H-2-(v-lo)/(hi-lo)*(H-4);
-    i?ctx.lineTo(x,y):ctx.moveTo(x,y);
-  });
-  ctx.stroke();
-}
-function fmt(v){return Math.abs(v)>=1e6?v.toExponential(2):
-  (Number.isInteger(v)?v:v.toFixed(3));}
-async function tick(){
+"##;
+
+/// The dashboard after [`SPARKLINE_JS`]: the polling loop.
+const DASHBOARD_TAIL: &str = r##"async function tick(){
   try{
     const hr=await fetch("/health"); const h=await hr.json();
     const hd=document.getElementById("health");
@@ -551,6 +546,9 @@ mod tests {
         assert_eq!(dash.0, "HTTP/1.1 200 OK");
         assert!(dash.1.contains("<!doctype html>"));
         assert!(dash.1.contains("fetch(\"/series\")"));
+        assert!(dash.1.contains(&format!(
+            "MAX_CHARTS=24;\n{SPARKLINE_JS}async function tick"
+        )));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use registry::{
     bucket_quantile, buckets, metric_key, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
     Snapshot,
 };
-pub use series::{views_to_json, SeriesStore, SeriesView};
+pub use series::{views_to_json, SeriesStore, SeriesView, SPARKLINE_JS};
 pub use span::{Profile, Profiler, SpanGuard, SpanStat};
 pub use time::TimeSource;
 pub use trace::{DumpContext, FlightGuard, FlightRecorder, TraceCat, TraceEvent, Tracer};

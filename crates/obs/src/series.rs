@@ -251,6 +251,31 @@ pub fn views_to_json(views: &[SeriesView]) -> String {
     out
 }
 
+/// The browser half of [`views_to_json`]'s format: `spark(canvas, pts)`
+/// draws one series' `[t, v]` points as a `<canvas>` sparkline and
+/// `fmt(v)` prints a value. The live dashboard (`bt-net`'s `GET /`)
+/// and the fleet report (`btstat merge --html`) both embed it in their
+/// own `<script>`.
+pub const SPARKLINE_JS: &str = r##"function spark(canvas,pts){
+  const ctx=canvas.getContext("2d"),W=canvas.width,H=canvas.height;
+  ctx.clearRect(0,0,W,H);
+  if(pts.length<2)return;
+  let lo=Infinity,hi=-Infinity;
+  for(const[,v]of pts){if(v<lo)lo=v;if(v>hi)hi=v;}
+  if(hi===lo){hi+=1;lo-=1;}
+  const t0=pts[0][0],t1=pts[pts.length-1][0]||1;
+  ctx.strokeStyle="#5da9e9";ctx.lineWidth=1.5;ctx.beginPath();
+  pts.forEach(([t,v],i)=>{
+    const x=(t-t0)/(t1-t0||1)*(W-4)+2;
+    const y=H-2-(v-lo)/(hi-lo)*(H-4);
+    i?ctx.lineTo(x,y):ctx.moveTo(x,y);
+  });
+  ctx.stroke();
+}
+function fmt(v){return Math.abs(v)>=1e6?v.toExponential(2):
+  (Number.isInteger(v)?v:v.toFixed(3));}
+"##;
+
 /// Render a finite float as valid JSON. Integral values print bare
 /// (`4`, not `4.0`) so counter/gauge-sourced points read as the
 /// integers they are; everything else uses Rust's shortest-roundtrip

@@ -13,7 +13,6 @@
 #![warn(missing_docs)]
 
 pub mod behavior;
-pub mod builder;
 pub mod events;
 pub mod links;
 pub mod metrics;
@@ -22,7 +21,6 @@ pub mod topology;
 pub mod tracker;
 
 pub use behavior::{BehaviorProfile, CapacityClass, Role};
-pub use builder::SwarmSpecBuilder;
 pub use events::{EventQueue, HeapEventQueue};
 pub use links::{FullDuplexLink, LinkModel, LinkParams, NetModel, UniformLink};
 pub use metrics::SimMetrics;

@@ -21,7 +21,6 @@
 //! equal timestamps pop FIFO. Same spec + same seed ⇒ identical traces.
 
 use crate::behavior::{BehaviorProfile, Role};
-use crate::builder::SwarmSpecBuilder;
 use crate::events::EventQueue;
 use crate::links::{LinkModel, LinkParams, NetModel};
 use crate::metrics::SimMetrics;
@@ -112,10 +111,56 @@ pub struct SwarmSpec {
 }
 
 impl SwarmSpec {
-    /// Start building a spec with every knob named — the replacement
-    /// for sprawling struct literals. See [`SwarmSpecBuilder`].
-    pub fn builder() -> SwarmSpecBuilder {
-        SwarmSpecBuilder::new()
+    /// Check every value range the simulator relies on, naming the first
+    /// field that is out of range: at least one peer; non-zero
+    /// `total_len` and `piece_len` with a piece count that fits the
+    /// `u32` piece index; `local` indexing into `peers`; non-zero
+    /// `transfer_round` and `sample_every` (both re-schedule themselves
+    /// that far ahead); and the four probabilities and fractions finite
+    /// and in `[0, 1]`. [`Swarm::new`] calls it, so a spec that passes
+    /// cannot panic or hang the run for being out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.peers.is_empty() {
+            return Err("peers: a swarm needs at least one peer".into());
+        }
+        if self.total_len == 0 {
+            return Err("total_len: must be > 0".into());
+        }
+        if self.piece_len == 0 {
+            return Err("piece_len: must be > 0".into());
+        }
+        let pieces = self.total_len.div_ceil(u64::from(self.piece_len));
+        if pieces > u64::from(u32::MAX) {
+            return Err(format!(
+                "total_len: {pieces} pieces of piece_len {} overflow the u32 piece index",
+                self.piece_len
+            ));
+        }
+        if let Some(local) = self.local.filter(|&l| l >= self.peers.len()) {
+            return Err(format!(
+                "local: peer {local} does not exist ({} peers)",
+                self.peers.len()
+            ));
+        }
+        for (name, period) in [
+            ("transfer_round", self.transfer_round),
+            ("sample_every", self.sample_every),
+        ] {
+            if period == Duration::ZERO {
+                return Err(format!("{name}: must be > 0"));
+            }
+        }
+        for (name, p) in [
+            ("available_fraction", self.available_fraction),
+            ("prepop_completion_max", self.prepop_completion_max),
+            ("corrupt_block_prob", self.corrupt_block_prob),
+            ("dial_failure_prob", self.dial_failure_prob),
+        ] {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{name}: {p} is not in [0, 1]"));
+            }
+        }
+        Ok(())
     }
 
     /// The effective network model: the [`net`](SwarmSpec::net) section
@@ -505,11 +550,20 @@ pub struct Swarm {
 impl Swarm {
     /// Construct the swarm: builds every engine, pre-populates existing
     /// leechers' bitfields, and schedules joins.
+    ///
+    /// # Panics
+    /// If [`SwarmSpec::validate`] rejects the spec, with its message.
     pub fn new(spec: SwarmSpec) -> Swarm {
-        assert!(!spec.peers.is_empty(), "a swarm needs at least one peer");
+        spec.validate()
+            .unwrap_or_else(|e| panic!("invalid SwarmSpec: {e}"));
         let geometry = Geometry::new(spec.total_len, spec.piece_len);
         let mut rng = SmallRng::seed_from_u64(spec.seed);
 
+        // In virtual mode this is a one-piece stub whose bytes no engine
+        // reads. Its info-hash is still part of the output — the Fast
+        // Extension derives each peer's allowed-fast set from it
+        // (`fast::allowed_fast_set`) — so the stub piece is generated
+        // and hashed in full.
         let content = Arc::new(SyntheticContent::generate(
             "swarm-content",
             spec.seed,
@@ -520,17 +574,9 @@ impl Swarm {
             },
             spec.piece_len,
         ));
-        // In virtual mode, the content object above is a stub used only
-        // for its info-hash role; generate the real hash cheaply from the
-        // spec parameters instead of hashing the full content.
         let info_hash = content.metainfo.info_hash;
         let data = if spec.real_data {
-            DataMode::Real(Arc::new(SyntheticContent::generate(
-                "swarm-content",
-                spec.seed,
-                spec.total_len,
-                spec.piece_len,
-            )))
+            DataMode::Real(content)
         } else {
             DataMode::Virtual
         };
@@ -1921,6 +1967,50 @@ mod tests {
             local: Some(1),
             ..SwarmSpec::default()
         }
+    }
+
+    #[test]
+    fn validate_names_the_out_of_range_field() {
+        assert_eq!(tiny_spec(1).validate(), Ok(()));
+        type Edit = fn(&mut SwarmSpec);
+        let cases: [(&str, Edit); 10] = [
+            ("peers", |s| s.peers.clear()),
+            ("total_len", |s| s.total_len = 0),
+            ("piece_len", |s| s.piece_len = 0),
+            ("total_len", |s| (s.total_len, s.piece_len) = (u64::MAX, 1)),
+            ("local", |s| s.local = Some(50)),
+            ("transfer_round", |s| s.transfer_round = Duration::ZERO),
+            ("sample_every", |s| s.sample_every = Duration::ZERO),
+            ("dial_failure_prob", |s| s.dial_failure_prob = 2.5),
+            ("corrupt_block_prob", |s| s.corrupt_block_prob = f64::NAN),
+            ("available_fraction", |s| s.available_fraction = -0.1),
+        ];
+        for (field, edit) in cases {
+            let mut spec = tiny_spec(1);
+            edit(&mut spec);
+            let err = spec.validate().expect_err(field);
+            assert!(err.starts_with(&format!("{field}: ")), "{field}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid SwarmSpec: transfer_round: must be > 0")]
+    fn new_rejects_an_invalid_spec_instead_of_hanging() {
+        let mut spec = tiny_spec(1);
+        spec.transfer_round = Duration::ZERO;
+        let _ = Swarm::new(spec);
+    }
+
+    #[test]
+    fn explicit_uniform_net_resolves_like_the_default() {
+        let typed = SwarmSpec {
+            net: Some(NetModel::uniform(
+                Duration::from_millis(50),
+                Duration::from_millis(100),
+            )),
+            ..SwarmSpec::default()
+        };
+        assert_eq!(SwarmSpec::default().net_model(), typed.net_model());
     }
 
     #[test]

@@ -13,17 +13,34 @@
 
 use bt_sim::swarm::{Swarm, SwarmSpec};
 use bt_sim::topology::TopologySpec;
-use bt_sim::{BehaviorProfile, LinkRule, LinkSpec};
+use bt_sim::{BehaviorProfile, LinkRule, LinkSpec, NetModel};
 use bt_wire::time::Duration;
 
-fn tiny_builder(seed: u64) -> bt_sim::SwarmSpecBuilder {
-    SwarmSpec::builder()
-        .seed(seed)
-        .pieces(8, 256 * 1024)
-        .duration(Duration::from_secs(4000))
-        .peer(BehaviorProfile::seed())
-        .peers_of(4, BehaviorProfile::leecher(Duration::ZERO))
-        .local(1)
+/// One seed and four leechers over eight pieces; peer 1 instrumented.
+fn tiny_spec(seed: u64) -> SwarmSpec {
+    let mut peers = vec![BehaviorProfile::seed()];
+    peers.extend(std::iter::repeat_n(
+        BehaviorProfile::leecher(Duration::ZERO),
+        4,
+    ));
+    SwarmSpec {
+        seed,
+        total_len: 8 * 256 * 1024,
+        piece_len: 256 * 1024,
+        duration: Duration::from_secs(4000),
+        peers,
+        local: Some(1),
+        ..SwarmSpec::default()
+    }
+}
+
+/// [`tiny_spec`] over a full-duplex topology, run for `secs`.
+fn over(seed: u64, topology: TopologySpec, secs: u64) -> SwarmSpec {
+    SwarmSpec {
+        net: Some(NetModel::FullDuplex(topology)),
+        duration: Duration::from_secs(secs),
+        ..tiny_spec(seed)
+    }
 }
 
 /// An explicit `NetModel::Uniform` with the default parameters replays
@@ -32,12 +49,14 @@ fn tiny_builder(seed: u64) -> bt_sim::SwarmSpecBuilder {
 #[test]
 fn explicit_uniform_matches_unset_net_event_for_event() {
     for seed in [3, 7, 42] {
-        let unset = Swarm::new(tiny_builder(seed).build()).run();
-        let typed = Swarm::new(
-            tiny_builder(seed)
-                .uniform_net(Duration::from_millis(50), Duration::from_millis(100))
-                .build(),
-        )
+        let unset = Swarm::new(tiny_spec(seed)).run();
+        let typed = Swarm::new(SwarmSpec {
+            net: Some(NetModel::uniform(
+                Duration::from_millis(50),
+                Duration::from_millis(100),
+            )),
+            ..tiny_spec(seed)
+        })
         .run();
         assert_eq!(unset.events_processed, typed.events_processed);
         assert_eq!(unset.completion, typed.completion);
@@ -54,7 +73,7 @@ fn explicit_uniform_matches_unset_net_event_for_event() {
 /// same run) as the original spec object.
 #[test]
 fn json_spec_without_net_section_replays_identically() {
-    let spec = tiny_builder(11).build();
+    let spec = tiny_spec(11);
     let json = serde_json::to_string(&spec).unwrap();
     // Simulate such a file: strip the net section entirely.
     let stripped = json.replace(",\"net\":null", "");
@@ -71,7 +90,7 @@ fn json_spec_without_net_section_replays_identically() {
 /// `sample_global` — is an error naming it, not a run on defaults.
 #[test]
 fn json_spec_with_an_unknown_key_is_rejected_by_name() {
-    let json = serde_json::to_string(&tiny_builder(11).build()).unwrap();
+    let json = serde_json::to_string(&tiny_spec(11)).unwrap();
     let _: SwarmSpec = serde_json::from_str(&json).expect("the spec itself loads");
     for (key, value) in [("latency", "80"), ("sample_gloabl", "true")] {
         let with_key = json.replacen('{', &format!("{{\"{key}\":{value},"), 1);
@@ -89,7 +108,7 @@ fn json_spec_with_an_unknown_key_is_rejected_by_name() {
 fn topology_runs_are_deterministic_and_json_stable() {
     for name in bt_sim::PRESET_NAMES {
         let topo = TopologySpec::preset(name).unwrap();
-        let build = |t: TopologySpec| tiny_builder(5).topology(t).build();
+        let build = |t: TopologySpec| over(5, t, 4000);
         let a = Swarm::new(build(topo.clone())).run();
         let b = Swarm::new(build(topo.clone())).run();
         let via_json = Swarm::new(build(TopologySpec::from_json(&topo.to_json()).unwrap())).run();
@@ -108,10 +127,7 @@ fn topology_runs_are_deterministic_and_json_stable() {
 /// nothing, so the digest is a pure function of spec + seed.
 #[test]
 fn lossy_topology_is_deterministic_across_jobs() {
-    let spec = tiny_builder(13)
-        .topology(TopologySpec::two_isp_bottleneck())
-        .duration(Duration::from_secs(8000))
-        .build();
+    let spec = over(13, TopologySpec::two_isp_bottleneck(), 8000);
     let sequential = Swarm::new(spec.clone()).run().digest();
     let handles: Vec<_> = (0..4)
         .map(|_| {
@@ -133,11 +149,7 @@ fn heavy_loss_is_survivable() {
     lossy.name = "lossy".to_owned();
     lossy.rules[0].link.loss = 0.2;
     lossy.rules[0].link.jitter = Duration::from_millis(40);
-    let spec = tiny_builder(17)
-        .topology(lossy)
-        .duration(Duration::from_secs(12_000))
-        .build();
-    let result = Swarm::new(spec).run();
+    let result = Swarm::new(over(17, lossy, 12_000)).run();
     assert_eq!(result.completed_peers, 4, "loss must delay, not starve");
 }
 
@@ -164,15 +176,7 @@ fn per_link_bandwidth_caps_bind() {
             },
         }],
     };
-    let run = |bw| {
-        Swarm::new(
-            tiny_builder(23)
-                .topology(capped_topo(bw))
-                .duration(Duration::from_secs(30_000))
-                .build(),
-        )
-        .run()
-    };
+    let run = |bw| Swarm::new(over(23, capped_topo(bw), 30_000)).run();
     let open = run(None);
     let capped = run(Some(4_000)); // 4 kB/s per link vs 20 kB/s peer uplink
     assert_eq!(open.completed_peers, 4);
@@ -192,12 +196,7 @@ fn per_link_bandwidth_caps_bind() {
 /// must not accidentally reduce to the uniform path.
 #[test]
 fn topologies_change_the_run() {
-    let uniform = Swarm::new(tiny_builder(29).build()).run();
-    let dsl = Swarm::new(
-        tiny_builder(29)
-            .topology(TopologySpec::asymmetric_dsl())
-            .build(),
-    )
-    .run();
+    let uniform = Swarm::new(tiny_spec(29)).run();
+    let dsl = Swarm::new(over(29, TopologySpec::asymmetric_dsl(), 4000)).run();
     assert_ne!(uniform.digest(), dsl.digest());
 }

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use bt_analysis::fleet::fleet_verdicts;
 use bt_analysis::live::Thresholds;
-use bt_obs::{views_to_json, Profile, SeriesView, Snapshot};
+use bt_obs::{views_to_json, Profile, SeriesView, Snapshot, SPARKLINE_JS};
 
 use crate::artifacts::{push_json_str, series_by_run, RunArtifacts};
 
@@ -189,6 +189,7 @@ impl FleetReport {
         html.push_str("<script>const FLEET={");
         self.push_series(&mut html);
         html.push_str("};\n");
+        html.push_str(SPARKLINE_JS);
         html.push_str(FLEET_HTML_SCRIPT);
         html
     }
@@ -233,27 +234,10 @@ const FLEET_HTML_HEAD: &str = r##"<!doctype html>
 <h1>btstat fleet report</h1>
 "##;
 
-/// Static renderer: the observatory's `spark()` canvas sparkline, fed
-/// from the embedded `FLEET` blob instead of a polled `/series`.
-const FLEET_HTML_SCRIPT: &str = r##"function spark(canvas,pts){
-  const ctx=canvas.getContext("2d"),W=canvas.width,H=canvas.height;
-  ctx.clearRect(0,0,W,H);
-  if(pts.length<2)return;
-  let lo=Infinity,hi=-Infinity;
-  for(const[,v]of pts){if(v<lo)lo=v;if(v>hi)hi=v;}
-  if(hi===lo){hi+=1;lo-=1;}
-  const t0=pts[0][0],t1=pts[pts.length-1][0]||1;
-  ctx.strokeStyle="#5da9e9";ctx.lineWidth=1.5;ctx.beginPath();
-  pts.forEach(([t,v],i)=>{
-    const x=(t-t0)/(t1-t0||1)*(W-4)+2;
-    const y=H-2-(v-lo)/(hi-lo)*(H-4);
-    i?ctx.lineTo(x,y):ctx.moveTo(x,y);
-  });
-  ctx.stroke();
-}
-function fmt(v){return Math.abs(v)>=1e6?v.toExponential(2):
-  (Number.isInteger(v)?v:v.toFixed(3));}
-const charts=document.getElementById("charts");
+/// Static renderer after [`SPARKLINE_JS`]: the observatory's
+/// sparklines, fed from the embedded `FLEET` blob instead of a polled
+/// `/series`.
+const FLEET_HTML_SCRIPT: &str = r##"const charts=document.getElementById("charts");
 for(const[run,doc]of Object.entries(FLEET)){
   for(const s of doc.series){
     const el=document.createElement("div");el.className="chart";

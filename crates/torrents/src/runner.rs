@@ -124,23 +124,18 @@ impl RunConfig {
         }
     }
 
-    /// Start building a config from the defaults — the mirror of
-    /// [`SwarmSpec::builder`].
+    /// `RunConfig::builder().seed(s).build()`: the one call the
+    /// benchmark package makes. Everything else writes a
+    /// `RunConfig { .., ..RunConfig::default() }` literal; this goes
+    /// away once `benchmark/` is unpinned (ROADMAP item 7).
     pub fn builder() -> RunConfigBuilder {
         RunConfigBuilder {
             cfg: RunConfig::default(),
         }
     }
-
-    /// Continue building from an existing config (e.g.
-    /// `RunConfig::quick().into_builder()`).
-    pub fn into_builder(self) -> RunConfigBuilder {
-        RunConfigBuilder { cfg: self }
-    }
 }
 
-/// Fluent construction of [`RunConfig`]s; obtain one with
-/// [`RunConfig::builder`] or [`RunConfig::into_builder`].
+/// See [`RunConfig::builder`].
 #[derive(Debug, Clone)]
 pub struct RunConfigBuilder {
     cfg: RunConfig,
@@ -151,126 +146,6 @@ impl RunConfigBuilder {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
-        self
-    }
-
-    /// Cap on simulated peers.
-    #[must_use]
-    pub fn max_peers(mut self, max: usize) -> Self {
-        self.cfg.max_peers = max;
-        self
-    }
-
-    /// Piece-count bounds for the scaled content.
-    #[must_use]
-    pub fn piece_bounds(mut self, min: u32, max: u32) -> Self {
-        self.cfg.min_pieces = min;
-        self.cfg.max_pieces = max;
-        self
-    }
-
-    /// Simulated session length.
-    #[must_use]
-    pub fn session(mut self, session: Duration) -> Self {
-        self.cfg.session = session;
-        self
-    }
-
-    /// Fraction of leechers that are free riders.
-    #[must_use]
-    pub fn free_rider_fraction(mut self, fraction: f64) -> Self {
-        self.cfg.free_rider_fraction = fraction;
-        self
-    }
-
-    /// Fraction of extra churner joins.
-    #[must_use]
-    pub fn churner_fraction(mut self, fraction: f64) -> Self {
-        self.cfg.churner_fraction = fraction;
-        self
-    }
-
-    /// Fraction of leechers that crash and restart mid-session.
-    #[must_use]
-    pub fn restarter_fraction(mut self, fraction: f64) -> Self {
-        self.cfg.restarter_fraction = fraction;
-        self
-    }
-
-    /// Extra mid-session arrivals, as a fraction of initial leechers.
-    #[must_use]
-    pub fn arrival_fraction(mut self, fraction: f64) -> Self {
-        self.cfg.arrival_fraction = fraction;
-        self
-    }
-
-    /// Pre-replicated piece fraction for transient torrents.
-    #[must_use]
-    pub fn transient_available(mut self, fraction: f64) -> Self {
-        self.cfg.transient_available = fraction;
-        self
-    }
-
-    /// Engine configuration shared by all peers.
-    #[must_use]
-    pub fn base_config(mut self, config: Config) -> Self {
-        self.cfg.base_config = config;
-        self
-    }
-
-    /// Edit the base engine configuration in place.
-    #[must_use]
-    pub fn configure(mut self, edit: impl FnOnce(&mut Config)) -> Self {
-        edit(&mut self.cfg.base_config);
-        self
-    }
-
-    /// Carry real bytes and verify hashes.
-    #[must_use]
-    pub fn real_data(mut self, on: bool) -> Self {
-        self.cfg.real_data = on;
-        self
-    }
-
-    /// Attach a deterministic metrics registry to every swarm.
-    #[must_use]
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.cfg.metrics = on;
-        self
-    }
-
-    /// Attach a deterministic span profiler to every swarm.
-    #[must_use]
-    pub fn profile(mut self, on: bool) -> Self {
-        self.cfg.profile = on;
-        self
-    }
-
-    /// Attach series + live health monitors to every swarm.
-    #[must_use]
-    pub fn series(mut self, on: bool) -> Self {
-        self.cfg.series = on;
-        self
-    }
-
-    /// Network model applied to every scenario swarm.
-    #[must_use]
-    pub fn net(mut self, model: NetModel) -> Self {
-        self.cfg.net = Some(model);
-        self
-    }
-
-    /// Attach a causal tracer sampling one in `rate` piece/peer ids.
-    #[must_use]
-    pub fn trace_sample(mut self, rate: u64) -> Self {
-        self.cfg.trace_sample = Some(rate.max(1));
-        self
-    }
-
-    /// Directory for per-scenario flight-recorder bundles.
-    #[must_use]
-    pub fn flight_dir(mut self, dir: impl Into<String>) -> Self {
-        self.cfg.flight_dir = Some(dir.into());
         self
     }
 
@@ -465,24 +340,25 @@ pub fn build_swarm_spec(spec: &ScenarioSpec, cfg: &RunConfig) -> (SwarmSpec, Sca
         restart_after: None,
     });
 
-    let mut builder = SwarmSpec::builder()
-        .seed(cfg.seed.wrapping_add(u64::from(spec.id) * 1_000_003))
-        .pieces(scaled.pieces, scaled.piece_len)
-        .real_data(cfg.real_data)
-        .duration(cfg.session)
-        .base_config(cfg.base_config.clone())
-        .peers(peers)
-        .local(local_idx)
-        .available_fraction(if spec.transient {
+    let swarm_spec = SwarmSpec {
+        seed: cfg.seed.wrapping_add(u64::from(spec.id) * 1_000_003),
+        total_len: u64::from(scaled.pieces) * u64::from(scaled.piece_len),
+        piece_len: scaled.piece_len,
+        real_data: cfg.real_data,
+        duration: cfg.session,
+        base_config: cfg.base_config.clone(),
+        peers,
+        local: Some(local_idx),
+        available_fraction: if spec.transient {
             cfg.transient_available
         } else {
             1.0
-        })
-        .prepop_completion_max(0.9);
-    if let Some(net) = &cfg.net {
-        builder = builder.net(net.clone());
-    }
-    (builder.build(), scaled)
+        },
+        prepop_completion_max: 0.9,
+        net: cfg.net.clone(),
+        ..SwarmSpec::default()
+    };
+    (swarm_spec, scaled)
 }
 
 /// Run one Table I scenario end to end.
@@ -722,23 +598,21 @@ mod tests {
     }
 
     #[test]
-    fn builder_mirrors_struct_construction_and_net_reaches_specs() {
-        let built = RunConfig::quick()
-            .into_builder()
-            .seed(7)
-            .session(Duration::from_secs(900))
-            .build();
-        let literal = RunConfig {
-            seed: 7,
-            session: Duration::from_secs(900),
+    fn every_table1_spec_validates() {
+        for cfg in [RunConfig::quick(), RunConfig::default()] {
+            for row in crate::table1::table1() {
+                let (spec, _) = build_swarm_spec(&row, &cfg);
+                assert_eq!(spec.validate(), Ok(()), "torrent {}", row.id);
+            }
+        }
+    }
+
+    #[test]
+    fn net_override_reaches_specs() {
+        let wan = RunConfig {
+            net: bt_sim::NetModel::preset("two_isp_bottleneck"),
             ..RunConfig::quick()
         };
-        assert_eq!(built, literal);
-
-        let wan = RunConfig::quick()
-            .into_builder()
-            .net(bt_sim::NetModel::preset("two_isp_bottleneck").unwrap())
-            .build();
         let (spec, _) = build_swarm_spec(&torrent(2), &wan);
         assert!(matches!(spec.net, Some(bt_sim::NetModel::FullDuplex(_))));
         let (plain, _) = build_swarm_spec(&torrent(2), &RunConfig::quick());
@@ -797,7 +671,10 @@ mod tests {
     #[test]
     fn traced_scenario_matches_bare_run_and_exports_lifecycles() {
         let bare = run_scenario(&torrent(2), &RunConfig::quick());
-        let traced_cfg = RunConfig::quick().into_builder().trace_sample(1).build();
+        let traced_cfg = RunConfig {
+            trace_sample: Some(1),
+            ..RunConfig::quick()
+        };
         let traced = run_scenario(&torrent(2), &traced_cfg);
         assert_eq!(
             bare.trace.events, traced.trace.events,

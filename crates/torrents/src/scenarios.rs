@@ -3,8 +3,7 @@
 //! The Table I runner reproduces the paper's torrents; these presets
 //! package the *situations* the paper and its ablations reason about —
 //! flash crowds, free-rider swarms, rationed trackers, super-seeded
-//! starts — as ready-made [`SwarmSpec`] builders for library users and
-//! tests.
+//! starts — as ready-made [`SwarmSpec`]s for library users and tests.
 
 use bt_core::Config;
 use bt_sim::behavior::{BehaviorProfile, CapacityClass, Role};
@@ -38,13 +37,15 @@ impl Default for PresetOptions {
 }
 
 fn base_spec(opts: &PresetOptions, peers: Vec<BehaviorProfile>) -> SwarmSpec {
-    SwarmSpec::builder()
-        .seed(opts.seed)
-        .pieces(opts.pieces, 256 * 1024)
-        .duration(opts.duration)
-        .base_config(opts.config.clone())
-        .peers(peers)
-        .build()
+    SwarmSpec {
+        seed: opts.seed,
+        total_len: u64::from(opts.pieces) * 256 * 1024,
+        piece_len: 256 * 1024,
+        duration: opts.duration,
+        base_config: opts.config.clone(),
+        peers,
+        ..SwarmSpec::default()
+    }
 }
 
 fn dsl_leecher(join_secs: u64) -> BehaviorProfile {
@@ -93,16 +94,18 @@ pub fn mega_flash_crowd(leechers: usize, opts: &PresetOptions) -> SwarmSpec {
         p.seed_linger = Some(Duration::from_secs(180));
         peers.push(p);
     }
-    SwarmSpec::builder()
-        .seed(opts.seed)
-        .pieces(opts.pieces, 64 * 1024)
-        .duration(opts.duration)
-        .base_config(config)
-        .peers(peers)
-        .available_fraction(0.0)
-        .tracker_response_cap(Some(10))
-        .scalable_tracker(true)
-        .build()
+    SwarmSpec {
+        seed: opts.seed,
+        total_len: u64::from(opts.pieces) * 64 * 1024,
+        piece_len: 64 * 1024,
+        duration: opts.duration,
+        base_config: config,
+        peers,
+        available_fraction: 0.0,
+        tracker_response_cap: Some(10),
+        scalable_tracker: true,
+        ..SwarmSpec::default()
+    }
 }
 
 /// Resolve a topology by built-in preset name, panicking with the
@@ -239,6 +242,24 @@ mod tests {
             pieces: 12,
             duration: Duration::from_secs(4000),
             ..PresetOptions::default()
+        }
+    }
+
+    #[test]
+    fn every_preset_validates() {
+        for o in [opts(), PresetOptions::default()] {
+            for spec in [
+                flash_crowd(8, &o),
+                mega_flash_crowd(1_000, &o),
+                wan_flash_crowd(8, "asymmetric_dsl", &o),
+                wan_mega_flash_crowd(1_000, "two_isp_bottleneck", &o),
+                steady_state(1, 10, 90, &o),
+                free_rider_swarm(6, 2, &o),
+                super_seeded_start(6, &o),
+                rationed_tracker(8, &o),
+            ] {
+                assert_eq!(spec.validate(), Ok(()));
+            }
         }
     }
 

@@ -91,14 +91,6 @@ impl Value {
         }
     }
 
-    /// Borrow the list, if this is one.
-    pub fn as_list(&self) -> Option<&[Value]> {
-        match self {
-            Value::List(l) => Some(l),
-            _ => None,
-        }
-    }
-
     /// Borrow the dictionary, if this is one.
     pub fn as_dict(&self) -> Option<&BTreeMap<Vec<u8>, Value>> {
         match self {

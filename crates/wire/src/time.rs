@@ -69,11 +69,6 @@ impl Duration {
     pub fn as_secs_f64(&self) -> f64 {
         self.0 as f64 / 1e6
     }
-
-    /// Multiply by an integer factor.
-    pub fn mul(&self, k: u64) -> Duration {
-        Duration(self.0 * k)
-    }
 }
 
 impl Add<Duration> for Instant {
