@@ -6,9 +6,8 @@
 //! reports per-peer completion times; this module turns them into the
 //! completion curve and capacity metrics that check the claim:
 //!
-//! * the cumulative completion curve `N(t)`;
-//! * the early-phase doubling time (exponential growth signature);
-//! * the steady completion rate once capacity saturates.
+//! * the sorted completion times, the curve `N(t)`;
+//! * the early-phase doubling time (exponential growth signature).
 
 use bt_wire::time::Instant;
 use serde::{Deserialize, Serialize};
@@ -32,11 +31,6 @@ impl CapacityCurve {
         CapacityCurve { completions }
     }
 
-    /// Number of peers complete at time `t` (the curve `N(t)`).
-    pub fn completed_by(&self, t_secs: f64) -> usize {
-        self.completions.partition_point(|&c| c <= t_secs)
-    }
-
     /// Time of the `n`-th completion (1-based), if it happened.
     pub fn time_of(&self, n: usize) -> Option<f64> {
         if n == 0 {
@@ -58,28 +52,6 @@ impl CapacityCurve {
         }
         out
     }
-
-    /// Mean completion rate (peers/second) between the `from`-th and
-    /// `to`-th completions.
-    pub fn rate_between(&self, from: usize, to: usize) -> Option<f64> {
-        let (a, b) = (self.time_of(from)?, self.time_of(to)?);
-        if b <= a {
-            return None;
-        }
-        Some((to - from) as f64 / (b - a))
-    }
-
-    /// True when the early doubling times do *not* grow like a
-    /// client-server system's would: the last early doubling time is
-    /// under `factor` × the first. With exponential capacity growth the
-    /// ratio stays near 1; client-server service makes it ≈ 2 per step.
-    pub fn grows_superlinearly(&self, factor: f64) -> bool {
-        let d = self.doubling_times();
-        match (d.first(), d.last()) {
-            (Some(&first), Some(&last)) if d.len() >= 2 && first > 0.0 => last < factor * first,
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -96,7 +68,6 @@ mod tests {
     fn basic_curve_queries() {
         let c = curve(&[100, 50, 200, 400]);
         assert_eq!(c.completions, vec![50.0, 100.0, 200.0, 400.0]);
-        assert_eq!(c.completed_by(150.0), 2);
         assert_eq!(c.time_of(1), Some(50.0));
         assert_eq!(c.time_of(5), None);
         assert_eq!(c.time_of(0), None);
@@ -117,7 +88,6 @@ mod tests {
         let c = curve(&v);
         let d = c.doubling_times();
         assert_eq!(d, vec![100.0, 100.0, 100.0]);
-        assert!(c.grows_superlinearly(1.5));
         let _ = times;
     }
 
@@ -128,22 +98,12 @@ mod tests {
         let v: Vec<u64> = (1..=8).map(|n| n * 100).collect();
         let c = curve(&v);
         assert_eq!(c.doubling_times(), vec![100.0, 200.0, 400.0]);
-        assert!(!c.grows_superlinearly(1.5));
-    }
-
-    #[test]
-    fn rates() {
-        let v: Vec<u64> = (1..=10).map(|n| n * 10).collect();
-        let c = curve(&v);
-        assert!((c.rate_between(1, 10).unwrap() - 0.1).abs() < 1e-12);
-        assert_eq!(c.rate_between(5, 5), None);
     }
 
     #[test]
     fn empty_and_tiny_curves() {
         let c = CapacityCurve::from_completions(&[None, None]);
         assert!(c.completions.is_empty());
-        assert!(!c.grows_superlinearly(2.0));
         assert_eq!(c.doubling_times(), Vec::<f64>::new());
     }
 }

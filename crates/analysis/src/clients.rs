@@ -78,11 +78,6 @@ pub fn client_breakdown(trace: &Trace) -> ClientBreakdown {
 }
 
 impl ClientBreakdown {
-    /// Number of distinct client families observed.
-    pub fn num_families(&self) -> usize {
-        self.families.len()
-    }
-
     /// Total bytes downloaded across families.
     pub fn total_downloaded(&self) -> u64 {
         self.families.values().map(|a| a.downloaded).sum()
@@ -162,7 +157,7 @@ mod tests {
     #[test]
     fn families_aggregated() {
         let b = client_breakdown(&trace());
-        assert_eq!(b.num_families(), 2);
+        assert_eq!(b.families.len(), 2);
         let az = &b.families["-AZ2304-"];
         assert_eq!(az.connections, 2);
         assert_eq!(az.unique_peers, 2);
@@ -194,7 +189,7 @@ mod tests {
             seed_at: None,
         };
         let b = client_breakdown(&Trace::new(meta));
-        assert_eq!(b.num_families(), 0);
+        assert_eq!(b.families.len(), 0);
         assert_eq!(b.top_source(), None);
     }
 }

@@ -18,6 +18,7 @@
 //! tests byte-compare.
 
 use crate::live::HealthReport;
+use bt_instrument::UnchokeRole;
 use bt_obs::trace::{TraceCat, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -25,18 +26,6 @@ use std::fmt::Write as _;
 /// Look up a named integer in a trace event's payload.
 fn arg(e: &TraceEvent, key: &str) -> Option<i64> {
     e.args.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
-}
-
-/// Outcome code names, mirroring `bt_core::ChokeOutcome::as_code`.
-fn outcome_name(code: i64) -> &'static str {
-    match code {
-        0 => "regular-unchoke",
-        1 => "optimistic-unchoke",
-        2 => "seed-kept",
-        3 => "seed-random",
-        4 => "choked",
-        _ => "unknown",
-    }
 }
 
 /// Build a human-readable explanation of an unhealthy [`HealthReport`]
@@ -81,7 +70,7 @@ pub fn explain_unhealthy(
         } else {
             let choked = about
                 .iter()
-                .filter(|e| arg(e, "outcome") == Some(4))
+                .filter(|e| arg(e, "outcome") == Some(UnchokeRole::outcome_code(None)))
                 .count();
             let last = about.last().expect("non-empty");
             let _ = writeln!(
@@ -89,7 +78,7 @@ pub fn explain_unhealthy(
                 "choke audits mentioning it: {} ({choked} chose to choke); \
                  last: {} by peer {} at t={}us (rank {})",
                 about.len(),
-                outcome_name(arg(last, "outcome").unwrap_or(-1)),
+                UnchokeRole::outcome_name(arg(last, "outcome").unwrap_or(-1)),
                 last.id,
                 last.at_micros,
                 arg(last, "rank").unwrap_or(-1),

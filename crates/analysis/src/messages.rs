@@ -107,13 +107,6 @@ impl MessageStats {
             .get(&format!("{kind:?}"))
             .map_or(0, |c| c.sent + c.received)
     }
-
-    /// Sanity relation: every received piece payload implies a request
-    /// was sent at some point (requests ≥ accepted blocks can be violated
-    /// only by end-game cancels racing, so we expose both sides).
-    pub fn requests_sent(&self) -> u64 {
-        self.counts.get("Request").map_or(0, |c| c.sent)
-    }
 }
 
 /// A block's typical wire size: 16 kB payload plus the 13-byte header.
@@ -158,7 +151,7 @@ mod tests {
         msg(&mut tr, 3, MessageKind::Request, true);
         msg(&mut tr, 4, MessageKind::Request, true);
         let s = MessageStats::from_trace(&tr);
-        assert_eq!(s.requests_sent(), 2);
+        assert_eq!(s.counts["Request"].sent, 2);
         assert_eq!(s.total(MessageKind::Interested), 1);
         assert_eq!(s.total(MessageKind::Unchoke), 1);
         // 5 + 5 + 17 + 17 control bytes.

@@ -86,20 +86,6 @@ impl SessionSummary {
             multi_id_ip_fraction: registry.multi_id_ip_fraction(),
         }
     }
-
-    /// Compact single-line verdict used by CLIs.
-    pub fn one_liner(&self) -> String {
-        format!(
-            "{}: a/b p50 {:.2}, {} state, first-blocks ×{:.2}, LS top-set {:.2}, SS jain {:.2}, {} peers",
-            self.torrent,
-            self.entropy.local_in_remote.p50,
-            if self.replication.is_transient() { "transient" } else { "steady" },
-            self.blocks.first_slowdown(),
-            self.fairness_ls.top_set_upload_share(),
-            self.fairness_ss.jain_index(),
-            self.unique_peers,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -198,15 +184,6 @@ mod tests {
         assert!((s.entropy.local_in_remote.p50 - 1.0).abs() < 1e-9);
         assert_eq!(s.fairness_ss.total_uploaded, 16384);
         assert_eq!(s.fairness_ls.total_downloaded, 64 * 16384);
-    }
-
-    #[test]
-    fn one_liner_is_compact() {
-        let s = SessionSummary::from_trace(&trace(), 256 * 1024);
-        let line = s.one_liner();
-        assert!(line.starts_with("summary-test:"));
-        assert!(line.contains("steady"));
-        assert!(!line.contains('\n'));
     }
 
     #[test]

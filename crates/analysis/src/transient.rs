@@ -70,13 +70,6 @@ impl TransientSummary {
             implied_seed_rate: -drain_slope * f64::from(piece_len),
         }
     }
-
-    /// The §IV-A.2.a lower bound on the transient duration: the time the
-    /// initial seed needs to push one copy of `rare_pieces` pieces of
-    /// `piece_len` bytes at `seed_upload` bytes/second.
-    pub fn seed_capacity_bound(rare_pieces: u32, piece_len: u32, seed_upload: u64) -> f64 {
-        f64::from(rare_pieces) * f64::from(piece_len) / seed_upload as f64
-    }
 }
 
 #[cfg(test)]
@@ -143,16 +136,5 @@ mod tests {
         let s = series(vec![(5.0, 0, 100, 0), (10.0, 1, 2, 40)]);
         let t = TransientSummary::from_series(&s, 256 * 1024);
         assert!(!t.observed, "empty-peer-set min=0 is vacuous");
-    }
-
-    #[test]
-    fn capacity_bound_arithmetic() {
-        // 863 pieces of 4 MB at 36 kB/s ≈ 26.6 h — the paper's torrent 8
-        // never left transient state within its 8 h window, consistently.
-        let bound = TransientSummary::seed_capacity_bound(863, 4 * 1024 * 1024, 36 * 1024);
-        assert!(
-            bound > 8.0 * 3600.0,
-            "bound {bound} should exceed the 8 h session"
-        );
     }
 }

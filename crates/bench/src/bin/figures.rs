@@ -4,22 +4,175 @@
 //! figures <artefact> [--quick] [--full] [--seed N]
 //! ```
 //!
-//! Run `figures --help` for the artefact list; DESIGN.md §5 maps each
-//! artefact to the paper's table/figure.
+//! [`ARTEFACTS`] lists every artefact once: `figures <name>`, `figures
+//! all` and `figures --help` all read it. DESIGN.md §5 maps each one to
+//! the paper's table/figure.
 
+use bt_analysis::{
+    entropy, fairness, pearson, unchoke_correlation, InterarrivalAnalysis, ReplicationSeries,
+    StateWindow,
+};
 use bt_bench::experiments as exp;
 use bt_bench::report::{bar, downsample, ratio, secs, sparkline, table};
 use bt_torrents::{run_scenario, torrent, RunConfig, ScenarioOutcome};
+use std::cell::OnceCell;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+/// One artefact `figures` can print.
+struct Artefact {
+    /// Its name on the command line.
+    name: &'static str,
+    /// Whether `figures all` prints it.
+    all: bool,
+    /// The argument it takes after its name, as `--help` shows it.
+    arg: Option<&'static str>,
+    /// Prints the artefact, opening its section with `title`.
+    render: fn(&Ctx, &str),
+    /// The section's first line (`peers` names the torrent it ran
+    /// instead), and the artefact's `--help` line.
+    title: &'static str,
+}
+
+/// An artefact that takes no argument.
+const fn art(
+    name: &'static str,
+    all: bool,
+    render: fn(&Ctx, &str),
+    title: &'static str,
+) -> Artefact {
+    Artefact {
+        name,
+        all,
+        arg: None,
+        render,
+        title,
+    }
+}
+
+/// Every artefact; `figures all` prints the ones with `all` set, in
+/// this order, a blank line apart.
+#[rustfmt::skip]
+const ARTEFACTS: &[Artefact] = &[
+    // name, printed by `all`, renderer, title
+    art("table1", true, print_table1,
+        "Table I — torrent characteristics (paper values and scaled simulation)"),
+    art("fig1", true, print_fig1,
+        "Figure 1 — entropy characterisation (interest-time ratios, leecher state)"),
+    art("fig2", true, |c, t| print_replication(c.torrent(8), true, t),
+        "Figure 2 — copies in peer set, torrent 8 (LS)"),
+    art("fig3", true, |c, t| print_rarest(c.torrent(8), true, t),
+        "Figure 3 — number of rarest pieces, torrent 8 (LS)"),
+    art("fig4", true, |c, t| print_replication(c.torrent(7), false, t),
+        "Figure 4 — copies in peer set, torrent 7"),
+    art("fig5", true, |c, t| print_peer_set(c.torrent(7), t),
+        "Figure 5 — peer set size, torrent 7"),
+    art("fig6", true, |c, t| print_rarest(c.torrent(7), false, t),
+        "Figure 6 — number of rarest pieces, torrent 7"),
+    art("fig7", true, |c, t| print_interarrival(&InterarrivalAnalysis::pieces(&c.torrent(10).trace), t),
+        "Figure 7 — piece interarrival CDF, torrent 10"),
+    art("fig8", true, |c, t| print_interarrival(&InterarrivalAnalysis::blocks(&c.torrent(10).trace), t),
+        "Figure 8 — block interarrival CDF, torrent 10"),
+    art("fig9", true, |c, t| print_fairness(c.sweep(), StateWindow::Leecher, t),
+        "Figure 9 — fairness, leecher state"),
+    art("fig10", true, |c, t| print_fig10(c.torrent(7), t),
+        "Figure 10 — unchokes vs interested time, torrent 7"),
+    art("fig11", true, |c, t| print_fairness(c.sweep(), StateWindow::Seed, t),
+        "Figure 11 — fairness, seed state"),
+    art("ablation-picker", true, print_ablation_picker,
+        "Ablation — piece selection strategies on torrent 6 (1 seed, transient)"),
+    art("ablation-seed-choke", true, print_ablation_seed_choke,
+        "Ablation — seed-state choke: new (≥4.0.0) vs old, fast seed + fast free rider"),
+    art("ablation-tft", true, print_ablation_tft,
+        "Ablation — choke algorithm vs bit-level tit-for-tat (asymmetric peers)"),
+    art("ablation-endgame", true, print_ablation_endgame,
+        "Ablation — end game mode on vs off (torrent 3)"),
+    art("ablation-fastext", true, print_ablation_fastext,
+        "Ablation — Fast Extension (BEP 6) vs the first blocks problem (torrent 10)"),
+    art("ablation-superseed", true, print_ablation_superseed,
+        "Ablation — initial seed policy: plain seeding vs super-seeding (flash crowd)"),
+    art("ablation-pex", true, print_ablation_pex,
+        "Ablation — peer exchange (BEP 11) under a rationing tracker (2 peers/announce)"),
+    art("msgstats", true, |c, t| print_msgstats(c.torrent(7), t),
+        "Message statistics — torrent 7 (§III-C full message log)"),
+    art("equilibrium", true, |c, t| print_equilibrium(c.torrent(7), t),
+        "Choke equilibrium — torrent 7 (§IV-B.2's future-work analysis)"),
+    art("capacity", true, print_capacity,
+        "Service capacity — swarm vs client-server as the population grows (§I)"),
+    art("clients", false, |c, t| print_clients(c.torrent(7), t),
+        "Client families — torrent 7 (§III-D: \"around 20 different BitTorrent clients\")"),
+    art("globalcheck", false, print_globalcheck,
+        "Validation — local-view inference vs global ground truth (§IV-A.2)"),
+    Artefact { arg: Some("[ID]"), ..art("peers", false, print_peers,
+        "Peers — one torrent's trace peer by peer (default torrent 7)") },
+    art("export", false, export_csv,
+        "Export — every figure's data series as CSV (--out DIR)"),
+];
+
+const OPTIONS: &str = "OPTIONS
+  --quick   small scale (fast smoke run)
+  --full    larger scale (closer to the paper's populations)
+  --seed N  master PRNG seed (default 42)
+  --jobs N  worker threads for the 26-torrent sweep (default: all cores)
+  --out D   output directory for `export` (default ./figures_out)";
+
+/// What a renderer runs on: the options, and the one place scenario
+/// outcomes come from. The Table I sweep runs at most once; once it has,
+/// every torrent is served from it, and before that a torrent runs
+/// alone. The two are the same outcome: a scenario seeds from
+/// `(cfg.seed, torrent id)` only.
+struct Ctx {
+    cfg: RunConfig,
+    jobs: usize,
+    /// The argument after the artefact's name, if it takes one.
+    arg: Option<String>,
+    out_dir: PathBuf,
+    sweep: OnceCell<Vec<ScenarioOutcome>>,
+    /// Torrents run alone, by id − 1.
+    alone: Vec<OnceCell<ScenarioOutcome>>,
+}
+
+impl Ctx {
+    /// Every Table I torrent, in Table I order.
+    fn sweep(&self) -> &[ScenarioOutcome] {
+        self.sweep.get_or_init(|| {
+            eprintln!("running the 26-torrent sweep ({} jobs) ...", self.jobs);
+            bt_torrents::run_table1_parallel(&self.cfg, self.jobs, |o| {
+                eprintln!("  torrent {:2} done", o.spec.id);
+            })
+        })
+    }
+
+    /// Table I torrent `id`.
+    fn torrent(&self, id: u32) -> &ScenarioOutcome {
+        if let Some(outcomes) = self.sweep.get() {
+            return outcomes
+                .iter()
+                .find(|o| o.spec.id == id)
+                .expect("sweep has id");
+        }
+        self.alone[id as usize - 1].get_or_init(|| {
+            eprintln!("running torrent {id} (scaled) ...");
+            let o = run_scenario(&torrent(id), &self.cfg);
+            eprintln!(
+                "  scaled: {} seeds / {} leechers / {} pieces, session {}s, {} events",
+                o.scaled.seeds,
+                o.scaled.leechers,
+                o.scaled.pieces,
+                o.scaled.session_secs,
+                o.result.events_processed
+            );
+            o
+        })
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut artefact = None;
+    let mut positional: Vec<&str> = Vec::new();
     let mut cfg = RunConfig::default();
-    let mut out_dir: Option<PathBuf> = None;
+    let mut out_dir = PathBuf::from("figures_out");
     let mut jobs: Option<usize> = None;
-    let mut peers_id: Option<u32> = None;
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
         match a.as_str() {
@@ -34,126 +187,57 @@ fn main() {
                 cfg.max_pieces = 400;
                 cfg.session = bt_wire::time::Duration::from_secs(7200);
             }
-            "--seed" => {
-                cfg.seed = iter
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--jobs" => {
-                let n: usize = iter
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--jobs needs an integer"));
-                if n == 0 {
-                    die("--jobs must be at least 1");
-                }
-                jobs = Some(n);
-            }
+            "--seed" => cfg.seed = int(a, iter.next()),
+            "--jobs" => match int(a, iter.next()) {
+                0 => die("--jobs must be at least 1"),
+                n => jobs = Some(n),
+            },
             "--out" => {
-                out_dir = Some(PathBuf::from(
+                out_dir = PathBuf::from(
                     iter.next()
                         .unwrap_or_else(|| die("--out needs a directory")),
-                ));
+                );
             }
             "--help" | "-h" => {
                 print_help();
                 return;
             }
-            other if artefact.is_none() && !other.starts_with('-') => {
-                artefact = Some(other.to_owned());
-            }
-            other if artefact.as_deref() == Some("peers") && peers_id.is_none() => {
-                peers_id = Some(
-                    other
-                        .parse()
-                        .ok()
-                        .filter(|id| (1..=26).contains(id))
-                        .unwrap_or_else(|| die("peers needs a Table I torrent id (1-26)")),
-                );
-            }
+            other if positional.len() < 2 && !other.starts_with('-') => positional.push(other),
             other => die(&format!("unknown argument `{other}` (see --help)")),
         }
     }
-    let Some(artefact) = artefact else {
+    let Some(&name) = positional.first() else {
         print_help();
         return;
     };
-    let jobs = jobs.unwrap_or_else(bt_torrents::default_jobs);
-
-    match artefact.as_str() {
-        "table1" => print_table1(&cfg),
-        "fig1" => {
-            let outcomes = run_sweep(&cfg, jobs);
-            print_fig1(&outcomes);
-        }
-        "fig2" | "fig3" => {
-            let o = run_one(8, &cfg);
-            if artefact == "fig2" {
-                print_replication(&o, true, "Figure 2 — copies in peer set, torrent 8 (LS)");
-            } else {
-                print_rarest(
-                    &o,
-                    true,
-                    "Figure 3 — number of rarest pieces, torrent 8 (LS)",
-                );
+    let artefact = ARTEFACTS.iter().find(|a| a.name == name);
+    if let Some(extra) = positional
+        .get(1)
+        .filter(|_| artefact.is_none_or(|a| a.arg.is_none()))
+    {
+        die(&format!("unknown argument `{extra}` (see --help)"));
+    }
+    let ctx = Ctx {
+        cfg,
+        jobs: jobs.unwrap_or_else(bt_torrents::default_jobs),
+        arg: positional.get(1).map(|s| s.to_string()),
+        out_dir,
+        sweep: OnceCell::new(),
+        alone: std::iter::repeat_with(OnceCell::new)
+            .take(bt_torrents::table1().len())
+            .collect(),
+    };
+    match artefact {
+        Some(a) => (a.render)(&ctx, a.title),
+        None if name == "all" => {
+            for (i, a) in ARTEFACTS.iter().filter(|a| a.all).enumerate() {
+                if i > 0 {
+                    println!();
+                }
+                (a.render)(&ctx, a.title);
             }
         }
-        "fig4" | "fig5" | "fig6" => {
-            let o = run_one(7, &cfg);
-            match artefact.as_str() {
-                "fig4" => print_replication(&o, false, "Figure 4 — copies in peer set, torrent 7"),
-                "fig5" => print_peer_set(&o, "Figure 5 — peer set size, torrent 7"),
-                _ => print_rarest(&o, false, "Figure 6 — number of rarest pieces, torrent 7"),
-            }
-        }
-        "fig7" | "fig8" => {
-            let o = run_one(10, &cfg);
-            let (pieces, blocks) = exp::interarrivals(&o);
-            if artefact == "fig7" {
-                print_interarrival(&pieces, "Figure 7 — piece interarrival CDF, torrent 10");
-            } else {
-                print_interarrival(&blocks, "Figure 8 — block interarrival CDF, torrent 10");
-            }
-        }
-        "fig9" => {
-            let outcomes = run_sweep(&cfg, jobs);
-            print_fairness(&exp::fig9(&outcomes), "Figure 9 — fairness, leecher state");
-        }
-        "fig10" => {
-            let o = run_one(7, &cfg);
-            print_fig10(&o);
-        }
-        "fig11" => {
-            let outcomes = run_sweep(&cfg, jobs);
-            print_fairness(&exp::fig11(&outcomes), "Figure 11 — fairness, seed state");
-        }
-        "ablation-picker" => print_ablation_picker(&cfg),
-        "ablation-seed-choke" => print_ablation_seed_choke(&cfg),
-        "ablation-tft" => print_ablation_tft(&cfg),
-        "ablation-endgame" => print_ablation_endgame(&cfg),
-        "ablation-fastext" => print_ablation_fastext(&cfg),
-        "ablation-superseed" => print_ablation_superseed(&cfg),
-        "ablation-pex" => print_ablation_pex(&cfg),
-        "msgstats" => print_msgstats(&run_one(7, &cfg)),
-        "equilibrium" => {
-            print_equilibrium(&run_one(7, &cfg));
-            println!("(leecher state: long tenures + concentrated slots = the elected-subset equilibrium;");
-            println!(
-                " seed state: short tenures + rotation = the new algorithm's equal service time)"
-            );
-        }
-        "clients" => print_clients(&cfg),
-        "globalcheck" => print_globalcheck(&cfg),
-        "capacity" => print_capacity(&cfg),
-        "peers" => print_peers(&run_one(peers_id.unwrap_or(7), &cfg)),
-        "export" => export_csv(
-            &cfg,
-            jobs,
-            out_dir.as_deref().unwrap_or(Path::new("figures_out")),
-        ),
-        "all" => run_all(&cfg, jobs),
-        other => die(&format!("unknown artefact `{other}` (see --help)")),
+        None => die(&format!("unknown artefact `{name}` (see --help)")),
     }
 }
 
@@ -162,63 +246,35 @@ fn die(msg: &str) -> ! {
     std::process::exit(2)
 }
 
+/// The integer value of `flag`, or exit 2.
+fn int<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
+    value
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| die(&format!("{flag} needs an integer")))
+}
+
 fn print_help() {
-    let text = "figures — regenerate the paper's tables and figures
-
-USAGE: figures <artefact> [--quick|--full] [--seed N]
-
-ARTEFACTS
-  table1  fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
-  ablation-picker  ablation-seed-choke  ablation-tft  ablation-endgame
-  ablation-fastext  ablation-superseed  ablation-pex
-  msgstats              message tallies and control-plane overhead
-  equilibrium           choke-slot tenures and active-set churn (§IV-B.2)
-  clients               per-client-family breakdown (§III-D's client zoo)
-  globalcheck           local-view inference vs global ground truth (§IV-A.2)
-  capacity              flash-crowd completion curve (Yang & de Veciana check)
-  peers [ID]            one torrent's trace peer by peer (default torrent 7)
-  export                write every figure's data series as CSV (--out DIR)
-  all
-
-OPTIONS
-  --quick   small scale (fast smoke run)
-  --full    larger scale (closer to the paper's populations)
-  --seed N  master PRNG seed (default 42)
-  --jobs N  worker threads for the 26-torrent sweep (default: all cores)
-  --out D   output directory for `export` (default ./figures_out)";
-    println!("{text}");
-}
-
-fn run_one(id: u32, cfg: &RunConfig) -> ScenarioOutcome {
-    let spec = torrent(id);
-    eprintln!("running torrent {id} (scaled) ...");
-    let o = run_scenario(&spec, cfg);
-    eprintln!(
-        "  scaled: {} seeds / {} leechers / {} pieces, session {}s, {} events",
-        o.scaled.seeds,
-        o.scaled.leechers,
-        o.scaled.pieces,
-        o.scaled.session_secs,
-        o.result.events_processed
-    );
-    o
-}
-
-fn run_sweep(cfg: &RunConfig, jobs: usize) -> Vec<ScenarioOutcome> {
-    eprintln!("running the 26-torrent sweep ({jobs} jobs) ...");
-    exp::sweep(cfg, jobs, |id| eprintln!("  torrent {id:2} done"))
+    println!("figures — regenerate the paper's tables and figures\n");
+    println!("USAGE: figures <artefact> [--quick|--full] [--seed N] [--jobs N] [--out D]\n");
+    println!("ARTEFACTS (`all` prints those marked *, in this order)");
+    for a in ARTEFACTS {
+        let name = format!("{} {}", a.name, a.arg.unwrap_or_default());
+        let mark = if a.all { '*' } else { ' ' };
+        println!("{mark} {:<21} {}", name.trim_end(), a.title);
+    }
+    println!("  {:<21} every artefact marked *\n\n{OPTIONS}", "all");
 }
 
 // ----------------------------------------------------------------------
 // Renderers
 // ----------------------------------------------------------------------
 
-fn print_table1(cfg: &RunConfig) {
-    println!("Table I — torrent characteristics (paper values and scaled simulation)");
+fn print_table1(c: &Ctx, title: &str) {
+    println!("{title}");
     let rows: Vec<Vec<String>> = bt_torrents::table1()
         .iter()
         .map(|s| {
-            let sc = bt_torrents::runner::scale(s, cfg);
+            let sc = bt_torrents::runner::scale(s, &c.cfg);
             vec![
                 s.id.to_string(),
                 s.seeds.to_string(),
@@ -226,11 +282,7 @@ fn print_table1(cfg: &RunConfig) {
                 format!("{:.5}", s.ratio()),
                 s.max_peer_set.to_string(),
                 s.size_mb.to_string(),
-                if s.transient {
-                    "yes".into()
-                } else {
-                    "no".into()
-                },
+                String::from(if s.transient { "yes" } else { "no" }),
                 format!("{}/{}", sc.seeds, sc.leechers),
                 sc.pieces.to_string(),
             ]
@@ -255,23 +307,25 @@ fn print_table1(cfg: &RunConfig) {
     );
 }
 
-fn print_fig1(outcomes: &[ScenarioOutcome]) {
-    println!("Figure 1 — entropy characterisation (interest-time ratios, leecher state)");
+fn print_fig1(c: &Ctx, title: &str) {
+    let outcomes = c.sweep();
+    println!("{title}");
     println!("top graph: local interested in remote (a/b); bottom: remote in local (c/d)\n");
-    let rows: Vec<Vec<String>> = exp::fig1(outcomes)
+    let rows: Vec<Vec<String>> = outcomes
         .iter()
-        .map(|r| {
+        .map(|o| {
+            let e = entropy(&o.trace);
             vec![
-                r.id.to_string(),
-                if r.transient { "T".into() } else { " ".into() },
-                ratio(r.local_in_remote.p20),
-                ratio(r.local_in_remote.p50),
-                ratio(r.local_in_remote.p80),
-                ratio(r.remote_in_local.p20),
-                ratio(r.remote_in_local.p50),
-                ratio(r.remote_in_local.p80),
-                r.peers.to_string(),
-                bar(r.local_in_remote.p50, 20),
+                o.spec.id.to_string(),
+                String::from(if o.spec.transient { "T" } else { " " }),
+                ratio(e.local_in_remote.p20),
+                ratio(e.local_in_remote.p50),
+                ratio(e.local_in_remote.p80),
+                ratio(e.remote_in_local.p20),
+                ratio(e.remote_in_local.p50),
+                ratio(e.remote_in_local.p80),
+                e.peers.len().to_string(),
+                bar(e.local_in_remote.p50, 20),
             ]
         })
         .collect();
@@ -296,12 +350,11 @@ fn print_fig1(outcomes: &[ScenarioOutcome]) {
     println!("st=T: torrent simulated in its startup (transient) phase");
 }
 
-fn series_of(o: &ScenarioOutcome, ls: bool) -> bt_analysis::ReplicationSeries {
-    exp::replication_series(o, ls)
-}
-
 fn print_replication(o: &ScenarioOutcome, ls: bool, title: &str) {
-    let s = series_of(o, ls);
+    let mut s = ReplicationSeries::from_trace(&o.trace);
+    if ls {
+        s = s.leecher_state(&o.trace);
+    }
     println!("{title}\n");
     let mins: Vec<f64> = s.points.iter().map(|p| f64::from(p.min)).collect();
     let means: Vec<f64> = s.points.iter().map(|p| p.mean).collect();
@@ -323,7 +376,10 @@ fn print_replication(o: &ScenarioOutcome, ls: bool, title: &str) {
 }
 
 fn print_rarest(o: &ScenarioOutcome, ls: bool, title: &str) {
-    let s = series_of(o, ls);
+    let mut s = ReplicationSeries::from_trace(&o.trace);
+    if ls {
+        s = s.leecher_state(&o.trace);
+    }
     println!("{title}\n");
     let rarest: Vec<f64> = s
         .points
@@ -348,7 +404,7 @@ fn print_rarest(o: &ScenarioOutcome, ls: bool, title: &str) {
 }
 
 fn print_peer_set(o: &ScenarioOutcome, title: &str) {
-    let s = series_of(o, false);
+    let s = ReplicationSeries::from_trace(&o.trace);
     println!("{title}\n");
     let ps: Vec<f64> = s
         .points
@@ -391,12 +447,13 @@ fn print_interarrival(a: &bt_analysis::InterarrivalAnalysis, title: &str) {
     );
 }
 
-fn print_fairness(rows: &[(u32, bt_analysis::FairnessSummary)], title: &str) {
+fn print_fairness(outcomes: &[ScenarioOutcome], window: StateWindow, title: &str) {
     println!("{title}\n");
-    let out: Vec<Vec<String>> = rows
+    let out: Vec<Vec<String>> = outcomes
         .iter()
-        .map(|(id, f)| {
-            let mut cells = vec![id.to_string()];
+        .map(|o| {
+            let f = fairness(&o.trace, window);
+            let mut cells = vec![o.spec.id.to_string()];
             for s in &f.upload_share {
                 cells.push(format!("{s:.2}"));
             }
@@ -417,14 +474,12 @@ fn print_fairness(rows: &[(u32, bt_analysis::FairnessSummary)], title: &str) {
     println!("recip5: share of (leecher) download bytes coming from the 5 best-uploaded-to peers");
 }
 
-fn print_fig10(o: &ScenarioOutcome) {
-    let (c, r_ls, r_ss) = exp::fig10(o);
-    println!("Figure 10 — unchokes vs interested time, torrent 7\n");
-    for (name, points, r) in [
-        ("leecher state", &c.leecher, r_ls),
-        ("seed state", &c.seed, r_ss),
-    ] {
-        println!("{name}: {} peers, Pearson r = {}", points.len(), ratio(r));
+fn print_fig10(o: &ScenarioOutcome, title: &str) {
+    let c = unchoke_correlation(&o.trace);
+    println!("{title}\n");
+    for (name, points) in [("leecher state", &c.leecher), ("seed state", &c.seed)] {
+        let r = ratio(pearson(points));
+        println!("{name}: {} peers, Pearson r = {r}", points.len());
         let mut sorted = points.clone();
         sorted.sort_by(|a, b| a.interested_secs.total_cmp(&b.interested_secs));
         let ys: Vec<f64> = sorted.iter().map(|p| f64::from(p.unchokes)).collect();
@@ -436,9 +491,9 @@ fn print_fig10(o: &ScenarioOutcome) {
     println!("\n(paper: no correlation in leecher state; strong correlation in seed state)");
 }
 
-fn print_ablation_picker(cfg: &RunConfig) {
-    println!("Ablation — piece selection strategies on torrent 6 (1 seed, transient)\n");
-    let rows: Vec<Vec<String>> = exp::ablation_picker(cfg)
+fn print_ablation_picker(c: &Ctx, title: &str) {
+    println!("{title}\n");
+    let rows: Vec<Vec<String>> = exp::ablation_picker(&c.cfg)
         .iter()
         .map(|r| {
             vec![
@@ -467,9 +522,9 @@ fn print_ablation_picker(cfg: &RunConfig) {
     );
 }
 
-fn print_ablation_seed_choke(cfg: &RunConfig) {
-    println!("Ablation — seed-state choke: new (≥4.0.0) vs old, fast seed + fast free rider\n");
-    let rows: Vec<Vec<String>> = exp::ablation_seed_choke(cfg)
+fn print_ablation_seed_choke(c: &Ctx, title: &str) {
+    println!("{title}\n");
+    let rows: Vec<Vec<String>> = exp::ablation_seed_choke(&c.cfg)
         .iter()
         .map(|r| {
             vec![
@@ -491,9 +546,9 @@ fn print_ablation_seed_choke(cfg: &RunConfig) {
     println!("(paper §IV-B.3: the old algorithm lets a fast free rider monopolise the seed)");
 }
 
-fn print_ablation_tft(cfg: &RunConfig) {
-    println!("Ablation — choke algorithm vs bit-level tit-for-tat (asymmetric peers)\n");
-    let rows: Vec<Vec<String>> = exp::ablation_tft(cfg)
+fn print_ablation_tft(c: &Ctx, title: &str) {
+    println!("{title}\n");
+    let rows: Vec<Vec<String>> = exp::ablation_tft(&c.cfg)
         .iter()
         .map(|r| {
             vec![
@@ -521,9 +576,9 @@ fn print_ablation_tft(cfg: &RunConfig) {
     );
 }
 
-fn print_ablation_endgame(cfg: &RunConfig) {
-    println!("Ablation — end game mode on vs off (torrent 3)\n");
-    let rows: Vec<Vec<String>> = exp::ablation_endgame(cfg)
+fn print_ablation_endgame(c: &Ctx, title: &str) {
+    println!("{title}\n");
+    let rows: Vec<Vec<String>> = exp::ablation_endgame(&c.cfg)
         .iter()
         .map(|r| {
             vec![
@@ -540,9 +595,9 @@ fn print_ablation_endgame(cfg: &RunConfig) {
     println!("(paper §IV-A.3: end game trims termination idle time only — little overall impact)");
 }
 
-fn print_ablation_fastext(cfg: &RunConfig) {
-    println!("Ablation — Fast Extension (BEP 6) vs the first blocks problem (torrent 10)\n");
-    let rows: Vec<Vec<String>> = exp::ablation_fastext(cfg)
+fn print_ablation_fastext(c: &Ctx, title: &str) {
+    println!("{title}\n");
+    let rows: Vec<Vec<String>> = exp::ablation_fastext(&c.cfg)
         .iter()
         .map(|r| {
             vec![
@@ -570,17 +625,13 @@ fn print_ablation_fastext(cfg: &RunConfig) {
     println!("(paper §VI: \"the time to deliver the first blocks of data should be reduced\")");
 }
 
-fn print_ablation_superseed(cfg: &RunConfig) {
-    println!("Ablation — initial seed policy: plain seeding vs super-seeding (flash crowd)\n");
-    let rows: Vec<Vec<String>> = exp::ablation_superseed(cfg)
+fn print_ablation_superseed(c: &Ctx, title: &str) {
+    println!("{title}\n");
+    let rows: Vec<Vec<String>> = exp::ablation_superseed(&c.cfg)
         .iter()
         .map(|r| {
             vec![
-                if r.super_seed {
-                    "super-seed".into()
-                } else {
-                    "plain".into()
-                },
+                String::from(if r.super_seed { "super-seed" } else { "plain" }),
                 r.first_copy_secs.map_or("-".into(), secs),
                 format!("{:.1} %", r.duplicate_ratio * 100.0),
                 r.completed_peers.to_string(),
@@ -604,17 +655,13 @@ fn print_ablation_superseed(cfg: &RunConfig) {
     );
 }
 
-fn print_ablation_pex(cfg: &RunConfig) {
-    println!("Ablation — peer exchange (BEP 11) under a rationing tracker (2 peers/announce)\n");
-    let rows: Vec<Vec<String>> = exp::ablation_pex(cfg)
+fn print_ablation_pex(c: &Ctx, title: &str) {
+    println!("{title}\n");
+    let rows: Vec<Vec<String>> = exp::ablation_pex(&c.cfg)
         .iter()
         .map(|r| {
             vec![
-                if r.pex {
-                    "ut_pex on".into()
-                } else {
-                    "tracker only".into()
-                },
+                String::from(if r.pex { "ut_pex on" } else { "tracker only" }),
                 format!("{:.1}", r.mean_peer_set),
                 r.local_download_secs.map_or("-".into(), secs),
                 r.completed_peers.to_string(),
@@ -633,10 +680,9 @@ fn print_ablation_pex(cfg: &RunConfig) {
     );
 }
 
-fn print_clients(cfg: &RunConfig) {
-    let o = run_one(7, cfg);
+fn print_clients(o: &ScenarioOutcome, title: &str) {
     let b = bt_analysis::client_breakdown(&o.trace);
-    println!("Client families — torrent 7 (§III-D: \"around 20 different BitTorrent clients\")\n");
+    println!("{title}\n");
     let rows: Vec<Vec<String>> = b
         .families
         .iter()
@@ -670,26 +716,19 @@ fn print_clients(cfg: &RunConfig) {
     }
 }
 
-fn print_globalcheck(cfg: &RunConfig) {
-    println!("Validation — local-view inference vs global ground truth (§IV-A.2)\n");
+fn print_globalcheck(c: &Ctx, title: &str) {
+    println!("{title}\n");
     println!("the paper could only infer the transient state from the local peer set;");
     println!("the simulator knows the whole torrent, so the inference can be graded.\n");
-    let rows: Vec<Vec<String>> = exp::global_check(cfg)
+    let call = |transient| String::from(if transient { "TRANSIENT" } else { "steady" });
+    let rows: Vec<Vec<String>> = exp::global_check(&c.cfg)
         .iter()
         .map(|r| {
             vec![
                 r.id.to_string(),
-                if r.local_transient {
-                    "TRANSIENT".into()
-                } else {
-                    "steady".into()
-                },
+                call(r.local_transient),
                 format!("{:.2}", r.local_missing_fraction),
-                if r.truth_transient {
-                    "TRANSIENT".into()
-                } else {
-                    "steady".into()
-                },
+                call(r.truth_transient),
                 format!("{:.2}", r.truth_rare_fraction),
                 format!("{:.1}", r.truth_single_copy_mean),
                 if r.local_transient == r.truth_transient {
@@ -719,25 +758,18 @@ fn print_globalcheck(cfg: &RunConfig) {
     println!(" paper's §III-E.1 representativeness argument, now checked, not assumed)");
 }
 
-fn print_capacity(cfg: &RunConfig) {
+fn print_capacity(c: &Ctx, title: &str) {
     use bt_sim::behavior::{CapacityClass, Role};
     use bt_sim::{BehaviorProfile, Swarm, SwarmSpec};
     use bt_wire::time::Duration as D;
-    println!("Service capacity — swarm vs client-server as the population grows (§I)\n");
+    println!("{title}\n");
     println!("the same simulator runs both: \"client-server\" = every leecher is a");
     println!("free rider, so only the seed serves; \"swarm\" = normal leechers.\n");
     let run = |n: usize, server_only: bool| -> Option<f64> {
-        let mut peers = Vec::new();
-        peers.push(BehaviorProfile {
-            role: Role::Seed,
-            client: bt_wire::peer_id::ClientKind::Mainline402,
+        let mut peers = vec![BehaviorProfile {
             capacity: CapacityClass::Cable, // 64 kB/s source
-            join_at: D::ZERO,
-            seed_linger: None,
-            depart_at: None,
-            prepopulate: false,
-            restart_after: None,
-        });
+            ..BehaviorProfile::seed()
+        }];
         for i in 0..n {
             peers.push(BehaviorProfile {
                 role: if server_only {
@@ -745,17 +777,13 @@ fn print_capacity(cfg: &RunConfig) {
                 } else {
                     Role::Leecher
                 },
-                client: bt_wire::peer_id::ClientKind::Mainline402,
                 capacity: CapacityClass::Dsl,
-                join_at: D::from_secs(i as u64 % 30),
                 seed_linger: Some(D::from_secs(3600)),
-                depart_at: None,
-                prepopulate: false,
-                restart_after: None,
+                ..BehaviorProfile::leecher(D::from_secs(i as u64 % 30))
             });
         }
         let spec = SwarmSpec {
-            seed: cfg.seed,
+            seed: c.cfg.seed,
             total_len: 24 * 256 * 1024, // 6 MB
             piece_len: 256 * 1024,
             duration: D::from_secs(4 * 3600),
@@ -795,7 +823,14 @@ fn print_capacity(cfg: &RunConfig) {
 /// Per-peer entropy ratios beside arrival progress, membership and byte
 /// tallies, sorted by a/b — which peers the local peer was (not)
 /// interested in, and what it exchanged with them.
-fn print_peers(o: &ScenarioOutcome) {
+fn print_peers(c: &Ctx, _: &str) {
+    let id = c.arg.as_deref().map_or(7, |s| {
+        s.parse()
+            .ok()
+            .filter(|id| (1..=26).contains(id))
+            .unwrap_or_else(|| die("peers needs a Table I torrent id (1-26)"))
+    });
+    let o = c.torrent(id);
     let reg = bt_instrument::identify::PeerRegistry::from_trace(&o.trace);
     let ent = bt_analysis::entropy(&o.trace);
     let fair = bt_analysis::fairness(&o.trace, bt_analysis::StateWindow::Leecher);
@@ -884,13 +919,15 @@ fn cdf_csv(dir: &Path, name: &str, a: &bt_analysis::InterarrivalAnalysis) {
     write_csv(dir, name, "quantile,all,first100,last100", &rows);
 }
 
-fn fairness_csv(dir: &Path, name: &str, rows: &[(u32, bt_analysis::FairnessSummary)]) {
-    let out: Vec<String> = rows
+fn fairness_csv(dir: &Path, name: &str, outcomes: &[ScenarioOutcome], window: StateWindow) {
+    let out: Vec<String> = outcomes
         .iter()
-        .map(|(id, f)| {
+        .map(|o| {
+            let f = fairness(&o.trace, window);
             let sets: Vec<String> = f.upload_share.iter().map(|s| format!("{s:.4}")).collect();
             format!(
-                "{id},{},{:.4},{:.4},{}",
+                "{},{},{:.4},{:.4},{}",
+                o.spec.id,
                 sets.join(","),
                 f.reciprocation_share(5),
                 f.jain_index(),
@@ -907,17 +944,12 @@ fn fairness_csv(dir: &Path, name: &str, rows: &[(u32, bt_analysis::FairnessSumma
 }
 
 /// Run every figure's workload and write plotting-ready CSV series.
-fn export_csv(cfg: &RunConfig, jobs: usize, dir: &Path) {
+fn export_csv(c: &Ctx, _: &str) {
+    let dir = c.out_dir.as_path();
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|e| die(&format!("cannot create {}: {e}", dir.display())));
     eprintln!("exporting CSV series to {} ...", dir.display());
-    let outcomes = run_sweep(cfg, jobs);
-    let find = |id: u32| {
-        outcomes
-            .iter()
-            .find(|o| o.spec.id == id)
-            .expect("sweep has id")
-    };
+    let outcomes = c.sweep();
 
     // Table I.
     let rows: Vec<String> = outcomes
@@ -946,20 +978,21 @@ fn export_csv(cfg: &RunConfig, jobs: usize, dir: &Path) {
     );
 
     // Figure 1.
-    let rows: Vec<String> = exp::fig1(&outcomes)
+    let rows: Vec<String> = outcomes
         .iter()
-        .map(|r| {
+        .map(|o| {
+            let e = entropy(&o.trace);
             format!(
                 "{},{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{}",
-                r.id,
-                r.transient,
-                r.local_in_remote.p20,
-                r.local_in_remote.p50,
-                r.local_in_remote.p80,
-                r.remote_in_local.p20,
-                r.remote_in_local.p50,
-                r.remote_in_local.p80,
-                r.peers
+                o.spec.id,
+                o.spec.transient,
+                e.local_in_remote.p20,
+                e.local_in_remote.p50,
+                e.local_in_remote.p80,
+                e.remote_in_local.p20,
+                e.remote_in_local.p50,
+                e.remote_in_local.p80,
+                e.peers.len()
             )
         })
         .collect();
@@ -971,29 +1004,36 @@ fn export_csv(cfg: &RunConfig, jobs: usize, dir: &Path) {
     );
 
     // Figures 2–6.
-    series_csv(
-        dir,
-        "fig2_fig3_torrent8_ls.csv",
-        &exp::replication_series(find(8), true),
-    );
+    let t8 = &c.torrent(8).trace;
+    let t7 = &c.torrent(7).trace;
+    let ls8 = ReplicationSeries::from_trace(t8).leecher_state(t8);
+    series_csv(dir, "fig2_fig3_torrent8_ls.csv", &ls8);
     series_csv(
         dir,
         "fig4_fig5_fig6_torrent7.csv",
-        &exp::replication_series(find(7), false),
+        &ReplicationSeries::from_trace(t7),
     );
 
     // Figures 7/8.
-    let (pieces, blocks) = exp::interarrivals(find(10));
-    cdf_csv(dir, "fig7_piece_interarrival.csv", &pieces);
-    cdf_csv(dir, "fig8_block_interarrival.csv", &blocks);
+    let t10 = &c.torrent(10).trace;
+    cdf_csv(
+        dir,
+        "fig7_piece_interarrival.csv",
+        &InterarrivalAnalysis::pieces(t10),
+    );
+    cdf_csv(
+        dir,
+        "fig8_block_interarrival.csv",
+        &InterarrivalAnalysis::blocks(t10),
+    );
 
     // Figures 9/11.
-    fairness_csv(dir, "fig9_fairness_ls.csv", &exp::fig9(&outcomes));
-    fairness_csv(dir, "fig11_fairness_ss.csv", &exp::fig11(&outcomes));
+    fairness_csv(dir, "fig9_fairness_ls.csv", outcomes, StateWindow::Leecher);
+    fairness_csv(dir, "fig11_fairness_ss.csv", outcomes, StateWindow::Seed);
 
     // Figure 10.
-    let (c, _, _) = exp::fig10(find(7));
-    for (name, points) in [("fig10_ls.csv", &c.leecher), ("fig10_ss.csv", &c.seed)] {
+    let u = unchoke_correlation(t7);
+    for (name, points) in [("fig10_ls.csv", &u.leecher), ("fig10_ss.csv", &u.seed)] {
         let rows: Vec<String> = points
             .iter()
             .map(|p| format!("{},{},{}", p.handle, p.interested_secs, p.unchokes))
@@ -1002,7 +1042,7 @@ fn export_csv(cfg: &RunConfig, jobs: usize, dir: &Path) {
     }
 
     // Message statistics.
-    let stats = bt_analysis::MessageStats::from_trace(&find(7).trace);
+    let stats = bt_analysis::MessageStats::from_trace(t7);
     let rows: Vec<String> = stats
         .counts
         .iter()
@@ -1012,75 +1052,9 @@ fn export_csv(cfg: &RunConfig, jobs: usize, dir: &Path) {
     eprintln!("done.");
 }
 
-fn run_all(cfg: &RunConfig, jobs: usize) {
-    print_table1(cfg);
-    let outcomes = run_sweep(cfg, jobs);
-    println!();
-    print_fig1(&outcomes);
-    let find = |id: u32| {
-        outcomes
-            .iter()
-            .find(|o| o.spec.id == id)
-            .expect("sweep has id")
-    };
-    println!();
-    print_replication(
-        find(8),
-        true,
-        "Figure 2 — copies in peer set, torrent 8 (LS)",
-    );
-    println!();
-    print_rarest(
-        find(8),
-        true,
-        "Figure 3 — number of rarest pieces, torrent 8 (LS)",
-    );
-    println!();
-    print_replication(find(7), false, "Figure 4 — copies in peer set, torrent 7");
-    println!();
-    print_peer_set(find(7), "Figure 5 — peer set size, torrent 7");
-    println!();
-    print_rarest(
-        find(7),
-        false,
-        "Figure 6 — number of rarest pieces, torrent 7",
-    );
-    println!();
-    let (pieces, blocks) = exp::interarrivals(find(10));
-    print_interarrival(&pieces, "Figure 7 — piece interarrival CDF, torrent 10");
-    println!();
-    print_interarrival(&blocks, "Figure 8 — block interarrival CDF, torrent 10");
-    println!();
-    print_fairness(&exp::fig9(&outcomes), "Figure 9 — fairness, leecher state");
-    println!();
-    print_fig10(find(7));
-    println!();
-    print_fairness(&exp::fig11(&outcomes), "Figure 11 — fairness, seed state");
-    println!();
-    print_ablation_picker(cfg);
-    println!();
-    print_ablation_seed_choke(cfg);
-    println!();
-    print_ablation_tft(cfg);
-    println!();
-    print_ablation_endgame(cfg);
-    println!();
-    print_ablation_fastext(cfg);
-    println!();
-    print_ablation_superseed(cfg);
-    println!();
-    print_ablation_pex(cfg);
-    println!();
-    print_msgstats(find(7));
-    println!();
-    print_equilibrium(find(7));
-    println!();
-    print_capacity(cfg);
-}
-
-fn print_msgstats(o: &ScenarioOutcome) {
+fn print_msgstats(o: &ScenarioOutcome, title: &str) {
     let stats = bt_analysis::MessageStats::from_trace(&o.trace);
-    println!("Message statistics — torrent 7 (§III-C full message log)\n");
+    println!("{title}\n");
     let rows: Vec<Vec<String>> = stats
         .counts
         .iter()
@@ -1095,9 +1069,9 @@ fn print_msgstats(o: &ScenarioOutcome) {
     );
 }
 
-fn print_equilibrium(o: &ScenarioOutcome) {
+fn print_equilibrium(o: &ScenarioOutcome, title: &str) {
     let (ls, ss) = bt_analysis::equilibrium(&o.trace);
-    println!("Choke equilibrium — torrent 7 (§IV-B.2's future-work analysis)\n");
+    println!("{title}\n");
     let rows = vec![
         vec![
             "leecher".to_string(),
@@ -1130,4 +1104,6 @@ fn print_equilibrium(o: &ScenarioOutcome) {
             &rows
         )
     );
+    println!("(leecher state: long tenures + concentrated slots = the elected-subset equilibrium;");
+    println!(" seed state: short tenures + rotation = the new algorithm's equal service time)");
 }

@@ -371,7 +371,7 @@ fn run_net_swarm(args: &[String]) {
     // Every runtime gets the shared tracer and samples itself by its
     // virtual-IP hash, and reports into the shared registry.
     let mut obs = Observers::new(args, Mode::Net, spec.seed, None);
-    spec.net.tracer = obs.tracer.clone();
+    spec.tracer = obs.tracer.clone();
     spec.metrics = obs.registry.clone();
     spec.profiler = obs.profiler.clone();
     let piece_len = spec.piece_len;

@@ -1,110 +1,38 @@
-//! Experiment drivers: one function per table/figure/ablation.
+//! Experiments that build and run their own swarms: the global-truth
+//! check and the ablations.
 //!
 //! Every driver returns plain data; rendering lives in [`crate::report`]
-//! and the `figures` binary. DESIGN.md §5 maps each paper artefact to the
-//! driver here that regenerates it.
+//! and the `figures` binary. The Table I figures need no driver here:
+//! `figures` runs the sweep through `bt_torrents` and reads each figure
+//! off the traces with `bt_analysis`. DESIGN.md §5 maps every paper
+//! artefact to what regenerates it.
 
-use bt_analysis::{
-    entropy, fairness, pearson, unchoke_correlation, EntropySummary, FairnessSummary,
-    InterarrivalAnalysis, Percentiles, ReplicationSeries, StateWindow, UnchokeCorrelation,
-};
+use bt_analysis::{entropy, fairness, InterarrivalAnalysis, ReplicationSeries, StateWindow};
 use bt_choke::ChokerKind;
 use bt_piece::PickerKind;
 use bt_sim::behavior::{BehaviorProfile, CapacityClass, Role};
 use bt_sim::swarm::{Swarm, SwarmSpec};
-use bt_torrents::{run_scenario, torrent, RunConfig, ScenarioOutcome};
+use bt_torrents::{run_scenario, torrent, RunConfig};
 use bt_wire::peer_id::ClientKind;
 use bt_wire::time::{Duration, Instant};
 
-/// Run the full 26-torrent sweep (Table I + figures 1, 9, 11 input)
-/// across `jobs` worker threads. Outcomes come back in Table I order
-/// with traces byte-identical to a sequential run — see
-/// [`bt_torrents::run_scenarios_parallel`].
-pub fn sweep(
-    cfg: &RunConfig,
-    jobs: usize,
-    mut progress: impl FnMut(u32) + Send,
-) -> Vec<ScenarioOutcome> {
-    bt_torrents::run_table1_parallel(cfg, jobs, move |o| progress(o.spec.id))
-}
-
-/// One row of figure 1: entropy percentiles for a torrent.
-#[derive(Debug, Clone)]
-pub struct Fig1Row {
-    /// Torrent ID.
-    pub id: u32,
-    /// Top graph: local-interested-in-remote ratio percentiles.
-    pub local_in_remote: Percentiles,
-    /// Bottom graph: remote-interested-in-local ratio percentiles.
-    pub remote_in_local: Percentiles,
-    /// Number of (filtered) remote leechers behind the percentiles.
-    pub peers: usize,
-    /// Whether the scenario was configured transient.
-    pub transient: bool,
-}
-
-/// Figure 1 from a sweep.
-pub fn fig1(outcomes: &[ScenarioOutcome]) -> Vec<Fig1Row> {
-    outcomes
-        .iter()
-        .map(|o| {
-            let e: EntropySummary = entropy(&o.trace);
-            Fig1Row {
-                id: o.spec.id,
-                local_in_remote: e.local_in_remote,
-                remote_in_local: e.remote_in_local,
-                peers: e.peers.len(),
-                transient: o.spec.transient,
-            }
-        })
-        .collect()
-}
-
-/// Figures 2/3 (torrent 8, leecher state) or 4/5/6 (torrent 7, full
-/// session): the replication series of one scenario.
-pub fn replication_series(
-    outcome: &ScenarioOutcome,
-    leecher_state_only: bool,
-) -> ReplicationSeries {
-    let s = ReplicationSeries::from_trace(&outcome.trace);
-    if leecher_state_only {
-        s.leecher_state(&outcome.trace)
-    } else {
-        s
+/// A DSL leecher joining at `join` s that seeds for `linger` s once done.
+fn dsl_leecher(join: u64, linger: u64) -> BehaviorProfile {
+    BehaviorProfile {
+        capacity: CapacityClass::Dsl,
+        seed_linger: Some(Duration::from_secs(linger)),
+        ..BehaviorProfile::leecher(Duration::from_secs(join))
     }
 }
 
-/// Figures 7/8: interarrival analyses of one scenario (pieces, blocks).
-pub fn interarrivals(outcome: &ScenarioOutcome) -> (InterarrivalAnalysis, InterarrivalAnalysis) {
-    (
-        InterarrivalAnalysis::pieces(&outcome.trace),
-        InterarrivalAnalysis::blocks(&outcome.trace),
-    )
-}
-
-/// Figures 9/11: fairness summaries per torrent.
-pub fn fig9(outcomes: &[ScenarioOutcome]) -> Vec<(u32, FairnessSummary)> {
-    outcomes
-        .iter()
-        .map(|o| (o.spec.id, fairness(&o.trace, StateWindow::Leecher)))
-        .collect()
-}
-
-/// Figure 11: seed-state fairness per torrent.
-pub fn fig11(outcomes: &[ScenarioOutcome]) -> Vec<(u32, FairnessSummary)> {
-    outcomes
-        .iter()
-        .map(|o| (o.spec.id, fairness(&o.trace, StateWindow::Seed)))
-        .collect()
-}
-
-/// Figure 10: unchoke/interest correlation for one scenario, plus the
-/// Pearson coefficients of both states.
-pub fn fig10(outcome: &ScenarioOutcome) -> (UnchokeCorrelation, f64, f64) {
-    let c = unchoke_correlation(&outcome.trace);
-    let r_ls = pearson(&c.leecher);
-    let r_ss = pearson(&c.seed);
-    (c, r_ls, r_ss)
+/// A default-capacity free rider joining at `join` s.
+fn free_rider(join: u64) -> BehaviorProfile {
+    BehaviorProfile {
+        role: Role::FreeRider,
+        client: ClientKind::FreeRider,
+        seed_linger: None,
+        ..BehaviorProfile::leecher(Duration::from_secs(join))
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -267,42 +195,20 @@ pub fn ablation_seed_choke(cfg: &RunConfig) -> Vec<SeedChokeAblationRow> {
             } else {
                 ChokerKind::OldSeed
             };
-            let mut peers = Vec::new();
             // Local peer: the initial seed, campus-fast so that receiver
             // capacity differentiates peers under the old algorithm.
-            peers.push(BehaviorProfile {
-                role: Role::Seed,
-                client: ClientKind::Mainline402,
+            let mut peers = vec![BehaviorProfile {
                 capacity: CapacityClass::Campus,
-                join_at: Duration::ZERO,
-                seed_linger: None,
-                depart_at: None,
-                prepopulate: false,
-                restart_after: None,
-            });
+                ..BehaviorProfile::seed()
+            }];
             // One campus-fast free rider (index 1)…
             peers.push(BehaviorProfile {
-                role: Role::FreeRider,
-                client: ClientKind::FreeRider,
                 capacity: CapacityClass::Campus,
-                join_at: Duration::from_secs(5),
-                seed_linger: None,
-                depart_at: None,
-                prepopulate: false,
-                restart_after: None,
+                ..free_rider(5)
             });
             // …and 14 ordinary DSL leechers.
             for i in 0..14 {
-                peers.push(BehaviorProfile {
-                    role: Role::Leecher,
-                    client: ClientKind::Mainline402,
-                    capacity: CapacityClass::Dsl,
-                    join_at: Duration::from_secs(5 + i),
-                    seed_linger: Some(Duration::from_secs(600)),
-                    depart_at: None,
-                    prepopulate: false,
-                    restart_after: None,
-                });
+                peers.push(dsl_leecher(5 + i, 600));
             }
             let spec = SwarmSpec {
                 seed: cfg.seed,
@@ -384,20 +290,10 @@ pub fn ablation_tft(cfg: &RunConfig) -> Vec<TftAblationRow> {
         .map(|choker| {
             let mut base = cfg.base_config.clone();
             base.choker = choker;
-            let mut peers = Vec::new();
             // One slow initial seed: the swarm's *excess capacity* must
             // come from fast leechers, the case §IV-B.1 argues tit-for-tat
             // cannot exploit.
-            peers.push(BehaviorProfile {
-                role: Role::Seed,
-                client: ClientKind::Mainline402,
-                capacity: CapacityClass::Default,
-                join_at: Duration::ZERO,
-                seed_linger: None,
-                depart_at: None,
-                prepopulate: false,
-                restart_after: None,
-            });
+            let mut peers = vec![BehaviorProfile::seed()];
             // Three fast-uplink leechers: enormous upload capacity but a
             // modest downlink, so they stay leechers for a long stretch —
             // pure *leecher-side* excess capacity, which is exactly what
@@ -405,40 +301,20 @@ pub fn ablation_tft(cfg: &RunConfig) -> Vec<TftAblationRow> {
             // outside TFT's reach, so they also leave on completion).
             for i in 0..3 {
                 peers.push(BehaviorProfile {
-                    role: Role::Leecher,
-                    client: ClientKind::Mainline402,
                     capacity: CapacityClass::Custom(1536 * 1024, 64 * 1024),
-                    join_at: Duration::from_secs(i as u64),
-                    seed_linger: Some(Duration::ZERO),
-                    depart_at: None,
-                    prepopulate: false,
-                    restart_after: None,
+                    ..dsl_leecher(i, 0)
                 });
             }
             let honest_total = 12;
             for i in 0..honest_total {
-                peers.push(BehaviorProfile {
-                    role: Role::Leecher,
-                    client: ClientKind::Mainline402,
-                    capacity: CapacityClass::Dsl, // asymmetric: 16 kB/s up, 128 kB/s down
-                    join_at: Duration::from_secs(5 + i as u64),
-                    seed_linger: Some(Duration::from_secs(1200)),
-                    depart_at: None,
-                    prepopulate: false,
-                    restart_after: None,
-                });
+                // Asymmetric: 16 kB/s up, 128 kB/s down.
+                peers.push(dsl_leecher(5 + i as u64, 1200));
             }
             let free_rider_total = 3;
             for i in 0..free_rider_total {
                 peers.push(BehaviorProfile {
-                    role: Role::FreeRider,
-                    client: ClientKind::FreeRider,
                     capacity: CapacityClass::Cable,
-                    join_at: Duration::from_secs(20 + i as u64),
-                    seed_linger: None,
-                    depart_at: None,
-                    prepopulate: false,
-                    restart_after: None,
+                    ..free_rider(20 + i as u64)
                 });
             }
             let spec = SwarmSpec {
@@ -504,27 +380,15 @@ pub fn ablation_pex(cfg: &RunConfig) -> Vec<PexAblationRow> {
             let mut peers = vec![BehaviorProfile::seed(), BehaviorProfile::seed()];
             for i in 0..40 {
                 peers.push(BehaviorProfile {
-                    role: Role::Leecher,
-                    client: ClientKind::Mainline402,
-                    capacity: CapacityClass::Dsl,
-                    join_at: Duration::from_secs(i),
-                    seed_linger: Some(Duration::from_secs(1800)),
-                    depart_at: None,
                     prepopulate: true,
-                    restart_after: None,
+                    ..dsl_leecher(i, 1800)
                 });
             }
             // The instrumented peer joins late, when the tracker ration
             // hurts the most.
             peers.push(BehaviorProfile {
-                role: Role::Leecher,
-                client: ClientKind::Mainline402,
-                capacity: CapacityClass::Default,
-                join_at: Duration::from_secs(120),
                 seed_linger: None,
-                depart_at: None,
-                prepopulate: false,
-                restart_after: None,
+                ..BehaviorProfile::leecher(Duration::from_secs(120))
             });
             let local = peers.len() - 1;
             let spec = SwarmSpec {
@@ -580,32 +444,18 @@ pub fn ablation_superseed(cfg: &RunConfig) -> Vec<SuperSeedAblationRow> {
         .map(|super_seed| {
             let mut base = cfg.base_config.clone();
             base.super_seed = false; // only the instrumented seed differs
-            let mut peers = Vec::new();
-            peers.push(BehaviorProfile {
+                                     // The paper's 20 kB/s initial seed.
+            let mut peers = vec![BehaviorProfile {
                 role: if super_seed {
                     Role::SuperSeed
                 } else {
                     Role::Seed
                 },
                 client: ClientKind::SuperSeeder,
-                capacity: CapacityClass::Default, // the paper's 20 kB/s
-                join_at: Duration::ZERO,
-                seed_linger: None,
-                depart_at: None,
-                prepopulate: false,
-                restart_after: None,
-            });
+                ..BehaviorProfile::seed()
+            }];
             for i in 0..30 {
-                peers.push(BehaviorProfile {
-                    role: Role::Leecher,
-                    client: ClientKind::Mainline402,
-                    capacity: CapacityClass::Dsl,
-                    join_at: Duration::from_secs(i),
-                    seed_linger: Some(Duration::from_secs(1800)),
-                    depart_at: None,
-                    prepopulate: false, // a true flash crowd
-                    restart_after: None,
-                });
+                peers.push(dsl_leecher(i, 1800)); // a true flash crowd
             }
             let geometry = bt_piece::Geometry::new(48 * 256 * 1024, 256 * 1024);
             let spec = SwarmSpec {
@@ -715,7 +565,7 @@ pub fn ablation_fastext(cfg: &RunConfig) -> Vec<FastExtAblationRow> {
                     _ => {}
                 }
             }
-            let (_, blocks) = interarrivals(&outcome);
+            let blocks = InterarrivalAnalysis::blocks(&outcome.trace);
             let local_done = outcome
                 .result
                 .completion
@@ -754,7 +604,7 @@ pub fn ablation_endgame(cfg: &RunConfig) -> Vec<EndgameAblationRow> {
             let mut cfg = cfg.clone();
             cfg.base_config.endgame_enabled = endgame;
             let outcome = run_scenario(&torrent(3), &cfg);
-            let (_, blocks) = interarrivals(&outcome);
+            let blocks = InterarrivalAnalysis::blocks(&outcome.trace);
             let local_done = outcome
                 .result
                 .completion

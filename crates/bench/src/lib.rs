@@ -1,7 +1,7 @@
 //! # bt-bench — figure-regeneration harness
 //!
-//! * [`experiments`] — one driver per paper table/figure/ablation,
-//!   returning structured results;
+//! * [`experiments`] — the ablations and the global-truth check, each
+//!   running its own swarms and returning structured results;
 //! * [`report`] — plain-text tables, bars and sparklines for terminal
 //!   rendering.
 //!

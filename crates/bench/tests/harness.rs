@@ -1,6 +1,10 @@
-//! Tests of the experiment drivers themselves: every figure/ablation
-//! driver must run at quick scale and return structurally sane data.
+//! Tests of the `bt-bench` harness: the figure pipelines and ablation
+//! drivers return structurally sane data at quick scale, and the two
+//! binaries print what they are pinned to.
 
+use bt_analysis::{
+    entropy, fairness, unchoke_correlation, InterarrivalAnalysis, ReplicationSeries, StateWindow,
+};
 use bt_bench::experiments as exp;
 use bt_bench::report;
 use bt_torrents::{run_scenario, torrent, RunConfig};
@@ -17,7 +21,7 @@ fn fig1_rows_cover_requested_torrents() {
         .iter()
         .map(|&id| run_scenario(&torrent(id), &cfg))
         .collect();
-    let rows = exp::fig1(&outcomes);
+    let rows: Vec<_> = outcomes.iter().map(|o| entropy(&o.trace)).collect();
     assert_eq!(rows.len(), 3);
     for r in &rows {
         for v in [
@@ -45,11 +49,12 @@ fn fig1_rows_cover_requested_torrents() {
 fn replication_and_interarrival_drivers() {
     let cfg = quick();
     let o = run_scenario(&torrent(3), &cfg);
-    let full = exp::replication_series(&o, false);
-    let ls = exp::replication_series(&o, true);
+    let full = ReplicationSeries::from_trace(&o.trace);
+    let ls = full.leecher_state(&o.trace);
     assert!(ls.points.len() <= full.points.len());
     assert!(!full.points.is_empty());
-    let (pieces, blocks) = exp::interarrivals(&o);
+    let pieces = InterarrivalAnalysis::pieces(&o.trace);
+    let blocks = InterarrivalAnalysis::blocks(&o.trace);
     assert_eq!(
         pieces.count, o.scaled.pieces as usize,
         "every piece completed once"
@@ -60,11 +65,9 @@ fn replication_and_interarrival_drivers() {
 #[test]
 fn fairness_shares_are_simplex_like() {
     let cfg = quick();
-    let outcomes = vec![run_scenario(&torrent(13), &cfg)];
-    for (_, f) in exp::fig9(&outcomes)
-        .iter()
-        .chain(exp::fig11(&outcomes).iter())
-    {
+    let o = run_scenario(&torrent(13), &cfg);
+    for window in [StateWindow::Leecher, StateWindow::Seed] {
+        let f = fairness(&o.trace, window);
         let sum: f64 = f.upload_share.iter().sum();
         assert!((0.0..=1.0 + 1e-9).contains(&sum), "share sum {sum}");
         for s in &f.upload_share {
@@ -79,7 +82,7 @@ fn fairness_shares_are_simplex_like() {
 fn fig10_driver_counts_match_trace() {
     let cfg = quick();
     let o = run_scenario(&torrent(13), &cfg);
-    let (c, _r_ls, _r_ss) = exp::fig10(&o);
+    let c = unchoke_correlation(&o.trace);
     use bt_instrument::trace::TraceEvent;
     let unchokes_in_trace = o
         .trace
@@ -135,6 +138,45 @@ fn superseed_ablation_direction() {
         "super-seeding must not increase duplicates ({} vs {})",
         ss.duplicate_ratio,
         plain.duplicate_ratio
+    );
+}
+
+/// `figures all --quick --seed 42` prints exactly the committed fixture,
+/// so no section drifts unnoticed. If the output changes on purpose,
+/// regenerate it with
+/// `BT_UPDATE_GOLDEN=1 cargo test -p bt-bench --test harness figures_all`.
+#[test]
+fn figures_all_quick_matches_fixture() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["all", "--quick", "--seed", "42"])
+        .output()
+        .expect("figures runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let actual = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/figures_all_quick_seed42.txt");
+    if std::env::var_os("BT_UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &actual).unwrap();
+        eprintln!("figures: fixture regenerated at {}", path.display());
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let lines = actual.lines().zip(expected.lines()).enumerate();
+    if let Some((n, (a, e))) = lines.clone().find(|(_, (a, e))| a != e) {
+        panic!(
+            "line {}: `{a}` but the fixture has `{e}`; if intended, regenerate with \
+             `BT_UPDATE_GOLDEN=1 cargo test -p bt-bench --test harness figures_all`",
+            n + 1
+        );
+    }
+    assert_eq!(
+        actual, expected,
+        "figures all and the fixture differ in length"
     );
 }
 

@@ -122,6 +122,34 @@ proptest! {
         }
     }
 
+    /// No choker, in leecher or seed state, puts its optimistic peer
+    /// among the regular ones — so `Engine::rechoke` may classify a peer
+    /// as regular or optimistic in either order. The population changes
+    /// every round, so a carried optimistic peer can rise into the top
+    /// rates.
+    #[test]
+    fn optimistic_peer_is_never_regular(
+        populations in proptest::collection::vec(arb_peers(), 1..10),
+        seed in 0u64..1000,
+    ) {
+        for kind in [ChokerKind::Standard, ChokerKind::OldSeed, ChokerKind::TitForTat] {
+            for mut choker in [kind.build_leecher(), kind.build_seed()] {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                for (r, peers) in populations.iter().enumerate() {
+                    let d = choker.rechoke(Instant::from_secs(r as u64 * 10), peers, &mut rng);
+                    prop_assert!(
+                        d.optimistic.is_none_or(|o| !d.regular.contains(&o)),
+                        "{:?} {}: optimistic {:?} among regular {:?}",
+                        kind,
+                        choker.name(),
+                        d.optimistic,
+                        d.regular
+                    );
+                }
+            }
+        }
+    }
+
     /// Chokers are deterministic given the same RNG seed and inputs.
     #[test]
     fn chokers_are_deterministic(peers in arb_peers(), seed in 0u64..1000) {

@@ -158,46 +158,6 @@ pub struct Engine {
     pick_log: Vec<PickEvent>,
 }
 
-/// Slot classification of one peer after a rechoke round, for the
-/// choke-decision audit trail.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChokeOutcome {
-    /// Rate-earned regular unchoke slot (leecher state).
-    Regular,
-    /// The optimistic-unchoke slot (leecher state).
-    Optimistic,
-    /// Seed-kept unchoke slot (seed state, §II-C.2).
-    SeedKept,
-    /// Seed-random unchoke slot (seed state).
-    SeedRandom,
-    /// Choked.
-    Choked,
-}
-
-impl ChokeOutcome {
-    /// Stable lowercase name for exports.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ChokeOutcome::Regular => "regular",
-            ChokeOutcome::Optimistic => "optimistic",
-            ChokeOutcome::SeedKept => "seed_kept",
-            ChokeOutcome::SeedRandom => "seed_random",
-            ChokeOutcome::Choked => "choked",
-        }
-    }
-
-    /// Small stable integer for compact trace args.
-    pub fn as_code(&self) -> i64 {
-        match self {
-            ChokeOutcome::Regular => 0,
-            ChokeOutcome::Optimistic => 1,
-            ChokeOutcome::SeedKept => 2,
-            ChokeOutcome::SeedRandom => 3,
-            ChokeOutcome::Choked => 4,
-        }
-    }
-}
-
 /// One peer's line in a [`ChokeAudit`]: the rate inputs the choker
 /// saw, the rank it earned, and the slot outcome.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -214,8 +174,8 @@ pub struct ChokeAuditEntry {
     pub upload_rate: f64,
     /// 0-based position in the round's download-rate ranking.
     pub rank: u32,
-    /// Slot outcome after the round.
-    pub outcome: ChokeOutcome,
+    /// Slot held after the round; `None` = choked.
+    pub outcome: Option<UnchokeRole>,
 }
 
 /// Full audit of one rechoke round: every connection's inputs,
@@ -268,7 +228,7 @@ impl ChokeAudit {
                     ("up_bps", e.upload_rate as i64),
                     ("interested", i64::from(e.interested)),
                     ("snubbed", i64::from(e.snubbed)),
-                    ("outcome", e.outcome.as_code()),
+                    ("outcome", UnchokeRole::outcome_code(e.outcome)),
                 ],
             );
         }
@@ -432,6 +392,12 @@ impl Engine {
     /// The engine's IP address.
     pub fn ip(&self) -> IpAddr {
         self.ip
+    }
+
+    /// Where block payloads come from: a socket driver materialises
+    /// [`Action::SendBlock`] from it.
+    pub fn data(&self) -> &DataMode {
+        &self.data
     }
 
     /// The local bitfield.
@@ -1332,85 +1298,73 @@ impl Engine {
         } else {
             self.leecher_choker.rechoke(now, &snapshots, &mut self.rng)
         };
-        let desired = decision.unchoked();
+        let (regular, optimistic) = if self.is_seed {
+            (UnchokeRole::SeedKept, UnchokeRole::SeedRandom)
+        } else {
+            (UnchokeRole::Regular, UnchokeRole::Optimistic)
+        };
         let mut flips = 0u32;
-        for id in 0..self.conns.next_id() {
-            let Some(c) = self.conns.get_mut(id) else {
-                continue;
+        if self.audit_choke {
+            self.choke_audit.entries.clear();
+        }
+        // One snapshot per open connection, in id order.
+        for s in &snapshots {
+            let id = s.key;
+            // Choker decisions never put the optimistic peer among the
+            // regular ones (`choker_props` checks every kind), so the
+            // order of these two tests does not matter.
+            let role = if decision.regular.contains(&id) {
+                Some(regular)
+            } else if decision.optimistic == Some(id) {
+                Some(optimistic)
+            } else {
+                None
             };
-            let currently_unchoked = !c.am_choking;
-            if desired.contains(&id) && !currently_unchoked {
-                let role = if decision.regular.contains(&id) {
-                    if self.is_seed {
-                        UnchokeRole::SeedKept
-                    } else {
-                        UnchokeRole::Regular
-                    }
-                } else if self.is_seed {
-                    UnchokeRole::SeedRandom
+            let choked = role.is_none();
+            let c = self
+                .conns
+                .get_mut(id)
+                .expect("snapshot of an open connection");
+            // Only a flip is sent and traced. A retained slot does NOT
+            // refresh `last_unchoked` — the new seed-state algorithm
+            // orders by the time a peer was last *granted* an unchoke, so
+            // kept peers age and each new SRU "tak[es] an unchoke slot
+            // off the oldest SKU peer" (§II-C.2).
+            if c.am_choking != choked {
+                c.am_choking = choked;
+                if !choked {
+                    c.last_unchoked = Some(now);
+                }
+                flips += 1;
+                let msg = if choked {
+                    Message::Choke
                 } else {
-                    UnchokeRole::Optimistic
+                    Message::Unchoke
                 };
-                c.am_choking = false;
-                c.last_unchoked = Some(now);
-                flips += 1;
-                self.send(now, id, Message::Unchoke);
+                self.send(now, id, msg);
                 self.record(
                     now,
                     TraceEvent::LocalChoke {
                         peer: id,
-                        choked: false,
-                        role: Some(role),
-                    },
-                );
-            } else if !desired.contains(&id) && currently_unchoked {
-                c.am_choking = true;
-                flips += 1;
-                self.send(now, id, Message::Choke);
-                self.record(
-                    now,
-                    TraceEvent::LocalChoke {
-                        peer: id,
-                        choked: true,
-                        role: None,
+                        choked,
+                        role,
                     },
                 );
             }
-            // Note: a retained slot does NOT refresh `last_unchoked` — the
-            // new seed-state algorithm orders by the time a peer was last
-            // *granted* an unchoke, so kept peers age and each new SRU
-            // "tak[es] an unchoke slot off the oldest SKU peer" (§II-C.2).
-        }
-        if self.audit_choke {
-            let is_seed = self.is_seed;
-            let entries = &mut self.choke_audit.entries;
-            entries.clear();
-            entries.extend(snapshots.iter().map(|s| {
-                let outcome = if decision.optimistic == Some(s.key) {
-                    if is_seed {
-                        ChokeOutcome::SeedRandom
-                    } else {
-                        ChokeOutcome::Optimistic
-                    }
-                } else if decision.regular.contains(&s.key) {
-                    if is_seed {
-                        ChokeOutcome::SeedKept
-                    } else {
-                        ChokeOutcome::Regular
-                    }
-                } else {
-                    ChokeOutcome::Choked
-                };
-                ChokeAuditEntry {
-                    conn: s.key,
+            if self.audit_choke {
+                self.choke_audit.entries.push(ChokeAuditEntry {
+                    conn: id,
                     interested: s.interested,
                     snubbed: s.snubbed,
                     download_rate: s.download_rate,
                     upload_rate: s.upload_rate,
                     rank: 0,
-                    outcome,
-                }
-            }));
+                    outcome: role,
+                });
+            }
+        }
+        if self.audit_choke {
+            let entries = &mut self.choke_audit.entries;
             // Rank by the leecher-state ranking signal (download rate),
             // ties broken by key: a total order, so the audit is
             // deterministic.
@@ -1424,7 +1378,7 @@ impl Engine {
                 e.rank = rank as u32;
             }
             self.choke_audit.at = now;
-            self.choke_audit.is_seed = is_seed;
+            self.choke_audit.is_seed = self.is_seed;
             self.choke_audit.optimistic = decision.optimistic;
             self.choke_audit.flips = flips;
             self.choke_audit_fresh = true;
@@ -1575,8 +1529,8 @@ mod tests {
             optimistic: Some(4),
             flips: 2,
             entries: vec![
-                entry(9, 0, ChokeOutcome::Regular),
-                entry(4, 1, ChokeOutcome::Optimistic),
+                entry(9, 0, Some(UnchokeRole::Regular)),
+                entry(4, 1, Some(UnchokeRole::Optimistic)),
             ],
         };
         let tracer = Tracer::new(1, 1);

@@ -38,6 +38,27 @@ pub enum UnchokeRole {
     SeedRandom,
 }
 
+impl UnchokeRole {
+    /// The `outcome` code of a causal-trace choke `audit` record for a
+    /// peer given `role` after a round: 0–3 in declaration order, 4 when
+    /// choked (`None`).
+    pub fn outcome_code(role: Option<UnchokeRole>) -> i64 {
+        role.map_or(4, |r| r as i64)
+    }
+
+    /// The name post-mortem explanations print for an `outcome` code.
+    pub fn outcome_name(code: i64) -> &'static str {
+        match code {
+            0 => "regular-unchoke",
+            1 => "optimistic-unchoke",
+            2 => "seed-kept",
+            3 => "seed-random",
+            4 => "choked",
+            _ => "unknown",
+        }
+    }
+}
+
 /// Whether the local peer was leecher or seed when an event occurred.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum LocalState {

@@ -45,11 +45,6 @@ impl AccelClock {
         let virtual_micros = at.0.saturating_sub(self.now().0);
         std::time::Duration::from_micros(virtual_micros.div_ceil(self.accel))
     }
-
-    /// The acceleration factor.
-    pub fn accel(&self) -> u64 {
-        self.accel
-    }
 }
 
 impl Default for AccelClock {

@@ -48,5 +48,5 @@ pub use clock::{AccelClock, DEFAULT_ACCEL};
 pub use http::ObsServer;
 pub use loopback::{run_loopback_swarm, LoopbackResult, LoopbackSpec, PeerOutcome};
 pub use metrics::NetMetrics;
-pub use runtime::{peer_ip, NetConfig, NetRuntime, NetStats};
+pub use runtime::{peer_ip, NetRuntime, NetStats};
 pub use tracker::LoopbackTracker;

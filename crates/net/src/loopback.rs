@@ -7,7 +7,7 @@
 //! partial reads, and connection races.
 
 use crate::clock::AccelClock;
-use crate::runtime::{peer_ip, NetConfig, NetRuntime, NetStats};
+use crate::runtime::{peer_ip, NetRuntime, NetStats};
 use crate::tracker::LoopbackTracker;
 use bt_core::{Config, DataMode, EngineBuilder};
 use bt_instrument::{Trace, TraceMeta};
@@ -33,10 +33,6 @@ pub struct LoopbackSpec {
     pub seed: u64,
     /// Protocol configuration shared by every peer.
     pub config: Config,
-    /// Transport configuration shared by every peer.
-    pub net: NetConfig,
-    /// Virtual-clock acceleration (1000 ⇒ 1 ms wall = 1 s virtual).
-    pub accel: u64,
     /// Wall-clock budget; the run stops early once every leecher
     /// completes.
     pub max_wall: std::time::Duration,
@@ -50,6 +46,10 @@ pub struct LoopbackSpec {
     /// spans into it, giving a swarm-wide wall-clock profile. `None`
     /// disables span recording.
     pub profiler: Option<bt_obs::Profiler>,
+    /// Shared causal tracer; every peer it samples (by virtual-IP hash)
+    /// drains its choke rounds into it. `None` leaves the engines' audit
+    /// off.
+    pub tracer: Option<bt_obs::Tracer>,
 }
 
 impl Default for LoopbackSpec {
@@ -62,12 +62,11 @@ impl Default for LoopbackSpec {
             piece_len: 32 * 1024,
             seed: 42,
             config: Config::default(),
-            net: NetConfig::default(),
-            accel: 1000,
             max_wall: std::time::Duration::from_secs(60),
             record: true,
             metrics: None,
             profiler: None,
+            tracer: None,
         }
     }
 }
@@ -104,7 +103,8 @@ pub struct LoopbackResult {
 /// Run a full swarm over loopback TCP: bind and register every listener,
 /// spawn one runtime thread per peer (leechers staggered so announces
 /// are ordered), and stop once every leecher completes or the wall
-/// budget runs out.
+/// budget runs out. Virtual time runs at [`DEFAULT_ACCEL`](crate::DEFAULT_ACCEL)×
+/// wall time.
 pub fn run_loopback_swarm(spec: LoopbackSpec) -> std::io::Result<LoopbackResult> {
     let content = Arc::new(SyntheticContent::generate(
         "net-loopback",
@@ -115,7 +115,7 @@ pub fn run_loopback_swarm(spec: LoopbackSpec) -> std::io::Result<LoopbackResult>
     let geometry = Geometry::from(&content.metainfo);
     let info_hash = content.metainfo.info_hash;
     let tracker = Arc::new(LoopbackTracker::new());
-    let clock = AccelClock::new(spec.accel);
+    let clock = AccelClock::default();
     let n = spec.seeds + spec.leechers;
 
     // Bind and register every listener before any thread starts, so the
@@ -154,23 +154,27 @@ pub fn run_loopback_swarm(spec: LoopbackSpec) -> std::io::Result<LoopbackResult>
                 seed_at: None,
             });
         }
-        let engine = builder.build();
-        let mut net_cfg = spec.net.clone();
-        if let Some(registry) = &spec.metrics {
-            net_cfg.metrics = Some(registry.clone());
-        }
-        if let Some(profiler) = &spec.profiler {
-            net_cfg.profiler = Some(profiler.clone());
-        }
-        net_cfg.metrics_label = format!("peer{i}");
-        runtimes.push(NetRuntime::new(
-            engine,
-            DataMode::Real(content.clone()),
+        // Without a shared registry each runtime reports into its own.
+        let registry = spec
+            .metrics
+            .clone()
+            .unwrap_or_else(bt_obs::Registry::new_wall);
+        let label = format!("peer{i}");
+        let mut rt = NetRuntime::new(
+            builder.build(),
             listener,
             tracker.clone(),
             clock,
-            net_cfg,
-        )?);
+            &registry,
+            &label,
+        )?;
+        if let Some(profiler) = &spec.profiler {
+            rt = rt.with_profiler(profiler.clone());
+        }
+        if let Some(tracer) = &spec.tracer {
+            rt = rt.with_trace(tracer.clone());
+        }
+        runtimes.push(rt);
     }
 
     let stop = Arc::new(AtomicBool::new(false));

@@ -22,7 +22,7 @@ use crate::metrics::NetMetrics;
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use crate::tracker::LoopbackTracker;
 use bt_core::engine::PeerCaps;
-use bt_core::{Action, ConnId, DataMode, Engine, EngineMetrics, Input};
+use bt_core::{Action, ConnId, Engine, EngineMetrics, Input};
 use bt_obs::{Profiler, Registry, Tracer};
 use bt_wire::handshake::{Handshake, HANDSHAKE_LEN};
 use bt_wire::message::{BlockRef, Decoder, Message, DEFAULT_MAX_FRAME};
@@ -47,57 +47,6 @@ pub fn peer_ip(peer_id: &PeerId) -> IpAddr {
         h = h.wrapping_mul(0x0100_0193);
     }
     IpAddr(h)
-}
-
-/// Transport-level tunables (the protocol ones live in `bt_core::Config`).
-#[derive(Debug, Clone)]
-pub struct NetConfig {
-    /// How many times to try one dial before reporting
-    /// [`Input::ConnectFailed`].
-    pub dial_attempts: u32,
-    /// Wall-clock wait before the first dial retry; doubles per retry.
-    pub dial_backoff: std::time::Duration,
-    /// Wall-clock budget for a handshake to complete both directions.
-    pub handshake_timeout: std::time::Duration,
-    /// Virtual-time silence after which a connection is dropped. Must
-    /// comfortably exceed the engine's 120 s keep-alive interval.
-    pub idle_timeout: Duration,
-    /// Maximum accepted frame size (codec guard).
-    pub max_frame: usize,
-    /// Shared telemetry registry. `None` (the default) gives the
-    /// runtime a private wall-clock registry; a loopback swarm passes
-    /// one registry to every runtime for a swarm-wide view.
-    pub metrics: Option<Registry>,
-    /// Label under which this runtime registers its instruments
-    /// (e.g. `"peer3"`), keeping per-peer series apart on a shared
-    /// registry.
-    pub metrics_label: String,
-    /// Shared span profiler: the runtime records `net.*` spans and
-    /// `wire.encode`/`wire.decode` spans, with the engine's
-    /// `core.handle.*` spans nested inside. `None` (the default)
-    /// disables span recording entirely.
-    pub profiler: Option<Profiler>,
-    /// Shared causal tracer: when the runtime's peer (hashed by its
-    /// virtual IP) is sampled, every choke round is drained into the
-    /// tracer as a `round` + per-peer `audit` chain. `None` (the
-    /// default) leaves the engine's audit surface disabled.
-    pub tracer: Option<Tracer>,
-}
-
-impl Default for NetConfig {
-    fn default() -> NetConfig {
-        NetConfig {
-            dial_attempts: 3,
-            dial_backoff: std::time::Duration::from_millis(2),
-            handshake_timeout: std::time::Duration::from_secs(5),
-            idle_timeout: Duration::from_secs(1800),
-            max_frame: DEFAULT_MAX_FRAME,
-            metrics: None,
-            metrics_label: String::new(),
-            profiler: None,
-            tracer: None,
-        }
-    }
 }
 
 /// Counters a runtime accumulates while driving its engine.
@@ -128,6 +77,20 @@ pub struct NetStats {
     /// Handshakes that completed and were offered to the engine.
     pub handshakes_ok: u64,
 }
+
+/// How many times to try one dial before reporting
+/// [`Input::ConnectFailed`].
+const DIAL_ATTEMPTS: u32 = 3;
+
+/// Wall-clock wait before the first dial retry; doubles per retry.
+const DIAL_BACKOFF: std::time::Duration = std::time::Duration::from_millis(2);
+
+/// Wall-clock budget for a handshake to complete both directions.
+const HANDSHAKE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+
+/// Virtual-time silence after which a connection is dropped (1 800 s):
+/// well above the engine's 120 s keep-alive interval.
+const IDLE_TIMEOUT: Duration = Duration(1_800_000_000);
 
 /// The longest a wait lasts when no socket is ready and no deadline is
 /// due. It exists only so that `stop` and `max_wall`, which nothing
@@ -173,11 +136,9 @@ struct Dial {
 /// Drives one [`Engine`] over real TCP sockets.
 pub struct NetRuntime {
     engine: Engine,
-    data: DataMode,
     listener: TcpListener,
     tracker: Arc<LoopbackTracker>,
     clock: AccelClock,
-    cfg: NetConfig,
     conns: HashMap<ConnId, NetConn>,
     pending: Vec<Pending>,
     dials: Vec<Dial>,
@@ -190,50 +151,56 @@ pub struct NetRuntime {
 }
 
 impl NetRuntime {
-    /// Wrap an engine with its transport. `data` must be the same
-    /// [`DataMode`] the engine was built with — the runtime materialises
-    /// block payloads from it when executing [`Action::SendBlock`].
+    /// Wrap an engine with its transport. The runtime and its engine
+    /// report into `registry` under `label` (e.g. `"peer3"`), which keeps
+    /// per-peer series apart when a swarm shares one registry.
     pub fn new(
-        engine: Engine,
-        data: DataMode,
+        mut engine: Engine,
         listener: TcpListener,
         tracker: Arc<LoopbackTracker>,
         clock: AccelClock,
-        cfg: NetConfig,
+        registry: &Registry,
+        label: &str,
     ) -> std::io::Result<NetRuntime> {
         listener.set_nonblocking(true)?;
-        let registry = cfg.metrics.clone().unwrap_or_else(Registry::new_wall);
-        let metrics = NetMetrics::register(&registry, &cfg.metrics_label);
-        let profiler = cfg.profiler.clone().unwrap_or_else(Profiler::disabled);
-        let mut engine = engine;
-        engine.set_metrics(EngineMetrics::register_labeled(
-            &registry,
-            &cfg.metrics_label,
-        ));
-        engine.set_profiler(profiler.clone());
-        let tracer = cfg
-            .tracer
-            .clone()
-            .filter(|t| t.enabled() && t.sample_peer(u64::from(peer_ip(&engine.peer_id()).0)));
-        if tracer.is_some() {
-            engine.enable_choke_audit();
-        }
+        let metrics = NetMetrics::register(registry, label);
+        engine.set_metrics(EngineMetrics::register_labeled(registry, label));
         Ok(NetRuntime {
             engine,
-            data,
             listener,
             tracker,
             clock,
-            cfg,
             conns: HashMap::new(),
             pending: Vec::new(),
             dials: Vec::new(),
             metrics,
-            profiler,
-            tracer,
+            profiler: Profiler::disabled(),
+            tracer: None,
             counted_complete: false,
             pollfds: Vec::new(),
         })
+    }
+
+    /// Attach a span profiler: the runtime records `net.*` and
+    /// `wire.encode`/`wire.decode` spans, with the engine's
+    /// `core.handle.*` spans nested inside.
+    #[must_use]
+    pub fn with_profiler(mut self, profiler: Profiler) -> NetRuntime {
+        self.engine.set_profiler(profiler.clone());
+        self.profiler = profiler;
+        self
+    }
+
+    /// Attach a causal [`Tracer`]: when it samples this peer (hashed by
+    /// its virtual IP), every choke round is drained into it as a
+    /// `round` + per-peer `audit` chain.
+    #[must_use]
+    pub fn with_trace(mut self, tracer: Tracer) -> NetRuntime {
+        if tracer.enabled() && tracer.sample_peer(u64::from(peer_ip(&self.engine.peer_id()).0)) {
+            self.engine.enable_choke_audit();
+            self.tracer = Some(tracer);
+        }
+        self
     }
 
     /// The engine being driven.
@@ -246,11 +213,6 @@ impl NetRuntime {
         &mut self.engine
     }
 
-    /// The listener's bound address.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> Instant {
         self.clock.now()
@@ -260,17 +222,6 @@ impl NetRuntime {
     /// series under its label, less what they held when it registered).
     pub fn stats(&self) -> NetStats {
         self.metrics.stats()
-    }
-
-    /// The runtime's telemetry handles.
-    pub fn metrics(&self) -> &NetMetrics {
-        &self.metrics
-    }
-
-    /// The registry this runtime reports into (shared if
-    /// [`NetConfig::metrics`] was set, private otherwise).
-    pub fn registry(&self) -> &Registry {
-        self.metrics.registry()
     }
 
     /// Drive the engine until `stop` is set or `max_wall` elapses.
@@ -380,7 +331,10 @@ impl NetRuntime {
             match action {
                 Action::Send { conn, msg } => self.queue_msg(conn, msg, None),
                 Action::SendBlock { conn, block } => {
-                    let data = self.data.block_bytes(block.piece, block.block_index());
+                    let data = self
+                        .engine
+                        .data()
+                        .block_bytes(block.piece, block.block_index());
                     self.queue_msg(conn, Message::Piece { block, data }, Some(block));
                 }
                 Action::CancelBlock { conn, block } => {
@@ -410,8 +364,8 @@ impl NetRuntime {
                 Action::Connect { peer } => match self.tracker.resolve(peer.ip) {
                     Some(addr) => self.dials.push(Dial {
                         addr,
-                        attempts_left: self.cfg.dial_attempts,
-                        backoff: self.cfg.dial_backoff,
+                        attempts_left: DIAL_ATTEMPTS,
+                        backoff: DIAL_BACKOFF,
                         next_try: std::time::Instant::now(),
                     }),
                     None => {
@@ -506,7 +460,7 @@ impl NetRuntime {
             out_written: 0,
             inbuf: Vec::with_capacity(HANDSHAKE_LEN),
             initiated,
-            deadline: std::time::Instant::now() + self.cfg.handshake_timeout,
+            deadline: std::time::Instant::now() + HANDSHAKE_TIMEOUT,
             started: now,
         });
     }
@@ -601,7 +555,7 @@ impl NetRuntime {
                 conn,
                 NetConn {
                     stream,
-                    decoder: Decoder::new(self.cfg.max_frame),
+                    decoder: Decoder::new(DEFAULT_MAX_FRAME),
                     out: VecDeque::new(),
                     last_recv: now,
                 },
@@ -767,7 +721,7 @@ impl NetRuntime {
         let stale: Vec<ConnId> = self
             .conns
             .iter()
-            .filter(|(_, c)| now.saturating_since(c.last_recv) > self.cfg.idle_timeout)
+            .filter(|(_, c)| now.saturating_since(c.last_recv) > IDLE_TIMEOUT)
             .map(|(id, _)| *id)
             .collect();
         for id in stale {
@@ -787,7 +741,7 @@ impl NetRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bt_core::EngineBuilder;
+    use bt_core::{DataMode, EngineBuilder};
     use bt_piece::Geometry;
     use bt_wire::metainfo::SyntheticContent;
     use bt_wire::peer_id::ClientKind;
@@ -807,7 +761,7 @@ mod tests {
         index: u64,
         tracker: &Arc<LoopbackTracker>,
         clock: AccelClock,
-        cfg: NetConfig,
+        registry: &Registry,
     ) -> NetRuntime {
         let content = Arc::new(SyntheticContent::generate(
             "rt",
@@ -820,19 +774,13 @@ mod tests {
         tracker.register(peer_ip(&peer_id), listener.local_addr().expect("addr"));
         let geometry = Geometry::from(&content.metainfo);
         let engine = EngineBuilder::new(geometry, content.metainfo.info_hash, peer_id)
-            .data(DataMode::Real(content.clone()))
+            .data(DataMode::Real(content))
             .ip(peer_ip(&peer_id))
             .rng_seed(index)
             .build();
-        NetRuntime::new(
-            engine,
-            DataMode::Real(content),
-            listener,
-            tracker.clone(),
-            clock,
-            cfg,
-        )
-        .expect("runtime")
+        let label = format!("peer{index}");
+        NetRuntime::new(engine, listener, tracker.clone(), clock, registry, &label)
+            .expect("runtime")
     }
 
     /// Two leechers with nothing to trade stay connected, so the
@@ -842,14 +790,10 @@ mod tests {
         let tracker = Arc::new(LoopbackTracker::new());
         let clock = AccelClock::default();
         let registry = Registry::new_wall();
-        let cfg = NetConfig {
-            metrics: Some(registry.clone()),
-            ..NetConfig::default()
-        };
         let stop = AtomicBool::new(false);
         let budget = std::time::Duration::from_secs(30);
-        let mut accepting = leecher(0, &tracker, clock, cfg.clone());
-        let mut dialling = leecher(1, &tracker, clock, cfg);
+        let mut accepting = leecher(0, &tracker, clock, &registry);
+        let mut dialling = leecher(1, &tracker, clock, &registry);
         std::thread::scope(|s| {
             s.spawn(|| accepting.run(&stop, budget, None));
             // Announce second: the tracker then names the first peer.
@@ -883,11 +827,7 @@ mod tests {
         // has moved, a pass has begun, and a wait follows that pass
         // before `stop` is read again.
         let registry = Registry::new_manual();
-        let cfg = NetConfig {
-            metrics: Some(registry.clone()),
-            ..NetConfig::default()
-        };
-        let mut rt = leecher(0, &tracker, AccelClock::new(1), cfg);
+        let mut rt = leecher(0, &tracker, AccelClock::new(1), &registry);
         let stop = AtomicBool::new(false);
         let noticed = std::thread::scope(|s| {
             let run = s.spawn(|| rt.run(&stop, std::time::Duration::from_secs(30), None));

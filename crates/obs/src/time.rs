@@ -50,11 +50,6 @@ impl TimeSource {
             t.fetch_max(micros, Ordering::Relaxed);
         }
     }
-
-    /// True if this is a manually-advanced (virtual) source.
-    pub fn is_manual(&self) -> bool {
-        matches!(self.0, Source::Manual(_))
-    }
 }
 
 #[cfg(test)]
@@ -64,7 +59,6 @@ mod tests {
     #[test]
     fn manual_starts_at_zero_and_never_rewinds() {
         let t = TimeSource::manual();
-        assert!(t.is_manual());
         assert_eq!(t.now_micros(), 0);
         t.advance_to(500);
         t.advance_to(100); // rewind attempt ignored
@@ -82,7 +76,6 @@ mod tests {
     #[test]
     fn wall_advances() {
         let t = TimeSource::wall();
-        assert!(!t.is_manual());
         let a = t.now_micros();
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(t.now_micros() > a);

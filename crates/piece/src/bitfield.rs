@@ -142,16 +142,6 @@ impl Bitfield {
         )
     }
 
-    /// Number of pieces both bitfields have (`|self ∩ other|`).
-    pub fn count_and(&self, other: &Bitfield) -> u32 {
-        debug_assert_eq!(self.len, other.len);
-        self.bits
-            .iter()
-            .zip(other.bits.iter())
-            .map(|(a, b)| (a & b).count_ones())
-            .sum()
-    }
-
     /// Number of pieces `self` has that `other` lacks (`|self \ other|`).
     pub fn count_andnot(&self, other: &Bitfield) -> u32 {
         debug_assert_eq!(self.len, other.len);
@@ -160,17 +150,6 @@ impl Bitfield {
             .zip(other.bits.iter())
             .map(|(a, b)| (a & !b).count_ones())
             .sum()
-    }
-
-    /// Index of the first missing piece, or `None` for a seed.
-    pub fn first_zero(&self) -> Option<u32> {
-        for (w, &x) in self.bits.iter().enumerate() {
-            let holes = !x & self.tail_mask(w);
-            if holes != 0 {
-                return Some(w as u32 * 64 + holes.trailing_zeros());
-            }
-        }
-        None
     }
 
     /// True if `other` has at least one piece this bitfield lacks.

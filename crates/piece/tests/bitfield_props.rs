@@ -1,12 +1,12 @@
 //! Property tests for the word-packed [`Bitfield`] against a `Vec<bool>`
 //! reference model.
 //!
-//! The word-level operations (`iter_ones_andnot`, `count_and`,
-//! `count_andnot`, `first_zero`, `is_interested_in`, `iter_zeros`) all
-//! mask or skip the padding bits of a ragged final word; these tests
-//! deliberately draw lengths that are not multiples of 64 (and exact
-//! multiples, and lengths under one word) so every tail-mask branch is
-//! exercised against the obviously-correct bit-by-bit answer.
+//! The word-level operations (`iter_ones_andnot`, `count_andnot`,
+//! `is_interested_in`, `iter_zeros`) all mask or skip the padding bits
+//! of a ragged final word; these tests deliberately draw lengths that
+//! are not multiples of 64 (and exact multiples, and lengths under one
+//! word) so every tail-mask branch is exercised against the
+//! obviously-correct bit-by-bit answer.
 
 use bt_piece::Bitfield;
 use proptest::prelude::*;
@@ -57,7 +57,6 @@ proptest! {
         prop_assert_eq!(bf.is_complete(), expect_zeros.is_empty());
         prop_assert_eq!(bf.iter_ones().collect::<Vec<_>>(), expect_ones);
         prop_assert_eq!(bf.iter_zeros().collect::<Vec<_>>(), expect_zeros);
-        prop_assert_eq!(bf.first_zero(), expect_zeros.first().copied());
         for i in 0..len {
             prop_assert_eq!(bf.get(i), model[i as usize]);
         }
@@ -79,14 +78,10 @@ proptest! {
         let a = build(&a_model);
         let b = build(&b_model);
 
-        let and: Vec<u32> = (0..len)
-            .filter(|&i| a_model[i as usize] && b_model[i as usize])
-            .collect();
         let andnot: Vec<u32> = (0..len)
             .filter(|&i| a_model[i as usize] && !b_model[i as usize])
             .collect();
 
-        prop_assert_eq!(a.count_and(&b), and.len() as u32);
         prop_assert_eq!(a.count_andnot(&b), andnot.len() as u32);
         prop_assert_eq!(a.iter_ones_andnot(&b).collect::<Vec<_>>(), andnot);
         // Interest is "other has something I lack": b \ a non-empty.

@@ -162,11 +162,6 @@ impl BehaviorProfile {
             _ => 0.0,
         }
     }
-
-    /// True for roles that upload nothing.
-    pub fn is_free_rider(&self) -> bool {
-        matches!(self.role, Role::FreeRider)
-    }
 }
 
 #[cfg(test)]
@@ -204,7 +199,6 @@ mod tests {
         let cfg = p.engine_config(&base);
         assert!(cfg.upload_disabled);
         assert_eq!(cfg.max_upload_rate, 64 * 1024);
-        assert!(p.is_free_rider());
     }
 
     #[test]

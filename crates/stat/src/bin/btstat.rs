@@ -10,7 +10,8 @@
 //! stderr, so `btstat ... | python3 -m json.tool` always works.
 //! `bisect` exits 0 whether the traces match or not — a located
 //! divergence is a *successful* diagnosis; only missing/invalid inputs
-//! exit nonzero.
+//! exit nonzero. A flag the verb does not know, or one missing its
+//! value, exits 2 before any directory is read.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -46,30 +47,41 @@ fn main() -> ExitCode {
     }
 }
 
-/// Value of `--flag V`, if present.
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// A verb's command line: its run directories and its `--flag value`
+/// pairs.
+struct Args<'a> {
+    dirs: Vec<&'a str>,
+    flags: Vec<(&'a str, &'a str)>,
 }
 
-/// Positional (non-flag) arguments.
-fn positionals(args: &[String]) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for arg in args {
-        if skip {
-            skip = false;
-            continue;
+impl<'a> Args<'a> {
+    /// Split `args`, accepting only the flags in `known`, each with a
+    /// value.
+    fn parse(args: &'a [String], known: &[&str]) -> Result<Args<'a>, String> {
+        let mut parsed = Args {
+            dirs: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut iter = args.iter().map(String::as_str);
+        while let Some(arg) = iter.next() {
+            if !arg.starts_with("--") {
+                parsed.dirs.push(arg);
+            } else if !known.contains(&arg) {
+                return Err(format!("unknown flag `{arg}`\n{USAGE}"));
+            } else {
+                match iter.next() {
+                    Some(value) if !value.starts_with("--") => parsed.flags.push((arg, value)),
+                    _ => return Err(format!("`{arg}` needs a value\n{USAGE}")),
+                }
+            }
         }
-        if arg.starts_with("--") {
-            skip = true;
-            continue;
-        }
-        out.push(arg.as_str());
+        Ok(parsed)
     }
-    out
+
+    /// Value of `--flag V`, if given.
+    fn flag(&self, name: &str) -> Option<&'a str> {
+        self.flags.iter().find(|(k, _)| *k == name).map(|&(_, v)| v)
+    }
 }
 
 fn load_run(dir: &str) -> Result<RunArtifacts, String> {
@@ -86,7 +98,8 @@ fn emit(out: Option<&str>, body: &str) -> Result<(), String> {
 }
 
 fn cmd_merge(args: &[String]) -> Result<(), String> {
-    let dirs = positionals(args);
+    let args = Args::parse(args, &["--out", "--html"])?;
+    let dirs = &args.dirs;
     if dirs.is_empty() {
         return Err(format!("merge needs at least one run directory\n{USAGE}"));
     }
@@ -103,21 +116,22 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
             v.detail
         );
     }
-    if let Some(path) = flag(args, "--html") {
+    if let Some(path) = args.flag("--html") {
         std::fs::write(path, report.to_html()).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("btstat: wrote {path}");
     }
-    emit(flag(args, "--out"), &report.to_json())
+    emit(args.flag("--out"), &report.to_json())
 }
 
 fn cmd_diff(args: &[String]) -> Result<(), String> {
-    let pos = positionals(args);
-    let [a_dir, b_dir] = pos.as_slice() else {
+    let args = Args::parse(args, &["--out", "--flame-a", "--flame-b", "--top"])?;
+    let [a_dir, b_dir] = args.dirs.as_slice() else {
         return Err(format!("diff needs exactly two run directories\n{USAGE}"));
     };
     let a = load_run(a_dir)?;
     let b = load_run(b_dir)?;
-    let top = flag(args, "--top")
+    let top = args
+        .flag("--top")
         .map(|v| v.parse::<usize>().map_err(|_| format!("bad --top `{v}`")))
         .transpose()?
         .unwrap_or(0);
@@ -133,7 +147,7 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
     eprint!("{}", diff.render());
 
     for (flag_name, run) in [("--flame-a", &a), ("--flame-b", &b)] {
-        if let Some(path) = flag(args, flag_name) {
+        if let Some(path) = args.flag(flag_name) {
             let profile = run
                 .profile
                 .as_ref()
@@ -142,15 +156,16 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
             eprintln!("btstat: wrote {path} (collapsed stacks for {})", run.key());
         }
     }
-    emit(flag(args, "--out"), &diff.to_json())
+    emit(args.flag("--out"), &diff.to_json())
 }
 
 fn cmd_bisect(args: &[String]) -> Result<(), String> {
-    let pos = positionals(args);
-    let [a_dir, b_dir] = pos.as_slice() else {
+    let args = Args::parse(args, &["--window", "--out"])?;
+    let [a_dir, b_dir] = args.dirs.as_slice() else {
         return Err(format!("bisect needs exactly two run directories\n{USAGE}"));
     };
-    let window = flag(args, "--window")
+    let window = args
+        .flag("--window")
         .map(|v| {
             v.parse::<usize>()
                 .map_err(|_| format!("bad --window `{v}`"))
@@ -176,5 +191,5 @@ fn cmd_bisect(args: &[String]) -> Result<(), String> {
         }
     );
     eprint!("{}", report.render());
-    emit(flag(args, "--out"), &report.to_json())
+    emit(args.flag("--out"), &report.to_json())
 }

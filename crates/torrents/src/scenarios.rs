@@ -1,9 +1,9 @@
 //! Named scenario presets beyond Table I.
 //!
 //! The Table I runner reproduces the paper's torrents; these presets
-//! package the *situations* the paper and its ablations reason about —
-//! flash crowds, free-rider swarms, rationed trackers, super-seeded
-//! starts — as ready-made [`SwarmSpec`]s for library users and tests.
+//! package the *situations* the paper reasons about — flash crowds, at
+//! any scale and over a WAN topology, and steady-state swarms — as
+//! ready-made [`SwarmSpec`]s for `swarmrun`, library users and tests.
 
 use bt_core::Config;
 use bt_sim::behavior::{BehaviorProfile, CapacityClass, Role};
@@ -119,16 +119,6 @@ fn named_topology(name: &str) -> TopologySpec {
     })
 }
 
-/// A WAN flash crowd: [`flash_crowd`] running over a named full-duplex
-/// topology preset (`homogeneous`, `asymmetric_dsl`,
-/// `two_isp_bottleneck`) — per-direction bandwidth, asymmetric delay
-/// and loss shape who unchokes whom, as on the paper's real torrents.
-pub fn wan_flash_crowd(leechers: usize, topology: &str, opts: &PresetOptions) -> SwarmSpec {
-    let mut spec = flash_crowd(leechers, opts);
-    spec.net = Some(NetModel::FullDuplex(named_topology(topology)));
-    spec
-}
-
 /// A WAN mega-swarm flash crowd: [`mega_flash_crowd`] over a named
 /// topology preset. The shape behind `swarmrun --scenario
 /// flash_crowd_10k --topology asymmetric_dsl`.
@@ -177,61 +167,6 @@ pub fn steady_state(
     spec
 }
 
-/// A swarm with a fraction of free riders among the leechers (§IV-B's
-/// robustness question). No instrumented peer by default.
-pub fn free_rider_swarm(honest: usize, free_riders: usize, opts: &PresetOptions) -> SwarmSpec {
-    let mut peers = vec![BehaviorProfile::seed(), BehaviorProfile::seed()];
-    for i in 0..honest {
-        peers.push(dsl_leecher(i as u64));
-    }
-    for i in 0..free_riders {
-        peers.push(BehaviorProfile {
-            role: Role::FreeRider,
-            client: ClientKind::FreeRider,
-            capacity: CapacityClass::Dsl,
-            join_at: Duration::from_secs(i as u64),
-            seed_linger: None,
-            depart_at: None,
-            prepopulate: false,
-            restart_after: None,
-        });
-    }
-    base_spec(opts, peers)
-}
-
-/// A super-seeded start: the initial seed runs the §IV-A.4 super-seeding
-/// policy and is instrumented (index 0), serving a flash crowd.
-pub fn super_seeded_start(leechers: usize, opts: &PresetOptions) -> SwarmSpec {
-    let mut peers = vec![BehaviorProfile {
-        role: Role::SuperSeed,
-        client: ClientKind::SuperSeeder,
-        capacity: CapacityClass::Default,
-        join_at: Duration::ZERO,
-        seed_linger: None,
-        depart_at: None,
-        prepopulate: false,
-        restart_after: None,
-    }];
-    for i in 0..leechers {
-        peers.push(dsl_leecher(i as u64 % 60));
-    }
-    let mut spec = base_spec(opts, peers);
-    spec.local = Some(0);
-    spec.available_fraction = 0.0;
-    spec
-}
-
-/// A rationed-tracker swarm (2 peers per announce) with peer exchange
-/// enabled — the `ablation-pex` situation as a reusable preset. The last
-/// peer is an instrumented late joiner.
-pub fn rationed_tracker(leechers: usize, opts: &PresetOptions) -> SwarmSpec {
-    let mut opts = opts.clone();
-    opts.config.pex_enabled = true;
-    let mut spec = steady_state(2, leechers, 120, &opts);
-    spec.tracker_response_cap = Some(2);
-    spec
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,12 +186,8 @@ mod tests {
             for spec in [
                 flash_crowd(8, &o),
                 mega_flash_crowd(1_000, &o),
-                wan_flash_crowd(8, "asymmetric_dsl", &o),
                 wan_mega_flash_crowd(1_000, "two_isp_bottleneck", &o),
                 steady_state(1, 10, 90, &o),
-                free_rider_swarm(6, 2, &o),
-                super_seeded_start(6, &o),
-                rationed_tracker(8, &o),
             ] {
                 assert_eq!(spec.validate(), Ok(()));
             }
@@ -288,64 +219,8 @@ mod tests {
     }
 
     #[test]
-    fn free_rider_swarm_shapes() {
-        let spec = free_rider_swarm(6, 2, &opts());
-        let riders = spec
-            .peers
-            .iter()
-            .filter(|p| matches!(p.role, Role::FreeRider))
-            .count();
-        assert_eq!(riders, 2);
-        let result = Swarm::new(spec).run();
-        assert!(result.completed_peers >= 6);
-    }
-
-    #[test]
-    fn super_seeded_start_instruments_the_seed() {
-        let spec = super_seeded_start(6, &opts());
-        assert_eq!(spec.local, Some(0));
-        let result = Swarm::new(spec).run();
-        let trace = result.trace.unwrap();
-        // The instrumented peer is the (super) seed: it uploads, never
-        // downloads.
-        use bt_instrument::trace::TraceEvent;
-        assert!(trace
-            .iter()
-            .any(|(_, e)| matches!(e, TraceEvent::BlockSent { .. })));
-        assert!(!trace
-            .iter()
-            .any(|(_, e)| matches!(e, TraceEvent::BlockReceived { .. })));
-    }
-
-    #[test]
-    fn wan_flash_crowd_attaches_the_topology_and_completes() {
-        let spec = wan_flash_crowd(8, "asymmetric_dsl", &opts());
-        match &spec.net {
-            Some(NetModel::FullDuplex(t)) => assert_eq!(t.name, "asymmetric_dsl"),
-            other => panic!("expected a full-duplex net model, got {other:?}"),
-        }
-        let mut spec = spec;
-        spec.duration = Duration::from_secs(12_000);
-        let result = Swarm::new(spec).run();
-        assert!(
-            result.completed_peers >= 7,
-            "completed {}",
-            result.completed_peers
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "unknown topology preset")]
     fn wan_presets_reject_typos() {
         let _ = wan_mega_flash_crowd(10, "asymetric_dsl", &opts());
-    }
-
-    #[test]
-    fn rationed_tracker_enables_pex() {
-        let spec = rationed_tracker(8, &opts());
-        assert!(spec.base_config.pex_enabled);
-        assert_eq!(spec.tracker_response_cap, Some(2));
-        let result = Swarm::new(spec).run();
-        assert!(result.completed_peers > 0);
     }
 }

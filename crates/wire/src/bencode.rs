@@ -163,14 +163,6 @@ pub fn decode(input: &[u8]) -> Result<Value, BencodeError> {
     Ok(v)
 }
 
-/// Decode a value from a prefix of `input`, returning the value and the
-/// number of bytes consumed. Used by stream parsers.
-pub fn decode_prefix(input: &[u8]) -> Result<(Value, usize), BencodeError> {
-    let mut parser = Parser { input, pos: 0 };
-    let v = parser.parse_value()?;
-    Ok((v, parser.pos))
-}
-
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
@@ -462,13 +454,6 @@ mod tests {
     fn dict_builder_orders_keys() {
         let v = DictBuilder::new().int("zeta", 1).str("alpha", "x").build();
         assert_eq!(v.encode(), b"d5:alpha1:x4:zetai1ee".to_vec());
-    }
-
-    #[test]
-    fn decode_prefix_reports_consumed() {
-        let (v, used) = decode_prefix(b"i3eXYZ").unwrap();
-        assert_eq!(v, Value::Int(3));
-        assert_eq!(used, 3);
     }
 
     #[test]
