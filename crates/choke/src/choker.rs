@@ -37,6 +37,14 @@ pub const RECHOKE_PERIOD: Duration = Duration(10_000_000);
 /// Number of regular unchoke slots (§II-C.2: "the 3 fastest peers").
 pub const REGULAR_SLOTS: usize = 3;
 
+/// Active peer set size: the regular slots plus one optimistic (or
+/// seed-random) unchoke (§III-C: "default to 4").
+const ACTIVE_SET: usize = REGULAR_SLOTS + 1;
+
+/// The optimistic unchoke rotates every this many rechoke rounds
+/// (3 × [`RECHOKE_PERIOD`] = 30 s, §II-C.2).
+const OPTIMISTIC_ROUNDS: u64 = 3;
+
 /// Snub threshold: a peer that has unchoked the local peer but delivered
 /// no block for this long is *snubbed* (mainline anti-snubbing) and loses
 /// regular-unchoke eligibility, keeping only the optimistic path.
@@ -124,24 +132,11 @@ fn choose_random_key(candidates: &[PeerKey], rng: &mut dyn rand::RngCore) -> Opt
 }
 
 /// Leecher-state choke algorithm (§II-C.2).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LeecherChoker {
-    /// Round counter; every `optimistic_every` rounds rotates the OU.
+    /// Round counter; every [`OPTIMISTIC_ROUNDS`] rounds rotates the OU.
     round: u64,
-    /// Rotate the optimistic unchoke every this many rounds (default 3,
-    /// i.e. every 30 s).
-    optimistic_every: u64,
     current_optimistic: Option<PeerKey>,
-}
-
-impl Default for LeecherChoker {
-    fn default() -> Self {
-        LeecherChoker {
-            round: 0,
-            optimistic_every: 3,
-            current_optimistic: None,
-        }
-    }
 }
 
 impl LeecherChoker {
@@ -158,7 +153,7 @@ impl Choker for LeecherChoker {
         peers: &[PeerSnapshot],
         rng: &mut dyn rand::RngCore,
     ) -> ChokeDecision {
-        let rotate = self.round.is_multiple_of(self.optimistic_every);
+        let rotate = self.round.is_multiple_of(OPTIMISTIC_ROUNDS);
         self.round += 1;
 
         // Step 1: the 3 fastest interested peers by download rate.
@@ -251,7 +246,7 @@ impl Choker for SeedChokerNew {
             }
         } else {
             // Third period: keep the first 4, no random slot.
-            let regular: Vec<PeerKey> = kept.iter().take(4).map(|p| p.key).collect();
+            let regular: Vec<PeerKey> = kept.iter().take(ACTIVE_SET).map(|p| p.key).collect();
             ChokeDecision {
                 regular,
                 optimistic: None,
@@ -266,21 +261,10 @@ impl Choker for SeedChokerNew {
 
 /// Old seed-state choke algorithm (mainline < 4.0.0): leecher-state shape
 /// but ordered by *upload* rate from the local peer (§II-C.2).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SeedChokerOld {
     round: u64,
-    optimistic_every: u64,
     current_optimistic: Option<PeerKey>,
-}
-
-impl Default for SeedChokerOld {
-    fn default() -> Self {
-        SeedChokerOld {
-            round: 0,
-            optimistic_every: 3,
-            current_optimistic: None,
-        }
-    }
 }
 
 impl Choker for SeedChokerOld {
@@ -290,7 +274,7 @@ impl Choker for SeedChokerOld {
         peers: &[PeerSnapshot],
         rng: &mut dyn rand::RngCore,
     ) -> ChokeDecision {
-        let rotate = self.round.is_multiple_of(self.optimistic_every);
+        let rotate = self.round.is_multiple_of(OPTIMISTIC_ROUNDS);
         self.round += 1;
 
         let mut interested: Vec<PeerSnapshot> =
@@ -333,25 +317,17 @@ impl Choker for SeedChokerOld {
 /// uploaded by A to B minus the amount of bytes downloaded from B to A is
 /// higher than a given threshold." Within the allowed peers, slots go to
 /// the fastest downloaders; the deficit test is the binding constraint.
-#[derive(Debug)]
-pub struct TitForTatChoker {
-    /// Maximum tolerated deficit in bytes (default: four 16 kB blocks —
-    /// the strict byte-level reciprocation the proposals call for; a
-    /// loose threshold would amount to interest-free credit from every
-    /// partner and mask exactly the behaviour under study).
-    pub threshold: u64,
-    /// Unchoke slots (kept at 4 to match the choke algorithm's footprint).
-    pub slots: usize,
-}
+///
+/// It unchokes up to [`ACTIVE_SET`] peers, matching the choke algorithm's
+/// footprint.
+#[derive(Debug, Default)]
+pub struct TitForTatChoker;
 
-impl Default for TitForTatChoker {
-    fn default() -> Self {
-        TitForTatChoker {
-            threshold: 4 * 16 * 1024,
-            slots: 4,
-        }
-    }
-}
+/// Maximum deficit, in bytes, [`TitForTatChoker`] tolerates: four 16 kB
+/// blocks — the strict byte-level reciprocation the proposals call for; a
+/// loose threshold would amount to interest-free credit from every
+/// partner and mask exactly the behaviour under study.
+const TFT_THRESHOLD: u64 = 4 * 16 * 1024;
 
 impl Choker for TitForTatChoker {
     fn rechoke(
@@ -364,12 +340,12 @@ impl Choker for TitForTatChoker {
             .iter()
             .copied()
             .filter(|p| {
-                p.interested && p.uploaded_to.saturating_sub(p.downloaded_from) <= self.threshold
+                p.interested && p.uploaded_to.saturating_sub(p.downloaded_from) <= TFT_THRESHOLD
             })
             .collect();
         sort_by_rate_desc(&mut eligible, |p| p.download_rate);
         ChokeDecision {
-            regular: eligible.iter().take(self.slots).map(|p| p.key).collect(),
+            regular: eligible.iter().take(ACTIVE_SET).map(|p| p.key).collect(),
             optimistic: None,
         }
     }
@@ -536,7 +512,7 @@ mod tests {
         peers[1].uploaded_to = 10_000_000;
         peers[1].downloaded_from = 9_999_000; // almost square
         let mut rng = SmallRng::seed_from_u64(2);
-        let mut choker = TitForTatChoker::default();
+        let mut choker = TitForTatChoker;
         let d = choker.rechoke(Instant::ZERO, &peers, &mut rng);
         assert!(!d.unchoked().contains(&0), "free rider must be refused");
         assert!(d.unchoked().contains(&1));

@@ -74,15 +74,15 @@ impl EngineBuilder {
         self
     }
 
-    /// The local peer's IP address (identity for `one_connection_per_ip`
-    /// and for filtering the tracker's own-address echoes).
+    /// The local peer's IP address (identity for the one-connection-per-
+    /// address rule and for filtering the tracker's own-address echoes).
     pub fn ip(mut self, ip: IpAddr) -> EngineBuilder {
         self.ip = ip;
         self
     }
 
     /// Starting bitfield: full for a seed, empty for a fresh leecher,
-    /// nearly full for an "almost done" joiner.
+    /// partial for a restarted or pre-populated peer.
     ///
     /// # Panics
     /// [`build`](Self::build) panics if the length does not match the

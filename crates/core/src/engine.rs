@@ -19,7 +19,7 @@ use crate::content::{DataMode, PieceBuffer};
 use crate::driver::{Actions, Input};
 use crate::error::EngineError;
 use crate::metrics::EngineMetrics;
-use bt_choke::{Choker, PeerSnapshot};
+use bt_choke::{Choker, PeerSnapshot, RECHOKE_PERIOD};
 use bt_instrument::trace::{Trace, TraceEvent, UnchokeRole};
 use bt_obs::{Profiler, TraceCat, Tracer};
 use bt_piece::{Availability, Bitfield, Geometry, PickContext, PiecePicker, RequestScheduler};
@@ -27,11 +27,21 @@ use bt_wire::fast;
 use bt_wire::message::{BlockRef, Message};
 use bt_wire::peer_id::{IpAddr, PeerId};
 use bt_wire::sha1::Digest;
-use bt_wire::time::Instant;
+use bt_wire::time::{Duration, Instant};
 use bt_wire::tracker::{AnnounceEvent, PeerEntry};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet, VecDeque};
+
+/// Outstanding block requests kept in flight per unchoked peer.
+const PIPELINE_DEPTH: usize = 8;
+
+/// A connection the local peer has sent nothing on for this long gets a
+/// keep-alive.
+const KEEPALIVE: Duration = Duration(120_000_000);
+
+/// Minimum spacing between `ut_pex` gossips per connection.
+const PEX_INTERVAL: Duration = Duration(60_000_000);
 
 /// Capabilities a remote peer advertised in its handshake reserved bits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -105,8 +115,7 @@ pub enum Action {
 
 /// One peer's protocol engine.
 pub struct Engine {
-    /// Engine configuration (§III-C defaults).
-    pub config: Config,
+    config: Config,
     geometry: Geometry,
     data: DataMode,
     info_hash: Digest,
@@ -555,7 +564,7 @@ impl Engine {
         if let Some(at) = self.next_rechoke {
             if now >= at {
                 self.rechoke(now);
-                self.arm_rechoke(now + self.config.rechoke_period);
+                self.arm_rechoke(now + RECHOKE_PERIOD);
             }
         }
     }
@@ -569,7 +578,7 @@ impl Engine {
         self.actions.push(Action::Announce {
             event: AnnounceEvent::Started,
         });
-        self.arm_rechoke(now + self.config.rechoke_period);
+        self.arm_rechoke(now + RECHOKE_PERIOD);
     }
 
     fn do_tracker_response(&mut self, _now: Instant, peers: Vec<PeerEntry>) {
@@ -596,12 +605,11 @@ impl Engine {
         }
     }
 
-    /// Should an inbound connection from `ip` be accepted?
-    pub fn accept_incoming(&self, ip: IpAddr) -> bool {
-        if self.conns.len() >= self.config.max_peer_set {
-            return false;
-        }
-        !(self.config.one_connection_per_ip && self.connected_ips.contains(&ip))
+    /// Does the peer set have room for a connection to `ip`? It is full
+    /// at `max_peer_set`, and it never holds two connections to one
+    /// address (§III-D: mainline's one-connection-per-IP default).
+    fn admits(&self, ip: IpAddr) -> bool {
+        self.conns.len() < self.config.max_peer_set && !self.connected_ips.contains(&ip)
     }
 
     fn do_peer_connected(
@@ -615,13 +623,7 @@ impl Engine {
         if initiated_by_us {
             self.pending_dials = self.pending_dials.saturating_sub(1);
         }
-        if !initiated_by_us && !self.accept_incoming(ip) {
-            return None;
-        }
-        if self.config.one_connection_per_ip && self.connected_ips.contains(&ip) {
-            return None;
-        }
-        if self.conns.len() >= self.config.max_peer_set {
+        if !self.admits(ip) {
             return None;
         }
         let id = self.conns.next_id();
@@ -667,7 +669,7 @@ impl Engine {
                 ip,
                 &self.info_hash,
                 self.geometry.num_pieces(),
-                self.config.allowed_fast_count,
+                fast::DEFAULT_ALLOWED_FAST,
             );
             for &piece in &grants {
                 self.send(now, id, Message::AllowedFast(piece));
@@ -705,7 +707,6 @@ impl Engine {
             v.sort_unstable();
             v
         };
-        let pex_interval = self.config.pex_interval;
         for id in 0..self.conns.next_id() {
             let (ext_id, added, dropped) = {
                 let Some(c) = self.conns.get_mut(id) else {
@@ -714,7 +715,7 @@ impl Engine {
                 let Some(ext_id) = c.remote_pex_id else {
                     continue;
                 };
-                if now.saturating_since(c.last_pex) < pex_interval {
+                if now.saturating_since(c.last_pex) < PEX_INTERVAL {
                     continue;
                 }
                 c.last_pex = now;
@@ -1213,10 +1214,7 @@ impl Engine {
         if !c.peer_choking && !c.am_interested {
             return;
         }
-        let room = self
-            .config
-            .pipeline_depth
-            .saturating_sub(self.scheduler.outstanding_to(conn));
+        let room = PIPELINE_DEPTH.saturating_sub(self.scheduler.outstanding_to(conn));
         if room == 0 {
             return;
         }
@@ -1449,7 +1447,7 @@ impl Engine {
         }
         // Keep-alives after 2 minutes of silence.
         for id in 0..self.conns.next_id() {
-            let quiet = |c: &Connection| now.saturating_since(c.last_sent) >= self.config.keepalive;
+            let quiet = |c: &Connection| now.saturating_since(c.last_sent) >= KEEPALIVE;
             if self.conns.get(id).is_some_and(quiet) {
                 self.send(now, id, Message::KeepAlive);
             }
@@ -1460,7 +1458,7 @@ impl Engine {
         }
         // Tracker refresh when the peer set runs low (§II-B: threshold 20).
         if self.conns.len() < self.config.min_peer_set
-            && now.saturating_since(self.last_announce) >= bt_wire::time::Duration::from_secs(60)
+            && now.saturating_since(self.last_announce) >= Duration::from_secs(60)
         {
             self.last_announce = now;
             self.actions.push(Action::Announce {
@@ -1674,10 +1672,10 @@ mod tests {
         let mut e = leecher(1);
         let t = Instant::ZERO;
         let _ = connect_peer(&mut e, t, 7, &[0]);
-        assert!(!e.accept_incoming(IpAddr(7)));
+        assert!(!e.admits(IpAddr(7)));
         assert!(connect_with(&mut e, t, 7, PeerCaps::default()).is_none());
         // A different IP is fine.
-        assert!(e.accept_incoming(IpAddr(8)));
+        assert!(e.admits(IpAddr(8)));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::clock::AccelClock;
 use crate::runtime::{peer_ip, NetRuntime, NetStats};
 use crate::tracker::LoopbackTracker;
-use bt_core::{Config, DataMode, EngineBuilder};
+use bt_core::{DataMode, EngineBuilder};
 use bt_instrument::{Trace, TraceMeta};
 use bt_piece::{Bitfield, Geometry};
 use bt_wire::metainfo::SyntheticContent;
@@ -18,7 +18,8 @@ use bt_wire::time::Instant;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Parameters for one loopback swarm run.
+/// Parameters for one loopback swarm run. Every engine runs
+/// [`bt_core::Config::default`].
 #[derive(Debug, Clone)]
 pub struct LoopbackSpec {
     /// Peers that start with the full content.
@@ -31,8 +32,6 @@ pub struct LoopbackSpec {
     pub piece_len: u32,
     /// Seed for content generation and per-engine RNGs.
     pub seed: u64,
-    /// Protocol configuration shared by every peer.
-    pub config: Config,
     /// Wall-clock budget; the run stops early once every leecher
     /// completes.
     pub max_wall: std::time::Duration,
@@ -61,7 +60,6 @@ impl Default for LoopbackSpec {
             total_len: 64 * 32 * 1024,
             piece_len: 32 * 1024,
             seed: 42,
-            config: Config::default(),
             max_wall: std::time::Duration::from_secs(60),
             record: true,
             metrics: None,
@@ -135,7 +133,6 @@ pub fn run_loopback_swarm(spec: LoopbackSpec) -> std::io::Result<LoopbackResult>
         tracker.register(ip, listener.local_addr()?);
         let is_seed = i < spec.seeds;
         let mut builder = EngineBuilder::new(geometry, info_hash, peer_id)
-            .config(spec.config.clone())
             .data(DataMode::Real(content.clone()))
             .ip(ip)
             .rng_seed(spec.seed.wrapping_mul(31).wrapping_add(i as u64));

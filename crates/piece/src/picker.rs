@@ -62,36 +62,25 @@ pub(crate) fn choose_random(items: &[u32], rng: &mut dyn rand::RngCore) -> Optio
 
 /// **Rarest first** — the piece selection strategy of BitTorrent (§II-C.1).
 ///
-/// * *Random first policy*: while fewer than
-///   [`RarestFirst::random_first_threshold`] pieces have been downloaded,
-///   pick uniformly at random among candidates, so the new peer gets its
-///   first pieces quickly and has something to reciprocate with.
+/// * *Random first policy*: while fewer than [`RANDOM_FIRST_THRESHOLD`]
+///   pieces have been downloaded, pick uniformly at random among
+///   candidates, so the new peer gets its first pieces quickly and has
+///   something to reciprocate with.
 /// * Afterwards: compute the rarest pieces among the candidates and pick
 ///   one of them at random.
 ///
 /// Strict priority and end game mode are block-level policies implemented
 /// by the scheduler, not here.
-#[derive(Debug, Clone)]
-pub struct RarestFirst {
-    /// Pieces to download via the random first policy before switching to
-    /// rarest first. Mainline default: 4 (§III-C).
-    pub random_first_threshold: u32,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RarestFirst;
 
-/// Mainline's default random-first threshold (§III-C).
+/// Pieces downloaded via the random first policy before switching to
+/// rarest first. Mainline default: 4 (§III-C).
 pub const RANDOM_FIRST_THRESHOLD: u32 = 4;
-
-impl Default for RarestFirst {
-    fn default() -> Self {
-        RarestFirst {
-            random_first_threshold: RANDOM_FIRST_THRESHOLD,
-        }
-    }
-}
 
 impl PiecePicker for RarestFirst {
     fn pick(&mut self, ctx: &PickContext<'_>, rng: &mut dyn rand::RngCore) -> Option<u32> {
-        if ctx.downloaded_pieces < self.random_first_threshold {
+        if ctx.downloaded_pieces < RANDOM_FIRST_THRESHOLD {
             let candidates: Vec<u32> = ctx.candidates().collect();
             return choose_random(&candidates, rng);
         }
@@ -209,7 +198,7 @@ impl PickerKind {
     /// Instantiate the picker for a torrent of `num_pieces`.
     pub fn build(&self, num_pieces: u32) -> Box<dyn PiecePicker> {
         match self {
-            PickerKind::RarestFirst => Box::new(RarestFirst::default()),
+            PickerKind::RarestFirst => Box::new(RarestFirst),
             PickerKind::Random => Box::new(RandomPicker),
             PickerKind::Sequential => Box::new(SequentialPicker),
             PickerKind::GlobalRarest => Box::new(GlobalRarest::new(num_pieces)),
@@ -274,7 +263,7 @@ mod tests {
     fn rarest_first_picks_the_rarest_candidate() {
         let s = setup();
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut picker = RarestFirst::default();
+        let mut picker = RarestFirst;
         // Piece 5 is the unique rarest candidate.
         for _ in 0..10 {
             assert_eq!(s.pick(&mut picker, &mut rng), Some(5));
@@ -286,7 +275,7 @@ mod tests {
         let mut s = setup();
         s.in_progress.insert(5);
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut picker = RarestFirst::default();
+        let mut picker = RarestFirst;
         // Next-rarest are 6 and 7 (2 copies each).
         let picked = s.pick(&mut picker, &mut rng).unwrap();
         assert!(picked == 6 || picked == 7);
@@ -301,7 +290,7 @@ mod tests {
         let mut s = setup();
         s.downloaded = 0; // below threshold → random first
         let mut rng = SmallRng::seed_from_u64(42);
-        let mut picker = RarestFirst::default();
+        let mut picker = RarestFirst;
         let picks: HashSet<u32> = (0..100)
             .filter_map(|_| s.pick(&mut picker, &mut rng))
             .collect();

@@ -1,12 +1,11 @@
 //! Peer behaviour profiles.
 //!
 //! The paper's measurements face a zoo of real clients: standard
-//! mainline-like peers, free riders, super-seeding plugins, peers that
-//! join with almost all pieces, and "misbehaving clients" that churn
-//! through the peer set in seconds (§III-D, §IV-A.1). A
-//! [`BehaviorProfile`] bundles those traits for one simulated peer, and
-//! [`CapacityClass`] models the asymmetric-access heterogeneity §IV-B.1's
-//! fairness discussion depends on.
+//! mainline-like peers, free riders, super-seeding plugins, and
+//! "misbehaving clients" that churn through the peer set in seconds
+//! (§III-D, §IV-A.1). A [`BehaviorProfile`] bundles those traits for one
+//! simulated peer, and [`CapacityClass`] models the asymmetric-access
+//! heterogeneity §IV-B.1's fairness discussion depends on.
 
 use bt_core::Config;
 use bt_wire::peer_id::ClientKind;
@@ -74,9 +73,6 @@ pub enum Role {
     Leecher,
     /// Leecher that never uploads (§IV-B).
     FreeRider,
-    /// Joins already holding this fraction of the pieces (the §IV-A.1
-    /// "peers that join the peer set with almost all pieces").
-    AlmostDone(f64),
     /// Joins and leaves within seconds without transferring anything —
     /// the noise the paper filters with its 10-second rule.
     Churner,
@@ -91,15 +87,14 @@ pub struct BehaviorProfile {
     pub role: Role,
     /// Client implementation family (drives the peer-ID prefix).
     pub client: ClientKind,
-    /// Access-link class.
+    /// Access-link class: the swarm's per-round upload and download
+    /// budgets for this peer.
     pub capacity: CapacityClass,
     /// When the peer joins, relative to simulation start.
     pub join_at: Duration,
     /// How long a leecher lingers as seed after completing; `None` = stays
     /// until the end of the run.
     pub seed_linger: Option<Duration>,
-    /// Hard departure time, if any (overrides everything else).
-    pub depart_at: Option<Duration>,
     /// Pre-existing swarm member: the swarm builder gives it a random
     /// partial bitfield drawn from the *available* pieces, modelling the
     /// download progress it made before the session began.
@@ -121,7 +116,6 @@ impl BehaviorProfile {
             capacity: CapacityClass::Default,
             join_at: Duration::ZERO,
             seed_linger: None,
-            depart_at: None,
             prepopulate: false,
             restart_after: None,
         }
@@ -135,17 +129,15 @@ impl BehaviorProfile {
             capacity: CapacityClass::Default,
             join_at,
             seed_linger: Some(Duration::from_secs(30 * 60)),
-            depart_at: None,
             prepopulate: false,
             restart_after: None,
         }
     }
 
-    /// The engine [`Config`] this profile implies.
+    /// The engine [`Config`] this profile implies: `base` with the
+    /// role's behaviour switch on.
     pub fn engine_config(&self, base: &Config) -> Config {
         let mut cfg = base.clone();
-        cfg.max_upload_rate = self.capacity.upload();
-        cfg.max_download_rate = self.capacity.download();
         match self.role {
             Role::FreeRider => cfg.upload_disabled = true,
             Role::SuperSeed => cfg.super_seed = true,
@@ -154,13 +146,9 @@ impl BehaviorProfile {
         cfg
     }
 
-    /// Fraction of pieces held at join time.
-    pub fn initial_completion(&self) -> f64 {
-        match self.role {
-            Role::Seed | Role::SuperSeed => 1.0,
-            Role::AlmostDone(f) => f.clamp(0.0, 1.0),
-            _ => 0.0,
-        }
+    /// Whether the peer starts with every piece (a seed of either kind).
+    pub fn is_initial_seed(&self) -> bool {
+        matches!(self.role, Role::Seed | Role::SuperSeed)
     }
 }
 
@@ -197,21 +185,26 @@ mod tests {
         p.role = Role::FreeRider;
         p.capacity = CapacityClass::Cable;
         let cfg = p.engine_config(&base);
-        assert!(cfg.upload_disabled);
-        assert_eq!(cfg.max_upload_rate, 64 * 1024);
+        assert_eq!(
+            cfg,
+            Config {
+                upload_disabled: true,
+                ..base
+            }
+        );
+        // The capacity the swarm budgets this peer's rounds from.
+        assert_eq!(p.capacity.upload(), 64 * 1024);
+        assert_eq!(p.capacity.download(), 512 * 1024);
+        // The §III-C 20 kB/s cap is the default class.
+        assert_eq!(BehaviorProfile::seed().capacity.upload(), 20 * 1024);
     }
 
     #[test]
-    fn initial_completion_by_role() {
-        assert_eq!(BehaviorProfile::seed().initial_completion(), 1.0);
-        assert_eq!(
-            BehaviorProfile::leecher(Duration::ZERO).initial_completion(),
-            0.0
-        );
+    fn initial_seeds_by_role() {
+        assert!(BehaviorProfile::seed().is_initial_seed());
         let mut p = BehaviorProfile::leecher(Duration::ZERO);
-        p.role = Role::AlmostDone(0.95);
-        assert!((p.initial_completion() - 0.95).abs() < 1e-12);
-        p.role = Role::AlmostDone(2.0);
-        assert_eq!(p.initial_completion(), 1.0, "clamped");
+        assert!(!p.is_initial_seed());
+        p.role = Role::SuperSeed;
+        assert!(p.is_initial_seed());
     }
 }

@@ -131,12 +131,10 @@ impl FullDuplexLink {
     /// by the choice of topology.
     ///
     /// # Panics
-    /// If the spec fails [`TopologySpec::validate`] (more than 255
-    /// classes also rejected).
+    /// If the spec fails [`TopologySpec::validate`].
     pub fn new(spec: &TopologySpec, num_peers: usize, seed: u64) -> FullDuplexLink {
         spec.validate().expect("valid topology");
         let k = spec.classes.len();
-        assert!(k <= u8::MAX as usize + 1, "at most 256 peer classes");
         let mut matrix = Vec::with_capacity(k * k);
         for a in &spec.classes {
             for b in &spec.classes {

@@ -43,6 +43,10 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Pre-existing leechers hold at most this fraction of the available
+/// pieces at construction (see [`Swarm::new`]).
+const PREPOP_COMPLETION_MAX: f64 = 0.9;
+
 /// Specification of a swarm run.
 ///
 /// Serialisable, so whole scenarios can live in JSON files and replay
@@ -59,8 +63,8 @@ pub struct SwarmSpec {
     pub real_data: bool,
     /// Simulated session length.
     pub duration: Duration,
-    /// Base engine configuration; per-peer profiles override capacities
-    /// and behaviour flags.
+    /// Base engine configuration; per-peer profiles switch on their
+    /// role's behaviour flag (see [`BehaviorProfile::engine_config`]).
     pub base_config: Config,
     /// Every peer in the swarm, in peer-table order. The *local*
     /// (instrumented) peer is `peers[local]` when `record_local` is set.
@@ -72,8 +76,6 @@ pub struct SwarmSpec {
     /// a steady-state torrent, small values a transient-state torrent
     /// (§IV-A.2).
     pub available_fraction: f64,
-    /// Pre-existing leechers hold `U(0, this)` of the available pieces.
-    pub prepop_completion_max: f64,
     /// Transfer round length.
     pub transfer_round: Duration,
     /// Availability sampling period for the instrumented peer.
@@ -116,9 +118,11 @@ impl SwarmSpec {
     /// `total_len` and `piece_len` with a piece count that fits the
     /// `u32` piece index; `local` indexing into `peers`; non-zero
     /// `transfer_round` and `sample_every` (both re-schedule themselves
-    /// that far ahead); and the four probabilities and fractions finite
-    /// and in `[0, 1]`. [`Swarm::new`] calls it, so a spec that passes
-    /// cannot panic or hang the run for being out of range.
+    /// that far ahead); the three probabilities and fractions finite
+    /// and in `[0, 1]`; and a full-duplex `net` passing
+    /// [`TopologySpec::validate`](crate::TopologySpec::validate).
+    /// [`Swarm::new`] calls it, so a spec that passes cannot panic or
+    /// hang the run for being out of range.
     pub fn validate(&self) -> Result<(), String> {
         if self.peers.is_empty() {
             return Err("peers: a swarm needs at least one peer".into());
@@ -152,13 +156,15 @@ impl SwarmSpec {
         }
         for (name, p) in [
             ("available_fraction", self.available_fraction),
-            ("prepop_completion_max", self.prepop_completion_max),
             ("corrupt_block_prob", self.corrupt_block_prob),
             ("dial_failure_prob", self.dial_failure_prob),
         ] {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("{name}: {p} is not in [0, 1]"));
             }
+        }
+        if let Some(NetModel::FullDuplex(topology)) = &self.net {
+            topology.validate().map_err(|e| format!("net: {e}"))?;
         }
         Ok(())
     }
@@ -186,7 +192,6 @@ impl Default for SwarmSpec {
             peers: Vec::new(),
             local: None,
             available_fraction: 1.0,
-            prepop_completion_max: 0.9,
             transfer_round: Duration::from_secs(1),
             sample_every: Duration::from_secs(30),
             corrupt_block_prob: 0.0,
@@ -357,7 +362,6 @@ struct LinkSlot {
 
 struct SimPeer {
     engine: Engine,
-    profile: BehaviorProfile,
     alive: bool,
     was_seed: bool,
     /// Connection slots indexed by local `ConnId`; `None` = no link.
@@ -598,63 +602,15 @@ impl Swarm {
         let uses_global_picker =
             matches!(spec.base_config.picker, bt_piece::PickerKind::GlobalRarest);
 
-        let mut peers = Vec::with_capacity(spec.peers.len());
-        let mut ip_of = Vec::with_capacity(spec.peers.len());
-        let mut by_ip = HashMap::new();
-        for (idx, profile) in spec.peers.iter().enumerate() {
-            let ip = IpAddr(0x0A00_0000 + idx as u32 + 1);
-            let peer_id = PeerId::new(profile.client, spec.seed.wrapping_add(idx as u64 * 7919));
-            let cfg = profile.engine_config(&spec.base_config);
-            let initial = Self::initial_bitfield(
-                profile,
-                num_pieces,
-                &available,
-                spec.prepop_completion_max,
-                &mut rng,
-            );
-            let mut builder = EngineBuilder::new(geometry, info_hash, peer_id)
-                .config(cfg)
-                .data(data.clone())
-                .ip(ip)
-                .initial_pieces(initial)
-                .rng_seed(spec.seed.wrapping_mul(31).wrapping_add(idx as u64));
-            if spec.local == Some(idx) {
-                let meta = TraceMeta {
-                    torrent: "swarm".to_owned(),
-                    torrent_id: 0,
-                    num_pieces,
-                    num_blocks: geometry.total_blocks(),
-                    initial_seeds: spec
-                        .peers
-                        .iter()
-                        .filter(|p| matches!(p.role, Role::Seed | Role::SuperSeed))
-                        .count() as u32,
-                    initial_leechers: spec
-                        .peers
-                        .iter()
-                        .filter(|p| !matches!(p.role, Role::Seed | Role::SuperSeed))
-                        .count() as u32,
-                    session_end: Instant(spec.duration.0),
-                    seed_at: None,
-                };
-                builder = builder.recorder(meta);
-            }
-            let engine = builder.build();
-            let was_seed = engine.is_seed();
-            peers.push(SimPeer {
-                engine,
-                profile: profile.clone(),
-                alive: false,
-                was_seed,
-                links: Vec::new(),
-                spare_queues: Vec::new(),
-                port: 6881,
-                restarts: 0,
-            });
-            ip_of.push(ip);
-            by_ip.insert(ip, idx);
-        }
-
+        let n = spec.peers.len();
+        let ip_of: Vec<IpAddr> = (0..n)
+            .map(|idx| IpAddr(0x0A00_0000 + idx as u32 + 1))
+            .collect();
+        let by_ip = ip_of
+            .iter()
+            .enumerate()
+            .map(|(idx, &ip)| (ip, idx))
+            .collect();
         let mut queue = EventQueue::new();
         for (idx, p) in spec.peers.iter().enumerate() {
             queue.schedule(Instant(p.join_at.0), Ev::Join(idx));
@@ -664,28 +620,25 @@ impl Swarm {
             queue.schedule(Instant(spec.sample_every.0), Ev::Sample);
         }
 
-        let n = spec.peers.len();
         let mut tracker = SimTracker::new();
         tracker.scalable_sampling = spec.scalable_tracker;
         let round_secs = spec.transfer_round.as_secs_f64();
-        let download_budget: Vec<u64> = peers
+        let download_budget: Vec<u64> = spec
+            .peers
             .iter()
-            .map(|p| {
-                let cap = p.engine.config.max_download_rate;
-                if cap == u64::MAX {
-                    u64::MAX
-                } else {
-                    (cap as f64 * round_secs) as u64
-                }
+            .map(|p| match p.capacity.download() {
+                u64::MAX => u64::MAX,
+                cap => (cap as f64 * round_secs) as u64,
             })
             .collect();
-        let upload_budget: Vec<u64> = peers
+        let upload_budget: Vec<u64> = spec
+            .peers
             .iter()
-            .map(|p| (p.engine.config.max_upload_rate as f64 * round_secs) as u64)
+            .map(|p| (p.capacity.upload() as f64 * round_secs) as u64)
             .collect();
-        let link_model = spec.net_model().build(spec.peers.len(), spec.seed);
+        let link_model = spec.net_model().build(n, spec.seed);
         let base_delay = link_model.base_delay();
-        Swarm {
+        let mut swarm = Swarm {
             spec,
             link_model,
             base_delay,
@@ -693,7 +646,7 @@ impl Swarm {
             geometry,
             data,
             queue,
-            peers,
+            peers: Vec::with_capacity(n),
             ip_of,
             by_ip,
             tracker,
@@ -723,7 +676,73 @@ impl Swarm {
             flight: None,
             was_healthy: true,
             events_shared: Arc::new(AtomicU64::new(0)),
+        };
+        for idx in 0..n {
+            let initial = swarm.initial_bitfield(idx, &available);
+            let engine = swarm.build_engine(idx, 0, initial);
+            let was_seed = engine.is_seed();
+            swarm.peers.push(SimPeer {
+                engine,
+                alive: false,
+                was_seed,
+                links: Vec::new(),
+                spare_queues: Vec::new(),
+                port: 6881,
+                restarts: 0,
+            });
         }
+        swarm
+    }
+
+    /// Build peer `idx`'s engine for its `restarts`-th life, holding
+    /// `pieces`. Peer ID suffix and engine RNG seed derive from the
+    /// master seed, the index and the restart count (a restarted client
+    /// has a fresh peer-ID suffix, §III-D); the instrumented peer gets
+    /// its recorder; whichever of metrics, profiler and choke audit the
+    /// swarm holds is attached.
+    fn build_engine(&self, idx: PeerIdx, restarts: u32, pieces: Bitfield) -> Engine {
+        let spec = &self.spec;
+        let profile = &spec.peers[idx];
+        let restarts = u64::from(restarts);
+        let peer_id = PeerId::new(
+            profile.client,
+            spec.seed
+                .wrapping_add(idx as u64 * 7919)
+                .wrapping_add(restarts * 104_729),
+        );
+        let mut builder = EngineBuilder::new(self.geometry, self.info_hash, peer_id)
+            .config(profile.engine_config(&spec.base_config))
+            .data(self.data.clone())
+            .ip(self.ip_of[idx])
+            .initial_pieces(pieces)
+            .rng_seed(
+                spec.seed
+                    .wrapping_mul(31)
+                    .wrapping_add(idx as u64)
+                    .wrapping_add(restarts),
+            );
+        if spec.local == Some(idx) {
+            let initial_seeds = spec.peers.iter().filter(|p| p.is_initial_seed()).count() as u32;
+            builder = builder.recorder(TraceMeta {
+                torrent: "swarm".to_owned(),
+                torrent_id: 0,
+                num_pieces: self.geometry.num_pieces(),
+                num_blocks: self.geometry.total_blocks(),
+                initial_seeds,
+                initial_leechers: spec.peers.len() as u32 - initial_seeds,
+                session_end: Instant(spec.duration.0),
+                seed_at: None,
+            });
+        }
+        let mut engine = builder.build();
+        if let Some(m) = &self.metrics {
+            engine.set_metrics(m.engine.clone());
+        }
+        engine.set_profiler(self.profiler.clone());
+        if self.tracer.enabled() && self.tracer.sample_peer(idx as u64) {
+            engine.enable_choke_audit();
+        }
+        engine
     }
 
     /// Attach a `bt-obs` registry: every engine reports aggregate
@@ -858,50 +877,33 @@ impl Swarm {
         self
     }
 
-    fn initial_bitfield(
-        profile: &BehaviorProfile,
-        num_pieces: u32,
-        available: &[u32],
-        prepop_max: f64,
-        rng: &mut SmallRng,
-    ) -> Bitfield {
-        let completion = profile.initial_completion();
-        if completion >= 1.0 {
+    /// Peer `idx`'s bitfield at construction: full for a seed; for a
+    /// pre-existing leecher, a skewed-low fraction (at most
+    /// [`PREPOP_COMPLETION_MAX`]) of the `available` pieces, drawn with
+    /// the master PRNG; empty otherwise. The skew models pre-session
+    /// history: in a live swarm, peers spend most of their sojourn at
+    /// low completion (slow ramp-up) and near-complete peers leave soon,
+    /// so the peer progress distribution leans young.
+    fn initial_bitfield(&mut self, idx: PeerIdx, available: &[u32]) -> Bitfield {
+        let num_pieces = self.geometry.num_pieces();
+        let profile = &self.spec.peers[idx];
+        if profile.is_initial_seed() {
             return Bitfield::full(num_pieces);
         }
         let mut bf = Bitfield::new(num_pieces);
-        let target = if completion > 0.0 {
-            // Almost-done joiners hold an explicit fraction of all pieces.
-            (f64::from(num_pieces) * completion).round() as usize
-        } else if profile.prepopulate && matches!(profile.role, Role::Leecher | Role::FreeRider) {
-            // Pre-existing leechers hold a skewed-low fraction of the
-            // *available* pieces (pre-session history): in a live swarm,
-            // peers spend most of their sojourn at low completion (slow
-            // ramp-up) and near-complete peers leave soon, so the peer
-            // progress distribution leans young.
-            let frac = rng.random_range(0.0..1.0f64).powf(1.5) * prepop_max.max(1e-9);
-            (available.len() as f64 * frac).round() as usize
-        } else {
-            0
-        };
+        if !profile.prepopulate || !matches!(profile.role, Role::Leecher | Role::FreeRider) {
+            return bf;
+        }
+        let frac = self.rng.random_range(0.0..1.0f64).powf(1.5) * PREPOP_COMPLETION_MAX;
+        let target = (available.len() as f64 * frac).round() as usize;
         if target == 0 {
             return bf;
         }
-        if completion > 0.0 {
-            // Draw from all pieces.
-            use rand::seq::SliceRandom;
-            let mut all: Vec<u32> = (0..num_pieces).collect();
-            all.shuffle(rng);
-            for &p in all.iter().take(target) {
-                bf.set(p);
-            }
-        } else {
-            use rand::seq::SliceRandom;
-            let mut avail = available.to_vec();
-            avail.shuffle(rng);
-            for &p in avail.iter().take(target) {
-                bf.set(p);
-            }
+        use rand::seq::SliceRandom;
+        let mut avail = available.to_vec();
+        avail.shuffle(&mut self.rng);
+        for &p in avail.iter().take(target) {
+            bf.set(p);
         }
         bf
     }
@@ -1036,23 +1038,13 @@ impl Swarm {
         let Some(monitor) = self.health.clone() else {
             return;
         };
-        let n = self.geometry.num_pieces() as usize;
-        self.counts_scratch.clear();
-        self.counts_scratch.resize(n, 0);
+        let any_live = self.count_live_copies() > 0;
         self.starvation_scratch.clear();
-        let mut any_live = false;
         let mut leecher_unchokes = 0u64;
         let mut reciprocated = 0u64;
         let mut worst_starved: Option<(PeerIdx, u64)> = None;
         for (idx, p) in self.peers.iter().enumerate() {
-            if !p.alive {
-                continue;
-            }
-            any_live = true;
-            for piece in p.engine.own_pieces().iter_ones() {
-                self.counts_scratch[piece as usize] += 1;
-            }
-            if p.engine.is_seed() {
+            if !p.alive || p.engine.is_seed() {
                 continue;
             }
             let age = now.0.saturating_sub(self.last_progress[idx]) / 1_000_000;
@@ -1348,18 +1340,12 @@ impl Swarm {
             .engine
             .schedule_rechoke(now + phase + Duration::from_secs(1));
         self.process_actions(now, idx);
-        // Scheduled departures.
-        let depart = match self.peers[idx].profile.role {
-            Role::Churner => Some(now + Duration::from_millis(self.rng.random_range(1500..8000))),
-            _ => self.peers[idx]
-                .profile
-                .depart_at
-                .map(|d| Instant(d.0).max(now)),
-        };
-        if let Some(at) = depart {
+        let profile = &self.spec.peers[idx];
+        if profile.role == Role::Churner {
+            let at = now + Duration::from_millis(self.rng.random_range(1500..8000));
             self.queue.schedule(at, Ev::Depart(idx));
         }
-        if let Some(period) = self.peers[idx].profile.restart_after {
+        if let Some(period) = profile.restart_after {
             self.queue.schedule(now + period, Ev::Restart(idx));
         }
     }
@@ -1373,46 +1359,20 @@ impl Swarm {
         }
         debug_assert!(
             self.spec.local != Some(idx),
-            "restarting the instrumented peer would discard its trace"
+            "restarting the instrumented peer would restart its trace"
         );
         // Tear down like a departure...
         self.tracker.remove(idx);
         self.drop_all_links(now, idx);
-        let audited = self.tracer.enabled() && self.tracer.sample_peer(idx as u64);
         // ...then rebuild the engine: same IP, same disk (bitfield), new
         // random peer-ID suffix.
+        let restarts = self.peers[idx].restarts + 1;
+        let surviving = self.peers[idx].engine.own_pieces().clone();
+        let engine = self.build_engine(idx, restarts, surviving);
         let p = &mut self.peers[idx];
-        p.restarts += 1;
-        let cfg = p.profile.engine_config(&self.spec.base_config);
-        let new_id = PeerId::new(
-            p.profile.client,
-            self.spec
-                .seed
-                .wrapping_add(idx as u64 * 7919)
-                .wrapping_add(u64::from(p.restarts) * 104_729),
-        );
-        let surviving = p.engine.own_pieces().clone();
+        p.restarts = restarts;
         let pending = p.engine.next_wakeup();
-        p.engine = EngineBuilder::new(self.geometry, self.info_hash, new_id)
-            .config(cfg)
-            .data(self.data.clone())
-            .ip(self.ip_of[idx])
-            .initial_pieces(surviving)
-            .rng_seed(
-                self.spec
-                    .seed
-                    .wrapping_mul(31)
-                    .wrapping_add(idx as u64)
-                    .wrapping_add(u64::from(p.restarts)),
-            )
-            .build();
-        if let Some(m) = &self.metrics {
-            p.engine.set_metrics(m.engine.clone());
-        }
-        p.engine.set_profiler(self.profiler.clone());
-        if audited {
-            p.engine.enable_choke_audit();
-        }
+        p.engine = engine;
         p.was_seed = p.engine.is_seed();
         p.engine.handle(now, Input::Start);
         if let Some(at) = pending {
@@ -1421,7 +1381,7 @@ impl Swarm {
             p.engine.schedule_rechoke(at.max(now));
         }
         self.process_actions(now, idx);
-        if let Some(period) = self.peers[idx].profile.restart_after {
+        if let Some(period) = self.spec.peers[idx].restart_after {
             self.queue.schedule(now + period, Ev::Restart(idx));
         }
     }
@@ -1548,7 +1508,7 @@ impl Swarm {
             self.peers[idx].was_seed = true;
             self.completion[idx] = Some(now);
             self.tracker.mark_seed(idx);
-            if let Some(linger) = self.peers[idx].profile.seed_linger {
+            if let Some(linger) = self.spec.peers[idx].seed_linger {
                 self.queue.schedule(now + linger, Ev::Depart(idx));
             }
         }
@@ -1846,28 +1806,32 @@ impl Swarm {
         }
     }
 
-    /// Record a ground-truth replication snapshot over all live peers.
-    fn sample_global_truth(&mut self, now: Instant) {
-        let n = self.geometry.num_pieces() as usize;
+    /// Fill `counts_scratch` with each piece's copies over live peers
+    /// (seeds included); returns the number of live peers.
+    fn count_live_copies(&mut self) -> u32 {
         let counts = &mut self.counts_scratch;
         counts.clear();
-        counts.resize(n, 0);
-        let mut live = 0u32;
-        for p in &self.peers {
-            if !p.alive {
-                continue;
-            }
+        counts.resize(self.geometry.num_pieces() as usize, 0);
+        let mut live = 0;
+        for p in self.peers.iter().filter(|p| p.alive) {
             live += 1;
             for piece in p.engine.own_pieces().iter_ones() {
                 counts[piece as usize] += 1;
             }
         }
+        live
+    }
+
+    /// Record a ground-truth replication snapshot over all live peers.
+    fn sample_global_truth(&mut self, now: Instant) {
+        let live = self.count_live_copies();
         if live == 0 {
             return;
         }
+        let counts = &self.counts_scratch;
         let min = counts.iter().copied().min().unwrap_or(0);
         let max = counts.iter().copied().max().unwrap_or(0);
-        let mean = counts.iter().map(|&c| f64::from(c)).sum::<f64>() / n as f64;
+        let mean = counts.iter().map(|&c| f64::from(c)).sum::<f64>() / counts.len() as f64;
         let single = counts.iter().filter(|&&c| c == 1).count() as u32;
         self.global_series.push(GlobalSample {
             at: now,
@@ -1880,22 +1844,9 @@ impl Swarm {
     }
 
     fn push_global_counts(&mut self) {
-        let num = self.geometry.num_pieces() as usize;
-        let counts = &mut self.counts_scratch;
-        counts.clear();
-        counts.resize(num, 0);
-        for p in &self.peers {
-            if !p.alive {
-                continue;
-            }
-            for piece in p.engine.own_pieces().iter_ones() {
-                counts[piece as usize] += 1;
-            }
-        }
-        for p in self.peers.iter_mut() {
-            if p.alive {
-                p.engine.update_global_counts(counts);
-            }
+        self.count_live_copies();
+        for p in self.peers.iter_mut().filter(|p| p.alive) {
+            p.engine.update_global_counts(&self.counts_scratch);
         }
     }
 }
@@ -1973,7 +1924,7 @@ mod tests {
     fn validate_names_the_out_of_range_field() {
         assert_eq!(tiny_spec(1).validate(), Ok(()));
         type Edit = fn(&mut SwarmSpec);
-        let cases: [(&str, Edit); 10] = [
+        let cases: [(&str, Edit); 11] = [
             ("peers", |s| s.peers.clear()),
             ("total_len", |s| s.total_len = 0),
             ("piece_len", |s| s.piece_len = 0),
@@ -1984,6 +1935,11 @@ mod tests {
             ("dial_failure_prob", |s| s.dial_failure_prob = 2.5),
             ("corrupt_block_prob", |s| s.corrupt_block_prob = f64::NAN),
             ("available_fraction", |s| s.available_fraction = -0.1),
+            ("net", |s| {
+                let mut topology = crate::TopologySpec::homogeneous();
+                topology.classes.clear();
+                s.net = Some(NetModel::FullDuplex(topology));
+            }),
         ];
         for (field, edit) in cases {
             let mut spec = tiny_spec(1);

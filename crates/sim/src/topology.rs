@@ -258,12 +258,19 @@ impl TopologySpec {
         serde_json::to_string_pretty(self).expect("topology serialises")
     }
 
-    /// Structural checks: non-empty classes with positive total weight,
-    /// loss probabilities in `[0, 1)`, rule names resolving to classes
-    /// (or `"*"`), and every ordered class pair covered by some rule.
+    /// Structural checks: between 1 and 256 classes with positive total
+    /// weight, loss probabilities in `[0, 1)`, rule names resolving to
+    /// classes (or `"*"`), and every ordered class pair covered by some
+    /// rule.
     pub fn validate(&self) -> Result<(), String> {
         if self.classes.is_empty() {
             return Err("topology has no classes".to_owned());
+        }
+        if self.classes.len() > 256 {
+            return Err(format!(
+                "topology has {} classes, at most 256",
+                self.classes.len()
+            ));
         }
         if self
             .classes
@@ -392,6 +399,22 @@ mod tests {
         let mut spec = TopologySpec::two_isp_bottleneck();
         spec.rules.pop(); // drop the *->* backstop: cross pairs uncovered
         assert!(spec.validate().is_err());
+
+        // Peers store their class as a `u8`.
+        let mut spec = TopologySpec::homogeneous();
+        let class = spec.classes[0].clone();
+        spec.classes = (0..257)
+            .map(|i| ClassSpec {
+                name: format!("c{i}"),
+                ..class.clone()
+            })
+            .collect();
+        assert_eq!(
+            spec.validate(),
+            Err("topology has 257 classes, at most 256".into())
+        );
+        spec.classes.pop();
+        assert_eq!(spec.validate(), Ok(()));
     }
 
     #[test]

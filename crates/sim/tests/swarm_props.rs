@@ -47,7 +47,6 @@ fn build(genes: &[PeerGene], seed: u64, pieces: u32) -> SwarmSpec {
             capacity,
             join_at: Duration::from_secs(g.join_secs),
             seed_linger: Some(Duration::from_secs(600)),
-            depart_at: None,
             prepopulate: g.prepopulate,
             restart_after: None,
         });

@@ -20,6 +20,27 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+/// Fraction of initial leechers that are free riders (§IV-B robustness).
+const FREE_RIDER_FRACTION: f64 = 0.05;
+
+/// Extra churner joins (the <10 s noise peers), as a fraction of the
+/// initial leechers.
+const CHURNER_FRACTION: f64 = 0.05;
+
+/// Fraction of initial leechers that crash and restart mid-session,
+/// returning with the same IP and a fresh peer-ID suffix (the §III-D
+/// multi-ID noise: the paper saw 0–26 % of IPs with several IDs, mean
+/// ≈ 9 %).
+const RESTARTER_FRACTION: f64 = 0.08;
+
+/// Extra leechers arriving during the session, as a fraction of the
+/// initial leecher population: a one-shot trickle, not an arrival process.
+const ARRIVAL_FRACTION: f64 = 1.0;
+
+/// Fraction of pieces pre-replicated beyond the initial seed for
+/// *transient* torrents (the rest stay rare).
+const TRANSIENT_AVAILABLE: f64 = 0.35;
+
 /// Scaling and session parameters for a scenario run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunConfig {
@@ -34,25 +55,8 @@ pub struct RunConfig {
     /// Simulated session length. The paper ran 8 hours; the default here
     /// is shorter but long past the local peer's completion.
     pub session: Duration,
-    /// Fraction of leechers that are free riders (§IV-B robustness).
-    pub free_rider_fraction: f64,
-    /// Fraction of extra churner joins (the <10 s noise peers).
-    pub churner_fraction: f64,
-    /// Fraction of initial leechers that crash and restart mid-session,
-    /// returning with the same IP and a fresh peer-ID suffix (the §III-D
-    /// multi-ID noise: the paper saw 0–26 % of IPs with several IDs,
-    /// mean ≈ 9 %).
-    pub restarter_fraction: f64,
-    /// Extra leechers arriving during the session, as a fraction of the
-    /// initial leecher population.
-    pub arrival_fraction: f64,
-    /// Fraction of pieces pre-replicated beyond the initial seed for
-    /// *transient* torrents (the rest stay rare).
-    pub transient_available: f64,
     /// Engine configuration shared by all peers (the local peer included).
     pub base_config: Config,
-    /// Carry real bytes and verify hashes (slower; for small scenarios).
-    pub real_data: bool,
     /// Attach a manual-clock `bt-obs` registry to every swarm; the
     /// deterministic snapshots land in
     /// [`SwarmResult::metrics`](bt_sim::swarm::SwarmResult::metrics).
@@ -95,13 +99,7 @@ impl Default for RunConfig {
             min_pieces: 64,
             max_pieces: 256,
             session: Duration::from_secs(3600),
-            free_rider_fraction: 0.05,
-            churner_fraction: 0.05,
-            restarter_fraction: 0.08,
-            arrival_fraction: 1.0,
-            transient_available: 0.35,
             base_config: Config::default(),
-            real_data: false,
             metrics: false,
             profile: false,
             series: false,
@@ -269,7 +267,6 @@ pub fn build_swarm_spec(spec: &ScenarioSpec, cfg: &RunConfig) -> (SwarmSpec, Sca
             capacity,
             join_at: Duration::ZERO,
             seed_linger: None,
-            depart_at: None,
             prepopulate: false,
             restart_after: None,
         });
@@ -278,12 +275,12 @@ pub fn build_swarm_spec(spec: &ScenarioSpec, cfg: &RunConfig) -> (SwarmSpec, Sca
     // within the first minute (they were already present; the stagger
     // only avoids a same-instant thundering herd).
     for _ in 0..scaled.leechers {
-        let role = if rng.random_range(0.0..1.0) < cfg.free_rider_fraction {
+        let role = if rng.random_range(0.0..1.0) < FREE_RIDER_FRACTION {
             Role::FreeRider
         } else {
             Role::Leecher
         };
-        let restart_after = if rng.random_range(0.0..1.0) < cfg.restarter_fraction {
+        let restart_after = if rng.random_range(0.0..1.0) < RESTARTER_FRACTION {
             Some(Duration::from_secs(rng.random_range(300..1500)))
         } else {
             None
@@ -294,13 +291,12 @@ pub fn build_swarm_spec(spec: &ScenarioSpec, cfg: &RunConfig) -> (SwarmSpec, Sca
             capacity: CapacityClass::sample(&mut rng),
             join_at: Duration::from_millis(rng.random_range(0..60_000)),
             seed_linger: Some(Duration::from_secs(rng.random_range(300..1200))),
-            depart_at: None,
             prepopulate: true,
             restart_after,
         });
     }
     // Churners and later arrivals spread over the session.
-    let churners = (f64::from(scaled.leechers) * cfg.churner_fraction).round() as u32;
+    let churners = (f64::from(scaled.leechers) * CHURNER_FRACTION).round() as u32;
     for _ in 0..churners {
         peers.push(BehaviorProfile {
             role: Role::Churner,
@@ -308,12 +304,11 @@ pub fn build_swarm_spec(spec: &ScenarioSpec, cfg: &RunConfig) -> (SwarmSpec, Sca
             capacity: CapacityClass::sample(&mut rng),
             join_at: Duration(rng.random_range(0..cfg.session.0)),
             seed_linger: None,
-            depart_at: None,
             prepopulate: false,
             restart_after: None,
         });
     }
-    let arrivals = (f64::from(scaled.leechers) * cfg.arrival_fraction).round() as u32;
+    let arrivals = (f64::from(scaled.leechers) * ARRIVAL_FRACTION).round() as u32;
     for _ in 0..arrivals {
         peers.push(BehaviorProfile {
             role: Role::Leecher,
@@ -321,7 +316,6 @@ pub fn build_swarm_spec(spec: &ScenarioSpec, cfg: &RunConfig) -> (SwarmSpec, Sca
             capacity: CapacityClass::sample(&mut rng),
             join_at: Duration(rng.random_range(60_000_000..cfg.session.0.max(120_000_000))),
             seed_linger: Some(Duration::from_secs(rng.random_range(300..1200))),
-            depart_at: None,
             prepopulate: false,
             restart_after: None,
         });
@@ -335,7 +329,6 @@ pub fn build_swarm_spec(spec: &ScenarioSpec, cfg: &RunConfig) -> (SwarmSpec, Sca
         capacity: CapacityClass::Default,
         join_at: Duration::from_secs(90),
         seed_linger: None, // stays for the whole session, like the paper
-        depart_at: None,
         prepopulate: false,
         restart_after: None,
     });
@@ -344,17 +337,15 @@ pub fn build_swarm_spec(spec: &ScenarioSpec, cfg: &RunConfig) -> (SwarmSpec, Sca
         seed: cfg.seed.wrapping_add(u64::from(spec.id) * 1_000_003),
         total_len: u64::from(scaled.pieces) * u64::from(scaled.piece_len),
         piece_len: scaled.piece_len,
-        real_data: cfg.real_data,
         duration: cfg.session,
         base_config: cfg.base_config.clone(),
         peers,
         local: Some(local_idx),
         available_fraction: if spec.transient {
-            cfg.transient_available
+            TRANSIENT_AVAILABLE
         } else {
             1.0
         },
-        prepop_completion_max: 0.9,
         net: cfg.net.clone(),
         ..SwarmSpec::default()
     };
@@ -592,7 +583,7 @@ mod tests {
     fn swarm_spec_marks_transient_availability() {
         let cfg = RunConfig::quick();
         let (spec8, _) = build_swarm_spec(&torrent(8), &cfg);
-        assert!((spec8.available_fraction - cfg.transient_available).abs() < 1e-9);
+        assert!((spec8.available_fraction - TRANSIENT_AVAILABLE).abs() < 1e-9);
         let (spec7, _) = build_swarm_spec(&torrent(7), &cfg);
         assert_eq!(spec7.available_fraction, 1.0);
     }

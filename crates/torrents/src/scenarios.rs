@@ -21,8 +21,6 @@ pub struct PresetOptions {
     pub pieces: u32,
     /// Session length.
     pub duration: Duration,
-    /// Base engine configuration.
-    pub config: Config,
 }
 
 impl Default for PresetOptions {
@@ -31,7 +29,6 @@ impl Default for PresetOptions {
             seed: 42,
             pieces: 48,
             duration: Duration::from_secs(2 * 3600),
-            config: Config::default(),
         }
     }
 }
@@ -42,7 +39,6 @@ fn base_spec(opts: &PresetOptions, peers: Vec<BehaviorProfile>) -> SwarmSpec {
         total_len: u64::from(opts.pieces) * 256 * 1024,
         piece_len: 256 * 1024,
         duration: opts.duration,
-        base_config: opts.config.clone(),
         peers,
         ..SwarmSpec::default()
     }
@@ -55,7 +51,6 @@ fn dsl_leecher(join_secs: u64) -> BehaviorProfile {
         capacity: CapacityClass::Dsl,
         join_at: Duration::from_secs(join_secs),
         seed_linger: Some(Duration::from_secs(900)),
-        depart_at: None,
         prepopulate: false,
         restart_after: None,
     }
@@ -83,10 +78,12 @@ pub fn flash_crowd(leechers: usize, opts: &PresetOptions) -> SwarmSpec {
 /// seed briefly after completing, and nothing is instrumented. This is
 /// the shape behind the `flash_crowd_10k` / `flash_crowd_100k` scenarios.
 pub fn mega_flash_crowd(leechers: usize, opts: &PresetOptions) -> SwarmSpec {
-    let mut config = opts.config.clone();
-    config.max_peer_set = 12;
-    config.min_peer_set = 4;
-    config.max_initiated = 6;
+    let config = Config {
+        max_peer_set: 12,
+        min_peer_set: 4,
+        max_initiated: 6,
+        ..Config::default()
+    };
     let mut peers = Vec::with_capacity(leechers + 1);
     peers.push(BehaviorProfile::seed());
     for i in 0..leechers {
@@ -158,7 +155,6 @@ pub fn steady_state(
         capacity: CapacityClass::Default,
         join_at: Duration::from_secs(join_secs),
         seed_linger: None,
-        depart_at: None,
         prepopulate: false,
         restart_after: None,
     });

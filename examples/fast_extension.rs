@@ -29,7 +29,6 @@ fn run(fast: bool) -> (Option<f64>, Option<f64>) {
             capacity: CapacityClass::Dsl,
             join_at: Duration::from_secs(i),
             seed_linger: Some(Duration::from_secs(900)),
-            depart_at: None,
             prepopulate: true,
             restart_after: None,
         });
@@ -42,7 +41,6 @@ fn run(fast: bool) -> (Option<f64>, Option<f64>) {
         capacity: CapacityClass::Default,
         join_at: Duration::from_secs(join),
         seed_linger: None,
-        depart_at: None,
         prepopulate: false,
         restart_after: None,
     });

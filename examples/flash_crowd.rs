@@ -22,7 +22,6 @@ fn main() {
             capacity: CapacityClass::Dsl,
             join_at: Duration::from_secs(i),
             seed_linger: Some(Duration::from_secs(1800)),
-            depart_at: None,
             prepopulate: false, // a true flash crowd: nobody has anything
             restart_after: None,
         });

@@ -26,7 +26,6 @@ fn main() {
             capacity: CapacityClass::Dsl,
             join_at: Duration::from_secs(i as u64),
             seed_linger: Some(Duration::from_secs(180)),
-            depart_at: None,
             prepopulate: true,
             restart_after: None,
         });
@@ -41,7 +40,6 @@ fn main() {
             capacity: CapacityClass::Dsl,
             join_at: Duration::from_secs(120 + i as u64),
             seed_linger: Some(Duration::from_secs(1200)),
-            depart_at: None,
             prepopulate: false,
             restart_after: None,
         });
@@ -53,7 +51,6 @@ fn main() {
             capacity: CapacityClass::Dsl,
             join_at: Duration::from_secs(120 + i as u64),
             seed_linger: None,
-            depart_at: None,
             prepopulate: false,
             restart_after: None,
         });

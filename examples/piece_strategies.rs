@@ -25,7 +25,6 @@ fn run(picker: PickerKind) -> (usize, f64, f64) {
             capacity: CapacityClass::Dsl,
             join_at: Duration::from_secs(i),
             seed_linger: Some(Duration::from_secs(900)),
-            depart_at: None,
             prepopulate: false,
             restart_after: None,
         });

@@ -33,7 +33,6 @@ fn fast_extension_cuts_first_block_latency() {
             capacity: CapacityClass::Default,
             join_at: Duration::from_secs(join),
             seed_linger: None,
-            depart_at: None,
             prepopulate: false,
             restart_after: None,
         });
@@ -70,13 +69,13 @@ fn fast_extension_cuts_first_block_latency() {
 #[test]
 fn pex_recovers_peer_set_under_rationed_tracker() {
     let mean_peer_set = |pex: bool| -> f64 {
-        let mut opts = PresetOptions {
+        let opts = PresetOptions {
             pieces: 24,
             duration: Duration::from_secs(3600),
             ..PresetOptions::default()
         };
-        opts.config.pex_enabled = pex;
         let mut spec = scenarios::steady_state(2, 20, 120, &opts);
+        spec.base_config.pex_enabled = pex;
         spec.tracker_response_cap = Some(2);
         let result = Swarm::new(spec).run();
         let trace = result.trace.unwrap();
@@ -96,20 +95,19 @@ fn pex_recovers_peer_set_under_rationed_tracker() {
 /// (real-data mode).
 #[test]
 fn extensions_compose_with_real_data() {
-    let cfg = Config {
-        fast_extension: true,
-        pex_enabled: true,
-        ..Config::default()
-    };
     let mut spec = scenarios::flash_crowd(
         6,
         &PresetOptions {
             pieces: 8,
             duration: Duration::from_secs(6000),
-            config: cfg,
             ..PresetOptions::default()
         },
     );
+    spec.base_config = Config {
+        fast_extension: true,
+        pex_enabled: true,
+        ..Config::default()
+    };
     spec.real_data = true;
     let result = Swarm::new(spec).run();
     assert_eq!(

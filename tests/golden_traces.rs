@@ -66,7 +66,6 @@ fn mega_fingerprint() -> String {
         seed: 42,
         pieces: 8,
         duration: bt_repro::wire::time::Duration::from_secs(900),
-        ..Default::default()
     };
     let spec = bt_repro::torrents::scenarios::mega_flash_crowd(10_000, &opts);
     let result = Swarm::new(spec).run();
@@ -113,7 +112,6 @@ fn golden_fingerprints_unchanged_with_causal_tracing_on() {
         seed: 42,
         pieces: 8,
         duration: bt_repro::wire::time::Duration::from_secs(900),
-        ..Default::default()
     };
     let spec = bt_repro::torrents::scenarios::mega_flash_crowd(10_000, &opts);
     let tracer = bt_repro::obs::Tracer::new(42, 64);

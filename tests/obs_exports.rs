@@ -67,7 +67,6 @@ fn crowd_1k(out: &mut String, rate: u64) {
         seed: 42,
         pieces: 8,
         duration: bt_repro::wire::time::Duration::from_secs(900),
-        ..Default::default()
     };
     let spec = bt_repro::torrents::scenarios::mega_flash_crowd(1_000, &opts);
     let tracer = Tracer::new(42, rate);

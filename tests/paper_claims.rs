@@ -131,7 +131,6 @@ fn rarest_first_beats_sequential() {
                 capacity: CapacityClass::Dsl,
                 join_at: Duration::from_secs(i),
                 seed_linger: Some(Duration::from_secs(600)),
-                depart_at: None,
                 prepopulate: false,
                 restart_after: None,
             });
@@ -178,7 +177,6 @@ fn free_riders_served_but_not_ahead() {
             capacity: CapacityClass::Dsl,
             join_at: Duration::from_secs(i),
             seed_linger: Some(Duration::from_secs(600)),
-            depart_at: None,
             prepopulate: false,
             restart_after: None,
         });
@@ -189,7 +187,6 @@ fn free_riders_served_but_not_ahead() {
         capacity: CapacityClass::Dsl,
         join_at: Duration::from_secs(4),
         seed_linger: None,
-        depart_at: None,
         prepopulate: false,
         restart_after: None,
     });

@@ -86,7 +86,6 @@ fn mega_swarm_digest_is_repeat_and_thread_invariant() {
             seed,
             pieces: 8,
             duration: Duration::from_secs(900),
-            ..Default::default()
         };
         mega_flash_crowd(peers, &opts)
     };

@@ -138,7 +138,6 @@ fn forced_invariant_violation_dumps_a_bundle_naming_the_starved_peer() {
         seed: 42,
         pieces: 8,
         duration: bt_repro::wire::time::Duration::from_secs(900),
-        ..Default::default()
     };
     let spec = bt_repro::torrents::scenarios::mega_flash_crowd(300, &opts);
     let recorder = FlightRecorder::new(&dir, 4096, spec.seed);
