@@ -2,8 +2,9 @@
 //!
 //! [`Engine::new`]'s eight positional arguments were easy to transpose
 //! silently (three of them are plain integers). The builder names every
-//! construction-time fact and folds the recorder in, so one chained
-//! expression replaces `Engine::new(...)` + `with_recorder(...)`:
+//! construction-time fact and folds the observers in — recorder,
+//! metrics, profiler, choke audit — so an engine holds the same
+//! observers from its first input to its last:
 //!
 //! ```
 //! use bt_core::EngineBuilder;
@@ -22,7 +23,9 @@
 use crate::config::Config;
 use crate::content::DataMode;
 use crate::engine::Engine;
+use crate::metrics::EngineMetrics;
 use bt_instrument::trace::TraceMeta;
+use bt_obs::Profiler;
 use bt_piece::{Bitfield, Geometry};
 use bt_wire::peer_id::{IpAddr, PeerId};
 use bt_wire::sha1::Digest;
@@ -39,6 +42,9 @@ pub struct EngineBuilder {
     pub(crate) initial_pieces: Option<Bitfield>,
     pub(crate) seed: u64,
     pub(crate) recorder: Option<TraceMeta>,
+    pub(crate) metrics: Option<EngineMetrics>,
+    pub(crate) profiler: Profiler,
+    pub(crate) choke_audit: bool,
 }
 
 impl EngineBuilder {
@@ -47,7 +53,7 @@ impl EngineBuilder {
     ///
     /// Defaults: [`Config::default`], [`DataMode::Virtual`], IP `0`,
     /// an empty starting bitfield (fresh leecher), RNG seed `0`, no
-    /// recorder.
+    /// recorder, no metrics, [`Profiler::disabled`], no choke audit.
     pub fn new(geometry: Geometry, info_hash: Digest, peer_id: PeerId) -> EngineBuilder {
         EngineBuilder {
             config: Config::default(),
@@ -59,6 +65,9 @@ impl EngineBuilder {
             initial_pieces: None,
             seed: 0,
             recorder: None,
+            metrics: None,
+            profiler: Profiler::disabled(),
+            choke_audit: false,
         }
     }
 
@@ -104,6 +113,33 @@ impl EngineBuilder {
     /// *local* (instrumented) peer.
     pub fn recorder(mut self, meta: TraceMeta) -> EngineBuilder {
         self.recorder = Some(meta);
+        self
+    }
+
+    /// Report into runtime telemetry handles (see [`EngineMetrics`]):
+    /// input, action and protocol-error counters plus choke-round and
+    /// piece-pick latency histograms on the handles' registry.
+    pub fn metrics(mut self, metrics: EngineMetrics) -> EngineBuilder {
+        self.metrics = Some(metrics);
+        self
+    }
+
+    /// Record hierarchical spans into `profiler`: `handle()` dispatch,
+    /// choke rounds and piece picks. Like metrics, spans never touch
+    /// the engine's RNG or trace, so profiling cannot perturb
+    /// deterministic runs.
+    pub fn profiler(mut self, profiler: Profiler) -> EngineBuilder {
+        self.profiler = profiler;
+        self
+    }
+
+    /// When `on`, keep the choke/picker audit trail: every rechoke
+    /// round leaves a [`ChokeAudit`](crate::ChokeAudit) and every piece
+    /// pick a [`PickEvent`](crate::PickEvent), until the driver calls
+    /// [`Engine::clear_audit`]. Pure observation — it changes no
+    /// decision and consumes no RNG draws.
+    pub fn choke_audit(mut self, on: bool) -> EngineBuilder {
+        self.choke_audit = on;
         self
     }
 

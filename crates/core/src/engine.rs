@@ -189,8 +189,8 @@ pub struct ChokeAuditEntry {
 
 /// Full audit of one rechoke round: every connection's inputs,
 /// ranking, and outcome — the raw material of the choke-decision
-/// audit trail. Produced only after
-/// [`Engine::enable_choke_audit`]; read through
+/// audit trail. Produced only by an engine built with
+/// [`EngineBuilder::choke_audit`]; read through
 /// [`Engine::choke_audit`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChokeAudit {
@@ -302,6 +302,9 @@ impl Engine {
             initial_pieces,
             seed,
             recorder,
+            metrics,
+            profiler,
+            choke_audit,
         } = b;
         let num_pieces = geometry.num_pieces();
         let initial_pieces = initial_pieces.unwrap_or_else(|| Bitfield::new(num_pieces));
@@ -344,32 +347,13 @@ impl Engine {
             rng: SmallRng::seed_from_u64(seed),
             actions: Actions::default(),
             trace: recorder.map(Trace::new),
-            metrics: None,
-            profiler: Profiler::disabled(),
-            audit_choke: false,
+            metrics,
+            profiler,
+            audit_choke: choke_audit,
             choke_audit: ChokeAudit::default(),
             choke_audit_fresh: false,
             pick_log: Vec::new(),
         }
-    }
-
-    /// Attach (or replace) runtime telemetry handles (see
-    /// [`EngineMetrics`]): input, action and protocol-error counters plus
-    /// choke-round and piece-pick latency histograms on the handles'
-    /// registry. Both drivers build their engines before the registry
-    /// exists, so this is the one way in.
-    pub fn set_metrics(&mut self, metrics: EngineMetrics) {
-        self.metrics = Some(metrics);
-    }
-
-    /// Attach (or replace) a span profiler ([`bt_obs::Profiler`]):
-    /// `handle()` dispatch, choke rounds and piece picks record
-    /// hierarchical spans into it. A new engine carries
-    /// [`Profiler::disabled`], which costs a single branch per
-    /// instrumented site. Like metrics, spans never touch the engine's
-    /// RNG or trace, so profiling cannot perturb deterministic runs.
-    pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler;
     }
 
     // ------------------------------------------------------------------
@@ -1400,15 +1384,6 @@ impl Engine {
                 .observe(m.registry.now_micros().saturating_sub(t0));
         }
         self.periodic_duties(now);
-    }
-
-    /// Turn on the choke/picker audit trail: every subsequent rechoke
-    /// round leaves a [`ChokeAudit`] and every piece pick a
-    /// [`PickEvent`], until the driver calls
-    /// [`clear_audit`](Engine::clear_audit). Pure observation —
-    /// enabling it changes no decision and consumes no RNG draws.
-    pub fn enable_choke_audit(&mut self) {
-        self.audit_choke = true;
     }
 
     /// The audit of the most recent rechoke round, if one has run since
@@ -2505,7 +2480,7 @@ mod tests {
     fn metrics_count_without_perturbing() {
         let registry = bt_obs::Registry::new_manual();
         let metrics = crate::metrics::EngineMetrics::register(&registry);
-        let build = || {
+        let builder = || {
             EngineBuilder::new(
                 geometry(),
                 [9u8; 20],
@@ -2513,11 +2488,9 @@ mod tests {
             )
             .ip(IpAddr(107))
             .rng_seed(7)
-            .build()
         };
-        let mut bare = build();
-        let mut instrumented = build();
-        instrumented.set_metrics(metrics);
+        let mut bare = builder().build();
+        let mut instrumented = builder().metrics(metrics).build();
 
         let t0 = Instant::ZERO;
         let peer_id = PeerId::new(ClientKind::Azureus, 9);

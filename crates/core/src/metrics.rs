@@ -6,8 +6,8 @@
 //! [`EngineError`](crate::EngineError) variant, per-round choke churn
 //! counters (`core.choke.*`, fed by each
 //! [`rechoke`](crate::Engine::rechoke) round), plus choke-round and
-//! piece-pick latency histograms. Attach it with
-//! [`Engine::set_metrics`](crate::Engine::set_metrics);
+//! piece-pick latency histograms. An engine gets it once, at build,
+//! through [`EngineBuilder::metrics`](crate::EngineBuilder::metrics);
 //! cloning shares the same underlying instruments, so several
 //! engines on one registry aggregate into a swarm-wide view, and a
 //! per-engine `label` keeps them apart when the driver wants per-peer

@@ -9,7 +9,7 @@
 use crate::clock::AccelClock;
 use crate::runtime::{peer_ip, NetRuntime, NetStats};
 use crate::tracker::LoopbackTracker;
-use bt_core::{DataMode, EngineBuilder};
+use bt_core::{DataMode, EngineBuilder, EngineMetrics};
 use bt_instrument::{Trace, TraceMeta};
 use bt_piece::{Bitfield, Geometry};
 use bt_wire::metainfo::SyntheticContent;
@@ -132,10 +132,27 @@ pub fn run_loopback_swarm(spec: LoopbackSpec) -> std::io::Result<LoopbackResult>
         let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
         tracker.register(ip, listener.local_addr()?);
         let is_seed = i < spec.seeds;
+        // Without a shared registry each peer reports into its own.
+        let registry = spec
+            .metrics
+            .clone()
+            .unwrap_or_else(bt_obs::Registry::new_wall);
+        let label = format!("peer{i}");
+        let profiler = spec
+            .profiler
+            .clone()
+            .unwrap_or_else(bt_obs::Profiler::disabled);
+        let sampled = spec
+            .tracer
+            .as_ref()
+            .is_some_and(|t| t.sample_peer(ip.0.into()));
         let mut builder = EngineBuilder::new(geometry, info_hash, peer_id)
             .data(DataMode::Real(content.clone()))
             .ip(ip)
-            .rng_seed(spec.seed.wrapping_mul(31).wrapping_add(i as u64));
+            .rng_seed(spec.seed.wrapping_mul(31).wrapping_add(i as u64))
+            .metrics(EngineMetrics::register_labeled(&registry, &label))
+            .profiler(profiler.clone())
+            .choke_audit(sampled);
         if is_seed {
             builder = builder.initial_pieces(Bitfield::full(geometry.num_pieces()));
         }
@@ -151,26 +168,16 @@ pub fn run_loopback_swarm(spec: LoopbackSpec) -> std::io::Result<LoopbackResult>
                 seed_at: None,
             });
         }
-        // Without a shared registry each runtime reports into its own.
-        let registry = spec
-            .metrics
-            .clone()
-            .unwrap_or_else(bt_obs::Registry::new_wall);
-        let label = format!("peer{i}");
-        let mut rt = NetRuntime::new(
+        let rt = NetRuntime::new(
             builder.build(),
             listener,
             tracker.clone(),
             clock,
             &registry,
             &label,
-        )?;
-        if let Some(profiler) = &spec.profiler {
-            rt = rt.with_profiler(profiler.clone());
-        }
-        if let Some(tracer) = &spec.tracer {
-            rt = rt.with_trace(tracer.clone());
-        }
+        )?
+        .with_profiler(profiler)
+        .with_trace(spec.tracer.clone().unwrap_or_else(bt_obs::Tracer::disabled));
         runtimes.push(rt);
     }
 

@@ -22,7 +22,7 @@ use crate::metrics::NetMetrics;
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use crate::tracker::LoopbackTracker;
 use bt_core::engine::PeerCaps;
-use bt_core::{Action, ConnId, Engine, EngineMetrics, Input};
+use bt_core::{Action, ConnId, Engine, Input};
 use bt_obs::{Profiler, Registry, Tracer};
 use bt_wire::handshake::{Handshake, HANDSHAKE_LEN};
 use bt_wire::message::{BlockRef, Decoder, Message, DEFAULT_MAX_FRAME};
@@ -144,18 +144,20 @@ pub struct NetRuntime {
     dials: Vec<Dial>,
     metrics: NetMetrics,
     profiler: Profiler,
-    tracer: Option<Tracer>,
+    tracer: Tracer,
     counted_complete: bool,
     /// The wait set, rebuilt for every wait in the same allocation.
     pollfds: Vec<PollFd>,
 }
 
 impl NetRuntime {
-    /// Wrap an engine with its transport. The runtime and its engine
-    /// report into `registry` under `label` (e.g. `"peer3"`), which keeps
-    /// per-peer series apart when a swarm shares one registry.
+    /// Wrap an engine with its transport. The runtime reports its
+    /// `net.*` series into `registry` under `label` (e.g. `"peer3"`),
+    /// which keeps per-peer series apart when a swarm shares one
+    /// registry. The engine's own observers are the ones it was built
+    /// with ([`bt_core::EngineBuilder`]).
     pub fn new(
-        mut engine: Engine,
+        engine: Engine,
         listener: TcpListener,
         tracker: Arc<LoopbackTracker>,
         clock: AccelClock,
@@ -164,7 +166,6 @@ impl NetRuntime {
     ) -> std::io::Result<NetRuntime> {
         listener.set_nonblocking(true)?;
         let metrics = NetMetrics::register(registry, label);
-        engine.set_metrics(EngineMetrics::register_labeled(registry, label));
         Ok(NetRuntime {
             engine,
             listener,
@@ -175,31 +176,27 @@ impl NetRuntime {
             dials: Vec::new(),
             metrics,
             profiler: Profiler::disabled(),
-            tracer: None,
+            tracer: Tracer::disabled(),
             counted_complete: false,
             pollfds: Vec::new(),
         })
     }
 
     /// Attach a span profiler: the runtime records `net.*` and
-    /// `wire.encode`/`wire.decode` spans, with the engine's
-    /// `core.handle.*` spans nested inside.
+    /// `wire.encode`/`wire.decode` spans; an engine built with the same
+    /// profiler nests its `core.handle.*` spans inside them.
     #[must_use]
     pub fn with_profiler(mut self, profiler: Profiler) -> NetRuntime {
-        self.engine.set_profiler(profiler.clone());
         self.profiler = profiler;
         self
     }
 
-    /// Attach a causal [`Tracer`]: when it samples this peer (hashed by
-    /// its virtual IP), every choke round is drained into it as a
-    /// `round` + per-peer `audit` chain.
+    /// Attach a causal [`Tracer`]: every choke round of an engine built
+    /// with [`choke_audit`](bt_core::EngineBuilder::choke_audit) is
+    /// drained into it as a `round` + per-peer `audit` chain.
     #[must_use]
     pub fn with_trace(mut self, tracer: Tracer) -> NetRuntime {
-        if tracer.enabled() && tracer.sample_peer(u64::from(peer_ip(&self.engine.peer_id()).0)) {
-            self.engine.enable_choke_audit();
-            self.tracer = Some(tracer);
-        }
+        self.tracer = tracer;
         self
     }
 
@@ -267,9 +264,7 @@ impl NetRuntime {
         }
         // Runtimes run on their own threads: push this thread's buffered
         // trace events into the shared store before the thread exits.
-        if let Some(tracer) = &self.tracer {
-            tracer.flush_local();
-        }
+        self.tracer.flush_local();
         self.tracker
             .announce(self.engine.ip(), AnnounceEvent::Stopped, 0);
         self.stats()
@@ -317,12 +312,11 @@ impl NetRuntime {
     /// id is the local peer's virtual-IP hash and `peer` args are local
     /// [`ConnId`]s — there is no global peer index to resolve to.
     fn trace_choke_audit(&mut self, now: Instant) {
-        let Some(tracer) = &self.tracer else { return };
         let Some(audit) = self.engine.choke_audit() else {
             return;
         };
         let id = u64::from(peer_ip(&self.engine.peer_id()).0);
-        audit.trace(tracer, now, id, i64::from);
+        audit.trace(&self.tracer, now, id, i64::from);
         self.engine.clear_audit();
     }
 

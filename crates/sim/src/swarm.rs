@@ -8,7 +8,7 @@
 //!
 //! ## Bandwidth model
 //!
-//! Data transfers advance in fixed *transfer rounds* (default 1 s): each
+//! Data transfers advance in fixed *transfer rounds* of 1 s: each
 //! round, a peer's upload capacity is split equally across connections
 //! with queued blocks, capped by each receiver's download budget for the
 //! round (progressive filling, one pass). Whole 16 kB blocks complete
@@ -47,6 +47,13 @@ use std::sync::Arc;
 /// pieces at construction (see [`Swarm::new`]).
 const PREPOP_COMPLETION_MAX: f64 = 0.9;
 
+/// Transfer round length (1 s; see the module docs' bandwidth model).
+const TRANSFER_ROUND: Duration = Duration(1_000_000);
+
+/// Sampling period (30 s): the instrumented peer's availability, the
+/// global replication snapshots and the observers all ride it.
+const SAMPLE_EVERY: Duration = Duration(30_000_000);
+
 /// Specification of a swarm run.
 ///
 /// Serialisable, so whole scenarios can live in JSON files and replay
@@ -76,10 +83,6 @@ pub struct SwarmSpec {
     /// a steady-state torrent, small values a transient-state torrent
     /// (§IV-A.2).
     pub available_fraction: f64,
-    /// Transfer round length.
-    pub transfer_round: Duration,
-    /// Availability sampling period for the instrumented peer.
-    pub sample_every: Duration,
     /// Probability that a delivered block is corrupted in flight
     /// (exercises hash-failure recovery; only meaningful with real data).
     pub corrupt_block_prob: f64,
@@ -116,10 +119,9 @@ impl SwarmSpec {
     /// Check every value range the simulator relies on, naming the first
     /// field that is out of range: at least one peer; non-zero
     /// `total_len` and `piece_len` with a piece count that fits the
-    /// `u32` piece index; `local` indexing into `peers`; non-zero
-    /// `transfer_round` and `sample_every` (both re-schedule themselves
-    /// that far ahead); the three probabilities and fractions finite
-    /// and in `[0, 1]`; and a full-duplex `net` passing
+    /// `u32` piece index; `local` indexing into `peers`; the three
+    /// probabilities and fractions finite and in `[0, 1]`; and a
+    /// full-duplex `net` passing
     /// [`TopologySpec::validate`](crate::TopologySpec::validate).
     /// [`Swarm::new`] calls it, so a spec that passes cannot panic or
     /// hang the run for being out of range.
@@ -145,14 +147,6 @@ impl SwarmSpec {
                 "local: peer {local} does not exist ({} peers)",
                 self.peers.len()
             ));
-        }
-        for (name, period) in [
-            ("transfer_round", self.transfer_round),
-            ("sample_every", self.sample_every),
-        ] {
-            if period == Duration::ZERO {
-                return Err(format!("{name}: must be > 0"));
-            }
         }
         for (name, p) in [
             ("available_fraction", self.available_fraction),
@@ -192,8 +186,6 @@ impl Default for SwarmSpec {
             peers: Vec::new(),
             local: None,
             available_fraction: 1.0,
-            transfer_round: Duration::from_secs(1),
-            sample_every: Duration::from_secs(30),
             corrupt_block_prob: 0.0,
             dial_failure_prob: 0.0,
             tracker_response_cap: None,
@@ -383,22 +375,15 @@ impl SimPeer {
         self.links.get_mut(conn as usize).and_then(|s| s.as_mut())
     }
 
-    fn insert_link(
-        &mut self,
-        conn: ConnId,
-        to: PeerIdx,
-        remote_conn: ConnId,
-        params: LinkParams,
-        round_secs: f64,
-    ) {
+    fn insert_link(&mut self, conn: ConnId, to: PeerIdx, remote_conn: ConnId, params: LinkParams) {
         let i = conn as usize;
         if self.links.len() <= i {
             self.links.resize_with(i + 1, || None);
         }
         let queue = self.spare_queues.pop().unwrap_or_default();
-        let round_cap = params
-            .bandwidth
-            .map_or(u64::MAX, |b| ((b as f64 * round_secs) as u64).max(1));
+        let round_cap = params.bandwidth.map_or(u64::MAX, |b| {
+            ((b as f64 * TRANSFER_ROUND.as_secs_f64()) as u64).max(1)
+        });
         self.links[i] = Some(LinkSlot {
             to,
             remote_conn,
@@ -495,11 +480,14 @@ pub struct Swarm {
     /// Control-plane one-way delay from the link model: dial setup and
     /// tracker responses.
     base_delay: Duration,
-    /// Transfer-round length in seconds, for per-link byte caps.
-    round_secs: f64,
     geometry: Geometry,
     data: DataMode,
     queue: EventQueue<Ev>,
+    /// Every peer's starting bitfield, drawn by [`Swarm::new`]; `run`
+    /// builds the engines from them.
+    initial_pieces: Vec<Bitfield>,
+    /// Built when the run starts, so each engine has its observers
+    /// from its first input on.
     peers: Vec<SimPeer>,
     ip_of: Vec<IpAddr>,
     by_ip: HashMap<IpAddr, PeerIdx>,
@@ -552,8 +540,10 @@ pub struct Swarm {
 }
 
 impl Swarm {
-    /// Construct the swarm: builds every engine, pre-populates existing
-    /// leechers' bitfields, and schedules joins.
+    /// Construct the swarm: validates the spec, draws every peer's
+    /// starting bitfield (pre-populating existing leechers) and
+    /// schedules joins. The engines are built when the run starts,
+    /// with whichever observers the `with_*` calls attached.
     ///
     /// # Panics
     /// If [`SwarmSpec::validate`] rejects the spec, with its message.
@@ -615,14 +605,14 @@ impl Swarm {
         for (idx, p) in spec.peers.iter().enumerate() {
             queue.schedule(Instant(p.join_at.0), Ev::Join(idx));
         }
-        queue.schedule(Instant(spec.transfer_round.0), Ev::TransferRound);
+        queue.schedule(Instant(TRANSFER_ROUND.0), Ev::TransferRound);
         if spec.local.is_some() || spec.sample_global {
-            queue.schedule(Instant(spec.sample_every.0), Ev::Sample);
+            queue.schedule(Instant(SAMPLE_EVERY.0), Ev::Sample);
         }
 
         let mut tracker = SimTracker::new();
         tracker.scalable_sampling = spec.scalable_tracker;
-        let round_secs = spec.transfer_round.as_secs_f64();
+        let round_secs = TRANSFER_ROUND.as_secs_f64();
         let download_budget: Vec<u64> = spec
             .peers
             .iter()
@@ -642,11 +632,11 @@ impl Swarm {
             spec,
             link_model,
             base_delay,
-            round_secs,
             geometry,
             data,
             queue,
-            peers: Vec::with_capacity(n),
+            initial_pieces: Vec::new(),
+            peers: Vec::new(),
             ip_of,
             by_ip,
             tracker,
@@ -677,20 +667,9 @@ impl Swarm {
             was_healthy: true,
             events_shared: Arc::new(AtomicU64::new(0)),
         };
-        for idx in 0..n {
-            let initial = swarm.initial_bitfield(idx, &available);
-            let engine = swarm.build_engine(idx, 0, initial);
-            let was_seed = engine.is_seed();
-            swarm.peers.push(SimPeer {
-                engine,
-                alive: false,
-                was_seed,
-                links: Vec::new(),
-                spare_queues: Vec::new(),
-                port: 6881,
-                restarts: 0,
-            });
-        }
+        swarm.initial_pieces = (0..n)
+            .map(|idx| swarm.initial_bitfield(idx, &available))
+            .collect();
         swarm
     }
 
@@ -698,8 +677,8 @@ impl Swarm {
     /// `pieces`. Peer ID suffix and engine RNG seed derive from the
     /// master seed, the index and the restart count (a restarted client
     /// has a fresh peer-ID suffix, §III-D); the instrumented peer gets
-    /// its recorder; whichever of metrics, profiler and choke audit the
-    /// swarm holds is attached.
+    /// its recorder; the engine is built with whichever of metrics,
+    /// profiler and choke audit the swarm holds.
     fn build_engine(&self, idx: PeerIdx, restarts: u32, pieces: Bitfield) -> Engine {
         let spec = &self.spec;
         let profile = &spec.peers[idx];
@@ -720,7 +699,12 @@ impl Swarm {
                     .wrapping_mul(31)
                     .wrapping_add(idx as u64)
                     .wrapping_add(restarts),
-            );
+            )
+            .profiler(self.profiler.clone())
+            .choke_audit(self.tracer.sample_peer(idx as u64));
+        if let Some(m) = &self.metrics {
+            builder = builder.metrics(m.engine.clone());
+        }
         if spec.local == Some(idx) {
             let initial_seeds = spec.peers.iter().filter(|p| p.is_initial_seed()).count() as u32;
             builder = builder.recorder(TraceMeta {
@@ -734,15 +718,7 @@ impl Swarm {
                 seed_at: None,
             });
         }
-        let mut engine = builder.build();
-        if let Some(m) = &self.metrics {
-            engine.set_metrics(m.engine.clone());
-        }
-        engine.set_profiler(self.profiler.clone());
-        if self.tracer.enabled() && self.tracer.sample_peer(idx as u64) {
-            engine.enable_choke_audit();
-        }
-        engine
+        builder.build()
     }
 
     /// Attach a `bt-obs` registry: every engine reports aggregate
@@ -753,44 +729,35 @@ impl Swarm {
     /// the swarm keeps its clock in step with virtual time.
     #[must_use]
     pub fn with_metrics(mut self, registry: bt_obs::Registry) -> Swarm {
-        let metrics = SimMetrics::register(&registry);
-        for p in &mut self.peers {
-            p.engine.set_metrics(metrics.engine.clone());
-        }
         // Snapshots ride the sampling period; make sure it fires even
         // when neither a local trace nor global sampling asked for it.
+        // Scheduled here, not at run start: event sequence numbers are
+        // part of the digest.
         if self.spec.local.is_none() && !self.spec.sample_global {
-            self.queue
-                .schedule(Instant(self.spec.sample_every.0), Ev::Sample);
+            self.queue.schedule(Instant(SAMPLE_EVERY.0), Ev::Sample);
         }
-        self.metrics = Some(metrics);
+        self.metrics = Some(SimMetrics::register(&registry));
         self
     }
 
     /// Attach a time-series store: on every sampling period (and at the
     /// end of the run) the current registry snapshot's counters and
-    /// gauges are appended as series points. Requires
-    /// [`with_metrics`](Swarm::with_metrics) first — the store should be
-    /// built on the same registry so timestamps share the virtual clock.
+    /// gauges are appended as series points, and the health monitors'
+    /// float series when [`with_health`](Swarm::with_health) is also
+    /// attached. Needs [`with_metrics`](Swarm::with_metrics) too, in
+    /// either order — the store should be built on the same registry so
+    /// timestamps share the virtual clock.
     ///
     /// Under a manual clock the appended series are a pure function of
     /// spec + seed, so the serialized store is byte-identical across
     /// runs and job counts (see `tests/series_determinism.rs`).
     ///
     /// # Panics
-    /// If no metrics registry is attached yet.
+    /// [`run`](Swarm::run) panics if no metrics registry is attached.
     #[must_use]
-    pub fn with_series(self, store: bt_obs::SeriesStore) -> Swarm {
-        assert!(
-            self.metrics.is_some(),
-            "with_series requires with_metrics first"
-        );
-        if let Some(h) = &self.health {
-            h.set_series(store.clone());
-        }
-        let mut this = self;
-        this.series = Some(store);
-        this
+    pub fn with_series(mut self, store: bt_obs::SeriesStore) -> Swarm {
+        self.series = Some(store);
+        self
     }
 
     /// Attach live health monitors ([`bt_analysis::live`]): entropy,
@@ -800,7 +767,10 @@ impl Swarm {
     /// [`with_series`](Swarm::with_series) is also attached), and the
     /// final [`HealthReport`] lands on [`SwarmResult::health`].
     /// Monitors only read swarm state — digests and traces are
-    /// unchanged. Requires [`with_metrics`](Swarm::with_metrics) first.
+    /// unchanged. Requires [`with_metrics`](Swarm::with_metrics) first:
+    /// the monitor exists from this call on, so
+    /// [`health_monitor`](Swarm::health_monitor) can serve it before
+    /// the run.
     ///
     /// # Panics
     /// If no metrics registry is attached yet.
@@ -812,11 +782,7 @@ impl Swarm {
             .expect("with_health requires with_metrics first")
             .registry()
             .clone();
-        let monitor = HealthMonitor::new(&registry, thresholds);
-        if let Some(store) = &self.series {
-            monitor.set_series(store.clone());
-        }
-        self.health = Some(monitor);
+        self.health = Some(HealthMonitor::new(&registry, thresholds));
         self
     }
 
@@ -832,9 +798,6 @@ impl Swarm {
     /// wall-clock profiler measures real time instead.
     #[must_use]
     pub fn with_profiler(mut self, profiler: bt_obs::Profiler) -> Swarm {
-        for p in &mut self.peers {
-            p.engine.set_profiler(profiler.clone());
-        }
         self.profiler = profiler;
         self
     }
@@ -848,20 +811,13 @@ impl Swarm {
     /// traces are byte-identical whether tracing is on or off.
     #[must_use]
     pub fn with_trace(mut self, tracer: Tracer) -> Swarm {
-        if tracer.enabled() {
-            // Coverage guarantee: pin the minimal-hash piece and peer so
-            // even a sampling rate above the id count (8-piece presets
-            // at 1/64) exports ≥ 1 complete lifecycle and ≥ 1 audit.
-            tracer.set_universe(
-                u64::from(self.geometry.num_pieces()),
-                self.peers.len() as u64,
-            );
-            for (idx, p) in self.peers.iter_mut().enumerate() {
-                if tracer.sample_peer(idx as u64) {
-                    p.engine.enable_choke_audit();
-                }
-            }
-        }
+        // Coverage guarantee: pin the minimal-hash piece and peer so
+        // even a sampling rate above the id count (8-piece presets at
+        // 1/64) exports ≥ 1 complete lifecycle and ≥ 1 audit.
+        tracer.set_universe(
+            u64::from(self.geometry.num_pieces()),
+            self.spec.peers.len() as u64,
+        );
         self.tracer = tracer;
         self
     }
@@ -915,7 +871,12 @@ impl Swarm {
 
     /// Run to completion: until the event queue drains or the configured
     /// duration elapses.
+    ///
+    /// # Panics
+    /// If [`with_series`](Swarm::with_series) was called without
+    /// [`with_metrics`](Swarm::with_metrics).
     pub fn run(mut self) -> SwarmResult {
+        self.start();
         let _flight_guard = self
             .flight
             .clone()
@@ -945,6 +906,34 @@ impl Swarm {
             self.handle(now, ev);
         }
         self.finish(end)
+    }
+
+    /// Link the series store to the health monitors and build every
+    /// engine with the swarm's observers, before the first event pops.
+    fn start(&mut self) {
+        if let Some(store) = &self.series {
+            assert!(
+                self.metrics.is_some(),
+                "Swarm::with_series requires Swarm::with_metrics"
+            );
+            if let Some(monitor) = &self.health {
+                monitor.set_series(store.clone());
+            }
+        }
+        let initial = std::mem::take(&mut self.initial_pieces);
+        let peers = initial.into_iter().enumerate().map(|(idx, pieces)| {
+            let engine = self.build_engine(idx, 0, pieces);
+            SimPeer {
+                alive: false,
+                was_seed: engine.is_seed(),
+                engine,
+                links: Vec::new(),
+                spare_queues: Vec::new(),
+                port: 6881,
+                restarts: 0,
+            }
+        });
+        self.peers = peers.collect();
     }
 
     fn finish(mut self, end: Instant) -> SwarmResult {
@@ -979,38 +968,47 @@ impl Swarm {
         }
     }
 
-    /// One observer round: refresh the `sim.*` gauges, re-judge the
-    /// health monitors, then snapshot the registry — in that order, so
-    /// the snapshot carries this round's gauges and `live.*` verdicts —
-    /// into the series store and the run's `metrics.jsonl` lines. A
-    /// no-op without [`with_metrics`](Swarm::with_metrics).
-    fn sample_observers(&mut self, now: Instant) {
-        self.update_metric_gauges(now);
-        self.observe_health(now);
-        let Some(m) = &self.metrics else { return };
-        let snap = m.registry().snapshot();
-        if let Some(store) = &self.series {
-            store.append_snapshot(&snap);
-        }
-        self.metric_snapshots.push(snap);
+    /// The live health monitor, when [`Swarm::with_health`] attached
+    /// one. Clone it before [`run`](Swarm::run) to watch verdicts from
+    /// another thread (e.g. an HTTP `/health` route).
+    pub fn health_monitor(&self) -> Option<&HealthMonitor> {
+        self.health.as_ref()
     }
 
-    /// Refresh the `sim.*` gauges from swarm state: virtual progress,
-    /// peer liveness, and the sizes of the interest/unchoke matrices
-    /// (directed edges over live connections).
-    fn update_metric_gauges(&mut self, now: Instant) {
+    /// One observer round, a no-op without
+    /// [`with_metrics`](Swarm::with_metrics). One walk over the live
+    /// peers' connections counts the interest/unchoke matrices (directed
+    /// edges) for the `sim.*` gauges and, over leechers, unchoke
+    /// reciprocity (each engine's local tit-for-tat view) and
+    /// starvation ages for the health monitors. Then, in this order, so
+    /// the snapshot carries this round's gauges and `live.*` verdicts:
+    /// set the gauges, let the monitors judge the sample (with per-piece
+    /// replication over live peers), and snapshot the registry into the
+    /// series store and the run's `metrics.jsonl` lines. Reads state
+    /// only, so digests and traces are unchanged.
+    fn sample_observers(&mut self, now: Instant) {
         let Some(m) = &self.metrics else { return };
-        let mut live = 0i64;
-        let mut interested = 0i64;
-        let mut unchoked = 0i64;
-        for p in &self.peers {
-            if !p.alive {
-                continue;
-            }
+        let (mut live, mut interested, mut unchoked) = (0i64, 0i64, 0i64);
+        let (mut leecher_unchokes, mut reciprocated) = (0u64, 0u64);
+        let mut worst_starved: Option<(PeerIdx, u64)> = None;
+        self.starvation_scratch.clear();
+        for (idx, p) in self.peers.iter().enumerate().filter(|(_, p)| p.alive) {
             live += 1;
+            let leecher = !p.engine.is_seed();
+            if leecher {
+                let age = now.0.saturating_sub(self.last_progress[idx]) / 1_000_000;
+                self.starvation_scratch.push(age);
+                if worst_starved.is_none_or(|(_, w)| age > w) {
+                    worst_starved = Some((idx, age));
+                }
+            }
             for conn in p.engine.connections() {
                 interested += i64::from(conn.am_interested);
                 unchoked += i64::from(!conn.am_choking);
+                if leecher && !conn.am_choking {
+                    leecher_unchokes += 1;
+                    reciprocated += u64::from(!conn.peer_choking);
+                }
             }
         }
         m.virtual_secs.set(now.as_secs_f64() as i64);
@@ -1019,68 +1017,35 @@ impl Swarm {
             .set(self.completion.iter().flatten().count() as i64);
         m.interested_pairs.set(interested);
         m.unchoked_pairs.set(unchoked);
-    }
-
-    /// The live health monitor, when [`Swarm::with_health`] attached
-    /// one. Clone it before [`run`](Swarm::run) to watch verdicts from
-    /// another thread (e.g. an HTTP `/health` route).
-    pub fn health_monitor(&self) -> Option<&HealthMonitor> {
-        self.health.as_ref()
-    }
-
-    /// Feed the live monitors one ground-truth sample: per-piece
-    /// replication over live peers, leecher unchoke reciprocity (local
-    /// tit-for-tat view on each engine), and per-leecher starvation
-    /// ages. Same O(live peers + connections) cost class as
-    /// [`update_metric_gauges`](Self::update_metric_gauges); reads
-    /// state only, so digests and traces are unchanged.
-    fn observe_health(&mut self, now: Instant) {
-        let Some(monitor) = self.health.clone() else {
-            return;
-        };
-        let any_live = self.count_live_copies() > 0;
-        self.starvation_scratch.clear();
-        let mut leecher_unchokes = 0u64;
-        let mut reciprocated = 0u64;
-        let mut worst_starved: Option<(PeerIdx, u64)> = None;
-        for (idx, p) in self.peers.iter().enumerate() {
-            if !p.alive || p.engine.is_seed() {
-                continue;
-            }
-            let age = now.0.saturating_sub(self.last_progress[idx]) / 1_000_000;
-            self.starvation_scratch.push(age);
-            if worst_starved.is_none_or(|(_, w)| age > w) {
-                worst_starved = Some((idx, age));
-            }
-            for conn in p.engine.connections() {
-                if !conn.am_choking {
-                    leecher_unchokes += 1;
-                    if !conn.peer_choking {
-                        reciprocated += 1;
-                    }
+        if let Some(monitor) = self.health.clone() {
+            self.count_live_copies();
+            let counts: &[u32] = if live > 0 { &self.counts_scratch } else { &[] };
+            monitor.observe(
+                now.0,
+                &LiveSample {
+                    counts,
+                    leecher_unchokes,
+                    reciprocated,
+                    starvation_secs: &self.starvation_scratch,
+                },
+            );
+            // Edge-triggered flight-recorder dump: the first observation
+            // where any monitor turns unhealthy writes a bundle.
+            if self.flight.is_some() {
+                let report = monitor.report();
+                let healthy = report.healthy();
+                if self.was_healthy && !healthy {
+                    self.dump_flight(&report, worst_starved);
                 }
+                self.was_healthy = healthy;
             }
         }
-        let counts: &[u32] = if any_live { &self.counts_scratch } else { &[] };
-        monitor.observe(
-            now.0,
-            &LiveSample {
-                counts,
-                leecher_unchokes,
-                reciprocated,
-                starvation_secs: &self.starvation_scratch,
-            },
-        );
-        // Edge-triggered flight-recorder dump: the first observation
-        // where any monitor turns unhealthy writes a bundle.
-        if self.flight.is_some() {
-            let report = monitor.report();
-            let healthy = report.healthy();
-            if self.was_healthy && !healthy {
-                self.dump_flight(&report, worst_starved);
-            }
-            self.was_healthy = healthy;
+        let Some(m) = &self.metrics else { return };
+        let snap = m.registry().snapshot();
+        if let Some(store) = &self.series {
+            store.append_snapshot(&snap);
         }
+        self.metric_snapshots.push(snap);
     }
 
     /// Write a flight-recorder bundle for an invariant trip: reason
@@ -1298,8 +1263,7 @@ impl Swarm {
                 if let Some(m) = &self.metrics {
                     m.transfer_rounds.inc();
                 }
-                self.queue
-                    .schedule(now + self.spec.transfer_round, Ev::TransferRound);
+                self.queue.schedule(now + TRANSFER_ROUND, Ev::TransferRound);
             }
             Ev::Sample => {
                 if let Some(idx) = self.spec.local {
@@ -1311,8 +1275,7 @@ impl Swarm {
                     self.sample_global_truth(now);
                 }
                 self.sample_observers(now);
-                self.queue
-                    .schedule(now + self.spec.sample_every, Ev::Sample);
+                self.queue.schedule(now + SAMPLE_EVERY, Ev::Sample);
             }
         }
     }
@@ -1485,8 +1448,8 @@ impl Swarm {
         // the master PRNG: this point in the draw sequence is part of
         // the golden-trace contract.
         let (fwd, rev) = self.link_model.establish(from, to, &mut self.rng);
-        self.peers[from].insert_link(from_conn, to, to_conn, fwd, self.round_secs);
-        self.peers[to].insert_link(to_conn, from, from_conn, rev, self.round_secs);
+        self.peers[from].insert_link(from_conn, to, to_conn, fwd);
+        self.peers[to].insert_link(to_conn, from, from_conn, rev);
         self.process_actions(now, to);
         self.process_actions(now, from);
     }
@@ -1924,14 +1887,12 @@ mod tests {
     fn validate_names_the_out_of_range_field() {
         assert_eq!(tiny_spec(1).validate(), Ok(()));
         type Edit = fn(&mut SwarmSpec);
-        let cases: [(&str, Edit); 11] = [
+        let cases: [(&str, Edit); 9] = [
             ("peers", |s| s.peers.clear()),
             ("total_len", |s| s.total_len = 0),
             ("piece_len", |s| s.piece_len = 0),
             ("total_len", |s| (s.total_len, s.piece_len) = (u64::MAX, 1)),
             ("local", |s| s.local = Some(50)),
-            ("transfer_round", |s| s.transfer_round = Duration::ZERO),
-            ("sample_every", |s| s.sample_every = Duration::ZERO),
             ("dial_failure_prob", |s| s.dial_failure_prob = 2.5),
             ("corrupt_block_prob", |s| s.corrupt_block_prob = f64::NAN),
             ("available_fraction", |s| s.available_fraction = -0.1),
@@ -1950,11 +1911,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid SwarmSpec: transfer_round: must be > 0")]
-    fn new_rejects_an_invalid_spec_instead_of_hanging() {
+    #[should_panic(expected = "invalid SwarmSpec: piece_len: must be > 0")]
+    fn new_rejects_an_invalid_spec() {
         let mut spec = tiny_spec(1);
-        spec.transfer_round = Duration::ZERO;
+        spec.piece_len = 0;
         let _ = Swarm::new(spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "Swarm::with_series requires Swarm::with_metrics")]
+    fn run_rejects_a_series_store_without_a_registry() {
+        let store = bt_obs::SeriesStore::new(&bt_obs::Registry::new_manual());
+        let _ = Swarm::new(tiny_spec(1)).with_series(store).run();
     }
 
     #[test]

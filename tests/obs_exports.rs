@@ -150,3 +150,69 @@ fn observer_exports_match_fixture() {
          `BT_UPDATE_GOLDEN=1 cargo test --test obs_exports`"
     );
 }
+
+/// One `Swarm::with_*` call of the full observer set.
+#[derive(Clone, Copy, Debug)]
+enum Attach {
+    Trace,
+    Metrics,
+    Health,
+    Series,
+    Profiler,
+}
+
+/// The digest and the metrics, series, profile and trace exports of a
+/// small flash crowd with the full observer set attached in `order`.
+fn exports_attached_in(order: [Attach; 5]) -> String {
+    let opts = PresetOptions {
+        seed: 7,
+        pieces: 8,
+        duration: bt_repro::wire::time::Duration::from_secs(600),
+    };
+    let spec = bt_repro::torrents::scenarios::mega_flash_crowd(100, &opts);
+    let tracer = Tracer::new(7, 1);
+    let registry = Registry::new_manual();
+    let store = SeriesStore::new(&registry);
+    let profiler = Profiler::new(TimeSource::manual());
+    let swarm = order
+        .iter()
+        .fold(Swarm::new(spec), |swarm, attach| match attach {
+            Attach::Trace => swarm.with_trace(tracer.clone()),
+            Attach::Metrics => swarm.with_metrics(registry.clone()),
+            Attach::Health => swarm.with_health(Thresholds::default()),
+            Attach::Series => swarm.with_series(store.clone()),
+            Attach::Profiler => swarm.with_profiler(profiler.clone()),
+        });
+    let result = swarm.run();
+    tracer.flush_local();
+    format!(
+        "digest={:016x}\n{}\n{}\n{}\n{}",
+        result.digest(),
+        metrics_jsonl(&result.metrics),
+        store.to_json(None),
+        result.profile.expect("profiler attached").to_json(),
+        tracer.to_jsonl()
+    )
+}
+
+/// An engine gets its observers when the run builds it, so the order of
+/// the `with_*` calls cannot change what any observer sees.
+#[test]
+fn observer_exports_do_not_depend_on_attach_order() {
+    use Attach::*;
+    // The benchmark's `crowd_observed` order.
+    let reference = exports_attached_in([Trace, Metrics, Health, Series, Profiler]);
+    assert!(
+        reference.contains("\"name\":\"live.entropy\""),
+        "the health monitors feed the series store"
+    );
+    for order in [
+        // `run_scenario`'s order.
+        [Metrics, Series, Health, Profiler, Trace],
+        // The series store before the registry it samples.
+        [Series, Profiler, Trace, Metrics, Health],
+    ] {
+        let exports = exports_attached_in(order);
+        assert!(exports == reference, "{order:?} changed an export");
+    }
+}

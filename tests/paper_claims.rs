@@ -82,6 +82,47 @@ fn rare_pieces_drain_at_bounded_constant_rate() {
         implied <= 24.0 * 1024.0,
         "implied drain rate {implied} B/s exceeds the seed's 20 kB/s capacity"
     );
+
+    // A true flash crowd — one 20 kB/s seed, sixty empty DSL leechers
+    // arriving within a minute, every piece rare — cannot leave the
+    // transient state before the seed has pushed about one copy of the
+    // content. The instrumented peer keeps the seed in its peer set, so
+    // "no rare piece" reads as min ≥ 2.
+    let pieces = 96u32;
+    let mut peers = vec![BehaviorProfile::seed()];
+    for i in 0..60 {
+        peers.push(BehaviorProfile {
+            role: Role::Leecher,
+            client: ClientKind::Mainline402,
+            capacity: CapacityClass::Dsl,
+            join_at: Duration::from_secs(i),
+            seed_linger: Some(Duration::from_secs(1800)),
+            prepopulate: false,
+            restart_after: None,
+        });
+    }
+    let spec = SwarmSpec {
+        seed: 7,
+        total_len: u64::from(pieces) * 256 * 1024,
+        piece_len: 256 * 1024,
+        duration: Duration::from_secs(4 * 3600),
+        peers,
+        local: Some(1),
+        available_fraction: 0.0,
+        ..SwarmSpec::default()
+    };
+    let trace = Swarm::new(spec).run().trace.expect("instrumented");
+    let transient_end = ReplicationSeries::from_trace(&trace)
+        .points
+        .iter()
+        .find(|p| p.peer_set_size > 1 && p.min >= 2)
+        .map(|p| p.t_secs)
+        .expect("the flash crowd never left the transient state");
+    let one_copy_secs = f64::from(pieces) * 256.0 * 1024.0 / (20.0 * 1024.0);
+    assert!(
+        transient_end >= 0.5 * one_copy_secs,
+        "transient ended at {transient_end} s, before half the seed's one-copy time {one_copy_secs} s"
+    );
 }
 
 /// Claim 4 (§IV-A.3): no last pieces problem in steady state, but a
@@ -214,5 +255,68 @@ fn free_riders_served_but_not_ahead() {
     assert!(
         fr_done.unwrap() >= best_honest,
         "the free rider finished before every contributor"
+    );
+
+    // Steady state, where upload bandwidth rather than piece scarcity is
+    // contended: two seeds and 14 prepopulated background leechers, then
+    // 10 honest leechers and 4 free riders join together at t = 120 s on
+    // identical DSL links. The riders finish, and on average no sooner
+    // than 0.95× the contributors (a tolerance for seeding randomness).
+    let (background, honest, riders) = (14, 10, 4);
+    let cohort = |role, client, i: usize, seed_linger| BehaviorProfile {
+        role,
+        client,
+        capacity: CapacityClass::Dsl,
+        join_at: Duration::from_secs(120 + i as u64),
+        seed_linger,
+        prepopulate: false,
+        restart_after: None,
+    };
+    let mut peers = vec![BehaviorProfile::seed(), BehaviorProfile::seed()];
+    for i in 0..background {
+        peers.push(BehaviorProfile {
+            role: Role::Leecher,
+            client: ClientKind::LibTorrent,
+            capacity: CapacityClass::Dsl,
+            join_at: Duration::from_secs(i as u64),
+            seed_linger: Some(Duration::from_secs(180)),
+            prepopulate: true,
+            restart_after: None,
+        });
+    }
+    for i in 0..honest {
+        let linger = Some(Duration::from_secs(1200));
+        peers.push(cohort(Role::Leecher, ClientKind::Mainline402, i, linger));
+    }
+    for i in 0..riders {
+        peers.push(cohort(Role::FreeRider, ClientKind::FreeRider, i, None));
+    }
+    let spec = SwarmSpec {
+        seed: 11,
+        total_len: 64 * 256 * 1024,
+        piece_len: 256 * 1024,
+        duration: Duration::from_secs(5 * 3600),
+        peers,
+        local: None,
+        ..SwarmSpec::default()
+    };
+    let result = Swarm::new(spec).run();
+    let mean_secs = |range: std::ops::Range<usize>| {
+        let times: Vec<f64> = range
+            .filter_map(|i| result.completion[i])
+            .map(|t| t.as_secs_f64() - 120.0)
+            .collect();
+        (
+            times.iter().sum::<f64>() / times.len().max(1) as f64,
+            times.len(),
+        )
+    };
+    let h0 = 2 + background;
+    let (honest_mean, _) = mean_secs(h0..h0 + honest);
+    let (rider_mean, riders_done) = mean_secs(h0 + honest..h0 + honest + riders);
+    assert!(riders_done > 0, "free riders starved outright");
+    assert!(
+        rider_mean >= 0.95 * honest_mean,
+        "free riders came out ahead of contributors: {rider_mean} s vs {honest_mean} s"
     );
 }
