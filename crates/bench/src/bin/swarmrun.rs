@@ -4,13 +4,14 @@
 //! swarmrun <spec.json> [--seed N] [--topology NAME|file.json]
 //!          [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR]
 //!          [--metrics out.jsonl] [--series out.json] [--emit-dir DIR]
-//!          [--watch-addr 127.0.0.1:PORT] [--watch-linger SECS]
+//!          [--watch-addr ADDR] [--watch-linger SECS]
 //!          [--profile out.json] [--status] [--example]
 //! swarmrun --scenario NAME [--peers N] [--seed N]
-//!          [--topology NAME|file.json] [--metrics out.jsonl]
-//!          [--series out.json] [--emit-dir DIR]
-//!          [--watch-addr ADDR] [--profile out.json]
-//!          [--trace-sample N] [--flight-recorder DIR] [--status]
+//!          [--topology NAME|file.json]
+//!          [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR]
+//!          [--metrics out.jsonl] [--series out.json] [--emit-dir DIR]
+//!          [--watch-addr ADDR] [--watch-linger SECS]
+//!          [--profile out.json] [--status]
 //! swarmrun --table1 [--quick] [--seed N] [--jobs N]
 //!          [--topology NAME|file.json] [--series out.json]
 //!          [--trace out.json] [--trace-sample N] [--flight-recorder DIR]
@@ -18,9 +19,13 @@
 //! swarmrun --net [--seeds N] [--leechers N] [--pieces N] [--seed N]
 //!          [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR]
 //!          [--metrics out.jsonl] [--series out.json]
-//!          [--profile out.json] [--watch-addr 127.0.0.1:PORT]
+//!          [--profile out.json] [--watch-addr ADDR]
 //!          [--watch-linger SECS] [--status]
 //! ```
+//!
+//! Each mode reads the flags on its line and no others: any other flag,
+//! or a spec file given to `--scenario`, `--table1` or `--net`, exits 2
+//! naming it and the mode.
 //!
 //! * `--scenario NAME` runs a named preset instead of a spec file:
 //!   `flash_crowd_1k`, `flash_crowd_10k`, `flash_crowd_100k` (the
@@ -35,19 +40,25 @@
 //!   `--scenario` and `--table1` runs; the run stays deterministic;
 //! * `--example` prints a complete, runnable spec to stdout and exits;
 //! * `--trace FILE` writes the instrumented peer's trace as JSON lines.
-//!   With `--trace-sample` it instead writes the *causal* trace: Chrome
+//!   With the causal tracer on (`--trace-sample`, `--flight-recorder`
+//!   or `--emit-dir`) it instead writes the *causal* trace: Chrome
 //!   trace-event JSON (open FILE in Perfetto / `chrome://tracing`) plus
 //!   the sorted deterministic JSONL next to it as `FILE.jsonl`;
 //! * `--trace-sample N` turns on the causal tracer at sampling rate
 //!   `1/N` (piece lifecycles, choke-decision audits, message
-//!   provenance; DESIGN.md §11). Sampling hashes ids with splitmix64 —
-//!   it never touches the swarm RNG, so traced runs replay the same
-//!   digest byte-for-byte. Works in every mode; `--table1` exports one
-//!   JSON object keyed by torrent label;
+//!   provenance; DESIGN.md §11; 0 and 1 both mean every chain).
+//!   Sampling hashes ids with splitmix64 — it never touches the swarm
+//!   RNG, so traced runs replay the same digest byte-for-byte. Works in
+//!   every mode; `--table1` exports one JSON object keyed by torrent
+//!   label;
 //! * `--flight-recorder DIR` keeps a bounded ring of recent trace
 //!   events and dumps a self-contained crash bundle into DIR when a
 //!   live-monitor invariant trips, on panic, or on `GET /flightrec`
-//!   (with `--watch-addr`);
+//!   (with `--watch-addr`); `--table1` gives each torrent its own
+//!   `DIR/<torrent label>/`. It turns on the registry (whose health
+//!   monitors trip the dumps) and the causal tracer that fills the
+//!   ring, at rate 1 unless `--trace-sample N` says otherwise: on a
+//!   large swarm pass `--trace-sample N` to keep the trace small;
 //! * `--emit-dir DIR` drops every artifact for the run in one
 //!   directory in the layout `btstat` ingests: `run.json` (manifest
 //!   with scenario, seed, digest), `metrics.jsonl`, `series.json`,
@@ -73,7 +84,9 @@
 //!   a given seed, any `--jobs`); `--net` profiles measure wall time;
 //! * `--watch-addr ADDR` serves the live observatory over HTTP for the
 //!   duration of the run — `GET /` (dashboard), `/series`, `/health`,
-//!   `/metrics` — in both simulator and `--net` modes (a polling thread
+//!   `/metrics`, and `/trace`, `/flightrec`, `/profile` for the
+//!   observers the run carries — in both simulator and `--net` modes
+//!   (it and `--status` turn the registry on; a polling thread
 //!   snapshots the registry while the run proceeds; port 0 picks an
 //!   ephemeral port, printed on stderr). `--watch-linger SECS` keeps
 //!   the endpoint up that much longer after the run, so a browser or
@@ -103,45 +116,36 @@ use bt_analysis::live::HealthMonitor;
 use bt_analysis::SessionSummary;
 use bt_instrument::trace::Trace;
 use bt_net::LoopbackSpec;
-use bt_obs::{
-    summary_text, FlightRecorder, Profile, Profiler, Registry, SeriesStore, Snapshot, TimeSource,
-    Tracer,
-};
+use bt_obs::{summary_text, ObserverSet, Observers, Profile, Snapshot, TimeSource, Tracer};
 use bt_sim::{BehaviorProfile, NetModel, Swarm, SwarmSpec, TopologySpec};
 use bt_torrents::{RunConfig, ScenarioOutcome};
 use bt_wire::time::Duration;
 use std::io::{IsTerminal, Write};
+use std::path::PathBuf;
 
-/// Every flag that takes a value. `main` checks the command line against
-/// this table and [`SWITCHES`], and skips the values when it looks for
-/// the spec path.
-const VALUE_FLAGS: &[&str] = &[
-    "--scenario",
-    "--topology",
-    "--trace",
-    "--trace-sample",
-    "--flight-recorder",
-    "--metrics",
-    "--series",
-    "--profile",
-    "--emit-dir",
-    "--watch-addr",
-    "--watch-linger",
-    "--seed",
-    "--peers",
-    "--jobs",
-    "--seeds",
-    "--leechers",
-    "--pieces",
-];
-
-/// Every flag that takes none.
-const SWITCHES: &[&str] = &["--example", "--table1", "--net", "--quick", "--status"];
-
+/// One line per mode, and the one flag table: `main` reads off it which
+/// flags exist, which take a value and which each mode reads.
 const USAGE: &str = "usage: swarmrun <spec.json> [--seed N] [--topology NAME|file.json] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--emit-dir DIR] [--watch-addr ADDR] [--watch-linger SECS] [--profile out.json] [--status] [--example]
-       swarmrun --scenario flash_crowd_1k|flash_crowd_10k|flash_crowd_100k [--peers N] [--seed N] [--topology NAME|file.json] [--emit-dir DIR] [...]
+       swarmrun --scenario flash_crowd_1k|flash_crowd_10k|flash_crowd_100k [--peers N] [--seed N] [--topology NAME|file.json] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--emit-dir DIR] [--watch-addr ADDR] [--watch-linger SECS] [--profile out.json] [--status]
        swarmrun --table1 [--quick] [--seed N] [--jobs N] [--topology NAME|file.json] [--series out.json] [--trace out.json] [--trace-sample N] [--flight-recorder DIR] [--profile out.json]
        swarmrun --net [--seeds N] [--leechers N] [--pieces N] [--seed N] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--profile out.json] [--watch-addr ADDR] [--watch-linger SECS] [--status]";
+
+/// The flags a stretch of [`USAGE`] spells out, each with whether it
+/// takes a value (`[--seed N]`, `--scenario NAME`) or not (`[--status]`,
+/// `--net [...`).
+fn usage_flags(text: &str) -> Vec<(&str, bool)> {
+    let tokens: Vec<&str> = text.split_whitespace().collect();
+    let mut flags = Vec::new();
+    for (i, token) in tokens.iter().enumerate() {
+        let flag = token.trim_start_matches('[');
+        if flag.starts_with("--") {
+            let switch =
+                flag.ends_with(']') || tokens.get(i + 1).is_none_or(|next| next.starts_with('['));
+            flags.push((flag.trim_end_matches(']'), !switch));
+        }
+    }
+    flags
+}
 
 /// Print `swarmrun: {msg}` on stderr and exit 2: how every bad input ends.
 fn die(msg: impl std::fmt::Display) -> ! {
@@ -155,35 +159,51 @@ fn usage_error(msg: &str) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut spec_path = None;
+    let known = usage_flags(USAGE);
+    let (mut flags, mut spec_path) = (Vec::new(), None);
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            if iter.next().is_none() {
-                usage_error(&format!("{a} needs a value"));
+        match known.iter().find(|(flag, _)| flag == a) {
+            Some(&(_, takes_value)) => {
+                if takes_value && iter.next().is_none() {
+                    usage_error(&format!("{a} needs a value"));
+                }
+                flags.push(a.as_str());
             }
-        } else if a.starts_with("--") {
-            if !SWITCHES.contains(&a.as_str()) {
-                usage_error(&format!("unknown flag `{a}`"));
-            }
-        } else if spec_path.is_none() {
-            spec_path = Some(a);
+            None if a.starts_with("--") => usage_error(&format!("unknown flag `{a}`")),
+            None => spec_path = spec_path.or(Some(a)),
         }
     }
-    if args.iter().any(|a| a == "--example") {
+    if flags.contains(&"--example") {
         print_example();
         return;
     }
-    if args.iter().any(|a| a == "--table1") {
-        run_table1_sweep(&args);
-        return;
+    // The mode is named by its flag (a spec-file run has none); a flag
+    // or a spec file the mode does not read is refused, not ignored.
+    let mode = ["--scenario", "--table1", "--net"]
+        .into_iter()
+        .find(|m| flags.contains(m));
+    let line = format!("swarmrun {} ", mode.unwrap_or("<spec.json>"));
+    let reads = usage_flags(USAGE.lines().find(|l| l.contains(&line)).expect("in USAGE"));
+    let name = mode.unwrap_or("spec-file");
+    if let Some(flag) = flags.iter().find(|f| !reads.iter().any(|(r, _)| r == *f)) {
+        usage_error(&format!("{flag} is not read in {name} mode"));
     }
-    if args.iter().any(|a| a == "--net") {
-        run_net_swarm(&args);
-        return;
+    if let (Some(_), Some(path)) = (mode, spec_path) {
+        usage_error(&format!("{name} mode reads no spec file, given `{path}`"));
     }
-    let mut spec = if let Some(name) = flag_str(&args, "--scenario") {
-        scenario_spec(&name, &args)
+    match mode {
+        Some("--table1") => run_table1_sweep(&args),
+        Some("--net") => run_net_swarm(&args),
+        _ => run_sim(sim_spec(&args, spec_path), &args),
+    }
+}
+
+/// The simulator spec: a `--scenario` preset or the spec file, with
+/// `--seed` and `--topology` applied, validated.
+fn sim_spec(args: &[String], spec_path: Option<&String>) -> SwarmSpec {
+    let mut spec = if let Some(name) = flag_str(args, "--scenario") {
+        scenario_spec(&name, args)
     } else {
         let Some(path) = spec_path else {
             usage_error("no spec file, --scenario, --table1 or --net given");
@@ -192,18 +212,18 @@ fn main() {
             .unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
         let mut spec: SwarmSpec =
             serde_json::from_str(&text).unwrap_or_else(|e| die(format!("invalid spec: {e}")));
-        if let Some(seed) = flag_u64(&args, "--seed") {
+        if let Some(seed) = flag_u64(args, "--seed") {
             spec.seed = seed;
         }
         spec
     };
-    if let Some(net) = topology_net(&args) {
+    if let Some(net) = topology_net(args) {
         spec.net = Some(net);
     }
     if let Err(e) = spec.validate() {
         die(format!("invalid spec: {e}"));
     }
-    run_sim(spec, &args);
+    spec
 }
 
 /// `--topology NAME|file.json`: a built-in preset name or a topology
@@ -266,27 +286,9 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
     );
     let local = spec.local;
     let seed = spec.seed;
-    let mut obs = Observers::new(args, Mode::Sim, seed, emit_dir.as_deref());
-    let mut swarm = Swarm::new(spec);
-    if let Some(t) = &obs.tracer {
-        swarm = swarm.with_trace(t.clone());
-    }
-    if let Some(fr) = &obs.flight {
-        swarm = swarm.with_flight_recorder(fr.clone());
-    }
-    if let Some(reg) = &obs.registry {
-        // The observatory rides the registry's sampling events: the
-        // paper-invariant health monitors, as deterministic as it is.
-        swarm = swarm
-            .with_metrics(reg.clone())
-            .with_health(bt_analysis::live::Thresholds::default());
-    }
-    if let Some(store) = &obs.series {
-        swarm = swarm.with_series(store.clone());
-    }
-    if let Some(p) = &obs.profiler {
-        swarm = swarm.with_profiler(p.clone());
-    }
+    let (mut obs, set) = Outputs::new(args, emit_dir.as_deref());
+    obs.observers = set.build(TimeSource::manual, seed);
+    let swarm = bt_torrents::attach_observers(Swarm::new(spec), &obs.observers);
     // Gauges served mid-run lag virtual time by one sampling period.
     let observatory = obs.serve(swarm.health_monitor().cloned());
 
@@ -326,7 +328,7 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
     if let Some(dir) = &emit_dir {
         // Finish the directory: the sorted deterministic trace plus the
         // manifest that names the run for `btstat`.
-        if let Some(t) = &obs.tracer {
+        if let Some(t) = &obs.observers.tracer {
             write_stream(&format!("{dir}/trace.jsonl"), |f| t.export(Some(f), None));
         }
         let scenario = flag_str(args, "--scenario").unwrap_or_else(|| "spec".to_string());
@@ -353,7 +355,7 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
         }
     }
     if let Some(trace) = &result.trace {
-        obs.report_local_trace(trace, piece_len);
+        obs.report_local_trace(trace, piece_len, true);
     }
 }
 
@@ -370,10 +372,11 @@ fn run_net_swarm(args: &[String]) {
     };
     // Every runtime gets the shared tracer and samples itself by its
     // virtual-IP hash, and reports into the shared registry.
-    let mut obs = Observers::new(args, Mode::Net, spec.seed, None);
-    spec.tracer = obs.tracer.clone();
-    spec.metrics = obs.registry.clone();
-    spec.profiler = obs.profiler.clone();
+    let (mut obs, set) = Outputs::new(args, None);
+    obs.observers = set.build(TimeSource::wall, spec.seed);
+    spec.tracer = obs.observers.tracer.clone();
+    spec.metrics = obs.observers.registry.clone();
+    spec.profiler = obs.observers.profiler.clone();
     let piece_len = spec.piece_len;
     let (seeds, leechers) = (spec.seeds, spec.leechers);
     eprintln!(
@@ -386,9 +389,9 @@ fn run_net_swarm(args: &[String]) {
     // keep it for `--metrics`, extend the time-series, update the
     // one-line status display.
     let sampler_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let sampler = obs.registry.clone().map(|reg| {
+    let sampler = obs.observers.registry.clone().map(|reg| {
         let stop = std::sync::Arc::clone(&sampler_stop);
-        let store = obs.series.clone();
+        let store = obs.observers.series.clone();
         let status = obs.status;
         std::thread::spawn(move || {
             let (mut snapshots, mut line) = (Vec::new(), StatusLine::new());
@@ -419,10 +422,10 @@ fn run_net_swarm(args: &[String]) {
         stop();
     }
     // One last sample so the files reflect the final state.
-    if let Some(reg) = &obs.registry {
+    if let Some(reg) = &obs.observers.registry {
         snapshots.push(reg.snapshot());
     }
-    if let Some(store) = &obs.series {
+    if let Some(store) = &obs.observers.series {
         store.sample_registry();
     }
     obs.write_metrics(&snapshots);
@@ -455,7 +458,7 @@ fn run_net_swarm(args: &[String]) {
         .skip(seeds)
         .find_map(|o| o.trace.as_ref())
     {
-        obs.report_local_trace(trace, piece_len);
+        obs.report_local_trace(trace, piece_len, false);
     }
 }
 
@@ -472,13 +475,8 @@ fn run_table1_sweep(args: &[String]) {
     let jobs = flag_u64(args, "--jobs")
         .map(|n| n.max(1) as usize)
         .unwrap_or_else(bt_torrents::default_jobs);
-    let profile_out = flag_str(args, "--profile");
-    cfg.profile = profile_out.is_some();
-    let series_out = flag_str(args, "--series");
-    cfg.series = series_out.is_some();
-    cfg.trace_sample = flag_u64(args, "--trace-sample");
-    cfg.flight_dir = flag_str(args, "--flight-recorder");
-    let trace_out = flag_str(args, "--trace");
+    let (out, set) = Outputs::new(args, None);
+    cfg.observe = set;
     if let Some(net) = topology_net(args) {
         eprintln!("table1 network model: {}", net.label());
         cfg.net = Some(net);
@@ -514,8 +512,10 @@ fn run_table1_sweep(args: &[String]) {
         outcomes.len(),
         t0.elapsed()
     );
-    if let Some(path) = &series_out {
-        write_by_label(path, &outcomes, |o| o.series.as_deref(), "{\"series\":[]}");
+    if let Some(path) = &out.series_out {
+        write_by_label(path, &outcomes, |o| {
+            o.observers.series.as_ref().map(|s| s.to_json(None))
+        });
         println!("series written   : {path} ({} torrents)", outcomes.len());
         let unhealthy: Vec<u32> = outcomes
             .iter()
@@ -528,41 +528,42 @@ fn run_table1_sweep(args: &[String]) {
             println!("health           : unhealthy at session end: {unhealthy:?}");
         }
     }
-    if let (Some(path), true) = (&trace_out, cfg.trace_sample.is_some()) {
-        write_by_label(
-            path,
-            &outcomes,
-            |o| o.trace_chrome.as_deref(),
-            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}",
-        );
+    let traced = outcomes.iter().any(|o| o.observers.tracer.is_some());
+    if let (Some(path), true) = (&out.trace_out, traced) {
+        write_by_label(path, &outcomes, |o| {
+            o.observers.tracer.as_ref().map(Tracer::to_chrome_json)
+        });
         println!("causal traces    : {path} ({} torrents)", outcomes.len());
     }
-    if let Some(path) = &profile_out {
+    if let Some(path) = &out.profile_out {
         // Each scenario profiled its own manual clock; merging in Table
         // I order (the `outcomes` order) is commutative sums, so the
         // merged profile is byte-identical for any `--jobs`.
         let mut merged = Profile::default();
         outcomes
             .iter()
-            .filter_map(|o| o.profile.as_ref())
+            .filter_map(|o| o.result.profile.as_ref())
             .for_each(|p| merged.merge(p));
         write_profile(path, &merged);
     }
 }
 
 /// Write one JSON object keyed by torrent label, in Table I order, whose
-/// values are each scenario's own `doc` (`empty` where it has none).
-/// Every per-scenario document is deterministic, so the whole file is
-/// byte-identical for any `--jobs`.
+/// values are each scenario's own `doc`. Every torrent of a sweep
+/// carries the same observers, so each has its document; every document
+/// is deterministic, so the whole file is byte-identical for any
+/// `--jobs`.
 fn write_by_label(
     path: &str,
     outcomes: &[ScenarioOutcome],
-    doc: impl Fn(&ScenarioOutcome) -> Option<&str>,
-    empty: &str,
+    doc: impl Fn(&ScenarioOutcome) -> Option<String>,
 ) {
     let entries: Vec<String> = outcomes
         .iter()
-        .map(|o| format!("\"{}\":{}", o.spec.label(), doc(o).unwrap_or(empty)))
+        .map(|o| {
+            let doc = doc(o).expect("every torrent carries the sweep's observers");
+            format!("\"{}\":{doc}", o.spec.label())
+        })
         .collect();
     write_text(path, &format!("{{{}}}", entries.join(",")));
 }
@@ -575,24 +576,10 @@ fn flag_str(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-/// What a run's observers watch: the simulator's read virtual time, so
-/// every export is a function of the spec and seed; the socket
-/// runtime's read the wall clock.
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Sim,
-    Net,
-}
-
-/// The observers the flags ask for, built once per run, and where each
-/// one is written when the run ends. Both modes attach the same set.
-struct Observers {
-    mode: Mode,
-    registry: Option<Registry>,
-    series: Option<SeriesStore>,
-    profiler: Option<Profiler>,
-    tracer: Option<Tracer>,
-    flight: Option<FlightRecorder>,
+/// Where a run's observers are written when it ends, the live views of
+/// them (`--watch-addr`, `--status`), and the observers themselves.
+struct Outputs {
+    observers: Observers,
     /// `metrics_out` holds the run's snapshots (see the `Drop` impl).
     metrics_written: bool,
     metrics_out: Option<String>,
@@ -604,87 +591,48 @@ struct Observers {
     status: bool,
 }
 
-impl Observers {
-    /// Read the observer flags. `emit_dir` (the layout `btstat` loads)
-    /// defaults the metrics, series and profile paths into it and turns
-    /// the causal tracer on at rate 1, so the emitted `trace.jsonl` is
-    /// bisectable; explicit flags still win. The tracer and flight
-    /// recorder sample on the run seed and never touch the swarm RNG.
-    fn new(args: &[String], mode: Mode, seed: u64, emit_dir: Option<&str>) -> Observers {
-        let clock = || match mode {
-            Mode::Sim => TimeSource::manual(),
-            Mode::Net => TimeSource::wall(),
-        };
+impl Outputs {
+    /// Read the output flags, and the observers they need, for the
+    /// caller to build on its clock. `emit_dir` (the layout `btstat`
+    /// loads) defaults the metrics, series and profile paths into it and
+    /// the causal tracer to rate 1, so the emitted `trace.jsonl` is
+    /// bisectable; explicit flags still win. `--watch-addr` and
+    /// `--status` read the registry, so they turn it on.
+    fn new(args: &[String], emit_dir: Option<&str>) -> (Outputs, ObserverSet) {
         let in_dir = |name: &str| emit_dir.map(|d| format!("{d}/{name}"));
-        let metrics_out = flag_str(args, "--metrics").or_else(|| in_dir("metrics.jsonl"));
-        let series_out = flag_str(args, "--series").or_else(|| in_dir("series.json"));
-        let profile_out = flag_str(args, "--profile").or_else(|| in_dir("profile.json"));
-        let watch_addr = flag_str(args, "--watch-addr");
-        let status = args.iter().any(|a| a == "--status");
-        let rate = flag_u64(args, "--trace-sample").unwrap_or(u64::from(emit_dir.is_some()));
-        let flight =
-            flag_str(args, "--flight-recorder").map(|dir| FlightRecorder::new(&dir, 4096, seed));
-        let tracer = (rate > 0).then(|| {
-            let t = Tracer::new(seed, rate);
-            match &flight {
-                Some(fr) => t.with_flight(fr.clone()),
-                None => t,
-            }
-        });
-        // In the simulator a flight recorder forces the registry (and
-        // with it the health monitors) on, so the invariant-trip dump
-        // path is armed even without `--metrics`.
-        let registry = (metrics_out.is_some()
-            || series_out.is_some()
-            || watch_addr.is_some()
-            || status
-            || (flight.is_some() && mode == Mode::Sim))
-            .then(|| Registry::new(clock()));
-        let series = match (&registry, series_out.is_some() || watch_addr.is_some()) {
-            (Some(reg), true) => Some(SeriesStore::new(reg)),
-            _ => None,
-        };
-        Observers {
-            mode,
-            registry,
-            series,
-            profiler: profile_out.as_ref().map(|_| Profiler::new(clock())),
-            tracer,
-            flight,
+        let out = Outputs {
+            observers: Observers::default(),
             metrics_written: false,
-            metrics_out,
-            series_out,
-            profile_out,
+            metrics_out: flag_str(args, "--metrics").or_else(|| in_dir("metrics.jsonl")),
+            series_out: flag_str(args, "--series").or_else(|| in_dir("series.json")),
+            profile_out: flag_str(args, "--profile").or_else(|| in_dir("profile.json")),
             trace_out: flag_str(args, "--trace"),
-            watch_addr,
+            watch_addr: flag_str(args, "--watch-addr"),
             watch_linger: flag_u64(args, "--watch-linger").unwrap_or(0),
-            status,
-        }
+            status: args.iter().any(|a| a == "--status"),
+        };
+        let set = ObserverSet {
+            metrics: out.metrics_out.is_some()
+                || out.series_out.is_some()
+                || out.watch_addr.is_some()
+                || out.status,
+            profile: out.profile_out.is_some(),
+            trace_sample: flag_u64(args, "--trace-sample").or(emit_dir.map(|_| 1)),
+            flight_dir: flag_str(args, "--flight-recorder").map(PathBuf::from),
+        };
+        (out, set)
     }
 
-    /// `--watch-addr`: bind the live observatory to whichever observers
-    /// the run carries (plus the simulator's health monitors) and serve
-    /// it from a polling thread, since both runs are synchronous.
-    /// Returns the call that stops it, after `--watch-linger SECS`.
+    /// `--watch-addr`: bind the live observatory to the run's observers
+    /// (plus the simulator's health monitors) and serve it from a
+    /// polling thread, since both runs are synchronous. Returns the call
+    /// that stops it, after `--watch-linger SECS`.
     fn serve(&self, health: Option<HealthMonitor>) -> Option<impl FnOnce()> {
         let addr = self.watch_addr.as_ref()?;
-        let registry = self.registry.clone().expect("watch-addr forces a registry");
-        let mut server = bt_net::ObsServer::bind(addr, registry)
+        let mut server = bt_net::ObsServer::bind(addr, &self.observers)
             .unwrap_or_else(|e| die(format!("cannot bind {addr}: {e}")));
-        if let Some(store) = &self.series {
-            server = server.with_series(store.clone());
-        }
         if let Some(m) = health {
             server = server.with_health_json(move || m.report().to_json());
-        }
-        if let Some(t) = &self.tracer {
-            server = server.with_tracer(t.clone());
-        }
-        if let Some(fr) = &self.flight {
-            server = server.with_flight_recorder(fr.clone());
-        }
-        if let Some(p) = &self.profiler {
-            server = server.with_profiler(p.clone());
         }
         match server.local_addr() {
             Ok(bound) => eprintln!("observatory      : http://{bound}/ (dashboard)"),
@@ -727,7 +675,7 @@ impl Observers {
 
     /// `--series FILE`: the time-series store as JSON.
     fn write_series(&self) {
-        if let (Some(path), Some(store)) = (&self.series_out, &self.series) {
+        if let (Some(path), Some(store)) = (&self.series_out, &self.observers.series) {
             write_text(path, &store.to_json(None));
             println!("series written   : {path} ({} series)", store.len());
         }
@@ -735,7 +683,7 @@ impl Observers {
 
     /// `--profile FILE`: the span profile as JSON, plus the pretty report.
     fn write_profile(&self) {
-        if let (Some(path), Some(profiler)) = (&self.profile_out, &self.profiler) {
+        if let (Some(path), Some(profiler)) = (&self.profile_out, &self.observers.profiler) {
             write_profile(path, &profiler.snapshot());
         }
     }
@@ -744,7 +692,9 @@ impl Observers {
     /// JSON at FILE plus the sorted deterministic JSONL at `FILE.jsonl`,
     /// both from one sort. Otherwise just its size.
     fn write_causal_trace(&self) {
-        let Some(t) = &self.tracer else { return };
+        let Some(t) = &self.observers.tracer else {
+            return;
+        };
         if let Some(path) = &self.trace_out {
             let jsonl = format!("{path}.jsonl");
             write_stream(path, |chrome| {
@@ -761,7 +711,7 @@ impl Observers {
                 t.len()
             );
         }
-        if let Some(fr) = &self.flight {
+        if let Some(fr) = t.flight() {
             println!(
                 "flight recorder  : {} recent events in the ring",
                 fr.trace_slice().len()
@@ -770,9 +720,11 @@ impl Observers {
     }
 
     /// The paper's headline metrics for the instrumented peer's trace,
-    /// through the same pipeline the figures use; then the trace itself
-    /// to `--trace`, unless the causal trace took that path.
-    fn report_local_trace(&self, trace: &Trace, piece_len: u32) {
+    /// through the same pipeline the figures use (with the replication
+    /// state where the driver samples availability into the trace, as
+    /// the simulator does); then the trace itself to `--trace`, unless
+    /// the causal trace took that path.
+    fn report_local_trace(&self, trace: &Trace, piece_len: u32, availability: bool) {
         let summary = SessionSummary::from_trace(trace, piece_len);
         println!("trace events     : {}", trace.len());
         println!(
@@ -782,8 +734,7 @@ impl Observers {
             summary.entropy.local_in_remote.p80,
             summary.entropy.peers.len()
         );
-        // Only the simulator samples availability into the trace.
-        if self.mode == Mode::Sim {
+        if availability {
             println!(
                 "state            : {} (missing-piece fraction {:.2})",
                 if summary.replication.is_transient() {
@@ -813,7 +764,7 @@ impl Observers {
             "overhead         : {:.4} control B / data B",
             summary.messages.overhead_ratio()
         );
-        if let (Some(path), None) = (&self.trace_out, &self.tracer) {
+        if let (Some(path), None) = (&self.trace_out, &self.observers.tracer) {
             write_text(path, &trace.to_jsonl());
             println!("trace written    : {path}");
         }
@@ -882,14 +833,16 @@ impl Drop for StatusLine {
     }
 }
 
-/// A run that panics never reaches [`Observers::write_metrics`]:
+/// A run that panics never reaches [`Outputs::write_metrics`]:
 /// unwinding flushes one final registry snapshot to the `--metrics` file
 /// instead, so the last observed state is still on disk.
-impl Drop for Observers {
+impl Drop for Outputs {
     fn drop(&mut self) {
-        let (Some(reg), Some(path), false) =
-            (&self.registry, &self.metrics_out, self.metrics_written)
-        else {
+        let (Some(reg), Some(path), false) = (
+            &self.observers.registry,
+            &self.metrics_out,
+            self.metrics_written,
+        ) else {
             return;
         };
         let file = std::fs::OpenOptions::new()

@@ -220,7 +220,80 @@ fn swarmrun_flags_before_or_after_the_spec_and_unknown_flags_rejected() {
         assert_eq!(code, Some(2), "{flag}: {stdout}");
         assert!(stderr.contains(flag), "{flag} not named in: {stderr}");
     }
+
+    // So is a flag, or a spec file, the selected mode does not read:
+    // the error names it and the mode, and nothing runs.
+    for (args, refused, mode) in [
+        (
+            &["--net", "--pieces", "8", "--emit-dir", "d"][..],
+            "--emit-dir",
+            "--net",
+        ),
+        (
+            &["--net", "--topology", "asymmetric_dsl", "--jobs", "3"][..],
+            "--topology",
+            "--net",
+        ),
+        (
+            &[
+                "--table1",
+                "--quick",
+                "--metrics",
+                "m.jsonl",
+                "--emit-dir",
+                "d",
+                "--status",
+            ][..],
+            "--metrics",
+            "--table1",
+        ),
+        (
+            &[spec, "--peers", "5", "--jobs", "2", "--quick"][..],
+            "--peers",
+            "spec-file",
+        ),
+        (&[spec, "--net"][..], spec, "--net"),
+    ] {
+        let (code, stdout, stderr) = swarmrun(args);
+        assert_eq!(code, Some(2), "{args:?}: {stdout}");
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(
+            first.contains(refused) && first.contains(mode),
+            "{args:?}: `{refused}` and `{mode}` not named in: {first}"
+        );
+    }
     let _ = std::fs::remove_file(&path);
+}
+
+/// A flight directory alone turns the causal tracer on at rate 1: the
+/// invariant-trip bundle carries a trace slice, and `--trace` writes the
+/// causal trace it was fed from.
+#[test]
+fn swarmrun_flight_recorder_alone_fills_its_bundles_and_the_trace() {
+    let dir = scratch_dir("flight");
+    let flight = dir.join("flight");
+    let trace = dir.join("trace.json");
+    let (code, stdout, stderr) = swarmrun(&[
+        "--scenario",
+        "flash_crowd_1k",
+        "--peers",
+        "100",
+        "--flight-recorder",
+        flight.to_str().unwrap(),
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let bundle = parse_json(&flight.join("flightrec-0.json"));
+    let slice = bundle.get("trace").and_then(|t| t.as_array());
+    assert!(
+        slice.is_some_and(|events| !events.is_empty()),
+        "the bundle's trace slice is empty"
+    );
+    assert!(stdout.contains("causal trace     : "), "{stdout}");
+    parse_json(&trace);
+    parse_jsonl(&dir.join("trace.json.jsonl"));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A fresh scratch directory for one test's files.

@@ -8,19 +8,23 @@
 //!
 //! * `GET /metrics` — Prometheus text exposition of a
 //!   [`bt_obs::Registry`] snapshot (unchanged from the old server);
-//! * `GET /series` (optionally `?name=<prefix>`) — JSON export of an
-//!   attached [`bt_obs::SeriesStore`];
+//! * `GET /series` (optionally `?name=<prefix>`) — JSON export of the
+//!   run's [`bt_obs::SeriesStore`];
 //! * `GET /health` — the latest monitor verdicts, as JSON provided by
 //!   an attached callback (normally
 //!   `bt_analysis::live::HealthReport::to_json`);
-//! * `GET /trace` — Chrome trace-event JSON of an attached causal
+//! * `GET /trace` — Chrome trace-event JSON of the run's causal
 //!   [`bt_obs::Tracer`] (open in Perfetto / `chrome://tracing`);
-//! * `GET /flightrec` — trigger an attached [`bt_obs::FlightRecorder`]
-//!   dump and return the bundle JSON;
-//! * `GET /profile` — JSON call-tree snapshot of an attached
+//! * `GET /flightrec` — trigger the tracer's
+//!   [`flight recorder`](bt_obs::Tracer::flight) dump and return the
+//!   bundle JSON;
+//! * `GET /profile` — JSON call-tree snapshot of the run's
 //!   [`bt_obs::Profiler`] (the same document `--profile` writes);
 //! * `GET /` — a self-contained HTML/JS dashboard that polls `/series`
 //!   and `/health` and renders live sparklines.
+//!
+//! The server serves one run's [`Observers`]; a route whose handle the
+//! run lacks answers an empty document.
 //!
 //! Snapshots are rendered lazily: a poll pass touches the registry only
 //! when some connection has a complete request head to answer, so an
@@ -29,10 +33,7 @@
 //! paths a JSON 404 listing the routes, and connections that dawdle
 //! past the read deadline are dropped.
 
-use bt_obs::{
-    to_prometheus, DumpContext, FlightRecorder, Profiler, Registry, SeriesStore, Tracer,
-    SPARKLINE_JS,
-};
+use bt_obs::{to_prometheus, DumpContext, Observers, Registry, SPARKLINE_JS};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -57,41 +58,41 @@ type HealthJson = Arc<dyn Fn() -> String + Send + Sync>;
 pub struct ObsServer {
     listener: TcpListener,
     registry: Registry,
-    series: Option<SeriesStore>,
+    observers: Observers,
     health_json: Option<HealthJson>,
-    tracer: Option<Tracer>,
-    flight: Option<FlightRecorder>,
-    profiler: Option<Profiler>,
     conns: Vec<HttpConn>,
+    /// Connections not answered this long after being accepted are
+    /// dropped (10 s): the slow-loris guard.
     read_deadline: Duration,
+    /// Response bytes written per connection per [`poll`] pass
+    /// (unlimited).
+    ///
+    /// [`poll`]: ObsServer::poll
     max_write_per_pass: usize,
 }
 
 impl ObsServer {
     /// Bind `addr` (e.g. `"127.0.0.1:9090"`, port 0 for ephemeral) and
-    /// serve snapshots of `registry`.
-    pub fn bind(addr: &str, registry: Registry) -> std::io::Result<ObsServer> {
+    /// serve `observers`. A set without a registry has nothing to serve
+    /// on `/metrics`: an [`ErrorKind::InvalidInput`] error.
+    pub fn bind(addr: &str, observers: &Observers) -> std::io::Result<ObsServer> {
+        let registry = observers.registry.clone().ok_or_else(|| {
+            std::io::Error::new(
+                ErrorKind::InvalidInput,
+                "the observatory serves a metrics registry, and the run has none",
+            )
+        })?;
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         Ok(ObsServer {
             listener,
             registry,
-            series: None,
+            observers: observers.clone(),
             health_json: None,
-            tracer: None,
-            flight: None,
-            profiler: None,
             conns: Vec::new(),
             read_deadline: Duration::from_secs(10),
             max_write_per_pass: usize::MAX,
         })
-    }
-
-    /// Serve `store` on `GET /series` (and feed the dashboard).
-    #[must_use]
-    pub fn with_series(mut self, store: SeriesStore) -> ObsServer {
-        self.series = Some(store);
-        self
     }
 
     /// Serve `f()` on `GET /health`. The callback must return a
@@ -105,54 +106,9 @@ impl ObsServer {
         self
     }
 
-    /// Serve `tracer`'s flushed causal events on `GET /trace` as Chrome
-    /// trace-event JSON. Events still sitting in other threads'
-    /// unflushed arenas are not visible until their next batch flush.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: Tracer) -> ObsServer {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Serve `recorder` on `GET /flightrec`: each request writes a
-    /// `http`-reason bundle to the recorder's directory and returns the
-    /// same bundle JSON as the response body.
-    #[must_use]
-    pub fn with_flight_recorder(mut self, recorder: FlightRecorder) -> ObsServer {
-        self.flight = Some(recorder);
-        self
-    }
-
-    /// Serve `profiler`'s aggregated call-tree snapshot on
-    /// `GET /profile` (the same JSON document `--profile` writes).
-    /// Spans still open on other threads appear once they close.
-    #[must_use]
-    pub fn with_profiler(mut self, profiler: Profiler) -> ObsServer {
-        self.profiler = Some(profiler);
-        self
-    }
-
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.listener.local_addr()
-    }
-
-    /// Connections currently being served (mid-request or mid-response).
-    pub fn active_connections(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// Drop connections that haven't been answered within `d` of being
-    /// accepted (default 10 s) — the slow-loris guard.
-    pub fn set_read_deadline(&mut self, d: Duration) {
-        self.read_deadline = d;
-    }
-
-    /// Cap response bytes written per connection per [`poll`] pass
-    /// (default unlimited). Mostly a test knob for exercising
-    /// partially written responses.
-    pub fn set_max_write_per_pass(&mut self, n: usize) {
-        self.max_write_per_pass = n.max(1);
     }
 
     /// One non-blocking pass: accept waiting connections, read request
@@ -259,7 +215,7 @@ impl ObsServer {
             }
             "/series" => {
                 let prefix = query_param(query, "name");
-                let body = match &self.series {
+                let body = match &self.observers.series {
                     Some(store) => store.to_json(prefix.as_deref()),
                     None => "{\"series\":[]}".to_string(),
                 };
@@ -273,14 +229,18 @@ impl ObsServer {
                 };
                 http_response("200 OK", "application/json", body.as_bytes())
             }
+            // Events still in other threads' unflushed arenas show after
+            // their next batch flush.
             "/trace" => {
-                let body = match &self.tracer {
+                let body = match &self.observers.tracer {
                     Some(t) => t.to_chrome_json(),
                     None => "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}".to_string(),
                 };
                 http_response("200 OK", "application/json", body.as_bytes())
             }
-            "/flightrec" => match &self.flight {
+            // Each request also writes an `http`-reason bundle to the
+            // recorder's directory.
+            "/flightrec" => match self.observers.tracer.as_ref().and_then(|t| t.flight()) {
                 Some(fr) => {
                     let health_json = self.health_json.as_ref().map(|f| f());
                     let ctx = DumpContext {
@@ -299,8 +259,9 @@ impl ObsServer {
                     b"{\"error\":\"no flight recorder attached\"}\n",
                 ),
             },
+            // Spans still open on other threads show once they close.
             "/profile" => {
-                let body = match &self.profiler {
+                let body = match &self.observers.profiler {
                     Some(p) => p.snapshot().to_json(),
                     None => "{\"spans\":[],\"flat\":[]}".to_string(),
                 };
@@ -456,7 +417,32 @@ tick();setInterval(tick,2000);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bt_obs::{FlightRecorder, Profiler, SeriesStore, Tracer};
     use std::io::{BufRead, BufReader};
+
+    impl ObsServer {
+        /// Connections currently being served (mid-request or
+        /// mid-response).
+        fn active_connections(&self) -> usize {
+            self.conns.len()
+        }
+
+        fn set_read_deadline(&mut self, d: Duration) {
+            self.read_deadline = d;
+        }
+
+        fn set_max_write_per_pass(&mut self, n: usize) {
+            self.max_write_per_pass = n.max(1);
+        }
+    }
+
+    /// A run observed by `registry` alone.
+    fn registry_only(registry: Registry) -> Observers {
+        Observers {
+            registry: Some(registry),
+            ..Observers::default()
+        }
+    }
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -496,7 +482,7 @@ mod tests {
         registry
             .histogram("core.choke_round_us", bt_obs::buckets::LATENCY_US)
             .observe(7);
-        let mut server = ObsServer::bind("127.0.0.1:0", registry).unwrap();
+        let mut server = ObsServer::bind("127.0.0.1:0", &registry_only(registry)).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || get(addr, "/metrics"));
         serve_one(&mut server);
@@ -519,9 +505,13 @@ mod tests {
         let store = SeriesStore::new(&registry);
         store.record_at("live.entropy", 5, 0.75);
         store.record_at("sim.live_peers", 5, 4.0);
-        let mut server = ObsServer::bind("127.0.0.1:0", registry)
+        let observers = Observers {
+            registry: Some(registry),
+            series: Some(store),
+            ..Observers::default()
+        };
+        let mut server = ObsServer::bind("127.0.0.1:0", &observers)
             .unwrap()
-            .with_series(store)
             .with_health_json(|| "{\"healthy\":true,\"monitors\":[]}".to_string());
         let addr = server.local_addr().unwrap();
 
@@ -553,7 +543,8 @@ mod tests {
 
     #[test]
     fn bare_server_serves_empty_series_and_vacuous_health() {
-        let mut server = ObsServer::bind("127.0.0.1:0", Registry::new_manual()).unwrap();
+        let mut server =
+            ObsServer::bind("127.0.0.1:0", &registry_only(Registry::new_manual())).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || (get(addr, "/series"), get(addr, "/health")));
         serve_one(&mut server);
@@ -565,7 +556,7 @@ mod tests {
     #[test]
     fn unknown_path_is_404_and_non_get_is_400() {
         let registry = Registry::new_manual();
-        let mut server = ObsServer::bind("127.0.0.1:0", registry).unwrap();
+        let mut server = ObsServer::bind("127.0.0.1:0", &registry_only(registry)).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || get(addr, "/nope"));
         serve_one(&mut server);
@@ -593,14 +584,15 @@ mod tests {
         let registry = Registry::new_manual();
         let tracer = Tracer::new(7, 1);
         let dir = std::env::temp_dir().join(format!("btflight-http-{}", std::process::id()));
-        let recorder = FlightRecorder::new(&dir, 16, 7);
-        let tracer = tracer.with_flight(recorder.clone());
+        let tracer = tracer.with_flight(FlightRecorder::new(&dir, 16, 7));
         tracer.record(100, bt_obs::TraceCat::Piece, "injected", 3, &[("by", 0)]);
         tracer.flush_local();
-        let mut server = ObsServer::bind("127.0.0.1:0", registry)
-            .unwrap()
-            .with_tracer(tracer)
-            .with_flight_recorder(recorder);
+        let observers = Observers {
+            registry: Some(registry),
+            tracer: Some(tracer),
+            ..Observers::default()
+        };
+        let mut server = ObsServer::bind("127.0.0.1:0", &observers).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || (get(addr, "/trace"), get(addr, "/flightrec")));
         serve_one(&mut server);
@@ -624,9 +616,11 @@ mod tests {
             let _g = profiler.span("tick");
             time.advance_to(250);
         }
-        let mut server = ObsServer::bind("127.0.0.1:0", Registry::new_manual())
-            .unwrap()
-            .with_profiler(profiler);
+        let observers = Observers {
+            profiler: Some(profiler),
+            ..registry_only(Registry::new_manual())
+        };
+        let mut server = ObsServer::bind("127.0.0.1:0", &observers).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || get(addr, "/profile"));
         serve_one(&mut server);
@@ -636,7 +630,8 @@ mod tests {
         assert!(body.contains("\"total_us\":250"), "{body}");
 
         // Without a profiler the route answers the empty document.
-        let mut bare = ObsServer::bind("127.0.0.1:0", Registry::new_manual()).unwrap();
+        let mut bare =
+            ObsServer::bind("127.0.0.1:0", &registry_only(Registry::new_manual())).unwrap();
         let addr = bare.local_addr().unwrap();
         let handle = std::thread::spawn(move || get(addr, "/profile"));
         serve_one(&mut bare);
@@ -644,8 +639,17 @@ mod tests {
     }
 
     #[test]
+    fn a_run_without_a_registry_is_refused_not_served() {
+        let err = ObsServer::bind("127.0.0.1:0", &Observers::default())
+            .err()
+            .expect("no registry, no server");
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+    }
+
+    #[test]
     fn slow_loris_partial_head_is_dropped_at_the_deadline() {
-        let mut server = ObsServer::bind("127.0.0.1:0", Registry::new_manual()).unwrap();
+        let mut server =
+            ObsServer::bind("127.0.0.1:0", &registry_only(Registry::new_manual())).unwrap();
         server.set_read_deadline(Duration::from_millis(100));
         let addr = server.local_addr().unwrap();
 
@@ -673,7 +677,7 @@ mod tests {
     fn pipelined_garbage_after_the_head_is_ignored() {
         let registry = Registry::new_manual();
         registry.counter("net.ok").add(1);
-        let mut server = ObsServer::bind("127.0.0.1:0", registry).unwrap();
+        let mut server = ObsServer::bind("127.0.0.1:0", &registry_only(registry)).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).unwrap();
@@ -698,7 +702,7 @@ mod tests {
                 .counter_with("net.bytes_in", &format!("peer{i:02}"))
                 .add(i);
         }
-        let mut server = ObsServer::bind("127.0.0.1:0", registry.clone()).unwrap();
+        let mut server = ObsServer::bind("127.0.0.1:0", &registry_only(registry.clone())).unwrap();
         server.set_max_write_per_pass(7);
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || get(addr, "/metrics"));

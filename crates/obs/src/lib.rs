@@ -17,6 +17,10 @@
 //! * a **causal tracer** ([`Tracer`]) with its crash-time
 //!   [`FlightRecorder`]; see the [`trace`] module.
 //!
+//! A run asks for these as one [`ObserverSet`] and gets them back as one
+//! [`Observers`], from [`ObserverSet::build`]: the one place that decides
+//! which instruments a run carries.
+//!
 //! This is *runtime* telemetry (where time and bytes go), distinct from
 //! `bt-instrument`'s paper-facing §III-C traces (what the protocol did).
 //! See DESIGN.md §"Observability" for naming conventions.
@@ -38,6 +42,7 @@
 //! ```
 
 pub mod export;
+pub mod observers;
 pub mod registry;
 pub mod series;
 pub mod span;
@@ -45,6 +50,7 @@ pub mod time;
 pub mod trace;
 
 pub use export::{summary_text, to_prometheus};
+pub use observers::{ObserverSet, Observers};
 pub use registry::{
     bucket_quantile, buckets, metric_key, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
     Snapshot,

@@ -415,7 +415,8 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// The flight recorder wired via [`with_flight`](Tracer::with_flight).
+    /// The flight recorder wired via [`with_flight`](Tracer::with_flight):
+    /// drivers and the observatory reach a run's recorder only here.
     pub fn flight(&self) -> Option<&FlightRecorder> {
         self.inner.as_ref().and_then(|i| i.flight.as_ref())
     }
@@ -556,25 +557,6 @@ impl Tracer {
         };
         let store = inner.store();
         f(&store, &sorted(&store))
-    }
-
-    /// All recorded events in the canonical export order (stable by
-    /// time, category, chain id), as owned values for consumers that
-    /// walk them. Non-destructive.
-    pub fn snapshot_sorted(&self) -> Vec<TraceEvent> {
-        self.with_sorted(|chunks, order| {
-            let event = |&(c, i): &Pos| {
-                let (r, s, vals) = chunks[c as usize].event(i);
-                TraceEvent {
-                    at_micros: r.at_micros,
-                    cat: s.cat,
-                    name: s.name,
-                    id: r.id,
-                    args: s.keys.iter().copied().zip(vals.iter().copied()).collect(),
-                }
-            };
-            order.iter().map(event).collect()
-        })
     }
 
     /// Stream the sorted deterministic JSONL (one event object per
@@ -803,6 +785,26 @@ impl Drop for FlightGuard {
 mod tests {
     use super::*;
     use crate::time::TimeSource;
+
+    impl Tracer {
+        /// All recorded events in the canonical export order (stable by
+        /// time, category, chain id), as owned values. Non-destructive.
+        fn snapshot_sorted(&self) -> Vec<TraceEvent> {
+            self.with_sorted(|chunks, order| {
+                let event = |&(c, i): &Pos| {
+                    let (r, s, vals) = chunks[c as usize].event(i);
+                    TraceEvent {
+                        at_micros: r.at_micros,
+                        cat: s.cat,
+                        name: s.name,
+                        id: r.id,
+                        args: s.keys.iter().copied().zip(vals.iter().copied()).collect(),
+                    }
+                };
+                order.iter().map(event).collect()
+            })
+        }
+    }
 
     #[test]
     fn disabled_tracer_is_inert() {

@@ -28,7 +28,7 @@ use crate::tracker::{PeerIdx, SimTracker};
 use bt_analysis::live::{HealthMonitor, HealthReport, LiveSample, Thresholds};
 use bt_core::{Action, Config, ConnId, DataMode, Engine, EngineBuilder, Input};
 use bt_instrument::trace::{Trace, TraceMeta};
-use bt_obs::trace::{DumpContext, FlightGuard, FlightRecorder, TraceCat, Tracer};
+use bt_obs::trace::{DumpContext, FlightGuard, TraceCat, Tracer};
 use bt_piece::{Bitfield, Geometry};
 use bt_wire::handshake::Handshake;
 use bt_wire::message::{BlockRef, Message};
@@ -526,13 +526,11 @@ pub struct Swarm {
     /// Static per-round upload budget per peer.
     upload_budget: Vec<u64>,
     /// Causal trace layer ([`Swarm::with_trace`]); disabled = one
-    /// branch per hook.
+    /// branch per hook. Its [`Tracer::flight`] recorder, if any, dumps
+    /// a bundle when a live-monitor invariant trips or the run panics.
     tracer: Tracer,
     /// Lifecycle state per sampled piece.
     piece_life: BTreeMap<u32, PieceLife>,
-    /// Flight recorder ([`Swarm::with_flight_recorder`]): dumps a
-    /// bundle when a live-monitor invariant trips or the run panics.
-    flight: Option<FlightRecorder>,
     /// Previous health verdict, to edge-trigger flight dumps.
     was_healthy: bool,
     /// Events processed, mirrored for the panic flight guard.
@@ -663,7 +661,6 @@ impl Swarm {
             upload_budget,
             tracer: Tracer::disabled(),
             piece_life: BTreeMap::new(),
-            flight: None,
             was_healthy: true,
             events_shared: Arc::new(AtomicU64::new(0)),
         };
@@ -809,6 +806,11 @@ impl Swarm {
     /// while a sampled lifecycle is open. Sampling decisions hash
     /// piece/peer ids (never the swarm RNG), so digests and §III-C
     /// traces are byte-identical whether tracing is on or off.
+    ///
+    /// A tracer built [`with_flight`](Tracer::with_flight) brings its
+    /// flight recorder: a bounded ring of recent trace events, dumped
+    /// as a self-contained bundle when a live-monitor invariant trips
+    /// ([`with_health`](Swarm::with_health)) or the run panics.
     #[must_use]
     pub fn with_trace(mut self, tracer: Tracer) -> Swarm {
         // Coverage guarantee: pin the minimal-hash piece and peer so
@@ -819,17 +821,6 @@ impl Swarm {
             self.spec.peers.len() as u64,
         );
         self.tracer = tracer;
-        self
-    }
-
-    /// Attach a [`FlightRecorder`]: a bounded ring of recent trace
-    /// events, dumped as a self-contained bundle when a live-monitor
-    /// invariant trips ([`with_health`](Swarm::with_health)) or the run
-    /// panics. Compose with [`with_trace`](Swarm::with_trace) via
-    /// [`Tracer::with_flight`] so trace events reach the ring.
-    #[must_use]
-    pub fn with_flight_recorder(mut self, recorder: FlightRecorder) -> Swarm {
-        self.flight = Some(recorder);
         self
     }
 
@@ -877,10 +868,11 @@ impl Swarm {
     /// [`with_metrics`](Swarm::with_metrics).
     pub fn run(mut self) -> SwarmResult {
         self.start();
-        let _flight_guard = self
-            .flight
-            .clone()
-            .map(|fr| FlightGuard::new(fr, self.events_shared.clone()));
+        // Held for the whole run: dumps a bundle if it panics.
+        let flight_guard = self
+            .tracer
+            .flight()
+            .map(|fr| FlightGuard::new(fr.clone(), self.events_shared.clone()));
         let end = Instant(self.spec.duration.0);
         while let Some(next) = self.queue.peek_time() {
             if next > end {
@@ -891,7 +883,7 @@ impl Swarm {
                 self.queue.pop().expect("peeked")
             };
             self.events_processed += 1;
-            if self.flight.is_some() {
+            if flight_guard.is_some() {
                 self.events_shared
                     .store(self.events_processed, Ordering::Relaxed);
             }
@@ -1031,7 +1023,7 @@ impl Swarm {
             );
             // Edge-triggered flight-recorder dump: the first observation
             // where any monitor turns unhealthy writes a bundle.
-            if self.flight.is_some() {
+            if self.tracer.flight().is_some() {
                 let report = monitor.report();
                 let healthy = report.healthy();
                 if self.was_healthy && !healthy {
@@ -1053,7 +1045,9 @@ impl Swarm {
     /// the recorder's recent trace slice (worst-starved peer's choke
     /// history, rarest open sampled piece).
     fn dump_flight(&self, report: &HealthReport, worst: Option<(PeerIdx, u64)>) {
-        let Some(fr) = &self.flight else { return };
+        let Some(fr) = self.tracer.flight() else {
+            return;
+        };
         let tripped: Vec<&str> = report
             .monitors
             .iter()

@@ -13,8 +13,8 @@ pub mod scenarios;
 pub mod table1;
 
 pub use runner::{
-    build_swarm_spec, default_jobs, run_scenario, run_scenarios_parallel, run_table1,
-    run_table1_parallel, RunConfig, RunConfigBuilder, ScaledParams, ScenarioOutcome,
+    attach_observers, build_swarm_spec, default_jobs, run_scenario, run_scenarios_parallel,
+    run_table1, run_table1_parallel, RunConfig, RunConfigBuilder, ScaledParams, ScenarioOutcome,
 };
 pub use scenarios::PresetOptions;
 pub use table1::{table1, torrent, ScenarioSpec};

@@ -11,6 +11,7 @@
 use crate::table1::ScenarioSpec;
 use bt_core::Config;
 use bt_instrument::trace::Trace;
+use bt_obs::{ObserverSet, Observers, TimeSource};
 use bt_sim::behavior::{BehaviorProfile, CapacityClass, Role};
 use bt_sim::swarm::{Swarm, SwarmResult, SwarmSpec};
 use bt_sim::NetModel;
@@ -42,7 +43,7 @@ const ARRIVAL_FRACTION: f64 = 1.0;
 const TRANSIENT_AVAILABLE: f64 = 0.35;
 
 /// Scaling and session parameters for a scenario run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     /// Master seed (scenario seeds derive from it and the torrent ID).
     pub seed: u64,
@@ -57,38 +58,17 @@ pub struct RunConfig {
     pub session: Duration,
     /// Engine configuration shared by all peers (the local peer included).
     pub base_config: Config,
-    /// Attach a manual-clock `bt-obs` registry to every swarm; the
-    /// deterministic snapshots land in
-    /// [`SwarmResult::metrics`](bt_sim::swarm::SwarmResult::metrics).
-    pub metrics: bool,
-    /// Attach a manual-clock span [`bt_obs::Profiler`] to every swarm;
-    /// the deterministic call-tree profile lands in
-    /// [`ScenarioOutcome::profile`]. Spans never touch engine RNG or
-    /// traces, so profiled runs stay byte-identical to bare ones.
-    pub profile: bool,
-    /// Attach a [`bt_obs::SeriesStore`] plus the live health monitors to
-    /// every swarm (implies a metrics registry). The deterministic
-    /// time-series JSON lands in [`ScenarioOutcome::series`] and the
-    /// final verdicts in
-    /// [`SwarmResult::health`](bt_sim::swarm::SwarmResult::health).
-    pub series: bool,
     /// Network model applied to every scenario swarm (`None` = the
     /// spec default: uniform latency). Set a full-duplex topology here
     /// to rerun Table I under WAN conditions — `swarmrun --table1
     /// --topology asymmetric_dsl` routes through this.
     pub net: Option<NetModel>,
-    /// Attach a causal [`bt_obs::Tracer`] to every swarm, sampling one
-    /// in `N` piece/peer ids (`Some(1)` = everything, `None` = off).
-    /// The deterministic exports land in
-    /// [`ScenarioOutcome::trace_jsonl`] /
-    /// [`ScenarioOutcome::trace_chrome`]. Sampling hashes ids — never
-    /// the swarm RNG — so traced runs stay byte-identical to bare ones.
-    pub trace_sample: Option<u64>,
-    /// Directory for a per-scenario [`bt_obs::FlightRecorder`]: recent
-    /// trace events are kept in a bounded ring and dumped as a
-    /// self-contained bundle on a live-monitor invariant trip (needs
-    /// [`series`](RunConfig::series)) or on panic.
-    pub flight_dir: Option<String>,
+    /// The observers every swarm carries, built per torrent on a
+    /// manual clock and seeded with the swarm's seed (see
+    /// [`run_scenario`]); they land in [`ScenarioOutcome::observers`].
+    /// Observers never touch the swarm RNG, so observed runs stay
+    /// byte-identical to bare ones.
+    pub observe: ObserverSet,
 }
 
 impl Default for RunConfig {
@@ -100,12 +80,8 @@ impl Default for RunConfig {
             max_pieces: 256,
             session: Duration::from_secs(3600),
             base_config: Config::default(),
-            metrics: false,
-            profile: false,
-            series: false,
             net: None,
-            trace_sample: None,
-            flight_dir: None,
+            observe: ObserverSet::default(),
         }
     }
 }
@@ -181,24 +157,14 @@ pub struct ScenarioOutcome {
     pub scaled: ScaledParams,
     /// The instrumented local peer's trace.
     pub trace: Trace,
-    /// Swarm-level results (completions, tracker stats).
+    /// Swarm-level results (completions, tracker stats; the span
+    /// profile, which merges commutatively with
+    /// [`bt_obs::Profile::merge`], and the health verdicts).
     pub result: SwarmResult,
-    /// Deterministic span profile, when [`RunConfig::profile`] was set.
-    /// Per-scenario profiles merge commutatively
-    /// ([`bt_obs::Profile::merge`]), so a sweep can aggregate them in
-    /// spec order regardless of which worker ran what.
-    pub profile: Option<bt_obs::Profile>,
-    /// Time-series JSON export, when [`RunConfig::series`] was set. A
-    /// pure function of the spec and seed: byte-identical across runs
-    /// and worker counts.
-    pub series: Option<String>,
-    /// Sorted deterministic JSONL causal-trace export, when
-    /// [`RunConfig::trace_sample`] was set. Byte-identical across runs
-    /// and worker counts.
-    pub trace_jsonl: Option<String>,
-    /// Chrome trace-event JSON of the same causal events (open in
-    /// Perfetto / `chrome://tracing`).
-    pub trace_chrome: Option<String>,
+    /// The handles [`RunConfig::observe`] built for this swarm. Every
+    /// export is a pure function of the spec and seed: byte-identical
+    /// across runs and worker counts.
+    pub observers: Observers,
 }
 
 /// Scale a Table I row under `cfg`.
@@ -352,69 +318,54 @@ pub fn build_swarm_spec(spec: &ScenarioSpec, cfg: &RunConfig) -> (SwarmSpec, Sca
     (swarm_spec, scaled)
 }
 
-/// Run one Table I scenario end to end.
-pub fn run_scenario(spec: &ScenarioSpec, cfg: &RunConfig) -> ScenarioOutcome {
-    let (mut swarm_spec, scaled) = build_swarm_spec(spec, cfg);
-    let mut swarm = Swarm::new(std::mem::take(&mut swarm_spec));
-    let registry = (cfg.metrics || cfg.series).then(bt_obs::Registry::new_manual);
-    if let Some(reg) = &registry {
-        swarm = swarm.with_metrics(reg.clone());
-    }
-    let store = match (&registry, cfg.series) {
-        (Some(reg), true) => Some(bt_obs::SeriesStore::new(reg)),
-        _ => None,
-    };
-    if let Some(s) = &store {
+/// Attach `observers` to `swarm`. In the simulator a registry always
+/// carries the live health monitors; a tracer brings its flight
+/// recorder along.
+pub fn attach_observers(mut swarm: Swarm, observers: &Observers) -> Swarm {
+    if let Some(registry) = &observers.registry {
         swarm = swarm
-            .with_series(s.clone())
+            .with_metrics(registry.clone())
             .with_health(bt_analysis::live::Thresholds::default());
     }
-    if cfg.profile {
-        swarm = swarm.with_profiler(bt_obs::Profiler::new(bt_obs::TimeSource::manual()));
+    if let Some(store) = &observers.series {
+        swarm = swarm.with_series(store.clone());
     }
-    // Causal tracer + flight recorder, seeded like the swarm so the
-    // sampled id set is a pure function of (cfg.seed, torrent id).
-    let swarm_seed = cfg.seed.wrapping_add(u64::from(spec.id) * 1_000_003);
-    let flight = cfg
-        .flight_dir
-        .as_ref()
-        .map(|dir| bt_obs::FlightRecorder::new(dir, 4096, swarm_seed));
-    let tracer = cfg.trace_sample.map(|rate| {
-        let t = bt_obs::Tracer::new(swarm_seed, rate);
-        match &flight {
-            Some(fr) => t.with_flight(fr.clone()),
-            None => t,
-        }
-    });
-    if let Some(t) = &tracer {
-        swarm = swarm.with_trace(t.clone());
+    if let Some(profiler) = &observers.profiler {
+        swarm = swarm.with_profiler(profiler.clone());
     }
-    if let Some(fr) = &flight {
-        swarm = swarm.with_flight_recorder(fr.clone());
+    if let Some(tracer) = &observers.tracer {
+        swarm = swarm.with_trace(tracer.clone());
     }
+    swarm
+}
+
+/// Run one Table I scenario end to end. Its observers are built from
+/// [`RunConfig::observe`] on a manual clock, seeded like the swarm so
+/// the sampled ids are a pure function of `(cfg.seed, torrent id)`;
+/// its flight bundles go to `flight_dir/<torrent label>/`, since every
+/// recorder numbers its bundles from 0.
+pub fn run_scenario(spec: &ScenarioSpec, cfg: &RunConfig) -> ScenarioOutcome {
+    let (swarm_spec, scaled) = build_swarm_spec(spec, cfg);
+    let set = ObserverSet {
+        flight_dir: cfg
+            .observe
+            .flight_dir
+            .as_ref()
+            .map(|d| d.join(spec.label())),
+        ..cfg.observe.clone()
+    };
+    let observers = set.build(TimeSource::manual, swarm_spec.seed);
+    let result = attach_observers(Swarm::new(swarm_spec), &observers).run();
     // Label the trace with the Table I identity.
-    let mut result = swarm.run();
-    let profile = result.profile.take();
     let mut trace = result.trace.as_ref().expect("local peer recorded").clone();
     trace.meta.torrent = spec.label();
     trace.meta.torrent_id = spec.id;
-    // Both causal exports from one sort.
-    let (trace_jsonl, trace_chrome) = tracer.as_ref().map_or((None, None), |t| {
-        let (mut jsonl, mut chrome) = (Vec::new(), Vec::new());
-        t.export(Some(&mut jsonl), Some(&mut chrome))
-            .expect("writing to memory cannot fail");
-        let text = |bytes| String::from_utf8(bytes).expect("the tracer writes UTF-8");
-        (Some(text(jsonl)), Some(text(chrome)))
-    });
     ScenarioOutcome {
         spec: *spec,
         scaled,
         trace,
         result,
-        profile,
-        series: store.map(|s| s.to_json(None)),
-        trace_jsonl,
-        trace_chrome,
+        observers,
     }
 }
 
@@ -644,13 +595,16 @@ mod tests {
     fn profiled_scenario_matches_bare_run_and_carries_profile() {
         let cfg = RunConfig::quick();
         let bare = run_scenario(&torrent(2), &cfg);
-        assert!(bare.profile.is_none());
+        assert!(bare.result.profile.is_none());
         let profiled_cfg = RunConfig {
-            profile: true,
+            observe: ObserverSet {
+                profile: true,
+                ..ObserverSet::default()
+            },
             ..RunConfig::quick()
         };
         let profiled = run_scenario(&torrent(2), &profiled_cfg);
-        let profile = profiled.profile.as_ref().expect("profile requested");
+        let profile = profiled.result.profile.as_ref().expect("profile requested");
         assert_eq!(
             bare.trace.events, profiled.trace.events,
             "span recording must not perturb the simulation"
@@ -663,7 +617,10 @@ mod tests {
     fn traced_scenario_matches_bare_run_and_exports_lifecycles() {
         let bare = run_scenario(&torrent(2), &RunConfig::quick());
         let traced_cfg = RunConfig {
-            trace_sample: Some(1),
+            observe: ObserverSet {
+                trace_sample: Some(1),
+                ..ObserverSet::default()
+            },
             ..RunConfig::quick()
         };
         let traced = run_scenario(&torrent(2), &traced_cfg);
@@ -671,13 +628,13 @@ mod tests {
             bare.trace.events, traced.trace.events,
             "causal tracing must not perturb the simulation"
         );
-        let jsonl = traced.trace_jsonl.as_deref().expect("trace requested");
+        let tracer = traced.observers.tracer.as_ref().expect("trace requested");
+        let jsonl = tracer.to_jsonl();
         assert!(jsonl.contains("\"injected\""), "{jsonl}");
         assert!(jsonl.contains("\"verified\""), "{jsonl}");
         assert!(jsonl.contains("\"round\""), "missing choke audit");
-        let chrome = traced.trace_chrome.as_deref().expect("trace requested");
-        assert!(chrome.contains("\"traceEvents\""));
-        assert!(bare.trace_jsonl.is_none());
+        assert!(tracer.to_chrome_json().contains("\"traceEvents\""));
+        assert!(bare.observers.tracer.is_none());
     }
 
     #[test]

@@ -16,19 +16,28 @@
 //! 5. **Hostile manifests** — a scenario name with quotes and newlines
 //!    goes through merge, diff and bisect and the reports still parse.
 
-use bt_repro::obs::{HistogramSnapshot, SeriesView, Snapshot};
+use bt_repro::obs::{HistogramSnapshot, ObserverSet, SeriesView, Snapshot};
 use bt_repro::stat::artifacts::parse_profile;
 use bt_repro::stat::{attribute, bisect_traces, diff_runs, FleetReport, RunArtifacts};
-use bt_repro::torrents::{run_scenario, torrent, RunConfig};
+use bt_repro::torrents::{run_scenario, torrent, RunConfig, ScenarioOutcome};
 use proptest::prelude::*;
 use serde_json::Value;
 
 fn traced_cfg(seed: u64) -> RunConfig {
     RunConfig {
         seed,
-        trace_sample: Some(1),
+        observe: ObserverSet {
+            trace_sample: Some(1),
+            ..ObserverSet::default()
+        },
         ..RunConfig::quick()
     }
+}
+
+/// The causal trace as `--emit-dir` writes it.
+fn trace_jsonl(o: &ScenarioOutcome) -> String {
+    let tracer = o.observers.tracer.as_ref();
+    tracer.expect("causal trace requested").to_jsonl()
 }
 
 #[test]
@@ -36,9 +45,9 @@ fn bisect_reports_identical_runs_and_pinpoints_seed_divergence() {
     let a = run_scenario(&torrent(2), &traced_cfg(42));
     let a2 = run_scenario(&torrent(2), &traced_cfg(42));
     let b = run_scenario(&torrent(2), &traced_cfg(43));
-    let trace_a = a.trace_jsonl.expect("causal trace requested");
-    let trace_a2 = a2.trace_jsonl.expect("causal trace requested");
-    let trace_b = b.trace_jsonl.expect("causal trace requested");
+    let trace_a = trace_jsonl(&a);
+    let trace_a2 = trace_jsonl(&a2);
+    let trace_b = trace_jsonl(&b);
 
     // Same seed: the debugger must assert identity, not just silence.
     let same = bisect_traces(&trace_a, &trace_a2, 3);
@@ -153,11 +162,14 @@ proptest! {
 #[test]
 fn flamegraph_export_is_collapsed_stack_lines() {
     let cfg = RunConfig {
-        profile: true,
+        observe: ObserverSet {
+            profile: true,
+            ..ObserverSet::default()
+        },
         ..RunConfig::quick()
     };
     let outcome = run_scenario(&torrent(2), &cfg);
-    let profile = outcome.profile.expect("profiler requested");
+    let profile = outcome.result.profile.expect("profiler requested");
     // What `btstat diff --flame-a` exports: the profile as read back
     // from its own `profile.json`.
     let doc = parse_profile(&profile.to_json()).unwrap();
@@ -198,9 +210,12 @@ fn artifact_directory_round_trips_through_load_and_merge() {
     let mut dirs = Vec::new();
     for seed in [42u64, 43] {
         let cfg = RunConfig {
-            metrics: true,
-            series: true,
-            profile: true,
+            observe: ObserverSet {
+                metrics: true,
+                profile: true,
+                trace_sample: Some(1),
+                flight_dir: None,
+            },
             ..traced_cfg(seed)
         };
         let outcome = run_scenario(&torrent(19), &cfg);
@@ -218,9 +233,11 @@ fn artifact_directory_round_trips_through_load_and_merge() {
         std::fs::write(dir.join("run.json"), manifest).unwrap();
         let last = outcome.result.metrics.last().expect("metrics requested");
         std::fs::write(dir.join("metrics.jsonl"), last.to_jsonl_line() + "\n").unwrap();
-        std::fs::write(dir.join("series.json"), outcome.series.unwrap()).unwrap();
-        std::fs::write(dir.join("profile.json"), outcome.profile.unwrap().to_json()).unwrap();
-        std::fs::write(dir.join("trace.jsonl"), outcome.trace_jsonl.unwrap()).unwrap();
+        let series = outcome.observers.series.as_ref().unwrap().to_json(None);
+        std::fs::write(dir.join("series.json"), series).unwrap();
+        let profile = outcome.result.profile.as_ref().unwrap().to_json();
+        std::fs::write(dir.join("profile.json"), profile).unwrap();
+        std::fs::write(dir.join("trace.jsonl"), trace_jsonl(&outcome)).unwrap();
         dirs.push(dir);
     }
 

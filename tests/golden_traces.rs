@@ -15,6 +15,7 @@
 //! BT_UPDATE_GOLDEN=1 cargo test --test golden_traces
 //! ```
 
+use bt_repro::obs::ObserverSet;
 use bt_repro::sim::Swarm;
 use bt_repro::torrents::{run_scenario, torrent, RunConfig};
 use std::fmt::Write as _;
@@ -91,7 +92,10 @@ fn golden_fingerprints_unchanged_with_causal_tracing_on() {
     for id in GOLDEN_IDS {
         let cfg = RunConfig {
             seed: 42,
-            trace_sample: Some(2),
+            observe: ObserverSet {
+                trace_sample: Some(2),
+                ..ObserverSet::default()
+            },
             ..RunConfig::quick()
         };
         let outcome = run_scenario(&torrent(id), &cfg);
@@ -104,8 +108,8 @@ fn golden_fingerprints_unchanged_with_causal_tracing_on() {
         )
         .unwrap();
         assert!(
-            outcome.trace_jsonl.is_some(),
-            "torrent {id}: causal trace requested but not exported"
+            outcome.observers.tracer.is_some_and(|t| !t.is_empty()),
+            "torrent {id}: causal trace requested but nothing recorded"
         );
     }
     let opts = bt_repro::torrents::PresetOptions {

@@ -12,7 +12,18 @@
 //!    metrics off, so the PR 1 golden fingerprints are untouched by
 //!    instrumentation.
 
+use bt_repro::obs::ObserverSet;
 use bt_repro::torrents::{run_scenarios_parallel, torrent, RunConfig, ScenarioOutcome};
+
+fn with_metrics() -> RunConfig {
+    RunConfig {
+        observe: ObserverSet {
+            metrics: true,
+            ..ObserverSet::default()
+        },
+        ..RunConfig::quick()
+    }
+}
 
 fn metrics_jsonl(outcome: &ScenarioOutcome) -> String {
     outcome
@@ -25,10 +36,7 @@ fn metrics_jsonl(outcome: &ScenarioOutcome) -> String {
 
 #[test]
 fn metrics_jsonl_is_byte_identical_across_job_counts() {
-    let cfg = RunConfig {
-        metrics: true,
-        ..RunConfig::quick()
-    };
+    let cfg = with_metrics();
     let specs = [torrent(2), torrent(19), torrent(3)];
     let baseline = run_scenarios_parallel(&cfg, &specs, 1, |_| {});
     for o in &baseline {
@@ -57,10 +65,7 @@ fn metrics_jsonl_is_byte_identical_across_job_counts() {
 #[test]
 fn metrics_do_not_perturb_scenario_traces() {
     let quick = RunConfig::quick();
-    let with_metrics = RunConfig {
-        metrics: true,
-        ..RunConfig::quick()
-    };
+    let with_metrics = with_metrics();
     for id in [2, 3] {
         let bare = bt_repro::torrents::run_scenario(&torrent(id), &quick);
         let instrumented = bt_repro::torrents::run_scenario(&torrent(id), &with_metrics);

@@ -17,7 +17,7 @@
 //! ```
 
 use bt_repro::analysis::live::Thresholds;
-use bt_repro::obs::{Profiler, Registry, SeriesStore, Snapshot, TimeSource, Tracer};
+use bt_repro::obs::{ObserverSet, Profiler, Registry, SeriesStore, Snapshot, TimeSource, Tracer};
 use bt_repro::sim::Swarm;
 use bt_repro::torrents::{run_scenario, torrent, PresetOptions, RunConfig};
 use std::fmt::Write as _;
@@ -99,27 +99,28 @@ fn crowd_1k(out: &mut String, rate: u64) {
 fn table1_torrent_2(out: &mut String) {
     let cfg = RunConfig {
         seed: 42,
-        metrics: true,
-        series: true,
-        profile: true,
-        trace_sample: Some(1),
+        observe: ObserverSet {
+            metrics: true,
+            profile: true,
+            trace_sample: Some(1),
+            flight_dir: None,
+        },
         ..RunConfig::quick()
     };
     let o = run_scenario(&torrent(2), &cfg);
+    let tracer = o.observers.tracer.as_ref().expect("trace on");
+    let store = o.observers.series.as_ref().expect("series on");
     fingerprint(
         out,
         "table1/torrent=2",
         [
-            ("trace.jsonl", o.trace_jsonl.as_deref().expect("trace on")),
-            (
-                "trace.chrome.json",
-                o.trace_chrome.as_deref().expect("trace on"),
-            ),
+            ("trace.jsonl", &tracer.to_jsonl()),
+            ("trace.chrome.json", &tracer.to_chrome_json()),
             (
                 "profile.json",
-                &o.profile.as_ref().expect("profile on").to_json(),
+                &o.result.profile.as_ref().expect("profile on").to_json(),
             ),
-            ("series.json", o.series.as_deref().expect("series on")),
+            ("series.json", &store.to_json(None)),
             ("metrics.jsonl", &metrics_jsonl(&o.result.metrics)),
         ],
     );
@@ -207,8 +208,8 @@ fn observer_exports_do_not_depend_on_attach_order() {
         "the health monitors feed the series store"
     );
     for order in [
-        // `run_scenario`'s order.
-        [Metrics, Series, Health, Profiler, Trace],
+        // `attach_observers`' order (`run_scenario`, `swarmrun`).
+        [Metrics, Health, Series, Profiler, Trace],
         // The series store before the registry it samples.
         [Series, Profiler, Trace, Metrics, Health],
     ] {

@@ -13,28 +13,35 @@
 //!    with profiling off, so the PR 1 golden fingerprints are
 //!    untouched by span instrumentation.
 
-use bt_repro::obs::Profile;
+use bt_repro::obs::{ObserverSet, Profile};
 use bt_repro::torrents::{run_scenarios_parallel, torrent, RunConfig, ScenarioOutcome};
+
+fn profiled() -> RunConfig {
+    RunConfig {
+        observe: ObserverSet {
+            profile: true,
+            ..ObserverSet::default()
+        },
+        ..RunConfig::quick()
+    }
+}
 
 fn merged_profile_json(outcomes: &[ScenarioOutcome]) -> String {
     let mut merged = Profile::default();
     for o in outcomes {
-        merged.merge(o.profile.as_ref().expect("profiling was requested"));
+        merged.merge(o.result.profile.as_ref().expect("profiling was requested"));
     }
     merged.to_json()
 }
 
 #[test]
 fn merged_profile_json_is_byte_identical_across_job_counts() {
-    let cfg = RunConfig {
-        profile: true,
-        ..RunConfig::quick()
-    };
+    let cfg = profiled();
     let specs = [torrent(2), torrent(19), torrent(3)];
     let sequential = run_scenarios_parallel(&cfg, &specs, 1, |_| {});
     let parallel = run_scenarios_parallel(&cfg, &specs, 8, |_| {});
     for o in &sequential {
-        let profile = o.profile.as_ref().unwrap();
+        let profile = o.result.profile.as_ref().unwrap();
         assert!(!profile.is_empty(), "torrent {}: empty profile", o.spec.id);
         assert_eq!(
             profile.get(&["sim.event_pop"]).unwrap().count,
@@ -46,8 +53,8 @@ fn merged_profile_json_is_byte_identical_across_job_counts() {
     // Per-scenario profiles are identical run to run ...
     for (seq, par) in sequential.iter().zip(&parallel) {
         assert_eq!(
-            seq.profile.as_ref().unwrap().to_json(),
-            par.profile.as_ref().unwrap().to_json(),
+            seq.result.profile.as_ref().unwrap().to_json(),
+            par.result.profile.as_ref().unwrap().to_json(),
             "torrent {}: profile differs across job counts",
             seq.spec.id
         );
@@ -64,10 +71,7 @@ fn merged_profile_json_is_byte_identical_across_job_counts() {
 #[test]
 fn profiling_does_not_perturb_traces() {
     let bare_cfg = RunConfig::quick();
-    let prof_cfg = RunConfig {
-        profile: true,
-        ..RunConfig::quick()
-    };
+    let prof_cfg = profiled();
     let specs = [torrent(2), torrent(3)];
     let bare = run_scenarios_parallel(&bare_cfg, &specs, 2, |_| {});
     let profiled = run_scenarios_parallel(&prof_cfg, &specs, 2, |_| {});
@@ -84,12 +88,9 @@ fn profiling_does_not_perturb_traces() {
 
 #[test]
 fn profile_call_tree_nests_engine_spans_under_driver_spans() {
-    let cfg = RunConfig {
-        profile: true,
-        ..RunConfig::quick()
-    };
+    let cfg = profiled();
     let outcome = bt_repro::torrents::run_scenario(&torrent(2), &cfg);
-    let profile = outcome.profile.as_ref().unwrap();
+    let profile = outcome.result.profile.as_ref().unwrap();
     for path in [
         &["sim.event", "core.handle.message"][..],
         &["sim.event", "core.handle.tick", "core.choke_round"][..],

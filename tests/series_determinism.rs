@@ -15,20 +15,34 @@
 //!    entropy near 1 (§III "entropy of the torrent"), no starving
 //!    peers, reciprocation above the floor.
 
-use bt_repro::obs::{Registry, SeriesStore};
+use bt_repro::obs::{ObserverSet, Registry, SeriesStore};
 use bt_repro::sim::Swarm;
-use bt_repro::torrents::{run_scenarios_parallel, torrent, RunConfig};
+use bt_repro::torrents::{run_scenarios_parallel, torrent, RunConfig, ScenarioOutcome};
+
+/// The quick profile with a registry, its series store and the health
+/// monitors on every swarm.
+fn observed() -> RunConfig {
+    RunConfig {
+        observe: ObserverSet {
+            metrics: true,
+            ..ObserverSet::default()
+        },
+        ..RunConfig::quick()
+    }
+}
+
+fn series_json(o: &ScenarioOutcome) -> String {
+    let store = o.observers.series.as_ref().expect("series requested");
+    store.to_json(None)
+}
 
 #[test]
 fn series_json_is_byte_identical_across_job_counts() {
-    let cfg = RunConfig {
-        series: true,
-        ..RunConfig::quick()
-    };
+    let cfg = observed();
     let specs = [torrent(2), torrent(19), torrent(3)];
     let baseline = run_scenarios_parallel(&cfg, &specs, 1, |_| {});
     for o in &baseline {
-        let json = o.series.as_ref().expect("series requested");
+        let json = series_json(o);
         assert!(
             json.contains("\"name\":\"live.entropy\""),
             "torrent {}: health series missing",
@@ -45,7 +59,8 @@ fn series_json_is_byte_identical_across_job_counts() {
         let parallel = run_scenarios_parallel(&cfg, &specs, jobs, |_| {});
         for (seq, par) in baseline.iter().zip(&parallel) {
             assert_eq!(
-                seq.series, par.series,
+                series_json(seq),
+                series_json(par),
                 "jobs={jobs} torrent {}: series JSON drifted",
                 seq.spec.id
             );
@@ -56,10 +71,7 @@ fn series_json_is_byte_identical_across_job_counts() {
 #[test]
 fn series_and_health_do_not_perturb_scenario_traces() {
     let quick = RunConfig::quick();
-    let observed_cfg = RunConfig {
-        series: true,
-        ..RunConfig::quick()
-    };
+    let observed_cfg = observed();
     for id in [2, 3] {
         let bare = bt_repro::torrents::run_scenario(&torrent(id), &quick);
         let observed = bt_repro::torrents::run_scenario(&torrent(id), &observed_cfg);
