@@ -3,8 +3,10 @@
 //! Two fidelity levels, selected per simulation:
 //!
 //! * [`DataMode::Real`] — piece messages carry real bytes generated from
-//!   the torrent's deterministic content; receivers buffer blocks and
-//!   verify SHA-1 piece hashes. Used by examples, integration tests, and
+//!   the torrent's deterministic content; receivers hash each block as
+//!   it arrives ([`PieceBuffer`] holds only blocks that come ahead of
+//!   their predecessors) and check the piece's SHA-1 when its last
+//!   block is in. Used by examples, integration tests, and
 //!   fault-injection scenarios (corrupted blocks must be re-downloaded).
 //! * [`DataMode::Virtual`] — piece messages carry no payload (lengths are
 //!   still accounted by the bandwidth model) and verification is assumed
@@ -13,10 +15,10 @@
 //!   changing any protocol dynamics.
 //!
 //! DESIGN.md records this substitution; both modes drive the identical
-//! engine code path except for the buffer/verify step.
+//! engine code path except for the hash/verify step.
 
 use bt_wire::metainfo::SyntheticContent;
-use bt_wire::sha1;
+use bt_wire::sha1::{Digest, Sha1};
 use bytes::Bytes;
 use std::sync::Arc;
 
@@ -47,13 +49,11 @@ impl DataMode {
         }
     }
 
-    /// Verify an assembled piece against the torrent's hash. In virtual
+    /// Check a piece's digest against the torrent's hash. In virtual
     /// mode this always succeeds (no data to check).
-    pub fn verify_piece(&self, piece: u32, data: &[u8]) -> bool {
+    pub fn verify_piece(&self, piece: u32, digest: &Digest) -> bool {
         match self {
-            DataMode::Real(content) => {
-                sha1::sha1(data) == content.metainfo.piece_hashes[piece as usize]
-            }
+            DataMode::Real(content) => *digest == content.metainfo.piece_hashes[piece as usize],
             DataMode::Virtual => true,
         }
     }
@@ -64,35 +64,67 @@ impl DataMode {
     }
 }
 
-/// Buffer assembling the blocks of one piece (real-data mode only).
-#[derive(Debug, Default)]
+/// The SHA-1 of one piece, computed as its blocks arrive (real-data
+/// mode only).
+///
+/// A block is hashed when it is the next one in piece order; one that
+/// arrives ahead of that waits in a slot until its predecessors are in.
+/// The slots exist only once a block arrives early, so a piece fetched
+/// in order holds no payload at all.
 pub struct PieceBuffer {
-    blocks: Vec<Option<Bytes>>,
+    hasher: Sha1,
+    /// Blocks `0..next` are hashed.
+    next: u32,
+    num_blocks: u32,
+    /// Early arrivals by block index; empty until the first one.
+    early: Vec<Option<Bytes>>,
 }
 
 impl PieceBuffer {
-    /// A buffer for a piece of `num_blocks` blocks.
+    /// A verifier for a piece of `num_blocks` blocks.
     pub fn new(num_blocks: u32) -> PieceBuffer {
         PieceBuffer {
-            blocks: vec![None; num_blocks as usize],
+            hasher: Sha1::new(),
+            next: 0,
+            num_blocks,
+            early: Vec::new(),
         }
     }
 
-    /// Store one block's payload. Later arrivals overwrite (end-game
-    /// duplicates are byte-identical unless corrupted in flight).
+    /// Take one block's payload: hash it if it is next in line, then
+    /// every early successor it unblocks; otherwise hold it. Each block
+    /// is stored once (the engine drops re-received blocks first), so a
+    /// block that is already hashed is ignored.
     pub fn store(&mut self, block_index: u32, data: Bytes) {
-        if let Some(slot) = self.blocks.get_mut(block_index as usize) {
-            *slot = Some(data);
+        debug_assert!(
+            block_index >= self.next && block_index < self.num_blocks,
+            "block {block_index} stored twice or out of range"
+        );
+        if block_index < self.next || block_index >= self.num_blocks {
+            return;
+        }
+        if block_index > self.next {
+            if self.early.is_empty() {
+                self.early = vec![None; self.num_blocks as usize];
+            }
+            self.early[block_index as usize] = Some(data);
+            return;
+        }
+        self.hasher.update(&data);
+        self.next += 1;
+        while let Some(data) = self
+            .early
+            .get_mut(self.next as usize)
+            .and_then(Option::take)
+        {
+            self.hasher.update(&data);
+            self.next += 1;
         }
     }
 
-    /// Concatenate all blocks if every one is present.
-    pub fn assemble(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        for b in &self.blocks {
-            out.extend_from_slice(b.as_ref()?);
-        }
-        Some(out)
+    /// The piece's digest, if every block was stored.
+    pub fn finish(self) -> Option<Digest> {
+        (self.next == self.num_blocks).then(|| self.hasher.finalize())
     }
 }
 
@@ -100,6 +132,11 @@ impl PieceBuffer {
 mod tests {
     use super::*;
     use bt_wire::metainfo::BLOCK_LEN;
+    use bt_wire::sha1;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
 
     fn content() -> Arc<SyntheticContent> {
         Arc::new(SyntheticContent::generate(
@@ -115,14 +152,14 @@ mod tests {
         let c = content();
         let mode = DataMode::Real(c.clone());
         let mut buf = PieceBuffer::new(2);
-        buf.store(0, mode.block_bytes(0, 0));
-        assert!(
-            buf.assemble().is_none(),
-            "incomplete piece does not assemble"
-        );
         buf.store(1, mode.block_bytes(0, 1));
-        let piece = buf.assemble().unwrap();
-        assert!(mode.verify_piece(0, &piece));
+        buf.store(0, mode.block_bytes(0, 0));
+        let digest = buf.finish().expect("both blocks stored");
+        assert_eq!(digest, sha1::sha1(&c.piece_bytes(0)));
+        assert!(mode.verify_piece(0, &digest));
+        let mut half = PieceBuffer::new(2);
+        half.store(0, mode.block_bytes(0, 0));
+        assert!(half.finish().is_none(), "an incomplete piece has no digest");
     }
 
     #[test]
@@ -134,15 +171,100 @@ mod tests {
         corrupt[0] ^= 0xFF;
         buf.store(0, Bytes::from(corrupt));
         buf.store(1, mode.block_bytes(0, 1));
-        let piece = buf.assemble().unwrap();
-        assert!(!mode.verify_piece(0, &piece));
+        assert!(!mode.verify_piece(0, &buf.finish().unwrap()));
     }
 
     #[test]
     fn virtual_mode_trusts_everything() {
         let mode = DataMode::Virtual;
         assert!(mode.block_bytes(5, 3).is_empty());
-        assert!(mode.verify_piece(5, &[]));
+        assert!(mode.verify_piece(5, &[0; 20]));
         assert!(!mode.is_real());
+    }
+
+    /// One piece of `len` bytes (a short last block unless `len` is a
+    /// multiple of `BLOCK_LEN`), its blocks in an order shuffled by
+    /// `order_seed`.
+    fn piece(len: u32, order_seed: u64) -> (DataMode, Vec<(u32, Bytes)>) {
+        let mode = DataMode::Real(Arc::new(SyntheticContent::generate(
+            "p",
+            u64::from(len),
+            u64::from(len),
+            len,
+        )));
+        let mut blocks: Vec<(u32, Bytes)> = (0..len.div_ceil(BLOCK_LEN))
+            .map(|b| (b, mode.block_bytes(0, b)))
+            .collect();
+        blocks.shuffle(&mut SmallRng::seed_from_u64(order_seed));
+        (mode, blocks)
+    }
+
+    /// Store `blocks` and check that nothing is held once the last one
+    /// is in; the digest, if every block came.
+    fn stream(blocks: &[(u32, Bytes)], num_blocks: u32) -> Option<Digest> {
+        let mut buf = PieceBuffer::new(num_blocks);
+        for (index, data) in blocks {
+            buf.store(*index, data.clone());
+        }
+        if buf.next == num_blocks {
+            assert!(buf.early.iter().all(Option::is_none), "early block left");
+        }
+        buf.finish()
+    }
+
+    fn arb_piece_len() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            3 => 1u32..=5 * BLOCK_LEN,
+            1 => (1u32..=5).prop_map(|n| n * BLOCK_LEN),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Blocks in any order hash to the piece's SHA-1, which verifies.
+        #[test]
+        fn any_arrival_order_gives_the_piece_hash(
+            len in arb_piece_len(),
+            order_seed in any::<u64>(),
+        ) {
+            let (mode, blocks) = piece(len, order_seed);
+            let DataMode::Real(content) = &mode else { unreachable!() };
+            let digest = stream(&blocks, blocks.len() as u32);
+            prop_assert_eq!(digest, Some(sha1::sha1(&content.piece_bytes(0))));
+            prop_assert!(mode.verify_piece(0, &digest.unwrap()));
+        }
+
+        /// One flipped byte anywhere in the piece fails verification.
+        #[test]
+        fn a_flipped_byte_fails_verification(
+            len in arb_piece_len(),
+            order_seed in any::<u64>(),
+            at in any::<u32>(),
+            mask in 1u8..=255,
+        ) {
+            let (mode, mut blocks) = piece(len, order_seed);
+            let at = at % len;
+            let (block, offset) = (at / BLOCK_LEN, (at % BLOCK_LEN) as usize);
+            let slot = blocks.iter_mut().find(|(b, _)| *b == block).unwrap();
+            let mut bytes = slot.1.to_vec();
+            bytes[offset] ^= mask;
+            slot.1 = Bytes::from(bytes);
+            let digest = stream(&blocks, blocks.len() as u32).unwrap();
+            prop_assert!(!mode.verify_piece(0, &digest));
+        }
+
+        /// A piece with a block missing has no digest.
+        #[test]
+        fn a_missing_block_gives_no_digest(
+            len in arb_piece_len(),
+            order_seed in any::<u64>(),
+            missing in any::<u32>(),
+        ) {
+            let (_, mut blocks) = piece(len, order_seed);
+            let num_blocks = blocks.len() as u32;
+            blocks.remove(missing as usize % blocks.len());
+            prop_assert_eq!(stream(&blocks, num_blocks), None);
+        }
     }
 }

@@ -1099,16 +1099,13 @@ impl Engine {
     }
 
     fn on_piece_complete(&mut self, now: Instant, piece: u32) {
-        let ok = if self.data.is_real() {
-            let assembled = self
+        // A missing or incomplete buffer is a failed piece.
+        let ok = !self.data.is_real()
+            || self
                 .buffers
                 .remove(&piece)
-                .and_then(|b| b.assemble())
-                .unwrap_or_default();
-            self.data.verify_piece(piece, &assembled)
-        } else {
-            true
-        };
+                .and_then(PieceBuffer::finish)
+                .is_some_and(|digest| self.data.verify_piece(piece, &digest));
         if !ok {
             self.scheduler.on_piece_failed(piece);
             self.record(now, TraceEvent::PieceFailed { piece });

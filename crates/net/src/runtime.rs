@@ -29,7 +29,6 @@ use bt_wire::message::{BlockRef, Decoder, Message, DEFAULT_MAX_FRAME};
 use bt_wire::peer_id::{IpAddr, PeerId};
 use bt_wire::time::{Duration, Instant};
 use bt_wire::tracker::{AnnounceEvent, DEFAULT_NUM_WANT};
-use bytes::BytesMut;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -381,13 +380,12 @@ impl NetRuntime {
             if matches!(msg, Message::KeepAlive) {
                 self.metrics.keepalives_out.inc();
             }
-            let mut buf = BytesMut::with_capacity(msg.wire_len());
-            {
+            let buf = {
                 let _span_guard = profiler.span("wire.encode");
-                msg.encode(&mut buf);
-            }
+                msg.encode_to_vec()
+            };
             c.out.push_back(OutFrame {
-                buf: buf.to_vec(),
+                buf,
                 written: 0,
                 block,
             });

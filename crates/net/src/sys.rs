@@ -1,6 +1,7 @@
 //! `poll(2)`, declared by hand: std links libc but offers no readiness
-//! wait, and no `libc` crate is vendored offline. This is the tree's
-//! only `unsafe`, and the reason `bt-net` is Unix-only.
+//! wait, and no `libc` crate is vendored offline. This and `bt-wire`'s
+//! SHA-NI compress are the tree's only `unsafe`; this one is the reason
+//! `bt-net` is Unix-only.
 
 use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_short};

@@ -170,7 +170,7 @@ impl Message {
     }
 
     /// Encode this message into `buf` as a length-prefixed frame.
-    pub fn encode(&self, buf: &mut BytesMut) {
+    pub fn encode(&self, buf: &mut impl BufMut) {
         match self {
             Message::KeepAlive => buf.put_u32(0),
             Message::Choke => simple(buf, id::CHOKE),
@@ -224,20 +224,20 @@ impl Message {
         }
     }
 
-    /// Encode to a fresh buffer.
+    /// Encode to a fresh buffer of exactly [`Message::wire_len`] bytes.
     pub fn encode_to_vec(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
+        let mut buf = Vec::with_capacity(self.wire_len());
         self.encode(&mut buf);
-        buf.to_vec()
+        buf
     }
 }
 
-fn simple(buf: &mut BytesMut, msg_id: u8) {
+fn simple(buf: &mut impl BufMut, msg_id: u8) {
     buf.put_u32(1);
     buf.put_u8(msg_id);
 }
 
-fn block_ref(buf: &mut BytesMut, msg_id: u8, b: &BlockRef) {
+fn block_ref(buf: &mut impl BufMut, msg_id: u8, b: &BlockRef) {
     buf.put_u32(13);
     buf.put_u8(msg_id);
     buf.put_u32(b.piece);

@@ -7,9 +7,18 @@
 //! protocol fidelity (the paper's client, mainline 4.0.2, used SHA-1).
 //!
 //! Every piece a real-data run moves is hashed twice (at generation and
-//! at receipt), so the compression function is written for speed: the
-//! 80 rounds are straight-line code over a 16-word schedule. The
-//! textbook form it replaced is the oracle in `tests/sha1_reference.rs`.
+//! at receipt), so the compression is written for speed. [`Sha1::update`]
+//! hands every run of whole 64-byte blocks to one dispatch point: on
+//! x86_64 CPUs with the SHA extensions it goes to `sha1_ni`, which keeps
+//! the state in registers for the whole run; everywhere else the scalar
+//! `compress` (80 rounds as straight-line code over a 16-word schedule)
+//! loops over it. The scalar path is the portable one and the oracle
+//! the SHA-NI path is tested against; the textbook form it replaced is
+//! the oracle in `tests/sha1_reference.rs`.
+
+#[cfg(target_arch = "x86_64")]
+#[path = "sha1_ni.rs"]
+mod ni;
 
 /// Length of a SHA-1 digest in bytes.
 pub const DIGEST_LEN: usize = 20;
@@ -72,13 +81,13 @@ impl Sha1 {
             if self.buf_len < 64 {
                 return;
             }
-            compress(&mut self.state, &self.buf);
+            compress_blocks(&mut self.state, std::slice::from_ref(&self.buf));
             self.buf_len = 0;
         }
         // Whole blocks are hashed where the caller left them.
         let (blocks, tail) = rest.as_chunks::<64>();
-        for block in blocks {
-            compress(&mut self.state, block);
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
         self.buf[..tail.len()].copy_from_slice(tail);
         self.buf_len = tail.len();
@@ -177,6 +186,28 @@ fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
     }
 }
 
+/// Compress a run of whole blocks: the one place that picks SHA-NI or
+/// the scalar path.
+fn compress_blocks(state: &mut [u32; 5], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if has_sha_ni() {
+        return ni::compress_blocks(state, blocks);
+    }
+    for block in blocks {
+        compress(state, block);
+    }
+}
+
+/// True when the CPU has the SHA extensions and the SSSE3 and SSE4.1
+/// instructions `sha1_ni` uses with them. std caches the answer, so
+/// asking per run of blocks costs a load or three.
+#[cfg(target_arch = "x86_64")]
+fn has_sha_ni() -> bool {
+    is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("ssse3")
+        && is_x86_feature_detected!("sse4.1")
+}
+
 /// One-shot SHA-1 of `data`.
 pub fn sha1(data: &[u8]) -> Digest {
     let mut h = Sha1::new();
@@ -252,6 +283,34 @@ mod tests {
                 h.update(chunk);
             }
             assert_eq!(h.finalize(), oneshot, "chunk size {chunk_size}");
+        }
+    }
+
+    /// The SHA-NI path against the scalar compress, from random states
+    /// over random runs of 1–64 blocks.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sha_ni_matches_the_scalar_compress() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        if !has_sha_ni() {
+            eprintln!("note: this CPU has no SHA extensions; SHA-NI path not tested");
+            return;
+        }
+        let mut rng = SmallRng::seed_from_u64(0x5EA1);
+        for _ in 0..500 {
+            let start = [0; 5].map(|_: u32| rng.next_u32());
+            let mut blocks = vec![[0u8; 64]; rng.random_range(1..=64usize)];
+            for block in &mut blocks {
+                rng.fill_bytes(block);
+            }
+            let mut scalar = start;
+            for block in &blocks {
+                compress(&mut scalar, block);
+            }
+            let mut vector = start;
+            ni::compress_blocks(&mut vector, &blocks);
+            assert_eq!(vector, scalar, "{} blocks from {start:08x?}", blocks.len());
         }
     }
 

@@ -1,8 +1,9 @@
 //! The straightforward SHA-1 of FIPS 180-1, kept as the oracle for
-//! `bt_wire::sha1`'s unrolled compress: an 80-word schedule, one
-//! `match` per round, padding fed a byte at a time. It was the
-//! production hasher until the compress was rewritten; the two must
-//! agree on every length, content and `update` chunking.
+//! `bt_wire::sha1`: an 80-word schedule, one `match` per round, padding
+//! fed a byte at a time. It was the production hasher until the
+//! compress was rewritten; the two must agree on every length, content
+//! and `update` chunking, whichever compress (SHA-NI or scalar) the CPU
+//! runs.
 
 use bt_wire::metainfo::SyntheticContent;
 use bt_wire::sha1::{sha1, to_hex, Digest, Sha1};
@@ -150,6 +151,32 @@ fn every_length_and_chunking_matches_the_reference() {
             rest = &rest[size..];
         }
         assert_eq!(h.finalize(), want, "{len} bytes in chunks of {sizes:?}");
+    }
+}
+
+/// `update` hands each run of whole blocks to the compress in one call:
+/// split a ten-block message at every offset 0..=64 either side of a
+/// block boundary, and start a five-block run at every offset in the
+/// first block, so runs begin and end on both sides of the boundary.
+#[test]
+fn runs_split_at_every_offset_match_the_reference() {
+    let mut rng = SmallRng::seed_from_u64(0x5A2);
+    let mut data = vec![0u8; 10 * 64 + 17];
+    rng.fill_bytes(&mut data);
+    let want = reference(&data);
+    for offset in 0..=64 {
+        for split in [4 * 64 - offset, 4 * 64 + offset] {
+            let mut h = Sha1::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(h.finalize(), want, "split at {split}");
+        }
+        let run = offset..offset + 5 * 64;
+        let mut h = Sha1::new();
+        h.update(&data[..run.start]);
+        h.update(&data[run.clone()]);
+        h.update(&data[run.end..]);
+        assert_eq!(h.finalize(), want, "five-block run from {offset}");
     }
 }
 
