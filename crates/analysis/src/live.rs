@@ -199,8 +199,8 @@ struct MonitorInner {
 
 /// Incremental health monitor; see the [module docs](self).
 ///
-/// Cloning is cheap; all clones share state, so an HTTP server thread
-/// can render [`report`](Self::report) while the swarm thread feeds
+/// Cloning is cheap; all clones share state, so another thread can
+/// render [`report`](Self::report) while the swarm thread feeds
 /// [`observe`](Self::observe).
 #[derive(Clone)]
 pub struct HealthMonitor {

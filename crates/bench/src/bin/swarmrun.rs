@@ -4,14 +4,12 @@
 //! swarmrun <spec.json> [--seed N] [--topology NAME|file.json]
 //!          [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR]
 //!          [--metrics out.jsonl] [--series out.json] [--emit-dir DIR]
-//!          [--watch-addr ADDR] [--watch-linger SECS]
-//!          [--profile out.json] [--status] [--example]
+//!          [--profile out.json] [--example]
 //! swarmrun --scenario NAME [--peers N] [--seed N]
 //!          [--topology NAME|file.json]
 //!          [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR]
 //!          [--metrics out.jsonl] [--series out.json] [--emit-dir DIR]
-//!          [--watch-addr ADDR] [--watch-linger SECS]
-//!          [--profile out.json] [--status]
+//!          [--profile out.json]
 //! swarmrun --table1 [--quick] [--seed N] [--jobs N]
 //!          [--topology NAME|file.json] [--series out.json]
 //!          [--trace out.json] [--trace-sample N] [--flight-recorder DIR]
@@ -19,8 +17,7 @@
 //! swarmrun --net [--seeds N] [--leechers N] [--pieces N] [--seed N]
 //!          [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR]
 //!          [--metrics out.jsonl] [--series out.json]
-//!          [--profile out.json] [--watch-addr ADDR]
-//!          [--watch-linger SECS] [--status]
+//!          [--profile out.json]
 //! ```
 //!
 //! Each mode reads the flags on its line and no others: any other flag,
@@ -53,12 +50,12 @@
 //!   label;
 //! * `--flight-recorder DIR` keeps a bounded ring of recent trace
 //!   events and dumps a self-contained crash bundle into DIR when a
-//!   live-monitor invariant trips, on panic, or on `GET /flightrec`
-//!   (with `--watch-addr`); `--table1` gives each torrent its own
-//!   `DIR/<torrent label>/`. It turns on the registry (whose health
-//!   monitors trip the dumps) and the causal tracer that fills the
-//!   ring, at rate 1 unless `--trace-sample N` says otherwise: on a
-//!   large swarm pass `--trace-sample N` to keep the trace small;
+//!   live-monitor invariant trips or on panic; `--table1` gives each
+//!   torrent its own `DIR/<torrent label>/`. It turns on the registry
+//!   (whose health monitors trip the dumps) and the causal tracer that
+//!   fills the ring, at rate 1 unless `--trace-sample N` says
+//!   otherwise: on a large swarm pass `--trace-sample N` to keep the
+//!   trace small;
 //! * `--emit-dir DIR` drops every artifact for the run in one
 //!   directory in the layout `btstat` ingests: `run.json` (manifest
 //!   with scenario, seed, digest), `metrics.jsonl`, `series.json`,
@@ -70,10 +67,12 @@
 //! * `--metrics FILE` writes `bt-obs` registry snapshots as JSON lines
 //!   (one per sampling period plus a final one) and prints a summary.
 //!   Simulator runs use a virtual-clock registry, so the file is
-//!   byte-identical for a given spec and seed; `--net` runs sample a
-//!   shared wall-clock registry every 250 ms. Both write the file when
-//!   the run ends; if it panics, unwinding flushes a final snapshot;
-//! * `--series FILE` writes the observatory time-series as JSON: per-key
+//!   byte-identical for a given spec and seed, and write it when the
+//!   run ends; `--net` runs sample a shared wall-clock registry every
+//!   250 ms and append each snapshot as it is taken, so `tail -f FILE`
+//!   follows the run. If a run panics, unwinding flushes a final
+//!   snapshot;
+//! * `--series FILE` writes the registry time-series as JSON: per-key
 //!   `[t_micros, value]` rings sampled once per metrics period, plus the
 //!   `live.*` health series. Simulator and `--table1` series use the
 //!   virtual clock (byte-identical for a given spec and seed, any
@@ -82,19 +81,6 @@
 //!   call-tree profile as JSON and prints the pretty report. Simulator
 //!   and `--table1` profiles use the virtual clock (byte-identical for
 //!   a given seed, any `--jobs`); `--net` profiles measure wall time;
-//! * `--watch-addr ADDR` serves the live observatory over HTTP for the
-//!   duration of the run — `GET /` (dashboard), `/series`, `/health`,
-//!   `/metrics`, and `/trace`, `/flightrec`, `/profile` for the
-//!   observers the run carries — in both simulator and `--net` modes
-//!   (it and `--status` turn the registry on; a polling thread
-//!   snapshots the registry while the run proceeds; port 0 picks an
-//!   ephemeral port, printed on stderr). `--watch-linger SECS` keeps
-//!   the endpoint up that much longer after the run, so a browser or
-//!   CI curl can still scrape the final state;
-//! * `--status` shows live one-line progress on stderr (net mode; the
-//!   simulator replays its sampled status lines after the run). When
-//!   stderr is not a terminal each sample becomes its own line instead
-//!   of rewriting one;
 //! * `--table1` runs the whole 26-torrent Table I sweep on a worker
 //!   pool (`--jobs N`, default: all cores) and prints one summary line
 //!   per torrent — traces are identical for any job count;
@@ -112,7 +98,6 @@
 //! `--net` runs are *not* deterministic — the kernel schedules the
 //! threads — but every protocol invariant still holds.
 
-use bt_analysis::live::HealthMonitor;
 use bt_analysis::SessionSummary;
 use bt_instrument::trace::Trace;
 use bt_net::LoopbackSpec;
@@ -120,18 +105,18 @@ use bt_obs::{summary_text, ObserverSet, Observers, Profile, Snapshot, TimeSource
 use bt_sim::{BehaviorProfile, NetModel, Swarm, SwarmSpec, TopologySpec};
 use bt_torrents::{RunConfig, ScenarioOutcome};
 use bt_wire::time::Duration;
-use std::io::{IsTerminal, Write};
+use std::io::Write;
 use std::path::PathBuf;
 
 /// One line per mode, and the one flag table: `main` reads off it which
 /// flags exist, which take a value and which each mode reads.
-const USAGE: &str = "usage: swarmrun <spec.json> [--seed N] [--topology NAME|file.json] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--emit-dir DIR] [--watch-addr ADDR] [--watch-linger SECS] [--profile out.json] [--status] [--example]
-       swarmrun --scenario flash_crowd_1k|flash_crowd_10k|flash_crowd_100k [--peers N] [--seed N] [--topology NAME|file.json] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--emit-dir DIR] [--watch-addr ADDR] [--watch-linger SECS] [--profile out.json] [--status]
+const USAGE: &str = "usage: swarmrun <spec.json> [--seed N] [--topology NAME|file.json] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--emit-dir DIR] [--profile out.json] [--example]
+       swarmrun --scenario flash_crowd_1k|flash_crowd_10k|flash_crowd_100k [--peers N] [--seed N] [--topology NAME|file.json] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--emit-dir DIR] [--profile out.json]
        swarmrun --table1 [--quick] [--seed N] [--jobs N] [--topology NAME|file.json] [--series out.json] [--trace out.json] [--trace-sample N] [--flight-recorder DIR] [--profile out.json]
-       swarmrun --net [--seeds N] [--leechers N] [--pieces N] [--seed N] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--profile out.json] [--watch-addr ADDR] [--watch-linger SECS] [--status]";
+       swarmrun --net [--seeds N] [--leechers N] [--pieces N] [--seed N] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--profile out.json]";
 
 /// The flags a stretch of [`USAGE`] spells out, each with whether it
-/// takes a value (`[--seed N]`, `--scenario NAME`) or not (`[--status]`,
+/// takes a value (`[--seed N]`, `--scenario NAME`) or not (`[--quick]`,
 /// `--net [...`).
 fn usage_flags(text: &str) -> Vec<(&str, bool)> {
     let tokens: Vec<&str> = text.split_whitespace().collect();
@@ -289,24 +274,11 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
     let (mut obs, set) = Outputs::new(args, emit_dir.as_deref());
     obs.observers = set.build(TimeSource::manual, seed);
     let swarm = bt_torrents::attach_observers(Swarm::new(spec), &obs.observers);
-    // Gauges served mid-run lag virtual time by one sampling period.
-    let observatory = obs.serve(swarm.health_monitor().cloned());
 
     let t0 = std::time::Instant::now();
     let result = swarm.run();
     let wall = t0.elapsed();
-    if let Some(stop) = observatory {
-        stop();
-    }
 
-    if obs.status {
-        // The simulator runs synchronously in virtual time; replay the
-        // sampled status line per snapshot instead of live updates.
-        let mut line = StatusLine::new();
-        for snap in &result.metrics {
-            line.update(&sim_status_line(snap));
-        }
-    }
     obs.write_metrics(&result.metrics);
     obs.write_series();
     if let Some(health) = &result.health {
@@ -383,30 +355,26 @@ fn run_net_swarm(args: &[String]) {
         "running {seeds} seed(s) + {leechers} leecher(s), {} pieces over loopback TCP ...",
         spec.total_len / u64::from(piece_len)
     );
-    let observatory = obs.serve(None);
 
     // Sampler thread: every 250 ms wall, snapshot the shared registry —
-    // keep it for `--metrics`, extend the time-series, update the
-    // one-line status display.
+    // extend the time-series and append the snapshot to `--metrics` as
+    // it is taken, so `tail -f` follows the run.
     let sampler_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let mut metrics = obs.metrics_log();
     let sampler = obs.observers.registry.clone().map(|reg| {
         let stop = std::sync::Arc::clone(&sampler_stop);
         let store = obs.observers.series.clone();
-        let status = obs.status;
         std::thread::spawn(move || {
-            let (mut snapshots, mut line) = (Vec::new(), StatusLine::new());
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 std::thread::sleep(std::time::Duration::from_millis(250));
                 if let Some(s) = &store {
                     s.sample_registry();
                 }
-                let snap = reg.snapshot();
-                if status {
-                    line.update(&net_status_line(&snap));
+                if let Some(log) = &mut metrics {
+                    log.append(&reg.snapshot());
                 }
-                snapshots.push(snap);
             }
-            snapshots
+            metrics
         })
     });
 
@@ -415,20 +383,17 @@ fn run_net_swarm(args: &[String]) {
         std::process::exit(1);
     });
     sampler_stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let mut snapshots = sampler
-        .and_then(|handle| handle.join().ok())
-        .unwrap_or_default();
-    if let Some(stop) = observatory {
-        stop();
-    }
+    let metrics =
+        sampler.and_then(|handle| handle.join().expect("the metrics sampler does not panic"));
     // One last sample so the files reflect the final state.
-    if let Some(reg) = &obs.observers.registry {
-        snapshots.push(reg.snapshot());
+    if let (Some(mut log), Some(reg)) = (metrics, &obs.observers.registry) {
+        let last = reg.snapshot();
+        log.append(&last);
+        obs.close_metrics(&log, Some(&last));
     }
     if let Some(store) = &obs.observers.series {
         store.sample_registry();
     }
-    obs.write_metrics(&snapshots);
     obs.write_series();
     obs.write_profile();
     println!(
@@ -576,8 +541,7 @@ fn flag_str(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-/// Where a run's observers are written when it ends, the live views of
-/// them (`--watch-addr`, `--status`), and the observers themselves.
+/// Where a run's observers are written, and the observers themselves.
 struct Outputs {
     observers: Observers,
     /// `metrics_out` holds the run's snapshots (see the `Drop` impl).
@@ -586,9 +550,6 @@ struct Outputs {
     series_out: Option<String>,
     profile_out: Option<String>,
     trace_out: Option<String>,
-    watch_addr: Option<String>,
-    watch_linger: u64,
-    status: bool,
 }
 
 impl Outputs {
@@ -596,8 +557,7 @@ impl Outputs {
     /// caller to build on its clock. `emit_dir` (the layout `btstat`
     /// loads) defaults the metrics, series and profile paths into it and
     /// the causal tracer to rate 1, so the emitted `trace.jsonl` is
-    /// bisectable; explicit flags still win. `--watch-addr` and
-    /// `--status` read the registry, so they turn it on.
+    /// bisectable; explicit flags still win.
     fn new(args: &[String], emit_dir: Option<&str>) -> (Outputs, ObserverSet) {
         let in_dir = |name: &str| emit_dir.map(|d| format!("{d}/{name}"));
         let out = Outputs {
@@ -607,15 +567,9 @@ impl Outputs {
             series_out: flag_str(args, "--series").or_else(|| in_dir("series.json")),
             profile_out: flag_str(args, "--profile").or_else(|| in_dir("profile.json")),
             trace_out: flag_str(args, "--trace"),
-            watch_addr: flag_str(args, "--watch-addr"),
-            watch_linger: flag_u64(args, "--watch-linger").unwrap_or(0),
-            status: args.iter().any(|a| a == "--status"),
         };
         let set = ObserverSet {
-            metrics: out.metrics_out.is_some()
-                || out.series_out.is_some()
-                || out.watch_addr.is_some()
-                || out.status,
+            metrics: out.metrics_out.is_some() || out.series_out.is_some(),
             profile: out.profile_out.is_some(),
             trace_sample: flag_u64(args, "--trace-sample").or(emit_dir.map(|_| 1)),
             flight_dir: flag_str(args, "--flight-recorder").map(PathBuf::from),
@@ -623,52 +577,33 @@ impl Outputs {
         (out, set)
     }
 
-    /// `--watch-addr`: bind the live observatory to the run's observers
-    /// (plus the simulator's health monitors) and serve it from a
-    /// polling thread, since both runs are synchronous. Returns the call
-    /// that stops it, after `--watch-linger SECS`.
-    fn serve(&self, health: Option<HealthMonitor>) -> Option<impl FnOnce()> {
-        let addr = self.watch_addr.as_ref()?;
-        let mut server = bt_net::ObsServer::bind(addr, &self.observers)
-            .unwrap_or_else(|e| die(format!("cannot bind {addr}: {e}")));
-        if let Some(m) = health {
-            server = server.with_health_json(move || m.report().to_json());
-        }
-        match server.local_addr() {
-            Ok(bound) => eprintln!("observatory      : http://{bound}/ (dashboard)"),
-            Err(e) => eprintln!("swarmrun: observatory bound, address unknown: {e}"),
-        }
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stopped = std::sync::Arc::clone(&stop);
-        let thread = std::thread::spawn(move || {
-            while !stopped.load(std::sync::atomic::Ordering::Relaxed) {
-                if !server.poll() {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-            }
-        });
-        let linger = self.watch_linger;
-        Some(move || {
-            if linger > 0 {
-                eprintln!("observatory      : lingering {linger} s after the run (Ctrl-C to stop)");
-                std::thread::sleep(std::time::Duration::from_secs(linger));
-            }
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-            let _ = thread.join();
+    /// `--metrics FILE`, created empty for the run's snapshots.
+    fn metrics_log(&self) -> Option<MetricsLog> {
+        let path = self.metrics_out.clone()?;
+        let file = std::fs::File::create(&path)
+            .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
+        Some(MetricsLog {
+            path,
+            file,
+            lines: 0,
         })
     }
 
-    /// `--metrics FILE`: one JSON line per registry snapshot; then the
-    /// last snapshot's summary.
+    /// `--metrics FILE` of a simulated run: its snapshots, written when
+    /// it ends.
     fn write_metrics(&mut self, snapshots: &[Snapshot]) {
-        let Some(path) = &self.metrics_out else {
-            return;
-        };
-        let lines: String = snapshots.iter().map(|s| s.to_jsonl_line() + "\n").collect();
-        write_text(path, &lines);
+        if let Some(mut log) = self.metrics_log() {
+            snapshots.iter().for_each(|s| log.append(s));
+            self.close_metrics(&log, snapshots.last());
+        }
+    }
+
+    /// The `--metrics` file holds the whole run: say so, then print the
+    /// last snapshot's summary.
+    fn close_metrics(&mut self, log: &MetricsLog, last: Option<&Snapshot>) {
         self.metrics_written = true;
-        println!("metrics written  : {path} ({} snapshots)", snapshots.len());
-        if let Some(last) = snapshots.last() {
+        println!("metrics written  : {} ({} snapshots)", log.path, log.lines);
+        if let Some(last) = last {
             print!("{}", summary_text(last));
         }
     }
@@ -798,43 +733,27 @@ fn write_profile(path: &str, profile: &Profile) {
     print!("{}", profile.render());
 }
 
-/// Live one-line progress on stderr: rewrites a single line on a
-/// terminal, emits one line per sample otherwise (logs, CI), and always
-/// ends with the line cleared onto its own newline.
-struct StatusLine {
-    tty: bool,
-    active: bool,
+/// The `--metrics` file: one JSON line per registry snapshot, each
+/// written to the unbuffered file in one call as it is appended.
+struct MetricsLog {
+    path: String,
+    file: std::fs::File,
+    lines: usize,
 }
 
-impl StatusLine {
-    fn new() -> StatusLine {
-        StatusLine {
-            tty: std::io::stderr().is_terminal(),
-            active: false,
-        }
-    }
-
-    fn update(&mut self, line: &str) {
-        if self.tty {
-            // `\r` + clear-to-end erases any longer previous line.
-            eprint!("\r\x1b[K{line}");
-            self.active = true;
-        } else {
-            eprintln!("{line}");
-        }
+impl MetricsLog {
+    fn append(&mut self, snap: &Snapshot) {
+        let mut line = snap.to_jsonl_line();
+        line.push('\n');
+        self.file
+            .write_all(line.as_bytes())
+            .unwrap_or_else(|e| die(format!("cannot write {}: {e}", self.path)));
+        self.lines += 1;
     }
 }
 
-impl Drop for StatusLine {
-    fn drop(&mut self) {
-        if self.tty && self.active {
-            eprintln!();
-        }
-    }
-}
-
-/// A run that panics never reaches [`Outputs::write_metrics`]:
-/// unwinding flushes one final registry snapshot to the `--metrics` file
+/// A run that panics never reaches [`Outputs::close_metrics`]:
+/// unwinding appends one final registry snapshot to the `--metrics` file
 /// instead, so the last observed state is still on disk.
 impl Drop for Outputs {
     fn drop(&mut self) {
@@ -853,39 +772,6 @@ impl Drop for Outputs {
             let _ = writeln!(f, "{}", reg.snapshot().to_jsonl_line());
         }
     }
-}
-
-/// One-line progress for a simulator snapshot (virtual-time registry).
-fn sim_status_line(snap: &Snapshot) -> String {
-    format!(
-        "[t={:>6}s] peers={} done={} interested={} unchoked={} blocks={} events={}",
-        snap.at_micros / 1_000_000,
-        snap.gauge("sim.live_peers", "").unwrap_or(0),
-        snap.gauge("sim.completed_peers", "").unwrap_or(0),
-        snap.gauge("sim.interested_pairs", "").unwrap_or(0),
-        snap.gauge("sim.unchoked_pairs", "").unwrap_or(0),
-        snap.counter_sum("sim.blocks_delivered"),
-        snap.counter_sum("sim.events"),
-    )
-}
-
-/// One-line progress for a net-swarm snapshot (wall-clock registry
-/// shared by every runtime; gauges sum over the per-peer labels).
-fn net_status_line(snap: &Snapshot) -> String {
-    let conns: i64 = snap
-        .gauges
-        .iter()
-        .filter(|(name, _, _)| *name == "net.conns")
-        .map(|(_, _, v)| *v)
-        .sum();
-    format!(
-        "[net] conns={conns} handshakes={} in={}B out={}B blocks={} pieces={}",
-        snap.counter_sum("net.handshakes_ok"),
-        snap.counter_sum("net.bytes_in"),
-        snap.counter_sum("net.bytes_out"),
-        snap.counter_sum("net.blocks_sent"),
-        snap.counter_sum("core.pieces_completed"),
-    )
 }
 
 fn print_example() {

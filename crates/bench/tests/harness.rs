@@ -215,7 +215,13 @@ fn swarmrun_flags_before_or_after_the_spec_and_unknown_flags_rejected() {
     assert_ne!(before, digest(&[spec]), "--seed must replace the file's");
 
     // A misspelt or removed flag is a usage error, not a silent default.
-    for flag in ["--sead", "--metrics-addr"] {
+    for flag in [
+        "--sead",
+        "--metrics-addr",
+        "--watch-addr",
+        "--watch-linger",
+        "--status",
+    ] {
         let (code, stdout, stderr) = swarmrun(&[flag, "7", spec]);
         assert_eq!(code, Some(2), "{flag}: {stdout}");
         assert!(stderr.contains(flag), "{flag} not named in: {stderr}");
@@ -242,7 +248,6 @@ fn swarmrun_flags_before_or_after_the_spec_and_unknown_flags_rejected() {
                 "m.jsonl",
                 "--emit-dir",
                 "d",
-                "--status",
             ][..],
             "--metrics",
             "--table1",

@@ -25,11 +25,6 @@
 //! - [`metrics::NetMetrics`] — `bt-obs` telemetry handles: every
 //!   runtime reports `net.*` counters, gauges and a handshake-latency
 //!   histogram, per-peer labeled when a swarm shares one registry.
-//! - [`http::ObsServer`] — a tiny non-blocking observability listener:
-//!   `GET /metrics` (Prometheus exposition), `GET /series` (time-series
-//!   JSON), `GET /health` (monitor verdicts) and `GET /` (a
-//!   self-contained live dashboard), so a live run can be scraped with
-//!   `curl` or watched in a browser.
 
 #![warn(missing_docs)]
 
@@ -37,7 +32,6 @@
 compile_error!("bt-net is Unix-only: its runtime waits in poll(2)");
 
 pub mod clock;
-pub mod http;
 pub mod loopback;
 pub mod metrics;
 pub mod runtime;
@@ -45,7 +39,6 @@ mod sys;
 pub mod tracker;
 
 pub use clock::{AccelClock, DEFAULT_ACCEL};
-pub use http::ObsServer;
 pub use loopback::{run_loopback_swarm, LoopbackResult, LoopbackSpec, PeerOutcome};
 pub use metrics::NetMetrics;
 pub use runtime::{peer_ip, NetRuntime, NetStats};

@@ -1,10 +1,10 @@
-//! Snapshot serializers: JSONL (one snapshot per line), Prometheus
-//! text exposition, and a human-readable summary.
+//! Snapshot serializers: JSONL (one snapshot per line) and a
+//! human-readable summary.
 //!
-//! All three walk the snapshot's already-sorted entries, so the output
+//! Both walk the snapshot's already-sorted entries, so the output
 //! is deterministic whenever the snapshot is.
 
-use crate::registry::{metric_key, HistogramSnapshot, Snapshot};
+use crate::registry::{metric_key, Snapshot};
 
 /// Append `s` to `out` with JSON string escaping (no surrounding
 /// quotes). The one escaper behind every JSON writer in `bt-obs` and
@@ -86,91 +86,6 @@ impl Snapshot {
         out.push_str("}}");
         out
     }
-}
-
-/// Sanitize a metric name for Prometheus: `[a-zA-Z0-9_:]` only, and
-/// never starting with a digit (`[a-zA-Z_:]` leads the grammar).
-fn prom_name(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        out.insert(0, '_');
-    }
-    out
-}
-
-/// Escape a Prometheus label *value*: backslash, double quote and
-/// newline must be backslash-escaped per the text exposition format.
-fn prom_label_value(label: &str) -> String {
-    label
-        .replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-fn prom_label(label: &str) -> String {
-    if label.is_empty() {
-        String::new()
-    } else {
-        format!("{{label=\"{}\"}}", prom_label_value(label))
-    }
-}
-
-fn prom_histogram(out: &mut String, name: &str, label: &str, h: &HistogramSnapshot) {
-    let n = prom_name(name);
-    let label_prefix = if label.is_empty() {
-        String::new()
-    } else {
-        format!("label=\"{}\",", prom_label_value(label))
-    };
-    let mut cumulative = 0u64;
-    for (le, c) in &h.buckets {
-        cumulative += c;
-        out.push_str(&format!(
-            "{n}_bucket{{{label_prefix}le=\"{le}\"}} {cumulative}\n"
-        ));
-    }
-    out.push_str(&format!(
-        "{n}_bucket{{{label_prefix}le=\"+Inf\"}} {}\n",
-        h.count
-    ));
-    out.push_str(&format!("{n}_sum{} {}\n", prom_label(label), h.sum));
-    out.push_str(&format!("{n}_count{} {}\n", prom_label(label), h.count));
-}
-
-/// Render a snapshot in the Prometheus text exposition format, ready
-/// for a future `/metrics` HTTP endpoint.
-pub fn to_prometheus(snap: &Snapshot) -> String {
-    let mut out = String::with_capacity(512);
-    let mut last_type: Option<(String, &str)> = None;
-    let mut type_line = |out: &mut String, name: &str, kind: &'static str| {
-        let n = prom_name(name);
-        if last_type.as_ref().map(|(ln, lk)| (ln.as_str(), *lk)) != Some((n.as_str(), kind)) {
-            out.push_str(&format!("# TYPE {n} {kind}\n"));
-            last_type = Some((n, kind));
-        }
-    };
-    for (name, label, v) in &snap.counters {
-        type_line(&mut out, name, "counter");
-        out.push_str(&format!("{}{} {v}\n", prom_name(name), prom_label(label)));
-    }
-    for (name, label, v) in &snap.gauges {
-        type_line(&mut out, name, "gauge");
-        out.push_str(&format!("{}{} {v}\n", prom_name(name), prom_label(label)));
-    }
-    for (name, label, h) in &snap.histograms {
-        type_line(&mut out, name, "histogram");
-        prom_histogram(&mut out, name, label, h);
-    }
-    out
 }
 
 /// Multi-line human-readable summary for end-of-run printouts. Labeled
@@ -265,19 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_exposition_shape() {
-        let text = to_prometheus(&sample());
-        assert!(text.contains("# TYPE core_inputs_tick counter\ncore_inputs_tick 5\n"));
-        assert!(text.contains("net_bytes_in{label=\"peer0\"} 88"));
-        assert!(text.contains("# TYPE sim_live_peers gauge\nsim_live_peers 4\n"));
-        assert!(text.contains("core_choke_round_us_bucket{le=\"10\"} 2"));
-        assert!(text.contains("core_choke_round_us_bucket{le=\"100\"} 3"));
-        assert!(text.contains("core_choke_round_us_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("core_choke_round_us_sum 70"));
-        assert!(text.contains("core_choke_round_us_count 3"));
-    }
-
-    #[test]
     fn summary_aggregates_labels() {
         let reg = Registry::new(TimeSource::manual());
         reg.counter_with("net.bytes_in", "p0").add(10);
@@ -307,16 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn prom_name_never_starts_with_a_digit() {
-        let reg = Registry::new(TimeSource::manual());
-        reg.counter("404s").add(2);
-        reg.counter("net.ok").add(1);
-        let text = to_prometheus(&reg.snapshot());
-        assert!(text.contains("# TYPE _404s counter\n_404s 2\n"), "{text}");
-        assert!(text.contains("net_ok 1"), "{text}");
-    }
-
-    #[test]
     fn json_escaping() {
         let mut s = String::new();
         escape_json_into(&mut s, "a\"b\\c\nd\u{1}");
@@ -335,30 +227,13 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_escapes_label_values() {
-        let reg = Registry::new(TimeSource::manual());
-        reg.counter_with("evil_total", "a\"b\\c\nd").add(2);
-        let h = reg.histogram_with("evil_us", "a\"b\\c\nd", buckets::LATENCY_US);
-        h.observe(5);
-        let text = to_prometheus(&reg.snapshot());
-        assert!(!text.contains("c\nd"), "raw newline leaked: {text:?}");
-        assert!(text.contains("evil_total{label=\"a\\\"b\\\\c\\nd\"} 2"));
-        assert!(text.contains("evil_us_bucket{label=\"a\\\"b\\\\c\\nd\",le=\"10\"} 1"));
-    }
-
-    #[test]
     fn empty_histogram_serializes_without_quantiles() {
         let reg = Registry::new(TimeSource::manual());
         reg.histogram("idle_us", buckets::LATENCY_US);
-        let snap = reg.snapshot();
-        let line = snap.to_jsonl_line();
+        let line = reg.snapshot().to_jsonl_line();
         assert!(line.contains(
             "\"idle_us\":{\"count\":0,\"sum\":0,\"p50\":0,\"p95\":0,\"p99\":0,\
              \"buckets\":[],\"overflow\":0}"
         ));
-        let text = to_prometheus(&snap);
-        assert!(text.contains("idle_us_bucket{le=\"+Inf\"} 0"));
-        assert!(text.contains("idle_us_sum 0"));
-        assert!(text.contains("idle_us_count 0"));
     }
 }

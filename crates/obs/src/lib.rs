@@ -49,7 +49,7 @@ pub mod span;
 pub mod time;
 pub mod trace;
 
-pub use export::{summary_text, to_prometheus};
+pub use export::summary_text;
 pub use observers::{ObserverSet, Observers};
 pub use registry::{
     bucket_quantile, buckets, metric_key, Counter, Gauge, Histogram, HistogramSnapshot, Registry,

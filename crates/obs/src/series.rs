@@ -253,9 +253,8 @@ pub fn views_to_json(views: &[SeriesView]) -> String {
 
 /// The browser half of [`views_to_json`]'s format: `spark(canvas, pts)`
 /// draws one series' `[t, v]` points as a `<canvas>` sparkline and
-/// `fmt(v)` prints a value. The live dashboard (`bt-net`'s `GET /`)
-/// and the fleet report (`btstat merge --html`) both embed it in their
-/// own `<script>`.
+/// `fmt(v)` prints a value. The fleet report (`btstat merge --html`)
+/// embeds it in its own `<script>`.
 pub const SPARKLINE_JS: &str = r##"function spark(canvas,pts){
   const ctx=canvas.getContext("2d"),W=canvas.width,H=canvas.height;
   ctx.clearRect(0,0,W,H);

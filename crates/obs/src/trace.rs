@@ -28,8 +28,8 @@
 //! The [`FlightRecorder`] keeps a bounded ring of the most recent
 //! trace events and dumps a self-contained JSON bundle — trace slice,
 //! registry snapshot, health verdicts, RNG seed + event count for
-//! replay — when a live-monitor invariant trips, on panic (via
-//! [`FlightGuard`]), or on demand (`ObsServer GET /flightrec`).
+//! replay — when a live-monitor invariant trips or on panic (via
+//! [`FlightGuard`]).
 
 use crate::registry::Registry;
 use std::cell::RefCell;
@@ -416,7 +416,7 @@ impl Tracer {
     }
 
     /// The flight recorder wired via [`with_flight`](Tracer::with_flight):
-    /// drivers and the observatory reach a run's recorder only here.
+    /// drivers reach a run's recorder only here.
     pub fn flight(&self) -> Option<&FlightRecorder> {
         self.inner.as_ref().and_then(|i| i.flight.as_ref())
     }

@@ -765,9 +765,7 @@ impl Swarm {
     /// final [`HealthReport`] lands on [`SwarmResult::health`].
     /// Monitors only read swarm state — digests and traces are
     /// unchanged. Requires [`with_metrics`](Swarm::with_metrics) first:
-    /// the monitor exists from this call on, so
-    /// [`health_monitor`](Swarm::health_monitor) can serve it before
-    /// the run.
+    /// the monitor shares that registry.
     ///
     /// # Panics
     /// If no metrics registry is attached yet.
@@ -958,13 +956,6 @@ impl Swarm {
             profile: self.profiler.is_enabled().then(|| self.profiler.snapshot()),
             health: self.health.as_ref().map(|m| m.report()),
         }
-    }
-
-    /// The live health monitor, when [`Swarm::with_health`] attached
-    /// one. Clone it before [`run`](Swarm::run) to watch verdicts from
-    /// another thread (e.g. an HTTP `/health` route).
-    pub fn health_monitor(&self) -> Option<&HealthMonitor> {
-        self.health.as_ref()
     }
 
     /// One observer round, a no-op without

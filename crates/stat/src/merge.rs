@@ -111,7 +111,7 @@ impl FleetReport {
 
     /// The fleet report as a self-contained static HTML page: verdict
     /// banner, run table, top spans, and one sparkline per (run,
-    /// series) drawn by the observatory's canvas renderer — no server,
+    /// series) drawn by [`SPARKLINE_JS`]'s canvas renderer — no server,
     /// no assets, just the file.
     pub fn to_html(&self) -> String {
         let mut html = String::with_capacity(8192);
@@ -209,8 +209,8 @@ fn escape_html(s: &str) -> String {
     out
 }
 
-/// Static page head: same palette and layout as the live observatory
-/// dashboard (`ObsServer`'s `/`), minus the polling.
+/// Static page head: a dark palette, the health banner, the run table
+/// and a flex grid of sparkline cards.
 const FLEET_HTML_HEAD: &str = r##"<!doctype html>
 <html><head><meta charset="utf-8"><title>btstat fleet report</title>
 <style>
@@ -234,9 +234,8 @@ const FLEET_HTML_HEAD: &str = r##"<!doctype html>
 <h1>btstat fleet report</h1>
 "##;
 
-/// Static renderer after [`SPARKLINE_JS`]: the observatory's
-/// sparklines, fed from the embedded `FLEET` blob instead of a polled
-/// `/series`.
+/// Static renderer after [`SPARKLINE_JS`]: one sparkline per (run,
+/// series), fed from the embedded `FLEET` blob.
 const FLEET_HTML_SCRIPT: &str = r##"const charts=document.getElementById("charts");
 for(const[run,doc]of Object.entries(FLEET)){
   for(const s of doc.series){

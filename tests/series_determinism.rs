@@ -1,14 +1,14 @@
-//! The observatory must be a free observer, exactly like the metrics
-//! registry it rides on: attaching a `SeriesStore` and the live health
+//! The time-series store and the live health monitors must be free
+//! observers, exactly like the metrics registry they ride on: attaching a `SeriesStore` and the live health
 //! monitors to a simulated swarm changes nothing about the run, and the
 //! exported time-series JSON is a pure function of the spec and seed.
 //!
 //! Three contracts, all enforced by CI:
 //!
-//! 1. **Series determinism** — the `/series` JSON for a scenario is
+//! 1. **Series determinism** — the `--series` JSON for a scenario is
 //!    byte-identical whether the sweep runs on 1, 2, or 8 workers
 //!    (rings fill from virtual-clock sampling events, never wall time).
-//! 2. **Non-perturbation** — traces with the observatory on equal
+//! 2. **Non-perturbation** — traces with the observers on equal
 //!    traces with it off, so the golden fingerprints are untouched.
 //! 3. **Paper invariants hold live** — a flash crowd reaches the end of
 //!    its session with every online monitor healthy: availability
@@ -77,7 +77,7 @@ fn series_and_health_do_not_perturb_scenario_traces() {
         let observed = bt_repro::torrents::run_scenario(&torrent(id), &observed_cfg);
         assert_eq!(
             bare.trace.events, observed.trace.events,
-            "torrent {id}: the observatory changed the trace"
+            "torrent {id}: the observers changed the trace"
         );
         assert_eq!(bare.result.completion, observed.result.completion);
         assert_eq!(
@@ -125,7 +125,7 @@ fn flash_crowd_ends_healthy_with_entropy_near_one() {
         "flash crowd entropy {} below the paper's near-ideal regime",
         entropy.value
     );
-    // The dashboard's main sparkline exists and is non-trivial.
+    // The main health series exists and is non-trivial.
     let live = store.views(Some("live.entropy"));
     assert!(!live.is_empty() && live[0].points.len() > 5);
 }

@@ -69,7 +69,7 @@ fn dsl_flash_crowd_keeps_entropy_and_reciprocation_healthy() {
         monitor("starvation").healthy,
         "peers starved under the DSL topology"
     );
-    // The dashboard series exist for the WAN run too.
+    // The live health series exist for the WAN run too.
     let live = store.views(Some("live.entropy"));
     assert!(!live.is_empty() && live[0].points.len() > 5);
 }
