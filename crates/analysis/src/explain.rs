@@ -3,8 +3,9 @@
 //! When a flight recorder dumps a bundle ([`bt_obs::FlightRecorder`]),
 //! the reason is a tripped live-monitor invariant — but a verdict like
 //! `starvation: 1200s > 900s` says *that* something is wrong, not *why*.
-//! [`explain_unhealthy`] walks the recorder's recent causal-trace slice
-//! and answers the two questions the paper's pathologies reduce to:
+//! [`explain_unhealthy`] walks the bundle's causal trace — the tracer's
+//! last events, `bt_obs::Tracer::recent` — and answers the two
+//! questions the paper's pathologies reduce to:
 //!
 //! * **why is peer Y starved** — what did the choke audits around it
 //!   decide (was it ranked, snubbed, optimistically unchoked, or simply
@@ -29,13 +30,14 @@ fn arg(e: &TraceEvent, key: &str) -> Option<i64> {
 }
 
 /// Build a human-readable explanation of an unhealthy [`HealthReport`]
-/// from the flight recorder's recent trace slice.
+/// from the bundle's trace.
 ///
 /// `worst_starved` is the `(peer index, seconds without progress)` pair
 /// the caller observed when the invariant tripped; `recent` is the
-/// trace ring in emission order (oldest first). Both the audit-history
-/// and rare-piece sections degrade gracefully when sampling did not
-/// cover the relevant ids — the explanation says so instead of guessing.
+/// tracer's last events in recording order (oldest first). Both the
+/// audit-history and rare-piece sections degrade gracefully when
+/// sampling did not cover the relevant ids — the explanation says so
+/// instead of guessing.
 pub fn explain_unhealthy(
     report: &HealthReport,
     worst_starved: Option<(usize, u64)>,

@@ -15,7 +15,7 @@
 //!          [--trace out.json] [--trace-sample N] [--flight-recorder DIR]
 //!          [--profile out.json]
 //! swarmrun --net [--seeds N] [--leechers N] [--pieces N] [--seed N]
-//!          [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR]
+//!          [--trace out.jsonl] [--trace-sample N]
 //!          [--metrics out.jsonl] [--series out.json]
 //!          [--profile out.json]
 //! ```
@@ -48,14 +48,14 @@
 //!   RNG, so traced runs replay the same digest byte-for-byte. Works in
 //!   every mode; `--table1` exports one JSON object keyed by torrent
 //!   label;
-//! * `--flight-recorder DIR` keeps a bounded ring of recent trace
-//!   events and dumps a self-contained crash bundle into DIR when a
-//!   live-monitor invariant trips or on panic; `--table1` gives each
-//!   torrent its own `DIR/<torrent label>/`. It turns on the registry
-//!   (whose health monitors trip the dumps) and the causal tracer that
-//!   fills the ring, at rate 1 unless `--trace-sample N` says
+//! * `--flight-recorder DIR` dumps a self-contained crash bundle into
+//!   DIR, holding the causal tracer's last 4 096 events, when a
+//!   live-monitor invariant trips or the simulated swarm panics;
+//!   `--table1` gives each torrent its own `DIR/<torrent label>/`. It
+//!   turns on the registry (whose health monitors trip the dumps) and
+//!   the causal tracer, at rate 1 unless `--trace-sample N` says
 //!   otherwise: on a large swarm pass `--trace-sample N` to keep the
-//!   trace small;
+//!   trace small. `--net` runs have no health monitors and refuse it;
 //! * `--emit-dir DIR` drops every artifact for the run in one
 //!   directory in the layout `btstat` ingests: `run.json` (manifest
 //!   with scenario, seed, digest), `metrics.jsonl`, `series.json`,
@@ -113,7 +113,7 @@ use std::path::PathBuf;
 const USAGE: &str = "usage: swarmrun <spec.json> [--seed N] [--topology NAME|file.json] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--emit-dir DIR] [--profile out.json] [--example]
        swarmrun --scenario flash_crowd_1k|flash_crowd_10k|flash_crowd_100k [--peers N] [--seed N] [--topology NAME|file.json] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--emit-dir DIR] [--profile out.json]
        swarmrun --table1 [--quick] [--seed N] [--jobs N] [--topology NAME|file.json] [--series out.json] [--trace out.json] [--trace-sample N] [--flight-recorder DIR] [--profile out.json]
-       swarmrun --net [--seeds N] [--leechers N] [--pieces N] [--seed N] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--profile out.json]";
+       swarmrun --net [--seeds N] [--leechers N] [--pieces N] [--seed N] [--trace out.jsonl] [--trace-sample N] [--metrics out.jsonl] [--series out.json] [--profile out.json]";
 
 /// The flags a stretch of [`USAGE`] spells out, each with whether it
 /// takes a value (`[--seed N]`, `--scenario NAME`) or not (`[--quick]`,
@@ -647,10 +647,7 @@ impl Outputs {
             );
         }
         if let Some(fr) = t.flight() {
-            println!(
-                "flight recorder  : {} recent events in the ring",
-                fr.trace_slice().len()
-            );
+            println!("flight recorder  : {} bundle(s) dumped", fr.dumps());
         }
     }
 

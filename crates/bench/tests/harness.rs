@@ -241,6 +241,11 @@ fn swarmrun_flags_before_or_after_the_spec_and_unknown_flags_rejected() {
             "--net",
         ),
         (
+            &["--net", "--flight-recorder", "x"][..],
+            "--flight-recorder",
+            "--net",
+        ),
+        (
             &[
                 "--table1",
                 "--quick",

@@ -175,9 +175,9 @@ pub fn run_loopback_swarm(spec: LoopbackSpec) -> std::io::Result<LoopbackResult>
             clock,
             &registry,
             &label,
-        )?
-        .with_profiler(profiler)
-        .with_trace(spec.tracer.clone().unwrap_or_else(bt_obs::Tracer::disabled));
+            profiler,
+            spec.tracer.clone().unwrap_or_else(bt_obs::Tracer::disabled),
+        )?;
         runtimes.push(rt);
     }
 

@@ -150,11 +150,17 @@ pub struct NetRuntime {
 }
 
 impl NetRuntime {
-    /// Wrap an engine with its transport. The runtime reports its
-    /// `net.*` series into `registry` under `label` (e.g. `"peer3"`),
-    /// which keeps per-peer series apart when a swarm shares one
-    /// registry. The engine's own observers are the ones it was built
-    /// with ([`bt_core::EngineBuilder`]).
+    /// Wrap an engine with its transport and its observers. The runtime
+    /// reports its `net.*` series into `registry` under `label` (e.g.
+    /// `"peer3"`), which keeps per-peer series apart when a swarm shares
+    /// one registry; records `net.*` and `wire.encode`/`wire.decode`
+    /// spans into `profiler`, inside which an engine built with the same
+    /// profiler nests its `core.handle.*` spans; and drains every choke
+    /// round of an engine built with
+    /// [`choke_audit`](bt_core::EngineBuilder::choke_audit) into `tracer`
+    /// as a `round` + per-peer `audit` chain. The engine's own observers
+    /// are the ones it was built with ([`bt_core::EngineBuilder`]).
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         engine: Engine,
         listener: TcpListener,
@@ -162,6 +168,8 @@ impl NetRuntime {
         clock: AccelClock,
         registry: &Registry,
         label: &str,
+        profiler: Profiler,
+        tracer: Tracer,
     ) -> std::io::Result<NetRuntime> {
         listener.set_nonblocking(true)?;
         let metrics = NetMetrics::register(registry, label);
@@ -174,29 +182,11 @@ impl NetRuntime {
             pending: Vec::new(),
             dials: Vec::new(),
             metrics,
-            profiler: Profiler::disabled(),
-            tracer: Tracer::disabled(),
+            profiler,
+            tracer,
             counted_complete: false,
             pollfds: Vec::new(),
         })
-    }
-
-    /// Attach a span profiler: the runtime records `net.*` and
-    /// `wire.encode`/`wire.decode` spans; an engine built with the same
-    /// profiler nests its `core.handle.*` spans inside them.
-    #[must_use]
-    pub fn with_profiler(mut self, profiler: Profiler) -> NetRuntime {
-        self.profiler = profiler;
-        self
-    }
-
-    /// Attach a causal [`Tracer`]: every choke round of an engine built
-    /// with [`choke_audit`](bt_core::EngineBuilder::choke_audit) is
-    /// drained into it as a `round` + per-peer `audit` chain.
-    #[must_use]
-    pub fn with_trace(mut self, tracer: Tracer) -> NetRuntime {
-        self.tracer = tracer;
-        self
     }
 
     /// The engine being driven.
@@ -261,9 +251,6 @@ impl NetRuntime {
             let _span_guard = self.profiler.span("net.wait");
             self.wait_ready();
         }
-        // Runtimes run on their own threads: push this thread's buffered
-        // trace events into the shared store before the thread exits.
-        self.tracer.flush_local();
         self.tracker
             .announce(self.engine.ip(), AnnounceEvent::Stopped, 0);
         self.stats()
@@ -771,8 +758,17 @@ mod tests {
             .rng_seed(index)
             .build();
         let label = format!("peer{index}");
-        NetRuntime::new(engine, listener, tracker.clone(), clock, registry, &label)
-            .expect("runtime")
+        NetRuntime::new(
+            engine,
+            listener,
+            tracker.clone(),
+            clock,
+            registry,
+            &label,
+            Profiler::disabled(),
+            Tracer::disabled(),
+        )
+        .expect("runtime")
     }
 
     /// Two leechers with nothing to trade stay connected, so the

@@ -58,4 +58,4 @@ pub use registry::{
 pub use series::{views_to_json, SeriesStore, SeriesView, SPARKLINE_JS};
 pub use span::{Profile, Profiler, SpanGuard, SpanStat};
 pub use time::TimeSource;
-pub use trace::{DumpContext, FlightGuard, FlightRecorder, TraceCat, TraceEvent, Tracer};
+pub use trace::{DumpContext, FlightRecorder, TraceCat, TraceEvent, Tracer};

@@ -5,8 +5,8 @@
 use crate::{FlightRecorder, Profiler, Registry, SeriesStore, TimeSource, Tracer};
 use std::path::PathBuf;
 
-/// Trace events a flight recorder keeps for its bundles.
-const FLIGHT_RING: usize = 4096;
+/// Trace events a flight bundle carries: the tracer's last 4 096.
+const FLIGHT_TRACE: usize = 4096;
 
 /// What a run observes; `Default` is nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -20,8 +20,8 @@ pub struct ObserverSet {
     pub trace_sample: Option<u64>,
     /// A flight recorder writing its bundles into this directory. It
     /// turns on the registry, whose health verdicts trip its dumps, and
-    /// the tracer that fills its ring (at rate 1 unless `trace_sample`
-    /// says otherwise).
+    /// the tracer whose last events its bundles carry (at rate 1 unless
+    /// `trace_sample` says otherwise).
     pub flight_dir: Option<PathBuf>,
 }
 
@@ -50,7 +50,7 @@ impl ObserverSet {
         let tracer = (self.trace_sample.is_some() || self.flight_dir.is_some()).then(|| {
             let tracer = Tracer::new(seed, self.trace_sample.unwrap_or(1));
             match &self.flight_dir {
-                Some(dir) => tracer.with_flight(FlightRecorder::new(dir, FLIGHT_RING, seed)),
+                Some(dir) => tracer.with_flight(FlightRecorder::new(dir, FLIGHT_TRACE, seed)),
                 None => tracer,
             }
         });

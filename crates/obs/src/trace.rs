@@ -21,19 +21,16 @@
 //!    byte-identical with tracing off *and* with sampling on.
 //! 2. **Zero cost when off** — [`Tracer::disabled`] is a `None`
 //!    inner; every hot-path call is a single branch.
-//! 3. **Deterministic export** — events buffer in per-thread arenas
-//!    (the profiler's discipline) and export as a stably-sorted JSONL
-//!    plus Chrome trace-event JSON (open in Perfetto / `chrome://tracing`).
+//! 3. **Deterministic export** — events append to one store per
+//!    tracer and export as a stably-sorted JSONL plus Chrome
+//!    trace-event JSON (open in Perfetto / `chrome://tracing`).
 //!
-//! The [`FlightRecorder`] keeps a bounded ring of the most recent
-//! trace events and dumps a self-contained JSON bundle — trace slice,
-//! registry snapshot, health verdicts, RNG seed + event count for
-//! replay — when a live-monitor invariant trips or on panic (via
-//! [`FlightGuard`]).
+//! The [`FlightRecorder`] dumps a self-contained JSON bundle — the
+//! tracer's last events ([`Tracer::recent`]), registry snapshot, health
+//! verdicts, RNG seed + event count for replay — when a live-monitor
+//! invariant trips or the run panics.
 
 use crate::registry::Registry;
-use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -183,13 +180,13 @@ fn push_event(
     push_strs(out, &[if chrome { "}}" } else { "}" }]);
 }
 
-/// One call site as a chunk sees it: category, event name and arg
+/// One call site as the store sees it: category, event name and arg
 /// keys, so an event carries an index in place of them.
 #[derive(Clone)]
 struct Shape {
     cat: TraceCat,
     name: &'static str,
-    keys: Arc<[&'static str]>,
+    keys: Box<[&'static str]>,
 }
 
 impl Shape {
@@ -215,62 +212,111 @@ struct Rec {
     vals: u32,
 }
 
-/// Events a chunk has room for (48 KiB of [`Rec`]s): also what a live
-/// `/trace` view can lag a recording thread by.
+/// Events a chunk has room for (48 KiB of [`Rec`]s).
 const CHUNK_RECS: usize = 2048;
 
 /// Arg values a chunk has room for (96 KiB): six an event, so a chunk
 /// of seven-arg choke-audit lines fills both columns about evenly.
 const CHUNK_VALS: usize = 6 * CHUNK_RECS;
 
-/// A batch of events from one thread in two columns, with the shapes
-/// they index. Filled in the thread's arena and moved into the store
-/// when the next event does not fit, so no column is ever reallocated.
+/// A batch of events in two columns, each allocated at full size: the
+/// store starts a new chunk rather than move a recorded event.
 #[derive(Clone)]
 struct Chunk {
-    shapes: Vec<Shape>,
     recs: Vec<Rec>,
     vals: Vec<i64>,
-}
-
-impl Chunk {
-    /// An empty chunk that knows `shapes` already (its thread will use
-    /// them again; sharing the keys makes the copy one allocation).
-    fn new(shapes: Vec<Shape>) -> Chunk {
-        Chunk {
-            shapes,
-            recs: Vec::with_capacity(CHUNK_RECS),
-            vals: Vec::with_capacity(CHUNK_VALS),
-        }
-    }
-
-    /// Event `i` with its shape and arg values.
-    fn event(&self, i: u32) -> (&Rec, &Shape, &[i64]) {
-        let r = &self.recs[i as usize];
-        let s = &self.shapes[r.shape as usize];
-        (r, s, &self.vals[r.vals as usize..][..s.keys.len()])
-    }
 }
 
 /// Position of an event in the store: chunk index, then index within.
 type Pos = (u32, u32);
 
-/// The export order over `chunks`: every position, stable by (time,
-/// category, chain id), so it does not depend on which thread's chunk
-/// arrived first, and a chain's causal emission order (`injected`
-/// before `first_have` at one instant) survives — which is why the
-/// event name is not part of the key.
-fn sorted(chunks: &[Chunk]) -> Vec<Pos> {
-    let mut order = Vec::with_capacity(chunks.iter().map(|c| c.recs.len()).sum());
-    for (c, chunk) in chunks.iter().enumerate() {
-        order.extend((0..chunk.recs.len() as u32).map(|i| (c as u32, i)));
+/// A tracer's events in the order they were recorded: one shape table
+/// and the chunks whose events index it.
+#[derive(Clone, Default)]
+struct Store {
+    shapes: Vec<Shape>,
+    chunks: Vec<Chunk>,
+}
+
+impl Store {
+    /// Append one event to the newest chunk, values before the record
+    /// that indexes them, so the store is whole between any two steps.
+    fn push(
+        &mut self,
+        at_micros: u64,
+        cat: TraceCat,
+        name: &'static str,
+        id: u64,
+        args: &[(&'static str, i64)],
+    ) {
+        let found = self.shapes.iter().position(|s| s.fits(cat, name, args));
+        let shape = found.unwrap_or_else(|| {
+            let keys = args.iter().map(|a| a.0).collect();
+            self.shapes.push(Shape { cat, name, keys });
+            self.shapes.len() - 1
+        });
+        let room = |c: &Chunk| c.recs.len() < CHUNK_RECS && c.vals.len() + args.len() <= CHUNK_VALS;
+        if !self.chunks.last().is_some_and(room) {
+            self.chunks.push(Chunk {
+                recs: Vec::with_capacity(CHUNK_RECS),
+                vals: Vec::with_capacity(CHUNK_VALS),
+            });
+        }
+        let chunk = self.chunks.last_mut().expect("a chunk with room");
+        let vals = u32::try_from(chunk.vals.len()).expect("a chunk holds under 2^32 values");
+        chunk.vals.extend(args.iter().map(|a| a.1));
+        chunk.recs.push(Rec {
+            at_micros,
+            id,
+            shape: shape as u32,
+            vals,
+        });
     }
-    order.sort_by_key(|&(c, i)| {
-        let chunk = &chunks[c as usize];
+
+    /// Events stored.
+    fn len(&self) -> usize {
+        self.chunks.iter().map(|c| c.recs.len()).sum()
+    }
+
+    /// Every position, in recording order.
+    fn positions(&self) -> impl Iterator<Item = Pos> + '_ {
+        let chunks = self.chunks.iter().enumerate();
+        chunks.flat_map(|(c, chunk)| (0..chunk.recs.len() as u32).map(move |i| (c as u32, i)))
+    }
+
+    /// The event at `pos` with its shape and arg values.
+    fn event(&self, (c, i): Pos) -> (&Rec, &Shape, &[i64]) {
+        let chunk = &self.chunks[c as usize];
         let r = &chunk.recs[i as usize];
-        (r.at_micros, chunk.shapes[r.shape as usize].cat, r.id)
-    });
-    order
+        let s = &self.shapes[r.shape as usize];
+        (r, s, &chunk.vals[r.vals as usize..][..s.keys.len()])
+    }
+
+    /// The event at `pos` as an owned value.
+    fn owned(&self, pos: Pos) -> TraceEvent {
+        let (r, s, vals) = self.event(pos);
+        TraceEvent {
+            at_micros: r.at_micros,
+            cat: s.cat,
+            name: s.name,
+            id: r.id,
+            args: s.keys.iter().copied().zip(vals.iter().copied()).collect(),
+        }
+    }
+
+    /// The export order: every position, stable by (time, category,
+    /// chain id), so a chain's causal emission order (`injected` before
+    /// `first_have` at one instant) survives — which is why the event
+    /// name is not part of the key.
+    fn sorted(&self) -> Vec<Pos> {
+        let mut order = Vec::with_capacity(self.len());
+        order.extend(self.positions());
+        order.sort_by_key(|&pos| {
+            let (r, s, _) = self.event(pos);
+            (r.at_micros, s.cat, r.id)
+        });
+        order
+    }
 }
 
 /// Bytes rendered between two writes to an export's sink.
@@ -279,7 +325,7 @@ const EXPORT_CHUNK: usize = 64 << 10;
 /// Render the events at `order` into `out`, calling `full` whenever a
 /// chunk's worth of text has built up.
 fn render(
-    chunks: &[Chunk],
+    store: &Store,
     order: &[Pos],
     chrome: bool,
     out: &mut Vec<u8>,
@@ -288,8 +334,8 @@ fn render(
     if chrome {
         out.extend_from_slice(CHROME_HEAD.as_bytes());
     }
-    for &(c, i) in order {
-        let (r, s, vals) = chunks[c as usize].event(i);
+    for &pos in order {
+        let (r, s, vals) = store.event(pos);
         push_event(out, chrome, r.at_micros, s.cat, s.name, r.id, &s.keys, vals);
         if !chrome {
             out.push(b'\n');
@@ -304,23 +350,10 @@ fn render(
     Ok(())
 }
 
-/// Per-thread, per-tracer state: the chunk being filled.
-struct TraceArena {
-    tracer_id: u64,
-    chunk: Chunk,
-}
-
-thread_local! {
-    static ARENAS: RefCell<Vec<TraceArena>> = const { RefCell::new(Vec::new()) };
-}
-
-static NEXT_TRACER_ID: AtomicU64 = AtomicU64::new(1);
-
 /// Sentinel for "no pinned id" in the coverage-guarantee atomics.
 const UNPINNED: u64 = u64::MAX;
 
 struct TracerInner {
-    id: u64,
     seed: u64,
     /// Sample 1-in-`rate` chains; 1 = everything.
     rate: u64,
@@ -332,15 +365,15 @@ struct TracerInner {
     pinned_piece: AtomicU64,
     /// Same guarantee for choke audits: the minimal-hash peer id.
     pinned_peer: AtomicU64,
-    /// Every chunk handed in. Append-only, so a [`Pos`] stays valid.
-    events: Mutex<Vec<Chunk>>,
+    /// Every event recorded, from every thread.
+    events: Mutex<Store>,
     flight: Option<FlightRecorder>,
 }
 
 impl TracerInner {
-    /// The shared store. Every update appends one whole chunk, so it
-    /// is valid even if a holder of the lock panicked.
-    fn store(&self) -> MutexGuard<'_, Vec<Chunk>> {
+    /// The store. It is whole between any two steps of an update, so
+    /// it is valid even if a holder of the lock panicked.
+    fn store(&self) -> MutexGuard<'_, Store> {
         self.events.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -369,12 +402,11 @@ impl Tracer {
     pub fn new(seed: u64, rate: u64) -> Tracer {
         Tracer {
             inner: Some(Arc::new(TracerInner {
-                id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
                 seed,
                 rate: rate.max(1),
                 pinned_piece: AtomicU64::new(UNPINNED),
                 pinned_peer: AtomicU64::new(UNPINNED),
-                events: Mutex::new(Vec::new()),
+                events: Mutex::new(Store::default()),
                 flight: None,
             })),
         }
@@ -385,18 +417,15 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// Attach a flight recorder: every recorded event is also pushed
-    /// into its bounded ring. Consumes `self` so the recorder is wired
-    /// before the tracer is cloned into drivers. A handle that already
-    /// has clones cannot change under them: it becomes a tracer of its
-    /// own — fresh id, hence its own per-thread arenas — starting from
-    /// a copy of what this thread and every handed-in chunk recorded.
+    /// Attach a flight recorder, whose bundles carry this tracer's last
+    /// events. Consumes `self` so the recorder is wired before the
+    /// tracer is cloned into drivers. A handle that already has clones
+    /// cannot change under them: it becomes a tracer of its own,
+    /// starting from a copy of what was recorded so far.
     #[must_use]
     pub fn with_flight(self, recorder: FlightRecorder) -> Tracer {
-        self.flush_local();
         let Some(arc) = self.inner else { return self };
         let mut inner = Arc::try_unwrap(arc).unwrap_or_else(|shared| TracerInner {
-            id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
             seed: shared.seed,
             rate: shared.rate,
             pinned_piece: AtomicU64::new(shared.pinned_piece.load(Ordering::Relaxed)),
@@ -470,8 +499,8 @@ impl Tracer {
         self.sample(DOMAIN_PEER, peer, pin)
     }
 
-    /// Record one event into this thread's arena. Callers gate on the
-    /// `sample_*` predicates; `record` itself never filters.
+    /// Record one event into the store. Callers gate on the `sample_*`
+    /// predicates; `record` itself never filters.
     pub fn record(
         &self,
         at_micros: u64,
@@ -481,66 +510,15 @@ impl Tracer {
         args: &[(&'static str, i64)],
     ) {
         let Some(inner) = &self.inner else { return };
-        if let Some(fr) = &inner.flight {
-            fr.observe(&TraceEvent {
-                at_micros,
-                cat,
-                name,
-                id,
-                args: args.to_vec(),
-            });
-        }
-        ARENAS.with(|cell| {
-            let mut arenas = cell.borrow_mut();
-            let chunk = match arenas.iter().position(|a| a.tracer_id == inner.id) {
-                Some(i) => &mut arenas[i].chunk,
-                None => {
-                    arenas.push(TraceArena {
-                        tracer_id: inner.id,
-                        chunk: Chunk::new(Vec::new()),
-                    });
-                    &mut arenas.last_mut().expect("just pushed").chunk
-                }
-            };
-            let full = chunk.recs.len() >= CHUNK_RECS || chunk.vals.len() + args.len() > CHUNK_VALS;
-            if full {
-                let next = Chunk::new(chunk.shapes.clone());
-                inner.store().push(std::mem::replace(chunk, next));
-            }
-            let found = chunk.shapes.iter().position(|s| s.fits(cat, name, args));
-            let shape = found.unwrap_or_else(|| {
-                let keys = args.iter().map(|a| a.0).collect();
-                chunk.shapes.push(Shape { cat, name, keys });
-                chunk.shapes.len() - 1
-            });
-            chunk.recs.push(Rec {
-                at_micros,
-                id,
-                shape: shape as u32,
-                vals: u32::try_from(chunk.vals.len()).expect("a chunk holds under 2^32 values"),
-            });
-            chunk.vals.extend(args.iter().map(|a| a.1));
-        });
+        inner.store().push(at_micros, cat, name, id, args);
     }
 
-    /// Hand this thread's unfinished chunk to the shared buffer.
-    /// Drivers call it at end of run on every thread that recorded; the
-    /// exports and [`len`](Tracer::len) call it for their own thread.
-    pub fn flush_local(&self) {
-        let Some(inner) = &self.inner else { return };
-        ARENAS.with(|cell| {
-            let mut arenas = cell.borrow_mut();
-            if let Some(i) = arenas.iter().position(|a| a.tracer_id == inner.id) {
-                inner.store().push(arenas.swap_remove(i).chunk);
-            }
-        });
-    }
+    /// Does nothing: every event is in the store once `record` returns.
+    pub fn flush_local(&self) {}
 
-    /// Events recorded so far (this thread's included).
+    /// Events recorded so far.
     pub fn len(&self) -> usize {
-        self.flush_local();
-        let store = self.inner.as_ref().map(|i| i.store());
-        store.map_or(0, |s| s.iter().map(|c| c.recs.len()).sum())
+        self.inner.as_ref().map_or(0, |i| i.store().len())
     }
 
     /// True when nothing was recorded.
@@ -548,15 +526,30 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// Run `f` on the store (held locked meanwhile) and its events'
-    /// positions in the canonical export order.
-    fn with_sorted<R>(&self, f: impl FnOnce(&[Chunk], &[Pos]) -> R) -> R {
-        self.flush_local();
+    /// The last `n` events recorded (all of them if fewer), oldest
+    /// first, in the order `record` was called: what a flight bundle
+    /// carries and `bt_analysis::explain_unhealthy` reads.
+    pub fn recent(&self, n: usize) -> Vec<TraceEvent> {
         let Some(inner) = &self.inner else {
-            return f(&[], &[]);
+            return Vec::new();
         };
         let store = inner.store();
-        f(&store, &sorted(&store))
+        let older = store.len().saturating_sub(n);
+        store
+            .positions()
+            .skip(older)
+            .map(|p| store.owned(p))
+            .collect()
+    }
+
+    /// Run `f` on the store (held locked meanwhile) and its events'
+    /// positions in the canonical export order.
+    fn with_sorted<R>(&self, f: impl FnOnce(&Store, &[Pos]) -> R) -> R {
+        let Some(inner) = &self.inner else {
+            return f(&Store::default(), &[]);
+        };
+        let store = inner.store();
+        f(&store, &store.sorted())
     }
 
     /// Stream the sorted deterministic JSONL (one event object per
@@ -568,12 +561,12 @@ impl Tracer {
         jsonl: Option<&mut dyn std::io::Write>,
         chrome: Option<&mut dyn std::io::Write>,
     ) -> std::io::Result<()> {
-        self.with_sorted(|chunks, order| {
+        self.with_sorted(|store, order| {
             let mut buf = Vec::with_capacity(EXPORT_CHUNK + 1024);
             let mut stream = |is_chrome, sink: Option<&mut dyn std::io::Write>| {
                 let Some(w) = sink else { return Ok(()) };
                 buf.clear();
-                render(chunks, order, is_chrome, &mut buf, |buf| {
+                render(store, order, is_chrome, &mut buf, |buf| {
                     w.write_all(buf)?;
                     buf.clear();
                     Ok(())
@@ -587,9 +580,9 @@ impl Tracer {
 
     /// One export built in memory, in a single buffer.
     fn to_string(&self, chrome: bool) -> String {
-        self.with_sorted(|chunks, order| {
+        self.with_sorted(|store, order| {
             let mut out = Vec::with_capacity(order.len() * if chrome { 224 } else { 160 });
-            render(chunks, order, chrome, &mut out, |_| Ok(())).expect("nothing is written");
+            render(store, order, chrome, &mut out, |_| Ok(())).expect("nothing is written");
             String::from_utf8(out).expect("built from strs and digits")
         })
     }
@@ -608,10 +601,13 @@ impl Tracer {
     }
 }
 
-/// Context handed to [`FlightRecorder::dump`]: everything the bundle
-/// snapshots besides the recorder's own rings.
+/// Context handed to [`FlightRecorder::dump`]: everything a bundle
+/// holds besides the recorder's seed.
 #[derive(Default)]
 pub struct DumpContext<'a> {
+    /// The run's last trace events, oldest first: the tracer's
+    /// [`recent`](Tracer::recent)`(`[`capacity`](FlightRecorder::capacity)`)`.
+    pub trace: &'a [TraceEvent],
     /// Registry whose snapshot is embedded, when one is attached.
     pub registry: Option<&'a Registry>,
     /// Health verdicts JSON (`HealthReport::to_json`), verbatim.
@@ -622,42 +618,30 @@ pub struct DumpContext<'a> {
     pub events_processed: u64,
 }
 
+#[derive(Debug)]
 struct FlightInner {
     dir: PathBuf,
     capacity: usize,
-    ring: Mutex<VecDeque<TraceEvent>>,
     seed: u64,
     dumps: AtomicU64,
 }
 
-/// Bounded ring of recent trace events that can dump a
-/// self-contained crash bundle at any moment. Clone-cheap.
-#[derive(Clone)]
+/// Where and how a run dumps self-contained crash bundles; it holds no
+/// events, a bundle's trace is the tracer's own tail. Clone-cheap, and
+/// clones share the bundle count.
+#[derive(Clone, Debug)]
 pub struct FlightRecorder {
     inner: Arc<FlightInner>,
 }
 
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "FlightRecorder(dir={}, cap={})",
-            self.inner.dir.display(),
-            self.inner.capacity
-        )
-    }
-}
-
 impl FlightRecorder {
-    /// Recorder writing bundles under `dir`, retaining the last
+    /// Recorder writing bundles under `dir`, each with the last
     /// `capacity` trace events.
     pub fn new(dir: impl Into<PathBuf>, capacity: usize, seed: u64) -> FlightRecorder {
-        let capacity = capacity.max(1);
         FlightRecorder {
             inner: Arc::new(FlightInner {
                 dir: dir.into(),
-                capacity,
-                ring: Mutex::new(VecDeque::with_capacity(capacity)),
+                capacity: capacity.max(1),
                 seed,
                 dumps: AtomicU64::new(0),
             }),
@@ -674,18 +658,9 @@ impl FlightRecorder {
         self.inner.seed
     }
 
-    /// Push one trace event into the bounded ring (oldest evicted).
-    pub fn observe(&self, ev: &TraceEvent) {
-        let mut ring = self.inner.ring.lock().unwrap();
-        if ring.len() == self.inner.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(ev.clone());
-    }
-
-    /// Copy of the retained trace slice, oldest first.
-    pub fn trace_slice(&self) -> Vec<TraceEvent> {
-        self.inner.ring.lock().unwrap().iter().cloned().collect()
+    /// Trace events a bundle carries.
+    pub fn capacity(&self) -> usize {
+        self.inner.capacity
     }
 
     /// Bundles dumped so far.
@@ -706,7 +681,7 @@ impl FlightRecorder {
             "\",\"seed\":{},\"events_processed\":{},\"trace\":[",
             self.inner.seed, ctx.events_processed
         );
-        for (i, e) in self.trace_slice().iter().enumerate() {
+        for (i, e) in ctx.trace.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -747,40 +722,6 @@ impl FlightRecorder {
     }
 }
 
-/// Drop guard that dumps a `"panic"` bundle while unwinding, so a
-/// crash mid-run still leaves the black box behind. Hold one for the
-/// duration of a run; dropping it normally does nothing.
-pub struct FlightGuard {
-    recorder: FlightRecorder,
-    /// Event count shared with the driver so the panic bundle carries
-    /// the replay coordinate even though `dump` runs during unwind.
-    events_processed: Arc<AtomicU64>,
-}
-
-impl FlightGuard {
-    /// Guard `recorder`; `events_processed` is read at dump time.
-    pub fn new(recorder: FlightRecorder, events_processed: Arc<AtomicU64>) -> FlightGuard {
-        FlightGuard {
-            recorder,
-            events_processed,
-        }
-    }
-}
-
-impl Drop for FlightGuard {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let ctx = DumpContext {
-                events_processed: self.events_processed.load(Ordering::Relaxed),
-                ..DumpContext::default()
-            };
-            if let Ok(path) = self.recorder.dump("panic", &ctx) {
-                eprintln!("flight recorder: panic bundle at {}", path.display());
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -790,19 +731,7 @@ mod tests {
         /// All recorded events in the canonical export order (stable by
         /// time, category, chain id), as owned values. Non-destructive.
         fn snapshot_sorted(&self) -> Vec<TraceEvent> {
-            self.with_sorted(|chunks, order| {
-                let event = |&(c, i): &Pos| {
-                    let (r, s, vals) = chunks[c as usize].event(i);
-                    TraceEvent {
-                        at_micros: r.at_micros,
-                        cat: s.cat,
-                        name: s.name,
-                        id: r.id,
-                        args: s.keys.iter().copied().zip(vals.iter().copied()).collect(),
-                    }
-                };
-                order.iter().map(event).collect()
-            })
+            self.with_sorted(|store, order| order.iter().map(|&p| store.owned(p)).collect())
         }
     }
 
@@ -907,7 +836,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_hands_in_full_chunks_and_the_rest_on_snapshot() {
+    fn store_starts_a_chunk_when_one_is_full() {
         let t = Tracer::new(1, 1);
         // Two chunks' worth and a bit, in events of two sizes.
         let n = 2 * CHUNK_RECS + 10;
@@ -915,8 +844,9 @@ mod tests {
             let args: &[(&'static str, i64)] = if i % 2 == 0 { &[] } else { &[("i", 7)] };
             t.record(i, TraceCat::Choke, "audit", 0, args);
         }
-        let handed_in = t.inner.as_ref().unwrap().store().len();
-        assert!(handed_in >= 2, "only {handed_in} chunks reached the store");
+        let store = t.inner.as_ref().unwrap().store();
+        assert_eq!((store.chunks.len(), store.shapes.len()), (3, 2));
+        drop(store);
         assert_eq!(t.snapshot_sorted().len(), n);
         // Snapshot again: nothing lost, nothing duplicated.
         assert_eq!(t.snapshot_sorted().len(), n);
@@ -953,8 +883,8 @@ mod tests {
 
     #[test]
     fn chrome_export_of_empty_snapshot_has_no_dangling_comma() {
-        // The live /trace route can snapshot before any event lands;
-        // the export must still be valid JSON (no `},]` tail).
+        // A tracer that recorded nothing still exports valid JSON (no
+        // `},]` tail).
         let t = Tracer::new(1, 1);
         let json = t.to_chrome_json();
         assert!(json.ends_with("}}]}"), "unexpected tail: {json}");
@@ -1034,7 +964,6 @@ mod tests {
                             t.record(i, TraceCat::Piece, "verified", w, &[]);
                         }
                     }
-                    t.flush_local();
                 })
             })
             .collect();
@@ -1054,10 +983,25 @@ mod tests {
         }
     }
 
-    /// `with_flight` on a handle that has clones used to build a second
-    /// tracer under the first one's id: the two then shared one
-    /// per-thread arena and whichever flushed first took the other's
-    /// pending events.
+    /// A thread's events are in the store as soon as it recorded them,
+    /// whether or not it says so before it exits.
+    #[test]
+    fn a_thread_that_exits_without_flushing_loses_no_event() {
+        let t = Tracer::new(1, 1);
+        let worker = t.clone();
+        std::thread::spawn(move || {
+            for i in 0..10u64 {
+                worker.record(i, TraceCat::Msg, "send", i, &[("to", 1)]);
+            }
+        })
+        .join()
+        .unwrap();
+        assert_eq!(t.len(), 10);
+        assert_eq!(t.to_jsonl().lines().count(), 10);
+    }
+
+    /// `with_flight` on a handle that has clones gives it a store of its
+    /// own: the clones keep recording into the shared one.
     #[test]
     fn reconfiguring_a_cloned_handle_makes_an_independent_tracer() {
         let a = Tracer::new(5, 1);
@@ -1077,32 +1021,34 @@ mod tests {
         assert_eq!(who(&b), [(1, 0), (3, 1)]);
         assert_eq!(who(&a), [(1, 0), (2, 0)]);
         assert_eq!(who(&c), [(1, 0), (4, 2)]);
-        // So does each recorder: the ring sees only its tracer's events.
-        let ring = |t: &Tracer| -> Vec<u64> {
-            let slice = t.flight().unwrap().trace_slice();
-            slice.iter().map(|e| e.at_micros).collect()
+        // So does what each one's flight bundles would carry.
+        let tail = |t: &Tracer| -> Vec<u64> {
+            let recent = t.recent(t.flight().unwrap().capacity());
+            recent.iter().map(|e| e.at_micros).collect()
         };
-        assert_eq!((ring(&b), ring(&c)), (vec![3], vec![4]));
+        assert_eq!((tail(&b), tail(&c)), (vec![1, 3], vec![1, 4]));
         assert!(a.flight().is_none());
     }
 
+    /// A bundle's trace is the tracer's last `capacity` events, oldest
+    /// first in recording order (not export order), across chunks.
     #[test]
-    fn flight_ring_keeps_newest_and_bundles() {
+    fn bundle_trace_is_the_tracers_last_capacity_events() {
         let dir = std::env::temp_dir().join(format!("bt-flightrec-{}", std::process::id()));
         let fr = FlightRecorder::new(&dir, 4, 99);
         let t = Tracer::new(99, 1).with_flight(fr.clone());
         for i in 0..10u64 {
-            t.record(i, TraceCat::Msg, "send", i, &[]);
+            t.record(i * 7 % 10, TraceCat::Msg, "send", i, &[]);
         }
-        let slice = fr.trace_slice();
-        assert_eq!(slice.len(), 4);
-        assert_eq!(
-            slice.iter().map(|e| e.at_micros).collect::<Vec<_>>(),
-            vec![6, 7, 8, 9]
-        );
+        let recent = t.recent(fr.capacity());
+        let times = |events: &[TraceEvent]| events.iter().map(|e| e.at_micros).collect::<Vec<_>>();
+        assert_eq!(times(&recent), [2, 9, 6, 3]);
+        assert_eq!(t.recent(100).len(), 10);
+        assert!(Tracer::disabled().recent(4).is_empty());
         let reg = Registry::new(TimeSource::manual());
         reg.counter("x").add(3);
         let ctx = DumpContext {
+            trace: &recent,
             registry: Some(&reg),
             health_json: Some("{\"healthy\":false}"),
             explanation: Some("peer 3 starved"),
@@ -1115,11 +1061,28 @@ mod tests {
         assert!(bundle.contains("\"healthy\":false"));
         assert!(bundle.contains("peer 3 starved"));
         assert!(bundle.contains("\"x\":3"));
+        let trace = serde::json::parse(&bundle)
+            .unwrap()
+            .get("trace")
+            .unwrap()
+            .clone();
+        let bundled = trace
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|e| e.get("t").unwrap().as_u64());
+        assert_eq!(bundled.collect::<Option<Vec<_>>>().unwrap(), [2, 9, 6, 3]);
         let path = fr.dump("invariant:starvation", &ctx).unwrap();
         assert!(path.ends_with("flightrec-0.json"));
         let read_back = std::fs::read_to_string(&path).unwrap();
         assert_eq!(read_back, bundle);
         let _ = std::fs::remove_dir_all(&dir);
+        // Past a chunk boundary the tail still runs oldest first.
+        for i in 10..CHUNK_RECS as u64 + 12 {
+            t.record(i, TraceCat::Msg, "send", i, &[]);
+        }
+        let last = CHUNK_RECS as u64 + 11;
+        assert_eq!(times(&t.recent(4)), [last - 3, last - 2, last - 1, last]);
     }
 
     #[test]
@@ -1136,7 +1099,9 @@ mod tests {
         t.record(1, TraceCat::Msg, "send", 0, &[("to", 2)]);
         let reg = Registry::new(TimeSource::manual());
         reg.counter("x").inc();
+        let recent = t.recent(fr.capacity());
         let ctx = DumpContext {
+            trace: &recent,
             registry: Some(&reg),
             health_json: Some("{\"healthy\":true}"),
             explanation: Some("a \"quoted\"\nline"),
@@ -1165,26 +1130,5 @@ mod tests {
                 .map(<[_]>::len),
             Some(1)
         );
-    }
-
-    #[test]
-    fn flight_guard_dumps_only_on_panic() {
-        let dir = std::env::temp_dir().join(format!("bt-flightguard-{}", std::process::id()));
-        let fr = FlightRecorder::new(&dir, 8, 1);
-        {
-            let _guard = FlightGuard::new(fr.clone(), Arc::new(AtomicU64::new(5)));
-        }
-        assert_eq!(fr.dumps(), 0, "normal drop must not dump");
-        let fr2 = fr.clone();
-        let result = std::panic::catch_unwind(move || {
-            let _guard = FlightGuard::new(fr2, Arc::new(AtomicU64::new(7)));
-            panic!("boom");
-        });
-        assert!(result.is_err());
-        assert_eq!(fr.dumps(), 1, "panic must dump exactly once");
-        let bundle = std::fs::read_to_string(dir.join("flightrec-0.json")).unwrap();
-        assert!(bundle.contains("\"reason\":\"panic\""));
-        assert!(bundle.contains("\"events_processed\":7"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -28,7 +28,7 @@ use crate::tracker::{PeerIdx, SimTracker};
 use bt_analysis::live::{HealthMonitor, HealthReport, LiveSample, Thresholds};
 use bt_core::{Action, Config, ConnId, DataMode, Engine, EngineBuilder, Input};
 use bt_instrument::trace::{Trace, TraceMeta};
-use bt_obs::trace::{DumpContext, FlightGuard, TraceCat, Tracer};
+use bt_obs::trace::{DumpContext, TraceCat, Tracer};
 use bt_piece::{Bitfield, Geometry};
 use bt_wire::handshake::Handshake;
 use bt_wire::message::{BlockRef, Message};
@@ -40,7 +40,6 @@ use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Pre-existing leechers hold at most this fraction of the available
@@ -533,8 +532,6 @@ pub struct Swarm {
     piece_life: BTreeMap<u32, PieceLife>,
     /// Previous health verdict, to edge-trigger flight dumps.
     was_healthy: bool,
-    /// Events processed, mirrored for the panic flight guard.
-    events_shared: Arc<AtomicU64>,
 }
 
 impl Swarm {
@@ -662,7 +659,6 @@ impl Swarm {
             tracer: Tracer::disabled(),
             piece_life: BTreeMap::new(),
             was_healthy: true,
-            events_shared: Arc::new(AtomicU64::new(0)),
         };
         swarm.initial_pieces = (0..n)
             .map(|idx| swarm.initial_bitfield(idx, &available))
@@ -806,9 +802,10 @@ impl Swarm {
     /// traces are byte-identical whether tracing is on or off.
     ///
     /// A tracer built [`with_flight`](Tracer::with_flight) brings its
-    /// flight recorder: a bounded ring of recent trace events, dumped
-    /// as a self-contained bundle when a live-monitor invariant trips
-    /// ([`with_health`](Swarm::with_health)) or the run panics.
+    /// flight recorder: a self-contained bundle with the tracer's last
+    /// events is dumped when a live-monitor invariant trips
+    /// ([`with_health`](Swarm::with_health)) or the swarm is dropped
+    /// during a panic.
     #[must_use]
     pub fn with_trace(mut self, tracer: Tracer) -> Swarm {
         // Coverage guarantee: pin the minimal-hash piece and peer so
@@ -866,11 +863,6 @@ impl Swarm {
     /// [`with_metrics`](Swarm::with_metrics).
     pub fn run(mut self) -> SwarmResult {
         self.start();
-        // Held for the whole run: dumps a bundle if it panics.
-        let flight_guard = self
-            .tracer
-            .flight()
-            .map(|fr| FlightGuard::new(fr.clone(), self.events_shared.clone()));
         let end = Instant(self.spec.duration.0);
         while let Some(next) = self.queue.peek_time() {
             if next > end {
@@ -881,10 +873,6 @@ impl Swarm {
                 self.queue.pop().expect("peeked")
             };
             self.events_processed += 1;
-            if flight_guard.is_some() {
-                self.events_shared
-                    .store(self.events_processed, Ordering::Relaxed);
-            }
             if let Some(m) = &self.metrics {
                 m.registry().time().advance_to(now.0);
                 m.events.inc();
@@ -927,7 +915,6 @@ impl Swarm {
     }
 
     fn finish(mut self, end: Instant) -> SwarmResult {
-        self.tracer.flush_local();
         if let Some(t) = self.profiler.time() {
             t.advance_to(end.0);
         }
@@ -946,13 +933,13 @@ impl Swarm {
         let completed_peers = self.completion.iter().flatten().count();
         SwarmResult {
             trace,
-            completion: self.completion,
+            completion: std::mem::take(&mut self.completion),
             completed_peers,
             events_processed: self.events_processed,
             tracker_started: self.tracker.started,
             tracker_completed: self.tracker.completed,
-            global_series: self.global_series,
-            metrics: self.metric_snapshots,
+            global_series: std::mem::take(&mut self.global_series),
+            metrics: std::mem::take(&mut self.metric_snapshots),
             profile: self.profiler.is_enabled().then(|| self.profiler.snapshot()),
             health: self.health.as_ref().map(|m| m.report()),
         }
@@ -1018,7 +1005,10 @@ impl Swarm {
                 let report = monitor.report();
                 let healthy = report.healthy();
                 if self.was_healthy && !healthy {
-                    self.dump_flight(&report, worst_starved);
+                    let tripped = report.monitors.iter().filter(|m| !m.healthy);
+                    let names: Vec<&str> = tripped.map(|m| m.name).collect();
+                    let reason = format!("invariant:{}", names.join("+"));
+                    self.dump_flight(&reason, Some((&report, worst_starved)));
                 }
                 self.was_healthy = healthy;
             }
@@ -1031,30 +1021,28 @@ impl Swarm {
         self.metric_snapshots.push(snap);
     }
 
-    /// Write a flight-recorder bundle for an invariant trip: reason
-    /// names the tripped monitors, and the explanation is derived from
-    /// the recorder's recent trace slice (worst-starved peer's choke
-    /// history, rarest open sampled piece).
-    fn dump_flight(&self, report: &HealthReport, worst: Option<(PeerIdx, u64)>) {
+    /// Write a flight-recorder bundle whose trace is the tracer's last
+    /// `capacity` events. An invariant trip passes the health report
+    /// and the worst-starved peer: the bundle then carries the registry,
+    /// the verdicts and an explanation derived from that trace
+    /// (worst-starved peer's choke history, rarest open sampled piece).
+    /// A panic bundle carries the replay coordinates alone.
+    fn dump_flight(&self, reason: &str, trip: Option<(&HealthReport, Option<(PeerIdx, u64)>)>) {
         let Some(fr) = self.tracer.flight() else {
             return;
         };
-        let tripped: Vec<&str> = report
-            .monitors
-            .iter()
-            .filter(|m| !m.healthy)
-            .map(|m| m.name)
-            .collect();
-        let reason = format!("invariant:{}", tripped.join("+"));
-        let explanation = bt_analysis::explain::explain_unhealthy(report, worst, &fr.trace_slice());
-        let health_json = report.to_json();
+        let trace = self.tracer.recent(fr.capacity());
+        let health_json = trip.map(|(report, _)| report.to_json());
+        let explanation = trip
+            .map(|(report, worst)| bt_analysis::explain::explain_unhealthy(report, worst, &trace));
         let ctx = DumpContext {
-            registry: self.metrics.as_ref().map(|m| m.registry()),
-            health_json: Some(&health_json),
-            explanation: Some(&explanation),
+            trace: &trace,
+            registry: trip.and(self.metrics.as_ref()).map(|m| m.registry()),
+            health_json: health_json.as_deref(),
+            explanation: explanation.as_deref(),
             events_processed: self.events_processed,
         };
-        match fr.dump(&reason, &ctx) {
+        match fr.dump(reason, &ctx) {
             Ok(path) => eprintln!("flight recorder: {reason} -> {}", path.display()),
             Err(e) => eprintln!("flight recorder: dump failed: {e}"),
         }
@@ -1799,6 +1787,16 @@ impl Swarm {
     }
 }
 
+/// A swarm dropped while its thread unwinds — a panic mid-run — leaves
+/// a `"panic"` flight bundle behind; dropped otherwise, nothing.
+impl Drop for Swarm {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.dump_flight("panic", None);
+        }
+    }
+}
+
 /// Max-min fair allocation of `budget` over `demands`: repeatedly split
 /// the remaining budget equally among unsaturated entries; entries whose
 /// demand is below their share are granted in full and their leftover is
@@ -2268,5 +2266,33 @@ mod tests {
             result.completion[5].is_some(),
             "free rider starved entirely"
         );
+    }
+
+    /// A swarm dropped while a panic unwinds writes one `"panic"` flight
+    /// bundle holding the tracer's last events; dropped normally, or
+    /// consumed by `run`, it writes none.
+    #[test]
+    fn a_swarm_dropped_during_a_panic_dumps_one_flight_bundle() {
+        let dir = std::env::temp_dir().join(format!("bt-sim-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tracer = Tracer::new(3, 1).with_flight(bt_obs::FlightRecorder::new(&dir, 8, 3));
+        let fr = tracer.flight().unwrap().clone();
+        drop(Swarm::new(tiny_spec(3)).with_trace(tracer.clone()));
+        Swarm::new(tiny_spec(3)).with_trace(tracer.clone()).run();
+        assert_eq!(fr.dumps(), 0, "a swarm that did not panic wrote a bundle");
+        assert!(tracer.len() > 8, "the run filled the tracer");
+
+        let swarm = Swarm::new(tiny_spec(3)).with_trace(tracer.clone());
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _swarm = swarm;
+            panic!("injected");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(fr.dumps(), 1, "one panic, one bundle");
+        let bundle = std::fs::read_to_string(dir.join("flightrec-0.json")).unwrap();
+        let recent: Vec<String> = tracer.recent(8).iter().map(|e| e.to_json()).collect();
+        assert!(bundle.starts_with("{\"reason\":\"panic\",\"seed\":3,\"events_processed\":0,"));
+        assert!(bundle.contains(&format!("\"trace\":[{}],", recent.join(","))));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -128,7 +128,6 @@ fn golden_fingerprints_unchanged_with_causal_tracing_on() {
         result.digest()
     )
     .unwrap();
-    tracer.flush_local();
     assert!(
         !tracer.to_jsonl().is_empty(),
         "the 10k tracer sampled nothing at 1/64"

@@ -79,7 +79,6 @@ fn crowd_1k(out: &mut String, rate: u64) {
         .with_series(store.clone())
         .with_profiler(Profiler::new(TimeSource::manual()))
         .run();
-    tracer.flush_local();
     fingerprint(
         out,
         &format!("flash_crowd_1k/rate={rate}"),
@@ -185,7 +184,6 @@ fn exports_attached_in(order: [Attach; 5]) -> String {
             Attach::Profiler => swarm.with_profiler(profiler.clone()),
         });
     let result = swarm.run();
-    tracer.flush_local();
     format!(
         "digest={:016x}\n{}\n{}\n{}\n{}",
         result.digest(),
