@@ -454,6 +454,14 @@ impl Engine {
         self.actions.take()
     }
 
+    /// [`drain_actions`](Self::drain_actions) into a buffer the driver
+    /// reuses: the pending actions are swapped into `buf`, which must be
+    /// empty, and the engine keeps `buf`'s allocation for the next ones.
+    pub fn swap_actions(&mut self, buf: &mut Vec<Action>) {
+        debug_assert!(buf.is_empty(), "swapping into a non-empty buffer");
+        std::mem::swap(&mut self.actions.items, buf);
+    }
+
     /// Feed global per-piece copy counts to the picker (only the
     /// global-rarest oracle baseline consumes them).
     pub fn update_global_counts(&mut self, counts: &[u32]) {

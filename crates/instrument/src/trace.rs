@@ -254,16 +254,29 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Serialise to JSON-lines: one metadata line then one line per event.
+    /// Serialise to JSON-lines: one metadata line then one line per
+    /// event, rendered by [`Trace::for_each_jsonl_line`].
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&serde_json::to_string(&self.meta).expect("meta serialises"));
-        out.push('\n');
+        let mut out = Vec::new();
+        self.for_each_jsonl_line(|line| out.extend_from_slice(line));
+        String::from_utf8(out).expect("JSON is UTF-8")
+    }
+
+    /// Render the [`Trace::to_jsonl`] lines in order, each with its
+    /// trailing newline, into one reused buffer handed to `sink` — so a
+    /// consumer that only hashes or copies the text never holds more
+    /// than one line of it.
+    pub fn for_each_jsonl_line(&self, mut sink: impl FnMut(&[u8])) {
+        let mut line = Vec::new();
+        serde_json::to_writer(&mut line, &self.meta).expect("meta serialises");
+        line.push(b'\n');
+        sink(&line);
         for ev in &self.events {
-            out.push_str(&serde_json::to_string(ev).expect("event serialises"));
-            out.push('\n');
+            line.clear();
+            serde_json::to_writer(&mut line, ev).expect("event serialises");
+            line.push(b'\n');
+            sink(&line);
         }
-        out
     }
 
     /// Parse the JSON-lines form produced by [`Trace::to_jsonl`].

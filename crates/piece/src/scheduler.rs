@@ -18,13 +18,15 @@
 //!
 //! This runs once per received block, so the bookkeeping is laid out for
 //! that cycle: open pieces live in a `BTreeMap` keyed by piece index
-//! (strict priority *is* an ascending walk, so it needs no per-call sort),
-//! every open piece counts its `free` blocks (a fully requested piece is
-//! skipped without looking at its blocks), and a peer's outstanding
-//! requests are a short `Vec` searched linearly (a pipeline is a handful
-//! of blocks). Once the buffers have grown to their working size, a
+//! (strict priority *is* an ascending walk, so it needs no per-call sort)
+//! beside one open bit per piece (the picker's in-progress test is an
+//! index, not a map lookup), every open piece counts its `free` blocks
+//! (a fully requested piece is skipped without looking at its blocks),
+//! and a peer's outstanding requests are a short `Vec` searched linearly
+//! (a pipeline is a handful of blocks). Once the buffers have grown to their working size, a
 //! request → receive cycle inside an open piece allocates nothing.
 
+use crate::bitfield::Bitfield;
 use crate::geometry::Geometry;
 use crate::picker::{PickContext, PiecePicker};
 use bt_wire::message::BlockRef;
@@ -135,6 +137,9 @@ pub struct RequestScheduler<P: Copy + Ord> {
     /// Pieces in progress. Ascending piece index is the strict-priority
     /// order and the order every run must reproduce.
     partial: BTreeMap<u32, PartialPiece>,
+    /// One bit per piece, set exactly while the piece is a key of
+    /// `partial`.
+    open: Bitfield,
     /// Requests in flight per peer, in no particular order. Each block
     /// appears at most once per peer; across peers, `requested[idx]`
     /// counts its copies.
@@ -149,6 +154,7 @@ impl<P: Copy + Ord> RequestScheduler<P> {
         RequestScheduler {
             geometry,
             partial: BTreeMap::new(),
+            open: Bitfield::new(geometry.num_pieces()),
             outstanding: BTreeMap::new(),
             endgame: false,
             endgame_enabled: true,
@@ -182,7 +188,7 @@ impl<P: Copy + Ord> RequestScheduler<P> {
 
     /// True if `piece` has at least one received or requested block.
     pub fn is_in_progress(&self, piece: u32) -> bool {
-        self.partial.contains_key(&piece)
+        piece < self.open.len() && self.open.get(piece)
     }
 
     /// Outstanding requests to `peer`.
@@ -252,8 +258,8 @@ impl<P: Copy + Ord> RequestScheduler<P> {
 
         // 2. Open new pieces via the picker.
         while out.len() < cap {
-            let partial = &self.partial;
-            let in_progress = |p: u32| partial.contains_key(&p) || (ctx.in_progress)(p);
+            let open = &self.open;
+            let in_progress = |p: u32| open.get(p) || (ctx.in_progress)(p);
             let sub_ctx = PickContext {
                 own: ctx.own,
                 remote: ctx.remote,
@@ -264,10 +270,8 @@ impl<P: Copy + Ord> RequestScheduler<P> {
             let Some(piece) = picker.pick(&sub_ctx, rng) else {
                 break;
             };
-            debug_assert!(
-                !self.partial.contains_key(&piece),
-                "picker reopened a piece"
-            );
+            let newly_open = self.open.set(piece);
+            debug_assert!(newly_open, "picker reopened a piece");
             let state = self
                 .partial
                 .entry(piece)
@@ -280,7 +284,10 @@ impl<P: Copy + Ord> RequestScheduler<P> {
 
         // 3. End game: all blocks of all wanted pieces requested or
         // received? Then duplicate-request missing blocks from this peer.
-        if self.endgame_enabled && !self.endgame && all_blocks_requested(&self.partial, ctx) {
+        if self.endgame_enabled
+            && !self.endgame
+            && all_blocks_requested(&self.partial, &self.open, ctx)
+        {
             self.endgame = true;
         }
         if self.endgame {
@@ -351,6 +358,7 @@ impl<P: Copy + Ord> RequestScheduler<P> {
     /// The caller updates its own bitfield; the scheduler forgets the piece.
     pub fn on_piece_verified(&mut self, piece: u32) {
         let state = self.partial.remove(&piece);
+        self.open.clear(piece);
         debug_assert!(
             state.is_some_and(|s| s.is_complete()),
             "verifying incomplete piece"
@@ -403,11 +411,16 @@ impl<P: Copy + Ord> RequestScheduler<P> {
         removed
     }
 
-    /// Internal invariants, checked by the differential tests: every
-    /// piece's `free` equals a recount, `requested` counts exactly the
-    /// copies in the per-peer lists, and no peer holds a block twice.
+    /// Internal invariants, checked by the differential tests: the open
+    /// bits are exactly `partial`'s keys, every piece's `free` equals a
+    /// recount, `requested` counts exactly the copies in the per-peer
+    /// lists, and no peer holds a block twice.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
+        assert!(
+            self.open.iter_ones().eq(self.partial.keys().copied()),
+            "open bits drifted from the open pieces"
+        );
         for (&piece, state) in &self.partial {
             let free = (0..state.received.len())
                 .filter(|&i| state.is_free(i))
@@ -466,9 +479,12 @@ fn fill_from_piece(
 
 /// End game's trigger: every piece we still need is in progress, and
 /// every block of every open piece is received or requested.
-fn all_blocks_requested(partial: &BTreeMap<u32, PartialPiece>, ctx: &PickContext<'_>) -> bool {
-    partial.values().all(|st| st.free == 0)
-        && ctx.own.iter_zeros().all(|p| partial.contains_key(&p))
+fn all_blocks_requested(
+    partial: &BTreeMap<u32, PartialPiece>,
+    open: &Bitfield,
+    ctx: &PickContext<'_>,
+) -> bool {
+    partial.values().all(|st| st.free == 0) && ctx.own.iter_zeros().all(|p| open.get(p))
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Offline stand-in for the `bytes` crate.
 //!
 //! [`Bytes`] is a cheaply-cloneable immutable byte buffer (`Arc`-backed
-//! with an offset window); [`BytesMut`] is a growable buffer with an
+//! with an offset window; an empty one holds no `Arc` and never touches
+//! the heap); [`BytesMut`] is a growable buffer with an
 //! amortised-O(1) front cursor so `advance`/`split_to` don't memmove.
 //! [`Buf`]/[`BufMut`] cover the big-endian accessor subset the wire
 //! codec uses.
@@ -9,32 +10,36 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// Cheaply-cloneable immutable bytes.
+/// Cheaply-cloneable immutable bytes, at most 4 GiB (the window is two
+/// `u32`s, so a `Bytes` is three words).
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
-    start: usize,
-    end: usize,
+    /// `None` exactly when the buffer is empty.
+    data: Option<Arc<[u8]>>,
+    start: u32,
+    end: u32,
+}
+
+/// A buffer length as a window bound.
+fn bound(len: usize) -> u32 {
+    u32::try_from(len).expect("Bytes holds at most 4 GiB")
 }
 
 impl Bytes {
-    /// Empty buffer.
+    /// Empty buffer (no allocation).
     pub fn new() -> Bytes {
-        Bytes::from_static(b"")
+        Bytes::default()
     }
 
-    /// Wrap a static slice (no allocation beyond the Arc header).
+    /// Wrap a static slice (no allocation beyond the Arc header; none
+    /// at all when `s` is empty).
     pub fn from_static(s: &'static [u8]) -> Bytes {
-        Bytes {
-            data: Arc::from(s),
-            start: 0,
-            end: s.len(),
-        }
+        Bytes::from(s)
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     /// True if empty.
@@ -48,25 +53,30 @@ impl Bytes {
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        self.data
+            .as_ref()
+            .map_or(&[], |d| &d[self.start as usize..self.end as usize])
     }
 
     /// Sub-window of this buffer (shares the allocation).
     pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
         assert!(range.start <= range.end && range.end <= self.len());
+        if range.is_empty() {
+            return Bytes::new();
+        }
         Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + range.start,
-            end: self.start + range.end,
+            data: self.data.clone(),
+            start: self.start + bound(range.start),
+            end: self.start + bound(range.end),
         }
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        let end = v.len();
+        let end = bound(v.len());
         Bytes {
-            data: Arc::from(v),
+            data: (end > 0).then(|| Arc::from(v)),
             start: 0,
             end,
         }
@@ -76,9 +86,9 @@ impl From<Vec<u8>> for Bytes {
 impl From<&[u8]> for Bytes {
     fn from(s: &[u8]) -> Bytes {
         Bytes {
-            data: Arc::from(s),
+            data: (!s.is_empty()).then(|| Arc::from(s)),
             start: 0,
-            end: s.len(),
+            end: bound(s.len()),
         }
     }
 }
@@ -311,6 +321,22 @@ mod tests {
         let frozen = head.freeze();
         assert_eq!(frozen.slice(1..4).to_vec(), b"ell");
         assert_eq!(frozen, Bytes::from_static(b"hello"));
+    }
+
+    #[test]
+    fn empty_buffers_hold_no_allocation() {
+        for empty in [
+            Bytes::new(),
+            Bytes::default(),
+            Bytes::from_static(b""),
+            Bytes::from(Vec::new()),
+            Bytes::from(&b"abc"[..]).slice(1..1),
+        ] {
+            assert!(empty.data.is_none());
+            assert!(empty.is_empty());
+            assert_eq!(&empty[..], b"");
+            assert_eq!(empty, Bytes::new());
+        }
     }
 
     #[test]

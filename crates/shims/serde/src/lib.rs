@@ -17,6 +17,7 @@
 //! `deny_unknown_fields`.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -128,7 +129,7 @@ macro_rules! ser_de_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize_json(&self, out: &mut String) {
-                out.push_str(&self.to_string());
+                let _ = write!(out, "{self}");
             }
         }
         impl Deserialize for $t {
@@ -145,7 +146,7 @@ macro_rules! ser_de_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize_json(&self, out: &mut String) {
-                out.push_str(&self.to_string());
+                let _ = write!(out, "{self}");
             }
         }
         impl Deserialize for $t {
@@ -164,7 +165,7 @@ impl Serialize for f64 {
             // `{}` prints the shortest string that round-trips, and prints
             // integral values without a fractional part; our parser reads
             // either spelling back into the same f64.
-            out.push_str(&format!("{self}"));
+            let _ = write!(out, "{self}");
         } else {
             // serde_json maps non-finite floats to null.
             out.push_str("null");

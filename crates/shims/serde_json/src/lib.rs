@@ -11,6 +11,26 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
+/// Serialise `value` as compact JSON into `writer`. The text is
+/// rendered in a per-thread buffer that keeps its capacity, so writing
+/// into a reused `Vec<u8>` allocates nothing once both have grown.
+pub fn to_writer<W: std::io::Write, T: serde::Serialize + ?Sized>(
+    mut writer: W,
+    value: &T,
+) -> Result<(), Error> {
+    thread_local! {
+        static TEXT: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
+    }
+    TEXT.with(|text| {
+        let mut text = text.borrow_mut();
+        text.clear();
+        value.serialize_json(&mut text);
+        writer
+            .write_all(text.as_bytes())
+            .map_err(|e| Error::msg(e.to_string()))
+    })
+}
+
 /// Serialise `value` to pretty-printed JSON (two-space indent).
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let compact = to_string(value)?;
@@ -29,6 +49,14 @@ pub fn from_str<T: serde::Deserialize>(input: &str) -> Result<T, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn to_writer_matches_to_string() {
+        let v: Value = from_str("{\"a\":[1,2.5,\"x\"],\"b\":null}").unwrap();
+        let mut out = b"prefix ".to_vec();
+        to_writer(&mut out, &v).unwrap();
+        assert_eq!(out, format!("prefix {}", to_string(&v).unwrap()).into_bytes());
+    }
 
     #[test]
     fn value_round_trip() {

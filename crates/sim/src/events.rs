@@ -6,10 +6,12 @@
 //! reproducible for a given seed.
 //!
 //! [`EventQueue`] is a calendar queue: a wheel of fixed-width time
-//! buckets in front of an overflow heap, with the bucket currently being
-//! drained held in a small binary heap. Near-term scheduling and popping
-//! are O(1) amortized instead of the O(log n) of a single global heap —
-//! the difference that keeps 100k-peer swarms at millions of events per
+//! buckets in front of an overflow heap. The bucket being drained is
+//! sorted once, latest first, and popped from its end; a one-bit-per-slot
+//! occupancy bitmap finds the next non-empty bucket a word at a time.
+//! Near-term scheduling and popping are O(1) amortized (plus one sort per
+//! bucket) instead of the O(log n) of a single global heap — the
+//! difference that keeps 100k-peer swarms at millions of events per
 //! second. The original single-heap queue is retained as
 //! [`HeapEventQueue`]; `tests/event_queue_diff.rs` holds the two to
 //! identical pop order (including same-instant ties and pushes
@@ -40,7 +42,8 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
+        // BinaryHeap is a max-heap; invert for earliest-first. The same
+        // order sorts a bucket ascending with its earliest event last.
         other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
     }
 }
@@ -51,6 +54,8 @@ const SLOT_BITS: u32 = 10;
 /// Number of wheel slots; the wheel spans `NUM_SLOTS << SLOT_BITS` µs
 /// (≈ 4 s). Anything scheduled further out waits in the overflow heap.
 const NUM_SLOTS: u64 = 4096;
+/// Words of the occupancy bitmap, one bit per wheel slot.
+const WORDS: usize = (NUM_SLOTS / 64) as usize;
 
 /// Earliest-first event queue with FIFO tie-breaking.
 ///
@@ -69,21 +74,24 @@ const NUM_SLOTS: u64 = 4096;
 /// With `slot(t) = t / 2^SLOT_BITS` and `cur_slot` the slot being
 /// drained:
 ///
-/// * `cur` holds every pending event with `slot(at) <= cur_slot`, as a
-///   heap on (time, seq) — so pops within the current bucket are exact;
+/// * `cur` holds every pending event with `slot(at) <= cur_slot`, sorted
+///   on (time, seq) with the earliest last — so pops within the current
+///   bucket are exact;
 /// * `wheel[s % NUM_SLOTS]` holds the events of slot `s` for
-///   `cur_slot < s < cur_slot + NUM_SLOTS` — strictly later than
-///   everything in `cur`;
+///   `cur_slot < s < cur_slot + NUM_SLOTS`, unsorted — strictly later
+///   than everything in `cur` — and bit `s % NUM_SLOTS` of `occupied` is
+///   set exactly when that bucket is non-empty;
 /// * `overflow` holds events with `slot(at) >= cur_slot + NUM_SLOTS`,
 ///   migrated into the wheel as the window advances — strictly later
 ///   than everything in the wheel.
 ///
-/// Every ordering decision goes through a heap keyed on (time, seq), so
-/// pop order is identical to a single global heap's.
+/// Every ordering decision compares (time, seq), so pop order is
+/// identical to a single global heap's.
 pub struct EventQueue<E> {
-    cur: BinaryHeap<Entry<E>>,
+    cur: Vec<Entry<E>>,
     cur_slot: u64,
     wheel: Vec<Vec<Entry<E>>>,
+    occupied: [u64; WORDS],
     wheel_count: usize,
     overflow: BinaryHeap<Entry<E>>,
     len: usize,
@@ -101,9 +109,10 @@ impl<E> EventQueue<E> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            cur: BinaryHeap::new(),
+            cur: Vec::new(),
             cur_slot: 0,
             wheel: (0..NUM_SLOTS).map(|_| Vec::new()).collect(),
+            occupied: [0; WORDS],
             wheel_count: 0,
             overflow: BinaryHeap::new(),
             len: 0,
@@ -138,13 +147,38 @@ impl<E> EventQueue<E> {
         let entry = Entry { at, seq, event };
         let s = Self::slot(at);
         if s <= self.cur_slot {
-            self.cur.push(entry);
+            // Into the bucket being drained: keep it sorted. Entries
+            // before `pos` fire later than this one.
+            let pos = self.cur.partition_point(|e| *e < entry);
+            self.cur.insert(pos, entry);
         } else if s < self.cur_slot + NUM_SLOTS {
-            self.wheel[(s % NUM_SLOTS) as usize].push(entry);
-            self.wheel_count += 1;
+            self.push_wheel(s, entry);
         } else {
             self.overflow.push(entry);
         }
+    }
+
+    fn push_wheel(&mut self, s: u64, entry: Entry<E>) {
+        let i = (s % NUM_SLOTS) as usize;
+        self.wheel[i].push(entry);
+        self.occupied[i / 64] |= 1 << (i % 64);
+        self.wheel_count += 1;
+    }
+
+    /// The first occupied wheel slot after `cur_slot`. Caller guarantees
+    /// the wheel holds an event; all of them lie within `NUM_SLOTS` of
+    /// `cur_slot`, so the circular scan visits at most `WORDS + 1` words.
+    fn next_occupied(&self) -> u64 {
+        let start = self.cur_slot + 1;
+        let p = (start % NUM_SLOTS) as usize;
+        let mut word = p / 64;
+        let mut bits = self.occupied[word] & (u64::MAX << (p % 64));
+        while bits == 0 {
+            word = (word + 1) % WORDS;
+            bits = self.occupied[word];
+        }
+        let i = word * 64 + bits.trailing_zeros() as usize;
+        start + ((i + NUM_SLOTS as usize - p) % NUM_SLOTS as usize) as u64
     }
 
     /// Advance `cur_slot` to the next slot holding events and refill
@@ -153,21 +187,17 @@ impl<E> EventQueue<E> {
     fn advance(&mut self) {
         debug_assert!(self.cur.is_empty() && self.len > 0);
         let target = if self.wheel_count > 0 {
-            // All wheel events live within NUM_SLOTS of cur_slot, so this
-            // scan terminates; each slot is passed over at most once per
-            // window traversal.
-            let mut s = self.cur_slot + 1;
-            while self.wheel[(s % NUM_SLOTS) as usize].is_empty() {
-                s += 1;
-            }
-            s
+            self.next_occupied()
         } else {
             Self::slot(self.overflow.peek().expect("len > 0").at)
         };
         self.cur_slot = target;
-        let bucket = &mut self.wheel[(target % NUM_SLOTS) as usize];
-        self.wheel_count -= bucket.len();
-        self.cur.extend(bucket.drain(..));
+        // The bucket becomes `cur`; the empty `cur` (and its capacity)
+        // takes the bucket's place in the wheel.
+        let i = (target % NUM_SLOTS) as usize;
+        std::mem::swap(&mut self.cur, &mut self.wheel[i]);
+        self.occupied[i / 64] &= !(1 << (i % 64));
+        self.wheel_count -= self.cur.len();
         // The window moved forward: migrate overflow events that now fall
         // inside it, restoring the overflow-beyond-horizon invariant.
         while self
@@ -180,10 +210,10 @@ impl<E> EventQueue<E> {
             if s <= target {
                 self.cur.push(entry);
             } else {
-                self.wheel[(s % NUM_SLOTS) as usize].push(entry);
-                self.wheel_count += 1;
+                self.push_wheel(s, entry);
             }
         }
+        self.cur.sort_unstable();
         debug_assert!(!self.cur.is_empty());
     }
 
@@ -214,7 +244,7 @@ impl<E> EventQueue<E> {
         if self.cur.is_empty() {
             self.advance();
         }
-        self.cur.peek().map(|e| e.at)
+        self.cur.last().map(|e| e.at)
     }
 
     /// Number of pending events.

@@ -275,20 +275,26 @@ impl SwarmResult {
                 g.at.0, g.min, g.max, g.single_copy_pieces, g.live_peers
             );
         }
-        let mut hash = fnv1a64(text.as_bytes());
+        let mut hash = fnv1a64(FNV_OFFSET, text.as_bytes());
         if let Some(trace) = &self.trace {
             // Chain rather than concatenate: traces can be large, and the
             // jsonl encoding is already a byte-stable function of the run.
-            hash ^= fnv1a64(trace.to_jsonl().as_bytes()).rotate_left(1);
+            // The lines are hashed as they are rendered.
+            let mut trace_hash = FNV_OFFSET;
+            trace.for_each_jsonl_line(|line| trace_hash = fnv1a64(trace_hash, line));
+            hash ^= trace_hash.rotate_left(1);
         }
         hash
     }
 }
 
+/// FNV-1a's initial state.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a, 64-bit — the same dependency-free fingerprint the golden
-/// trace fixtures use.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+/// trace fixtures use — continued from `hash` over `bytes`, so a text
+/// can be hashed piece by piece.
+fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -300,8 +306,10 @@ enum Ev {
     Join(PeerIdx),
     Depart(PeerIdx),
     Restart(PeerIdx),
+    /// `to` is a [`PeerIdx`] narrowed to `u32`: it keeps a queue entry
+    /// at 64 bytes, the event queue's unit of memory traffic.
     Deliver {
-        to: PeerIdx,
+        to: u32,
         conn: ConnId,
         msg: Message,
     },
@@ -513,6 +521,11 @@ pub struct Swarm {
     demand_scratch: Vec<(ConnId, PeerIdx, ConnId, u64)>,
     demand_bytes: Vec<u64>,
     grant_scratch: Vec<u64>,
+    /// `water_fill_into`'s working sets.
+    fill_scratch: FillScratch,
+    /// Engine actions being executed ([`Swarm::process_actions`]),
+    /// swapped with the engine's pending buffer so no input allocates.
+    action_scratch: Vec<Action>,
     counts_scratch: Vec<u32>,
     // Dense per-peer round state, kept beside the peers rather than
     // inside them so the per-round sweep touches two small arrays instead
@@ -652,6 +665,8 @@ impl Swarm {
             demand_scratch: Vec::new(),
             demand_bytes: Vec::new(),
             grant_scratch: Vec::new(),
+            fill_scratch: FillScratch::default(),
+            action_scratch: Vec::new(),
             counts_scratch: Vec::new(),
             queued_blocks: vec![0; n],
             download_budget,
@@ -1173,6 +1188,7 @@ impl Swarm {
             Ev::Depart(idx) => self.on_depart(now, idx),
             Ev::Restart(idx) => self.on_restart(now, idx),
             Ev::Deliver { to, conn, msg } => {
+                let to = to as PeerIdx;
                 if self.peers[to].alive {
                     if matches!(msg, Message::Piece { .. }) {
                         self.last_progress[to] = now.0;
@@ -1451,8 +1467,9 @@ impl Swarm {
         if self.tracer.enabled() {
             self.trace_engine_audit(now, idx);
         }
-        let actions = self.peers[idx].engine.drain_actions();
-        for action in actions {
+        let mut actions = std::mem::take(&mut self.action_scratch);
+        self.peers[idx].engine.swap_actions(&mut actions);
+        for action in actions.drain(..) {
             match action {
                 Action::Send { conn, msg } => {
                     if matches!(msg, Message::Choke) {
@@ -1510,6 +1527,7 @@ impl Swarm {
                 }
             }
         }
+        self.action_scratch = actions;
     }
 
     /// Schedule `msg` for delivery over `idx`'s link `conn`: constant
@@ -1563,7 +1581,7 @@ impl Swarm {
         self.queue.schedule(
             at,
             Ev::Deliver {
-                to,
+                to: to as u32,
                 conn: remote_conn,
                 msg,
             },
@@ -1643,7 +1661,12 @@ impl Swarm {
             if demand.is_empty() {
                 continue;
             }
-            water_fill_into(self.upload_budget[idx], &demand_bytes, &mut grants);
+            water_fill_into(
+                self.upload_budget[idx],
+                &demand_bytes,
+                &mut grants,
+                &mut self.fill_scratch,
+            );
             for di in 0..demand.len() {
                 let (conn, to, remote_conn, _) = demand[di];
                 let grant = grants[di];
@@ -1734,7 +1757,7 @@ impl Swarm {
             self.queue.schedule(
                 now + self.base_delay,
                 Ev::Deliver {
-                    to,
+                    to: to as u32,
                     conn: to_conn,
                     msg,
                 },
@@ -1804,21 +1827,32 @@ impl Drop for Swarm {
 /// every second.
 pub fn water_fill(budget: u64, demands: &[u64]) -> Vec<u64> {
     let mut grants = Vec::new();
-    water_fill_into(budget, demands, &mut grants);
+    water_fill_into(budget, demands, &mut grants, &mut FillScratch::default());
     grants
 }
 
-/// [`water_fill`] into a caller-owned buffer, so the per-second transfer
-/// rounds allocate nothing.
-fn water_fill_into(budget: u64, demands: &[u64], grants: &mut Vec<u64>) {
+/// [`water_fill_into`]'s working sets, kept by the caller between calls.
+#[derive(Default)]
+struct FillScratch {
+    /// Entries still below their demand.
+    open: Vec<usize>,
+    /// Entries whose remaining demand fits in this pass's share.
+    saturated: Vec<usize>,
+}
+
+/// [`water_fill`] into caller-owned buffers, so the per-second transfer
+/// rounds allocate nothing once the buffers have grown.
+fn water_fill_into(budget: u64, demands: &[u64], grants: &mut Vec<u64>, scratch: &mut FillScratch) {
     grants.clear();
     grants.resize(demands.len(), 0);
     let mut remaining = budget;
-    let mut open: Vec<usize> = (0..demands.len()).filter(|&i| demands[i] > 0).collect();
+    let FillScratch { open, saturated } = scratch;
+    open.clear();
+    open.extend((0..demands.len()).filter(|&i| demands[i] > 0));
     while remaining > 0 && !open.is_empty() {
         let share = (remaining / open.len() as u64).max(1);
-        let mut saturated = Vec::new();
-        for &i in &open {
+        saturated.clear();
+        for &i in open.iter() {
             let want = demands[i] - grants[i];
             if want <= share {
                 saturated.push(i);
@@ -1826,7 +1860,7 @@ fn water_fill_into(budget: u64, demands: &[u64], grants: &mut Vec<u64>) {
         }
         if saturated.is_empty() {
             // Everyone can absorb a full share: grant and finish.
-            for &i in &open {
+            for &i in open.iter() {
                 let g = share.min(remaining);
                 grants[i] += g;
                 remaining -= g;
@@ -1836,7 +1870,7 @@ fn water_fill_into(budget: u64, demands: &[u64], grants: &mut Vec<u64>) {
             }
             break;
         }
-        for i in saturated {
+        for &i in saturated.iter() {
             let want = demands[i] - grants[i];
             let g = want.min(remaining);
             grants[i] += g;

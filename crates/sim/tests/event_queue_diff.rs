@@ -141,3 +141,148 @@ proptest! {
         }
     }
 }
+
+/// Pop both queues dry, requiring identical `(time, payload)` streams
+/// and identical clocks throughout.
+fn drain_both(cal: &mut EventQueue<u32>, heap: &mut HeapEventQueue<u32>) -> Vec<(Instant, u32)> {
+    let mut popped = Vec::new();
+    loop {
+        assert_eq!(cal.peek_time(), heap.peek_time());
+        let (a, b) = (cal.pop(), heap.pop());
+        assert_eq!(a, b);
+        assert_eq!(cal.now(), heap.now());
+        let Some(item) = a else { break };
+        popped.push(item);
+    }
+    popped
+}
+
+/// Schedule `at` on both queues under the same payload.
+fn push_both(cal: &mut EventQueue<u32>, heap: &mut HeapEventQueue<u32>, at: u64, id: u32) {
+    cal.schedule(Instant(at), id);
+    heap.schedule(Instant(at), id);
+}
+
+/// A push into the slot being drained, later than `now` but inside the
+/// same 1 024 µs bucket, lands between the bucket's remaining events.
+#[test]
+fn push_into_draining_slot_at_a_later_instant() {
+    let mut cal: EventQueue<u32> = EventQueue::new();
+    let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
+    for (id, at) in [(0, 100), (1, 400), (2, 900), (3, 400), (4, 2_000)] {
+        push_both(&mut cal, &mut heap, at, id);
+    }
+    assert_eq!(cal.pop(), heap.pop()); // t = 100; the bucket is now open
+                                       // Later than now, same bucket: before, between and after the rest.
+    for (id, at) in [(5, 300), (6, 400), (7, 901), (8, 1_023), (9, 100)] {
+        push_both(&mut cal, &mut heap, at, id);
+    }
+    assert_eq!(cal.pop(), heap.pop()); // t = 100 again (id 9)
+    push_both(&mut cal, &mut heap, 650, 10);
+    let order: Vec<u32> = drain_both(&mut cal, &mut heap)
+        .into_iter()
+        .map(|(_, id)| id)
+        .collect();
+    assert_eq!(order, vec![5, 1, 3, 6, 10, 2, 7, 8, 4]);
+}
+
+/// More than 64 events in one slot, scheduled out of time order and
+/// interleaved with ties, pop in (time, seq) order.
+#[test]
+fn more_than_64_events_in_one_slot() {
+    let mut cal: EventQueue<u32> = EventQueue::new();
+    let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
+    let base = 5 * 1_024;
+    for id in 0..200u32 {
+        // A permutation of offsets within the slot, with repeats.
+        let off = u64::from(id * 37 % 97) * 10;
+        push_both(&mut cal, &mut heap, base + off, id);
+    }
+    let popped = drain_both(&mut cal, &mut heap);
+    assert_eq!(popped.len(), 200);
+    assert!(popped.iter().all(|(t, _)| t.0 / 1_024 == 5));
+}
+
+/// Neighbouring slots 63 and 64 sit in different occupancy words: the
+/// scan must cross the word boundary in both directions of use.
+#[test]
+fn offsets_straddle_an_occupancy_word_boundary() {
+    let mut cal: EventQueue<u32> = EventQueue::new();
+    let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
+    let slot = |s: u64, off: u64| s * 1_024 + off;
+    let mut id = 0;
+    for at in [
+        slot(64, 0),
+        slot(63, 1_023),
+        slot(64, 5),
+        slot(63, 0),
+        slot(127, 7),
+        slot(128, 0),
+        slot(62, 512),
+    ] {
+        push_both(&mut cal, &mut heap, at, id);
+        id += 1;
+    }
+    // Drain to slot 63, then schedule into 63 (draining) and 64 (next word).
+    assert_eq!(cal.pop(), heap.pop());
+    assert_eq!(cal.pop(), heap.pop());
+    push_both(&mut cal, &mut heap, slot(63, 1_000), id);
+    push_both(&mut cal, &mut heap, slot(64, 1), id + 1);
+    let popped = drain_both(&mut cal, &mut heap);
+    assert_eq!(popped.len(), 7);
+}
+
+/// Events across the wheel's wrap (slot 4 095 then slot 0 of the next
+/// turn) and just beyond the horizon keep their order.
+#[test]
+fn offsets_cross_the_wheel_wrap() {
+    let mut cal: EventQueue<u32> = EventQueue::new();
+    let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
+    let slot = |s: u64, off: u64| s * 1_024 + off;
+    // Move the window to slot 4 000 so 4 095 and 4 096 (wheel index 0)
+    // are both inside it.
+    push_both(&mut cal, &mut heap, slot(4_000, 3), 0);
+    assert_eq!(cal.pop(), heap.pop());
+    let mut id = 1;
+    for at in [
+        slot(4_096, 0),
+        slot(4_095, 1_023),
+        slot(4_097, 9),
+        slot(4_095, 0),
+        slot(4_096, 0),
+        slot(8_095, 2), // the window's last slot
+        slot(8_096, 0), // beyond the horizon: overflow
+        slot(4_001, 0),
+    ] {
+        push_both(&mut cal, &mut heap, at, id);
+        id += 1;
+    }
+    // Pop into slot 4 095, then push into it and past the wrap.
+    for _ in 0..2 {
+        assert_eq!(cal.pop(), heap.pop());
+    }
+    push_both(&mut cal, &mut heap, slot(4_095, 1_000), id);
+    push_both(&mut cal, &mut heap, slot(4_096, 1), id + 1);
+    let popped = drain_both(&mut cal, &mut heap);
+    assert_eq!(popped.len(), 8);
+    assert_eq!(popped.last().unwrap().0, Instant(slot(8_096, 0)));
+
+    // The next-slot scan itself wraps: from slot 4 050 (last word) with
+    // slots 4 051..=4 095 empty, the next event sits at wheel index 3.
+    let mut cal: EventQueue<u32> = EventQueue::new();
+    let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
+    push_both(&mut cal, &mut heap, slot(4_050, 0), 0);
+    assert_eq!(cal.pop(), heap.pop());
+    for (id, at) in [
+        (1, slot(4_099, 8)),
+        (2, slot(4_099, 2)),
+        (3, slot(8_145, 0)),
+    ] {
+        push_both(&mut cal, &mut heap, at, id);
+    }
+    let order: Vec<u32> = drain_both(&mut cal, &mut heap)
+        .into_iter()
+        .map(|(_, id)| id)
+        .collect();
+    assert_eq!(order, vec![2, 1, 3]);
+}
