@@ -84,9 +84,9 @@
 //! * `--table1` runs the whole 26-torrent Table I sweep on a worker
 //!   pool (`--jobs N`, default: all cores) and prints one summary line
 //!   per torrent — traces are identical for any job count;
-//! * `--net` runs a real-socket loopback swarm through `bt-net`: one
-//!   engine thread per peer, TCP on 127.0.0.1, and the same analysis
-//!   pipeline applied to the captured traces;
+//! * `--net` runs a real-socket loopback swarm through `bt-net`: every
+//!   engine driven from one socket loop, TCP on 127.0.0.1, and the same
+//!   analysis pipeline applied to the captured traces;
 //! * otherwise the run's summary (completions, tracker stats, headline
 //!   analysis metrics) is printed.
 //!
@@ -95,8 +95,9 @@
 //! unknown `--flag` is a usage error (exit 2), and so is a spec with a
 //! key that is not a field or a value out of range (`SwarmSpec::validate`
 //! names the field, `net` for a topology that fails its own checks).
-//! `--net` runs are *not* deterministic — the kernel schedules the
-//! threads — but every protocol invariant still holds.
+//! `--net` runs are *not* deterministic — wall-clock timing and the
+//! kernel's socket buffers decide what each pass finds — but every
+//! protocol invariant still holds.
 
 use bt_analysis::SessionSummary;
 use bt_instrument::trace::Trace;
@@ -107,6 +108,7 @@ use bt_torrents::{RunConfig, ScenarioOutcome};
 use bt_wire::time::Duration;
 use std::io::Write;
 use std::path::PathBuf;
+use std::sync::mpsc::RecvTimeoutError;
 
 /// One line per mode, and the one flag table: `main` reads off it which
 /// flags exist, which take a value and which each mode reads.
@@ -358,15 +360,15 @@ fn run_net_swarm(args: &[String]) {
 
     // Sampler thread: every 250 ms wall, snapshot the shared registry —
     // extend the time-series and append the snapshot to `--metrics` as
-    // it is taken, so `tail -f` follows the run.
-    let sampler_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // it is taken, so `tail -f` follows the run. Dropping `run_over`
+    // when the swarm returns ends the wait at once, with no extra sample.
+    let (run_over, over) = std::sync::mpsc::channel::<()>();
     let mut metrics = obs.metrics_log();
     let sampler = obs.observers.registry.clone().map(|reg| {
-        let stop = std::sync::Arc::clone(&sampler_stop);
         let store = obs.observers.series.clone();
         std::thread::spawn(move || {
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                std::thread::sleep(std::time::Duration::from_millis(250));
+            let period = std::time::Duration::from_millis(250);
+            while let Err(RecvTimeoutError::Timeout) = over.recv_timeout(period) {
                 if let Some(s) = &store {
                     s.sample_registry();
                 }
@@ -382,7 +384,7 @@ fn run_net_swarm(args: &[String]) {
         eprintln!("swarmrun: net swarm failed: {e}");
         std::process::exit(1);
     });
-    sampler_stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    drop(run_over);
     let metrics =
         sampler.and_then(|handle| handle.join().expect("the metrics sampler does not panic"));
     // One last sample so the files reflect the final state.

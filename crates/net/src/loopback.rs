@@ -1,13 +1,14 @@
-//! End-to-end loopback swarms: N engines, N threads, real TCP.
+//! End-to-end loopback swarms: N engines, one loop, real TCP.
 //!
 //! Where `bt-sim` multiplexes every peer through one deterministic event
-//! queue, this harness gives each peer its own [`NetRuntime`] thread and
-//! lets the kernel's loopback stack carry the bytes. The same engines,
-//! the same wire format, the same traces — but with genuine concurrency,
-//! partial reads, and connection races.
+//! queue and virtual links, this harness drives every peer from one
+//! socket loop on the calling thread and lets the kernel's loopback
+//! stack carry the bytes. The same engines, the same wire format, the
+//! same traces — but with real sockets, partial reads and writes, and
+//! wall-clock timing.
 
 use crate::clock::AccelClock;
-use crate::runtime::{peer_ip, NetRuntime, NetStats};
+use crate::runtime::{self, peer_ip, NetRuntime, NetStats};
 use crate::tracker::LoopbackTracker;
 use bt_core::{DataMode, EngineBuilder, EngineMetrics};
 use bt_instrument::{Trace, TraceMeta};
@@ -15,7 +16,6 @@ use bt_piece::{Bitfield, Geometry};
 use bt_wire::metainfo::SyntheticContent;
 use bt_wire::peer_id::{ClientKind, PeerId};
 use bt_wire::time::Instant;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Parameters for one loopback swarm run. Every engine runs
@@ -69,7 +69,7 @@ impl Default for LoopbackSpec {
     }
 }
 
-/// What one peer looked like when its thread stopped.
+/// What one peer looked like when the run stopped.
 #[derive(Debug)]
 pub struct PeerOutcome {
     /// Whether the peer held every piece at shutdown.
@@ -84,7 +84,7 @@ pub struct PeerOutcome {
 
 /// The result of [`run_loopback_swarm`].
 pub struct LoopbackResult {
-    /// Per-peer outcomes, seeds first, then leechers in spawn order.
+    /// Per-peer outcomes, seeds first, then leechers in start order.
     pub outcomes: Vec<PeerOutcome>,
     /// Leechers that reached seed state before shutdown.
     pub completed_leechers: usize,
@@ -99,10 +99,10 @@ pub struct LoopbackResult {
 }
 
 /// Run a full swarm over loopback TCP: bind and register every listener,
-/// spawn one runtime thread per peer (leechers staggered so announces
-/// are ordered), and stop once every leecher completes or the wall
-/// budget runs out. Virtual time runs at [`DEFAULT_ACCEL`](crate::DEFAULT_ACCEL)×
-/// wall time.
+/// start the peers in index order, seeds first, and drive them all from
+/// one loop on the calling thread until every leecher completes and the
+/// traffic settles, or the wall budget runs out. Virtual time runs at
+/// [`DEFAULT_ACCEL`](crate::DEFAULT_ACCEL)× wall time.
 pub fn run_loopback_swarm(spec: LoopbackSpec) -> std::io::Result<LoopbackResult> {
     let content = Arc::new(SyntheticContent::generate(
         "net-loopback",
@@ -116,8 +116,9 @@ pub fn run_loopback_swarm(spec: LoopbackSpec) -> std::io::Result<LoopbackResult>
     let clock = AccelClock::default();
     let n = spec.seeds + spec.leechers;
 
-    // Bind and register every listener before any thread starts, so the
-    // tracker can resolve every peer no matter the scheduling order.
+    // Bind and register every listener before any peer starts, so the
+    // tracker can resolve every peer it names.
+    let profiler = spec.profiler.unwrap_or_else(bt_obs::Profiler::disabled);
     let mut runtimes = Vec::with_capacity(n);
     for i in 0..n {
         // Step by two: a historical workaround for `PeerId::new` or-ing
@@ -138,10 +139,6 @@ pub fn run_loopback_swarm(spec: LoopbackSpec) -> std::io::Result<LoopbackResult>
             .clone()
             .unwrap_or_else(bt_obs::Registry::new_wall);
         let label = format!("peer{i}");
-        let profiler = spec
-            .profiler
-            .clone()
-            .unwrap_or_else(bt_obs::Profiler::disabled);
         let sampled = spec
             .tracer
             .as_ref()
@@ -175,58 +172,17 @@ pub fn run_loopback_swarm(spec: LoopbackSpec) -> std::io::Result<LoopbackResult>
             clock,
             &registry,
             &label,
-            profiler,
+            profiler.clone(),
             spec.tracer.clone().unwrap_or_else(bt_obs::Tracer::disabled),
         )?;
         runtimes.push(rt);
     }
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let completed = Arc::new(AtomicUsize::new(0));
     let started_wall = std::time::Instant::now();
-    let handles: Vec<_> = runtimes
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut rt)| {
-            let stop = Arc::clone(&stop);
-            let completed = Arc::clone(&completed);
-            let is_seed = i < spec.seeds;
-            let max_wall = spec.max_wall;
-            std::thread::spawn(move || {
-                // Stagger starts so each peer's `Started` announce sees
-                // every earlier peer: dials then flow newer → older,
-                // which avoids most simultaneous cross-connections.
-                std::thread::sleep(std::time::Duration::from_millis(10 * i as u64));
-                let stats = rt.run(&stop, max_wall, (!is_seed).then_some(&*completed));
-                let end = rt.now();
-                let mut trace = rt.engine_mut().take_trace();
-                if let Some(tr) = trace.as_mut() {
-                    tr.meta.session_end = end;
-                }
-                PeerOutcome {
-                    is_seed: rt.engine().is_seed(),
-                    pieces: rt.engine().num_pieces_have(),
-                    trace,
-                    stats,
-                }
-            })
-        })
-        .collect();
-
-    // Wait for every leecher to complete (or the wall budget), linger
-    // briefly so final have/not-interested traffic lands in the traces,
-    // then stop all threads.
-    while completed.load(Ordering::SeqCst) < spec.leechers && started_wall.elapsed() < spec.max_wall
-    {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    std::thread::sleep(std::time::Duration::from_millis(20));
-    stop.store(true, Ordering::SeqCst);
-
-    let outcomes: Vec<PeerOutcome> = handles
-        .into_iter()
-        .map(|h| h.join().expect("peer thread panicked"))
-        .collect();
+    runtime::drive(&mut runtimes, &profiler, spec.max_wall, |rts| {
+        rts[spec.seeds..].iter().all(|rt| rt.engine().is_seed())
+    });
+    let outcomes: Vec<PeerOutcome> = runtimes.into_iter().map(NetRuntime::finish).collect();
     let completed_leechers = outcomes
         .iter()
         .skip(spec.seeds)
@@ -263,6 +219,28 @@ mod tests {
         for o in &result.outcomes {
             assert_eq!(o.pieces, 8);
         }
+    }
+
+    /// Two leechers and no seed never finish: the run ends when the wall
+    /// budget does, not at the next engine deadline past it.
+    #[test]
+    fn a_swarm_that_cannot_finish_returns_at_its_wall_budget() {
+        let max_wall = std::time::Duration::from_millis(200);
+        let spec = LoopbackSpec {
+            seeds: 0,
+            leechers: 2,
+            total_len: 8 * 32 * 1024,
+            max_wall,
+            ..LoopbackSpec::default()
+        };
+        let result = run_loopback_swarm(spec).expect("swarm runs");
+        assert_eq!(result.completed_leechers, 0);
+        let took = result.wall_elapsed;
+        assert!(took >= max_wall, "{took:?}");
+        assert!(
+            took < max_wall + std::time::Duration::from_millis(100),
+            "{took:?}"
+        );
     }
 
     /// A registry outlives a run: each run on it reports its own

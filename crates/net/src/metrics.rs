@@ -1,7 +1,7 @@
 //! Transport-level runtime telemetry (`bt-obs` integration).
 //!
-//! [`NetMetrics`] holds the pre-registered handles a [`NetRuntime`]
-//! (crate::runtime::NetRuntime) increments while driving its engine.
+//! [`NetMetrics`] holds the pre-registered handles a socket runtime
+//! increments while driving its engine.
 //! All instruments carry the runtime's label (e.g. `"peer3"`), so
 //! several runtimes sharing one registry — the loopback swarm — stay
 //! distinguishable, per-peer bytes in/out included; aggregate views
@@ -17,7 +17,7 @@
 use crate::runtime::NetStats;
 use bt_obs::{buckets, Counter, Gauge, Histogram, Registry};
 
-/// Pre-registered `bt-obs` handles for one `NetRuntime`.
+/// Pre-registered `bt-obs` handles for one socket runtime.
 #[derive(Clone, Debug)]
 pub struct NetMetrics {
     registry: Registry,

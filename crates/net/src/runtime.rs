@@ -1,9 +1,11 @@
 //! A non-blocking TCP driver for the sans-io [`Engine`].
 //!
-//! One [`NetRuntime`] owns one engine, one listening socket, and every
-//! connection the engine holds. Its loop — one pass over every socket,
-//! then a `poll(2)` wait until a socket or a deadline is ready —
-//! follows the driver contract from [`bt_core::driver`]:
+//! One `NetRuntime` owns one engine, one listening socket, and every
+//! connection the engine holds. `drive` runs every runtime of a swarm
+//! from one loop on the calling thread — a pass over each runtime's
+//! sockets in turn, then one `poll(2)` wait over all of them until a
+//! socket or a deadline is ready — and each runtime follows the driver
+//! contract from [`bt_core::driver`]:
 //!
 //! 1. feed [`Input::Start`] once;
 //! 2. translate socket events into [`Input`]s (accepted handshakes,
@@ -18,6 +20,7 @@
 //! engine never sees a byte of transport.
 
 use crate::clock::AccelClock;
+use crate::loopback::PeerOutcome;
 use crate::metrics::NetMetrics;
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use crate::tracker::LoopbackTracker;
@@ -32,7 +35,6 @@ use bt_wire::tracker::{AnnounceEvent, DEFAULT_NUM_WANT};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Derive a peer's engine-level address from its peer ID (FNV-1a, 32
@@ -51,8 +53,8 @@ pub fn peer_ip(peer_id: &PeerId) -> IpAddr {
 /// Counters a runtime accumulates while driving its engine.
 ///
 /// A *snapshot view*: the live values are `net.*` counters in the
-/// runtime's [`Registry`], and [`NetRuntime::stats`] (or
-/// [`NetMetrics::stats`]) reports what this runtime added to them.
+/// runtime's [`Registry`], and [`NetMetrics::stats`] reports what this
+/// runtime added to them.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NetStats {
     /// `Input::Tick`s fed (choke rounds and other timer work).
@@ -91,11 +93,6 @@ const HANDSHAKE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5)
 /// well above the engine's 120 s keep-alive interval.
 const IDLE_TIMEOUT: Duration = Duration(1_800_000_000);
 
-/// The longest a wait lasts when no socket is ready and no deadline is
-/// due. It exists only so that `stop` and `max_wall`, which nothing
-/// signals through a descriptor, are noticed.
-const MAX_WAIT: std::time::Duration = std::time::Duration::from_millis(1);
-
 /// One length-prefixed frame queued for write, with an optional block
 /// marker so the engine learns when the upload actually left the socket.
 struct OutFrame {
@@ -133,7 +130,7 @@ struct Dial {
 }
 
 /// Drives one [`Engine`] over real TCP sockets.
-pub struct NetRuntime {
+pub(crate) struct NetRuntime {
     engine: Engine,
     listener: TcpListener,
     tracker: Arc<LoopbackTracker>,
@@ -144,9 +141,6 @@ pub struct NetRuntime {
     metrics: NetMetrics,
     profiler: Profiler,
     tracer: Tracer,
-    counted_complete: bool,
-    /// The wait set, rebuilt for every wait in the same allocation.
-    pollfds: Vec<PollFd>,
 }
 
 impl NetRuntime {
@@ -161,7 +155,7 @@ impl NetRuntime {
     /// as a `round` + per-peer `audit` chain. The engine's own observers
     /// are the ones it was built with ([`bt_core::EngineBuilder`]).
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         engine: Engine,
         listener: TcpListener,
         tracker: Arc<LoopbackTracker>,
@@ -184,92 +178,42 @@ impl NetRuntime {
             metrics,
             profiler,
             tracer,
-            counted_complete: false,
-            pollfds: Vec::new(),
         })
     }
 
     /// The engine being driven.
-    pub fn engine(&self) -> &Engine {
+    pub(crate) fn engine(&self) -> &Engine {
         &self.engine
     }
 
-    /// Mutable engine access (e.g. `take_trace` after [`run`](Self::run)).
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> Instant {
-        self.clock.now()
-    }
-
-    /// Counters accumulated by this runtime so far (the `net.*` registry
-    /// series under its label, less what they held when it registered).
-    pub fn stats(&self) -> NetStats {
-        self.metrics.stats()
-    }
-
-    /// Drive the engine until `stop` is set or `max_wall` elapses.
-    ///
-    /// If `completed` is given, the counter is incremented once when the
-    /// engine first reaches seed state — pass it for leechers so a
-    /// coordinator can detect swarm completion. Announces `Stopped` to
-    /// the tracker on the way out.
-    pub fn run(
-        &mut self,
-        stop: &AtomicBool,
-        max_wall: std::time::Duration,
-        completed: Option<&AtomicUsize>,
-    ) -> NetStats {
-        let started = std::time::Instant::now();
+    /// One pass over every socket, inside a `net.poll` span: accept,
+    /// dial, handshakes, read, write, timers, idle check. Returns
+    /// whether it moved bytes or left any queued.
+    fn pass(&mut self) -> bool {
+        let _span_guard = self.profiler.span("net.poll");
         let now = self.clock.now();
-        self.feed(now, Input::Start);
-        while !stop.load(Ordering::Relaxed) && started.elapsed() < max_wall {
-            {
-                let _span_guard = self.profiler.span("net.poll");
-                let now = self.clock.now();
-                // Keep a manual (virtual-time) registry in step with the
-                // accelerated clock; a no-op on wall-clock registries.
-                self.metrics.registry().time().advance_to(now.0);
-                self.accept_pass(now);
-                self.dial_pass(now);
-                self.pending_pass(now);
-                self.read_pass(now);
-                self.write_pass(now);
-                self.timer_pass(now);
-                self.idle_pass(now);
-                if let Some(counter) = completed {
-                    if !self.counted_complete && self.engine.is_seed() {
-                        self.counted_complete = true;
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-            }
-            // A sibling of `net.poll`, not a child: `net.poll` self time
-            // is real work, `net.wait` is time blocked on the peer.
-            let _span_guard = self.profiler.span("net.wait");
-            self.wait_ready();
-        }
-        self.tracker
-            .announce(self.engine.ip(), AnnounceEvent::Stopped, 0);
-        self.stats()
+        // Keep a manual (virtual-time) registry in step with the
+        // accelerated clock; a no-op on wall-clock registries.
+        self.metrics.registry().time().advance_to(now.0);
+        self.accept_pass(now);
+        self.dial_pass(now);
+        self.pending_pass(now);
+        let read = self.read_pass(now);
+        let written = self.write_pass(now);
+        self.timer_pass(now);
+        self.idle_pass(now);
+        read || written
     }
 
-    /// Block until a socket can make progress or something is due: the
-    /// engine's next wake-up, a dial retry, a handshake deadline, or
-    /// [`MAX_WAIT`]. Readable is asked of every socket, writable only
-    /// of those with bytes queued — an idle socket is always writable.
-    fn wait_ready(&mut self) {
+    /// List this runtime's sockets in `fds` and return the wall time to
+    /// the nearest of `bound` and its own deadlines: the engine's next
+    /// wake-up, a dial retry, a handshake deadline. Readable is asked of
+    /// every socket, writable only of those with bytes queued — an idle
+    /// socket is always writable.
+    fn watch(&self, fds: &mut Vec<PollFd>, bound: std::time::Duration) -> std::time::Duration {
         let wall = std::time::Instant::now();
         let until = |at: std::time::Instant| at.saturating_duration_since(wall);
         let wakeup = self.engine.next_wakeup();
-        let timeout = (wakeup.map(|at| self.clock.wall_until(at)).into_iter())
-            .chain(self.dials.iter().map(|d| until(d.next_try)))
-            .chain(self.pending.iter().map(|p| until(p.deadline)))
-            .fold(MAX_WAIT, std::cmp::min);
-        let fds = &mut self.pollfds;
-        fds.clear();
         fds.push(PollFd::new(&self.listener, POLLIN));
         fds.extend(self.pending.iter().map(|p| {
             let unsent = p.out_written < HANDSHAKE_LEN;
@@ -279,7 +223,27 @@ impl NetRuntime {
             let queued = !c.out.is_empty();
             PollFd::new(&c.stream, if queued { POLLIN | POLLOUT } else { POLLIN })
         }));
-        sys::wait(fds, timeout);
+        (wakeup.map(|at| self.clock.wall_until(at)).into_iter())
+            .chain(self.dials.iter().map(|d| until(d.next_try)))
+            .chain(self.pending.iter().map(|p| until(p.deadline)))
+            .fold(bound, std::cmp::min)
+    }
+
+    /// Announce `Stopped` and report the peer as the run left it, its
+    /// trace closed at the current virtual time.
+    pub(crate) fn finish(mut self) -> PeerOutcome {
+        self.tracker
+            .announce(self.engine.ip(), AnnounceEvent::Stopped, 0);
+        let mut trace = self.engine.take_trace();
+        if let Some(tr) = trace.as_mut() {
+            tr.meta.session_end = self.clock.now();
+        }
+        PeerOutcome {
+            is_seed: self.engine.is_seed(),
+            pieces: self.engine.num_pieces_have(),
+            trace,
+            stats: self.metrics.stats(),
+        }
     }
 
     /// Feed one input and execute everything the engine asks for.
@@ -547,10 +511,12 @@ impl NetRuntime {
     }
 
     /// Read available bytes on every connection and feed decoded frames.
-    fn read_pass(&mut self, now: Instant) {
+    /// Returns whether any byte was read.
+    fn read_pass(&mut self, now: Instant) -> bool {
         let profiler = self.profiler.clone();
         let _span_guard = profiler.span("net.read_pass");
         let mut buffered: i64 = 0;
+        let mut read_any = false;
         let ids: Vec<ConnId> = self.conns.keys().copied().collect();
         for id in ids {
             let mut msgs = Vec::new();
@@ -597,6 +563,7 @@ impl NetRuntime {
             }
             buffered += c.decoder.pending() as i64;
             if read_bytes > 0 {
+                read_any = true;
                 self.metrics.bytes_in.add(read_bytes);
             }
             if framing_error {
@@ -618,13 +585,16 @@ impl NetRuntime {
             }
         }
         self.metrics.read_buffer_bytes.set(buffered);
+        read_any
     }
 
     /// Flush write queues; report fully-sent blocks to the engine.
-    fn write_pass(&mut self, now: Instant) {
+    /// Returns whether any byte was written or is still queued.
+    fn write_pass(&mut self, now: Instant) -> bool {
         let _span_guard = self.profiler.span("net.write_pass");
         let mut queued_frames: i64 = 0;
         let mut queued_bytes: i64 = 0;
+        let mut wrote_any = false;
         let ids: Vec<ConnId> = self.conns.keys().copied().collect();
         for id in ids {
             let mut sent_blocks = Vec::new();
@@ -664,6 +634,7 @@ impl NetRuntime {
                 .map(|f| (f.buf.len() - f.written) as i64)
                 .sum::<i64>();
             if wrote_bytes > 0 {
+                wrote_any = true;
                 self.metrics.bytes_out.add(wrote_bytes);
             }
             for block in sent_blocks {
@@ -678,6 +649,7 @@ impl NetRuntime {
         }
         self.metrics.write_queue_frames.set(queued_frames);
         self.metrics.write_queue_bytes.set(queued_bytes);
+        wrote_any || queued_frames > 0
     }
 
     /// Feed ticks for every elapsed engine deadline.
@@ -714,6 +686,42 @@ impl NetRuntime {
         self.metrics.disconnects.inc();
         self.metrics.conns.set(self.conns.len() as i64);
         self.feed(now, Input::PeerDisconnected { conn: id });
+    }
+}
+
+/// Drive `runtimes` from one loop on the calling thread. Feed
+/// [`Input::Start`] to each in index order, so each `Started` announce
+/// sees every earlier peer; then repeat a pass over each runtime in
+/// index order and one `poll(2)` wait over every socket of every
+/// runtime, until a round of passes moves no bytes and `done` holds, or
+/// `max_wall` is spent. The wait ends at the nearest runtime deadline
+/// or at the end of the budget, whichever comes first.
+pub(crate) fn drive(
+    runtimes: &mut [NetRuntime],
+    profiler: &Profiler,
+    max_wall: std::time::Duration,
+    done: impl Fn(&[NetRuntime]) -> bool,
+) {
+    let started = std::time::Instant::now();
+    for rt in runtimes.iter_mut() {
+        let now = rt.clock.now();
+        rt.feed(now, Input::Start);
+    }
+    let mut fds = Vec::new();
+    loop {
+        let moved = runtimes
+            .iter_mut()
+            .fold(false, |moved, rt| rt.pass() | moved);
+        let left = max_wall.saturating_sub(started.elapsed());
+        if (!moved && done(runtimes)) || left.is_zero() {
+            return;
+        }
+        // A sibling of `net.poll`, not a child: `net.poll` self time is
+        // real work, `net.wait` is time blocked on the peers.
+        let _span_guard = profiler.span("net.wait");
+        fds.clear();
+        let timeout = runtimes.iter().fold(left, |t, rt| rt.watch(&mut fds, t));
+        sys::wait(&mut fds, timeout);
     }
 }
 
@@ -778,58 +786,23 @@ mod tests {
         let tracker = Arc::new(LoopbackTracker::new());
         let clock = AccelClock::default();
         let registry = Registry::new_wall();
-        let stop = AtomicBool::new(false);
-        let budget = std::time::Duration::from_secs(30);
-        let mut accepting = leecher(0, &tracker, clock, &registry);
-        let mut dialling = leecher(1, &tracker, clock, &registry);
-        std::thread::scope(|s| {
-            s.spawn(|| accepting.run(&stop, budget, None));
-            // Announce second: the tracker then names the first peer.
-            while tracker.started() < 1 {
-                std::thread::yield_now();
-            }
-            s.spawn(|| dialling.run(&stop, budget, None));
-            let started = std::time::Instant::now();
-            while registry.snapshot().counter_sum("net.handshakes_ok") < 2
-                && started.elapsed() < budget
-            {
-                std::thread::yield_now();
-            }
-            stop.store(true, Ordering::SeqCst);
-        });
-        for (side, rt) in [("accepting", &accepting), ("dialling", &dialling)] {
+        // Started in index order: the second announce names the first
+        // peer, which the second then dials.
+        let mut runtimes = [
+            leecher(0, &tracker, clock, &registry),
+            leecher(1, &tracker, clock, &registry),
+        ];
+        drive(
+            &mut runtimes,
+            &Profiler::disabled(),
+            std::time::Duration::from_secs(30),
+            |_| registry.snapshot().counter_sum("net.handshakes_ok") >= 2,
+        );
+        for (side, rt) in ["accepting", "dialling"].into_iter().zip(&runtimes) {
             assert_eq!(rt.conns.len(), 1, "{side} side holds the connection");
             for c in rt.conns.values() {
                 assert!(c.stream.nodelay().expect("nodelay"), "{side} side");
             }
         }
-    }
-
-    /// With no peers and a real-time clock the nearest deadline is the
-    /// engine's first choke round, 10 s away: only [`MAX_WAIT`] brings
-    /// the loop back to look at `stop`.
-    #[test]
-    fn a_runtime_with_nothing_to_do_still_notices_stop() {
-        let tracker = Arc::new(LoopbackTracker::new());
-        // Every pass copies the clock into a manual registry: once it
-        // has moved, a pass has begun, and a wait follows that pass
-        // before `stop` is read again.
-        let registry = Registry::new_manual();
-        let mut rt = leecher(0, &tracker, AccelClock::new(1), &registry);
-        let stop = AtomicBool::new(false);
-        let noticed = std::thread::scope(|s| {
-            let run = s.spawn(|| rt.run(&stop, std::time::Duration::from_secs(30), None));
-            while registry.now_micros() == 0 {
-                std::thread::yield_now();
-            }
-            let set = std::time::Instant::now();
-            stop.store(true, Ordering::SeqCst);
-            run.join().expect("runtime thread");
-            set.elapsed()
-        });
-        assert!(
-            noticed < std::time::Duration::from_millis(50),
-            "{noticed:?}"
-        );
     }
 }

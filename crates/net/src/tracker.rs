@@ -4,7 +4,8 @@
 //! identity); TCP needs a real [`SocketAddr`]. The tracker keeps that
 //! mapping, answers announces with the currently active peers, and
 //! tallies `started` / `completed` events — the minimum a BEP 3 tracker
-//! does, shared between threads behind one mutex.
+//! does. Every runtime of a swarm holds a shared handle; they all run on
+//! one thread, so its one mutex is never contended.
 
 use bt_wire::peer_id::IpAddr;
 use bt_wire::tracker::{AnnounceEvent, PeerEntry};
@@ -25,7 +26,7 @@ struct Inner {
     completed: u64,
 }
 
-/// A thread-safe loopback tracker; clone it behind an [`std::sync::Arc`].
+/// A loopback tracker, shared behind an [`std::sync::Arc`].
 #[derive(Default)]
 pub struct LoopbackTracker {
     inner: Mutex<Inner>,
@@ -38,8 +39,8 @@ impl LoopbackTracker {
     }
 
     /// Register a peer's listening socket before its runtime starts, so
-    /// every later `resolve` works regardless of thread start order. The
-    /// peer stays invisible to announces until it announces `Started`.
+    /// every later `resolve` works whichever peer starts first. The peer
+    /// stays invisible to announces until it announces `Started`.
     pub fn register(&self, ip: IpAddr, addr: SocketAddr) {
         let mut inner = self.inner.lock().unwrap();
         inner.peers.retain(|e| e.ip != ip);
