@@ -55,10 +55,19 @@ impl RateEstimator {
 
     /// Record `bytes` transferred at `now`.
     ///
+    /// Bytes recorded at the instant of the newest sample are added to
+    /// it, so the window holds one sample per instant (in the simulator a
+    /// link's blocks of one transfer round all arrive at one instant).
+    /// Same-instant samples would be pruned together anyway, so the rate
+    /// and total are those of one sample per call.
+    ///
     /// Timestamps must be non-decreasing (the simulator's clock is
     /// monotonic); violating that only degrades accuracy, never panics.
     pub fn record(&mut self, now: Instant, bytes: u64) {
-        self.samples.push_back((now, bytes));
+        match self.samples.back_mut() {
+            Some((t, b)) if *t == now => *b += bytes,
+            _ => self.samples.push_back((now, bytes)),
+        }
         self.in_window += bytes;
         self.total += bytes;
         self.prune(now);
@@ -123,6 +132,57 @@ mod tests {
         assert!(est.rate(Instant::from_secs(19)) > 0.0);
         // Outside at t=21.
         assert_eq!(est.rate(Instant::from_secs(21)), 0.0);
+    }
+
+    /// Number of maximal runs of equal adjacent instants.
+    fn runs(samples: &VecDeque<(Instant, u64)>) -> usize {
+        let mut prev = None;
+        samples
+            .iter()
+            .filter(|&&(t, _)| prev.replace(t) != Some(t))
+            .count()
+    }
+
+    proptest::proptest! {
+        /// Against a reference that keeps one sample per call: the same
+        /// rate and total at every step, and one sample per run of equal
+        /// instants, which is one per distinct instant in the window while
+        /// time does not go backwards.
+        #[test]
+        fn one_sample_per_instant_matches_one_per_call(
+            steps in proptest::collection::vec((0u8..10, 0u64..4, 0u64..100_000), 1..300),
+        ) {
+            let window = Duration::from_secs(3);
+            let mut est = RateEstimator::new(window);
+            let mut reference = RateEstimator::new(window);
+            let (mut now, mut monotone) = (10_000_000u64, true);
+            for (kind, step, bytes) in steps {
+                // Mostly repeats and small steps forward, some steps back.
+                match kind {
+                    0..=4 => {}
+                    5..=8 => now += step * 700_000,
+                    _ => {
+                        now = now.saturating_sub(step * 300_000);
+                        monotone &= step == 0;
+                    }
+                }
+                let at = Instant(now);
+                est.record(at, bytes);
+                reference.samples.push_back((at, bytes));
+                reference.in_window += bytes;
+                reference.total += bytes;
+                reference.prune(at);
+                proptest::prop_assert_eq!(est.total(), reference.total());
+                proptest::prop_assert_eq!(est.rate(at).to_bits(), reference.rate(at).to_bits());
+                proptest::prop_assert_eq!(est.samples.len(), runs(&reference.samples));
+                if monotone {
+                    let mut distinct: Vec<Instant> =
+                        reference.samples.iter().map(|&(t, _)| t).collect();
+                    distinct.dedup();
+                    proptest::prop_assert!(est.samples.len() <= distinct.len());
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! buckets in front of an overflow heap. The bucket being drained is
 //! sorted once, latest first, and popped from its end; a one-bit-per-slot
 //! occupancy bitmap finds the next non-empty bucket a word at a time.
+//! The buckets waiting on the wheel are linked lists through one slab
+//! whose freed nodes are reused, so the wheel's memory is bounded by the
+//! most events it has held at once, not by every bucket's high-water
+//! mark.
 //! Near-term scheduling and popping are O(1) amortized (plus one sort per
 //! bucket) instead of the O(log n) of a single global heap — the
 //! difference that keeps 100k-peer swarms at millions of events per
@@ -56,6 +60,8 @@ const SLOT_BITS: u32 = 10;
 const NUM_SLOTS: u64 = 4096;
 /// Words of the occupancy bitmap, one bit per wheel slot.
 const WORDS: usize = (NUM_SLOTS / 64) as usize;
+/// The end of a slot's list and of the free list.
+const NIL: u32 = u32::MAX;
 
 /// Earliest-first event queue with FIFO tie-breaking.
 ///
@@ -77,10 +83,15 @@ const WORDS: usize = (NUM_SLOTS / 64) as usize;
 /// * `cur` holds every pending event with `slot(at) <= cur_slot`, sorted
 ///   on (time, seq) with the earliest last — so pops within the current
 ///   bucket are exact;
-/// * `wheel[s % NUM_SLOTS]` holds the events of slot `s` for
-///   `cur_slot < s < cur_slot + NUM_SLOTS`, unsorted — strictly later
-///   than everything in `cur` — and bit `s % NUM_SLOTS` of `occupied` is
-///   set exactly when that bucket is non-empty;
+/// * `wheel[s % NUM_SLOTS]` is the `(head, tail)` of the list of slab
+///   nodes holding the events of slot `s` for
+///   `cur_slot < s < cur_slot + NUM_SLOTS`, in insertion order — strictly
+///   later than everything in `cur` — and bit `s % NUM_SLOTS` of
+///   `occupied` is set exactly when that list is non-empty;
+/// * every slab node is either on exactly one slot's list, holding an
+///   entry, or on the free list, empty; a node is added only when the
+///   free list is empty, so `slab.len()` is the most events the wheel has
+///   held at once;
 /// * `overflow` holds events with `slot(at) >= cur_slot + NUM_SLOTS`,
 ///   migrated into the wheel as the window advances — strictly later
 ///   than everything in the wheel.
@@ -90,7 +101,12 @@ const WORDS: usize = (NUM_SLOTS / 64) as usize;
 pub struct EventQueue<E> {
     cur: Vec<Entry<E>>,
     cur_slot: u64,
-    wheel: Vec<Vec<Entry<E>>>,
+    /// `(head, tail)` slab indices of each slot's list, `NIL` when empty.
+    wheel: Vec<(u32, u32)>,
+    /// Wheel-resident entries, each linked to the next node of its slot
+    /// or, when empty, of the free list.
+    slab: Vec<(Option<Entry<E>>, u32)>,
+    free: u32,
     occupied: [u64; WORDS],
     wheel_count: usize,
     overflow: BinaryHeap<Entry<E>>,
@@ -111,7 +127,9 @@ impl<E> EventQueue<E> {
         EventQueue {
             cur: Vec::new(),
             cur_slot: 0,
-            wheel: (0..NUM_SLOTS).map(|_| Vec::new()).collect(),
+            wheel: vec![(NIL, NIL); NUM_SLOTS as usize],
+            slab: Vec::new(),
+            free: NIL,
             occupied: [0; WORDS],
             wheel_count: 0,
             overflow: BinaryHeap::new(),
@@ -158,9 +176,33 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Append `entry` to slot `s`'s list, in a node off the free list
+    /// when there is one.
     fn push_wheel(&mut self, s: u64, entry: Entry<E>) {
+        let node = match self.free {
+            NIL => {
+                let node = u32::try_from(self.slab.len())
+                    .ok()
+                    .filter(|&n| n != NIL)
+                    .expect("fewer than 2^32 - 1 events on the wheel");
+                self.slab.push((Some(entry), NIL));
+                node
+            }
+            node => {
+                let free = &mut self.slab[node as usize];
+                self.free = free.1;
+                *free = (Some(entry), NIL);
+                node
+            }
+        };
         let i = (s % NUM_SLOTS) as usize;
-        self.wheel[i].push(entry);
+        let (head, tail) = &mut self.wheel[i];
+        if *head == NIL {
+            *head = node;
+        } else {
+            self.slab[*tail as usize].1 = node;
+        }
+        *tail = node;
         self.occupied[i / 64] |= 1 << (i % 64);
         self.wheel_count += 1;
     }
@@ -192,10 +234,18 @@ impl<E> EventQueue<E> {
             Self::slot(self.overflow.peek().expect("len > 0").at)
         };
         self.cur_slot = target;
-        // The bucket becomes `cur`; the empty `cur` (and its capacity)
-        // takes the bucket's place in the wheel.
+        // Move the bucket's entries into `cur`, which keeps its capacity,
+        // and put each node back on the free list.
         let i = (target % NUM_SLOTS) as usize;
-        std::mem::swap(&mut self.cur, &mut self.wheel[i]);
+        let (mut node, _) = std::mem::replace(&mut self.wheel[i], (NIL, NIL));
+        while node != NIL {
+            let (slot, next) = &mut self.slab[node as usize];
+            self.cur
+                .push(slot.take().expect("a listed node holds an entry"));
+            let after = std::mem::replace(next, self.free);
+            self.free = node;
+            node = after;
+        }
         self.occupied[i / 64] &= !(1 << (i % 64));
         self.wheel_count -= self.cur.len();
         // The window moved forward: migrate overflow events that now fall
@@ -416,6 +466,51 @@ mod tests {
         assert_eq!(q.pop().unwrap().0, Instant::from_secs(100));
         assert_eq!(q.pop().unwrap().0, Instant::from_secs(200));
         assert!(q.is_empty());
+    }
+
+    /// Nodes on the free list, each checked to hold no entry.
+    fn free_nodes<E>(q: &EventQueue<E>) -> usize {
+        let mut n = 0;
+        let mut node = q.free;
+        while node != NIL {
+            let (slot, next) = &q.slab[node as usize];
+            assert!(slot.is_none(), "a free node holds an entry");
+            n += 1;
+            node = *next;
+        }
+        n
+    }
+
+    #[test]
+    fn slab_is_bounded_by_the_most_wheel_resident_events() {
+        let mut q = EventQueue::new();
+        let (mut most, mut scheduled) = (0, 0);
+        for round in 0..24u64 {
+            // Bursts of up to 300 events into one far slot, one near and
+            // one beyond the horizon, at a clock that walks past the
+            // wheel's wrap.
+            let now = q.now().0;
+            let far = now + 1_000_000 + round * 150_000;
+            for k in 0..(round * 37 % 300) {
+                q.schedule(Instant(far + k % 7), k);
+                q.schedule(Instant(now + 3_000 + k), k);
+                q.schedule(Instant(now + 4_500_000 + k * 1_024), k);
+                scheduled += 3;
+                most = most.max(q.wheel_count);
+                assert!(q.slab.len() <= most);
+            }
+            // Drain fully every third round, half-way otherwise.
+            let keep = if round % 3 == 2 { 0 } else { q.len() / 2 };
+            while q.len() > keep {
+                q.pop();
+                assert!(q.slab.len() <= most);
+            }
+            if q.is_empty() {
+                assert_eq!(free_nodes(&q), q.slab.len(), "drained, yet nodes in use");
+                assert!(q.wheel.iter().all(|&slot| slot == (NIL, NIL)));
+            }
+        }
+        assert!(q.slab.len() < scheduled / 4, "nodes were not reused");
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! order cheap at mega-swarm scale. These tests drive both queues with
 //! identical schedule/pop interleavings — including same-instant ties,
 //! pushes landing mid-drain at the just-popped instant, peeks that
-//! rotate the calendar window, and offsets that straddle the wheel's
-//! overflow horizon — and require identical `(time, payload)` streams
+//! rotate the calendar window, offsets that straddle the wheel's
+//! overflow horizon, and bursts of hundreds of events into one far slot
+//! whose wheel nodes are freed and reused — and require identical
+//! `(time, payload)` streams
 //! and identical `now()`/`len()` evolution throughout.
 
 use bt_sim::{EventQueue, HeapEventQueue};
@@ -21,6 +23,11 @@ enum Op {
     Push(u64),
     /// Schedule `n` events at the same instant (`now + offset`).
     PushTies(u64, u8),
+    /// Schedule `n` events into the one slot at `now + offset`, spread
+    /// over its 1 024 µs: a burst that fills many wheel nodes at once,
+    /// to be freed and reused as the window crosses the wrap and the
+    /// overflow horizon.
+    Burst(u64, u16),
     /// Pop one event.
     Pop,
     /// Pop one event, then immediately schedule at the popped instant —
@@ -45,6 +52,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         5 => arb_offset().prop_map(Op::Push),
         2 => (arb_offset(), 2u8..6).prop_map(|(o, n)| Op::PushTies(o, n)),
+        1 => (2_000_000u64..5_000_000, 1u16..=300).prop_map(|(o, n)| Op::Burst(o, n)),
         4 => Just(Op::Pop),
         1 => Just(Op::PopThenPushAtNow),
         1 => Just(Op::Peek),
@@ -73,6 +81,15 @@ proptest! {
                 Op::PushTies(off, n) => {
                     let at = Instant(cal.now().0 + off);
                     for _ in 0..n {
+                        cal.schedule(at, next_id);
+                        heap.schedule(at, next_id);
+                        next_id += 1;
+                    }
+                }
+                Op::Burst(off, n) => {
+                    let slot_start = (cal.now().0 + off) & !1_023;
+                    for k in 0..u64::from(n) {
+                        let at = Instant(slot_start + k * 389 % 1_024);
                         cal.schedule(at, next_id);
                         heap.schedule(at, next_id);
                         next_id += 1;
