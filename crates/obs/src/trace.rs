@@ -25,6 +25,12 @@
 //!    tracer and export as a stably-sorted JSONL plus Chrome
 //!    trace-event JSON (open in Perfetto / `chrome://tracing`).
 //!
+//! The store keeps an event in a 16-byte record (time, shape index,
+//! byte offset) plus its chain id and arg values as varints in a byte
+//! column. Choke audits, seven small values each, are the bulk of a
+//! traced run; a traced 2 000-peer crowd holds about 32 heap bytes an
+//! event, chunk slack included.
+//!
 //! The [`FlightRecorder`] dumps a self-contained JSON bundle — the
 //! tracer's last events ([`Tracer::recent`]), registry snapshot, health
 //! verdicts, RNG seed + event count for replay — when a live-monitor
@@ -202,29 +208,69 @@ impl Shape {
     }
 }
 
-/// One event: 24 bytes, its arg values `keys.len()` slots from `vals`
-/// on in its chunk's value column.
+/// One event: 16 bytes. Its chain id and arg values sit in its chunk's
+/// byte column from offset `vals` on: the id as unsigned LEB128, then
+/// the `keys.len()` values, each as zigzag LEB128.
 #[derive(Clone, Copy)]
 struct Rec {
     at_micros: u64,
-    id: u64,
     shape: u32,
     vals: u32,
 }
 
-/// Events a chunk has room for (48 KiB of [`Rec`]s).
+/// Events a chunk has room for (32 KiB of [`Rec`]s).
 const CHUNK_RECS: usize = 2048;
 
-/// Arg values a chunk has room for (96 KiB): six an event, so a chunk
-/// of seven-arg choke-audit lines fills both columns about evenly.
-const CHUNK_VALS: usize = 6 * CHUNK_RECS;
+/// Bytes a chunk's byte column has room for (32 KiB): 16 an event, so a
+/// chunk of seven-arg choke-audit lines, about 14 bytes each, fills
+/// both columns about evenly.
+const CHUNK_BYTES: usize = 16 * CHUNK_RECS;
+
+/// The most bytes one LEB128 varint of a `u64` takes.
+const VARINT_MAX: usize = 10;
+
+/// Append `v` as unsigned LEB128: seven bits a byte, low bits first,
+/// the top bit set on every byte but the last.
+fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Read the LEB128 varint at `*at` and step past it.
+fn read_varint(bytes: &[u8], at: &mut usize) -> u64 {
+    let (mut v, mut shift) = (0u64, 0);
+    loop {
+        let b = bytes[*at];
+        *at += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+/// Zigzag: small magnitudes of either sign map to small codes
+/// (0, -1, 1, -2, … → 0, 1, 2, 3, …).
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// The inverse of [`zigzag`].
+fn unzigzag(u: u64) -> i64 {
+    (u >> 1) as i64 ^ -((u & 1) as i64)
+}
 
 /// A batch of events in two columns, each allocated at full size: the
+/// records, and the bytes their ids and values are encoded in. The
 /// store starts a new chunk rather than move a recorded event.
 #[derive(Clone)]
 struct Chunk {
     recs: Vec<Rec>,
-    vals: Vec<i64>,
+    bytes: Vec<u8>,
 }
 
 /// Position of an event in the store: chunk index, then index within.
@@ -239,8 +285,11 @@ struct Store {
 }
 
 impl Store {
-    /// Append one event to the newest chunk, values before the record
+    /// Append one event to the newest chunk, bytes before the record
     /// that indexes them, so the store is whole between any two steps.
+    /// A chunk takes the event only if its byte column has room for the
+    /// event's worst case, ten bytes for the id and for each value, so
+    /// no event straddles two chunks.
     fn push(
         &mut self,
         at_micros: u64,
@@ -255,19 +304,22 @@ impl Store {
             self.shapes.push(Shape { cat, name, keys });
             self.shapes.len() - 1
         });
-        let room = |c: &Chunk| c.recs.len() < CHUNK_RECS && c.vals.len() + args.len() <= CHUNK_VALS;
+        let need = VARINT_MAX * (1 + args.len());
+        let room = |c: &Chunk| c.recs.len() < CHUNK_RECS && c.bytes.len() + need <= CHUNK_BYTES;
         if !self.chunks.last().is_some_and(room) {
             self.chunks.push(Chunk {
                 recs: Vec::with_capacity(CHUNK_RECS),
-                vals: Vec::with_capacity(CHUNK_VALS),
+                bytes: Vec::with_capacity(CHUNK_BYTES),
             });
         }
         let chunk = self.chunks.last_mut().expect("a chunk with room");
-        let vals = u32::try_from(chunk.vals.len()).expect("a chunk holds under 2^32 values");
-        chunk.vals.extend(args.iter().map(|a| a.1));
+        let vals = u32::try_from(chunk.bytes.len()).expect("a chunk holds under 2^32 bytes");
+        push_varint(&mut chunk.bytes, id);
+        for a in args {
+            push_varint(&mut chunk.bytes, zigzag(a.1));
+        }
         chunk.recs.push(Rec {
             at_micros,
-            id,
             shape: shape as u32,
             vals,
         });
@@ -278,28 +330,45 @@ impl Store {
         self.chunks.iter().map(|c| c.recs.len()).sum()
     }
 
-    /// Every position, in recording order.
-    fn positions(&self) -> impl Iterator<Item = Pos> + '_ {
-        let chunks = self.chunks.iter().enumerate();
+    /// Every position from chunk `first` on, in recording order.
+    fn positions(&self, first: usize) -> impl Iterator<Item = Pos> + '_ {
+        let chunks = self.chunks.iter().enumerate().skip(first);
         chunks.flat_map(|(c, chunk)| (0..chunk.recs.len() as u32).map(move |i| (c as u32, i)))
     }
 
-    /// The event at `pos` with its shape and arg values.
-    fn event(&self, (c, i): Pos) -> (&Rec, &Shape, &[i64]) {
+    /// The last `n` positions (all of them if fewer), in recording
+    /// order: found from the newest chunk back, so a short tail of a
+    /// long store walks one or two chunks.
+    fn tail(&self, n: usize) -> impl Iterator<Item = Pos> + '_ {
+        let (mut first, mut held) = (self.chunks.len(), 0);
+        while first > 0 && held < n {
+            first -= 1;
+            held += self.chunks[first].recs.len();
+        }
+        self.positions(first).skip(held.saturating_sub(n))
+    }
+
+    /// The event at `pos`: its record, its shape and its chain id, with
+    /// its arg values decoded into `vals`.
+    fn event(&self, (c, i): Pos, vals: &mut Vec<i64>) -> (&Rec, &Shape, u64) {
         let chunk = &self.chunks[c as usize];
         let r = &chunk.recs[i as usize];
         let s = &self.shapes[r.shape as usize];
-        (r, s, &chunk.vals[r.vals as usize..][..s.keys.len()])
+        let mut at = r.vals as usize;
+        let id = read_varint(&chunk.bytes, &mut at);
+        vals.clear();
+        vals.extend((0..s.keys.len()).map(|_| unzigzag(read_varint(&chunk.bytes, &mut at))));
+        (r, s, id)
     }
 
-    /// The event at `pos` as an owned value.
-    fn owned(&self, pos: Pos) -> TraceEvent {
-        let (r, s, vals) = self.event(pos);
+    /// The event at `pos` as an owned value, decoded through `vals`.
+    fn owned(&self, pos: Pos, vals: &mut Vec<i64>) -> TraceEvent {
+        let (r, s, id) = self.event(pos, vals);
         TraceEvent {
             at_micros: r.at_micros,
             cat: s.cat,
             name: s.name,
-            id: r.id,
+            id,
             args: s.keys.iter().copied().zip(vals.iter().copied()).collect(),
         }
     }
@@ -307,13 +376,16 @@ impl Store {
     /// The export order: every position, stable by (time, category,
     /// chain id), so a chain's causal emission order (`injected` before
     /// `first_have` at one instant) survives — which is why the event
-    /// name is not part of the key.
+    /// name is not part of the key. Time is not assumed monotone: a
+    /// shared tracer takes events from several threads and clocks.
     fn sorted(&self) -> Vec<Pos> {
         let mut order = Vec::with_capacity(self.len());
-        order.extend(self.positions());
-        order.sort_by_key(|&pos| {
-            let (r, s, _) = self.event(pos);
-            (r.at_micros, s.cat, r.id)
+        order.extend(self.positions(0));
+        order.sort_by_key(|&(c, i)| {
+            let chunk = &self.chunks[c as usize];
+            let r = &chunk.recs[i as usize];
+            let id = read_varint(&chunk.bytes, &mut (r.vals as usize));
+            (r.at_micros, self.shapes[r.shape as usize].cat, id)
         });
         order
     }
@@ -334,9 +406,10 @@ fn render(
     if chrome {
         out.extend_from_slice(CHROME_HEAD.as_bytes());
     }
+    let mut vals = Vec::new();
     for &pos in order {
-        let (r, s, vals) = store.event(pos);
-        push_event(out, chrome, r.at_micros, s.cat, s.name, r.id, &s.keys, vals);
+        let (r, s, id) = store.event(pos, &mut vals);
+        push_event(out, chrome, r.at_micros, s.cat, s.name, id, &s.keys, &vals);
         if !chrome {
             out.push(b'\n');
         }
@@ -534,12 +607,8 @@ impl Tracer {
             return Vec::new();
         };
         let store = inner.store();
-        let older = store.len().saturating_sub(n);
-        store
-            .positions()
-            .skip(older)
-            .map(|p| store.owned(p))
-            .collect()
+        let mut vals = Vec::new();
+        store.tail(n).map(|p| store.owned(p, &mut vals)).collect()
     }
 
     /// Run `f` on the store (held locked meanwhile) and its events'
@@ -731,7 +800,10 @@ mod tests {
         /// All recorded events in the canonical export order (stable by
         /// time, category, chain id), as owned values. Non-destructive.
         fn snapshot_sorted(&self) -> Vec<TraceEvent> {
-            self.with_sorted(|store, order| order.iter().map(|&p| store.owned(p)).collect())
+            self.with_sorted(|store, order| {
+                let mut vals = Vec::new();
+                order.iter().map(|&p| store.owned(p, &mut vals)).collect()
+            })
         }
     }
 
@@ -835,22 +907,170 @@ mod tests {
         );
     }
 
+    /// Chunk lengths, in events.
+    fn chunk_lens(t: &Tracer) -> Vec<usize> {
+        let store = t.inner.as_ref().unwrap().store();
+        store.chunks.iter().map(|c| c.recs.len()).collect()
+    }
+
     #[test]
     fn store_starts_a_chunk_when_one_is_full() {
+        // Small events fill the record column first: 2 048 a chunk.
         let t = Tracer::new(1, 1);
-        // Two chunks' worth and a bit, in events of two sizes.
         let n = 2 * CHUNK_RECS + 10;
         for i in 0..n as u64 {
             let args: &[(&'static str, i64)] = if i % 2 == 0 { &[] } else { &[("i", 7)] };
             t.record(i, TraceCat::Choke, "audit", 0, args);
         }
-        let store = t.inner.as_ref().unwrap().store();
-        assert_eq!((store.chunks.len(), store.shapes.len()), (3, 2));
-        drop(store);
+        assert_eq!(chunk_lens(&t), [CHUNK_RECS, CHUNK_RECS, 10]);
+        assert_eq!(t.inner.as_ref().unwrap().store().shapes.len(), 2);
         assert_eq!(t.snapshot_sorted().len(), n);
         // Snapshot again: nothing lost, nothing duplicated.
         assert_eq!(t.snapshot_sorted().len(), n);
         assert_eq!(t.len(), n);
+
+        // Wide events fill the byte column first: a ten-byte id and nine
+        // ten-byte values, 100 bytes an event, which a chunk takes while
+        // it has 100 bytes free and never reallocates for.
+        let t = Tracer::new(1, 1);
+        let args = [("v", i64::MIN); 9];
+        for i in 0..1_000 {
+            t.record(i, TraceCat::Choke, "audit", u64::MAX, &args);
+        }
+        let per_chunk = CHUNK_BYTES / 100;
+        assert_eq!(
+            chunk_lens(&t),
+            [per_chunk, per_chunk, per_chunk, 1_000 - 3 * per_chunk]
+        );
+        let store = t.inner.as_ref().unwrap().store();
+        assert!(store
+            .chunks
+            .iter()
+            .all(|c| c.bytes.capacity() == CHUNK_BYTES));
+        drop(store);
+        let events = t.snapshot_sorted();
+        assert!(events.iter().all(|e| e.id == u64::MAX && e.args == args));
+    }
+
+    /// A source of test inputs: successive `splitmix64` outputs.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 += 1;
+            splitmix64(self.0)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// Full-range or extreme with odds 1 in `wide`, else small.
+        fn value(&mut self, wide: u64) -> i64 {
+            match (self.below(wide), self.below(5)) {
+                (0, 0) => i64::MIN,
+                (0, 1) => i64::MAX,
+                (0, 2) => -1,
+                (0, 3) => 0,
+                (0, _) => self.next() as i64,
+                _ => self.below(200) as i64 - 100,
+            }
+        }
+
+        fn id(&mut self, wide: u64) -> u64 {
+            match (self.below(wide), self.below(2)) {
+                (0, 0) => u64::MAX,
+                (0, _) => self.next(),
+                _ => self.below(4),
+            }
+        }
+    }
+
+    static NAMES: [&str; 4] = ["injected", "k_replicated", "audit", "deliver"];
+    static KEYS: [&str; 9] = ["a", "b", "c", "d", "e", "f", "g", "h", "i"];
+
+    /// The store against a plain list of the events pushed: exports,
+    /// sorted by a stable sort of that list and rendered event by event,
+    /// and `recent`, its tail.
+    #[test]
+    fn store_matches_a_plain_event_list() {
+        // Mostly small values fill the record column first; mostly wide
+        // ones, the byte column.
+        for (seed, wide, records_fill) in [(1, 16, true), (2, 2, false)] {
+            let mut draw = Draw(seed);
+            let t = Tracer::new(seed, 1);
+            let mut pushed = Vec::new();
+            let mut at = 1_000u64;
+            for _ in 0..3 * CHUNK_RECS + 100 {
+                // Time mostly stands or steps on, and now and then goes back.
+                at = match draw.below(8) {
+                    0 => at.saturating_sub(draw.below(500)),
+                    1 | 2 => at,
+                    _ => at + draw.below(20),
+                };
+                let cat = [TraceCat::Piece, TraceCat::Choke, TraceCat::Msg][draw.below(3) as usize];
+                let name = NAMES[draw.below(4) as usize];
+                let id = draw.id(wide);
+                let nargs = draw.below(10) as usize;
+                let args: Vec<_> = KEYS[..nargs]
+                    .iter()
+                    .map(|&k| (k, draw.value(wide)))
+                    .collect();
+                t.record(at, cat, name, id, &args);
+                pushed.push(TraceEvent {
+                    at_micros: at,
+                    cat,
+                    name,
+                    id,
+                    args,
+                });
+            }
+
+            let lens = chunk_lens(&t);
+            let full = &lens[..lens.len() - 1];
+            assert!(full.len() >= 3, "{lens:?}");
+            assert_eq!(
+                full.iter().all(|&n| n == CHUNK_RECS),
+                records_fill,
+                "{lens:?}"
+            );
+
+            let mut sorted = pushed.clone();
+            sorted.sort_by_key(|e| (e.at_micros, e.cat, e.id));
+            let jsonl: String = sorted.iter().map(|e| e.to_json() + "\n").collect();
+            assert_eq!(t.to_jsonl(), jsonl);
+            let mut chrome = CHROME_HEAD.as_bytes().to_vec();
+            for e in &sorted {
+                let (keys, vals): (Vec<_>, Vec<_>) = e.args.iter().copied().unzip();
+                push_event(
+                    &mut chrome,
+                    true,
+                    e.at_micros,
+                    e.cat,
+                    e.name,
+                    e.id,
+                    &keys,
+                    &vals,
+                );
+            }
+            chrome.extend_from_slice(b"]}");
+            assert_eq!(t.to_chrome_json().as_bytes(), chrome);
+
+            let len = pushed.len();
+            for n in [
+                0,
+                1,
+                5,
+                CHUNK_RECS - 1,
+                CHUNK_RECS,
+                CHUNK_RECS + 1,
+                len - 1,
+                len,
+                len + 5,
+            ] {
+                assert_eq!(t.recent(n), pushed[len.saturating_sub(n)..], "recent({n})");
+            }
+        }
     }
 
     #[test]

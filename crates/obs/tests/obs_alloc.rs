@@ -5,7 +5,9 @@
 //! * a span enter/exit pair under an open root allocates nothing once
 //!   its call-tree node exists;
 //! * `Tracer::record` allocates a chunk now and then, never per event;
-//! * an export allocates per shape and per buffer, never per event.
+//! * an export allocates per shape and per buffer, never per event;
+//! * the trace store holds at most 40 heap bytes an event, counted as
+//!   live bytes, chunk slack included.
 
 use bt_obs::{Profiler, TimeSource, TraceCat, Tracer};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -14,29 +16,42 @@ use std::cell::Cell;
 struct Counting;
 
 thread_local! {
-    // Const-initialised and without a destructor, so reading it inside
+    // Const-initialised and without a destructor, so touching them inside
     // the allocator never allocates or runs after thread teardown.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated on this thread and not yet freed (on any thread).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+fn live() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+fn grow(bytes: i64) {
+    LIVE.with(|l| l.set(l.get() + bytes));
+}
+
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is the only addition.
+// the `GlobalAlloc` contract; the counters are the only addition.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        grow(layout.size() as i64);
         // SAFETY: the caller's obligations are passed through as given.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        grow(new_size as i64 - layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -120,5 +135,26 @@ fn recording_allocates_per_chunk_and_exporting_per_buffer() {
     assert!(
         exporting <= 64,
         "exporting 100 002 events made {exporting} allocations"
+    );
+}
+
+#[test]
+fn trace_store_holds_at_most_40_bytes_per_event() {
+    let before = live();
+    let tracer = Tracer::new(42, 1);
+    for i in 0..50_000u64 {
+        tracer.record(i, TraceCat::Msg, "deliver", i % 8, &TWO);
+        tracer.record(i, TraceCat::Choke, "audit", i % 2_000, &SEVEN);
+    }
+    let held = live() - before;
+    let per_event = held as f64 / tracer.len() as f64;
+    println!(
+        "{held} bytes live for {} events: {per_event:.1} per event",
+        tracer.len()
+    );
+    assert!(
+        per_event <= 40.0,
+        "{held} bytes live for {} events: {per_event:.1} per event",
+        tracer.len()
     );
 }
