@@ -8,7 +8,7 @@
 //! so a fleet report is byte-identical regardless of the order runs
 //! were merged in.
 //!
-//! A claim with no supporting data (a run emitted no `--series`, say)
+//! A claim with no supporting data (a run emitted no `series.json`, say)
 //! is reported healthy-but-vacuous, with the gap named in `detail` —
 //! a silent pass and a missing instrument must not look alike.
 

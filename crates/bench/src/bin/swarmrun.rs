@@ -2,27 +2,22 @@
 //!
 //! ```text
 //! swarmrun <spec.json> [--seed N] [--topology NAME|file.json]
-//!          [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR]
-//!          [--metrics out.jsonl] [--series out.json] [--emit-dir DIR]
-//!          [--profile out.json] [--example]
+//!          [--trace-sample N] [--flight-recorder DIR] [--emit-dir DIR]
+//!          [--example]
 //! swarmrun --scenario NAME [--peers N] [--seed N]
 //!          [--topology NAME|file.json]
-//!          [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR]
-//!          [--metrics out.jsonl] [--series out.json] [--emit-dir DIR]
-//!          [--profile out.json]
+//!          [--trace-sample N] [--flight-recorder DIR] [--emit-dir DIR]
 //! swarmrun --table1 [--quick] [--seed N] [--jobs N]
-//!          [--topology NAME|file.json] [--series out.json]
-//!          [--trace out.json] [--trace-sample N] [--flight-recorder DIR]
-//!          [--profile out.json]
+//!          [--topology NAME|file.json]
+//!          [--trace-sample N] [--flight-recorder DIR] [--emit-dir DIR]
 //! swarmrun --net [--seeds N] [--leechers N] [--pieces N] [--seed N]
-//!          [--trace out.jsonl] [--trace-sample N]
-//!          [--metrics out.jsonl] [--series out.json]
-//!          [--profile out.json]
+//!          [--trace-sample N] [--emit-dir DIR]
 //! ```
 //!
 //! Each mode reads the flags on its line and no others: any other flag,
-//! or a spec file given to `--scenario`, `--table1` or `--net`, exits 2
-//! naming it and the mode.
+//! a flag given twice, or a spec file given to `--scenario`, `--table1`
+//! or `--net`, exits 2 naming it; so does a count (`--seeds`,
+//! `--leechers`, `--pieces`, `--jobs`) of 0.
 //!
 //! * `--scenario NAME` runs a named preset instead of a spec file:
 //!   `flash_crowd_1k`, `flash_crowd_10k`, `flash_crowd_100k` (the
@@ -36,18 +31,32 @@
 //!   topology JSON file (schema: DESIGN.md §10). Works on spec-file,
 //!   `--scenario` and `--table1` runs; the run stays deterministic;
 //! * `--example` prints a complete, runnable spec to stdout and exits;
-//! * `--trace FILE` writes the instrumented peer's trace as JSON lines.
-//!   With the causal tracer on (`--trace-sample`, `--flight-recorder`
-//!   or `--emit-dir`) it instead writes the *causal* trace: Chrome
-//!   trace-event JSON (open FILE in Perfetto / `chrome://tracing`) plus
-//!   the sorted deterministic JSONL next to it as `FILE.jsonl`;
+//! * `--emit-dir DIR` is the one way a run writes what it observed: one
+//!   directory in the layout `btstat` loads (DESIGN.md §12) —
+//!   `run.json` (manifest with scenario, seed, digest), `metrics.jsonl`
+//!   (`bt-obs` registry snapshots, one JSON line per sampling period plus
+//!   a final one), `series.json` (per-key `[t_micros, value]` rings plus
+//!   the `live.*` health series), `profile.json` (the span call tree,
+//!   whose report is printed too), the causal trace as sorted JSONL
+//!   `trace.jsonl` and Chrome trace-event JSON `trace.json` (open it in
+//!   Perfetto / `chrome://tracing`), both from one sort, and `local.jsonl`,
+//!   the instrumented peer's `bt-instrument` trace, when the run has one.
+//!   The causal tracer runs at rate 1 unless `--trace-sample` says
+//!   otherwise. Simulated runs observe on the virtual clock, so every
+//!   file is byte-identical for a given spec and seed, and any `--jobs`;
+//!   `--table1` writes one such directory per torrent, `DIR/torrent-NN/`.
+//!   `--net` runs sample a shared wall-clock registry every 250 ms and
+//!   append each snapshot to `metrics.jsonl` as it is taken, so `tail -f`
+//!   follows the run; their manifest has an empty digest and 0 events.
+//!   If a run panics, unwinding appends a final snapshot. Run the same
+//!   spec with two seeds and feed both directories to `btstat merge`,
+//!   `diff` or `bisect`;
 //! * `--trace-sample N` turns on the causal tracer at sampling rate
 //!   `1/N` (piece lifecycles, choke-decision audits, message
 //!   provenance; DESIGN.md §11; 0 and 1 both mean every chain).
 //!   Sampling hashes ids with splitmix64 — it never touches the swarm
 //!   RNG, so traced runs replay the same digest byte-for-byte. Works in
-//!   every mode; `--table1` exports one JSON object keyed by torrent
-//!   label;
+//!   every mode;
 //! * `--flight-recorder DIR` dumps a self-contained crash bundle into
 //!   DIR, holding the causal tracer's last 4 096 events, when a
 //!   live-monitor invariant trips or the simulated swarm panics;
@@ -56,31 +65,6 @@
 //!   the causal tracer, at rate 1 unless `--trace-sample N` says
 //!   otherwise: on a large swarm pass `--trace-sample N` to keep the
 //!   trace small. `--net` runs have no health monitors and refuse it;
-//! * `--emit-dir DIR` drops every artifact for the run in one
-//!   directory in the layout `btstat` ingests: `run.json` (manifest
-//!   with scenario, seed, digest), `metrics.jsonl`, `series.json`,
-//!   `profile.json` and `trace.jsonl` (causal tracer at rate 1 unless
-//!   `--trace-sample` overrides it). Explicit `--metrics`/`--series`/
-//!   `--profile` paths take precedence over the defaults inside DIR.
-//!   Run the same spec with two seeds and feed both directories to
-//!   `btstat merge`, `diff` or `bisect`;
-//! * `--metrics FILE` writes `bt-obs` registry snapshots as JSON lines
-//!   (one per sampling period plus a final one) and prints a summary.
-//!   Simulator runs use a virtual-clock registry, so the file is
-//!   byte-identical for a given spec and seed, and write it when the
-//!   run ends; `--net` runs sample a shared wall-clock registry every
-//!   250 ms and append each snapshot as it is taken, so `tail -f FILE`
-//!   follows the run. If a run panics, unwinding flushes a final
-//!   snapshot;
-//! * `--series FILE` writes the registry time-series as JSON: per-key
-//!   `[t_micros, value]` rings sampled once per metrics period, plus the
-//!   `live.*` health series. Simulator and `--table1` series use the
-//!   virtual clock (byte-identical for a given spec and seed, any
-//!   `--jobs`); `--net` series sample the shared wall-clock registry;
-//! * `--profile FILE` attaches a span profiler, writes the aggregated
-//!   call-tree profile as JSON and prints the pretty report. Simulator
-//!   and `--table1` profiles use the virtual clock (byte-identical for
-//!   a given seed, any `--jobs`); `--net` profiles measure wall time;
 //! * `--table1` runs the whole 26-torrent Table I sweep on a worker
 //!   pool (`--jobs N`, default: all cores) and prints one summary line
 //!   per torrent — traces are identical for any job count;
@@ -102,9 +86,10 @@
 use bt_analysis::SessionSummary;
 use bt_instrument::trace::Trace;
 use bt_net::LoopbackSpec;
-use bt_obs::{summary_text, ObserverSet, Observers, Profile, Snapshot, TimeSource, Tracer};
+use bt_obs::{summary_text, ObserverSet, Observers, Snapshot, TimeSource};
 use bt_sim::{BehaviorProfile, NetModel, Swarm, SwarmSpec, TopologySpec};
-use bt_torrents::{RunConfig, ScenarioOutcome};
+use bt_stat::artifacts::manifest_json;
+use bt_torrents::RunConfig;
 use bt_wire::time::Duration;
 use std::io::Write;
 use std::path::PathBuf;
@@ -112,10 +97,10 @@ use std::sync::mpsc::RecvTimeoutError;
 
 /// One line per mode, and the one flag table: `main` reads off it which
 /// flags exist, which take a value and which each mode reads.
-const USAGE: &str = "usage: swarmrun <spec.json> [--seed N] [--topology NAME|file.json] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--emit-dir DIR] [--profile out.json] [--example]
-       swarmrun --scenario flash_crowd_1k|flash_crowd_10k|flash_crowd_100k [--peers N] [--seed N] [--topology NAME|file.json] [--trace out.jsonl] [--trace-sample N] [--flight-recorder DIR] [--metrics out.jsonl] [--series out.json] [--emit-dir DIR] [--profile out.json]
-       swarmrun --table1 [--quick] [--seed N] [--jobs N] [--topology NAME|file.json] [--series out.json] [--trace out.json] [--trace-sample N] [--flight-recorder DIR] [--profile out.json]
-       swarmrun --net [--seeds N] [--leechers N] [--pieces N] [--seed N] [--trace out.jsonl] [--trace-sample N] [--metrics out.jsonl] [--series out.json] [--profile out.json]";
+const USAGE: &str = "usage: swarmrun <spec.json> [--seed N] [--topology NAME|file.json] [--trace-sample N] [--flight-recorder DIR] [--emit-dir DIR] [--example]
+       swarmrun --scenario flash_crowd_1k|flash_crowd_10k|flash_crowd_100k [--peers N] [--seed N] [--topology NAME|file.json] [--trace-sample N] [--flight-recorder DIR] [--emit-dir DIR]
+       swarmrun --table1 [--quick] [--seed N] [--jobs N] [--topology NAME|file.json] [--trace-sample N] [--flight-recorder DIR] [--emit-dir DIR]
+       swarmrun --net [--seeds N] [--leechers N] [--pieces N] [--seed N] [--trace-sample N] [--emit-dir DIR]";
 
 /// The flags a stretch of [`USAGE`] spells out, each with whether it
 /// takes a value (`[--seed N]`, `--scenario NAME`) or not (`[--quick]`,
@@ -146,35 +131,48 @@ fn usage_error(msg: &str) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // The mode is named by its flag (a spec-file run has none; no value
+    // starts with `--`, so none is taken for one); a flag or a spec file
+    // the mode does not read is refused, not ignored, and so is a flag
+    // given twice.
+    let mode = ["--scenario", "--table1", "--net"]
+        .into_iter()
+        .find(|m| args.iter().any(|a| a == m));
+    let name = mode.unwrap_or("spec-file");
+    let line = format!("swarmrun {} ", mode.unwrap_or("<spec.json>"));
+    let reads = usage_flags(USAGE.lines().find(|l| l.contains(&line)).expect("in USAGE"));
     let known = usage_flags(USAGE);
     let (mut flags, mut spec_path) = (Vec::new(), None);
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
-        match known.iter().find(|(flag, _)| flag == a) {
-            Some(&(_, takes_value)) => {
-                if takes_value && iter.next().is_none() {
-                    usage_error(&format!("{a} needs a value"));
-                }
-                flags.push(a.as_str());
+        if !a.starts_with("--") {
+            spec_path = spec_path.or(Some(a));
+        } else if !known.iter().any(|(flag, _)| flag == a) {
+            usage_error(&format!("unknown flag `{a}` in {name} mode"));
+        } else if !reads.iter().any(|(flag, _)| flag == a) {
+            usage_error(&format!("{a} is not read in {name} mode"));
+        } else if flags.contains(&a.as_str()) {
+            usage_error(&format!("{a} given twice in {name} mode"));
+        } else {
+            let takes_value = reads.iter().any(|&(flag, value)| flag == a && value);
+            if takes_value && iter.next().is_none_or(|v| v.starts_with("--")) {
+                usage_error(&format!("{a} needs a value"));
             }
-            None if a.starts_with("--") => usage_error(&format!("unknown flag `{a}`")),
-            None => spec_path = spec_path.or(Some(a)),
+            flags.push(a.as_str());
         }
+    }
+    // A swarm needs a seed, a leecher and a piece, and a pool a worker.
+    if let Some(flag) = ["--seeds", "--leechers", "--pieces", "--jobs"]
+        .into_iter()
+        .find(|f| flag_u64(&args, f) == Some(0))
+    {
+        die(format!(
+            "{flag} 0 in {name} mode: a count must be at least 1"
+        ));
     }
     if flags.contains(&"--example") {
         print_example();
         return;
-    }
-    // The mode is named by its flag (a spec-file run has none); a flag
-    // or a spec file the mode does not read is refused, not ignored.
-    let mode = ["--scenario", "--table1", "--net"]
-        .into_iter()
-        .find(|m| flags.contains(m));
-    let line = format!("swarmrun {} ", mode.unwrap_or("<spec.json>"));
-    let reads = usage_flags(USAGE.lines().find(|l| l.contains(&line)).expect("in USAGE"));
-    let name = mode.unwrap_or("spec-file");
-    if let Some(flag) = flags.iter().find(|f| !reads.iter().any(|(r, _)| r == *f)) {
-        usage_error(&format!("{flag} is not read in {name} mode"));
     }
     if let (Some(_), Some(path)) = (mode, spec_path) {
         usage_error(&format!("{name} mode reads no spec file, given `{path}`"));
@@ -258,10 +256,6 @@ fn scenario_spec(name: &str, args: &[String]) -> SwarmSpec {
 /// Run a simulator spec and print the standard summary (the spec-file
 /// and `--scenario` paths share this).
 fn run_sim(spec: SwarmSpec, args: &[String]) {
-    let emit_dir = flag_str(args, "--emit-dir");
-    if let Some(dir) = &emit_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(format!("cannot create {dir}: {e}")));
-    }
     let peers = spec.peers.len();
     let piece_len = spec.piece_len;
     let pieces = spec.total_len.div_ceil(u64::from(spec.piece_len));
@@ -273,20 +267,20 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
     );
     let local = spec.local;
     let seed = spec.seed;
-    let (mut obs, set) = Outputs::new(args, emit_dir.as_deref());
-    obs.observers = set.build(TimeSource::manual, seed);
+    let mut obs = Outputs::new(args, TimeSource::manual, seed);
     let swarm = bt_torrents::attach_observers(Swarm::new(spec), &obs.observers);
 
     let t0 = std::time::Instant::now();
     let result = swarm.run();
     let wall = t0.elapsed();
 
-    obs.write_metrics(&result.metrics);
-    obs.write_series();
+    if let Some(mut log) = obs.metrics_log() {
+        result.metrics.iter().for_each(|s| log.append(s));
+        obs.close_metrics(&log, result.metrics.last());
+    }
     if let Some(health) = &result.health {
         println!("health           : {}", health.summary_line());
     }
-    obs.write_profile();
     println!(
         "events processed : {} in {:.2?} wall ({:.0} events/s)",
         result.events_processed,
@@ -298,27 +292,19 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
         "tracker          : {} started, {} completed announces",
         result.tracker_started, result.tracker_completed
     );
-    println!("run digest       : {:016x}", result.digest());
-    if let Some(dir) = &emit_dir {
-        // Finish the directory: the sorted deterministic trace plus the
-        // manifest that names the run for `btstat`.
-        if let Some(t) = &obs.observers.tracer {
-            write_stream(&format!("{dir}/trace.jsonl"), |f| t.export(Some(f), None));
-        }
-        let scenario = flag_str(args, "--scenario").unwrap_or_else(|| "spec".to_string());
-        let manifest = bt_stat::artifacts::manifest_json(
-            &scenario,
-            seed,
-            peers as u64,
-            pieces,
-            result.events_processed,
-            result.completed_peers as u64,
-            &format!("{:016x}", result.digest()),
-        );
-        write_text(&format!("{dir}/run.json"), &manifest);
-        println!("artifacts        : {dir}/ (run.json, metrics.jsonl, series.json, profile.json, trace.jsonl)");
-    }
-    obs.write_causal_trace();
+    let digest = format!("{:016x}", result.digest());
+    println!("run digest       : {digest}");
+    let scenario = flag_str(args, "--scenario").unwrap_or_else(|| "spec".to_string());
+    let manifest = manifest_json(
+        &scenario,
+        seed,
+        peers as u64,
+        pieces,
+        result.events_processed,
+        result.completed_peers as u64,
+        &digest,
+    );
+    obs.finish(&manifest, result.trace.as_ref());
     if let Some(idx) = local {
         match result.completion.get(idx).copied().flatten() {
             Some(t) => println!(
@@ -329,38 +315,36 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
         }
     }
     if let Some(trace) = &result.trace {
-        obs.report_local_trace(trace, piece_len, true);
+        report_local_trace(trace, piece_len, true);
     }
 }
 
 /// `swarmrun --net` — a real-socket loopback swarm via `bt-net`.
 fn run_net_swarm(args: &[String]) {
     let d = LoopbackSpec::default();
-    let count = |flag| flag_u64(args, flag).map(|n| n.max(1));
     let mut spec = LoopbackSpec {
-        seeds: count("--seeds").map_or(d.seeds, |n| n as usize),
-        leechers: count("--leechers").map_or(d.leechers, |n| n as usize),
-        total_len: count("--pieces").map_or(d.total_len, |n| n * u64::from(d.piece_len)),
+        seeds: flag_u64(args, "--seeds").map_or(d.seeds, |n| n as usize),
+        leechers: flag_u64(args, "--leechers").map_or(d.leechers, |n| n as usize),
+        total_len: flag_u64(args, "--pieces").map_or(d.total_len, |n| n * u64::from(d.piece_len)),
         seed: flag_u64(args, "--seed").unwrap_or(d.seed),
         ..d
     };
     // Every runtime gets the shared tracer and samples itself by its
     // virtual-IP hash, and reports into the shared registry.
-    let (mut obs, set) = Outputs::new(args, None);
-    obs.observers = set.build(TimeSource::wall, spec.seed);
+    let mut obs = Outputs::new(args, TimeSource::wall, spec.seed);
     spec.tracer = obs.observers.tracer.clone();
     spec.metrics = obs.observers.registry.clone();
     spec.profiler = obs.observers.profiler.clone();
     let piece_len = spec.piece_len;
-    let (seeds, leechers) = (spec.seeds, spec.leechers);
+    let (seeds, leechers, seed) = (spec.seeds, spec.leechers, spec.seed);
+    let pieces = spec.total_len / u64::from(piece_len);
     eprintln!(
-        "running {seeds} seed(s) + {leechers} leecher(s), {} pieces over loopback TCP ...",
-        spec.total_len / u64::from(piece_len)
+        "running {seeds} seed(s) + {leechers} leecher(s), {pieces} pieces over loopback TCP ..."
     );
 
     // Sampler thread: every 250 ms wall, snapshot the shared registry —
-    // extend the time-series and append the snapshot to `--metrics` as
-    // it is taken, so `tail -f` follows the run. Dropping `run_over`
+    // extend the time-series and append the snapshot to `metrics.jsonl`
+    // as it is taken, so `tail -f` follows the run. Dropping `run_over`
     // when the swarm returns ends the wait at once, with no extra sample.
     let (run_over, over) = std::sync::mpsc::channel::<()>();
     let mut metrics = obs.metrics_log();
@@ -396,8 +380,6 @@ fn run_net_swarm(args: &[String]) {
     if let Some(store) = &obs.observers.series {
         store.sample_registry();
     }
-    obs.write_series();
-    obs.write_profile();
     println!(
         "peers completed  : {} / {leechers} leechers in {:.2?} wall",
         result.completed_leechers, result.wall_elapsed
@@ -406,7 +388,18 @@ fn run_net_swarm(args: &[String]) {
         "tracker          : {} started, {} completed announces",
         result.tracker_started, result.tracker_completed
     );
-    obs.write_causal_trace();
+    // The first leecher's trace is the instrumented peer's.
+    let local = result
+        .outcomes
+        .iter()
+        .skip(seeds)
+        .find_map(|o| o.trace.as_ref());
+    // A socket run has no replay digest and counts no simulator events.
+    let (peers, completed) = ((seeds + leechers) as u64, result.completed_leechers as u64);
+    obs.finish(
+        &manifest_json("net", seed, peers, pieces, 0, completed, ""),
+        local,
+    );
     for (i, o) in result.outcomes.iter().enumerate() {
         println!(
             "peer {i:2}          : {} {:3} pieces, {} msgs in, {} blocks out, {} ticks",
@@ -417,15 +410,9 @@ fn run_net_swarm(args: &[String]) {
             o.stats.ticks
         );
     }
-    // Analyse the first leecher's trace with the same pipeline the
-    // simulator figures use.
-    if let Some(trace) = result
-        .outcomes
-        .iter()
-        .skip(seeds)
-        .find_map(|o| o.trace.as_ref())
-    {
-        obs.report_local_trace(trace, piece_len, false);
+    // Analyse it with the same pipeline the simulator figures use.
+    if let Some(trace) = local {
+        report_local_trace(trace, piece_len, false);
     }
 }
 
@@ -439,10 +426,8 @@ fn run_table1_sweep(args: &[String]) {
     if let Some(seed) = flag_u64(args, "--seed") {
         cfg.seed = seed;
     }
-    let jobs = flag_u64(args, "--jobs")
-        .map(|n| n.max(1) as usize)
-        .unwrap_or_else(bt_torrents::default_jobs);
-    let (out, set) = Outputs::new(args, None);
+    let jobs = flag_u64(args, "--jobs").map_or_else(bt_torrents::default_jobs, |n| n as usize);
+    let (emit_dir, set) = observer_set(args);
     cfg.observe = set;
     if let Some(net) = topology_net(args) {
         eprintln!("table1 network model: {}", net.label());
@@ -479,60 +464,40 @@ fn run_table1_sweep(args: &[String]) {
         outcomes.len(),
         t0.elapsed()
     );
-    if let Some(path) = &out.series_out {
-        write_by_label(path, &outcomes, |o| {
-            o.observers.series.as_ref().map(|s| s.to_json(None))
-        });
-        println!("series written   : {path} ({} torrents)", outcomes.len());
-        let unhealthy: Vec<u32> = outcomes
-            .iter()
-            .filter(|o| o.result.health.as_ref().is_some_and(|h| !h.healthy()))
-            .map(|o| o.spec.id)
-            .collect();
-        if unhealthy.is_empty() {
-            println!("health           : all torrents healthy at session end");
-        } else {
-            println!("health           : unhealthy at session end: {unhealthy:?}");
-        }
+    let Some(root) = emit_dir else { return };
+    // One run directory per torrent, each a pure function of the seed
+    // and the torrent: byte-identical for any `--jobs`.
+    for o in &outcomes {
+        let label = o.spec.label();
+        let dir = format!("{root}/{label}");
+        create_dir(&dir);
+        let mut log = MetricsLog::create(format!("{dir}/metrics.jsonl"));
+        o.result.metrics.iter().for_each(|s| log.append(s));
+        let manifest = manifest_json(
+            &label,
+            cfg.seed,
+            o.result.completion.len() as u64,
+            u64::from(o.scaled.pieces),
+            o.result.events_processed,
+            o.result.completed_peers as u64,
+            &format!("{:016x}", o.result.digest()),
+        );
+        write_run_dir(&dir, &o.observers, Some(&o.trace), &manifest);
     }
-    let traced = outcomes.iter().any(|o| o.observers.tracer.is_some());
-    if let (Some(path), true) = (&out.trace_out, traced) {
-        write_by_label(path, &outcomes, |o| {
-            o.observers.tracer.as_ref().map(Tracer::to_chrome_json)
-        });
-        println!("causal traces    : {path} ({} torrents)", outcomes.len());
-    }
-    if let Some(path) = &out.profile_out {
-        // Each scenario profiled its own manual clock; merging in Table
-        // I order (the `outcomes` order) is commutative sums, so the
-        // merged profile is byte-identical for any `--jobs`.
-        let mut merged = Profile::default();
-        outcomes
-            .iter()
-            .filter_map(|o| o.result.profile.as_ref())
-            .for_each(|p| merged.merge(p));
-        write_profile(path, &merged);
-    }
-}
-
-/// Write one JSON object keyed by torrent label, in Table I order, whose
-/// values are each scenario's own `doc`. Every torrent of a sweep
-/// carries the same observers, so each has its document; every document
-/// is deterministic, so the whole file is byte-identical for any
-/// `--jobs`.
-fn write_by_label(
-    path: &str,
-    outcomes: &[ScenarioOutcome],
-    doc: impl Fn(&ScenarioOutcome) -> Option<String>,
-) {
-    let entries: Vec<String> = outcomes
+    println!(
+        "artifacts        : {root}/torrent-NN/ ({} torrents)",
+        outcomes.len()
+    );
+    let unhealthy: Vec<u32> = outcomes
         .iter()
-        .map(|o| {
-            let doc = doc(o).expect("every torrent carries the sweep's observers");
-            format!("\"{}\":{doc}", o.spec.label())
-        })
+        .filter(|o| o.result.health.as_ref().is_some_and(|h| !h.healthy()))
+        .map(|o| o.spec.id)
         .collect();
-    write_text(path, &format!("{{{}}}", entries.join(",")));
+    if unhealthy.is_empty() {
+        println!("health           : all torrents healthy at session end");
+    } else {
+        println!("health           : unhealthy at session end: {unhealthy:?}");
+    }
 }
 
 /// The string value following `name`, if present.
@@ -543,166 +508,167 @@ fn flag_str(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-/// Where a run's observers are written, and the observers themselves.
+/// `--emit-dir DIR`, created, and the observers a run carries: with a
+/// directory, everything it holds (the causal tracer at rate 1, so its
+/// `trace.jsonl` is bisectable, unless `--trace-sample` says otherwise);
+/// without one, only what `--trace-sample` and `--flight-recorder` ask
+/// for.
+fn observer_set(args: &[String]) -> (Option<String>, ObserverSet) {
+    let dir = flag_str(args, "--emit-dir");
+    if let Some(dir) = &dir {
+        create_dir(dir);
+    }
+    let set = ObserverSet {
+        metrics: dir.is_some(),
+        profile: dir.is_some(),
+        trace_sample: flag_u64(args, "--trace-sample").or(dir.as_ref().map(|_| 1)),
+        flight_dir: flag_str(args, "--flight-recorder").map(PathBuf::from),
+    };
+    (dir, set)
+}
+
+/// A single run's observers and the directory they are written to.
 struct Outputs {
     observers: Observers,
-    /// `metrics_out` holds the run's snapshots (see the `Drop` impl).
+    /// `--emit-dir DIR`.
+    dir: Option<String>,
+    /// `metrics.jsonl` holds the run's snapshots (see the `Drop` impl).
     metrics_written: bool,
-    metrics_out: Option<String>,
-    series_out: Option<String>,
-    profile_out: Option<String>,
-    trace_out: Option<String>,
 }
 
 impl Outputs {
-    /// Read the output flags, and the observers they need, for the
-    /// caller to build on its clock. `emit_dir` (the layout `btstat`
-    /// loads) defaults the metrics, series and profile paths into it and
-    /// the causal tracer to rate 1, so the emitted `trace.jsonl` is
-    /// bisectable; explicit flags still win.
-    fn new(args: &[String], emit_dir: Option<&str>) -> (Outputs, ObserverSet) {
-        let in_dir = |name: &str| emit_dir.map(|d| format!("{d}/{name}"));
-        let out = Outputs {
-            observers: Observers::default(),
+    /// Read the output flags and build the observers they need on
+    /// `clock`, seeded with the run's `seed`.
+    fn new(args: &[String], clock: fn() -> TimeSource, seed: u64) -> Outputs {
+        let (dir, set) = observer_set(args);
+        Outputs {
+            observers: set.build(clock, seed),
+            dir,
             metrics_written: false,
-            metrics_out: flag_str(args, "--metrics").or_else(|| in_dir("metrics.jsonl")),
-            series_out: flag_str(args, "--series").or_else(|| in_dir("series.json")),
-            profile_out: flag_str(args, "--profile").or_else(|| in_dir("profile.json")),
-            trace_out: flag_str(args, "--trace"),
-        };
-        let set = ObserverSet {
-            metrics: out.metrics_out.is_some() || out.series_out.is_some(),
-            profile: out.profile_out.is_some(),
-            trace_sample: flag_u64(args, "--trace-sample").or(emit_dir.map(|_| 1)),
-            flight_dir: flag_str(args, "--flight-recorder").map(PathBuf::from),
-        };
-        (out, set)
-    }
-
-    /// `--metrics FILE`, created empty for the run's snapshots.
-    fn metrics_log(&self) -> Option<MetricsLog> {
-        let path = self.metrics_out.clone()?;
-        let file = std::fs::File::create(&path)
-            .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
-        Some(MetricsLog {
-            path,
-            file,
-            lines: 0,
-        })
-    }
-
-    /// `--metrics FILE` of a simulated run: its snapshots, written when
-    /// it ends.
-    fn write_metrics(&mut self, snapshots: &[Snapshot]) {
-        if let Some(mut log) = self.metrics_log() {
-            snapshots.iter().for_each(|s| log.append(s));
-            self.close_metrics(&log, snapshots.last());
         }
     }
 
-    /// The `--metrics` file holds the whole run: say so, then print the
-    /// last snapshot's summary.
+    /// `DIR/metrics.jsonl`, created empty for the run's snapshots.
+    fn metrics_log(&self) -> Option<MetricsLog> {
+        let dir = self.dir.as_ref()?;
+        Some(MetricsLog::create(format!("{dir}/metrics.jsonl")))
+    }
+
+    /// `metrics.jsonl` holds the whole run: say so, then print the last
+    /// snapshot's summary.
     fn close_metrics(&mut self, log: &MetricsLog, last: Option<&Snapshot>) {
         self.metrics_written = true;
-        println!("metrics written  : {} ({} snapshots)", log.path, log.lines);
+        println!("metrics          : {} snapshots", log.lines);
         if let Some(last) = last {
             print!("{}", summary_text(last));
         }
     }
 
-    /// `--series FILE`: the time-series store as JSON.
-    fn write_series(&self) {
-        if let (Some(path), Some(store)) = (&self.series_out, &self.observers.series) {
-            write_text(path, &store.to_json(None));
-            println!("series written   : {path} ({} series)", store.len());
+    /// After the run: write the rest of the directory, if there is one,
+    /// with the `manifest` and the instrumented peer's `local` trace;
+    /// print the profile report and what the causal tracer holds.
+    fn finish(&self, manifest: &str, local: Option<&Trace>) {
+        if let Some(dir) = &self.dir {
+            write_run_dir(dir, &self.observers, local, manifest);
+            let local = if local.is_some() { ", local.jsonl" } else { "" };
+            println!("artifacts        : {dir}/ (run.json, metrics.jsonl, series.json, profile.json, trace.jsonl, trace.json{local})");
         }
-    }
-
-    /// `--profile FILE`: the span profile as JSON, plus the pretty report.
-    fn write_profile(&self) {
-        if let (Some(path), Some(profiler)) = (&self.profile_out, &self.observers.profiler) {
-            write_profile(path, &profiler.snapshot());
+        if let Some(profiler) = &self.observers.profiler {
+            print!("{}", profiler.snapshot().render());
         }
-    }
-
-    /// The causal trace, when given `--trace FILE`: Chrome trace-event
-    /// JSON at FILE plus the sorted deterministic JSONL at `FILE.jsonl`,
-    /// both from one sort. Otherwise just its size.
-    fn write_causal_trace(&self) {
         let Some(t) = &self.observers.tracer else {
             return;
         };
-        if let Some(path) = &self.trace_out {
-            let jsonl = format!("{path}.jsonl");
-            write_stream(path, |chrome| {
-                std::fs::File::create(&jsonl)
-                    .and_then(|mut lines| t.export(Some(&mut lines), Some(chrome)))
-            });
-            println!(
-                "causal trace     : {path} (Chrome JSON) + {jsonl} (sorted JSONL), {} events",
+        match &self.dir {
+            Some(dir) => println!(
+                "causal trace     : {dir}/trace.json (Chrome JSON) + {dir}/trace.jsonl (sorted JSONL), {} events",
                 t.len()
-            );
-        } else {
-            println!(
-                "causal trace     : {} events sampled (pass --trace FILE to export)",
+            ),
+            None => println!(
+                "causal trace     : {} events sampled (pass --emit-dir DIR to export)",
                 t.len()
-            );
+            ),
         }
         if let Some(fr) = t.flight() {
             println!("flight recorder  : {} bundle(s) dumped", fr.dumps());
         }
     }
+}
 
-    /// The paper's headline metrics for the instrumented peer's trace,
-    /// through the same pipeline the figures use (with the replication
-    /// state where the driver samples availability into the trace, as
-    /// the simulator does); then the trace itself to `--trace`, unless
-    /// the causal trace took that path.
-    fn report_local_trace(&self, trace: &Trace, piece_len: u32, availability: bool) {
-        let summary = SessionSummary::from_trace(trace, piece_len);
-        println!("trace events     : {}", trace.len());
-        println!(
-            "entropy a/b      : p20={:.2} p50={:.2} p80={:.2} over {} leechers",
-            summary.entropy.local_in_remote.p20,
-            summary.entropy.local_in_remote.p50,
-            summary.entropy.local_in_remote.p80,
-            summary.entropy.peers.len()
-        );
-        if availability {
-            println!(
-                "state            : {} (missing-piece fraction {:.2})",
-                if summary.replication.is_transient() {
-                    "transient"
-                } else {
-                    "steady"
-                },
-                summary.replication.missing_piece_fraction()
-            );
-        }
-        println!(
-            "blocks received  : {} (first-slowdown ×{:.2})",
-            summary.blocks.count,
-            summary.blocks.first_slowdown()
-        );
-        println!(
-            "LS top-set share : {:.2}",
-            summary.fairness_ls.top_set_upload_share()
-        );
-        println!(
-            "peers observed   : {} connections, {} unique, {:.1} % multi-ID IPs",
-            summary.connections,
-            summary.unique_peers,
-            summary.multi_id_ip_fraction * 100.0
-        );
-        println!(
-            "overhead         : {:.4} control B / data B",
-            summary.messages.overhead_ratio()
-        );
-        if let (Some(path), None) = (&self.trace_out, &self.observers.tracer) {
-            write_text(path, &trace.to_jsonl());
-            println!("trace written    : {path}");
-        }
+/// Write a finished run's directory, all but `metrics.jsonl`: what its
+/// observers hold, the instrumented peer's trace, and the manifest last.
+fn write_run_dir(dir: &str, observers: &Observers, local: Option<&Trace>, manifest: &str) {
+    if let Some(store) = &observers.series {
+        write_text(&format!("{dir}/series.json"), &store.to_json(None));
     }
+    if let Some(profiler) = &observers.profiler {
+        write_text(
+            &format!("{dir}/profile.json"),
+            &profiler.snapshot().to_json(),
+        );
+    }
+    if let Some(t) = &observers.tracer {
+        let jsonl = format!("{dir}/trace.jsonl");
+        write_stream(&format!("{dir}/trace.json"), |chrome| {
+            std::fs::File::create(&jsonl)
+                .and_then(|mut lines| t.export(Some(&mut lines), Some(chrome)))
+        });
+    }
+    if let Some(trace) = local {
+        write_text(&format!("{dir}/local.jsonl"), &trace.to_jsonl());
+    }
+    write_text(&format!("{dir}/run.json"), manifest);
+}
+
+/// The paper's headline metrics for the instrumented peer's trace,
+/// through the same pipeline the figures use (with the replication
+/// state where the driver samples availability into the trace, as the
+/// simulator does).
+fn report_local_trace(trace: &Trace, piece_len: u32, availability: bool) {
+    let summary = SessionSummary::from_trace(trace, piece_len);
+    println!("trace events     : {}", trace.len());
+    println!(
+        "entropy a/b      : p20={:.2} p50={:.2} p80={:.2} over {} leechers",
+        summary.entropy.local_in_remote.p20,
+        summary.entropy.local_in_remote.p50,
+        summary.entropy.local_in_remote.p80,
+        summary.entropy.peers.len()
+    );
+    if availability {
+        println!(
+            "state            : {} (missing-piece fraction {:.2})",
+            if summary.replication.is_transient() {
+                "transient"
+            } else {
+                "steady"
+            },
+            summary.replication.missing_piece_fraction()
+        );
+    }
+    println!(
+        "blocks received  : {} (first-slowdown ×{:.2})",
+        summary.blocks.count,
+        summary.blocks.first_slowdown()
+    );
+    println!(
+        "LS top-set share : {:.2}",
+        summary.fairness_ls.top_set_upload_share()
+    );
+    println!(
+        "peers observed   : {} connections, {} unique, {:.1} % multi-ID IPs",
+        summary.connections,
+        summary.unique_peers,
+        summary.multi_id_ip_fraction * 100.0
+    );
+    println!(
+        "overhead         : {:.4} control B / data B",
+        summary.messages.overhead_ratio()
+    );
+}
+
+/// Create the directory `dir` and its parents.
+fn create_dir(dir: &str) {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| die(format!("cannot create {dir}: {e}")));
 }
 
 /// Create `path` and write `text` to it.
@@ -725,14 +691,7 @@ fn flag_u64(args: &[String], name: &str) -> Option<u64> {
     })
 }
 
-/// Write a span profile as JSON and print the pretty report.
-fn write_profile(path: &str, profile: &Profile) {
-    write_text(path, &profile.to_json());
-    println!("profile written  : {path}");
-    print!("{}", profile.render());
-}
-
-/// The `--metrics` file: one JSON line per registry snapshot, each
+/// A run's `metrics.jsonl`: one JSON line per registry snapshot, each
 /// written to the unbuffered file in one call as it is appended.
 struct MetricsLog {
     path: String,
@@ -741,6 +700,17 @@ struct MetricsLog {
 }
 
 impl MetricsLog {
+    /// Create `path` empty.
+    fn create(path: String) -> MetricsLog {
+        let file = std::fs::File::create(&path)
+            .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
+        MetricsLog {
+            path,
+            file,
+            lines: 0,
+        }
+    }
+
     fn append(&mut self, snap: &Snapshot) {
         let mut line = snap.to_jsonl_line();
         line.push('\n');
@@ -752,21 +722,19 @@ impl MetricsLog {
 }
 
 /// A run that panics never reaches [`Outputs::close_metrics`]:
-/// unwinding appends one final registry snapshot to the `--metrics` file
+/// unwinding appends one final registry snapshot to `metrics.jsonl`
 /// instead, so the last observed state is still on disk.
 impl Drop for Outputs {
     fn drop(&mut self) {
-        let (Some(reg), Some(path), false) = (
-            &self.observers.registry,
-            &self.metrics_out,
-            self.metrics_written,
-        ) else {
+        let (Some(reg), Some(dir), false) =
+            (&self.observers.registry, &self.dir, self.metrics_written)
+        else {
             return;
         };
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(path);
+            .open(format!("{dir}/metrics.jsonl"));
         if let Ok(mut f) = file {
             let _ = writeln!(f, "{}", reg.snapshot().to_jsonl_line());
         }

@@ -227,13 +227,32 @@ fn swarmrun_flags_before_or_after_the_spec_and_unknown_flags_rejected() {
         assert!(stderr.contains(flag), "{flag} not named in: {stderr}");
     }
 
-    // So is a flag, or a spec file, the selected mode does not read:
-    // the error names it and the mode, and nothing runs.
+    // So is a flag, or a spec file, the selected mode does not read, a
+    // flag given twice and a count of 0: the error names it and the
+    // mode, and nothing runs.
     for (args, refused, mode) in [
+        (&["--net", "--metrics", "x"][..], "--metrics", "--net"),
+        (&["--net", "--seeds", "0"][..], "--seeds", "--net"),
+        (&["--net", "--leechers", "0"][..], "--leechers", "--net"),
+        (&["--net", "--pieces", "0"][..], "--pieces", "--net"),
         (
-            &["--net", "--pieces", "8", "--emit-dir", "d"][..],
-            "--emit-dir",
-            "--net",
+            &["--table1", "--quick", "--jobs", "0"][..],
+            "--jobs",
+            "--table1",
+        ),
+        (
+            &[
+                "--scenario",
+                "flash_crowd_1k",
+                "--peers",
+                "10",
+                "--seed",
+                "1",
+                "--seed",
+                "2",
+            ][..],
+            "--seed",
+            "--scenario",
         ),
         (
             &["--net", "--topology", "asymmetric_dsl", "--jobs", "3"][..],
@@ -272,17 +291,41 @@ fn swarmrun_flags_before_or_after_the_spec_and_unknown_flags_rejected() {
             "{args:?}: `{refused}` and `{mode}` not named in: {first}"
         );
     }
+
+    // The output flags `--emit-dir` replaced are unknown in every mode,
+    // and create nothing.
+    let dir = scratch_dir("removed-outputs");
+    let out = dir.join("out");
+    let out = out.to_str().expect("utf-8 temp path");
+    for mode in [
+        &[spec][..],
+        &["--scenario", "flash_crowd_1k"],
+        &["--table1"],
+        &["--net"],
+    ] {
+        for flag in ["--metrics", "--series", "--profile", "--trace"] {
+            let args: Vec<&str> = mode.iter().copied().chain([flag, out]).collect();
+            let (code, stdout, stderr) = swarmrun(&args);
+            assert_eq!(code, Some(2), "{args:?}: {stdout}");
+            assert!(stderr.contains(flag), "{flag} not named in: {stderr}");
+            assert!(
+                !std::path::Path::new(out).exists(),
+                "{args:?} created {out}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_file(&path);
 }
 
 /// A flight directory alone turns the causal tracer on at rate 1: the
-/// invariant-trip bundle carries a trace slice, and `--trace` writes the
-/// causal trace it was fed from.
+/// invariant-trip bundle carries a trace slice, and `--emit-dir` writes
+/// the causal trace it was fed from.
 #[test]
 fn swarmrun_flight_recorder_alone_fills_its_bundles_and_the_trace() {
     let dir = scratch_dir("flight");
     let flight = dir.join("flight");
-    let trace = dir.join("trace.json");
+    let out = dir.join("out");
     let (code, stdout, stderr) = swarmrun(&[
         "--scenario",
         "flash_crowd_1k",
@@ -290,8 +333,8 @@ fn swarmrun_flight_recorder_alone_fills_its_bundles_and_the_trace() {
         "100",
         "--flight-recorder",
         flight.to_str().unwrap(),
-        "--trace",
-        trace.to_str().unwrap(),
+        "--emit-dir",
+        out.to_str().unwrap(),
     ]);
     assert_eq!(code, Some(0), "{stderr}");
     let bundle = parse_json(&flight.join("flightrec-0.json"));
@@ -301,8 +344,8 @@ fn swarmrun_flight_recorder_alone_fills_its_bundles_and_the_trace() {
         "the bundle's trace slice is empty"
     );
     assert!(stdout.contains("causal trace     : "), "{stdout}");
-    parse_json(&trace);
-    parse_jsonl(&dir.join("trace.json.jsonl"));
+    parse_json(&out.join("trace.json"));
+    parse_jsonl(&out.join("trace.jsonl"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -410,8 +453,30 @@ fn swarmrun_refuses_removed_keys_and_a_broken_topology_by_name() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The files of one run directory, sorted.
+fn files_in(dir: &std::path::Path) -> Vec<String> {
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{dir:?}: {e}"))
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    files
+}
+
+/// The one layout every mode writes, for a run with an instrumented
+/// peer.
+const RUN_DIR: [&str; 7] = [
+    "local.jsonl",
+    "metrics.jsonl",
+    "profile.json",
+    "run.json",
+    "series.json",
+    "trace.json",
+    "trace.jsonl",
+];
+
 #[test]
-fn swarmrun_emit_dir_writes_the_five_artifacts() {
+fn swarmrun_emit_dir_writes_the_seven_artifacts() {
     let dir = scratch_dir("emit");
     let (_, example, _) = swarmrun(&["--example"]);
     let spec = dir.join("spec.json");
@@ -420,21 +485,7 @@ fn swarmrun_emit_dir_writes_the_five_artifacts() {
     let (code, stdout, stderr) =
         swarmrun(&[spec.to_str().unwrap(), "--emit-dir", out.to_str().unwrap()]);
     assert_eq!(code, Some(0), "{stderr}");
-    let mut files: Vec<String> = std::fs::read_dir(&out)
-        .expect("emit dir exists")
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    files.sort();
-    assert_eq!(
-        files,
-        [
-            "metrics.jsonl",
-            "profile.json",
-            "run.json",
-            "series.json",
-            "trace.jsonl"
-        ]
-    );
+    assert_eq!(files_in(&out), RUN_DIR);
     let printed = stdout
         .lines()
         .find_map(|l| l.strip_prefix("run digest       : "))
@@ -446,15 +497,46 @@ fn swarmrun_emit_dir_writes_the_five_artifacts() {
     );
     parse_jsonl(&out.join("metrics.jsonl"));
     parse_jsonl(&out.join("trace.jsonl"));
+    parse_jsonl(&out.join("local.jsonl"));
+    parse_json(&out.join("trace.json"));
     parse_json(&out.join("series.json"));
     parse_json(&out.join("profile.json"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A sweep writes one run directory per torrent, each one `btstat`
+/// loads. (At trace rate 1 the sweep's traces run to a gigabyte, so
+/// this samples them.)
 #[test]
-fn swarmrun_net_writes_parseable_observer_files() {
-    let dir = scratch_dir("net");
-    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+fn swarmrun_table1_emit_dir_writes_a_run_directory_per_torrent() {
+    let dir = scratch_dir("table1");
+    let (code, _, stderr) = swarmrun(&[
+        "--table1",
+        "--quick",
+        "--jobs",
+        "2",
+        "--trace-sample",
+        "4096",
+        "--emit-dir",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let torrents = files_in(&dir);
+    let labels: Vec<String> = (1..=26).map(|id| format!("torrent-{id:02}")).collect();
+    assert_eq!(torrents, labels);
+    for label in &labels {
+        let run_dir = dir.join(label);
+        assert_eq!(files_in(&run_dir), RUN_DIR, "{label}");
+        let run = bt_stat::RunArtifacts::load(&run_dir)
+            .unwrap_or_else(|e| panic!("{label} does not load: {e}"));
+        assert_eq!(run.scenario, *label);
+        assert!(run.metrics.is_some() && run.profile.is_some() && run.series.is_some());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Run a one-seed, one-leecher, 8-piece `--net` swarm into `out`.
+fn net_run(out: &std::path::Path) {
     let (code, stdout, stderr) = swarmrun(&[
         "--net",
         "--seeds",
@@ -463,18 +545,56 @@ fn swarmrun_net_writes_parseable_observer_files() {
         "1",
         "--pieces",
         "8",
-        "--metrics",
-        &path("metrics.jsonl"),
-        "--series",
-        &path("series.json"),
-        "--profile",
-        &path("profile.json"),
+        "--emit-dir",
+        out.to_str().unwrap(),
     ]);
     assert_eq!(code, Some(0), "{stdout}\n{stderr}");
+}
+
+/// A socket run writes the same layout as a simulated one; its manifest
+/// has no digest and counts no simulator events.
+#[test]
+fn swarmrun_net_writes_parseable_observer_files() {
+    let dir = scratch_dir("net");
+    net_run(&dir);
+    assert_eq!(files_in(&dir), RUN_DIR);
     let metrics = parse_jsonl(&dir.join("metrics.jsonl"));
     let last = metrics.last().unwrap();
     assert!(last.contains("\"net.blocks_sent"), "{last}");
     parse_json(&dir.join("series.json"));
     parse_json(&dir.join("profile.json"));
+    parse_json(&dir.join("trace.json"));
+    parse_jsonl(&dir.join("trace.jsonl"));
+    parse_jsonl(&dir.join("local.jsonl"));
+    let manifest = parse_json(&dir.join("run.json"));
+    assert_eq!(manifest.get("digest").and_then(|d| d.as_str()), Some(""));
+    assert_eq!(
+        manifest.get("events_processed").and_then(|e| e.as_u64()),
+        Some(0)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `btstat merge` takes a socket run next to a simulated one.
+#[test]
+fn swarmrun_net_run_merges_with_a_simulated_run() {
+    let dir = scratch_dir("net-merge");
+    let (_, example, _) = swarmrun(&["--example"]);
+    let spec = dir.join("spec.json");
+    std::fs::write(&spec, example).expect("spec written");
+    let (sim, net) = (dir.join("sim"), dir.join("net"));
+    let (code, _, stderr) =
+        swarmrun(&[spec.to_str().unwrap(), "--emit-dir", sim.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "{stderr}");
+    net_run(&net);
+    // What `btstat merge SIM NET` prints (CI runs the binary itself).
+    let runs = [&sim, &net].map(|d| {
+        bt_stat::RunArtifacts::load(d).unwrap_or_else(|e| panic!("{d:?} does not load: {e}"))
+    });
+    let fleet = bt_stat::FleetReport::merge(runs.into());
+    let report: serde_json::Value =
+        serde_json::from_str(&fleet.to_json()).expect("the fleet report is JSON");
+    let runs = report.get("runs").and_then(|r| r.as_array());
+    assert_eq!(runs.map(<[_]>::len), Some(2), "{report:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,6 +7,8 @@
 //!   series.json    SeriesStore export
 //!   profile.json   span profile
 //!   trace.jsonl    causal trace (sorted, deterministic)
+//!   trace.json     the same trace as Chrome JSON (not read here)
+//!   local.jsonl    the instrumented peer's trace (not read here)
 //! ```
 //!
 //! Only `run.json` is required; every other artifact is optional so a

@@ -92,7 +92,8 @@ fn loopback_swarm_completes_and_traces_analyse() {
 /// The `bt-obs` integration over real sockets: a swarm sharing one
 /// registry produces a parseable snapshot with non-zero traffic
 /// counters, per-peer labels, engine-level series, and a populated
-/// handshake-latency histogram — the CI contract for `--metrics`.
+/// handshake-latency histogram — the CI contract for a `--net` run's
+/// `metrics.jsonl`.
 #[test]
 fn loopback_swarm_reports_metrics() {
     let registry = Registry::new_wall();

@@ -5,7 +5,8 @@
 //! crowd (seed 42) with the observer set `swarmrun --emit-dir` attaches
 //! at trace rate 1 and at rate 64, and Table I torrent 2 through
 //! `run_scenario` with metrics, series, profile and trace on — each
-//! export `trace.jsonl`, Chrome JSON, `profile.json`, `series.json` and
+//! export what a `swarmrun --emit-dir` directory holds: `trace.jsonl`,
+//! `trace.json` (Chrome JSON), `profile.json`, `series.json` and
 //! `metrics.jsonl`; the byte count and FNV-1a hash of each is compared
 //! with `tests/fixtures/obs_exports.txt`, which was written before the
 //! PR 15 rewrite of `bt_obs::Profiler` / `bt_obs::Tracer` storage.

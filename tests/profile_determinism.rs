@@ -59,8 +59,8 @@ fn merged_profile_json_is_byte_identical_across_job_counts() {
             seq.spec.id
         );
     }
-    // ... and so is the spec-order merge `swarmrun --table1 --profile`
-    // writes.
+    // ... and so is their merge, the profile `btstat merge DIR/*` makes
+    // of a `swarmrun --table1 --emit-dir DIR` sweep.
     assert_eq!(
         merged_profile_json(&sequential),
         merged_profile_json(&parallel),

@@ -5,7 +5,7 @@
 //!
 //! Three contracts, all enforced by CI:
 //!
-//! 1. **Series determinism** — the `--series` JSON for a scenario is
+//! 1. **Series determinism** — the `series.json` for a scenario is
 //!    byte-identical whether the sweep runs on 1, 2, or 8 workers
 //!    (rings fill from virtual-clock sampling events, never wall time).
 //! 2. **Non-perturbation** — traces with the observers on equal

@@ -32,7 +32,8 @@ fn traced(rate: u64) -> RunConfig {
     }
 }
 
-/// The sorted JSONL and the Chrome JSON, as `swarmrun` writes them.
+/// The sorted JSONL and the Chrome JSON, as `swarmrun --emit-dir` writes
+/// them into each torrent's `trace.jsonl` and `trace.json`.
 fn exports(o: &ScenarioOutcome) -> (String, String) {
     let tracer = o.observers.tracer.as_ref();
     let tracer = tracer.expect("causal trace requested");
