@@ -161,8 +161,9 @@ fn main() {
             flags.push(a.as_str());
         }
     }
-    // A swarm needs a seed, a leecher and a piece, and a pool a worker.
-    if let Some(flag) = ["--seeds", "--leechers", "--pieces", "--jobs"]
+    // A swarm needs a seed, a leecher and a piece, a crowd a leecher,
+    // and a pool a worker.
+    if let Some(flag) = ["--seeds", "--leechers", "--pieces", "--peers", "--jobs"]
         .into_iter()
         .find(|f| flag_u64(&args, f) == Some(0))
     {

@@ -236,6 +236,11 @@ fn swarmrun_flags_before_or_after_the_spec_and_unknown_flags_rejected() {
         (&["--net", "--leechers", "0"][..], "--leechers", "--net"),
         (&["--net", "--pieces", "0"][..], "--pieces", "--net"),
         (
+            &["--scenario", "flash_crowd_1k", "--peers", "0"][..],
+            "--peers",
+            "--scenario",
+        ),
+        (
             &["--table1", "--quick", "--jobs", "0"][..],
             "--jobs",
             "--table1",

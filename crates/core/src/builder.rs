@@ -3,7 +3,7 @@
 //! [`Engine::new`]'s eight positional arguments were easy to transpose
 //! silently (three of them are plain integers). The builder names every
 //! construction-time fact and folds the observers in — recorder,
-//! metrics, profiler, choke audit — so an engine holds the same
+//! metrics, profiler, causal tracer — so an engine holds the same
 //! observers from its first input to its last:
 //!
 //! ```
@@ -25,10 +25,14 @@ use crate::content::DataMode;
 use crate::engine::Engine;
 use crate::metrics::EngineMetrics;
 use bt_instrument::trace::TraceMeta;
-use bt_obs::Profiler;
+use bt_obs::{Profiler, Tracer};
 use bt_piece::{Bitfield, Geometry};
 use bt_wire::peer_id::{IpAddr, PeerId};
 use bt_wire::sha1::Digest;
+
+/// A causal tracer with the map from a peer's address to its chain id
+/// ([`EngineBuilder::tracer`]).
+pub(crate) type ChainTracer = (Tracer, fn(IpAddr) -> u64);
 
 /// Builder for [`Engine`]; see the [module docs](self).
 #[derive(Debug, Clone)]
@@ -44,7 +48,7 @@ pub struct EngineBuilder {
     pub(crate) recorder: Option<TraceMeta>,
     pub(crate) metrics: Option<EngineMetrics>,
     pub(crate) profiler: Profiler,
-    pub(crate) choke_audit: bool,
+    pub(crate) tracer: Option<ChainTracer>,
 }
 
 impl EngineBuilder {
@@ -53,7 +57,7 @@ impl EngineBuilder {
     ///
     /// Defaults: [`Config::default`], [`DataMode::Virtual`], IP `0`,
     /// an empty starting bitfield (fresh leecher), RNG seed `0`, no
-    /// recorder, no metrics, [`Profiler::disabled`], no choke audit.
+    /// recorder, no metrics, [`Profiler::disabled`], no tracer.
     pub fn new(geometry: Geometry, info_hash: Digest, peer_id: PeerId) -> EngineBuilder {
         EngineBuilder {
             config: Config::default(),
@@ -67,7 +71,7 @@ impl EngineBuilder {
             recorder: None,
             metrics: None,
             profiler: Profiler::disabled(),
-            choke_audit: false,
+            tracer: None,
         }
     }
 
@@ -133,13 +137,15 @@ impl EngineBuilder {
         self
     }
 
-    /// When `on`, keep the choke/picker audit trail: every rechoke
-    /// round leaves a [`ChokeAudit`](crate::ChokeAudit) and every piece
-    /// pick a [`PickEvent`](crate::PickEvent), until the driver calls
-    /// [`Engine::clear_audit`]. Pure observation — it changes no
-    /// decision and consumes no RNG draws.
-    pub fn choke_audit(mut self, on: bool) -> EngineBuilder {
-        self.choke_audit = on;
+    /// Record every choke round into `tracer`, if it samples this
+    /// engine's chain `chain(ip)`: a `round`, then one `audit` per
+    /// connection in download-rate rank order, the remote named by
+    /// `chain` of its address. `chain` is the driver's peer id space
+    /// (the simulator's peer index, the socket runtime's virtual IP),
+    /// so any peer's records can be matched against any other's. Pure
+    /// observation — it changes no decision and consumes no RNG draws.
+    pub fn tracer(mut self, tracer: Tracer, chain: fn(IpAddr) -> u64) -> EngineBuilder {
+        self.tracer = Some((tracer, chain));
         self
     }
 

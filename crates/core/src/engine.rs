@@ -12,7 +12,7 @@
 //! The engine is what the paper instruments; constructing it with
 //! [`crate::EngineBuilder::recorder`] attaches the §III-C trace log.
 
-use crate::builder::EngineBuilder;
+use crate::builder::{ChainTracer, EngineBuilder};
 use crate::config::Config;
 use crate::connection::{ConnId, ConnTable, Connection};
 use crate::content::{DataMode, PieceBuffer};
@@ -21,7 +21,7 @@ use crate::error::EngineError;
 use crate::metrics::EngineMetrics;
 use bt_choke::{Choker, PeerSnapshot, RECHOKE_PERIOD};
 use bt_instrument::trace::{Trace, TraceEvent, UnchokeRole};
-use bt_obs::{Profiler, TraceCat, Tracer};
+use bt_obs::{Profiler, TraceCat};
 use bt_piece::{Availability, Bitfield, Geometry, PickContext, PiecePicker, RequestScheduler};
 use bt_wire::fast;
 use bt_wire::message::{BlockRef, Message};
@@ -157,105 +157,13 @@ pub struct Engine {
     trace: Option<Trace>,
     metrics: Option<EngineMetrics>,
     profiler: Profiler,
-    /// When set, every rechoke round leaves a full per-peer audit in
-    /// `choke_audit` and every piece pick appends to `pick_log`.
-    audit_choke: bool,
-    /// The last round's audit; `entries` is refilled in place.
-    choke_audit: ChokeAudit,
-    /// A round has run since [`Engine::clear_audit`].
-    choke_audit_fresh: bool,
-    pick_log: Vec<PickEvent>,
-}
-
-/// One peer's line in a [`ChokeAudit`]: the rate inputs the choker
-/// saw, the rank it earned, and the slot outcome.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ChokeAuditEntry {
-    /// Connection audited.
-    pub conn: ConnId,
-    /// Remote interest at decision time.
-    pub interested: bool,
-    /// Snub state at decision time (§II-C.2 anti-snubbing).
-    pub snubbed: bool,
-    /// Download rate input (B/s, the leecher-state ranking signal).
-    pub download_rate: f64,
-    /// Upload rate input (B/s).
-    pub upload_rate: f64,
-    /// 0-based position in the round's download-rate ranking.
-    pub rank: u32,
-    /// Slot held after the round; `None` = choked.
-    pub outcome: Option<UnchokeRole>,
-}
-
-/// Full audit of one rechoke round: every connection's inputs,
-/// ranking, and outcome — the raw material of the choke-decision
-/// audit trail. Produced only by an engine built with
-/// [`EngineBuilder::choke_audit`]; read through
-/// [`Engine::choke_audit`].
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ChokeAudit {
-    /// When the round ran.
-    pub at: Instant,
-    /// Whether the seed-state algorithm decided this round.
-    pub is_seed: bool,
-    /// Holder of the optimistic (leecher) / seed-random slot.
-    pub optimistic: Option<ConnId>,
-    /// Choke-state changes sent this round.
-    pub flips: u32,
-    /// One entry per connection, in rank order.
-    pub entries: Vec<ChokeAuditEntry>,
-}
-
-impl ChokeAudit {
-    /// Copy the round into a causal tracer on chain `id`: one `round`
-    /// record, then one `audit` per ranked peer. `resolve` names a
-    /// connection in the trace — the simulator maps it to the remote's
-    /// global peer index, the socket runtime has only the local id.
-    pub fn trace(&self, tracer: &Tracer, now: Instant, id: u64, resolve: impl Fn(ConnId) -> i64) {
-        tracer.record(
-            now.0,
-            TraceCat::Choke,
-            "round",
-            id,
-            &[
-                ("is_seed", i64::from(self.is_seed)),
-                ("flips", i64::from(self.flips)),
-                ("peers", self.entries.len() as i64),
-                ("optimistic", self.optimistic.map_or(-1, &resolve)),
-            ],
-        );
-        for e in &self.entries {
-            tracer.record(
-                now.0,
-                TraceCat::Choke,
-                "audit",
-                id,
-                &[
-                    ("peer", resolve(e.conn)),
-                    ("rank", i64::from(e.rank)),
-                    ("down_bps", e.download_rate as i64),
-                    ("up_bps", e.upload_rate as i64),
-                    ("interested", i64::from(e.interested)),
-                    ("snubbed", i64::from(e.snubbed)),
-                    ("outcome", UnchokeRole::outcome_code(e.outcome)),
-                ],
-            );
-        }
-    }
-}
-
-/// One piece pick, recorded when the choke audit is enabled — the
-/// picker-side input (`availability` at pick time) of a
-/// request-provenance chain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PickEvent {
-    /// Connection the request was scheduled on.
-    pub conn: ConnId,
-    /// Piece picked.
-    pub piece: u32,
-    /// Local availability count of that piece at pick time (the
-    /// rarest-first ranking input).
-    pub availability: u32,
+    /// The tracer this engine's choke rounds go into, with the map from
+    /// an address to a chain id; `None` unless the tracer samples this
+    /// engine ([`EngineBuilder::tracer`]).
+    audit: Option<ChainTracer>,
+    /// Reused by [`Engine::rechoke`] to rank an audited round: each
+    /// peer's index in the round's snapshots, and the slot it got.
+    audit_buf: Vec<(u32, Option<UnchokeRole>)>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -304,7 +212,7 @@ impl Engine {
             recorder,
             metrics,
             profiler,
-            choke_audit,
+            tracer,
         } = b;
         let num_pieces = geometry.num_pieces();
         let initial_pieces = initial_pieces.unwrap_or_else(|| Bitfield::new(num_pieces));
@@ -349,10 +257,8 @@ impl Engine {
             trace: recorder.map(Trace::new),
             metrics,
             profiler,
-            audit_choke: choke_audit,
-            choke_audit: ChokeAudit::default(),
-            choke_audit_fresh: false,
-            pick_log: Vec::new(),
+            audit: tracer.filter(|(tracer, chain)| tracer.sample_peer(chain(ip))),
+            audit_buf: Vec::new(),
         }
     }
 
@@ -439,10 +345,12 @@ impl Engine {
         self.conns.get(conn)
     }
 
-    /// Take ownership of the recorded trace (ends recording).
-    pub fn take_trace(&mut self) -> Option<Trace> {
+    /// Take ownership of the recorded trace (ends recording), closed at
+    /// `session_end`.
+    pub fn take_trace(&mut self, session_end: Instant) -> Option<Trace> {
         let mut trace = self.trace.take();
         if let Some(tr) = trace.as_mut() {
+            tr.meta.session_end = session_end;
             tr.meta.seed_at = self.seed_at;
         }
         trace
@@ -1249,15 +1157,6 @@ impl Engine {
             self.endgame_recorded = true;
             self.record(now, TraceEvent::EndGameEntered);
         }
-        if self.audit_choke {
-            for block in &reqs {
-                self.pick_log.push(PickEvent {
-                    conn,
-                    piece: block.piece,
-                    availability: self.availability.count(block.piece),
-                });
-            }
-        }
         for &block in &reqs {
             self.send(now, conn, Message::Request(block));
         }
@@ -1291,11 +1190,9 @@ impl Engine {
             (UnchokeRole::Regular, UnchokeRole::Optimistic)
         };
         let mut flips = 0u32;
-        if self.audit_choke {
-            self.choke_audit.entries.clear();
-        }
+        let mut ranked = std::mem::take(&mut self.audit_buf);
         // One snapshot per open connection, in id order.
-        for s in &snapshots {
+        for (i, s) in snapshots.iter().enumerate() {
             let id = s.key;
             // Choker decisions never put the optimistic peer among the
             // regular ones (`choker_props` checks every kind), so the
@@ -1338,38 +1235,13 @@ impl Engine {
                     },
                 );
             }
-            if self.audit_choke {
-                self.choke_audit.entries.push(ChokeAuditEntry {
-                    conn: id,
-                    interested: s.interested,
-                    snubbed: s.snubbed,
-                    download_rate: s.download_rate,
-                    upload_rate: s.upload_rate,
-                    rank: 0,
-                    outcome: role,
-                });
+            if self.audit.is_some() {
+                ranked.push((i as u32, role));
             }
         }
-        if self.audit_choke {
-            let entries = &mut self.choke_audit.entries;
-            // Rank by the leecher-state ranking signal (download rate),
-            // ties broken by key: a total order, so the audit is
-            // deterministic.
-            entries.sort_unstable_by(|a, b| {
-                b.download_rate
-                    .partial_cmp(&a.download_rate)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.conn.cmp(&b.conn))
-            });
-            for (rank, e) in entries.iter_mut().enumerate() {
-                e.rank = rank as u32;
-            }
-            self.choke_audit.at = now;
-            self.choke_audit.is_seed = self.is_seed;
-            self.choke_audit.optimistic = decision.optimistic;
-            self.choke_audit.flips = flips;
-            self.choke_audit_fresh = true;
-        }
+        self.trace_round(now, &snapshots, &mut ranked, decision.optimistic, flips);
+        ranked.clear();
+        self.audit_buf = ranked;
         if let (Some(m), Some(t0)) = (&self.metrics, round_started) {
             let mut unchoked = 0u32;
             let mut reciprocal = 0u32;
@@ -1391,24 +1263,65 @@ impl Engine {
         self.periodic_duties(now);
     }
 
-    /// The audit of the most recent rechoke round, if one has run since
-    /// [`clear_audit`](Engine::clear_audit). Drivers read this after
-    /// each input that may have run a round, then clear.
-    pub fn choke_audit(&self) -> Option<&ChokeAudit> {
-        self.choke_audit_fresh.then_some(&self.choke_audit)
-    }
-
-    /// Piece picks recorded since the last
-    /// [`clear_audit`](Engine::clear_audit) (audit enabled only).
-    pub fn pick_log(&self) -> &[PickEvent] {
-        &self.pick_log
-    }
-
-    /// Mark the choke audit and the pick log as read; both keep their
-    /// buffers for the next round.
-    pub fn clear_audit(&mut self) {
-        self.choke_audit_fresh = false;
-        self.pick_log.clear();
+    /// Record an audited round into the engine's tracer: a `round`, then
+    /// one `audit` per connection in download-rate rank order, every
+    /// peer named by its chain id.
+    fn trace_round(
+        &self,
+        now: Instant,
+        snapshots: &[PeerSnapshot],
+        ranked: &mut [(u32, Option<UnchokeRole>)],
+        optimistic: Option<ConnId>,
+        flips: u32,
+    ) {
+        let Some((tracer, chain)) = &self.audit else {
+            return;
+        };
+        // Rank by the leecher-state ranking signal (download rate),
+        // ties broken by key: a total order, so the audit is
+        // deterministic.
+        ranked.sort_unstable_by(|&(a, _), &(b, _)| {
+            let (a, b) = (&snapshots[a as usize], &snapshots[b as usize]);
+            b.download_rate
+                .partial_cmp(&a.download_rate)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.key.cmp(&b.key))
+        });
+        let peer = |conn| {
+            let c = self.conns.get(conn).expect("ranked an open connection");
+            chain(c.ip) as i64
+        };
+        let id = chain(self.ip);
+        tracer.record(
+            now.0,
+            TraceCat::Choke,
+            "round",
+            id,
+            &[
+                ("is_seed", i64::from(self.is_seed)),
+                ("flips", i64::from(flips)),
+                ("peers", ranked.len() as i64),
+                ("optimistic", optimistic.map_or(-1, peer)),
+            ],
+        );
+        for (rank, &(i, role)) in ranked.iter().enumerate() {
+            let s = &snapshots[i as usize];
+            tracer.record(
+                now.0,
+                TraceCat::Choke,
+                "audit",
+                id,
+                &[
+                    ("peer", peer(s.key)),
+                    ("rank", rank as i64),
+                    ("down_bps", s.download_rate as i64),
+                    ("up_bps", s.upload_rate as i64),
+                    ("interested", i64::from(s.interested)),
+                    ("snubbed", i64::from(s.snubbed)),
+                    ("outcome", UnchokeRole::outcome_code(role)),
+                ],
+            );
+        }
     }
 
     fn periodic_duties(&mut self, now: Instant) {
@@ -1489,40 +1402,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn choke_audit_traces_a_round_then_one_line_per_ranked_peer() {
-        let entry = |conn, rank, outcome| ChokeAuditEntry {
-            conn,
-            interested: true,
-            snubbed: false,
-            download_rate: 2048.9,
-            upload_rate: 10.0,
-            rank,
-            outcome,
-        };
-        let audit = ChokeAudit {
-            at: Instant(7),
-            is_seed: false,
-            optimistic: Some(4),
-            flips: 2,
-            entries: vec![
-                entry(9, 0, Some(UnchokeRole::Regular)),
-                entry(4, 1, Some(UnchokeRole::Optimistic)),
-            ],
-        };
-        let tracer = Tracer::new(1, 1);
-        audit.trace(&tracer, Instant(7), 33, |conn| i64::from(conn) * 100);
-        assert_eq!(
-            tracer.to_jsonl(),
-            "{\"t\":7,\"cat\":\"choke\",\"name\":\"round\",\"id\":33,\
-             \"is_seed\":0,\"flips\":2,\"peers\":2,\"optimistic\":400}\n\
-             {\"t\":7,\"cat\":\"choke\",\"name\":\"audit\",\"id\":33,\"peer\":900,\"rank\":0,\
-             \"down_bps\":2048,\"up_bps\":10,\"interested\":1,\"snubbed\":0,\"outcome\":0}\n\
-             {\"t\":7,\"cat\":\"choke\",\"name\":\"audit\",\"id\":33,\"peer\":400,\"rank\":1,\
-             \"down_bps\":2048,\"up_bps\":10,\"interested\":1,\"snubbed\":0,\"outcome\":1}\n"
-        );
-    }
+    use bt_obs::Tracer;
     use bt_wire::metainfo::BLOCK_LEN;
     use bt_wire::peer_id::ClientKind;
     use bytes::Bytes;
@@ -1572,6 +1452,83 @@ mod tests {
 
     fn actions_of(e: &mut Engine) -> Vec<Action> {
         e.drain_actions()
+    }
+
+    /// A leecher of 8 pieces × 2 blocks at IP 101, given `tracer`
+    /// with the address itself as chain id, holding two connections
+    /// that unchoked it at t = 1 s: IP 7 served three blocks and IP 8
+    /// one, and only IP 8 is interested.
+    fn audited_leecher(tracer: &Tracer) -> Engine {
+        let geometry = Geometry::new(u64::from(16 * BLOCK_LEN), 2 * BLOCK_LEN);
+        let mut e =
+            EngineBuilder::new(geometry, [9u8; 20], PeerId::new(ClientKind::Mainline402, 1))
+                .ip(IpAddr(101))
+                .rng_seed(1)
+                .tracer(tracer.clone(), |ip| u64::from(ip.0))
+                .build();
+        let t = Instant::from_secs(1);
+        for (ip, served) in [(7, 3), (8, 1)] {
+            let id = connect_with(&mut e, t, ip, PeerCaps::default()).expect("accepted");
+            feed(
+                &mut e,
+                t,
+                id,
+                Message::Bitfield(Bitfield::full(8).to_wire()),
+            );
+            feed(&mut e, t, id, Message::Unchoke);
+            let requests: Vec<BlockRef> = e
+                .drain_actions()
+                .into_iter()
+                .filter_map(|a| match a {
+                    Action::Send {
+                        msg: Message::Request(b),
+                        ..
+                    } => Some(b),
+                    _ => None,
+                })
+                .collect();
+            for &block in &requests[..served] {
+                let data = Bytes::from(vec![0; block.length as usize]);
+                feed(&mut e, t, id, Message::Piece { block, data });
+            }
+            if ip == 8 {
+                feed(&mut e, t, id, Message::Interested);
+            }
+        }
+        let _ = e.drain_actions();
+        e
+    }
+
+    #[test]
+    fn a_sampled_engine_traces_a_round_then_one_line_per_ranked_peer() {
+        let tracer = Tracer::new(1, 1);
+        let mut e = audited_leecher(&tracer);
+        assert!(tracer.is_empty(), "only a round records");
+        e.rechoke(Instant::from_secs(10));
+        // Ranked by download rate: IP 7 first though it stays choked (not
+        // interested); IP 8 takes a regular slot, the round's one flip.
+        assert_eq!(
+            tracer.to_jsonl(),
+            "{\"t\":10000000,\"cat\":\"choke\",\"name\":\"round\",\"id\":101,\
+             \"is_seed\":0,\"flips\":1,\"peers\":2,\"optimistic\":-1}\n\
+             {\"t\":10000000,\"cat\":\"choke\",\"name\":\"audit\",\"id\":101,\"peer\":7,\"rank\":0,\
+             \"down_bps\":2457,\"up_bps\":0,\"interested\":0,\"snubbed\":0,\"outcome\":4}\n\
+             {\"t\":10000000,\"cat\":\"choke\",\"name\":\"audit\",\"id\":101,\"peer\":8,\"rank\":1,\
+             \"down_bps\":819,\"up_bps\":0,\"interested\":1,\"snubbed\":0,\"outcome\":0}\n"
+        );
+    }
+
+    #[test]
+    fn an_engine_its_tracer_does_not_sample_records_nothing() {
+        let tracer = Tracer::new(1, 1 << 40);
+        assert!(!tracer.sample_peer(101));
+        let mut e = audited_leecher(&tracer);
+        e.rechoke(Instant::from_secs(10));
+        assert!(e.drain_actions().contains(&Action::Send {
+            conn: 1,
+            msg: Message::Unchoke
+        }));
+        assert!(tracer.is_empty());
     }
 
     #[test]
@@ -2465,7 +2422,8 @@ mod tests {
         let t = Instant::from_secs(1);
         let id = connect_peer(&mut e, t, 7, &[0, 1, 2, 3]);
         feed(&mut e, t, id, Message::Unchoke);
-        let trace = e.take_trace().unwrap();
+        let trace = e.take_trace(Instant::from_secs(60)).unwrap();
+        assert_eq!(trace.meta.session_end, Instant::from_secs(60));
         assert!(trace
             .iter()
             .any(|(_, ev)| matches!(ev, TraceEvent::PeerJoined { peer, .. } if *peer == id)));

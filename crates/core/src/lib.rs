@@ -41,6 +41,6 @@ pub use config::Config;
 pub use connection::{ConnId, Connection};
 pub use content::{DataMode, PieceBuffer};
 pub use driver::{Actions, Input};
-pub use engine::{Action, ChokeAudit, ChokeAuditEntry, Engine, PeerCaps, PickEvent};
+pub use engine::{Action, Engine, PeerCaps};
 pub use error::EngineError;
 pub use metrics::EngineMetrics;

@@ -45,9 +45,9 @@ pub struct LoopbackSpec {
     /// spans into it, giving a swarm-wide wall-clock profile. `None`
     /// disables span recording.
     pub profiler: Option<bt_obs::Profiler>,
-    /// Shared causal tracer; every peer it samples (by virtual-IP hash)
-    /// drains its choke rounds into it. `None` leaves the engines' audit
-    /// off.
+    /// Shared causal tracer; every engine it samples records its choke
+    /// rounds into it, each peer named by its virtual IP (the chain id).
+    /// `None` leaves the engines' audit off.
     pub tracer: Option<bt_obs::Tracer>,
 }
 
@@ -139,17 +139,15 @@ pub fn run_loopback_swarm(spec: LoopbackSpec) -> std::io::Result<LoopbackResult>
             .clone()
             .unwrap_or_else(bt_obs::Registry::new_wall);
         let label = format!("peer{i}");
-        let sampled = spec
-            .tracer
-            .as_ref()
-            .is_some_and(|t| t.sample_peer(ip.0.into()));
         let mut builder = EngineBuilder::new(geometry, info_hash, peer_id)
             .data(DataMode::Real(content.clone()))
             .ip(ip)
             .rng_seed(spec.seed.wrapping_mul(31).wrapping_add(i as u64))
             .metrics(EngineMetrics::register_labeled(&registry, &label))
-            .profiler(profiler.clone())
-            .choke_audit(sampled);
+            .profiler(profiler.clone());
+        if let Some(tracer) = &spec.tracer {
+            builder = builder.tracer(tracer.clone(), |ip| ip.0.into());
+        }
         if is_seed {
             builder = builder.initial_pieces(Bitfield::full(geometry.num_pieces()));
         }
@@ -161,7 +159,7 @@ pub fn run_loopback_swarm(spec: LoopbackSpec) -> std::io::Result<LoopbackResult>
                 num_blocks: geometry.total_blocks(),
                 initial_seeds: spec.seeds as u32,
                 initial_leechers: spec.leechers as u32,
-                session_end: Instant::ZERO, // patched at shutdown
+                session_end: Instant::ZERO, // `take_trace` sets it at shutdown
                 seed_at: None,
             });
         }
@@ -173,7 +171,6 @@ pub fn run_loopback_swarm(spec: LoopbackSpec) -> std::io::Result<LoopbackResult>
             &registry,
             &label,
             profiler.clone(),
-            spec.tracer.clone().unwrap_or_else(bt_obs::Tracer::disabled),
         )?;
         runtimes.push(rt);
     }
@@ -218,6 +215,56 @@ mod tests {
         assert!(result.tracker_completed >= 1);
         for o in &result.outcomes {
             assert_eq!(o.pieces, 8);
+        }
+    }
+
+    /// At rate 1 every engine records a `round` for each choke round it
+    /// runs, on its own virtual IP, and names each audited remote by
+    /// that remote's virtual IP: every `audit` peer is some `round` id.
+    #[test]
+    fn a_traced_swarm_audits_every_round_by_virtual_ip() {
+        let tracer = bt_obs::Tracer::new(7, 1);
+        let spec = LoopbackSpec {
+            seeds: 1,
+            leechers: 2,
+            total_len: 8 * 32 * 1024,
+            max_wall: std::time::Duration::from_secs(30),
+            record: false,
+            tracer: Some(tracer.clone()),
+            ..LoopbackSpec::default()
+        };
+        let seed = spec.seed;
+        let result = run_loopback_swarm(spec).expect("swarm runs");
+        assert_eq!(result.completed_leechers, 2);
+        let events = tracer.recent(tracer.len());
+        let rounds_of = |ip: u64| {
+            events
+                .iter()
+                .filter(|e| e.name == "round" && e.id == ip)
+                .count() as u64
+        };
+        for (i, outcome) in result.outcomes.iter().enumerate() {
+            let peer_id = PeerId::new(
+                ClientKind::Mainline402,
+                seed.wrapping_mul(2).wrapping_add(2 * i as u64),
+            );
+            let ticks = outcome.stats.ticks;
+            assert!(ticks > 0, "peer {i} ran no choke round");
+            assert_eq!(rounds_of(peer_ip(&peer_id).0.into()), ticks, "peer {i}");
+        }
+        let audits: Vec<_> = events.iter().filter(|e| e.name == "audit").collect();
+        assert!(!audits.is_empty());
+        for audit in audits {
+            let peer = audit
+                .args
+                .iter()
+                .find(|(k, _)| *k == "peer")
+                .expect("peer")
+                .1;
+            assert!(
+                rounds_of(peer as u64) > 0,
+                "audit names {peer}, no round id"
+            );
         }
     }
 

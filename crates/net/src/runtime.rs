@@ -26,7 +26,7 @@ use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use crate::tracker::LoopbackTracker;
 use bt_core::engine::PeerCaps;
 use bt_core::{Action, ConnId, Engine, Input};
-use bt_obs::{Profiler, Registry, Tracer};
+use bt_obs::{Profiler, Registry};
 use bt_wire::handshake::{Handshake, HANDSHAKE_LEN};
 use bt_wire::message::{BlockRef, Decoder, Message, DEFAULT_MAX_FRAME};
 use bt_wire::peer_id::{IpAddr, PeerId};
@@ -140,21 +140,17 @@ pub(crate) struct NetRuntime {
     dials: Vec<Dial>,
     metrics: NetMetrics,
     profiler: Profiler,
-    tracer: Tracer,
 }
 
 impl NetRuntime {
     /// Wrap an engine with its transport and its observers. The runtime
     /// reports its `net.*` series into `registry` under `label` (e.g.
     /// `"peer3"`), which keeps per-peer series apart when a swarm shares
-    /// one registry; records `net.*` and `wire.encode`/`wire.decode`
+    /// one registry, and records `net.*` and `wire.encode`/`wire.decode`
     /// spans into `profiler`, inside which an engine built with the same
-    /// profiler nests its `core.handle.*` spans; and drains every choke
-    /// round of an engine built with
-    /// [`choke_audit`](bt_core::EngineBuilder::choke_audit) into `tracer`
-    /// as a `round` + per-peer `audit` chain. The engine's own observers
-    /// are the ones it was built with ([`bt_core::EngineBuilder`]).
-    #[allow(clippy::too_many_arguments)]
+    /// profiler nests its `core.handle.*` spans. The engine's own
+    /// observers, its choke audit included, are the ones it was built
+    /// with ([`bt_core::EngineBuilder`]).
     pub(crate) fn new(
         engine: Engine,
         listener: TcpListener,
@@ -163,7 +159,6 @@ impl NetRuntime {
         registry: &Registry,
         label: &str,
         profiler: Profiler,
-        tracer: Tracer,
     ) -> std::io::Result<NetRuntime> {
         listener.set_nonblocking(true)?;
         let metrics = NetMetrics::register(registry, label);
@@ -177,7 +172,6 @@ impl NetRuntime {
             dials: Vec::new(),
             metrics,
             profiler,
-            tracer,
         })
     }
 
@@ -234,14 +228,10 @@ impl NetRuntime {
     pub(crate) fn finish(mut self) -> PeerOutcome {
         self.tracker
             .announce(self.engine.ip(), AnnounceEvent::Stopped, 0);
-        let mut trace = self.engine.take_trace();
-        if let Some(tr) = trace.as_mut() {
-            tr.meta.session_end = self.clock.now();
-        }
         PeerOutcome {
             is_seed: self.engine.is_seed(),
             pieces: self.engine.num_pieces_have(),
-            trace,
+            trace: self.engine.take_trace(self.clock.now()),
             stats: self.metrics.stats(),
         }
     }
@@ -253,21 +243,7 @@ impl NetRuntime {
             self.metrics.protocol_errors.inc();
         }
         let batch = actions.take();
-        self.trace_choke_audit(now);
         self.execute(now, batch);
-    }
-
-    /// Copy the engine's choke audit into the causal tracer (`round`
-    /// plus one `audit` per ranked peer). On the socket path the chain
-    /// id is the local peer's virtual-IP hash and `peer` args are local
-    /// [`ConnId`]s — there is no global peer index to resolve to.
-    fn trace_choke_audit(&mut self, now: Instant) {
-        let Some(audit) = self.engine.choke_audit() else {
-            return;
-        };
-        let id = u64::from(peer_ip(&self.engine.peer_id()).0);
-        audit.trace(&self.tracer, now, id, i64::from);
-        self.engine.clear_audit();
     }
 
     fn execute(&mut self, now: Instant, batch: Vec<Action>) {
@@ -774,7 +750,6 @@ mod tests {
             registry,
             &label,
             Profiler::disabled(),
-            Tracer::disabled(),
         )
         .expect("runtime")
     }

@@ -62,7 +62,8 @@ const DOMAIN_PEER: u64 = 0x7065_6572_0000_0002;
 pub enum TraceCat {
     /// Piece lifecycle; `id` is the piece index.
     Piece = 0,
-    /// Choke-decision audit; `id` is the deciding (local) peer index.
+    /// Choke-decision audit; `id` is the deciding peer's chain id (its
+    /// index in the simulator, its virtual IP on sockets).
     Choke = 1,
     /// Message provenance; `id` is the piece the message concerns.
     Msg = 2,

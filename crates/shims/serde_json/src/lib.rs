@@ -55,7 +55,10 @@ mod tests {
         let v: Value = from_str("{\"a\":[1,2.5,\"x\"],\"b\":null}").unwrap();
         let mut out = b"prefix ".to_vec();
         to_writer(&mut out, &v).unwrap();
-        assert_eq!(out, format!("prefix {}", to_string(&v).unwrap()).into_bytes());
+        assert_eq!(
+            out,
+            format!("prefix {}", to_string(&v).unwrap()).into_bytes()
+        );
     }
 
     #[test]

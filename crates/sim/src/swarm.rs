@@ -53,6 +53,10 @@ const TRANSFER_ROUND: Duration = Duration(1_000_000);
 /// global replication snapshots and the observers all ride it.
 const SAMPLE_EVERY: Duration = Duration(30_000_000);
 
+/// Peer `idx` has the address `IP_BASE + idx`, so its engine's causal
+/// trace chain id, `ip - IP_BASE`, is its index.
+const IP_BASE: u32 = 0x0A00_0001;
+
 /// Specification of a swarm run.
 ///
 /// Serialisable, so whole scenarios can live in JSON files and replay
@@ -601,9 +605,7 @@ impl Swarm {
             matches!(spec.base_config.picker, bt_piece::PickerKind::GlobalRarest);
 
         let n = spec.peers.len();
-        let ip_of: Vec<IpAddr> = (0..n)
-            .map(|idx| IpAddr(0x0A00_0000 + idx as u32 + 1))
-            .collect();
+        let ip_of: Vec<IpAddr> = (0..n).map(|idx| IpAddr(IP_BASE + idx as u32)).collect();
         let by_ip = ip_of
             .iter()
             .enumerate()
@@ -686,7 +688,7 @@ impl Swarm {
     /// master seed, the index and the restart count (a restarted client
     /// has a fresh peer-ID suffix, §III-D); the instrumented peer gets
     /// its recorder; the engine is built with whichever of metrics,
-    /// profiler and choke audit the swarm holds.
+    /// profiler and tracer the swarm holds.
     fn build_engine(&self, idx: PeerIdx, restarts: u32, pieces: Bitfield) -> Engine {
         let spec = &self.spec;
         let profile = &spec.peers[idx];
@@ -709,7 +711,7 @@ impl Swarm {
                     .wrapping_add(restarts),
             )
             .profiler(self.profiler.clone())
-            .choke_audit(self.tracer.sample_peer(idx as u64));
+            .tracer(self.tracer.clone(), |ip| u64::from(ip.0 - IP_BASE));
         if let Some(m) = &self.metrics {
             builder = builder.metrics(m.engine.clone());
         }
@@ -940,11 +942,7 @@ impl Swarm {
         let trace = self
             .spec
             .local
-            .and_then(|idx| self.peers[idx].engine.take_trace())
-            .map(|mut tr| {
-                tr.meta.session_end = end;
-                tr
-            });
+            .and_then(|idx| self.peers[idx].engine.take_trace(end));
         let completed_peers = self.completion.iter().flatten().count();
         SwarmResult {
             trace,
@@ -1149,33 +1147,32 @@ impl Swarm {
         }
     }
 
-    /// Copy the engine's audit surfaces into the trace, then clear
-    /// them: piece-pick provenance (`request` events carrying the
-    /// availability the picker saw) and the per-round choke audit
-    /// (`round` plus one `audit` per ranked peer, remote resolved from
-    /// the link table).
-    fn trace_engine_audit(&mut self, now: Instant, idx: PeerIdx) {
-        let peer = &self.peers[idx];
-        for pick in peer.engine.pick_log() {
-            if self.lifecycle_open(pick.piece) {
-                self.tracer.record(
-                    now.0,
-                    TraceCat::Msg,
-                    "request",
-                    pick.piece.into(),
-                    &[
-                        ("peer", idx as i64),
-                        ("avail", i64::from(pick.availability)),
-                    ],
-                );
+    /// Piece-pick provenance: a `request` event per block the engine of
+    /// sampled peer `idx` asks for on a sampled, open lifecycle, carrying the
+    /// availability the picker saw (no input changes availability after
+    /// a pick).
+    fn trace_requests(&self, now: Instant, idx: PeerIdx, actions: &[Action]) {
+        let engine = &self.peers[idx].engine;
+        for action in actions {
+            if let Action::Send {
+                msg: Message::Request(block),
+                ..
+            } = action
+            {
+                if self.lifecycle_open(block.piece) {
+                    self.tracer.record(
+                        now.0,
+                        TraceCat::Msg,
+                        "request",
+                        block.piece.into(),
+                        &[
+                            ("peer", idx as i64),
+                            ("avail", i64::from(engine.availability().count(block.piece))),
+                        ],
+                    );
+                }
             }
         }
-        if let Some(audit) = peer.engine.choke_audit() {
-            audit.trace(&self.tracer, now, idx as u64, |conn| {
-                peer.link(conn).map_or(-1, |s| s.to as i64)
-            });
-        }
-        self.peers[idx].engine.clear_audit();
     }
 
     // ------------------------------------------------------------------
@@ -1464,11 +1461,13 @@ impl Swarm {
                 self.queue.schedule(now + linger, Ev::Depart(idx));
             }
         }
-        if self.tracer.enabled() {
-            self.trace_engine_audit(now, idx);
-        }
         let mut actions = std::mem::take(&mut self.action_scratch);
         self.peers[idx].engine.swap_actions(&mut actions);
+        // A sampled peer's requests are traced before any action runs,
+        // so two blocks of one piece keep their `request`, `send` order.
+        if self.tracer.sample_peer(idx as u64) {
+            self.trace_requests(now, idx, &actions);
+        }
         for action in actions.drain(..) {
             match action {
                 Action::Send { conn, msg } => {
