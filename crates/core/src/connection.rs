@@ -47,24 +47,34 @@ pub struct Connection {
     /// Fast Extension negotiated on this connection (both sides set the
     /// reserved bit).
     pub fast: bool,
-    /// Pieces the local peer granted this peer as allowed-fast.
-    pub allowed_fast_sent: Vec<u32>,
-    /// Pieces this peer granted the local peer as allowed-fast.
-    pub allowed_fast_received: std::collections::HashSet<u32>,
     /// Virtual time of the last block received from this peer, for
     /// snub detection.
     pub last_block_received: Option<Instant>,
     /// Extension protocol (BEP 10) negotiated on this connection.
     pub extended: bool,
+    /// The remote has delivered its bitfield, so it is recorded as a
+    /// peer-set member and counted in the engine's availability.
+    pub in_peer_set: bool,
+    /// Fast Extension, PEX and super-seed state; `None` until one of
+    /// them first writes to it (see [`ext_mut`](Self::ext_mut)).
+    pub ext: Option<Box<ConnExt>>,
+}
+
+/// The per-connection state only the Fast Extension, PEX and super
+/// seeding use. A plain connection never allocates it, and
+/// [`Connection`] stays within 256 bytes.
+#[derive(Debug, Default)]
+pub struct ConnExt {
+    /// Pieces the local peer granted this peer as allowed-fast.
+    pub allowed_fast_sent: Vec<u32>,
+    /// Pieces this peer granted the local peer as allowed-fast.
+    pub allowed_fast_received: std::collections::HashSet<u32>,
     /// The inner ID under which the remote accepts `ut_pex` gossip.
     pub remote_pex_id: Option<u8>,
     /// Peer addresses already gossiped to this peer (delta tracking).
     pub pex_sent: std::collections::HashSet<IpAddr>,
     /// When `ut_pex` was last sent on this connection.
     pub last_pex: Instant,
-    /// The remote has delivered its bitfield, so it is recorded as a
-    /// peer-set member and counted in the engine's availability.
-    pub in_peer_set: bool,
     /// Super seeding: pieces revealed to this peer so far.
     pub revealed: std::collections::HashSet<u32>,
 }
@@ -96,16 +106,16 @@ impl Connection {
             last_sent: now,
             joined: now,
             fast: false,
-            allowed_fast_sent: Vec::new(),
-            allowed_fast_received: std::collections::HashSet::new(),
             last_block_received: None,
             extended: false,
-            remote_pex_id: None,
-            pex_sent: std::collections::HashSet::new(),
-            last_pex: Instant::ZERO,
             in_peer_set: false,
-            revealed: std::collections::HashSet::new(),
+            ext: None,
         }
+    }
+
+    /// The extension state, allocated on first use.
+    pub(crate) fn ext_mut(&mut self) -> &mut ConnExt {
+        self.ext.get_or_insert_with(Box::default)
     }
 
     /// Snapshot for the choke algorithm.
@@ -288,6 +298,14 @@ mod tests {
             table.iter_mut().map(|c| c.id).collect::<Vec<_>>(),
             vec![0, 2, 3]
         );
+    }
+
+    #[test]
+    fn a_connection_fits_in_256_bytes() {
+        // The extension state lives behind one pointer; everything a
+        // plain connection uses stays inline.
+        let size = std::mem::size_of::<Connection>();
+        assert!(size <= 256, "Connection is {size} bytes");
     }
 
     #[test]

@@ -362,9 +362,10 @@ impl Engine {
         self.actions.take()
     }
 
-    /// [`drain_actions`](Self::drain_actions) into a buffer the driver
-    /// reuses: the pending actions are swapped into `buf`, which must be
-    /// empty, and the engine keeps `buf`'s allocation for the next ones.
+    /// Swap the engine's action buffer with `buf`, which must be empty.
+    /// A driver lends its own buffer before an input and swaps again
+    /// after it, taking the actions back and leaving the engine the
+    /// empty buffer it had: one allocation serves every engine.
     pub fn swap_actions(&mut self, buf: &mut Vec<Action>) {
         debug_assert!(buf.is_empty(), "swapping into a non-empty buffer");
         std::mem::swap(&mut self.actions.items, buf);
@@ -577,6 +578,7 @@ impl Engine {
             self.conns
                 .get_mut(id)
                 .expect("just inserted")
+                .ext_mut()
                 .allowed_fast_sent = grants;
         }
         // Extension protocol: advertise ut_pex in the extension handshake.
@@ -612,26 +614,29 @@ impl Engine {
                 let Some(c) = self.conns.get_mut(id) else {
                     continue;
                 };
-                let Some(ext_id) = c.remote_pex_id else {
+                let own_ip = c.ip;
+                let Some(ext) = c.ext.as_deref_mut() else {
                     continue;
                 };
-                if now.saturating_since(c.last_pex) < PEX_INTERVAL {
+                let Some(ext_id) = ext.remote_pex_id else {
+                    continue;
+                };
+                if now.saturating_since(ext.last_pex) < PEX_INTERVAL {
                     continue;
                 }
-                c.last_pex = now;
-                let own_ip = c.ip;
+                ext.last_pex = now;
                 let added: Vec<PeerEntry> = current
                     .iter()
-                    .filter(|ip| **ip != own_ip && !c.pex_sent.contains(ip))
+                    .filter(|ip| **ip != own_ip && !ext.pex_sent.contains(ip))
                     .map(|&ip| PeerEntry { ip, port: 6881 })
                     .collect();
-                let dropped: Vec<PeerEntry> = c
+                let dropped: Vec<PeerEntry> = ext
                     .pex_sent
                     .iter()
                     .filter(|ip| !current.contains(ip))
                     .map(|&ip| PeerEntry { ip, port: 6881 })
                     .collect();
-                c.pex_sent = current.iter().copied().filter(|ip| *ip != own_ip).collect();
+                ext.pex_sent = current.iter().copied().filter(|ip| *ip != own_ip).collect();
                 (ext_id, added, dropped)
             };
             if added.is_empty() && dropped.is_empty() {
@@ -649,9 +654,10 @@ impl Engine {
         let Some(c) = self.conns.get_mut(conn) else {
             return;
         };
+        let revealed = &mut c.ext_mut().revealed;
         let mut best: Option<(u32, u32)> = None; // (count, piece)
         for piece in self.own.iter_ones() {
-            if c.revealed.contains(&piece) {
+            if revealed.contains(&piece) {
                 continue;
             }
             let count = self.reveal_counts[piece as usize];
@@ -661,7 +667,7 @@ impl Engine {
         }
         if let Some((_, piece)) = best {
             self.reveal_counts[piece as usize] += 1;
-            c.revealed.insert(piece);
+            revealed.insert(piece);
             self.send(now, conn, Message::Have(piece));
         }
     }
@@ -774,7 +780,7 @@ impl Engine {
         }
         if ext_id == bt_wire::extension::HANDSHAKE_ID {
             if let Ok(hs) = bt_wire::extension::ExtendedHandshake::decode(payload) {
-                c.remote_pex_id = hs.ut_pex_id();
+                c.ext_mut().remote_pex_id = hs.ut_pex_id();
             }
             return;
         }
@@ -834,7 +840,10 @@ impl Engine {
         }
         // Super seeding: a peer confirming a piece we revealed to it is
         // the trigger to offer it the next one.
-        if self.config.super_seed && newly && c.revealed.contains(&piece) {
+        if self.config.super_seed
+            && newly
+            && c.ext.as_ref().is_some_and(|e| e.revealed.contains(&piece))
+        {
             self.reveal_next_piece(now, conn);
         }
         self.after_remote_pieces_changed(now, conn);
@@ -914,7 +923,7 @@ impl Engine {
         if !c.fast {
             return;
         }
-        c.allowed_fast_received.insert(piece);
+        c.ext_mut().allowed_fast_received.insert(piece);
         // The grant may make a choked connection usable right away.
         self.fill_requests(now, conn);
     }
@@ -946,7 +955,10 @@ impl Engine {
             // choked; everything else gets an explicit reject (the base
             // protocol silently drops).
             if c.fast {
-                if c.allowed_fast_sent.contains(&block.piece) {
+                if c.ext
+                    .as_ref()
+                    .is_some_and(|e| e.allowed_fast_sent.contains(&block.piece))
+                {
                     self.actions.push(Action::SendBlock { conn, block });
                     return Ok(());
                 }
@@ -1104,8 +1116,13 @@ impl Engine {
         }
         // While choked, only the Fast Extension's allowed-fast pieces are
         // requestable; restrict the visible remote bitfield to the grant.
-        let choked_fast = c.peer_choking && c.fast && !c.allowed_fast_received.is_empty();
-        if c.peer_choking && !choked_fast {
+        let choked_grants = match c.ext.as_deref() {
+            Some(e) if c.peer_choking && c.fast && !e.allowed_fast_received.is_empty() => {
+                Some(&e.allowed_fast_received)
+            }
+            _ => None,
+        };
+        if c.peer_choking && choked_grants.is_none() {
             return;
         }
         if !c.peer_choking && !c.am_interested {
@@ -1116,9 +1133,9 @@ impl Engine {
             return;
         }
         let restricted;
-        let remote = if choked_fast {
+        let remote = if let Some(grants) = choked_grants {
             let mut granted = Bitfield::new(self.geometry.num_pieces());
-            for &p in &c.allowed_fast_received {
+            for &p in grants {
                 if c.bitfield.get(p) {
                     granted.set(p);
                 }
@@ -1764,6 +1781,62 @@ mod tests {
     }
 
     #[test]
+    fn a_plain_connection_never_allocates_extension_state() {
+        // Neither side negotiates Fast, PEX or super seeding: a full
+        // bitfield, request and piece exchange, seen from the serving
+        // seed and from the downloading leecher, leaves both
+        // connections without the extension box.
+        let mut seed_engine = EngineBuilder::new(
+            geometry(),
+            [9u8; 20],
+            PeerId::new(ClientKind::Mainline402, 9),
+        )
+        .ip(IpAddr(1))
+        .initial_pieces(Bitfield::full(4))
+        .rng_seed(9)
+        .build();
+        let t = Instant::from_secs(1);
+        let up = connect_with(&mut seed_engine, t, 2, PeerCaps::default()).unwrap();
+        feed(
+            &mut seed_engine,
+            t,
+            up,
+            Message::Bitfield(Bitfield::new(4).to_wire()),
+        );
+        feed(&mut seed_engine, t, up, Message::Interested);
+        seed_engine.rechoke(Instant::from_secs(10));
+        let block = geometry().block_ref(0, 0);
+        feed(&mut seed_engine, t, up, Message::Request(block));
+        assert!(seed_engine
+            .drain_actions()
+            .contains(&Action::SendBlock { conn: up, block }));
+        assert!(seed_engine.connection(up).unwrap().ext.is_none());
+
+        let mut e = leecher(1);
+        let down = connect_peer(&mut e, t, 7, &[0, 1, 2, 3]);
+        feed(&mut e, t, down, Message::Unchoke);
+        let requested: Vec<BlockRef> = actions_of(&mut e)
+            .into_iter()
+            .filter_map(|a| match a {
+                Action::Send {
+                    msg: Message::Request(b),
+                    ..
+                } => Some(b),
+                _ => None,
+            })
+            .collect();
+        // Serve all but the last block, so the leecher does not become a
+        // seed and drop its seed↔seed connection.
+        assert!(requested.len() > 2);
+        for &block in &requested[..requested.len() - 1] {
+            let data = Bytes::from(vec![0; block.length as usize]);
+            feed(&mut e, t, down, Message::Piece { block, data });
+        }
+        assert!(e.num_pieces_have() > 0, "whole pieces arrived");
+        assert!(e.connection(down).unwrap().ext.is_none());
+    }
+
+    #[test]
     fn free_rider_never_serves() {
         let mut fr =
             EngineBuilder::new(geometry(), [9u8; 20], PeerId::new(ClientKind::FreeRider, 3))
@@ -2031,7 +2104,13 @@ mod tests {
         assert_eq!(grants.len(), 4, "default allowed-fast count");
         assert_eq!(
             grants,
-            seed_engine.connection(id).unwrap().allowed_fast_sent,
+            seed_engine
+                .connection(id)
+                .unwrap()
+                .ext
+                .as_ref()
+                .unwrap()
+                .allowed_fast_sent,
             "grants recorded on the connection"
         );
     }
@@ -2066,6 +2145,9 @@ mod tests {
         let granted = seed_engine
             .connection(id)
             .unwrap()
+            .ext
+            .as_ref()
+            .expect("granting allowed-fast pieces allocates the extension state")
             .allowed_fast_sent
             .clone();
         let _ = seed_engine.drain_actions();

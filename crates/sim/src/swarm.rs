@@ -340,9 +340,7 @@ enum Ev {
 /// Pooled per-connection state: the link topology, the upload queue and
 /// the partial-block byte credit that used to live in three parallel
 /// `HashMap<ConnId, _>`s. Engine connection IDs are small and sequential,
-/// so a slot vector indexed by `ConnId` replaces hashing entirely, and
-/// iteration in slot order *is* the ascending-`ConnId` order the
-/// determinism contract requires (the old code sorted for it).
+/// so a [`LinkTable`] indexed by `ConnId` replaces hashing entirely.
 struct LinkSlot {
     to: PeerIdx,
     remote_conn: ConnId,
@@ -367,35 +365,70 @@ struct SimPeer {
     engine: Engine,
     alive: bool,
     was_seed: bool,
-    /// Connection slots indexed by local `ConnId`; `None` = no link.
-    links: Vec<Option<LinkSlot>>,
-    /// Recycled upload queues from closed links (allocation pooling).
-    spare_queues: Vec<VecDeque<BlockRef>>,
+    links: LinkTable,
     port: u16,
     /// Times this client has crashed and restarted (drives the fresh
     /// peer-ID suffix of §III-D).
     restarts: u32,
 }
 
-impl SimPeer {
-    fn link(&self, conn: ConnId) -> Option<&LinkSlot> {
-        self.links.get(conn as usize).and_then(|s| s.as_ref())
-    }
+/// Marks a `ConnId` with no open link in [`LinkTable::pos`].
+const NO_LINK: u32 = u32::MAX;
 
-    fn link_mut(&mut self, conn: ConnId) -> Option<&mut LinkSlot> {
-        self.links.get_mut(conn as usize).and_then(|s| s.as_mut())
-    }
+/// One peer's links, by local `ConnId`. The engine never reuses an id,
+/// so the table maps every id it ever issued to a position in a dense
+/// slab of link slots: a closed link costs one 4-byte entry, and its
+/// slot — upload-queue allocation included — goes on a free list for
+/// the next link.
+#[derive(Default)]
+struct LinkTable {
+    /// Slab position of each `ConnId`'s link, or [`NO_LINK`].
+    pos: Vec<u32>,
+    slab: Vec<LinkSlot>,
+    /// Slab positions whose link has closed.
+    free: Vec<u32>,
+}
 
-    fn insert_link(&mut self, conn: ConnId, to: PeerIdx, remote_conn: ConnId, params: LinkParams) {
-        let i = conn as usize;
-        if self.links.len() <= i {
-            self.links.resize_with(i + 1, || None);
+impl LinkTable {
+    fn get(&self, conn: ConnId) -> Option<&LinkSlot> {
+        match self.pos.get(conn as usize) {
+            Some(&p) if p != NO_LINK => Some(&self.slab[p as usize]),
+            _ => None,
         }
-        let queue = self.spare_queues.pop().unwrap_or_default();
+    }
+
+    fn get_mut(&mut self, conn: ConnId) -> Option<&mut LinkSlot> {
+        match self.pos.get(conn as usize) {
+            Some(&p) if p != NO_LINK => Some(&mut self.slab[p as usize]),
+            _ => None,
+        }
+    }
+
+    /// One past the highest `ConnId` this table has seen.
+    fn id_bound(&self) -> ConnId {
+        self.pos.len() as ConnId
+    }
+
+    /// Open links in ascending `ConnId`, the order the determinism
+    /// contract requires.
+    fn iter(&self) -> impl Iterator<Item = (ConnId, &LinkSlot)> {
+        self.pos
+            .iter()
+            .enumerate()
+            .filter(|(_, &p)| p != NO_LINK)
+            .map(|(c, &p)| (c as ConnId, &self.slab[p as usize]))
+    }
+
+    fn insert(&mut self, conn: ConnId, to: PeerIdx, remote_conn: ConnId, params: LinkParams) {
+        let i = conn as usize;
+        if self.pos.len() <= i {
+            self.pos.resize(i + 1, NO_LINK);
+        }
+        debug_assert_eq!(self.pos[i], NO_LINK, "link {conn} is already open");
         let round_cap = params.bandwidth.map_or(u64::MAX, |b| {
             ((b as f64 * TRANSFER_ROUND.as_secs_f64()) as u64).max(1)
         });
-        self.links[i] = Some(LinkSlot {
+        let fresh = |queue| LinkSlot {
             to,
             remote_conn,
             params,
@@ -403,26 +436,49 @@ impl SimPeer {
             round_cap,
             queue,
             head_credit: 0,
-        });
+        };
+        self.pos[i] = match self.free.pop() {
+            Some(p) => {
+                let slot = &mut self.slab[p as usize];
+                *slot = fresh(std::mem::take(&mut slot.queue));
+                p
+            }
+            None => {
+                // One slot at a time: live links top out at the peer-set
+                // size, where doubling could leave half the slab unused.
+                self.slab.reserve_exact(1);
+                self.slab.push(fresh(VecDeque::new()));
+                (self.slab.len() - 1) as u32
+            }
+        };
     }
 
-    /// Tear down a link, recycling its queue; returns its far end, its
-    /// delay and how many upload blocks were still queued (the caller
-    /// keeps the swarm-level queued-block counters in sync).
-    fn remove_link(&mut self, conn: ConnId) -> Option<(PeerIdx, ConnId, Duration, u32)> {
-        let slot = self.links.get_mut(conn as usize)?.take()?;
-        let LinkSlot {
-            to,
-            remote_conn,
-            params,
-            mut queue,
-            ..
-        } = slot;
-        let dropped = queue.len() as u32;
-        queue.clear();
-        self.spare_queues.push(queue);
-        Some((to, remote_conn, params.delay, dropped))
+    /// Tear down a link, keeping its slot (and queue allocation) for
+    /// the next one; returns its far end, its delay and how many upload
+    /// blocks were still queued (the caller keeps the swarm-level
+    /// queued-block counters in sync).
+    fn remove(&mut self, conn: ConnId) -> Option<(PeerIdx, ConnId, Duration, u32)> {
+        let p = std::mem::replace(self.pos.get_mut(conn as usize)?, NO_LINK);
+        if p == NO_LINK {
+            return None;
+        }
+        self.free.push(p);
+        let slot = &mut self.slab[p as usize];
+        let dropped = slot.queue.len() as u32;
+        slot.queue.clear();
+        Some((slot.to, slot.remote_conn, slot.params.delay, dropped))
     }
+}
+
+/// Run `f` on `engine` with `buf` lent as its action buffer, and take
+/// `buf` back holding what `f` emitted. Between inputs an engine holds
+/// an empty, zero-capacity buffer rather than one grown to the largest
+/// batch it ever emitted.
+fn lend<R>(engine: &mut Engine, buf: &mut Vec<Action>, f: impl FnOnce(&mut Engine) -> R) -> R {
+    engine.swap_actions(buf);
+    let r = f(engine);
+    engine.swap_actions(buf);
+    r
 }
 
 /// Causal lifecycle state of one *sampled* piece (see
@@ -527,9 +583,12 @@ pub struct Swarm {
     grant_scratch: Vec<u64>,
     /// `water_fill_into`'s working sets.
     fill_scratch: FillScratch,
-    /// Engine actions being executed ([`Swarm::process_actions`]),
-    /// swapped with the engine's pending buffer so no input allocates.
+    /// The one action buffer [`Swarm::feed`] lends each engine for an
+    /// input; engines hold an empty, zero-capacity buffer in between.
     action_scratch: Vec<Action>,
+    /// The second buffer [`Swarm::on_dial`] needs: it feeds both ends of
+    /// a connection before it executes either's actions.
+    dial_scratch: Vec<Action>,
     counts_scratch: Vec<u32>,
     // Dense per-peer round state, kept beside the peers rather than
     // inside them so the per-round sweep touches two small arrays instead
@@ -669,6 +728,7 @@ impl Swarm {
             grant_scratch: Vec::new(),
             fill_scratch: FillScratch::default(),
             action_scratch: Vec::new(),
+            dial_scratch: Vec::new(),
             counts_scratch: Vec::new(),
             queued_blocks: vec![0; n],
             download_budget,
@@ -922,8 +982,7 @@ impl Swarm {
                 alive: false,
                 was_seed: engine.is_seed(),
                 engine,
-                links: Vec::new(),
-                spare_queues: Vec::new(),
+                links: LinkTable::default(),
                 port: 6881,
                 restarts: 0,
             }
@@ -1190,55 +1249,26 @@ impl Swarm {
                     if matches!(msg, Message::Piece { .. }) {
                         self.last_progress[to] = now.0;
                     }
-                    // A watched piece: sampled, lifecycle open, and not
-                    // yet held by the receiver — if the engine holds it
-                    // after `handle`, this delivery verified it.
-                    let watched = if self.tracer.enabled() {
-                        self.trace_delivery(now, to, &msg);
-                        match &msg {
-                            Message::Piece { block, .. } if self.lifecycle_open(block.piece) => {
-                                let piece = block.piece;
-                                (!self.peers[to].engine.own_pieces().get(piece)).then_some(piece)
-                            }
-                            _ => None,
-                        }
-                    } else {
-                        None
-                    };
-                    self.peers[to]
-                        .engine
-                        .handle(now, Input::Message { conn, msg });
-                    if let Some(piece) = watched {
-                        if self.peers[to].engine.own_pieces().get(piece) {
-                            self.on_piece_verified(now, to, piece);
-                        }
-                    }
-                    self.process_actions(now, to);
+                    self.feed(now, to, Input::Message { conn, msg });
                 }
             }
             Ev::DialArrive { from, to_ip } => self.on_dial(now, from, to_ip),
             Ev::NotifyDisconnect { to, conn } => {
-                let p = &mut self.peers[to];
-                if p.alive {
-                    p.engine.handle(now, Input::PeerDisconnected { conn });
-                    if let Some((.., dropped)) = p.remove_link(conn) {
+                if self.peers[to].alive {
+                    if let Some((.., dropped)) = self.peers[to].links.remove(conn) {
                         self.queued_blocks[to] -= dropped;
                     }
-                    self.process_actions(now, to);
+                    self.feed(now, to, Input::PeerDisconnected { conn });
                 }
             }
             Ev::TrackerResponse { to, peers } => {
                 if self.peers[to].alive {
-                    self.peers[to]
-                        .engine
-                        .handle(now, Input::TrackerResponse { peers });
-                    self.process_actions(now, to);
+                    self.feed(now, to, Input::TrackerResponse { peers });
                 }
             }
             Ev::EngineTick(idx) => {
                 if self.peers[idx].alive {
-                    self.peers[idx].engine.handle(now, Input::Tick);
-                    self.process_actions(now, idx);
+                    self.feed(now, idx, Input::Tick);
                 }
             }
             Ev::TransferRound => {
@@ -1278,17 +1308,13 @@ impl Swarm {
         if self.tracer.enabled() {
             self.trace_join_pieces(now, idx);
         }
-        self.peers[idx].engine.handle(now, Input::Start);
-        self.process_actions(now, idx);
+        self.feed(now, idx, Input::Start);
         // Stagger rechoke phases so the swarm's choke rounds do not all
         // fire on the same instant. This overrides the default first
         // deadline `Start` armed; the superseded timer event becomes a
         // stale no-op tick.
         let phase = Duration(self.rng.random_range(0..10_000_000));
-        self.peers[idx]
-            .engine
-            .schedule_rechoke(now + phase + Duration::from_secs(1));
-        self.process_actions(now, idx);
+        self.reschedule(now, idx, now + phase + Duration::from_secs(1));
         let profile = &self.spec.peers[idx];
         if profile.role == Role::Churner {
             let at = now + Duration::from_millis(self.rng.random_range(1500..8000));
@@ -1323,13 +1349,12 @@ impl Swarm {
         let pending = p.engine.next_wakeup();
         p.engine = engine;
         p.was_seed = p.engine.is_seed();
-        p.engine.handle(now, Input::Start);
+        self.feed(now, idx, Input::Start);
         if let Some(at) = pending {
             // Continue the established choke-round chain instead of
             // phase-shifting it: a crash must not move the rechoke grid.
-            p.engine.schedule_rechoke(at.max(now));
+            self.reschedule(now, idx, at.max(now));
         }
-        self.process_actions(now, idx);
         if let Some(period) = self.spec.peers[idx].restart_after {
             self.queue.schedule(now + period, Ev::Restart(idx));
         }
@@ -1348,10 +1373,8 @@ impl Swarm {
     /// ascending `ConnId` — the same order the map-based code sorted
     /// into, so disconnect events keep their sequence numbers.
     fn drop_all_links(&mut self, now: Instant, idx: PeerIdx) {
-        for conn in 0..self.peers[idx].links.len() {
-            if let Some((to, remote_conn, lat, dropped)) =
-                self.peers[idx].remove_link(conn as ConnId)
-            {
+        for conn in 0..self.peers[idx].links.id_bound() {
+            if let Some((to, remote_conn, lat, dropped)) = self.peers[idx].links.remove(conn) {
                 self.queued_blocks[idx] -= dropped;
                 self.queue.schedule(
                     now + lat,
@@ -1392,10 +1415,12 @@ impl Swarm {
         let caps_a = bt_core::engine::PeerCaps::from_reserved(&decoded_a.reserved);
         let caps_b = bt_core::engine::PeerCaps::from_reserved(&decoded_b.reserved);
 
+        // Both engines learn of the connection before either's actions
+        // run, each with a buffer of its own.
         let from_ip = self.ip_of[from];
-        let to_conn = self.peers[to]
-            .engine
-            .handle(
+        let mut to_actions = std::mem::take(&mut self.action_scratch);
+        let to_conn = lend(&mut self.peers[to].engine, &mut to_actions, |e| {
+            e.handle(
                 now,
                 Input::PeerConnected {
                     ip: from_ip,
@@ -1404,14 +1429,17 @@ impl Swarm {
                     caps: caps_a,
                 },
             )
-            .take_accepted();
+            .take_accepted()
+        });
         let Some(to_conn) = to_conn else {
+            debug_assert!(to_actions.is_empty(), "a refusal emits nothing");
+            self.action_scratch = to_actions;
             self.fail_dial(now, from);
             return;
         };
-        let from_conn = self.peers[from]
-            .engine
-            .handle(
+        let mut from_actions = std::mem::take(&mut self.dial_scratch);
+        let from_conn = lend(&mut self.peers[from].engine, &mut from_actions, |e| {
+            e.handle(
                 now,
                 Input::PeerConnected {
                     ip: to_ip,
@@ -1420,38 +1448,89 @@ impl Swarm {
                     caps: caps_b,
                 },
             )
-            .take_accepted();
+            .take_accepted()
+        });
         let Some(from_conn) = from_conn else {
+            debug_assert!(from_actions.is_empty(), "a refusal emits nothing");
+            self.dial_scratch = from_actions;
             // The initiator refused its own dial (duplicate IP race):
-            // tear down the acceptor side.
-            self.peers[to]
-                .engine
-                .handle(now, Input::PeerDisconnected { conn: to_conn });
-            self.process_actions(now, to);
+            // tear down the acceptor side, whose sends find no link.
+            self.process_actions(now, to, &mut to_actions);
+            self.action_scratch = to_actions;
+            self.feed(now, to, Input::PeerDisconnected { conn: to_conn });
             return;
         };
         // The link model fixes both directions' parameters now, with
         // the master PRNG: this point in the draw sequence is part of
         // the golden-trace contract.
         let (fwd, rev) = self.link_model.establish(from, to, &mut self.rng);
-        self.peers[from].insert_link(from_conn, to, to_conn, fwd);
-        self.peers[to].insert_link(to_conn, from, from_conn, rev);
-        self.process_actions(now, to);
-        self.process_actions(now, from);
+        self.peers[from].links.insert(from_conn, to, to_conn, fwd);
+        self.peers[to].links.insert(to_conn, from, from_conn, rev);
+        self.process_actions(now, to, &mut to_actions);
+        self.process_actions(now, from, &mut from_actions);
+        self.action_scratch = to_actions;
+        self.dial_scratch = from_actions;
     }
 
     fn fail_dial(&mut self, now: Instant, from: PeerIdx) {
         if self.peers[from].alive {
-            self.peers[from].engine.handle(now, Input::ConnectFailed);
-            self.process_actions(now, from);
+            self.feed(now, from, Input::ConnectFailed);
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Feeding engines
+    // ------------------------------------------------------------------
+
+    /// Feed `input` to `idx`'s engine with the swarm's action buffer lent
+    /// to it, then execute what the engine emitted.
+    fn feed(&mut self, now: Instant, idx: PeerIdx, input: Input) {
+        // A watched piece: sampled, lifecycle open, and not yet held by
+        // the receiver — if the engine holds it after `handle`, this
+        // delivery verified it.
+        let watched = match &input {
+            Input::Message { msg, .. } if self.tracer.enabled() => {
+                self.trace_delivery(now, idx, msg);
+                match msg {
+                    Message::Piece { block, .. } if self.lifecycle_open(block.piece) => {
+                        let piece = block.piece;
+                        (!self.peers[idx].engine.own_pieces().get(piece)).then_some(piece)
+                    }
+                    _ => None,
+                }
+            }
+            _ => None,
+        };
+        let mut actions = std::mem::take(&mut self.action_scratch);
+        lend(&mut self.peers[idx].engine, &mut actions, |e| {
+            e.handle(now, input);
+        });
+        if let Some(piece) = watched {
+            if self.peers[idx].engine.own_pieces().get(piece) {
+                self.on_piece_verified(now, idx, piece);
+            }
+        }
+        self.process_actions(now, idx, &mut actions);
+        self.action_scratch = actions;
+    }
+
+    /// Move `idx`'s next choke round to `at`
+    /// ([`Engine::schedule_rechoke`]) and schedule its timer.
+    fn reschedule(&mut self, now: Instant, idx: PeerIdx, at: Instant) {
+        let mut actions = std::mem::take(&mut self.action_scratch);
+        lend(&mut self.peers[idx].engine, &mut actions, |e| {
+            e.schedule_rechoke(at);
+        });
+        self.process_actions(now, idx, &mut actions);
+        self.action_scratch = actions;
     }
 
     // ------------------------------------------------------------------
     // Engine action processing
     // ------------------------------------------------------------------
 
-    fn process_actions(&mut self, now: Instant, idx: PeerIdx) {
+    /// Execute, and drain, the actions `idx`'s engine emitted.
+    fn process_actions(&mut self, now: Instant, idx: PeerIdx, actions: &mut Vec<Action>) {
         // Seed transition bookkeeping (tracker stats + scheduled linger).
         if self.peers[idx].engine.is_seed() && !self.peers[idx].was_seed {
             self.peers[idx].was_seed = true;
@@ -1461,19 +1540,17 @@ impl Swarm {
                 self.queue.schedule(now + linger, Ev::Depart(idx));
             }
         }
-        let mut actions = std::mem::take(&mut self.action_scratch);
-        self.peers[idx].engine.swap_actions(&mut actions);
         // A sampled peer's requests are traced before any action runs,
         // so two blocks of one piece keep their `request`, `send` order.
         if self.tracer.sample_peer(idx as u64) {
-            self.trace_requests(now, idx, &actions);
+            self.trace_requests(now, idx, actions);
         }
         for action in actions.drain(..) {
             match action {
                 Action::Send { conn, msg } => {
                     if matches!(msg, Message::Choke) {
                         // Choking drops this connection's queued uploads.
-                        if let Some(slot) = self.peers[idx].link_mut(conn) {
+                        if let Some(slot) = self.peers[idx].links.get_mut(conn) {
                             self.queued_blocks[idx] -= slot.queue.len() as u32;
                             slot.queue.clear();
                             slot.head_credit = 0;
@@ -1482,13 +1559,13 @@ impl Swarm {
                     self.send_on_link(now, idx, conn, msg);
                 }
                 Action::SendBlock { conn, block } => {
-                    if let Some(slot) = self.peers[idx].link_mut(conn) {
+                    if let Some(slot) = self.peers[idx].links.get_mut(conn) {
                         slot.queue.push_back(block);
                         self.queued_blocks[idx] += 1;
                     }
                 }
                 Action::CancelBlock { conn, block } => {
-                    if let Some(slot) = self.peers[idx].link_mut(conn) {
+                    if let Some(slot) = self.peers[idx].links.get_mut(conn) {
                         if let Some(pos) = slot.queue.iter().position(|b| *b == block) {
                             // Keep the head's partial credit if the head
                             // itself is cancelled; the credit simply goes
@@ -1499,7 +1576,8 @@ impl Swarm {
                     }
                 }
                 Action::Disconnect { conn } => {
-                    if let Some((to, remote_conn, lat, dropped)) = self.peers[idx].remove_link(conn)
+                    if let Some((to, remote_conn, lat, dropped)) =
+                        self.peers[idx].links.remove(conn)
                     {
                         self.queued_blocks[idx] -= dropped;
                         self.queue.schedule(
@@ -1526,7 +1604,6 @@ impl Swarm {
                 }
             }
         }
-        self.action_scratch = actions;
     }
 
     /// Schedule `msg` for delivery over `idx`'s link `conn`: constant
@@ -1537,11 +1614,7 @@ impl Swarm {
     /// schedule. Loss draws only happen on links with `loss > 0`, so
     /// loss-free models consume no extra randomness.
     fn send_on_link(&mut self, now: Instant, idx: PeerIdx, conn: ConnId, msg: Message) {
-        let Some(slot) = self.peers[idx]
-            .links
-            .get_mut(conn as usize)
-            .and_then(|s| s.as_mut())
-        else {
+        let Some(slot) = self.peers[idx].links.get_mut(conn) else {
             return;
         };
         let mut at = now + slot.params.delay;
@@ -1639,8 +1712,7 @@ impl Swarm {
             // Slot order is ascending ConnId, as the sort used to ensure.
             demand.clear();
             demand_bytes.clear();
-            for (c, slot) in self.peers[idx].links.iter().enumerate() {
-                let Some(slot) = slot else { continue };
+            for (c, slot) in self.peers[idx].links.iter() {
                 if slot.queue.is_empty() || !self.peers[slot.to].alive {
                     continue;
                 }
@@ -1653,7 +1725,7 @@ impl Swarm {
                     .min(budgets[slot.to])
                     .min(slot.round_cap);
                 if d > 0 {
-                    demand.push((c as ConnId, slot.to, slot.remote_conn, d));
+                    demand.push((c, slot.to, slot.remote_conn, d));
                     demand_bytes.push(d);
                 }
             }
@@ -1678,11 +1750,11 @@ impl Swarm {
                 // The link may have been torn down by an earlier grant's
                 // engine reaction; credit on a gone link is simply lost
                 // (capacity was spent), as with the map-based state.
-                if let Some(slot) = self.peers[idx].link_mut(conn) {
+                if let Some(slot) = self.peers[idx].links.get_mut(conn) {
                     slot.head_credit += grant;
                 }
                 // Complete as many whole blocks as the credit covers.
-                while let Some(slot) = self.peers[idx].link_mut(conn) {
+                while let Some(slot) = self.peers[idx].links.get_mut(conn) {
                     let Some(&head) = slot.queue.front() else {
                         slot.head_credit = 0;
                         break;
@@ -1738,16 +1810,16 @@ impl Swarm {
         if let Some(m) = &self.metrics {
             m.blocks_delivered.inc();
         }
-        self.peers[from].engine.handle(
+        self.feed(
             now,
+            from,
             Input::BlockSent {
                 conn: from_conn,
                 block,
             },
         );
-        self.process_actions(now, from);
         let msg = Message::Piece { block, data };
-        if self.peers[from].link(from_conn).is_some() {
+        if self.peers[from].links.get(from_conn).is_some() {
             self.send_on_link(now, from, from_conn, msg);
         } else {
             // The engine's reaction to `BlockSent` tore the link down;

@@ -109,7 +109,7 @@ fn instrumented_swarm_allocates_at_most_once_per_event() {
 }
 
 #[test]
-fn flash_crowd_peaks_under_16_kib_of_heap_per_peer() {
+fn flash_crowd_peaks_under_10_kib_of_heap_per_peer() {
     // The shape of `bt_torrents::scenarios::mega_flash_crowd` (1 000
     // leechers arriving over a minute, 8 × 64 kB pieces, capped peer
     // sets, a rationing scalable tracker), written out here because
@@ -155,7 +155,7 @@ fn flash_crowd_peaks_under_16_kib_of_heap_per_peer() {
     let per_peer = peak_bytes as f64 / 1024.0 / (leechers + 1) as f64;
     println!("peak heap {peak_bytes} bytes: {per_peer:.1} KiB per peer");
     assert!(
-        per_peer <= 16.0,
+        per_peer <= 10.0,
         "peak heap {peak_bytes} bytes: {per_peer:.1} KiB per peer"
     );
 }

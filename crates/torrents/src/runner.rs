@@ -398,8 +398,11 @@ pub fn default_jobs() -> usize {
 /// [`run_scenario`] produces sequentially, and the returned vector is in
 /// `specs` order regardless of which worker finished first.
 ///
-/// `progress` is invoked once per completed scenario, in *completion*
-/// order, from whichever worker finished it (serialised by a lock).
+/// `progress` is invoked once per completed scenario, in `specs` order:
+/// a worker that finishes early holds its outcome until every earlier
+/// scenario has been reported (a panicked one counts as reported), so
+/// progress output is the same for any `jobs`. Calls come from
+/// whichever worker unblocked them, serialised by a lock.
 ///
 /// With one job (or one scenario) no thread is spawned: the scenarios
 /// run on the calling thread, so its CPU clock and thread-locals see
@@ -429,22 +432,19 @@ fn run_specs_with(
 
     let jobs = jobs.max(1).min(specs.len().max(1));
     let next = AtomicUsize::new(0);
-    let progress = parking_lot::Mutex::new(progress);
-    let slots: Vec<parking_lot::Mutex<Option<ScenarioOutcome>>> = specs
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
+    let ledger = parking_lot::Mutex::new(Ledger {
+        slots: specs.iter().map(|_| None).collect(),
+        reported: 0,
+        progress,
+    });
     let panics: parking_lot::Mutex<Vec<(u32, String)>> = parking_lot::Mutex::new(Vec::new());
 
     // Claim scenarios until none are left.
     let worker = || loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(spec) = specs.get(i) else { break };
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(spec))) {
-            Ok(outcome) => {
-                (progress.lock())(&outcome);
-                *slots[i].lock() = Some(outcome);
-            }
+        let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(spec))) {
+            Ok(outcome) => Some(outcome),
             Err(payload) => {
                 let msg = payload
                     .downcast_ref::<&str>()
@@ -452,8 +452,10 @@ fn run_specs_with(
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".to_string());
                 panics.lock().push((spec.id, msg));
+                None
             }
-        }
+        };
+        ledger.lock().finish(i, outcome);
     };
     if jobs == 1 {
         worker();
@@ -476,10 +478,38 @@ fn run_specs_with(
             failures[0].1
         );
     }
-    slots
+    ledger
+        .into_inner()
+        .slots
         .into_iter()
-        .map(|slot| slot.into_inner().expect("no panic, so every slot filled"))
+        .map(|slot| slot.flatten().expect("no panic, so every slot filled"))
         .collect()
+}
+
+/// [`run_specs_with`]'s record of finished scenarios, which reports
+/// them to `progress` in spec order whatever order they finish in.
+struct Ledger<F> {
+    /// Per spec: `None` while it runs, then its outcome, or `Some(None)`
+    /// if it panicked.
+    slots: Vec<Option<Option<ScenarioOutcome>>>,
+    /// The first spec not yet reported.
+    reported: usize,
+    progress: F,
+}
+
+impl<F: FnMut(&ScenarioOutcome)> Ledger<F> {
+    /// Record spec `i`'s outcome, then report every finished spec from
+    /// the first unreported one up to the next that is still running.
+    /// A panicked spec counts as reported.
+    fn finish(&mut self, i: usize, outcome: Option<ScenarioOutcome>) {
+        self.slots[i] = Some(outcome);
+        while let Some(Some(done)) = self.slots.get(self.reported) {
+            if let Some(outcome) = done {
+                (self.progress)(outcome);
+            }
+            self.reported += 1;
+        }
+    }
 }
 
 /// Run every Table I scenario across `jobs` workers. Outcomes come back
@@ -657,6 +687,77 @@ mod tests {
         let mut seen = progressed.into_inner();
         seen.sort_unstable();
         assert_eq!(seen, vec![2, 3, 19], "progress fired once per scenario");
+    }
+
+    /// Progress comes in spec order even when the first scenario is
+    /// the last to finish, and a panicked scenario does not hold back
+    /// the ones after it.
+    #[test]
+    fn progress_follows_spec_order_when_the_first_scenario_finishes_last() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let cfg = RunConfig {
+            max_peers: 8,
+            min_pieces: 8,
+            max_pieces: 8,
+            session: Duration::from_secs(300),
+            ..RunConfig::quick()
+        };
+        let specs = [torrent(2), torrent(3), torrent(5), torrent(19)];
+        for (jobs, panicking) in [(2, None), (4, None), (2, Some(5)), (4, Some(5))] {
+            let others_done = AtomicUsize::new(0);
+            let finished = parking_lot::Mutex::new(Vec::new());
+            let reported = parking_lot::Mutex::new(Vec::new());
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                super::run_specs_with(
+                    &specs,
+                    jobs,
+                    |o| reported.lock().push(o.spec.id),
+                    |spec| {
+                        if spec.id == specs[0].id {
+                            // Scenario 0 waits for every other one.
+                            while others_done.load(Ordering::SeqCst) < specs.len() - 1 {
+                                std::thread::yield_now();
+                            }
+                        }
+                        let _done = (spec.id != specs[0].id).then(|| CountOnDrop(&others_done));
+                        finished.lock().push(spec.id);
+                        if Some(spec.id) == panicking {
+                            panic!("injected failure");
+                        }
+                        run_scenario(spec, &cfg)
+                    },
+                )
+            }));
+            let finished = finished.into_inner();
+            assert_eq!(
+                finished.last(),
+                Some(&2),
+                "jobs = {jobs}: finished {finished:?}"
+            );
+            let expected: Vec<u32> = specs
+                .iter()
+                .map(|s| s.id)
+                .filter(|&id| Some(id) != panicking)
+                .collect();
+            assert_eq!(reported.into_inner(), expected, "jobs = {jobs}");
+            match (result, panicking) {
+                (Ok(outcomes), None) => {
+                    let ids: Vec<u32> = outcomes.iter().map(|o| o.spec.id).collect();
+                    assert_eq!(ids, expected, "outcomes in spec order");
+                }
+                (Err(_), Some(_)) => {}
+                (result, _) => panic!("jobs = {jobs}: ok = {}", result.is_ok()),
+            }
+        }
+    }
+
+    /// Counts a scenario as done when its run returns or panics.
+    struct CountOnDrop<'a>(&'a std::sync::atomic::AtomicUsize);
+
+    impl Drop for CountOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
     }
 
     /// Panic isolation holds on both paths, and the path is the one
