@@ -132,6 +132,9 @@ struct Dial {
 /// Drives one [`Engine`] over real TCP sockets.
 pub(crate) struct NetRuntime {
     engine: Engine,
+    /// The action buffer lent to the engine for each input and drained
+    /// by `execute`: one allocation serves every input.
+    actions: Vec<Action>,
     listener: TcpListener,
     tracker: Arc<LoopbackTracker>,
     clock: AccelClock,
@@ -164,6 +167,7 @@ impl NetRuntime {
         let metrics = NetMetrics::register(registry, label);
         Ok(NetRuntime {
             engine,
+            actions: Vec::new(),
             listener,
             tracker,
             clock,
@@ -238,16 +242,30 @@ impl NetRuntime {
 
     /// Feed one input and execute everything the engine asks for.
     fn feed(&mut self, now: Instant, input: Input) {
-        let actions = self.engine.handle(now, input);
-        if actions.take_error().is_some() {
-            self.metrics.protocol_errors.inc();
-        }
-        let batch = actions.take();
+        let (batch, _) = self.handle(now, input);
         self.execute(now, batch);
     }
 
-    fn execute(&mut self, now: Instant, batch: Vec<Action>) {
-        for action in batch {
+    /// Feed one input to the engine with the runtime's action buffer
+    /// lent to it, and take the buffer back holding what it emitted,
+    /// with the connection it accepted, if any. A feed nested in
+    /// `execute` (an announce's response, a failed dial) finds the
+    /// buffer lent out and lends the engine an empty one.
+    fn handle(&mut self, now: Instant, input: Input) -> (Vec<Action>, Option<ConnId>) {
+        let mut batch = std::mem::take(&mut self.actions);
+        self.engine.swap_actions(&mut batch);
+        let actions = self.engine.handle(now, input);
+        let accepted = actions.take_accepted();
+        if actions.take_error().is_some() {
+            self.metrics.protocol_errors.inc();
+        }
+        self.engine.swap_actions(&mut batch);
+        (batch, accepted)
+    }
+
+    /// Execute and drain `batch`, then keep it for the next input.
+    fn execute(&mut self, now: Instant, mut batch: Vec<Action>) {
+        for action in batch.drain(..) {
             match action {
                 Action::Send { conn, msg } => self.queue_msg(conn, msg, None),
                 Action::SendBlock { conn, block } => {
@@ -299,6 +317,7 @@ impl NetRuntime {
                 Action::SetTimer { .. } => {}
             }
         }
+        self.actions = batch;
     }
 
     fn queue_msg(&mut self, conn: ConnId, msg: Message, block: Option<BlockRef>) {
@@ -456,7 +475,7 @@ impl NetRuntime {
             .handshake_us
             .observe(now.0.saturating_sub(started.0));
         let caps = PeerCaps::from_reserved(&hs.reserved);
-        let actions = self.engine.handle(
+        let (batch, accepted) = self.handle(
             now,
             Input::PeerConnected {
                 ip: peer_ip(&hs.peer_id),
@@ -465,8 +484,6 @@ impl NetRuntime {
                 caps,
             },
         );
-        let accepted = actions.take_accepted();
-        let batch = actions.take();
         if let Some(conn) = accepted {
             // Insert before executing: the batch already carries this
             // connection's bitfield sends.

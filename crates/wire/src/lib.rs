@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod bencode;
+mod content;
 pub mod extension;
 pub mod fast;
 pub mod handshake;

@@ -10,6 +10,7 @@
 //! 16 kB" — §II-B); both values are configurable here.
 
 use crate::bencode::{self, DictBuilder, Value};
+use crate::content::fill_content;
 use crate::sha1::{self, Digest};
 
 /// Default piece size used by the paper's torrents (256 kB).
@@ -211,15 +212,13 @@ impl SyntheticContent {
         assert!(piece_len > 0, "piece length must be non-zero");
         let num_pieces = total_len.div_ceil(u64::from(piece_len));
         let mut piece_hashes = Vec::with_capacity(num_pieces as usize);
-        let mut buf = Vec::with_capacity(piece_len as usize);
+        let mut buf = vec![0u8; piece_len as usize];
         for p in 0..num_pieces {
             let start = p * u64::from(piece_len);
             let end = (start + u64::from(piece_len)).min(total_len);
-            buf.clear();
-            for off in start..end {
-                buf.push(content_byte(seed, off));
-            }
-            piece_hashes.push(sha1::sha1(&buf));
+            let piece = &mut buf[..(end - start) as usize];
+            fill_content(seed, start, piece);
+            piece_hashes.push(sha1::sha1(piece));
         }
         let metainfo = Metainfo {
             announce: format!("sim://tracker/{name}"),
@@ -243,27 +242,22 @@ impl SyntheticContent {
         let len = self.metainfo.block_size(piece, block);
         let start =
             u64::from(piece) * u64::from(self.metainfo.piece_len) + u64::from(block * BLOCK_LEN);
-        (0..u64::from(len))
-            .map(|i| content_byte(self.seed, start + i))
-            .collect()
+        self.bytes(start, len)
     }
 
     /// Materialise a whole piece.
     pub fn piece_bytes(&self, piece: u32) -> Vec<u8> {
         let len = self.metainfo.piece_size(piece);
         let start = u64::from(piece) * u64::from(self.metainfo.piece_len);
-        (0..u64::from(len))
-            .map(|i| content_byte(self.seed, start + i))
-            .collect()
+        self.bytes(start, len)
     }
-}
 
-/// splitmix64-style keyed byte generator.
-fn content_byte(seed: u64, offset: u64) -> u8 {
-    let mut z = seed ^ offset.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) as u8
+    /// The `len` bytes from offset `start`.
+    fn bytes(&self, start: u64, len: u32) -> Vec<u8> {
+        let mut out = vec![0u8; len as usize];
+        fill_content(self.seed, start, &mut out);
+        out
+    }
 }
 
 #[cfg(test)]

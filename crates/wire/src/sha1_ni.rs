@@ -8,8 +8,9 @@
 //!
 //! `super::compress_blocks` is the only caller and reaches it only when
 //! `super::has_sha_ni` reports the features; the scalar `compress` is
-//! the oracle it is tested against (`super::tests`). This file and
-//! `bt-net`'s `poll(2)` wrapper are the tree's only `unsafe`.
+//! the oracle it is tested against (`super::tests`). This file, the
+//! AVX-512 content fill (`crate::content`) and `bt-net`'s `poll(2)`
+//! wrapper are the tree's only `unsafe`.
 
 use std::arch::x86_64::{
     __m128i, _mm_add_epi32, _mm_extract_epi32, _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x,

@@ -3,7 +3,9 @@
 //! fed a byte at a time. It was the production hasher until the
 //! compress was rewritten; the two must agree on every length, content
 //! and `update` chunking, whichever compress (SHA-NI or scalar) the CPU
-//! runs.
+//! runs. Two torrents of synthetic content pin their info-hashes, so
+//! the content generator, whichever copy of its fill the CPU runs,
+//! keeps every byte too.
 
 use bt_wire::metainfo::SyntheticContent;
 use bt_wire::sha1::{sha1, to_hex, Digest, Sha1};
@@ -193,4 +195,31 @@ fn loopback_content_keeps_its_info_hash() {
         content.metainfo.piece_hashes[17],
         reference(&content.piece_bytes(17))
     );
+}
+
+/// The content generator's formula, written out again as the oracle
+/// for the bytes `SyntheticContent` serves.
+fn reference_byte(seed: u64, offset: u64) -> u8 {
+    let mut z = seed ^ offset.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)) as u8
+}
+
+/// `net_bulk`'s geometry, 1 MiB pieces, with a 1 000-byte tail piece:
+/// the info-hash as the per-byte generator produced it, and the tail
+/// block byte for byte.
+#[test]
+fn tailed_content_keeps_its_info_hash() {
+    let content = SyntheticContent::generate("net-tail", 7, 3 << 20 | 1000, 1 << 20);
+    assert_eq!(
+        to_hex(&content.metainfo.info_hash),
+        "8c3bd9c36bfa5ee2ddbd91451e2d5d346d7fd2bd"
+    );
+    assert_eq!(content.metainfo.num_pieces(), 4);
+    let want: Vec<u8> = (3 << 20..3 << 20 | 1000)
+        .map(|off| reference_byte(7, off))
+        .collect();
+    assert_eq!(content.block_bytes(3, 0), want);
+    assert_eq!(content.metainfo.piece_hashes[3], reference(&want));
 }
