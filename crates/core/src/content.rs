@@ -17,6 +17,7 @@
 //! DESIGN.md records this substitution; both modes drive the identical
 //! engine code path except for the hash/verify step.
 
+use bt_wire::message::{BlockRef, Message};
 use bt_wire::metainfo::SyntheticContent;
 use bt_wire::sha1::{Digest, Sha1};
 use bytes::Bytes;
@@ -46,6 +47,22 @@ impl DataMode {
         match self {
             DataMode::Real(content) => Bytes::from(content.block_bytes(piece, block)),
             DataMode::Virtual => Bytes::new(),
+        }
+    }
+
+    /// The `piece` frame serving `block`, its data written in place
+    /// after the header: byte for byte `Message::Piece { block, data:
+    /// self.block_bytes(..) }.encode_to_vec()`, in one buffer.
+    pub fn piece_frame(&self, block: &BlockRef) -> Vec<u8> {
+        match self {
+            DataMode::Real(content) => {
+                let index = block.block_index();
+                let len = content.metainfo.block_size(block.piece, index);
+                Message::encode_piece_with(block, len, |out| {
+                    content.fill_block(block.piece, index, out)
+                })
+            }
+            DataMode::Virtual => Message::encode_piece_with(block, 0, |_| {}),
         }
     }
 
@@ -172,6 +189,37 @@ mod tests {
         buf.store(0, Bytes::from(corrupt));
         buf.store(1, mode.block_bytes(0, 1));
         assert!(!mode.verify_piece(0, &buf.finish().unwrap()));
+    }
+
+    #[test]
+    fn a_piece_frame_is_the_encoded_piece_message() {
+        // Two full pieces and a 1 000-byte tail: the last block is short.
+        let total = 2 * u64::from(2 * BLOCK_LEN) + 1_000;
+        let content = SyntheticContent::generate("f", 5, total, 2 * BLOCK_LEN);
+        let blocks = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)];
+        let mode = DataMode::Real(Arc::new(content));
+        for (piece, index) in blocks {
+            let data = mode.block_bytes(piece, index);
+            let block = BlockRef {
+                piece,
+                offset: index * BLOCK_LEN,
+                length: data.len() as u32,
+            };
+            let want = Message::Piece { block, data }.encode_to_vec();
+            assert_eq!(mode.piece_frame(&block), want, "block {piece}/{index}");
+        }
+        let tail = BlockRef {
+            piece: 2,
+            offset: 0,
+            length: 1_000,
+        };
+        assert_eq!(mode.piece_frame(&tail).len(), 13 + 1_000);
+        // Virtual mode serves the header alone, as its empty block encodes.
+        let virt = Message::Piece {
+            block: BlockRef { length: 0, ..tail },
+            data: Bytes::new(),
+        };
+        assert_eq!(DataMode::Virtual.piece_frame(&tail), virt.encode_to_vec());
     }
 
     #[test]

@@ -267,14 +267,8 @@ impl NetRuntime {
     fn execute(&mut self, now: Instant, mut batch: Vec<Action>) {
         for action in batch.drain(..) {
             match action {
-                Action::Send { conn, msg } => self.queue_msg(conn, msg, None),
-                Action::SendBlock { conn, block } => {
-                    let data = self
-                        .engine
-                        .data()
-                        .block_bytes(block.piece, block.block_index());
-                    self.queue_msg(conn, Message::Piece { block, data }, Some(block));
-                }
+                Action::Send { conn, msg } => self.queue_msg(conn, msg),
+                Action::SendBlock { conn, block } => self.queue_block(conn, block),
                 Action::CancelBlock { conn, block } => {
                     if let Some(c) = self.conns.get_mut(&conn) {
                         // Honour the cancel only if no byte of the frame
@@ -320,22 +314,39 @@ impl NetRuntime {
         self.actions = batch;
     }
 
-    fn queue_msg(&mut self, conn: ConnId, msg: Message, block: Option<BlockRef>) {
-        let profiler = self.profiler.clone();
-        if let Some(c) = self.conns.get_mut(&conn) {
-            if matches!(msg, Message::KeepAlive) {
-                self.metrics.keepalives_out.inc();
-            }
-            let buf = {
-                let _span_guard = profiler.span("wire.encode");
-                msg.encode_to_vec()
-            };
-            c.out.push_back(OutFrame {
-                buf,
-                written: 0,
-                block,
-            });
+    fn queue_msg(&mut self, conn: ConnId, msg: Message) {
+        let Some(c) = self.conns.get_mut(&conn) else {
+            return;
+        };
+        if matches!(msg, Message::KeepAlive) {
+            self.metrics.keepalives_out.inc();
         }
+        let buf = {
+            let _span_guard = self.profiler.span("wire.encode");
+            msg.encode_to_vec()
+        };
+        c.out.push_back(OutFrame {
+            buf,
+            written: 0,
+            block: None,
+        });
+    }
+
+    /// Queue the `piece` frame serving `block`, its content generated
+    /// straight into the frame buffer after the header.
+    fn queue_block(&mut self, conn: ConnId, block: BlockRef) {
+        let Some(c) = self.conns.get_mut(&conn) else {
+            return;
+        };
+        let buf = {
+            let _span_guard = self.profiler.span("wire.encode");
+            self.engine.data().piece_frame(&block)
+        };
+        c.out.push_back(OutFrame {
+            buf,
+            written: 0,
+            block: Some(block),
+        });
     }
 
     /// Accept every waiting inbound connection into the handshake stage.

@@ -3,9 +3,9 @@
 //! [`Bytes`] is a cheaply-cloneable immutable byte buffer (`Arc`-backed
 //! with an offset window; an empty one holds no `Arc` and never touches
 //! the heap); [`BytesMut`] is a growable buffer with an
-//! amortised-O(1) front cursor so `advance`/`split_to` don't memmove.
-//! [`Buf`]/[`BufMut`] cover the big-endian accessor subset the wire
-//! codec uses.
+//! amortised-O(1) front cursor so `advance` doesn't memmove.
+//! [`Buf`] (on `BytesMut` and `&[u8]`) and [`BufMut`] cover the
+//! big-endian accessor subset the wire codec uses.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -135,7 +135,7 @@ impl std::fmt::Debug for Bytes {
 #[derive(Debug, Clone, Default)]
 pub struct BytesMut {
     data: Vec<u8>,
-    /// Bytes before `start` have been consumed by `advance`/`split_to`/gets.
+    /// Bytes before `start` have been consumed by `advance`/gets.
     start: usize,
 }
 
@@ -171,23 +171,6 @@ impl BytesMut {
     /// Copy the unconsumed bytes to a `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
-    }
-
-    /// Split off and return the first `at` unconsumed bytes.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        assert!(at <= self.len(), "split_to out of range");
-        let head = self.data[self.start..self.start + at].to_vec();
-        self.start += at;
-        self.compact();
-        BytesMut {
-            data: head,
-            start: 0,
-        }
-    }
-
-    /// Freeze into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.as_slice())
     }
 
     fn as_slice(&self) -> &[u8] {
@@ -260,6 +243,20 @@ impl Buf for BytesMut {
     }
 }
 
+impl Buf for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+
+    fn chunk(&self) -> &[u8] {
+        self
+    }
+
+    fn advance(&mut self, cnt: usize) {
+        *self = &self[cnt..];
+    }
+}
+
 /// Write cursor appending to a byte buffer (big-endian writers).
 pub trait BufMut {
     /// Append raw bytes.
@@ -312,15 +309,15 @@ mod tests {
     }
 
     #[test]
-    fn split_freeze_slice() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"hello world");
-        let head = buf.split_to(5);
-        assert_eq!(&head[..], b"hello");
-        assert_eq!(&buf[..], b" world");
-        let frozen = head.freeze();
-        assert_eq!(frozen.slice(1..4).to_vec(), b"ell");
-        assert_eq!(frozen, Bytes::from_static(b"hello"));
+    fn slice_cursor_and_windows() {
+        let mut cursor: &[u8] = b"\x00\x00\x00\x05hello world";
+        assert_eq!(cursor.get_u32(), 5);
+        assert_eq!(cursor.remaining(), 11);
+        let head = Bytes::from(&cursor[..5]);
+        cursor.advance(5);
+        assert_eq!(cursor, b" world");
+        assert_eq!(head.slice(1..4).to_vec(), b"ell");
+        assert_eq!(head, Bytes::from_static(b"hello"));
     }
 
     #[test]

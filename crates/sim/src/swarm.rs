@@ -219,10 +219,21 @@ pub struct GlobalSample {
 }
 
 /// Outcome of a swarm run.
+///
+/// A caller that keeps the local peer's trace beyond the result moves it
+/// out with [`take_trace`](SwarmResult::take_trace) rather than cloning
+/// it: the result then keeps only the trace's hash, so
+/// [`digest`](SwarmResult::digest) is unchanged and the trace is held
+/// once.
 #[derive(Debug)]
 pub struct SwarmResult {
-    /// The instrumented peer's trace, when one was attached.
+    /// The instrumented peer's trace, when one was attached and not yet
+    /// taken.
     pub trace: Option<Trace>,
+    /// The hash of the trace [`take_trace`](SwarmResult::take_trace)
+    /// handed over, which [`digest`](SwarmResult::digest) reads in its
+    /// place.
+    taken_trace_hash: Option<u64>,
     /// Per-peer completion times (`None` = did not finish within the run),
     /// indexed like `SwarmSpec::peers`.
     pub completion: Vec<Option<Instant>>,
@@ -280,16 +291,36 @@ impl SwarmResult {
             );
         }
         let mut hash = fnv1a64(FNV_OFFSET, text.as_bytes());
-        if let Some(trace) = &self.trace {
-            // Chain rather than concatenate: traces can be large, and the
-            // jsonl encoding is already a byte-stable function of the run.
-            // The lines are hashed as they are rendered.
-            let mut trace_hash = FNV_OFFSET;
-            trace.for_each_jsonl_line(|line| trace_hash = fnv1a64(trace_hash, line));
+        if let Some(trace_hash) = self
+            .trace
+            .as_ref()
+            .map(trace_hash)
+            .or(self.taken_trace_hash)
+        {
             hash ^= trace_hash.rotate_left(1);
         }
         hash
     }
+
+    /// Move the instrumented peer's trace out of the result, first
+    /// recording its hash so [`digest`](SwarmResult::digest) returns the
+    /// same value afterwards. `None` when no peer was instrumented or
+    /// the trace was already taken.
+    pub fn take_trace(&mut self) -> Option<Trace> {
+        let trace = self.trace.take()?;
+        self.taken_trace_hash = Some(trace_hash(&trace));
+        Some(trace)
+    }
+}
+
+/// A trace's share of [`SwarmResult::digest`]. Chained rather than
+/// concatenated: traces can be large, and the jsonl encoding is already
+/// a byte-stable function of the run, so the lines are hashed as they
+/// are rendered.
+fn trace_hash(trace: &Trace) -> u64 {
+    let mut hash = FNV_OFFSET;
+    trace.for_each_jsonl_line(|line| hash = fnv1a64(hash, line));
+    hash
 }
 
 /// FNV-1a's initial state.
@@ -341,18 +372,27 @@ enum Ev {
 /// the partial-block byte credit that used to live in three parallel
 /// `HashMap<ConnId, _>`s. Engine connection IDs are small and sequential,
 /// so a [`LinkTable`] indexed by `ConnId` replaces hashing entirely.
+///
+/// The direction's [`LinkParams`], fixed at establishment by the
+/// [`LinkModel`], are kept as the three a send reads (`delay`, `loss`,
+/// `rto`); the bandwidth is read once, into `round_cap`.
 struct LinkSlot {
-    to: PeerIdx,
+    /// The far end, a [`PeerIdx`] narrowed to `u32` like
+    /// [`Ev::Deliver`]'s.
+    to: u32,
     remote_conn: ConnId,
-    /// This direction's link parameters (delay, loss, bandwidth),
-    /// fixed at establishment by the [`LinkModel`].
-    params: LinkParams,
+    /// One-way delay of this direction.
+    delay: Duration,
+    /// Probability that a transmission on this direction is lost.
+    loss: f64,
+    /// Retransmission timeout added to a lost transmission's delivery.
+    rto: Duration,
     /// Earliest instant the next delivery on this direction may land:
     /// loss redelivery must not let later messages overtake earlier
     /// ones (the TCP in-order contract). On loss-free links delivery
     /// times are already monotonic, so the watermark never binds.
     next_free: Instant,
-    /// Per-transfer-round byte cap derived from `params.bandwidth`
+    /// Per-transfer-round byte cap derived from the bandwidth
     /// (`u64::MAX` = uncapped).
     round_cap: u64,
     /// Blocks the engine asked us to upload on this connection, FIFO.
@@ -429,9 +469,11 @@ impl LinkTable {
             ((b as f64 * TRANSFER_ROUND.as_secs_f64()) as u64).max(1)
         });
         let fresh = |queue| LinkSlot {
-            to,
+            to: to as u32,
             remote_conn,
-            params,
+            delay: params.delay,
+            loss: params.loss,
+            rto: params.rto,
             next_free: Instant(0),
             round_cap,
             queue,
@@ -466,7 +508,7 @@ impl LinkTable {
         let slot = &mut self.slab[p as usize];
         let dropped = slot.queue.len() as u32;
         slot.queue.clear();
-        Some((slot.to, slot.remote_conn, slot.params.delay, dropped))
+        Some((slot.to as PeerIdx, slot.remote_conn, slot.delay, dropped))
     }
 }
 
@@ -1005,6 +1047,7 @@ impl Swarm {
         let completed_peers = self.completion.iter().flatten().count();
         SwarmResult {
             trace,
+            taken_trace_hash: None,
             completion: std::mem::take(&mut self.completion),
             completed_peers,
             events_processed: self.events_processed,
@@ -1617,10 +1660,10 @@ impl Swarm {
         let Some(slot) = self.peers[idx].links.get_mut(conn) else {
             return;
         };
-        let mut at = now + slot.params.delay;
+        let mut at = now + slot.delay;
         let mut lost = false;
-        if slot.params.loss > 0.0 && self.rng.random_range(0.0..1.0) < slot.params.loss {
-            at += slot.params.rto;
+        if slot.loss > 0.0 && self.rng.random_range(0.0..1.0) < slot.loss {
+            at += slot.rto;
             lost = true;
             if let Some(m) = &self.metrics {
                 m.link_losses.inc();
@@ -1630,7 +1673,7 @@ impl Swarm {
             at = slot.next_free;
         }
         slot.next_free = at;
-        let (to, remote_conn) = (slot.to, slot.remote_conn);
+        let (to, remote_conn) = (slot.to as PeerIdx, slot.remote_conn);
         if self.tracer.enabled() {
             if let Some(piece) = msg_piece(&msg) {
                 if self.lifecycle_open(piece) {
@@ -1713,7 +1756,8 @@ impl Swarm {
             demand.clear();
             demand_bytes.clear();
             for (c, slot) in self.peers[idx].links.iter() {
-                if slot.queue.is_empty() || !self.peers[slot.to].alive {
+                let to = slot.to as PeerIdx;
+                if slot.queue.is_empty() || !self.peers[to].alive {
                     continue;
                 }
                 let queued: u64 = slot.queue.iter().map(|b| u64::from(b.length)).sum();
@@ -1722,10 +1766,10 @@ impl Swarm {
                 // `u64::MAX` on uncapped links, i.e. a no-op).
                 let d = queued
                     .saturating_sub(slot.head_credit)
-                    .min(budgets[slot.to])
+                    .min(budgets[to])
                     .min(slot.round_cap);
                 if d > 0 {
-                    demand.push((c, slot.to, slot.remote_conn, d));
+                    demand.push((c, to, slot.remote_conn, d));
                     demand_bytes.push(d);
                 }
             }
@@ -1969,6 +2013,39 @@ mod tests {
             local: Some(1),
             ..SwarmSpec::default()
         }
+    }
+
+    #[test]
+    fn a_link_slot_fits_in_88_bytes() {
+        // Far end and remote id in one word, the three send parameters,
+        // the watermark, the round cap, the queue and the head credit.
+        let size = std::mem::size_of::<LinkSlot>();
+        assert!(size <= 88, "LinkSlot is {size} bytes");
+    }
+
+    #[test]
+    fn digest_survives_take_trace() {
+        let mut result = Swarm::new(tiny_spec(3)).run();
+        let d0 = result.digest();
+        let before = result.trace.clone().expect("peer 1 instrumented");
+        assert!(!before.is_empty());
+        let taken = result.take_trace().expect("the trace is there to take");
+        assert_eq!(taken, before);
+        assert!(result.trace.is_none());
+        assert_eq!(result.digest(), d0);
+        // A second take finds nothing and keeps the recorded hash.
+        assert!(result.take_trace().is_none());
+        assert_eq!(result.digest(), d0);
+
+        let mut bare = Swarm::new(SwarmSpec {
+            local: None,
+            ..tiny_spec(3)
+        })
+        .run();
+        let d_bare = bare.digest();
+        assert_ne!(d_bare, d0, "the trace is part of the digest");
+        assert!(bare.take_trace().is_none());
+        assert_eq!(bare.digest(), d_bare);
     }
 
     #[test]

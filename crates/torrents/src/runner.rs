@@ -155,7 +155,10 @@ pub struct ScenarioOutcome {
     pub spec: ScenarioSpec,
     /// The scaling that was applied.
     pub scaled: ScaledParams,
-    /// The instrumented local peer's trace.
+    /// The instrumented local peer's trace, labelled with the Table I
+    /// identity. It is moved here from `result`, whose `trace` is then
+    /// `None` and whose digest still covers it
+    /// ([`SwarmResult::take_trace`]).
     pub trace: Trace,
     /// Swarm-level results (completions, tracker stats; the span
     /// profile, which merges commutatively with
@@ -355,9 +358,10 @@ pub fn run_scenario(spec: &ScenarioSpec, cfg: &RunConfig) -> ScenarioOutcome {
         ..cfg.observe.clone()
     };
     let observers = set.build(TimeSource::manual, swarm_spec.seed);
-    let result = attach_observers(Swarm::new(swarm_spec), &observers).run();
-    // Label the trace with the Table I identity.
-    let mut trace = result.trace.as_ref().expect("local peer recorded").clone();
+    let mut result = attach_observers(Swarm::new(swarm_spec), &observers).run();
+    // Move the trace out (the result keeps its hash for `digest`), then
+    // label it with the Table I identity.
+    let mut trace = result.take_trace().expect("local peer recorded");
     trace.meta.torrent = spec.label();
     trace.meta.torrent_id = spec.id;
     ScenarioOutcome {

@@ -191,10 +191,7 @@ impl Message {
             Message::Cancel(b) => block_ref(buf, id::CANCEL, b),
             Message::Piece { block, data } => {
                 debug_assert_eq!(block.length as usize, data.len());
-                buf.put_u32(9 + data.len() as u32);
-                buf.put_u8(id::PIECE);
-                buf.put_u32(block.piece);
-                buf.put_u32(block.offset);
+                piece_header(buf, block, data.len() as u32);
                 buf.put_slice(data);
             }
             Message::Port(port) => {
@@ -230,6 +227,31 @@ impl Message {
         self.encode(&mut buf);
         buf
     }
+
+    /// Encode a `piece` frame for `block` carrying `len` data bytes that
+    /// `fill` writes straight into the frame, after its header: the
+    /// bytes [`encode_to_vec`](Message::encode_to_vec) gives for a
+    /// [`Message::Piece`] with the same data, in one buffer and without
+    /// a copy of the data.
+    pub fn encode_piece_with(block: &BlockRef, len: u32, fill: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let frame_len = PIECE_HEADER_LEN + len as usize;
+        let mut buf = Vec::with_capacity(frame_len);
+        piece_header(&mut buf, block, len);
+        buf.resize(frame_len, 0);
+        fill(&mut buf[PIECE_HEADER_LEN..]);
+        buf
+    }
+}
+
+/// Bytes of a `piece` frame before its data: length prefix, id, piece
+/// index and offset.
+const PIECE_HEADER_LEN: usize = 13;
+
+fn piece_header(buf: &mut impl BufMut, block: &BlockRef, len: u32) {
+    buf.put_u32(9 + len);
+    buf.put_u8(id::PIECE);
+    buf.put_u32(block.piece);
+    buf.put_u32(block.offset);
 }
 
 fn simple(buf: &mut impl BufMut, msg_id: u8) {
@@ -343,7 +365,11 @@ impl Decoder {
         if length == 0 {
             return Ok(Some(Message::KeepAlive));
         }
-        let mut payload = self.buf.split_to(length);
+        // Decode from the buffered frame in place: a payload that keeps
+        // bytes (a `piece`'s data, a bitfield) copies them once, into
+        // the message. A malformed frame stays buffered; the decoder is
+        // unusable after an error either way.
+        let mut payload: &[u8] = &self.buf[..length];
         let msg_id = payload.get_u8();
         let body_len = payload.len();
         let msg = match msg_id {
@@ -417,7 +443,7 @@ impl Decoder {
                 }
                 let piece = payload.get_u32();
                 let offset = payload.get_u32();
-                let data = payload.freeze();
+                let data = Bytes::from(payload);
                 Message::Piece {
                     block: BlockRef {
                         piece,
@@ -438,6 +464,7 @@ impl Decoder {
             }
             other => return Err(CodecError::UnknownId(other)),
         };
+        self.buf.advance(length);
         Ok(Some(msg))
     }
 }
@@ -548,6 +575,14 @@ mod tests {
     fn pipelined_messages() {
         let msgs = vec![
             Message::Interested,
+            Message::Piece {
+                block: BlockRef {
+                    piece: 1,
+                    offset: 16384,
+                    length: 5,
+                },
+                data: Bytes::from_static(b"abcde"),
+            },
             Message::Have(3),
             Message::KeepAlive,
             Message::Unchoke,

@@ -239,22 +239,33 @@ impl SyntheticContent {
 
     /// Materialise the bytes of one block (for wire-level transfers).
     pub fn block_bytes(&self, piece: u32, block: u32) -> Vec<u8> {
+        let mut out = vec![0u8; self.metainfo.block_size(piece, block) as usize];
+        self.fill_block(piece, block, &mut out);
+        out
+    }
+
+    /// Write the bytes of one block into `out`, which holds exactly the
+    /// block (shorter for a torrent's tail block): for a caller that
+    /// frames the block itself and wants it written in place.
+    ///
+    /// # Panics
+    /// If `out` is not the block's size.
+    pub fn fill_block(&self, piece: u32, block: u32, out: &mut [u8]) {
         let len = self.metainfo.block_size(piece, block);
+        assert_eq!(
+            out.len(),
+            len as usize,
+            "block {piece}/{block} is {len} bytes"
+        );
         let start =
             u64::from(piece) * u64::from(self.metainfo.piece_len) + u64::from(block * BLOCK_LEN);
-        self.bytes(start, len)
+        fill_content(self.seed, start, out);
     }
 
     /// Materialise a whole piece.
     pub fn piece_bytes(&self, piece: u32) -> Vec<u8> {
-        let len = self.metainfo.piece_size(piece);
+        let mut out = vec![0u8; self.metainfo.piece_size(piece) as usize];
         let start = u64::from(piece) * u64::from(self.metainfo.piece_len);
-        self.bytes(start, len)
-    }
-
-    /// The `len` bytes from offset `start`.
-    fn bytes(&self, start: u64, len: u32) -> Vec<u8> {
-        let mut out = vec![0u8; len as usize];
         fill_content(self.seed, start, &mut out);
         out
     }
