@@ -45,7 +45,14 @@ impl DataMode {
     /// Bytes for a block being served. Empty in virtual mode.
     pub fn block_bytes(&self, piece: u32, block: u32) -> Bytes {
         match self {
-            DataMode::Real(content) => Bytes::from(content.block_bytes(piece, block)),
+            DataMode::Real(content) => {
+                // One exact-size allocation, filled where `Bytes` keeps it.
+                let len = content.metainfo.block_size(piece, block) as usize;
+                let mut data: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+                let out = Arc::get_mut(&mut data).expect("a new Arc is unique");
+                content.fill_block(piece, block, out);
+                Bytes::from_owner(data)
+            }
             DataMode::Virtual => Bytes::new(),
         }
     }
@@ -220,6 +227,19 @@ mod tests {
             data: Bytes::new(),
         };
         assert_eq!(DataMode::Virtual.piece_frame(&tail), virt.encode_to_vec());
+    }
+
+    #[test]
+    fn a_served_block_is_the_content_block() {
+        // Two full pieces and a 1 000-byte tail: the last block is short.
+        let total = 2 * u64::from(2 * BLOCK_LEN) + 1_000;
+        let content = Arc::new(SyntheticContent::generate("b", 9, total, 2 * BLOCK_LEN));
+        let mode = DataMode::Real(content.clone());
+        for (piece, index) in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)] {
+            let data = mode.block_bytes(piece, index);
+            assert_eq!(&data[..], &content.block_bytes(piece, index)[..]);
+        }
+        assert_eq!(mode.block_bytes(2, 0).len(), 1_000);
     }
 
     #[test]

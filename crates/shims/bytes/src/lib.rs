@@ -37,6 +37,19 @@ impl Bytes {
         Bytes::from(s)
     }
 
+    /// Take over a buffer its caller filled, without a copy. The
+    /// published crate's `from_owner` takes any `AsRef<[u8]>` owner;
+    /// the stand-in keeps its bytes in an `Arc<[u8]>`, so that is the
+    /// one owner it takes.
+    pub fn from_owner(owner: Arc<[u8]>) -> Bytes {
+        let end = bound(owner.len());
+        Bytes {
+            data: (end > 0).then_some(owner),
+            start: 0,
+            end,
+        }
+    }
+
     /// Length in bytes.
     pub fn len(&self) -> usize {
         (self.end - self.start) as usize
@@ -321,12 +334,21 @@ mod tests {
     }
 
     #[test]
+    fn an_owner_is_kept_not_copied() {
+        let owner: Arc<[u8]> = Arc::from(&b"hello"[..]);
+        let b = Bytes::from_owner(owner.clone());
+        assert!(Arc::ptr_eq(b.data.as_ref().unwrap(), &owner));
+        assert_eq!(b, Bytes::from_static(b"hello"));
+    }
+
+    #[test]
     fn empty_buffers_hold_no_allocation() {
         for empty in [
             Bytes::new(),
             Bytes::default(),
             Bytes::from_static(b""),
             Bytes::from(Vec::new()),
+            Bytes::from_owner(Arc::from(Vec::new())),
             Bytes::from(&b"abc"[..]).slice(1..1),
         ] {
             assert!(empty.data.is_none());

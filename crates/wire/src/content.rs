@@ -2,7 +2,11 @@
 //!
 //! Every real-data run generates each byte of its torrent twice: once
 //! to hash the pieces into the metainfo, once when the seed serves the
-//! block. [`fill_content`] writes a run of bytes with one loop over the
+//! block. The first happens in `SyntheticContent::generate`, in 64 KiB
+//! runs, each hashed while it is still in cache, on up to
+//! `available_parallelism()` threads (one per contiguous range of
+//! pieces); the second on the thread that serves the block, one block
+//! at a time. [`fill_content`] writes a run of bytes with one loop over the
 //! slice, and on x86_64 CPUs with AVX-512 (F, DQ, BW and VL) it runs a
 //! second copy of that same loop compiled for them, which LLVM turns
 //! into eight-lane native 64-bit multiplies; everywhere else the

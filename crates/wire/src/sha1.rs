@@ -6,8 +6,12 @@
 //! broken for collision resistance, but the reproduction only needs it for
 //! protocol fidelity (the paper's client, mainline 4.0.2, used SHA-1).
 //!
-//! Every piece a real-data run moves is hashed twice (at generation and
-//! at receipt), so the compression is written for speed. [`Sha1::update`]
+//! Every piece a real-data run moves is hashed twice, so the
+//! compression is written for speed. At generation,
+//! `SyntheticContent::generate` streams each piece through
+//! [`Sha1::update`] in 64 KiB runs, its pieces split into contiguous
+//! ranges over up to `available_parallelism()` threads; at receipt, the
+//! receiving peer's thread hashes each block as it arrives. [`Sha1::update`]
 //! hands every run of whole 64-byte blocks to one dispatch point: on
 //! x86_64 CPUs with the SHA extensions it goes to `sha1_ni`, which keeps
 //! the state in registers for the whole run; everywhere else the scalar

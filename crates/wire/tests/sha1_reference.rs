@@ -223,3 +223,21 @@ fn tailed_content_keeps_its_info_hash() {
     assert_eq!(content.block_bytes(3, 0), want);
     assert_eq!(content.metainfo.piece_hashes[3], reference(&want));
 }
+
+/// An odd piece count with a 777-byte tail, pieces that are not a whole
+/// number of the generator's fill runs: the info-hash as one thread
+/// filling whole pieces produced it, whatever split of the pieces over
+/// threads the host now makes.
+#[test]
+fn odd_split_content_keeps_its_info_hash() {
+    let content = SyntheticContent::generate("split", 49, 36 * 40_000 + 777, 40_000);
+    assert_eq!(content.metainfo.num_pieces(), 37);
+    assert_eq!(
+        to_hex(&content.metainfo.info_hash),
+        "274536de95e61d0cc0c17417fc6b5c4402fba940"
+    );
+    assert_eq!(
+        content.metainfo.piece_hashes[36],
+        reference(&content.piece_bytes(36))
+    );
+}
